@@ -60,10 +60,6 @@ def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:
     return form
 
 
-def zero_l1(instance: GradedInstance, convention=None) -> VForm:
-    return VForm.zero(instance, 1, -1, convention, label="l1")
-
-
 def extend_bundle_map(instance: GradedInstance, N, convention=None, label=None) -> VForm:
     """Derivation extension of an endomorphism: zero on functions,
     sum over factors N applied to one generator at a time."""

@@ -7,8 +7,7 @@ check nijenhuis --kind weak|coboundary|full; check pqn; suite lemma;
 suite witt; suite main-theorem; suite stienon-xu.
 
 Exit codes: 0 all checks pass, 1 mathematical failure, 2 input error.
-JSON reports are byte-identical for identical inputs.  RNFORMS_THREADS
-caps evaluation parallelism inside the exhaustive checks.
+JSON reports are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ def cmd_check_pqn(scenario: Scenario, args) -> Report:
 
 def cmd_suite_lemma(scenario: Scenario, args) -> Report:
     return coefficient_suite(scenario.instance, scenario.i_max, scenario.m_max,
-                             scenario.n_max, NEG)
+                             scenario.n_max, NEG, scenario.test_family())
 
 
 def cmd_suite_witt(scenario: Scenario, args) -> Report:

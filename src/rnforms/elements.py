@@ -4,7 +4,8 @@ An Element is a finite linear combination of exterior monomials over the
 generators, with coefficients in the instance's ring (Fraction or Poly).
 Monomials are strictly increasing tuples of 0-based generator indices; the
 empty tuple is the unit function.  Elements are immutable and hashable so
-they can key memo tables.
+they can key memo tables; each caches its key, hash and wedge degree on
+first use.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ def sort_monomial(indices) -> tuple:
     return tuple(work), sign
 
 
+_UNSET = object()        # wedge degree not computed yet (None means zero/mixed)
+
+
 class Element:
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ("terms", "_key", "_hash", "_degree")
 
     def __init__(self, terms=None):
         clean = {}
@@ -42,6 +46,7 @@ class Element:
         self.terms = clean
         self._key = None
         self._hash = None
+        self._degree = _UNSET
 
     @classmethod
     def zero(cls) -> "Element":
@@ -52,11 +57,14 @@ class Element:
 
     def wedge_degree(self):
         """Common wedge degree of all monomials, or None (zero/mixed)."""
-        degrees = {len(mon) for mon in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
+        degree = self._degree
+        if degree is _UNSET:
+            degrees = {len(mon) for mon in self.terms}
+            degree = self._degree = degrees.pop() if len(degrees) == 1 else None
+        return degree
 
     def is_homogeneous(self) -> bool:
-        return len({len(mon) for mon in self.terms}) <= 1
+        return not self.terms or self.wedge_degree() is not None
 
     def require_homogeneous(self) -> int:
         if self.is_zero():
@@ -94,6 +102,7 @@ class Element:
         out.terms = terms
         out._key = None
         out._hash = None
+        out._degree = _UNSET
         return out
 
     def __neg__(self) -> "Element":

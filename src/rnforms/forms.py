@@ -15,8 +15,6 @@ calculus is convention independent.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .elements import Element
@@ -61,31 +59,43 @@ class VForm:
         if len(args) != self.arity:
             raise InputError(f"{self.label}: expected {self.arity} arguments, got {len(args)}")
         for arg in args:
-            if arg.is_zero():
+            if not arg.terms:
                 return Element.zero()
-            if not arg.is_homogeneous():
+            if arg.wedge_degree() is None:
                 raise InputError(f"{self.label}: argument {arg!r} is not homogeneous")
         canonical, sign = self._canonical(args)
-        if sign == 0:
+        if not sign:
             return Element.zero()
-        cached = self._memo.get(canonical)
+        memo = self._memo
+        cached = memo.get(canonical)
         if cached is None:
-            cached = self.fn(canonical)
-            self._memo[canonical] = cached
+            cached = memo[canonical] = self.fn(canonical)
         return cached if sign > 0 else -cached
 
     __call__ = evaluate
 
     def _canonical(self, args):
+        """Sort nonzero homogeneous arguments by (wedge degree, key) and
+        return (sorted_args, sign): the int Koszul sign of the sorting
+        permutation (graded.koszul_sign, unvalidated), 0 when an odd
+        argument repeats."""
         ring = self.instance.ring
         keys = [(arg.wedge_degree(), arg.key(ring)) for arg in args]
         order = sorted(range(len(args)), key=keys.__getitem__)
-        parities = [k[0] for k in keys]
-        for a, b in zip(order, order[1:]):
-            if keys[a] == keys[b] and parities[a] % 2:
-                return (), 0
-        sign = koszul_sign(order, parities)
-        return tuple(args[i] for i in order), int(sign)
+        sign = 1
+        odd = []            # original positions of the odd arguments, in sorted order
+        previous = None
+        for i in order:
+            key = keys[i]
+            if key[0] & 1:
+                if key == previous:
+                    return (), 0
+                for j in odd:
+                    if j > i:
+                        sign = -sign
+                odd.append(i)
+            previous = key
+        return tuple([args[i] for i in order]), sign
 
     # -- linear structure -------------------------------------------------------
 
@@ -156,20 +166,30 @@ def insert(K: VForm, L: VForm) -> VForm:
             raise InputError("insertion of a 0-form into a 0-form is undefined")
         return VForm.zero(K.instance, arity, shift, K.convention, label=label)
     shuffles = unshuffles(k, l - 1)
+    tables: dict = {}       # parity pattern -> ((sign, first k slots, rest), ...)
 
     def fn(args):
-        parities = [arg.wedge_degree() for arg in args]
-        total = Element.zero()
-        for perm in shuffles:
-            sign = koszul_sign(perm, parities)
-            inner = K.evaluate(tuple(args[i] for i in perm[:k]))
-            if inner.is_zero():
+        parities = tuple([arg.wedge_degree() & 1 for arg in args])
+        table = tables.get(parities)
+        if table is None:
+            table = tables[parities] = tuple(
+                (int(koszul_sign(perm, parities)), perm[:k], perm[k:]) for perm in shuffles)
+        total: dict = {}
+        for sign, first, rest in table:
+            inner = K.evaluate(tuple([args[i] for i in first]))
+            if not inner.terms:
                 continue
-            value = L.evaluate((inner,) + tuple(args[i] for i in perm[k:]))
-            if sign < 0:
-                value = -value
-            total = total + value
-        return total
+            value = L.evaluate((inner,) + tuple([args[i] for i in rest]))
+            for mon, coeff in value.terms.items():
+                if sign < 0:
+                    coeff = -coeff
+                acc = total.get(mon)
+                acc = coeff if acc is None else acc + coeff
+                if acc:
+                    total[mon] = acc
+                else:
+                    total.pop(mon, None)
+        return Element(total)
 
     return VForm(K.instance, arity, shift, fn, K.convention, label=label)
 
@@ -178,13 +198,15 @@ def rn_vform(K: VForm, L: VForm) -> VForm:
     """Single-component bracket i_K L - (-1)^{deg K deg L} i_L K."""
     left = insert(K, L)
     right = insert(L, K)
-    if sign_pow(K.shift * L.shift) > 0:
-        return VForm(K.instance, left.arity, left.shift,
-                     lambda args: left.evaluate(args) - right.evaluate(args),
-                     K.convention, label=f"[{K.label},{L.label}]")
-    return VForm(K.instance, left.arity, left.shift,
-                 lambda args: left.evaluate(args) + right.evaluate(args),
-                 K.convention, label=f"[{K.label},{L.label}]")
+    sign = sign_pow(K.shift * L.shift)
+
+    def fn(args):
+        value = left.evaluate(args)
+        other = right.evaluate(args)
+        return value - other if sign > 0 else value + other
+
+    return VForm(K.instance, left.arity, left.shift, fn, K.convention,
+                 label=f"[{K.label},{L.label}]")
 
 
 class PolyForm:
@@ -319,17 +341,6 @@ class ZeroCertificate:
         return f"ZeroCertificate({self.label}: {status}, complete={self.complete})"
 
 
-def thread_count() -> int:
-    raw = os.environ.get("RNFORMS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"RNFORMS_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise InputError(f"RNFORMS_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def basis_tuples(instance: GradedInstance, arity: int, family=None):
     """Canonical symmetric tuples from the basis (or a declared family):
     non-decreasing in the total order, no repeated odd factor."""
@@ -371,17 +382,12 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
         note = "all canonical basis tuples"
     checked: list[str] = []
     counterexample = None
-    workers = thread_count()
     for arity in form.arities():
         comp = form.component(arity)
         tuples = list(basis_tuples(instance, arity, test_family))
         labels = ["(" + ", ".join(instance.basis_label(el) for el in combo) + ")"
                   for combo in tuples]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                values = list(pool.map(comp.evaluate, tuples))
-        else:
-            values = [comp.evaluate(combo) for combo in tuples]
+        values = [comp.evaluate(combo) for combo in tuples]
         for label, value in zip(labels, values):
             checked.append(f"arity {arity}: {label}")
             if counterexample is None and not value.is_zero():

@@ -26,6 +26,8 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
   },
   "suite": {"i_max": 4, "m_max": 4, "n_max": 4, "poly_degree_bound": 1}
 }
+
+A key outside this schema, at any level, is an input error.
 """
 
 from __future__ import annotations
@@ -68,6 +70,29 @@ class Scenario:
         if self.instance.ring.kind == "poly":
             return default_poly_family(self.instance, self.poly_degree_bound)
         return None
+
+
+_TOP_KEYS = {"name", "instance", "grading", "data", "suite"}
+_INSTANCE_KEYS = {"lie_algebra", "poly_algebroid"}
+_LIE_KEYS = {"dim", "basis", "brackets"}
+_POLY_KEYS = {"base_dim", "coordinates", "rank", "generators", "anchor", "brackets"}
+_DATA_KEYS = {"pi", "N", "omega", "H", "alpha", "lambda", "a", "b", "n"}
+_SUITE_KEYS = {"i_max", "m_max", "n_max", "poly_degree_bound"}
+
+
+def _block(raw, where: str, keys: set) -> dict:
+    """A scenario object (None reads as empty); InputError naming every key
+    outside ``keys``."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise InputError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - keys)
+    if unknown:
+        noun = "key" if len(unknown) == 1 else "keys"
+        raise InputError(f"unknown {noun} {', '.join(map(repr, unknown))} in {where};"
+                         f" expected one of {sorted(keys)}")
+    return raw
 
 
 def _parse_brackets(raw, names) -> dict:
@@ -141,11 +166,12 @@ def load_scenario(path) -> Scenario:
 
 
 def build_scenario(raw: dict, default_name="scenario") -> Scenario:
+    raw = _block(raw, "scenario", _TOP_KEYS)
     name = raw.get("name", default_name)
-    inst_block = raw.get("instance") or {}
+    inst_block = _block(raw.get("instance"), "instance", _INSTANCE_KEYS)
     convention = GradingConvention.parse(raw.get("grading", "negated"))
     if "lie_algebra" in inst_block:
-        block = inst_block["lie_algebra"]
+        block = _block(inst_block["lie_algebra"], "instance.lie_algebra", _LIE_KEYS)
         names = tuple(block.get("basis") or (f"e{i+1}" for i in range(int(block["dim"]))))
         data = LieAlgebraData(
             int(block["dim"]), names,
@@ -153,7 +179,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
              for k, row in _parse_brackets(block.get("brackets"), names).items()})
         instance = GradedInstance(data, convention, name=name)
     elif "poly_algebroid" in inst_block:
-        block = inst_block["poly_algebroid"]
+        block = _block(inst_block["poly_algebroid"], "instance.poly_algebroid", _POLY_KEYS)
         coords = tuple(block.get("coordinates")
                        or (f"x{i+1}" for i in range(int(block["base_dim"]))))
         gens = tuple(block.get("generators")
@@ -173,7 +199,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         raise InputError("scenario needs an instance block"
                          " (lie_algebra or poly_algebroid)")
 
-    data_block = raw.get("data") or {}
+    data_block = _block(raw.get("data"), "data", _DATA_KEYS)
     pi = _parse_element(data_block.get("pi"), instance)
     if not pi.is_zero() and pi.wedge_degree() != 2:
         raise InputError("pi must be a bivector")
@@ -189,7 +215,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
     a = [parse_rational(v) for v in data_block.get("a", ["0", "1"])]
     b = [parse_rational(v) for v in data_block.get("b", ["1"])]
     n = int(data_block.get("n", 2))
-    suite = raw.get("suite") or {}
+    suite = _block(raw.get("suite"), "suite", _SUITE_KEYS)
     scenario = Scenario(
         name=name, instance=instance, pi=pi, N=N, omega=omega, H=H, alpha=alpha,
         lam=lam, pencil_coefficients=a, wedge_coefficients=b, bracket_index=n,

@@ -148,6 +148,37 @@ def test_scenario_shape_errors(tmp_path):
         build_scenario(base)
 
 
+def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
+    # misspelled omega, suite and pi used to load as defaults and pass
+    raw = json.loads((SCENARIOS / "aff1.json").read_text())
+    raw["data"]["omgea"] = {"e1^e2": "1"}
+    raw["sute"] = raw.pop("suite")
+    raw["data"]["pi "] = raw["data"].pop("pi")
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "--scenario", str(path), "check", "pqn")
+    assert code == 2
+    assert "status: pass" not in out
+    assert "'sute'" in err
+    for level, key in (("data", "omgea"), ("data", "pi "), ("suite", "imax")):
+        raw = json.loads((SCENARIOS / "aff1.json").read_text())
+        raw[level][key] = "1"
+        with pytest.raises(InputError, match=repr(key)):
+            build_scenario(raw)
+    for block in ("lie_algebra", "poly_algebroid"):
+        name = "aff1" if block == "lie_algebra" else "poly-tangent-r2"
+        raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+        raw["instance"][block]["bracket"] = {}
+        with pytest.raises(InputError, match="'bracket'"):
+            build_scenario(raw)
+    raw = json.loads((SCENARIOS / "aff1.json").read_text())
+    raw["instance"]["lie_algbra"] = raw["instance"]["lie_algebra"]
+    with pytest.raises(InputError, match="instance"):
+        build_scenario(raw)
+    with pytest.raises(InputError):
+        build_scenario(["not", "an", "object"])
+
+
 def test_scenario_round_trip_matches_builders(aff, h3):
     s = load_shipped("aff1")
     assert s.instance.rank == aff.rank
@@ -185,7 +216,7 @@ EXIT_MATRIX = {
     ("check", "pqn"): {
         "aff1": 0, "heisenberg3": 0, "so3": 1, "abelian2": 0, "poly-tangent-r2": 0},
     ("suite", "lemma"): {
-        "aff1": 0, "heisenberg3": 0, "so3": 0, "abelian2": 0, "poly-tangent-r2": 2},
+        "aff1": 0, "heisenberg3": 0, "so3": 0, "abelian2": 0, "poly-tangent-r2": 0},
     ("suite", "witt"): {
         "aff1": 0, "heisenberg3": 0, "so3": 0, "abelian2": 0, "poly-tangent-r2": 2},
     ("suite", "main-theorem"): {

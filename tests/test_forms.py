@@ -174,18 +174,6 @@ def test_is_zero_empty_family_rejected(poly):
         is_zero(form, poly, [])
 
 
-def test_threads_do_not_change_verdict(aff, broken, monkeypatch):
-    form = rn_bracket(l2_form(broken), l2_form(broken))
-    sequential = is_zero(form, broken)
-    monkeypatch.setenv("RNFORMS_THREADS", "4")
-    threaded = is_zero(form, broken)
-    assert threaded.counterexample == sequential.counterexample
-    assert threaded.checked == sequential.checked
-    monkeypatch.setenv("RNFORMS_THREADS", "zero")
-    with pytest.raises(InputError):
-        is_zero(form, broken)
-
-
 def test_polyform_convention_mixing_rejected(h3):
     neg = wedge_form(h3, 2, GradingConvention.NEGATED)
     sh2 = extend_bundle_map(h3, [[Fraction(1), 0, 0], [0, Fraction(1), 0],
