@@ -7,8 +7,8 @@ and run over declared test families on polynomial ones.
 
 from .rings import (InputError, Poly, PolyRing, RationalRing, Scalar,
                     format_rational, parse_rational)
-from .graded import (GradingConvention, canonicalize, koszul_sign,
-                     koszul_sign_by_transpositions, sign_pow, unshuffles)
+from .graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
+                     sign_pow, unshuffles)
 from .elements import Element, wedge
 from .instances import (GradedInstance, LieAlgebraData, PolyAlgebroidData,
                         STANDARD_INSTANCES, abelian2, aff1, broken_jacobi3,
@@ -39,7 +39,7 @@ from .scenario import Scenario, build_scenario, load_scenario, load_shipped
 __all__ = [
     "InputError", "Poly", "PolyRing", "RationalRing", "Scalar",
     "format_rational", "parse_rational",
-    "GradingConvention", "canonicalize", "koszul_sign",
+    "GradingConvention", "koszul_sign",
     "koszul_sign_by_transpositions", "sign_pow", "unshuffles",
     "Element", "wedge",
     "GradedInstance", "LieAlgebraData", "PolyAlgebroidData",

@@ -22,6 +22,15 @@ from .instances import GradedInstance
 from .rings import InputError
 
 
+def _shared(instance: GradedInstance, key, build) -> VForm:
+    """The one node per instance for ``key`` (a name, arity and convention)."""
+    nodes = instance._form_nodes
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = build()
+    return node
+
+
 def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
     """(P_1, ..., P_k) -> P_1 ^ ... ^ P_k."""
     if k < 1:
@@ -33,7 +42,9 @@ def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
             out = out.wedge(arg)
         return out
 
-    return VForm(instance, k, 0, fn, convention, label=f"N{k}")
+    convention = convention or instance.convention
+    return _shared(instance, ("wedge", k, convention),
+                   lambda: VForm(instance, k, 0, fn, convention, label=f"N{k}"))
 
 
 def l2_form(instance: GradedInstance, convention=None) -> VForm:
@@ -45,7 +56,9 @@ def l2_form(instance: GradedInstance, convention=None) -> VForm:
         value = instance.sn_bracket(P, Q)
         return -value if p % 2 else value
 
-    return VForm(instance, 2, -1, fn, convention, label="l2")
+    convention = convention or instance.convention
+    return _shared(instance, ("l2", convention),
+                   lambda: VForm(instance, 2, -1, fn, convention, label="l2"))
 
 
 def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:

@@ -23,7 +23,8 @@ from .graded import GradingConvention
 from .linfty import (check_coboundary, check_weak, coefficient_suite,
                      nijenhuis_deformation_theorem_check, pairwise_compatibility,
                      pencil, square_of_sum, sum_of_wedges, witt_action_check)
-from .pqn import PQNQuadruple, check_pqn, main_theorem_harness, stienon_xu_harness
+from .pqn import (PQNQuadruple, _exact_ratio, check_pqn, main_theorem_harness,
+                  stienon_xu_harness)
 from .report import Report
 from .rings import InputError
 from .scenario import Scenario, load_scenario
@@ -130,7 +131,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
                 if other is None:
                     ok = False
                     break
-                r = _ratio(instance, other, coeff)
+                r = _exact_ratio(instance, other, coeff)
                 if r is None or (ratio is not None and r != ratio):
                     ok = False
                     break
@@ -148,13 +149,6 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
                        f" is {instance.basis_label(first[1])}>")
         bits.append(matched)
     return " + ".join(bits) if bits else "0"
-
-
-def _ratio(instance, numerator, denominator):
-    if instance.ring.kind == "rational":
-        return Fraction(numerator) / Fraction(denominator)
-    from .pqn import _exact_ratio
-    return _exact_ratio(instance, numerator, denominator)
 
 
 def cmd_validate(scenario: Scenario, args) -> Report:

@@ -1,8 +1,13 @@
 """Graded-symmetric vector-valued forms as evaluable objects.
 
 A VForm of arity k maps k-tuples of homogeneous elements to elements,
-multilinearly and graded-symmetrically.  Forms are combinator trees
-(primitive rules, sums, scalar multiples, insertions, brackets); dense
+multilinearly and graded-symmetrically.  A form is either an atomic node
+(a primitive rule or an insertion), which owns the memo of its values on
+canonical argument tuples, or a rational linear combination of atomic
+nodes, which owns none.  Scaling, sums and brackets only merge coefficient
+maps; insertion nodes are hash-consed on the instance, keyed by the shared
+representatives of both sides, so [aK, bL] reuses the node of [K, L] and
+the same values are never computed twice under different names.  Dense
 tables are only materialized by :func:`is_zero`.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
@@ -16,18 +21,27 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .elements import Element
 from .graded import GradingConvention, koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance
 from .rings import InputError, PolyRing
 
+_ONE = Fraction(1)
+_NO_MEMO = MappingProxyType({})     # the memo of every linear combination
+
 
 class VForm:
-    """A single graded-symmetric vector-valued form of one arity."""
+    """A single graded-symmetric vector-valued form of one arity.
+
+    ``terms`` is None for an atomic node, whose rule ``fn`` runs on memo
+    misses; otherwise it maps atomic nodes to nonzero Fraction
+    coefficients, and ``fn`` is the same combination of the nodes' rules
+    on uncanonicalized arguments (see :meth:`raw_evaluate`)."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=None, label: str = "K"):
+                 convention=None, label: str = "K", terms=None):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
@@ -36,7 +50,23 @@ class VForm:
         self.fn = fn
         self.convention = convention or instance.convention
         self.label = label
-        self._memo: dict = {}
+        self.terms = terms
+        if terms is None:
+            self._memo: dict = {}
+            self._order = instance._node_count = instance._node_count + 1
+        else:
+            self._memo = _NO_MEMO
+
+    @classmethod
+    def combination(cls, instance, arity, shift, terms, convention=None,
+                    label="K") -> "VForm":
+        """The linear combination sum c * node over ``terms`` (node -> c)."""
+        nodes = tuple(terms.items())
+
+        def fn(args):
+            return _combine([(c, node.fn(args)) for node, c in nodes])
+
+        return cls(instance, arity, shift, fn, convention, label, terms=terms)
 
     # -- degree ---------------------------------------------------------------
 
@@ -66,11 +96,21 @@ class VForm:
         canonical, sign = self._canonical(args)
         if not sign:
             return Element.zero()
-        memo = self._memo
-        cached = memo.get(canonical)
-        if cached is None:
-            cached = memo[canonical] = self.fn(canonical)
-        return cached if sign > 0 else -cached
+        terms = self.terms
+        if terms is None:
+            memo = self._memo
+            cached = memo.get(canonical)
+            if cached is None:
+                cached = memo[canonical] = self.fn(canonical)
+            return cached if sign > 0 else -cached
+        values = []
+        for node, coeff in terms.items():
+            memo = node._memo
+            cached = memo.get(canonical)
+            if cached is None:
+                cached = memo[canonical] = node.fn(canonical)
+            values.append((coeff if sign > 0 else -coeff, cached))
+        return _combine(values)
 
     __call__ = evaluate
 
@@ -99,6 +139,10 @@ class VForm:
 
     # -- linear structure -------------------------------------------------------
 
+    def linear_terms(self) -> dict:
+        """The form as a map atomic node -> coefficient."""
+        return {self: _ONE} if self.terms is None else self.terms
+
     def _compatible(self, other: "VForm") -> None:
         if self.instance is not other.instance:
             raise InputError("forms live on different instances")
@@ -110,30 +154,86 @@ class VForm:
                 f"cannot add forms of arity/shift ({self.arity},{self.shift}) and"
                 f" ({other.arity},{other.shift})")
 
-    def __add__(self, other: "VForm") -> "VForm":
+    def _plus(self, other: "VForm", factor, label) -> "VForm":
         self._compatible(other)
-        return VForm(self.instance, self.arity, self.shift,
-                     lambda args: self.evaluate(args) + other.evaluate(args),
-                     self.convention, label=f"({self.label} + {other.label})")
+        terms = dict(self.linear_terms())
+        for node, coeff in other.linear_terms().items():
+            acc = terms.get(node, 0) + factor * coeff
+            if acc:
+                terms[node] = acc
+            else:
+                del terms[node]
+        return VForm.combination(self.instance, self.arity, self.shift, terms,
+                                 self.convention, label)
+
+    def __add__(self, other: "VForm") -> "VForm":
+        return self._plus(other, 1, f"({self.label} + {other.label})")
 
     def __sub__(self, other: "VForm") -> "VForm":
-        self._compatible(other)
-        return VForm(self.instance, self.arity, self.shift,
-                     lambda args: self.evaluate(args) - other.evaluate(args),
-                     self.convention, label=f"({self.label} - {other.label})")
+        return self._plus(other, -1, f"({self.label} - {other.label})")
 
     def scale(self, factor) -> "VForm":
         factor = Fraction(factor)
-        return VForm(self.instance, self.arity, self.shift,
-                     lambda args: self.evaluate(args).scale(factor),
-                     self.convention, label=f"{factor}*{self.label}")
+        terms = ({node: factor * coeff for node, coeff in self.linear_terms().items()}
+                 if factor else {})
+        return VForm.combination(self.instance, self.arity, self.shift, terms,
+                                 self.convention, f"{factor}*{self.label}")
 
     def __neg__(self) -> "VForm":
         return self.scale(-1)
 
     @classmethod
     def zero(cls, instance, arity, shift, convention=None, label="0") -> "VForm":
-        return cls(instance, arity, shift, lambda args: Element.zero(), convention, label)
+        return cls.combination(instance, arity, shift, {}, convention, label)
+
+
+def _combine(values) -> Element:
+    """sum c * value over (c, value) pairs, summed term by term in order
+    (the order a chain of Element additions gives)."""
+    if len(values) == 1:
+        coeff, value = values[0]
+        if coeff == 1:
+            return value
+        return -value if coeff == -1 else value.scale(coeff)
+    total: dict = {}
+    for coeff, value in values:
+        negate = coeff == -1
+        plain = negate or coeff == 1
+        for mon, c in value.terms.items():
+            if not plain:
+                c = coeff * c
+            elif negate:
+                c = -c
+            acc = total.get(mon)
+            acc = c if acc is None else acc + c
+            if acc:
+                total[mon] = acc
+            else:
+                total.pop(mon, None)
+    return Element(total)
+
+
+def _representative(form: VForm):
+    """(shared representative, factor) with form = factor * representative,
+    or (None, 0) for the zero form.  The representative is an atomic node,
+    or a combination cached on the instance whose first coefficient (in
+    node creation order) is 1."""
+    if form.terms is None:
+        return form, _ONE
+    if not form.terms:
+        return None, 0
+    items = sorted(form.terms.items(), key=lambda item: item[0]._order)
+    node, factor = items[0]
+    if len(items) == 1:
+        return node, factor
+    key = ("combination", tuple([(n, c / factor) for n, c in items]))
+    cache = form.instance._form_nodes
+    rep = cache.get(key)
+    if rep is None:
+        rep = cache[key] = VForm.combination(form.instance, form.arity, form.shift,
+                                             dict(key[1]), form.convention,
+                                             f"{1 / factor}*{form.label}")
+    return rep, factor
 
 
 def element_form(instance: GradedInstance, element: Element, convention=None,
@@ -152,7 +252,11 @@ def element_form(instance: GradedInstance, element: Element, convention=None,
 def insert(K: VForm, L: VForm) -> VForm:
     """Insertion of K into every argument slot of L over (k, l-1)-unshuffles
     with Koszul signs.  Inserting into a 0-form gives the zero form;
-    inserting a 0-form X into L is the partial application L(X, ...)."""
+    inserting a 0-form X into L is the partial application L(X, ...).
+
+    Both sides are first reduced to (shared representative, factor); the
+    insertion of the two representatives is one atomic node per instance,
+    and the result is that node times the product of the factors."""
     if K.instance is not L.instance:
         raise InputError("forms live on different instances")
     if K.convention is not L.convention:
@@ -161,11 +265,23 @@ def insert(K: VForm, L: VForm) -> VForm:
     arity = k + l - 1
     shift = K.shift + L.shift
     label = f"i_{{{K.label}}}{L.label}"
-    if l == 0:
-        if arity < 0:
-            raise InputError("insertion of a 0-form into a 0-form is undefined")
+    if l == 0 and arity < 0:
+        raise InputError("insertion of a 0-form into a 0-form is undefined")
+    K_rep, a = _representative(K)
+    L_rep, b = _representative(L)
+    if l == 0 or K_rep is None or L_rep is None:
         return VForm.zero(K.instance, arity, shift, K.convention, label=label)
-    shuffles = unshuffles(k, l - 1)
+    nodes = K.instance._form_nodes
+    key = ("insert", K_rep, L_rep)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = _insertion_node(K_rep, L_rep)
+    return VForm.combination(K.instance, arity, shift, {node: a * b}, K.convention, label)
+
+
+def _insertion_node(K: VForm, L: VForm) -> VForm:
+    k = K.arity
+    shuffles = unshuffles(k, L.arity - 1)
     tables: dict = {}       # parity pattern -> ((sign, first k slots, rest), ...)
 
     def fn(args):
@@ -191,22 +307,17 @@ def insert(K: VForm, L: VForm) -> VForm:
                     total.pop(mon, None)
         return Element(total)
 
-    return VForm(K.instance, arity, shift, fn, K.convention, label=label)
+    return VForm(K.instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention,
+                 label=f"i_{{{K.label}}}{L.label}")
 
 
 def rn_vform(K: VForm, L: VForm) -> VForm:
     """Single-component bracket i_K L - (-1)^{deg K deg L} i_L K."""
     left = insert(K, L)
     right = insert(L, K)
-    sign = sign_pow(K.shift * L.shift)
-
-    def fn(args):
-        value = left.evaluate(args)
-        other = right.evaluate(args)
-        return value - other if sign > 0 else value + other
-
-    return VForm(K.instance, left.arity, left.shift, fn, K.convention,
-                 label=f"[{K.label},{L.label}]")
+    form = left - right if sign_pow(K.shift * L.shift) > 0 else left + right
+    form.label = f"[{K.label},{L.label}]"
+    return form
 
 
 class PolyForm:
@@ -313,7 +424,7 @@ class ZeroCertificate:
         self.instance = instance
         self.label = label
         self.arities = tuple(arities)
-        self.checked = checked                  # list of tuple labels, in test order
+        self.checked = checked                  # canonical tuples, in test order
         self.complete = complete
         self.counterexample = counterexample    # (tuple label, value label) or None
         self.family_note = family_note
@@ -380,18 +491,16 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
         note = f"declared family of {len(test_family)} elements"
     else:
         note = "all canonical basis tuples"
-    checked: list[str] = []
+    checked: list = []
     counterexample = None
     for arity in form.arities():
         comp = form.component(arity)
-        tuples = list(basis_tuples(instance, arity, test_family))
-        labels = ["(" + ", ".join(instance.basis_label(el) for el in combo) + ")"
-                  for combo in tuples]
-        values = [comp.evaluate(combo) for combo in tuples]
-        for label, value in zip(labels, values):
-            checked.append(f"arity {arity}: {label}")
-            if counterexample is None and not value.is_zero():
-                counterexample = (f"arity {arity}: {label}", instance.basis_label(value))
+        for combo in basis_tuples(instance, arity, test_family):
+            value = comp.evaluate(combo)
+            checked.append(combo)
+            if counterexample is None and value.terms:
+                label = ", ".join(instance.basis_label(el) for el in combo)
+                counterexample = (f"arity {arity}: ({label})", instance.basis_label(value))
     return ZeroCertificate(instance.name, form.label, form.arities(), checked,
                            complete, counterexample, note)
 

@@ -1,4 +1,4 @@
-"""Graded combinatorics: Koszul signs, unshuffles, tuple canonicalization.
+"""Graded combinatorics: Koszul signs and unshuffles.
 
 Signs in a graded-symmetric world depend only on degree parities, which
 coincide for the two grading conventions used here (deg P = -p and
@@ -94,18 +94,3 @@ def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
         result.append(first + rest)
     return result
 
-
-def canonicalize(factors: Sequence, degrees: Sequence[int], keys: Sequence):
-    """Sort graded factors into canonical order.
-
-    Returns ``(sorted_factors, sign)`` where sign is the Koszul sign of the
-    sorting permutation, or ``(None, 0)`` when an odd-degree factor repeats
-    (X o X = 0 over Q for odd X).  ``keys`` must be totally ordered and equal
-    exactly when factors are equal.
-    """
-    order = sorted(range(len(factors)), key=lambda t: keys[t])
-    for a, b in zip(order, order[1:]):
-        if keys[a] == keys[b] and degrees[a] % 2 != 0:
-            return None, Fraction(0)
-    sign = koszul_sign(order, degrees)
-    return tuple(factors[t] for t in order), sign

@@ -23,7 +23,19 @@ from .graded import GradingConvention, sign_pow
 from .rings import InputError, PolyRing, RationalRing
 
 
-class LieAlgebraData:
+class _StructureTable:
+    """Structure constants or functions [a_i, a_j] = sum_k f^k_ij a_k, kept
+    in ``table`` for i < j only."""
+
+    def bracket_terms(self, i: int, j: int) -> dict:
+        if i == j:
+            return {}
+        if i < j:
+            return dict(self.table.get((i, j), {}))
+        return {k: -c for k, c in self.table.get((j, i), {}).items()}
+
+
+class LieAlgebraData(_StructureTable):
     """Structure constants [e_i, e_j] = sum_k c^k_ij e_k, stored for i < j."""
 
     def __init__(self, dim: int, basis_names=None, brackets=None):
@@ -44,15 +56,8 @@ class LieAlgebraData:
                 table[(i, j)] = row
         self.table = table
 
-    def bracket_terms(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-
-class PolyAlgebroidData:
+class PolyAlgebroidData(_StructureTable):
     """Polynomial Lie algebroid over Q[x1..xd]: rank-r free module with
     anchor rho (r x d polynomial matrix, rho(a_i) = sum_m anchor[i][m] d/dx_m)
     and structure functions [a_i, a_j] = sum_k f^k_ij(x) a_k."""
@@ -83,13 +88,6 @@ class PolyAlgebroidData:
                 table[(i, j)] = row
         self.table = table
 
-    def bracket_terms(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
 
 class GradedInstance:
     """A validated instance: basis per wedge degree, exact Schouten bracket,
@@ -111,6 +109,8 @@ class GradedInstance:
             raise InputError(f"unsupported instance data {type(data).__name__}")
         self._basis_cache: dict = {}
         self._sn_memo: dict = {}
+        self._form_nodes: dict = {}     # hash-consed form nodes (rnforms.forms, catalog)
+        self._node_count = 0            # creation order of atomic form nodes
         if check:
             self.validate()
 

@@ -18,6 +18,7 @@ are checked here with exhaustive certificates.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial
 
@@ -201,13 +202,34 @@ def sum_of_wedges(instance: GradedInstance, b, convention=NEG) -> PolyForm:
                     label="N(" + ",".join(str(Fraction(v)) for v in b) + ")")
 
 
+class LazyCertificates(Mapping):
+    """Certificates by name, each computed on its first read."""
+
+    def __init__(self, thunks):
+        self._thunks = thunks
+        self._done = {}
+
+    def __getitem__(self, key):
+        cert = self._done.get(key)
+        if cert is None:
+            cert = self._done[key] = self._thunks[key]()
+        return cert
+
+    def __iter__(self):
+        return iter(self._thunks)
+
+    def __len__(self):
+        return len(self._thunks)
+
+
 class NijenhuisReport:
     """Structured result of the weak / co-boundary / full checks.
 
     Mathematical failure is data here, never an exception; the three
     certificates cover the deformation-square identity, the commuting
     square, and the weak identity, plus the deformed structure's own
-    certificates."""
+    certificates.  Each certificate is computed when first read: a verdict
+    reads only the ones it needs, ``to_report`` reads them all."""
 
     def __init__(self, kind, n_label, k_label, certificates, deformed_label):
         self.kind = kind
@@ -264,21 +286,21 @@ def _check_nijenhuis(kind, n_form, k_form, mu, test_family=None) -> NijenhuisRep
         k_form = as_polyform(k_form, instance)
         if k_form.degree not in (None, 0):
             raise InputError(f"the square must have degree 0, got {k_form.degree}")
-    twice = rn_bracket(n_form, rn_bracket(n_form, mu))
-    certificates = {"weak": is_zero(rn_bracket(mu, twice), instance, test_family)}
-    if k_form is not None:
-        certificates["deformation_square"] = is_zero(
-            twice - rn_bracket(k_form, mu), instance, test_family)
-        certificates["square_commutes"] = is_zero(
-            rn_bracket(n_form, k_form), instance, test_family)
     deformed = rn_bracket(n_form, mu)
-    certificates["deformed_self"] = is_zero(rn_bracket(deformed, deformed),
-                                            instance, test_family)
-    certificates["deformed_compatible"] = is_zero(rn_bracket(mu, deformed),
-                                                  instance, test_family)
+    twice = rn_bracket(n_form, deformed)
+
+    def certify(form):
+        return lambda: is_zero(form, instance, test_family)
+
+    thunks = {"weak": certify(rn_bracket(mu, twice))}
+    if k_form is not None:
+        thunks["deformation_square"] = certify(twice - rn_bracket(k_form, mu))
+        thunks["square_commutes"] = certify(rn_bracket(n_form, k_form))
+    thunks["deformed_self"] = certify(rn_bracket(deformed, deformed))
+    thunks["deformed_compatible"] = certify(rn_bracket(mu, deformed))
     return NijenhuisReport(kind, n_form.label,
                            k_form.label if k_form is not None else None,
-                           certificates, deformed.label)
+                           LazyCertificates(thunks), deformed.label)
 
 
 def check_weak(n_form, mu, test_family=None) -> NijenhuisReport:

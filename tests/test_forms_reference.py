@@ -1,5 +1,6 @@
-"""Differential tests: the fast evaluation path of forms against slow
-references built from the validated, Fraction-valued graded.koszul_sign."""
+"""Differential tests: the fast evaluation path of forms (shared nodes,
+linear combinations, lazy certificates) against slow references built from
+the validated, Fraction-valued graded.koszul_sign and a closure evaluator."""
 
 from fractions import Fraction
 from functools import cache
@@ -8,12 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import default_poly_family, element_form, insert
-from rnforms.graded import koszul_sign, koszul_sign_by_transpositions, unshuffles
+from rnforms.forms import (PolyForm, default_poly_family, element_form, insert, is_zero,
+                           rn_bracket)
+from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
+                            unshuffles)
 from rnforms.instances import broken_jacobi3, heisenberg3, poly_tangent_r2, so3
+from rnforms.linfty import (check_coboundary, check_full, check_weak, pencil, square_of_sum,
+                            sum_of_wedges)
+from rnforms.pqn import main_theorem_harness, stienon_xu_harness
+from rnforms.report import Report
 from rnforms.rings import InputError
+from rnforms.scenario import load_shipped
 
 NAMES = ("h3", "so3", "broken_jacobi3", "poly-tangent-r2")
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -174,3 +183,174 @@ def test_mixed_degree_argument_raises(case, pick, slot):
     args[slot % len(args)] = mixed
     with pytest.raises(InputError):
         form.evaluate(tuple(args))
+
+
+# -- shared nodes and linear combinations ----------------------------------------------
+
+COEFFICIENTS = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@SETTINGS
+@given(st.sampled_from(("h3", "so3", "poly-tangent-r2")), st.data())
+def test_linear_combination_is_combination_of_values(name, data):
+    """A rational combination of catalog forms (with repeats, so that
+    coefficients merge and may cancel) evaluates to the same combination of
+    the parts' values."""
+    groups = {}
+    for form in catalog(name):
+        groups.setdefault((form.arity, form.shift), []).append(form)
+    group = data.draw(st.sampled_from(sorted(groups.values(), key=lambda g: g[0].arity)))
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(group), COEFFICIENTS),
+                               min_size=1, max_size=4))
+    combination = picks[0][0].scale(picks[0][1])
+    for form, coeff in picks[1:]:
+        combination = (combination + form.scale(coeff) if data.draw(st.booleans())
+                       else combination - form.scale(-coeff))
+    args = data.draw(arguments(name, group[0].arity, group[0].arity))
+    expected = Element.zero()
+    for form, coeff in picks:
+        expected = expected + form.evaluate(args).scale(coeff)
+    assert combination.evaluate(args) == expected
+    assert all(node.terms is None for node in combination.linear_terms())
+
+
+@SETTINGS
+@given(cases(min_size=4, zeros=False), COEFFICIENTS, COEFFICIENTS)
+def test_scaled_insert_is_scaled_reference_insertion(case, a, b):
+    name, args = case
+    for K in catalog(name):
+        for L in catalog(name):
+            if not L.arity or K.arity + L.arity - 1 > 4:
+                continue
+            head = args[:K.arity + L.arity - 1]
+            fast = insert(K.scale(a), L.scale(b))
+            assert fast.evaluate(head) == reference_insert(K, L)(head).scale(a * b)
+            assert fast.linear_terms().keys() == insert(K, L).linear_terms().keys()
+
+
+class ClosureForm:
+    """The closure design that shared nodes replaced: every scale, sum and
+    insertion is a new rule with a memo of its own, and arguments are sorted
+    with the validated koszul_sign."""
+
+    def __init__(self, inst, arity, shift, fn):
+        self.inst, self.arity, self.shift, self.fn = inst, arity, shift, fn
+        self.memo = {}
+
+    def evaluate(self, args):
+        args = tuple(args)
+        if any(arg.is_zero() for arg in args):
+            return Element.zero()
+        order, repeated_odd = reference_order(self.inst, args)
+        if repeated_odd:
+            return Element.zero()
+        ordered = tuple(args[i] for i in order)
+        if ordered not in self.memo:
+            self.memo[ordered] = self.fn(ordered)
+        value = self.memo[ordered]
+        return value if koszul_sign(order, [a.wedge_degree() for a in args]) > 0 else -value
+
+    def combine(self, other, factor):
+        return ClosureForm(self.inst, self.arity, self.shift,
+                           lambda args: self.evaluate(args)
+                           + other.evaluate(args).scale(factor))
+
+
+def closure_bracket(K, L):
+    """[K, L] of two {arity: ClosureForm} families, term by term."""
+    out = {}
+    for Kk in K.values():
+        for Ll in L.values():
+            if not Kk.arity and not Ll.arity:
+                continue
+            arity = Kk.arity + Ll.arity - 1
+            shift = Kk.shift + Ll.shift
+            sign = -1 if (Kk.shift * Ll.shift) % 2 == 0 else 1
+
+            def zero(args):
+                return Element.zero()
+
+            left = ClosureForm(Kk.inst, arity, shift,
+                               reference_insert(Kk, Ll) if Ll.arity else zero)
+            right = ClosureForm(Kk.inst, arity, shift,
+                                reference_insert(Ll, Kk) if Kk.arity else zero)
+            part = left.combine(right, sign)
+            out[arity] = out[arity].combine(part, 1) if arity in out else part
+    return out
+
+
+@cache
+def nested_brackets(name):
+    """[N,[N,mu]] with N = N1 - 2 N2 and mu = l2 + (1/2) l3, as shared nodes
+    and as closures over the same primitive rules."""
+    inst = instance(name)
+    neg = GradingConvention.NEGATED
+    parts = {"N": [(wedge_form(inst, 1, neg), 1), (wedge_form(inst, 2, neg), -2)],
+             "mu": [(l2_form(inst, neg), 1), (lk_form(inst, 3, neg), Fraction(1, 2))]}
+    fast = {key: PolyForm(inst, [f.scale(c) for f, c in terms], label=key)
+            for key, terms in parts.items()}
+    slow = {key: {f.arity: ClosureForm(inst, f.arity, f.shift,
+                                       lambda args, f=f, c=c: f.raw_evaluate(args).scale(c))
+                  for f, c in terms}
+            for key, terms in parts.items()}
+    return (rn_bracket(fast["N"], rn_bracket(fast["N"], fast["mu"])),
+            closure_bracket(slow["N"], closure_bracket(slow["N"], slow["mu"])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("h3", "so3", "poly-tangent-r2")), st.data())
+def test_nested_bracket_matches_closure_evaluator(name, data):
+    fast, slow = nested_brackets(name)
+    assert fast.arities() == tuple(sorted(slow))
+    arity = data.draw(st.sampled_from(fast.arities()))
+    args = data.draw(arguments(name, arity, arity))
+    assert fast.component(arity).evaluate(args) == slow[arity].evaluate(args)
+
+
+# -- lazy certificates -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("harness", ["main-theorem", "stienon-xu"])
+def test_harness_computes_only_the_deformation_square(harness, monkeypatch):
+    """The harnesses read one Nijenhuis certificate, so exactly one
+    is_zero runs in the Nijenhuis checker."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].label)
+        return is_zero(*args, **kwargs)
+
+    monkeypatch.setattr(linfty, "is_zero", counting)
+    scenario = load_shipped("aff1")
+    if harness == "main-theorem":
+        report = main_theorem_harness(scenario.instance, scenario.pi, scenario.N,
+                                      scenario.omega, scenario.H, scenario.test_family())
+    else:
+        report = stienon_xu_harness(scenario.instance, scenario.pi, scenario.N,
+                                    scenario.omega, scenario.alpha, scenario.test_family())
+    assert report.passed
+    assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("name,kind", [("so3", "coboundary"), ("so3", "weak"),
+                                       ("aff1", "full")])
+def test_forcing_every_certificate_leaves_report_unchanged(name, kind):
+    def nijenhuis_report(force):
+        scenario = load_shipped(name)
+        inst, family = scenario.instance, scenario.test_family()
+        mu = pencil(inst, scenario.pencil_coefficients, test_family=family)
+        n_form = sum_of_wedges(inst, scenario.wedge_coefficients)
+        if kind == "weak":
+            result = check_weak(n_form, mu, family)
+        else:
+            square = square_of_sum(inst, scenario.wedge_coefficients, 2)
+            check = check_coboundary if kind == "coboundary" else check_full
+            result = check(n_form, square, mu, family)
+        if force:
+            for key in reversed(list(result.certificates)):
+                assert result.certificates[key] is result.certificates[key]
+        report = Report(f"check nijenhuis --kind {kind}", name)
+        result.to_report(report)
+        return report.to_json()
+
+    assert nijenhuis_report(force=True) == nijenhuis_report(force=False)

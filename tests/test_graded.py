@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from rnforms.graded import (GradingConvention, canonicalize, koszul_sign,
+from rnforms.graded import (GradingConvention, koszul_sign,
                             koszul_sign_by_transpositions, sign_pow, unshuffles)
 from rnforms.rings import InputError
 
@@ -68,28 +68,6 @@ def test_unshuffle_counts(i, j, count):
 
 def test_unshuffles_1_1():
     assert unshuffles(1, 1) == [(0, 1), (1, 0)]
-
-
-def test_canonicalize_single_odd_swap():
-    factors, sign = canonicalize(("e2", "e1"), (-1, -1), ("e2", "e1"))
-    assert factors == ("e1", "e2")
-    assert sign == -1
-
-
-def test_canonicalize_odd_square_vanishes():
-    factors, sign = canonicalize(("e1", "e1"), (-1, -1), ("e1", "e1"))
-    assert factors is None and sign == 0
-
-
-def test_canonicalize_even_odd():
-    factors, sign = canonicalize(("e1^e2", "e1"), (-2, -1), ("z", "a"))
-    assert factors == ("e1", "e1^e2")
-    assert sign == 1
-
-
-def test_canonicalize_idempotent():
-    factors, sign = canonicalize(("a", "b", "c"), (-1, -1, -2), ("a", "b", "c"))
-    assert factors == ("a", "b", "c") and sign == 1
 
 
 def test_grading_conventions_share_parity():
