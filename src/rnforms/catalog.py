@@ -8,6 +8,11 @@
   functions, degree 0.
 - extend_kform: the derivation extension of a dual k-form, arity k and
   degree k-2 under the shifted-by-2 convention.
+- bivector_form: a bivector as a 0-form.
+
+Each constructor returns the one shared node of its instance for its
+defining data and resolved convention (see forms.shared_node), so building
+a form twice gives the same node and the same memo.
 """
 
 from __future__ import annotations
@@ -16,19 +21,10 @@ import itertools
 
 from .dualforms import DualForm, apply_matrix, matrix_mul, _check_matrix
 from .elements import Element
-from .forms import VForm, element_form, insert
+from .forms import VForm, element_form, insert, shared_node
 from .graded import GradingConvention, sign_pow
 from .instances import GradedInstance
 from .rings import InputError
-
-
-def _shared(instance: GradedInstance, key, build) -> VForm:
-    """The one node per instance for ``key`` (a name, arity and convention)."""
-    nodes = instance._form_nodes
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = build()
-    return node
 
 
 def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
@@ -43,8 +39,8 @@ def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
         return out
 
     convention = convention or instance.convention
-    return _shared(instance, ("wedge", k, convention),
-                   lambda: VForm(instance, k, 0, fn, convention, label=f"N{k}"))
+    return shared_node(instance, ("wedge", k, convention),
+                       lambda: VForm(instance, k, 0, fn, convention))
 
 
 def l2_form(instance: GradedInstance, convention=None) -> VForm:
@@ -57,8 +53,8 @@ def l2_form(instance: GradedInstance, convention=None) -> VForm:
         return -value if p % 2 else value
 
     convention = convention or instance.convention
-    return _shared(instance, ("l2", convention),
-                   lambda: VForm(instance, 2, -1, fn, convention, label="l2"))
+    return shared_node(instance, ("l2", convention),
+                       lambda: VForm(instance, 2, -1, fn, convention))
 
 
 def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:
@@ -68,17 +64,15 @@ def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:
     l2 = l2_form(instance, convention)
     if k == 2:
         return l2
-    form = insert(l2, wedge_form(instance, k - 1, convention))
-    form.label = f"l{k}"
-    return form
+    return insert(l2, wedge_form(instance, k - 1, convention))
 
 
-def extend_bundle_map(instance: GradedInstance, N, convention=None, label=None) -> VForm:
+def extend_bundle_map(instance: GradedInstance, N, convention=None) -> VForm:
     """Derivation extension of an endomorphism: zero on functions,
     sum over factors N applied to one generator at a time."""
     _check_matrix(instance, N)
     ring = instance.ring
-    N = [[ring.coerce(v) for v in row] for row in N]
+    N = tuple(tuple(ring.coerce(v) for v in row) for row in N)
 
     def fn(args):
         (P,) = args
@@ -93,7 +87,9 @@ def extend_bundle_map(instance: GradedInstance, N, convention=None, label=None) 
                 out = out + prefix.wedge(image).wedge(suffix).scale(coeff)
         return out
 
-    return VForm(instance, 1, 0, fn, convention, label=label or "underlineN")
+    convention = convention or instance.convention
+    return shared_node(instance, ("bundle map", N, convention),
+                       lambda: VForm(instance, 1, 0, fn, convention))
 
 
 def matrix_square(instance: GradedInstance, N):
@@ -102,7 +98,7 @@ def matrix_square(instance: GradedInstance, N):
     return matrix_mul(instance, N, N)
 
 
-def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2, label=None) -> VForm:
+def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2) -> VForm:
     """Derivation extension of a dual k-form to multivector arguments.
 
     On monomial arguments P_j = P_{j,1} ^ ... ^ P_{j,p_j} the value is
@@ -147,7 +143,9 @@ def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2, label=N
                 out = out + hat.scale(sign * coeff * value)
         return out
 
-    return VForm(instance, k, -k, fn, convention, label=label or f"underline({kappa.label()})")
+    convention = convention or instance.convention
+    return shared_node(instance, ("kform", k, tuple(sorted(kappa.table.items())), convention),
+                       lambda: VForm(instance, k, -k, fn, convention))
 
 
 def identity_matrix(instance: GradedInstance, scale=1):
@@ -161,4 +159,4 @@ def bivector_form(instance: GradedInstance, pi: Element, convention=None) -> VFo
     """A bivector as a vector-valued 0-form (degree 0 under shifted2)."""
     if not pi.is_zero() and pi.require_homogeneous() != 2:
         raise InputError("expected a wedge-degree-2 element")
-    return element_form(instance, pi, convention, label="pi", wedge_degree=2)
+    return element_form(instance, pi, convention, wedge_degree=2)

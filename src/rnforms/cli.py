@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 
 from .catalog import extend_bundle_map, extend_kform, lk_form, wedge_form, bivector_form
-from .forms import PolyForm, as_polyform, basis_tuples, is_zero, rn_bracket
+from .forms import PolyForm, basis_tuples, is_zero, rn_bracket
 from .graded import GradingConvention
 from .linfty import (check_coboundary, check_weak, coefficient_suite,
                      nijenhuis_deformation_theorem_check, pairwise_compatibility,
@@ -26,7 +25,7 @@ from .linfty import (check_coboundary, check_weak, coefficient_suite,
 from .pqn import (PQNQuadruple, _exact_ratio, check_pqn, main_theorem_harness,
                   stienon_xu_harness)
 from .report import Report
-from .rings import InputError
+from .rings import InputError, parse_rational
 from .scenario import Scenario, load_scenario
 
 NEG = GradingConvention.NEGATED
@@ -57,7 +56,7 @@ def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
         match = _TERM.match(piece)
         if not match:
             raise InputError(f"cannot parse form term {piece!r}")
-        coeff = Fraction(match.group("coeff") or 1) * sign
+        coeff = parse_rational(match.group("coeff") or "1") * sign
         name = match.group("name")
         form, conv = _named_form(name, scenario)
         if convention is None:
@@ -69,7 +68,7 @@ def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
         if coeff != 1:
             form = form.scale(coeff)
         parts.append(form)
-    return PolyForm(scenario.instance, parts, convention=convention, label=text)
+    return PolyForm(scenario.instance, parts, convention=convention)
 
 
 def _named_form(name: str, scenario: Scenario):
@@ -79,15 +78,15 @@ def _named_form(name: str, scenario: Scenario):
             raise InputError("scenario has no bivector pi")
         return bivector_form(instance, scenario.pi, SH2), SH2
     if name == "underlineN":
-        return extend_bundle_map(instance, scenario.N, SH2, label="underlineN"), SH2
+        return extend_bundle_map(instance, scenario.N, SH2), SH2
     if name == "underlineOmega":
         if scenario.omega.is_zero():
             raise InputError("scenario has no 2-form omega")
-        return extend_kform(scenario.omega, SH2, label="underlineOmega"), SH2
+        return extend_kform(scenario.omega, SH2), SH2
     if name == "underlineH":
         if scenario.H.is_zero():
             raise InputError("scenario has no background 3-form")
-        return extend_kform(scenario.H, SH2, label="underlineH"), SH2
+        return extend_kform(scenario.H, SH2), SH2
     if name.startswith("N") and name[1:].isdigit():
         return wedge_form(instance, int(name[1:]), NEG), NEG
     if name.startswith("l") and name[1:].isdigit():
@@ -114,33 +113,13 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
         if all(v.is_zero() for v in values):
             continue
         matched = None
-        for label, candidate in candidates:
+        for name, candidate in candidates:
             if candidate.shift != comp.shift:
                 continue
-            ratio = None
-            ok = True
-            for combo, value in zip(tuples, values):
-                cand_val = candidate.evaluate(combo)
-                if cand_val.is_zero():
-                    if not value.is_zero():
-                        ok = False
-                        break
-                    continue
-                mon, coeff = next(iter(cand_val.terms.items()))
-                other = value.terms.get(mon)
-                if other is None:
-                    ok = False
-                    break
-                r = _exact_ratio(instance, other, coeff)
-                if r is None or (ratio is not None and r != ratio):
-                    ok = False
-                    break
-                ratio = r
-                if not (value - cand_val.scale(ratio)).is_zero():
-                    ok = False
-                    break
-            if ok and ratio is not None:
-                matched = f"{ratio}*{label}" if ratio != 1 else label
+            ratio = _candidate_ratio(instance, tuples, values, candidate)
+            if ratio is not None and is_zero(comp - candidate.scale(ratio), instance,
+                                             family).is_zero:
+                matched = f"{ratio}*{name}" if ratio != 1 else name
                 break
         if matched is None:
             first = next((combo, v) for combo, v in zip(tuples, values) if not v.is_zero())
@@ -149,6 +128,19 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
                        f" is {instance.basis_label(first[1])}>")
         bits.append(matched)
     return " + ".join(bits) if bits else "0"
+
+
+def _candidate_ratio(instance, tuples, values, candidate):
+    """The only ratio r with value = r * candidate that the first tuple where
+    the candidate is nonzero allows; None when the candidate vanishes on
+    every tuple or no exact ratio fits there."""
+    for combo, value in zip(tuples, values):
+        cand_val = candidate.evaluate(combo)
+        if cand_val.terms:
+            mon, coeff = next(iter(cand_val.terms.items()))
+            other = value.terms.get(mon)
+            return None if other is None else _exact_ratio(instance, other, coeff)
+    return None
 
 
 def cmd_validate(scenario: Scenario, args) -> Report:
@@ -190,7 +182,7 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
         n_form = sum_of_wedges(instance, scenario.wedge_coefficients, NEG)
         square = square_of_sum(instance, scenario.wedge_coefficients,
                                scenario.bracket_index, NEG)
-        mu = as_polyform(lk_form(instance, scenario.bracket_index, NEG))
+        mu = lk_form(instance, scenario.bracket_index, NEG)
         result = check_coboundary(n_form, square, mu, family)
     else:
         return nijenhuis_deformation_theorem_check(

@@ -4,11 +4,13 @@ A VForm of arity k maps k-tuples of homogeneous elements to elements,
 multilinearly and graded-symmetrically.  A form is either an atomic node
 (a primitive rule or an insertion), which owns the memo of its values on
 canonical argument tuples, or a rational linear combination of atomic
-nodes, which owns none.  Scaling, sums and brackets only merge coefficient
-maps; insertion nodes are hash-consed on the instance, keyed by the shared
-representatives of both sides, so [aK, bL] reuses the node of [K, L] and
-the same values are never computed twice under different names.  Dense
-tables are only materialized by :func:`is_zero`.
+nodes, which owns none.  Forms carry no names.  Every atomic node is
+hash-consed on its instance by :func:`shared_node`: a catalog primitive is
+keyed by its defining data, an insertion by the shared representatives of
+both sides, so [aK, bL] reuses the node of [K, L] and the same values are
+never computed twice under different nodes.  Scaling, sums and brackets
+only merge coefficient maps.  Dense tables are only materialized by
+:func:`is_zero`.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
 minus the sum of the input wedge degrees).  The convention degree is
@@ -41,7 +43,7 @@ class VForm:
     on uncanonicalized arguments (see :meth:`raw_evaluate`)."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=None, label: str = "K", terms=None):
+                 convention=None, terms=None):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
@@ -49,7 +51,6 @@ class VForm:
         self.shift = shift
         self.fn = fn
         self.convention = convention or instance.convention
-        self.label = label
         self.terms = terms
         if terms is None:
             self._memo: dict = {}
@@ -58,15 +59,14 @@ class VForm:
             self._memo = _NO_MEMO
 
     @classmethod
-    def combination(cls, instance, arity, shift, terms, convention=None,
-                    label="K") -> "VForm":
+    def combination(cls, instance, arity, shift, terms, convention=None) -> "VForm":
         """The linear combination sum c * node over ``terms`` (node -> c)."""
         nodes = tuple(terms.items())
 
         def fn(args):
             return _combine([(c, node.fn(args)) for node, c in nodes])
 
-        return cls(instance, arity, shift, fn, convention, label, terms=terms)
+        return cls(instance, arity, shift, fn, convention, terms=terms)
 
     # -- degree ---------------------------------------------------------------
 
@@ -87,12 +87,13 @@ class VForm:
     def evaluate(self, args) -> Element:
         args = tuple(args)
         if len(args) != self.arity:
-            raise InputError(f"{self.label}: expected {self.arity} arguments, got {len(args)}")
+            raise InputError(f"a form of arity {self.arity} got {len(args)} arguments")
         for arg in args:
             if not arg.terms:
                 return Element.zero()
             if arg.wedge_degree() is None:
-                raise InputError(f"{self.label}: argument {arg!r} is not homogeneous")
+                raise InputError(
+                    f"a form of arity {self.arity} got the inhomogeneous argument {arg!r}")
         canonical, sign = self._canonical(args)
         if not sign:
             return Element.zero()
@@ -154,7 +155,7 @@ class VForm:
                 f"cannot add forms of arity/shift ({self.arity},{self.shift}) and"
                 f" ({other.arity},{other.shift})")
 
-    def _plus(self, other: "VForm", factor, label) -> "VForm":
+    def _plus(self, other: "VForm", factor) -> "VForm":
         self._compatible(other)
         terms = dict(self.linear_terms())
         for node, coeff in other.linear_terms().items():
@@ -164,27 +165,27 @@ class VForm:
             else:
                 del terms[node]
         return VForm.combination(self.instance, self.arity, self.shift, terms,
-                                 self.convention, label)
+                                 self.convention)
 
     def __add__(self, other: "VForm") -> "VForm":
-        return self._plus(other, 1, f"({self.label} + {other.label})")
+        return self._plus(other, 1)
 
     def __sub__(self, other: "VForm") -> "VForm":
-        return self._plus(other, -1, f"({self.label} - {other.label})")
+        return self._plus(other, -1)
 
     def scale(self, factor) -> "VForm":
         factor = Fraction(factor)
         terms = ({node: factor * coeff for node, coeff in self.linear_terms().items()}
                  if factor else {})
         return VForm.combination(self.instance, self.arity, self.shift, terms,
-                                 self.convention, f"{factor}*{self.label}")
+                                 self.convention)
 
     def __neg__(self) -> "VForm":
         return self.scale(-1)
 
     @classmethod
-    def zero(cls, instance, arity, shift, convention=None, label="0") -> "VForm":
-        return cls.combination(instance, arity, shift, {}, convention, label)
+    def zero(cls, instance, arity, shift, convention=None) -> "VForm":
+        return cls.combination(instance, arity, shift, {}, convention)
 
 
 def _combine(values) -> Element:
@@ -213,11 +214,22 @@ def _combine(values) -> Element:
     return Element(total)
 
 
+def shared_node(instance: GradedInstance, key, build) -> VForm:
+    """The one node of ``instance`` for ``key``, built by ``build()`` on the
+    first request (hash-consing).  A key names the node's defining data
+    together with its resolved convention."""
+    nodes = instance._form_nodes
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = build()
+    return node
+
+
 def _representative(form: VForm):
     """(shared representative, factor) with form = factor * representative,
     or (None, 0) for the zero form.  The representative is an atomic node,
-    or a combination cached on the instance whose first coefficient (in
-    node creation order) is 1."""
+    or a shared combination whose first coefficient (in node creation
+    order) is 1."""
     if form.terms is None:
         return form, _ONE
     if not form.terms:
@@ -226,27 +238,26 @@ def _representative(form: VForm):
     node, factor = items[0]
     if len(items) == 1:
         return node, factor
-    key = ("combination", tuple([(n, c / factor) for n, c in items]))
-    cache = form.instance._form_nodes
-    rep = cache.get(key)
-    if rep is None:
-        rep = cache[key] = VForm.combination(form.instance, form.arity, form.shift,
-                                             dict(key[1]), form.convention,
-                                             f"{1 / factor}*{form.label}")
+    normalized = tuple([(n, c / factor) for n, c in items])
+    rep = shared_node(form.instance, ("combination", normalized),
+                      lambda: VForm.combination(form.instance, form.arity, form.shift,
+                                                dict(normalized), form.convention))
     return rep, factor
 
 
 def element_form(instance: GradedInstance, element: Element, convention=None,
-                 label=None, wedge_degree=None) -> VForm:
-    """Wrap a homogeneous element as a vector-valued 0-form."""
+                 wedge_degree=None) -> VForm:
+    """A homogeneous element as a vector-valued 0-form, one node per
+    (element, wedge degree, convention)."""
     if element.is_zero():
         if wedge_degree is None:
             raise InputError("zero 0-form needs an explicit wedge degree")
         deg = wedge_degree
     else:
         deg = element.require_homogeneous()
-    return VForm(instance, 0, deg, lambda args: element, convention,
-                 label=label or instance.basis_label(element))
+    convention = convention or instance.convention
+    return shared_node(instance, ("element", element, deg, convention),
+                       lambda: VForm(instance, 0, deg, lambda args: element, convention))
 
 
 def insert(K: VForm, L: VForm) -> VForm:
@@ -261,22 +272,16 @@ def insert(K: VForm, L: VForm) -> VForm:
         raise InputError("forms live on different instances")
     if K.convention is not L.convention:
         raise InputError("mixing grading conventions in an insertion")
-    k, l = K.arity, L.arity
-    arity = k + l - 1
-    shift = K.shift + L.shift
-    label = f"i_{{{K.label}}}{L.label}"
-    if l == 0 and arity < 0:
+    arity = K.arity + L.arity - 1
+    if L.arity == 0 and arity < 0:
         raise InputError("insertion of a 0-form into a 0-form is undefined")
     K_rep, a = _representative(K)
     L_rep, b = _representative(L)
-    if l == 0 or K_rep is None or L_rep is None:
-        return VForm.zero(K.instance, arity, shift, K.convention, label=label)
-    nodes = K.instance._form_nodes
-    key = ("insert", K_rep, L_rep)
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = _insertion_node(K_rep, L_rep)
-    return VForm.combination(K.instance, arity, shift, {node: a * b}, K.convention, label)
+    if L.arity == 0 or K_rep is None or L_rep is None:
+        return VForm.zero(K.instance, arity, K.shift + L.shift, K.convention)
+    node = shared_node(K.instance, ("insert", K_rep, L_rep),
+                       lambda: _insertion_node(K_rep, L_rep))
+    return node if a * b == 1 else node.scale(a * b)
 
 
 def _insertion_node(K: VForm, L: VForm) -> VForm:
@@ -307,23 +312,20 @@ def _insertion_node(K: VForm, L: VForm) -> VForm:
                     total.pop(mon, None)
         return Element(total)
 
-    return VForm(K.instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention,
-                 label=f"i_{{{K.label}}}{L.label}")
+    return VForm(K.instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention)
 
 
 def rn_vform(K: VForm, L: VForm) -> VForm:
     """Single-component bracket i_K L - (-1)^{deg K deg L} i_L K."""
     left = insert(K, L)
     right = insert(L, K)
-    form = left - right if sign_pow(K.shift * L.shift) > 0 else left + right
-    form.label = f"[{K.label},{L.label}]"
-    return form
+    return left - right if sign_pow(K.shift * L.shift) > 0 else left + right
 
 
 class PolyForm:
     """Finite sum of VForms of distinct arities sharing one convention degree."""
 
-    def __init__(self, instance: GradedInstance, components, convention=None, label=None):
+    def __init__(self, instance: GradedInstance, components, convention=None):
         self.instance = instance
         comps = {}
         for form in components:
@@ -345,7 +347,6 @@ class PolyForm:
             raise InputError(
                 f"components of distinct convention degrees {sorted(degrees)} in one form family")
         self.degree = degrees.pop() if degrees else None
-        self.label = label or " + ".join(f.label for f in self.components.values()) or "0"
 
     def arities(self):
         return tuple(self.components)
@@ -360,8 +361,7 @@ class PolyForm:
         other = as_polyform(other, self.instance)
         return PolyForm(self.instance,
                         list(self.components.values()) + list(other.components.values()),
-                        convention=self.convention,
-                        label=f"({self.label} + {other.label})")
+                        convention=self.convention)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         other = as_polyform(other, self.instance)
@@ -370,15 +370,14 @@ class PolyForm:
     def scale(self, factor) -> "PolyForm":
         return PolyForm(self.instance,
                         [f.scale(factor) for f in self.components.values()],
-                        convention=self.convention,
-                        label=f"{factor}*({self.label})")
+                        convention=self.convention)
 
 
 def as_polyform(form, instance=None) -> PolyForm:
     if isinstance(form, PolyForm):
         return form
     if isinstance(form, VForm):
-        return PolyForm(form.instance, [form], label=form.label)
+        return PolyForm(form.instance, [form])
     raise InputError(f"not a form: {form!r}")
 
 
@@ -394,8 +393,7 @@ def rn_bracket(K, L) -> PolyForm:
             if k == 0 and l == 0:
                 continue
             parts.append(rn_vform(Kk, Ll))
-    return PolyForm(K.instance, parts, convention=K.convention,
-                    label=f"[{K.label},{L.label}]")
+    return PolyForm(K.instance, parts, convention=K.convention)
 
 
 def iterated_eval_identity(K: VForm, args) -> bool:
@@ -419,11 +417,7 @@ def iterated_eval_identity(K: VForm, args) -> bool:
 class ZeroCertificate:
     """Verdict of an exhaustive (or declared-family) vanishing check."""
 
-    def __init__(self, instance, label, arities, checked, complete, counterexample,
-                 family_note):
-        self.instance = instance
-        self.label = label
-        self.arities = tuple(arities)
+    def __init__(self, checked, complete, counterexample, family_note):
         self.checked = checked                  # canonical tuples, in test order
         self.complete = complete
         self.counterexample = counterexample    # (tuple label, value label) or None
@@ -433,23 +427,9 @@ class ZeroCertificate:
     def is_zero(self) -> bool:
         return self.counterexample is None
 
-    def summary(self) -> dict:
-        return {
-            "instance": self.instance,
-            "form": self.label,
-            "arities": list(self.arities),
-            "tuples_checked": len(self.checked),
-            "complete": self.complete,
-            "zero": self.is_zero,
-            "counterexample": (
-                None if self.counterexample is None
-                else {"tuple": self.counterexample[0], "value": self.counterexample[1]}),
-            "family": self.family_note,
-        }
-
     def __repr__(self):
         status = "zero" if self.is_zero else f"nonzero at {self.counterexample[0]}"
-        return f"ZeroCertificate({self.label}: {status}, complete={self.complete})"
+        return f"ZeroCertificate({status}, complete={self.complete})"
 
 
 def basis_tuples(instance: GradedInstance, arity: int, family=None):
@@ -501,8 +481,7 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
             if counterexample is None and value.terms:
                 label = ", ".join(instance.basis_label(el) for el in combo)
                 counterexample = (f"arity {arity}: ({label})", instance.basis_label(value))
-    return ZeroCertificate(instance.name, form.label, form.arities(), checked,
-                           complete, counterexample, note)
+    return ZeroCertificate(checked, complete, counterexample, note)
 
 
 def element_to_data(instance: GradedInstance, element: Element) -> dict:

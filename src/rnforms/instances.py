@@ -109,7 +109,7 @@ class GradedInstance:
             raise InputError(f"unsupported instance data {type(data).__name__}")
         self._basis_cache: dict = {}
         self._sn_memo: dict = {}
-        self._form_nodes: dict = {}     # hash-consed form nodes (rnforms.forms, catalog)
+        self._form_nodes: dict = {}     # hash-consed form nodes (forms.shared_node)
         self._node_count = 0            # creation order of atomic form nodes
         if check:
             self.validate()

@@ -67,8 +67,7 @@ def pencil(instance: GradedInstance, coefficients, convention=NEG,
             continue
         form = lk_form(instance, i, convention)
         parts.append(form if a == 1 else form.scale(a))
-    mu = PolyForm(instance, parts, convention=convention,
-                  label="mu(" + ",".join(str(Fraction(a)) for a in coefficients) + ")")
+    mu = PolyForm(instance, parts, convention=convention)
     return LInftyCandidate(instance, mu, test_family)
 
 
@@ -87,8 +86,7 @@ def _matches(instance, bracket: PolyForm, coefficient: Fraction, target: VForm |
     """Certificate that bracket equals coefficient * target exactly."""
     if target is None or coefficient == 0:
         return is_zero(bracket, instance, test_family)
-    return is_zero(bracket - as_polyform(target.scale(coefficient)), instance,
-                   test_family)
+    return is_zero(bracket - target.scale(coefficient), instance, test_family)
 
 
 def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4,
@@ -189,7 +187,7 @@ def square_of_sum(instance: GradedInstance, b, n: int, convention=NEG) -> PolyFo
             coeffs[k] = coeffs.get(k, Fraction(0)) + bi * bj * Fraction(num, den)
     parts = [wedge_form(instance, k, convention).scale(c)
              for k, c in sorted(coeffs.items()) if c]
-    return PolyForm(instance, parts, convention=convention, label=f"square(b,{n})")
+    return PolyForm(instance, parts, convention=convention)
 
 
 def sum_of_wedges(instance: GradedInstance, b, convention=NEG) -> PolyForm:
@@ -198,8 +196,7 @@ def sum_of_wedges(instance: GradedInstance, b, convention=NEG) -> PolyForm:
         bi = Fraction(bi)
         if bi:
             parts.append(wedge_form(instance, i, convention).scale(bi))
-    return PolyForm(instance, parts, convention=convention,
-                    label="N(" + ",".join(str(Fraction(v)) for v in b) + ")")
+    return PolyForm(instance, parts, convention=convention)
 
 
 class LazyCertificates(Mapping):
@@ -231,12 +228,9 @@ class NijenhuisReport:
     certificates.  Each certificate is computed when first read: a verdict
     reads only the ones it needs, ``to_report`` reads them all."""
 
-    def __init__(self, kind, n_label, k_label, certificates, deformed_label):
+    def __init__(self, kind, certificates):
         self.kind = kind
-        self.n_label = n_label
-        self.k_label = k_label
         self.certificates = certificates
-        self.deformed_label = deformed_label
 
     @property
     def passed(self) -> bool:
@@ -277,7 +271,6 @@ def _check_nijenhuis(kind, n_form, k_form, mu, test_family=None) -> NijenhuisRep
         if test_family is None:
             test_family = mu.test_family
         mu = mu.mu
-    mu = as_polyform(mu, instance)
     if n_form.degree not in (None, 0):
         raise InputError(f"the deforming form must have degree 0, got {n_form.degree}")
     if kind in ("coboundary", "full"):
@@ -298,9 +291,7 @@ def _check_nijenhuis(kind, n_form, k_form, mu, test_family=None) -> NijenhuisRep
         thunks["square_commutes"] = certify(rn_bracket(n_form, k_form))
     thunks["deformed_self"] = certify(rn_bracket(deformed, deformed))
     thunks["deformed_compatible"] = certify(rn_bracket(mu, deformed))
-    return NijenhuisReport(kind, n_form.label,
-                           k_form.label if k_form is not None else None,
-                           LazyCertificates(thunks), deformed.label)
+    return NijenhuisReport(kind, LazyCertificates(thunks))
 
 
 def check_weak(n_form, mu, test_family=None) -> NijenhuisReport:
@@ -423,7 +414,7 @@ def l2_deformed(instance: GradedInstance, N, convention=NEG) -> VForm:
         value = deformed.sn_bracket(P, Q)
         return -value if p % 2 else value
 
-    return VForm(instance, 2, -1, fn, convention, label="l2^N")
+    return VForm(instance, 2, -1, fn, convention)
 
 
 def deformed_l2_certificate(instance: GradedInstance, N, convention=NEG,
@@ -431,8 +422,7 @@ def deformed_l2_certificate(instance: GradedInstance, N, convention=NEG,
     """[uN, l2] = l2^N, exhaustively."""
     un = extend_bundle_map(instance, N, convention)
     lhs = rn_bracket(un, l2_form(instance, convention))
-    rhs = as_polyform(l2_deformed(instance, N, convention))
-    return is_zero(lhs - rhs, instance, test_family)
+    return is_zero(lhs - l2_deformed(instance, N, convention), instance, test_family)
 
 
 def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficients,
@@ -448,8 +438,7 @@ def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficient
         return report
     mu = pencil(instance, coefficients, convention, test_family)
     un = extend_bundle_map(instance, N, convention)
-    un2 = extend_bundle_map(instance, matrix_square(instance, N), convention,
-                            label="underline(N^2)")
+    un2 = extend_bundle_map(instance, matrix_square(instance, N), convention)
     result = check_full(un, un2, mu, test_family)
     result.to_report(report)
     return report

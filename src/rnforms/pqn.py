@@ -22,7 +22,7 @@ from .dualforms import (DualForm, apply_matrix, background_script, compat_n_pi,
                         iota_n, lie_derivative, matrix_mul, n_star,
                         omega_n, pairing, pi_sharp, pi_sharp_matrix)
 from .elements import Element
-from .forms import PolyForm, as_polyform, is_zero, rn_bracket
+from .forms import PolyForm, VForm, element_form, insert, is_zero, rn_bracket
 from .graded import GradingConvention
 from .instances import GradedInstance
 from .linfty import (LInftyCandidate, check_coboundary, deformed_instance, torsion)
@@ -295,8 +295,8 @@ def mu_with_background(instance: GradedInstance, H: DualForm,
     l2 = l2_form(instance, SH2)
     parts = [l2]
     if not H.is_zero():
-        parts.append(extend_kform(H, SH2, label="uH"))
-    mu = PolyForm(instance, parts, convention=SH2, label="l2 + uH")
+        parts.append(extend_kform(H, SH2))
+    mu = PolyForm(instance, parts, convention=SH2)
     candidate = LInftyCandidate(instance, mu, test_family)
     ingredients = {
         "[l2,l2] = 0": is_zero(rn_bracket(l2, l2), instance, test_family),
@@ -315,24 +315,23 @@ def vector_valued_sum(instance: GradedInstance, pi: Element, N,
     parts = []
     if not pi.is_zero():
         parts.append(bivector_form(instance, pi, SH2))
-    parts.append(extend_bundle_map(instance, N, SH2, label="uN"))
+    parts.append(extend_bundle_map(instance, N, SH2))
     if not omega.is_zero():
-        parts.append(extend_kform(omega, SH2, label="u(omega)"))
-    return PolyForm(instance, parts, convention=SH2, label="pi + uN + u(omega)")
+        parts.append(extend_kform(omega, SH2))
+    return PolyForm(instance, parts, convention=SH2)
 
 
 def quadruple_square(instance: GradedInstance, pi: Element, N,
                      omega: DualForm, extra: DualForm | None = None) -> PolyForm:
     """u(N^2) + [u(omega), pi] (+ u(alpha) for the manifold-triple variant)."""
-    parts = [extend_bundle_map(instance, matrix_square(instance, N), SH2,
-                               label="u(N^2)")]
+    parts = [extend_bundle_map(instance, matrix_square(instance, N), SH2)]
     if not omega.is_zero() and not pi.is_zero():
-        uomega = extend_kform(omega, SH2, label="u(omega)")
+        uomega = extend_kform(omega, SH2)
         bracket = rn_bracket(uomega, bivector_form(instance, pi, SH2))
         parts.extend(bracket.components.values())
     if extra is not None and not extra.is_zero():
-        parts.append(extend_kform(extra, SH2, label="u(alpha)"))
-    return PolyForm(instance, parts, convention=SH2, label="u(N^2) + [u(omega),pi]")
+        parts.append(extend_kform(extra, SH2))
+    return PolyForm(instance, parts, convention=SH2)
 
 
 def main_theorem_harness(instance: GradedInstance, pi: Element, N,
@@ -390,10 +389,10 @@ def main_theorem_harness(instance: GradedInstance, pi: Element, N,
 def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
                           test_family) -> None:
     l2 = l2_form(instance, SH2)
-    un = extend_bundle_map(instance, N, SH2, label="uN")
+    un = extend_bundle_map(instance, N, SH2)
     pif = bivector_form(instance, pi, SH2) if not pi.is_zero() else None
-    uomega = extend_kform(omega, SH2, label="u(omega)") if not omega.is_zero() else None
-    uH = extend_kform(H, SH2, label="uH") if not H.is_zero() else None
+    uomega = extend_kform(omega, SH2) if not omega.is_zero() else None
+    uH = extend_kform(H, SH2) if not H.is_zero() else None
     double = rn_bracket(n_form, rn_bracket(n_form, mu))
 
     def bracket2(a, b):
@@ -422,48 +421,41 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
     if pif is not None:
         value = l2.evaluate((pi, pi))
         if not value.is_zero():
-            from .forms import element_form
-            g0 = as_polyform(element_form(instance, value, SH2, label="l2(pi,pi)"))
+            g0 = element_form(instance, value, SH2)
     component_certificate(0, g0, "[[N,[N,mu]]]_0 = l2(pi,pi)")
 
     g1 = accumulate(
-        bracket2(pif, bracket2(pif, as_polyform(uH) if uH else None)),
+        bracket2(pif, bracket2(pif, uH)),
         bracket2(pif, rn_bracket(un, l2)),
-        rn_bracket(as_polyform(un), bracket2(pif, as_polyform(l2))) if pif else None,
+        rn_bracket(un, rn_bracket(pif, l2)) if pif else None,
     )
     component_certificate(1, g1, "[pi,[pi,uH]] + [pi,[uN,l2]] + [uN,[pi,l2]]")
 
     domega = differential(omega)
-    udomega = (extend_kform(domega, SH2, label="u(d omega)")
-               if not domega.is_zero() else None)
+    udomega = extend_kform(domega, SH2) if not domega.is_zero() else None
     g2 = accumulate(
-        bracket2(pif, bracket2(as_polyform(un), as_polyform(uH) if uH else None)),
-        rn_bracket(un, bracket2(pif, as_polyform(uH) if uH else None))
-        if pif and uH else None,
+        bracket2(pif, bracket2(un, uH)),
+        rn_bracket(un, rn_bracket(pif, uH)) if pif and uH else None,
         rn_bracket(un, rn_bracket(un, l2)),
-        bracket2(pif, as_polyform(udomega) if udomega else None),
-        rn_bracket(as_polyform(uomega), bracket2(pif, as_polyform(l2)))
-        if uomega and pif else None,
+        bracket2(pif, udomega),
+        rn_bracket(uomega, rn_bracket(pif, l2)) if uomega and pif else None,
     )
     component_certificate(2, g2,
                           "[pi,[uN,uH]] + [uN,[pi,uH]] + [uN,[uN,l2]]"
                           " + [pi,u(d omega)] + [u(omega),[pi,l2]]")
 
     g3 = accumulate(
-        rn_bracket(un, bracket2(as_polyform(un), as_polyform(uH) if uH else None))
-        if uH else None,
+        rn_bracket(un, rn_bracket(un, uH)) if uH else None,
         rn_bracket(un, rn_bracket(uomega, l2)) if uomega else None,
-        bracket2(as_polyform(uomega) if uomega else None,
-                 bracket2(pif, as_polyform(uH) if uH else None)),
-        rn_bracket(as_polyform(uomega), rn_bracket(un, l2)) if uomega else None,
+        bracket2(uomega, bracket2(pif, uH)),
+        rn_bracket(uomega, rn_bracket(un, l2)) if uomega else None,
     )
     component_certificate(3,
                           g3,
                           "[uN,[uN,uH]] + [uN,[u(omega),l2]] + [u(omega),[pi,uH]]"
                           " + [u(omega),[uN,l2]]")
 
-    g4 = (rn_bracket(as_polyform(uomega), rn_bracket(un, uH))
-          if uomega and uH else None)
+    g4 = rn_bracket(uomega, rn_bracket(un, uH)) if uomega and uH else None
     component_certificate(4, g4, "[[N,[N,mu]]]_4 = [u(omega),[uN,uH]]")
     if g4 is not None:
         report.add_certificate("arity 4 vanishes", "[u(omega),[uN,uH]] = 0",
@@ -484,9 +476,9 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
     l2 = l2_form(instance, SH2)
     duals = [DualForm(instance, 1, {(i,): ring.one()}) for i in range(instance.rank)]
     gens = [instance.generator(i) for i in range(instance.rank)]
-    un = extend_bundle_map(instance, N, SH2, label="uN")
-    uomega = extend_kform(omega, SH2, label="u(omega)") if not omega.is_zero() else None
-    uH = extend_kform(H, SH2, label="uH") if not H.is_zero() else None
+    un = extend_bundle_map(instance, N, SH2)
+    uomega = extend_kform(omega, SH2) if not omega.is_zero() else None
+    uH = extend_kform(H, SH2) if not H.is_zero() else None
 
     one_forms = list(duals)
     two_forms = [omega] if not omega.is_zero() else []
@@ -503,8 +495,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
         if ok_om:
             target = extend_kform(omega_n(omega, N), SH2).scale(2)
-            cert = is_zero(rn_bracket(un, uomega) - as_polyform(target), instance,
-                           test_family)
+            cert = is_zero(rn_bracket(un, uomega) - target, instance, test_family)
             report.add_certificate("bundle map against 2-form",
                                    "[uN, u(omega)] = 2 u(omega_N)", cert)
 
@@ -518,8 +509,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         if dk.is_zero():
             cert = is_zero(lhs, instance, test_family)
         else:
-            cert = is_zero(lhs - as_polyform(extend_kform(dk, SH2)), instance,
-                           test_family)
+            cert = is_zero(lhs - extend_kform(dk, SH2), instance, test_family)
         report.add_certificate(f"differential through the bracket ({label})",
                                "[u(kappa), l2] = u(d kappa)", cert)
 
@@ -548,8 +538,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
                    "uN [pi,X](a,b) = [pi,X](N*a,b) + [pi,X](a,N*b)",
                    bad is None, counterexample=bad)
 
-        combo = rn_bracket(pif, rn_bracket(un, l2)) + rn_bracket(
-            as_polyform(un), rn_bracket(pif, as_polyform(l2)))
+        combo = rn_bracket(pif, rn_bracket(un, l2)) + rn_bracket(un, rn_bracket(pif, l2))
         comp = combo.component(1)
         bad = None
         for x in range(instance.rank):
@@ -570,7 +559,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
                    detail="sign as this kernel's conventions force it")
 
         if uH is not None:
-            double = rn_bracket(pif, rn_bracket(pif, as_polyform(uH))).component(1)
+            double = rn_bracket(pif, rn_bracket(pif, uH)).component(1)
             bad = None
             for x in range(instance.rank):
                 X = instance.generator(x)
@@ -610,8 +599,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         ok_npi = compat_n_pi(instance, N, pi)
         report.add("compatibility N/pi", "N o pi# = pi# o N*", ok_npi)
         if ok_npi and uH is not None:
-            combo = rn_bracket(pif, rn_bracket(as_polyform(un), as_polyform(uH))) \
-                + rn_bracket(as_polyform(un), rn_bracket(pif, as_polyform(uH)))
+            combo = rn_bracket(pif, rn_bracket(un, uH)) + rn_bracket(un, rn_bracket(pif, uH))
             comp2 = combo.component(2)
             bad = None
             for x, y in itertools.combinations(range(instance.rank), 2):
@@ -641,19 +629,17 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
                        lhs_m == rhs_m)
 
     if uH is not None:
-        from .forms import VForm, insert
         n_sq = matrix_square(instance, N)
-        un2 = extend_bundle_map(instance, n_sq, SH2, label="u(N^2)")
+        un2 = extend_bundle_map(instance, n_sq, SH2)
         mhat = VForm(instance, 1, 0,
                      lambda args: (un.evaluate((un.evaluate(args),))
                                    - un2.evaluate(args)).scale(Fraction(1, 2)),
-                     SH2, label="pair extension of N")
-        lhs3 = rn_bracket(as_polyform(un),
-                          rn_bracket(as_polyform(un), as_polyform(uH))).component(3)
-        term1 = rn_bracket(as_polyform(un2), as_polyform(uH)).component(3)
-        inner3 = rn_bracket(as_polyform(un), as_polyform(uH)).component(3)
+                     SH2)
+        lhs3 = rn_bracket(un, rn_bracket(un, uH)).component(3)
+        term1 = rn_bracket(un2, uH).component(3)
+        inner3 = rn_bracket(un, uH).component(3)
         composed = insert(inner3, un)
-        correction = rn_bracket(as_polyform(mhat), as_polyform(uH)).component(3)
+        correction = rn_bracket(mhat, uH).component(3)
 
         def pairs_value(combo):
             P, Q, R = combo
@@ -720,7 +706,7 @@ def stienon_xu_harness(instance: GradedInstance, pi: Element, N,
     l2 = l2_form(instance, SH2)
     n_form = vector_valued_sum(instance, pi, N, omega)
     k_form = quadruple_square(instance, pi, N, omega, extra=alpha)
-    side_a = check_coboundary(n_form, k_form, as_polyform(l2), test_family)
+    side_a = check_coboundary(n_form, k_form, l2, test_family)
     report.add("side A: co-boundary verdict",
                "[N,[N,l2]] = [K,l2] with square u(N^2) + [u(omega),pi] + u(alpha)",
                side_a.passed)

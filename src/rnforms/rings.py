@@ -181,6 +181,8 @@ def parse_poly(data, nvars: int, names: tuple) -> Poly:
                 name, _, power = factor.partition("^")
                 if name not in index:
                     raise InputError(f"unknown coordinate {name!r} in monomial {label!r}")
+                if power and not power.isdecimal():
+                    raise InputError(f"bad exponent {power!r} in monomial {label!r}")
                 expo[index[name]] += int(power) if power else 1
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + parse_rational(value)

@@ -27,7 +27,10 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
   "suite": {"i_max": 4, "m_max": 4, "n_max": 4, "poly_degree_bound": 1}
 }
 
-A key outside this schema, at any level, is an input error.
+A key outside this schema, at any level, is an input error, and so is a
+value of the wrong JSON type: dim, base_dim, rank, n and the suite bounds
+are integers; a, b, basis, coordinates and generators are lists; brackets
+and each of their rows are objects.
 """
 
 from __future__ import annotations
@@ -80,13 +83,29 @@ _DATA_KEYS = {"pi", "N", "omega", "H", "alpha", "lambda", "a", "b", "n"}
 _SUITE_KEYS = {"i_max", "m_max", "n_max", "poly_degree_bound"}
 
 
-def _block(raw, where: str, keys: set) -> dict:
-    """A scenario object (None reads as empty); InputError naming every key
-    outside ``keys``."""
+def _object(raw, where: str) -> dict:
+    """A JSON object (null reads as empty); InputError naming ``where``
+    otherwise."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise InputError(f"{where} must be a JSON object")
+    return raw
+
+
+def _matrix(raw, where: str, rows: int, cols: int) -> list:
+    """A rows x cols JSON matrix (a list of lists); InputError naming
+    ``where`` otherwise."""
+    if (not isinstance(raw, list) or len(raw) != rows
+            or any(not isinstance(row, list) or len(row) != cols for row in raw)):
+        raise InputError(f"{where} must be a {rows}x{cols} matrix")
+    return raw
+
+
+def _block(raw, where: str, keys: set) -> dict:
+    """A scenario object (null reads as empty); InputError naming every key
+    outside ``keys``."""
+    raw = _object(raw, where)
     unknown = sorted(set(raw) - keys)
     if unknown:
         noun = "key" if len(unknown) == 1 else "keys"
@@ -95,10 +114,35 @@ def _block(raw, where: str, keys: set) -> dict:
     return raw
 
 
+def _integer(block: dict, key: str, where: str, default=None) -> int:
+    """block[key] as a JSON integer (not a bool or a float), ``default``
+    when absent or null; InputError naming the field otherwise, or when it
+    is absent with no default."""
+    value = block.get(key)
+    if value is None:
+        if default is None:
+            raise InputError(f"{where}.{key} is required")
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list(block: dict, key: str, where: str, default=None) -> list | None:
+    """block[key] as a JSON list, ``default`` when absent or null;
+    InputError naming the field otherwise."""
+    value = block.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise InputError(f"{where}.{key} must be a list, got {value!r}")
+    return value
+
+
 def _parse_brackets(raw, names) -> dict:
     index = {name: i for i, name in enumerate(names)}
     table = {}
-    for key, coeffs in (raw or {}).items():
+    for key, coeffs in _object(raw, "brackets").items():
         parts = [p.strip() for p in str(key).split(",")]
         if len(parts) != 2 or any(p not in index for p in parts):
             raise InputError(f"bad bracket key {key!r}; expected 'e_i,e_j'")
@@ -106,7 +150,7 @@ def _parse_brackets(raw, names) -> dict:
         if i >= j:
             raise InputError(f"bracket key {key!r} must name generators in order")
         row = {}
-        for target, value in coeffs.items():
+        for target, value in _object(coeffs, f"bracket {key!r}").items():
             if target not in index:
                 raise InputError(f"unknown generator {target!r} in bracket {key!r}")
             row[index[target]] = value
@@ -127,17 +171,17 @@ def _parse_monomial_key(key: str, names) -> tuple:
     return indices
 
 
-def _parse_element(raw, instance: GradedInstance) -> Element:
+def _parse_element(raw: dict, instance: GradedInstance) -> Element:
     terms = {}
-    for key, value in (raw or {}).items():
+    for key, value in raw.items():
         mon = _parse_monomial_key(key, instance.generator_names)
         terms[mon] = instance.ring.parse(value)
     return Element({m: c for m, c in terms.items() if c})
 
 
-def _parse_dualform(raw, instance: GradedInstance, degree: int) -> DualForm:
+def _parse_dualform(raw: dict, instance: GradedInstance, degree: int) -> DualForm:
     table = {}
-    for key, value in (raw or {}).items():
+    for key, value in raw.items():
         mon = _parse_monomial_key(key, instance.generator_names)
         if len(mon) != degree:
             raise InputError(f"{key!r} is not a degree-{degree} monomial")
@@ -148,9 +192,7 @@ def _parse_dualform(raw, instance: GradedInstance, degree: int) -> DualForm:
 def _parse_matrix(raw, instance: GradedInstance) -> list:
     n = instance.rank
     raw = raw if raw is not None else [["0"] * n for _ in range(n)]
-    if len(raw) != n or any(len(row) != n for row in raw):
-        raise InputError(f"N must be a {n}x{n} matrix")
-    return [[instance.ring.parse(v) for v in row] for row in raw]
+    return [[instance.ring.parse(v) for v in row] for row in _matrix(raw, "data.N", n, n)]
 
 
 def load_scenario(path) -> Scenario:
@@ -171,57 +213,61 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
     inst_block = _block(raw.get("instance"), "instance", _INSTANCE_KEYS)
     convention = GradingConvention.parse(raw.get("grading", "negated"))
     if "lie_algebra" in inst_block:
-        block = _block(inst_block["lie_algebra"], "instance.lie_algebra", _LIE_KEYS)
-        names = tuple(block.get("basis") or (f"e{i+1}" for i in range(int(block["dim"]))))
+        where = "instance.lie_algebra"
+        block = _block(inst_block["lie_algebra"], where, _LIE_KEYS)
+        dim = _integer(block, "dim", where)
+        names = tuple(_list(block, "basis", where) or (f"e{i+1}" for i in range(dim)))
         data = LieAlgebraData(
-            int(block["dim"]), names,
+            dim, names,
             {k: {i: parse_rational(v) for i, v in row.items()}
              for k, row in _parse_brackets(block.get("brackets"), names).items()})
         instance = GradedInstance(data, convention, name=name)
     elif "poly_algebroid" in inst_block:
-        block = _block(inst_block["poly_algebroid"], "instance.poly_algebroid", _POLY_KEYS)
-        coords = tuple(block.get("coordinates")
-                       or (f"x{i+1}" for i in range(int(block["base_dim"]))))
-        gens = tuple(block.get("generators")
-                     or (f"a{i+1}" for i in range(int(block["rank"]))))
-        shell = PolyAlgebroidData(int(block["base_dim"]), int(block["rank"]),
-                                  coords, gens)
+        where = "instance.poly_algebroid"
+        block = _block(inst_block["poly_algebroid"], where, _POLY_KEYS)
+        base_dim = _integer(block, "base_dim", where)
+        rank = _integer(block, "rank", where)
+        coords = tuple(_list(block, "coordinates", where)
+                       or (f"x{i+1}" for i in range(base_dim)))
+        gens = tuple(_list(block, "generators", where) or (f"a{i+1}" for i in range(rank)))
+        shell = PolyAlgebroidData(base_dim, rank, coords, gens)
         ring = shell.ring
         anchor = block.get("anchor")
         if anchor is not None:
-            anchor = [[ring.parse(v) for v in row] for row in anchor]
+            anchor = [[ring.parse(v) for v in row]
+                      for row in _matrix(anchor, f"{where}.anchor", rank, base_dim)]
         brackets = {k: {i: ring.parse(v) for i, v in row.items()}
                     for k, row in _parse_brackets(block.get("brackets"), gens).items()}
-        data = PolyAlgebroidData(int(block["base_dim"]), int(block["rank"]),
-                                 coords, gens, anchor, brackets)
+        data = PolyAlgebroidData(base_dim, rank, coords, gens, anchor, brackets)
         instance = GradedInstance(data, convention, name=name)
     else:
         raise InputError("scenario needs an instance block"
                          " (lie_algebra or poly_algebroid)")
 
     data_block = _block(raw.get("data"), "data", _DATA_KEYS)
-    pi = _parse_element(data_block.get("pi"), instance)
+    pi = _parse_element(_object(data_block.get("pi"), "data.pi"), instance)
     if not pi.is_zero() and pi.wedge_degree() != 2:
         raise InputError("pi must be a bivector")
     N = _parse_matrix(data_block.get("N"), instance)
-    omega = _parse_dualform(data_block.get("omega"), instance, 2)
-    H = (_parse_dualform(data_block.get("H"), instance, 3)
+    omega = _parse_dualform(_object(data_block.get("omega"), "data.omega"), instance, 2)
+    H = (_parse_dualform(_object(data_block.get("H"), "data.H"), instance, 3)
          if instance.rank >= 3 else DualForm.zero(instance, 3))
     if instance.rank < 3 and data_block.get("H"):
         raise InputError("a 3-form needs rank >= 3")
-    alpha = _parse_dualform(data_block.get("alpha"), instance, 2)
+    alpha = _parse_dualform(_object(data_block.get("alpha"), "data.alpha"), instance, 2)
     lam = data_block.get("lambda")
     lam = None if lam is None else parse_rational(lam)
-    a = [parse_rational(v) for v in data_block.get("a", ["0", "1"])]
-    b = [parse_rational(v) for v in data_block.get("b", ["1"])]
-    n = int(data_block.get("n", 2))
+    a = [parse_rational(v) for v in _list(data_block, "a", "data", ["0", "1"])]
+    b = [parse_rational(v) for v in _list(data_block, "b", "data", ["1"])]
+    n = _integer(data_block, "n", "data", 2)
     suite = _block(raw.get("suite"), "suite", _SUITE_KEYS)
     scenario = Scenario(
         name=name, instance=instance, pi=pi, N=N, omega=omega, H=H, alpha=alpha,
         lam=lam, pencil_coefficients=a, wedge_coefficients=b, bracket_index=n,
-        i_max=int(suite.get("i_max", 4)), m_max=int(suite.get("m_max", 4)),
-        n_max=int(suite.get("n_max", 4)),
-        poly_degree_bound=int(suite.get("poly_degree_bound", 1)),
+        i_max=_integer(suite, "i_max", "suite", 4),
+        m_max=_integer(suite, "m_max", "suite", 4),
+        n_max=_integer(suite, "n_max", "suite", 4),
+        poly_degree_bound=_integer(suite, "poly_degree_bound", "suite", 1),
     )
     scenario.preconditions = _preconditions(scenario)
     return scenario

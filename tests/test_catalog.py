@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from rnforms.catalog import (extend_bundle_map, extend_kform, identity_matrix,
-                             l2_form, lk_form, matrix_square, wedge_form)
+from rnforms.catalog import (bivector_form, extend_bundle_map, extend_kform,
+                             identity_matrix, l2_form, lk_form, matrix_square, wedge_form)
 from rnforms.dualforms import DualForm, pi_sharp
 from rnforms.elements import Element
-from rnforms.forms import is_zero, rn_bracket
+from rnforms.forms import element_form, is_zero, rn_bracket
 from rnforms.graded import GradingConvention, koszul_sign, sign_pow, unshuffles
+from rnforms.pqn import main_theorem_harness, quadruple_square, vector_valued_sum
 from rnforms.rings import InputError
+from rnforms.scenario import load_shipped
 
 SH2 = GradingConvention.SHIFTED2
 
@@ -109,3 +111,42 @@ def test_bundle_map_commutes_with_wedges(aff, h3):
         for k in ks:
             cert = is_zero(rn_bracket(un, wedge_form(inst, k)), inst)
             assert cert.is_zero and cert.complete
+
+
+def test_catalog_forms_are_shared_nodes(h3_sh2):
+    """Each constructor returns the one atomic node of its defining data and
+    resolved convention, however the data is spelled."""
+    inst = h3_sh2
+    N = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
+    un = extend_bundle_map(inst, N, SH2)
+    assert un.terms is None
+    assert extend_bundle_map(inst, [[Fraction(v) for v in row] for row in N], SH2) is un
+    assert extend_bundle_map(inst, N) is extend_bundle_map(inst, N, SH2)
+    assert extend_bundle_map(inst, identity_matrix(inst), SH2) is not un
+    assert extend_bundle_map(inst, N, GradingConvention.NEGATED) is not un
+    omega = DualForm(inst, 2, {(0, 1): Fraction(1), (1, 2): Fraction(2)})
+    uomega = extend_kform(omega, SH2)
+    assert uomega.terms is None
+    assert extend_kform(DualForm(inst, 2, {(1, 2): 2, (0, 1): 1}), SH2) is uomega
+    assert extend_kform(DualForm(inst, 2, {(0, 1): 1}), SH2) is not uomega
+    pi = inst.monomial((0, 2))
+    pif = bivector_form(inst, pi, SH2)
+    assert pif.terms is None
+    assert bivector_form(inst, inst.monomial((0, 2)), SH2) is pif
+    assert element_form(inst, pi, SH2) is pif
+    assert element_form(inst, pi.scale(2), SH2) is not pif
+    assert lk_form(inst, 3) is lk_form(inst, 3)
+    assert lk_form(inst, 3).terms is None
+
+
+def test_harness_forms_are_rebuilt_from_shared_nodes():
+    """After the main-theorem harness, rebuilding its degree-0 sum, its
+    square and the double bracket creates no new node."""
+    s = load_shipped("aff1")
+    inst = s.instance
+    assert main_theorem_harness(inst, s.pi, s.N, s.omega, s.H, s.test_family()).passed
+    count = inst._node_count
+    n_form = vector_valued_sum(inst, s.pi, s.N, s.omega)
+    quadruple_square(inst, s.pi, s.N, s.omega)
+    rn_bracket(n_form, rn_bracket(n_form, l2_form(inst, SH2)))
+    assert inst._node_count == count

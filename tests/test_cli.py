@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -92,6 +94,12 @@ def test_bracket_grammar(capsys):
         parse_form_expression("N2 + l3", scenario)
     with pytest.raises(InputError):
         parse_form_expression("", scenario)
+    with pytest.raises(InputError, match="1/0"):
+        parse_form_expression("1/0*N2", scenario)
+    code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
+                             "bracket", "--left", "1/0*N2", "--right", "N1")
+    assert (code, out) == (2, "")
+    assert "1/0" in err
 
 
 def test_bracket_underline_terms(capsys):
@@ -133,7 +141,52 @@ def test_json_determinism(capsys):
     assert all(c["anchor"] for c in payload["checks"])
 
 
-def test_scenario_shape_errors(tmp_path):
+# (scenario, key path, value) of values of the wrong JSON type; _MISSING
+# removes the key.  Each used to raise a traceback (exit 1), or to load
+# misread data: "a": "01" as ["0", "1"], "i_max": "4" as 4.
+_MISSING = object()
+SHAPE_ERRORS = [
+    ("aff1", ("instance", "lie_algebra", "dim"), _MISSING),
+    ("aff1", ("instance", "lie_algebra", "dim"), "two"),
+    ("aff1", ("instance", "lie_algebra", "dim"), 2.0),
+    ("aff1", ("instance", "lie_algebra", "dim"), True),
+    ("aff1", ("instance", "lie_algebra", "basis"), "e1e2"),
+    ("aff1", ("instance", "lie_algebra", "brackets"), [["e1", "e2"]]),
+    ("aff1", ("instance", "lie_algebra", "brackets", "e1,e2"), [["e2", "1"]]),
+    ("aff1", ("data", "N"), 5),
+    ("aff1", ("data", "N"), ["12", "34"]),
+    ("aff1", ("data", "pi"), ["e1^e2"]),
+    ("aff1", ("data", "omega"), "x"),
+    ("aff1", ("data", "alpha"), 1),
+    ("aff1", ("data", "n"), "x"),
+    ("aff1", ("data", "n"), 2.5),
+    ("aff1", ("data", "a"), "01"),
+    ("aff1", ("data", "b"), "1"),
+    ("aff1", ("suite", "i_max"), "4"),
+    ("aff1", ("suite", "m_max"), False),
+    ("poly-tangent-r2", ("instance", "poly_algebroid", "base_dim"), _MISSING),
+    ("poly-tangent-r2", ("instance", "poly_algebroid", "rank"), "2"),
+    ("poly-tangent-r2", ("instance", "poly_algebroid", "coordinates"), "x1x2"),
+    ("poly-tangent-r2", ("instance", "poly_algebroid", "generators"), {"a1": 1}),
+    ("poly-tangent-r2", ("instance", "poly_algebroid", "anchor"), 3),
+    ("poly-tangent-r2", ("instance", "poly_algebroid", "anchor"), [[{"1": "1"}, "0"]]),
+    ("poly-tangent-r2", ("suite", "poly_degree_bound"), 1.0),
+]
+
+
+def _edited(name, path, value):
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    if value is _MISSING:
+        del block[path[-1]]
+    else:
+        block[path[-1]] = value
+    return raw
+
+
+def test_scenario_shape_errors(tmp_path, capsys):
     base = json.loads((SCENARIOS / "aff1.json").read_text())
     base["data"]["N"] = [["1"]]
     with pytest.raises(InputError):
@@ -146,6 +199,18 @@ def test_scenario_shape_errors(tmp_path):
     base["data"]["H"] = {"e1^e2^e3": "1"}
     with pytest.raises(InputError):
         build_scenario(base)
+    for name, path, value in SHAPE_ERRORS:
+        with pytest.raises(InputError, match=re.escape(path[-1])):
+            build_scenario(_edited(name, path, value))
+    bad_power = _edited("poly-tangent-r2", ("data", "omega"), {"a1^a2": {"x2^b": "1"}})
+    with pytest.raises(InputError, match="bad exponent 'b'"):
+        build_scenario(bad_power)
+    # "a": "01" used to load as ["0", "1"] and pass
+    path = tmp_path / "string_pencil.json"
+    path.write_text(json.dumps(_edited("aff1", ("data", "a"), "01")))
+    code, out, err = run_cli(capsys, "--scenario", str(path), "check", "linfty")
+    assert (code, out) == (2, "")
+    assert err == "input error: data.a must be a list, got '01'\n"
 
 
 def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
@@ -226,13 +291,28 @@ EXIT_MATRIX = {
 }
 
 
-def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
+REPORT_HASHES = Path(__file__).with_name("report_hashes.json")
+
+
+def _report_hashes(tmp_path, capsys):
+    """sha256 of the JSON report of every EXIT_MATRIX pair, keyed
+    "scenario: command"; asserts each pair's exit code on the way."""
     paths = {name: _shrunk(tmp_path, name)
              for name in ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")}
+    hashes = {}
     for command, expectations in EXIT_MATRIX.items():
         for name, expected in expectations.items():
-            code, _, _ = run_cli(capsys, "--scenario", paths[name], *command)
+            code, out, _ = run_cli(capsys, "--scenario", paths[name], "--format", "json",
+                                   *command)
             assert code == expected, (command, name, code, expected)
+            hashes[f"{name}: {' '.join(command)}"] = hashlib.sha256(out.encode()).hexdigest()
+    return hashes
+
+
+def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
+    # the golden hashes pin every report byte for byte; regenerate them
+    # only for an intended report change
+    assert _report_hashes(tmp_path, capsys) == json.loads(REPORT_HASHES.read_text())
 
 
 def test_console_entry_point():
