@@ -63,9 +63,6 @@ class Element:
             degree = self._degree = degrees.pop() if len(degrees) == 1 else None
         return degree
 
-    def is_homogeneous(self) -> bool:
-        return not self.terms or self.wedge_degree() is not None
-
     def require_homogeneous(self) -> int:
         if self.is_zero():
             raise InputError("zero element has no defined wedge degree")

@@ -2,15 +2,36 @@
 
 A VForm of arity k maps k-tuples of homogeneous elements to elements,
 multilinearly and graded-symmetrically.  A form is either an atomic node
-(a primitive rule or an insertion), which owns the memo of its values on
-canonical argument tuples, or a rational linear combination of atomic
-nodes, which owns none.  Forms carry no names.  Every atomic node is
-hash-consed on its instance by :func:`shared_node`: a catalog primitive is
-keyed by its defining data, an insertion by the shared representatives of
-both sides, so [aK, bL] reuses the node of [K, L] and the same values are
-never computed twice under different nodes.  Scaling, sums and brackets
-only merge coefficient maps.  Dense tables are only materialized by
-:func:`is_zero`.
+(a primitive rule or an insertion), which owns a memo, or a rational linear
+combination of atomic nodes, which owns none.  Forms carry no names.  Every
+atomic node is hash-consed on its instance by :func:`shared_node`: a catalog
+primitive is keyed by its defining data, an insertion by the shared
+representatives of both sides, so [aK, bL] reuses the node of [K, L] and the
+same values are never computed twice under different nodes.  Scaling, sums
+and brackets only merge coefficient maps.  Dense tables are only
+materialized by :func:`is_zero`.
+
+Evaluation rests on one invariant: **a memo key is a canonical tuple**,
+sorted by (wedge degree, key) with no repeated odd factor.  Only
+:meth:`VForm.evaluate` and :meth:`VForm.raw_evaluate` canonicalize, once, at
+the entry; everything inside works on canonical tuples.  :meth:`VForm._lookup`
+reads or fills an atomic node's memo (a combination sums its nodes'
+lookups), and :func:`is_zero` and :func:`evaluation_table` call it directly,
+since :func:`basis_tuples` yields canonical tuples.  An insertion node's
+rule evaluates K on the first slice of its arguments (a sub-tuple of a
+canonical tuple is canonical), expands the value into interned Q-basis
+pieces (:func:`_expand`) and places each piece into the already sorted rest
+with one bisection (:func:`_place`), so no tuple is ever sorted again.  On a
+Lie algebra a piece is a wedge monomial, the very object
+``instance.all_basis()`` returns, so memo hits compare by identity; on a
+polynomial algebroid it is a coordinate monomial times a wedge monomial, with
+a rational coefficient (forms are only Q-multilinear there, because the
+anchor differentiates).
+
+:meth:`VForm.raw_evaluate` canonicalizes its arguments and runs the node's
+rule (a combination: its nodes' rules) with the canonical sign, without
+reading or writing that node's memo; the nodes the rule calls keep using
+theirs.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
 minus the sum of the input wedge degrees).  The convention degree is
@@ -22,13 +43,14 @@ calculus is convention independent.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from types import MappingProxyType
 
 from .elements import Element
 from .graded import GradingConvention, koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance
-from .rings import InputError, PolyRing
+from .rings import InputError, Poly, PolyRing
 
 _ONE = Fraction(1)
 _NO_MEMO = MappingProxyType({})     # the memo of every linear combination
@@ -40,7 +62,7 @@ class VForm:
     ``terms`` is None for an atomic node, whose rule ``fn`` runs on memo
     misses; otherwise it maps atomic nodes to nonzero Fraction
     coefficients, and ``fn`` is the same combination of the nodes' rules
-    on uncanonicalized arguments (see :meth:`raw_evaluate`)."""
+    (see :meth:`raw_evaluate`).  Rules run on canonical tuples only."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
                  convention=None, terms=None):
@@ -80,40 +102,48 @@ class VForm:
     # -- evaluation -----------------------------------------------------------
 
     def raw_evaluate(self, args) -> Element:
-        """Evaluate without argument canonicalization (no memo); used by the
-        graded-symmetry tests, which must see the uncanonicalized rule."""
-        return self.fn(tuple(args))
+        """The rule on the canonicalized arguments, with their sign, reading
+        and writing no memo of this node (see the module docstring)."""
+        canonical, sign = self._entry(args)
+        if not sign:
+            return Element.zero()
+        value = self.fn(canonical)
+        return value if sign > 0 else -value
 
     def evaluate(self, args) -> Element:
+        canonical, sign = self._entry(args)
+        if not sign:
+            return Element.zero()
+        value = self._lookup(canonical)
+        return value if sign > 0 else -value
+
+    __call__ = evaluate
+
+    def _lookup(self, canonical) -> Element:
+        """The value on a canonical tuple: an atomic node reads or fills its
+        memo, a combination sums its nodes' lookups."""
+        terms = self.terms
+        if terms is None:
+            memo = self._memo
+            value = memo.get(canonical)
+            if value is None:
+                value = memo[canonical] = self.fn(canonical)
+            return value
+        return _combine([(coeff, node._lookup(canonical)) for node, coeff in terms.items()])
+
+    def _entry(self, args):
+        """(canonical tuple, sign) of checked arguments; sign 0 when an
+        argument is zero or an odd argument repeats."""
         args = tuple(args)
         if len(args) != self.arity:
             raise InputError(f"a form of arity {self.arity} got {len(args)} arguments")
         for arg in args:
             if not arg.terms:
-                return Element.zero()
+                return (), 0
             if arg.wedge_degree() is None:
                 raise InputError(
                     f"a form of arity {self.arity} got the inhomogeneous argument {arg!r}")
-        canonical, sign = self._canonical(args)
-        if not sign:
-            return Element.zero()
-        terms = self.terms
-        if terms is None:
-            memo = self._memo
-            cached = memo.get(canonical)
-            if cached is None:
-                cached = memo[canonical] = self.fn(canonical)
-            return cached if sign > 0 else -cached
-        values = []
-        for node, coeff in terms.items():
-            memo = node._memo
-            cached = memo.get(canonical)
-            if cached is None:
-                cached = memo[canonical] = node.fn(canonical)
-            values.append((coeff if sign > 0 else -coeff, cached))
-        return _combine(values)
-
-    __call__ = evaluate
+        return self._canonical(args)
 
     def _canonical(self, args):
         """Sort nonzero homogeneous arguments by (wedge degree, key) and
@@ -285,34 +315,91 @@ def insert(K: VForm, L: VForm) -> VForm:
 
 
 def _insertion_node(K: VForm, L: VForm) -> VForm:
+    """The rule sum over (k, l-1)-unshuffles s of eps(s) L(K(first), rest) on
+    canonical arguments, with K(first) expanded into Q-basis pieces."""
+    instance = K.instance
+    ring = instance.ring
     k = K.arity
     shuffles = unshuffles(k, L.arity - 1)
     tables: dict = {}       # parity pattern -> ((sign, first k slots, rest), ...)
 
     def fn(args):
-        parities = tuple([arg.wedge_degree() & 1 for arg in args])
+        keys = [(arg.wedge_degree(), arg.key(ring)) for arg in args]
+        parities = tuple([key[0] & 1 for key in keys])
         table = tables.get(parities)
         if table is None:
             table = tables[parities] = tuple(
                 (int(koszul_sign(perm, parities)), perm[:k], perm[k:]) for perm in shuffles)
+        K_lookup, L_lookup = K._lookup, L._lookup
         total: dict = {}
         for sign, first, rest in table:
-            inner = K.evaluate(tuple([args[i] for i in first]))
+            inner = K_lookup(tuple([args[i] for i in first]))
             if not inner.terms:
                 continue
-            value = L.evaluate((inner,) + tuple([args[i] for i in rest]))
-            for mon, coeff in value.terms.items():
-                if sign < 0:
+            rest_args = tuple([args[i] for i in rest])
+            rest_keys = [keys[i] for i in rest]
+            for coeff, piece, key in _expand(instance, inner):
+                placed, moved = _place(piece, key, rest_args, rest_keys)
+                if not moved:
+                    continue
+                if sign != moved:
                     coeff = -coeff
-                acc = total.get(mon)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    total[mon] = acc
-                else:
-                    total.pop(mon, None)
+                for mon, c in L_lookup(placed).terms.items():
+                    if coeff != 1:
+                        c = -c if coeff == -1 else c * coeff
+                    acc = total.get(mon)
+                    acc = c if acc is None else acc + c
+                    if acc:
+                        total[mon] = acc
+                    else:
+                        total.pop(mon, None)
         return Element(total)
 
-    return VForm(K.instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention)
+    return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention)
+
+
+def _expand(instance: GradedInstance, element: Element) -> list:
+    """``element`` as [(rational coefficient, piece, sort key)], summing to
+    it: the pieces are interned on the instance, one per Q-basis monomial.
+    On a Lie algebra a piece is the basis object of ``instance.all_basis()``
+    for its wedge monomial; on a polynomial algebroid it is a coordinate
+    monomial times a wedge monomial (the basis object when the coordinate
+    monomial is 1)."""
+    table = instance._pieces
+    ring = instance.ring
+    if not table:
+        for el in instance.all_basis():
+            ((mon, one),) = el.terms.items()
+            table[(mon, one.terms()[0][0]) if isinstance(one, Poly) else mon] = (
+                el, (len(mon), el.key(ring)))
+    if not isinstance(ring, PolyRing):
+        return [(c, *table[mon]) for mon, c in element.terms.items()]
+    out = []
+    for mon, poly in element.terms.items():
+        for expo, c in ring.coerce(poly).terms():
+            entry = table.get((mon, expo))
+            if entry is None:
+                piece = Element({mon: Poly(ring.nvars, {expo: _ONE})})
+                entry = table[(mon, expo)] = (piece, (len(mon), piece.key(ring)))
+            out.append((c, *entry))
+    return out
+
+
+def _place(piece: Element, key, rest: tuple, rest_keys: list):
+    """Insert ``piece`` (sort key ``key``) into the canonical tuple ``rest``
+    (sort keys ``rest_keys``) with one bisection: (tuple, sign), where sign is
+    the Koszul sign of moving the piece from the front to its place (the
+    parity of the odd elements it passes when odd), 0 when an odd piece
+    equals an element of ``rest``."""
+    pos = bisect_left(rest_keys, key)
+    sign = 1
+    if key[0] & 1:
+        if pos < len(rest_keys) and rest_keys[pos] == key:
+            return (), 0
+        for passed in rest_keys[:pos]:
+            if passed[0] & 1:
+                sign = -sign
+    return rest[:pos] + (piece,) + rest[pos:], sign
 
 
 def rn_vform(K: VForm, L: VForm) -> VForm:
@@ -353,9 +440,6 @@ class PolyForm:
 
     def component(self, arity: int) -> VForm | None:
         return self.components.get(arity)
-
-    def is_trivial(self) -> bool:
-        return not self.components
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
         other = as_polyform(other, self.instance)
@@ -476,7 +560,7 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     for arity in form.arities():
         comp = form.component(arity)
         for combo in basis_tuples(instance, arity, test_family):
-            value = comp.evaluate(combo)
+            value = comp._lookup(combo)
             checked.append(combo)
             if counterexample is None and value.terms:
                 label = ", ".join(instance.basis_label(el) for el in combo)
@@ -515,7 +599,7 @@ def evaluation_table(form, instance=None, test_family=None) -> dict:
         rows = {}
         for combo in basis_tuples(instance, arity, test_family):
             label = ", ".join(instance.basis_label(el) for el in combo)
-            rows[label] = element_to_data(instance, comp.evaluate(combo))
+            rows[label] = element_to_data(instance, comp._lookup(combo))
         table[str(arity)] = rows
     return table
 

@@ -111,6 +111,7 @@ class GradedInstance:
         self._sn_memo: dict = {}
         self._form_nodes: dict = {}     # hash-consed form nodes (forms.shared_node)
         self._node_count = 0            # creation order of atomic form nodes
+        self._pieces: dict = {}         # interned Q-basis pieces (forms._expand)
         if check:
             self.validate()
 

@@ -73,6 +73,8 @@ def pencil(instance: GradedInstance, coefficients, convention=NEG,
 
 def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report,
                            convention=NEG) -> None:
+    if k_max < 2:
+        raise InputError("the compatibility checks need k_max >= 2")
     for m in range(2, k_max + 1):
         for n in range(m, k_max + 1):
             cert = is_zero(rn_bracket(lk_form(instance, m, convention),
@@ -145,6 +147,8 @@ def witt_action_check(instance: GradedInstance, i_max=4, convention=NEG) -> Repo
     v_i[x_j] = j x_{i+j-1}.  Layered on the coefficient identities: the
     verification is exact rational arithmetic on both coefficient systems,
     with the bracket values themselves certified against the named targets."""
+    if i_max < 1:
+        raise InputError("the intertwining suite bound i_max must be >= 1")
     if instance.ring.kind == "poly":
         raise InputError("the intertwining suite needs a finite-dimensional instance")
     report = Report("suite witt", instance.name)

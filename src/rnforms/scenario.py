@@ -28,9 +28,10 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
 }
 
 A key outside this schema, at any level, is an input error, and so is a
-value of the wrong JSON type: dim, base_dim, rank, n and the suite bounds
-are integers; a, b, basis, coordinates and generators are lists; brackets
-and each of their rows are objects.
+value of the wrong JSON type: name is a string (the file name when absent);
+dim, base_dim, rank, n and the suite bounds are integers; a, b, basis,
+coordinates and generators are lists; brackets and each of their rows are
+objects.
 """
 
 from __future__ import annotations
@@ -209,7 +210,11 @@ def load_scenario(path) -> Scenario:
 
 def build_scenario(raw: dict, default_name="scenario") -> Scenario:
     raw = _block(raw, "scenario", _TOP_KEYS)
-    name = raw.get("name", default_name)
+    name = raw.get("name")
+    if name is None:
+        name = default_name
+    elif not isinstance(name, str):
+        raise InputError(f"scenario.name must be a string, got {name!r}")
     inst_block = _block(raw.get("instance"), "instance", _INSTANCE_KEYS)
     convention = GradingConvention.parse(raw.get("grading", "negated"))
     if "lie_algebra" in inst_block:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from rnforms.cli import main, parse_form_expression
+from rnforms.linfty import pairwise_compatibility
+from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import build_scenario, load_shipped
 
@@ -146,6 +148,8 @@ def test_json_determinism(capsys):
 # misread data: "a": "01" as ["0", "1"], "i_max": "4" as 4.
 _MISSING = object()
 SHAPE_ERRORS = [
+    ("aff1", ("name",), 5),
+    ("aff1", ("name",), ["aff1"]),
     ("aff1", ("instance", "lie_algebra", "dim"), _MISSING),
     ("aff1", ("instance", "lie_algebra", "dim"), "two"),
     ("aff1", ("instance", "lie_algebra", "dim"), 2.0),
@@ -242,6 +246,20 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
         build_scenario(raw)
     with pytest.raises(InputError):
         build_scenario(["not", "an", "object"])
+
+
+def test_empty_suite_bounds_exit_2(tmp_path, capsys):
+    # "i_max": 0 used to run no check at all and report a pass
+    path = tmp_path / "no_witt.json"
+    path.write_text(json.dumps(_edited("aff1", ("suite", "i_max"), 0)))
+    code, out, err = run_cli(capsys, "--scenario", str(path), "--format", "json",
+                             "suite", "witt")
+    assert (code, out) == (2, "")
+    assert err == "input error: the intertwining suite bound i_max must be >= 1\n"
+    code, out, _ = run_cli(capsys, "--scenario", str(path), "suite", "lemma")
+    assert (code, out) == (2, "")
+    with pytest.raises(InputError, match="k_max >= 2"):
+        pairwise_compatibility(load_shipped("aff1").instance, 1, Report("check linfty", "aff1"))
 
 
 def test_scenario_round_trip_matches_builders(aff, h3):

@@ -44,7 +44,7 @@ def test_functions_wedge_as_scalars(aff):
 
 def test_element_homogeneity():
     el = Element({(0,): Fraction(1), (0, 1): Fraction(1)})
-    assert not el.is_homogeneous()
+    assert el.wedge_degree() is None
     with pytest.raises(InputError):
         el.require_homogeneous()
     assert Element.zero().wedge_degree() is None

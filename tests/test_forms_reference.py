@@ -1,7 +1,9 @@
 """Differential tests: the fast evaluation path of forms (shared nodes,
-linear combinations, lazy certificates) against slow references built from
-the validated, Fraction-valued graded.koszul_sign and a closure evaluator."""
+linear combinations, lazy certificates, the canonical-tuple kernel) against
+slow references built from the validated, Fraction-valued
+graded.koszul_sign and a closure evaluator."""
 
+import gc
 from fractions import Fraction
 from functools import cache
 
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, default_poly_family, element_form, insert, is_zero,
-                           rn_bracket)
+from rnforms.forms import (PolyForm, VForm, _expand, _place, coordinate_monomials,
+                           default_poly_family, element_form, insert, is_zero, rn_bracket)
 from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                             unshuffles)
 from rnforms.instances import broken_jacobi3, heisenberg3, poly_tangent_r2, so3
 from rnforms.linfty import (check_coboundary, check_full, check_weak, pencil, square_of_sum,
                             sum_of_wedges)
+from rnforms.linfty import coefficient_suite
 from rnforms.pqn import main_theorem_harness, stienon_xu_harness
 from rnforms.report import Report
 from rnforms.rings import InputError
@@ -161,12 +164,17 @@ def test_insert_matches_reference_insertion(case):
     name, args = case
     for index, (node, reference) in enumerate(insert_nodes(name)):
         head = args[:node.arity]
-        fast = node.raw_evaluate(head)
         slow = reference(head)
-        assert fast == slow, index
-        # the same terms in the same order, so reports cannot differ
-        assert list(fast.terms.items()) == list(slow.terms.items()), index
+        assert node.raw_evaluate(head) == slow, index
         assert node.evaluate(head) == slow, index
+        order, repeated_odd = reference_order(instance(name), head)
+        if repeated_odd:
+            continue
+        ordered = tuple(head[i] for i in order)
+        fast, slow = node.raw_evaluate(ordered), reference(ordered)
+        # the same terms in the same order on the canonical tuples, the only
+        # ones the rule runs on, so reports cannot differ
+        assert list(fast.terms.items()) == list(slow.terms.items()), index
 
 
 @SETTINGS
@@ -354,3 +362,166 @@ def test_forcing_every_certificate_leaves_report_unchanged(name, kind):
         return report.to_json()
 
     assert nijenhuis_report(force=True) == nijenhuis_report(force=False)
+
+
+# -- the canonical-tuple kernel --------------------------------------------------------
+
+
+def sort_key(inst, el):
+    return el.wedge_degree(), el.key(inst.ring)
+
+
+@st.composite
+def placements(draw):
+    """A canonical rest tuple drawn from a small pool (equal even factors
+    allowed) and a piece that often equals one of its elements."""
+    name = draw(st.sampled_from(NAMES))
+    inst = instance(name)
+    pool = family(name)
+    picks = sorted(draw(st.lists(st.sampled_from(pool), max_size=4)),
+                   key=lambda el: sort_key(inst, el))
+    rest = []
+    for el in picks:
+        if not (rest and el == rest[-1] and el.wedge_degree() % 2):
+            rest.append(el)
+    piece = draw(st.sampled_from(tuple(rest) + pool))
+    return inst, piece, tuple(rest)
+
+
+def check_placement(inst, piece, rest):
+    placed, sign = _place(piece, sort_key(inst, piece), rest,
+                          [sort_key(inst, el) for el in rest])
+    args = (piece,) + rest
+    order, repeated_odd = reference_order(inst, args)
+    if repeated_odd:
+        assert sign == 0
+        return sign
+    assert sign == koszul_sign(order, [el.wedge_degree() for el in args])
+    assert len(placed) == len(args)
+    assert all(a is args[i] for a, i in zip(placed, order))
+    return sign
+
+
+@SETTINGS
+@given(placements())
+def test_place_sign_matches_koszul_sign(case):
+    check_placement(*case)
+
+
+def test_place_equal_and_repeated_factors():
+    inst = instance("h3")
+    e1, e2, e3 = (inst.generator(i) for i in range(3))
+    e12 = inst.monomial((0, 1))
+    assert check_placement(inst, e1, (e1, e2)) == 0             # repeated odd factor
+    assert check_placement(inst, e12, (e1, e12, e12)) == 1      # equal even factors
+    assert check_placement(inst, e2, (e1, e3, e12)) == -1       # passes one odd factor
+    assert check_placement(inst, e3, (e1, e2, e12)) == 1        # passes two
+    assert _place(e12, sort_key(inst, e12), (e12,), [sort_key(inst, e12)])[0] == (e12, e12)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_basis_elements_are_their_own_pieces(name):
+    inst = instance(name)
+    basis = inst.all_basis()
+    for el in basis:
+        ((coeff, piece, key),) = _expand(inst, el)
+        assert piece is el and coeff == 1 and key == sort_key(inst, el)
+    value = basis[1].scale(3) + basis[2].scale(Fraction(-1, 2))
+    pieces = [(coeff, piece) for coeff, piece, _ in _expand(inst, value)]
+    assert pieces == [(3, basis[1]), (Fraction(-1, 2), basis[2])]
+    assert pieces[0][1] is basis[1] and pieces[1][1] is basis[2]
+
+
+DENSE = instance("poly-tangent-r2")
+DENSE_MONOMIALS = (DENSE.ring.one(),) + tuple(coordinate_monomials(DENSE.ring, 2))
+
+
+@st.composite
+def dense_arguments(draw, size):
+    """poly-tangent-r2 basis elements times polynomials of two to four
+    terms, so that every value splits into several Q-basis pieces."""
+    out = []
+    for _ in range(size):
+        el = draw(st.sampled_from(DENSE.all_basis()))
+        terms = draw(st.lists(st.tuples(st.sampled_from(DENSE_MONOMIALS), COEFFICIENTS),
+                              min_size=2, max_size=4, unique_by=lambda t: t[0]._key))
+        poly = DENSE.ring.zero()
+        for mono, coeff in terms:
+            poly = poly + mono * coeff
+        out.append(el.scale(poly))
+    return tuple(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_arguments(3))
+def test_dense_poly_coefficients_split_into_pieces(args):
+    for arg in args:
+        pieces = _expand(DENSE, arg)
+        assert len(pieces) == sum(len(c.terms()) for c in arg.terms.values()) >= 2
+        total = Element.zero()
+        for coeff, piece, key in pieces:
+            assert key == sort_key(DENSE, piece)
+            total = total + piece.scale(coeff)
+        assert total == arg
+        again = _expand(DENSE, arg)
+        assert all(a[1] is b[1] for a, b in zip(pieces, again))
+    for node, reference in insert_nodes("poly-tangent-r2"):
+        if node.arity <= len(args):
+            head = args[:node.arity]
+            assert node.evaluate(head) == reference(head)
+
+
+def atomic_nodes(instances):
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, VForm) and obj.terms is None and obj.instance in instances]
+
+
+def test_memo_keys_are_canonical_tuples():
+    scenario = load_shipped("aff1")
+    main_theorem_harness(scenario.instance, scenario.pi, scenario.N, scenario.omega,
+                         scenario.H, scenario.test_family())
+    h3 = heisenberg3()
+    assert coefficient_suite(h3, 3, 3, 3).passed
+    keys = 0
+    for node in atomic_nodes((scenario.instance, h3)):
+        for key in node._memo:
+            assert len(key) == node.arity
+            assert all(arg.terms and arg.wedge_degree() is not None for arg in key)
+            order, repeated_odd = reference_order(node.instance, key)
+            assert order == list(range(len(key))) and not repeated_odd, key
+            keys += 1
+    assert keys > 1000
+
+
+def test_is_zero_never_sorts_a_tuple(monkeypatch):
+    """Only the entry of evaluate and raw_evaluate sorts arguments; an
+    exhaustive check (through every nested insertion) never does."""
+    inst = heisenberg3()
+    n_form = PolyForm(inst, [wedge_form(inst, 1), wedge_form(inst, 2).scale(-2)])
+    mu = PolyForm(inst, [l2_form(inst), lk_form(inst, 3).scale(Fraction(1, 2))])
+    form = rn_bracket(n_form, rn_bracket(n_form, mu))
+    calls = []
+    canonical = VForm._canonical
+
+    def spy(self, args):
+        calls.append(args)
+        return canonical(self, args)
+
+    monkeypatch.setattr(VForm, "_canonical", spy)
+    certificate = is_zero(form, inst)
+    assert calls == []
+    assert len(certificate.checked) > 100
+    assert sum(len(node._memo) for node in atomic_nodes((inst,))) > len(certificate.checked)
+    last = certificate.checked[-1]
+    form.component(len(last)).evaluate(last)
+    assert len(calls) == 1
+
+
+def test_raw_evaluate_writes_no_memo_of_its_node():
+    inst = heisenberg3()
+    node = insert(l2_form(inst), wedge_form(inst, 2))
+    args = (inst.generator(2), inst.generator(0), inst.monomial((0, 1)))
+    value = node.raw_evaluate(args)
+    assert not node._memo
+    assert value == node.evaluate(args) == reference_insert(l2_form(inst), wedge_form(inst, 2))(args)
+    assert len(node._memo) == 1
