@@ -333,25 +333,42 @@ class GradedInstance:
         return family
 
     def _validate_gerstenhaber(self) -> None:
+        """Graded skew-symmetry on every ordered pair (P, Q) and the graded
+        Leibniz rule on every triple (P, Q, R) of ``_gerstenhaber_family``:
+
+            [P,Q] = -(-1)^{(p-1)(q-1)} [Q,P]
+            [P, Q^R] = [P,Q]^R + (-1)^{(p-1)q} Q^[P,R]
+
+        The family is the monomial basis, and on a polynomial algebroid also
+        the basis scaled by each coordinate.  Pairs and triples are checked
+        in nested family order and the first failure raises InputError.
+        Each distinct bracket is computed once: [P,Q] over the family goes
+        into a table, each Q^R is formed once, and [P, Q^R] is memoized per
+        P, keyed by the element Q^R (sn_bracket depends only on its
+        arguments' terms)."""
         family = self._gerstenhaber_family()
-        for P in family:
-            p = P.require_homogeneous()
-            for Q in family:
-                q = Q.require_homogeneous()
-                skew = self.sn_bracket(P, Q) + self.sn_bracket(Q, P).scale(
-                    sign_pow((p - 1) * (q - 1)))
+        degrees = [P.require_homogeneous() for P in family]
+        table = [[self.sn_bracket(P, Q) for Q in family] for P in family]
+        for a, p in enumerate(degrees):
+            for b, q in enumerate(degrees):
+                skew = table[a][b] + table[b][a].scale(sign_pow((p - 1) * (q - 1)))
                 if not skew.is_zero():
                     raise InputError(
-                        f"graded skew-symmetry fails on {self.basis_label(P)},"
-                        f" {self.basis_label(Q)}")
-        for P in family:
-            p = P.require_homogeneous()
-            for Q in family:
-                q = Q.require_homogeneous()
-                for R in family:
-                    lhs = self.sn_bracket(P, Q.wedge(R))
-                    rhs = self.sn_bracket(P, Q).wedge(R) + Q.wedge(
-                        self.sn_bracket(P, R)).scale(sign_pow((p - 1) * q))
+                        f"graded skew-symmetry fails on {self.basis_label(family[a])},"
+                        f" {self.basis_label(family[b])}")
+        wedges = [[Q.wedge(R) for R in family] for Q in family]
+        for a, P in enumerate(family):
+            p = degrees[a]
+            row = table[a]
+            on_p = dict(zip(family, row))       # [P, X] keyed by X
+            for b, Q in enumerate(family):
+                sign = sign_pow((p - 1) * degrees[b])
+                for c, R in enumerate(family):
+                    QR = wedges[b][c]
+                    lhs = on_p.get(QR)
+                    if lhs is None:
+                        lhs = on_p[QR] = self.sn_bracket(P, QR)
+                    rhs = row[b].wedge(R) + Q.wedge(row[c]).scale(sign)
                     if not (lhs - rhs).is_zero():
                         raise InputError(
                             f"graded Leibniz rule fails on {self.basis_label(P)},"

@@ -90,17 +90,18 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self._terms)
         for expo, coeff in other._terms.items():
-            acc = terms.get(expo, Fraction(0)) + coeff
+            acc = terms.get(expo)
+            acc = coeff if acc is None else acc + coeff
             if acc:
                 terms[expo] = acc
             else:
-                terms.pop(expo, None)
-        return Poly(self.nvars, terms)
+                del terms[expo]
+        return _clean_poly(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return _clean_poly(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -109,17 +110,22 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return _clean_poly(self.nvars, {})
+            return _clean_poly(self.nvars, {e: c * other for e, c in self._terms.items()})
         other = self._coerce(other)
         terms: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, Fraction(0)) + c1 * c2
+                acc = terms.get(expo)
+                acc = c1 * c2 if acc is None else acc + c1 * c2
                 if acc:
                     terms[expo] = acc
                 else:
-                    terms.pop(expo, None)
-        return Poly(self.nvars, terms)
+                    del terms[expo]
+        return _clean_poly(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -129,7 +135,8 @@ class Poly:
                 raise InputError("polynomials over different coordinate sets")
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(self.nvars, other)
+            value = Fraction(other)
+            return _clean_poly(self.nvars, {(0,) * self.nvars: value} if value else {})
         raise TypeError(f"cannot combine Poly with {type(other).__name__}")
 
     def diff(self, index: int) -> "Poly":
@@ -141,13 +148,28 @@ class Poly:
                 new = list(expo)
                 new[index] = e - 1
                 terms[tuple(new)] = coeff * e
-        return Poly(self.nvars, terms)
+        return _clean_poly(self.nvars, terms)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
 
     def __repr__(self):
         return f"Poly({format_poly(self, tuple(f'x{i+1}' for i in range(self.nvars))) })"
+
+
+def _clean_poly(nvars: int, terms: dict) -> Poly:
+    """A Poly that adopts ``terms`` without the public constructor's checks.
+
+    The caller keeps the invariant those checks establish: every key is a
+    tuple of ``nvars`` plain ints, every value a nonzero ``Fraction``, and
+    no one else holds ``terms`` (the Poly owns it from here on).  Results
+    of Poly arithmetic on clean operands satisfy it by construction.
+    """
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out._terms = terms
+    out._key = tuple(sorted(terms.items()))
+    return out
 
 
 def monomial_label(expo: Iterable[int], names: tuple) -> str:

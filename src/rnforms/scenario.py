@@ -115,10 +115,10 @@ def _block(raw, where: str, keys: set) -> dict:
     return raw
 
 
-def _integer(block: dict, key: str, where: str, default=None) -> int:
+def _integer(block: dict, key: str, where: str, default=None, minimum=None) -> int:
     """block[key] as a JSON integer (not a bool or a float), ``default``
-    when absent or null; InputError naming the field otherwise, or when it
-    is absent with no default."""
+    when absent or null; InputError naming the field otherwise, when it is
+    absent with no default, or when it is below ``minimum``."""
     value = block.get(key)
     if value is None:
         if default is None:
@@ -126,6 +126,8 @@ def _integer(block: dict, key: str, where: str, default=None) -> int:
         return default
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{where}.{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{where}.{key} must be >= {minimum}, got {value}")
     return value
 
 
@@ -272,7 +274,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         i_max=_integer(suite, "i_max", "suite", 4),
         m_max=_integer(suite, "m_max", "suite", 4),
         n_max=_integer(suite, "n_max", "suite", 4),
-        poly_degree_bound=_integer(suite, "poly_degree_bound", "suite", 1),
+        poly_degree_bound=_integer(suite, "poly_degree_bound", "suite", 1, minimum=0),
     )
     scenario.preconditions = _preconditions(scenario)
     return scenario

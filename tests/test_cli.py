@@ -248,16 +248,28 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
         build_scenario(["not", "an", "object"])
 
 
+EMPTY_SUITE_BOUNDS = [
+    # (scenario, suite field, value, command, message); each used to run no
+    # check at all, or one over a degenerate family, and report a pass
+    ("aff1", "i_max", 0, ("suite", "witt"),
+     "the intertwining suite bound i_max must be >= 1"),
+    ("aff1", "i_max", 0, ("suite", "lemma"), "suite bounds must be >= 2"),
+    ("poly-tangent-r2", "poly_degree_bound", -2, ("suite", "lemma"),
+     "suite.poly_degree_bound must be >= 0, got -2"),
+    ("poly-tangent-r2", "poly_degree_bound", -2, ("suite", "main-theorem"),
+     "suite.poly_degree_bound must be >= 0, got -2"),
+]
+
+
 def test_empty_suite_bounds_exit_2(tmp_path, capsys):
-    # "i_max": 0 used to run no check at all and report a pass
-    path = tmp_path / "no_witt.json"
-    path.write_text(json.dumps(_edited("aff1", ("suite", "i_max"), 0)))
-    code, out, err = run_cli(capsys, "--scenario", str(path), "--format", "json",
-                             "suite", "witt")
-    assert (code, out) == (2, "")
-    assert err == "input error: the intertwining suite bound i_max must be >= 1\n"
-    code, out, _ = run_cli(capsys, "--scenario", str(path), "suite", "lemma")
-    assert (code, out) == (2, "")
+    for name, key, value, command, message in EMPTY_SUITE_BOUNDS:
+        path = tmp_path / f"{name}-{key}.json"
+        path.write_text(json.dumps(_edited(name, ("suite", key), value)))
+        code, out, err = run_cli(capsys, "--scenario", str(path), "--format", "json",
+                                 *command)
+        assert (code, out, err) == (2, "", f"input error: {message}\n"), (name, key, command)
+    assert build_scenario(_edited("poly-tangent-r2", ("suite", "poly_degree_bound"), 0)) \
+        .poly_degree_bound == 0
     with pytest.raises(InputError, match="k_max >= 2"):
         pairwise_compatibility(load_shipped("aff1").instance, 1, Report("check linfty", "aff1"))
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rnforms.rings import (InputError, Poly, PolyRing, RationalRing, format_poly,
                            format_rational, parse_poly, parse_rational)
@@ -89,3 +89,94 @@ def test_rational_ring_rejects_polynomials():
     ring = RationalRing()
     with pytest.raises(InputError):
         ring.coerce(Poly.var(1, 0))
+
+
+# -- arithmetic results against the public constructor ----------------------------
+
+COEFFS = st.sampled_from([Fraction(c) for c in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 3)])
+SCALARS = st.sampled_from([0, 1, -3, Fraction(0), Fraction(2, 3), Fraction(-5, 2)])
+
+
+@st.composite
+def poly_pairs(draw):
+    """(P, Q) in 2 or 3 variables; Q repeats some of P's terms negated, so
+    P + Q cancels terms, and small exponents make P * Q cancel too."""
+    nvars = draw(st.sampled_from((2, 3)))
+    expos = st.tuples(*[st.integers(0, 2)] * nvars)
+    p_terms = draw(st.dictionaries(expos, COEFFS, max_size=5))
+    q_terms = draw(st.dictionaries(expos, COEFFS, max_size=4))
+    for expo, coeff in p_terms.items():
+        if draw(st.booleans()):
+            q_terms[expo] = q_terms.get(expo, Fraction(0)) - coeff
+    return Poly(nvars, p_terms), Poly(nvars, q_terms)
+
+
+def _operations(P, Q, k):
+    yield "+", P + Q
+    yield "-", P - Q
+    yield "neg", -P
+    yield "*", P * Q
+    yield "*k", P * k
+    yield "k*", k * P
+    yield "+k", P + k
+    yield "k-", k - P
+    for i in range(P.nvars):
+        yield f"d{i}", P.diff(i)
+
+
+def _assert_clean(result, nvars):
+    assert isinstance(result, Poly) and result.nvars == nvars
+    checked = Poly(nvars, dict(result.terms()))
+    assert result == checked
+    assert hash(result) == hash(checked)
+    assert result._key == checked._key
+    for expo, coeff in result._terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(expo) is tuple and len(expo) == nvars
+        assert all(type(e) is int for e in expo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs(), SCALARS)
+def test_poly_arithmetic_results_are_clean(pair, k):
+    P, Q = pair
+    for _, result in _operations(P, Q, k):
+        _assert_clean(result, P.nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs(), SCALARS)
+def test_poly_arithmetic_against_sympy(pair, k):
+    sympy = pytest.importorskip("sympy")
+    P, Q = pair
+    xs = sympy.symbols(f"x1:{P.nvars + 1}")
+
+    def expr(poly):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(x ** e for x, e in zip(xs, expo)))
+                           for expo, c in poly.terms()))
+
+    p, q, kk = expr(P), expr(Q), sympy.Rational(Fraction(k).numerator, Fraction(k).denominator)
+    expected = {"+": p + q, "-": p - q, "neg": -p, "*": p * q, "*k": p * kk, "k*": kk * p,
+                "+k": p + kk, "k-": kk - p}
+    expected.update({f"d{i}": sympy.diff(p, x) for i, x in enumerate(xs)})
+    for name, result in _operations(P, Q, k):
+        assert sympy.expand(expr(result) - expected[name]) == 0, name
+
+
+def test_poly_arithmetic_skips_the_checking_constructor(monkeypatch):
+    P = Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(-2), (2, 1): Fraction(1, 3)})
+    Q = Poly(2, {(1, 0): Fraction(-1), (0, 0): Fraction(5)})
+    calls = []
+    init = Poly.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", spy)
+    for _ in _operations(P, Q, Fraction(2, 3)):
+        pass
+    for _ in _operations(P, Q, 0):
+        pass
+    assert calls == []
