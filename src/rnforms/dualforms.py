@@ -231,11 +231,15 @@ def pi_sharp(pi: Element, alpha: DualForm) -> Element:
     return Element({mon: c for mon, c in terms.items() if c})
 
 
+def unit_duals(inst: GradedInstance) -> list:
+    """The dual generators e1*, ..., en* as 1-forms."""
+    return [DualForm(inst, 1, {(i,): inst.ring.one()}) for i in range(inst.rank)]
+
+
 def pi_sharp_matrix(inst: GradedInstance, pi: Element):
     """Matrix of pi# (columns are pi# of the dual generators)."""
     cols = []
-    for i in range(inst.rank):
-        alpha = DualForm(inst, 1, {(i,): inst.ring.one()})
+    for alpha in unit_duals(inst):
         image = pi_sharp(pi, alpha)
         cols.append([image.terms.get((j,), inst.ring.zero()) for j in range(inst.rank)])
     return [[cols[j][i] for j in range(inst.rank)] for i in range(inst.rank)]

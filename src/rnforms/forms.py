@@ -13,25 +13,19 @@ materialized by :func:`is_zero`.
 
 Evaluation rests on one invariant: **a memo key is a canonical tuple**,
 sorted by (wedge degree, key) with no repeated odd factor.  Only
-:meth:`VForm.evaluate` and :meth:`VForm.raw_evaluate` canonicalize, once, at
-the entry; everything inside works on canonical tuples.  :meth:`VForm._lookup`
-reads or fills an atomic node's memo (a combination sums its nodes'
-lookups), and :func:`is_zero` and :func:`evaluation_table` call it directly,
-since :func:`basis_tuples` yields canonical tuples.  An insertion node's
-rule evaluates K on the first slice of its arguments (a sub-tuple of a
-canonical tuple is canonical), expands the value into interned Q-basis
-pieces (:func:`_expand`) and places each piece into the already sorted rest
-with one bisection (:func:`_place`), so no tuple is ever sorted again.  On a
-Lie algebra a piece is a wedge monomial, the very object
-``instance.all_basis()`` returns, so memo hits compare by identity; on a
-polynomial algebroid it is a coordinate monomial times a wedge monomial, with
-a rational coefficient (forms are only Q-multilinear there, because the
+:meth:`VForm.evaluate` canonicalizes, once, at the entry; everything inside
+works on canonical tuples.  :meth:`VForm._lookup` reads or fills an atomic
+node's memo (a combination sums its nodes' lookups), and :func:`is_zero` and
+:func:`evaluation_table` call it directly, since :func:`basis_tuples` yields
+canonical tuples.  An insertion node's rule evaluates K on the first slice of
+its arguments (a sub-tuple of a canonical tuple is canonical), expands the
+value into interned Q-basis pieces (:func:`_expand`) and places each piece
+into the already sorted rest with one bisection (:func:`_place`), so no tuple
+is ever sorted again.  On a Lie algebra a piece is a wedge monomial, the very
+object ``instance.all_basis()`` returns, so memo hits compare by identity; on
+a polynomial algebroid it is a coordinate monomial times a wedge monomial,
+with a rational coefficient (forms are only Q-multilinear there, because the
 anchor differentiates).
-
-:meth:`VForm.raw_evaluate` canonicalizes its arguments and runs the node's
-rule (a combination: its nodes' rules) with the canonical sign, without
-reading or writing that node's memo; the nodes the rule calls keep using
-theirs.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
 minus the sum of the input wedge degrees).  The convention degree is
@@ -61,8 +55,8 @@ class VForm:
 
     ``terms`` is None for an atomic node, whose rule ``fn`` runs on memo
     misses; otherwise it maps atomic nodes to nonzero Fraction
-    coefficients, and ``fn`` is the same combination of the nodes' rules
-    (see :meth:`raw_evaluate`).  Rules run on canonical tuples only."""
+    coefficients, and ``fn`` is the same combination of the nodes' rules.
+    Rules run on canonical tuples only."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
                  convention=None, terms=None):
@@ -100,15 +94,6 @@ class VForm:
         return self.shift + 2 * (self.arity - 1)
 
     # -- evaluation -----------------------------------------------------------
-
-    def raw_evaluate(self, args) -> Element:
-        """The rule on the canonicalized arguments, with their sign, reading
-        and writing no memo of this node (see the module docstring)."""
-        canonical, sign = self._entry(args)
-        if not sign:
-            return Element.zero()
-        value = self.fn(canonical)
-        return value if sign > 0 else -value
 
     def evaluate(self, args) -> Element:
         canonical, sign = self._entry(args)
@@ -501,11 +486,12 @@ def iterated_eval_identity(K: VForm, args) -> bool:
 class ZeroCertificate:
     """Verdict of an exhaustive (or declared-family) vanishing check."""
 
-    def __init__(self, checked, complete, counterexample, family_note):
+    def __init__(self, checked, complete, counterexample, family_note, failing=None):
         self.checked = checked                  # canonical tuples, in test order
         self.complete = complete
         self.counterexample = counterexample    # (tuple label, value label) or None
         self.family_note = family_note
+        self.failing = failing                  # the canonical tuple labelled there
 
     @property
     def is_zero(self) -> bool:
@@ -542,30 +528,30 @@ def basis_tuples(instance: GradedInstance, arity: int, family=None):
 
 def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     """Exhaustive vanishing verdict on all canonical basis tuples (finite
-    instances: a complete proof by multilinearity and graded symmetry) or on
-    a declared family (polynomial instances: a verification, flagged as
-    incomplete)."""
+    instances without a family: a complete proof by multilinearity and
+    graded symmetry) or on a declared family (always the case on polynomial
+    instances: a verification, flagged as incomplete)."""
     form = as_polyform(form, instance)
     instance = instance or form.instance
-    polynomial = isinstance(instance.ring, PolyRing)
-    if polynomial and test_family is None:
-        test_family = default_poly_family(instance)
-    complete = not polynomial
-    if polynomial:
-        note = f"declared family of {len(test_family)} elements"
-    else:
+    complete = test_family is None and not isinstance(instance.ring, PolyRing)
+    if complete:
         note = "all canonical basis tuples"
+    else:
+        if test_family is None:
+            test_family = default_poly_family(instance)
+        note = f"declared family of {len(test_family)} elements"
     checked: list = []
-    counterexample = None
+    counterexample = failing = None
     for arity in form.arities():
         comp = form.component(arity)
         for combo in basis_tuples(instance, arity, test_family):
             value = comp._lookup(combo)
             checked.append(combo)
-            if counterexample is None and value.terms:
+            if failing is None and value.terms:
+                failing = combo
                 label = ", ".join(instance.basis_label(el) for el in combo)
                 counterexample = (f"arity {arity}: ({label})", instance.basis_label(value))
-    return ZeroCertificate(checked, complete, counterexample, note)
+    return ZeroCertificate(checked, complete, counterexample, note, failing)
 
 
 def element_to_data(instance: GradedInstance, element: Element) -> dict:

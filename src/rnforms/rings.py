@@ -84,7 +84,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, self._key))
+        # a constant hashes as the Fraction it equals (see __eq__)
+        key = self._key
+        if not key:
+            return 0
+        if len(key) == 1 and not any(key[0][0]):
+            return hash(key[0][1])
+        return hash((self.nvars, key))
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -250,12 +256,14 @@ class PolyRing:
     def __init__(self, names: tuple):
         self.names = tuple(names)
         self.nvars = len(self.names)
+        self._one = Poly.const(self.nvars, 1)       # Poly is immutable: shared
+        self._zero = Poly(self.nvars)
 
     def one(self):
-        return Poly.const(self.nvars, 1)
+        return self._one
 
     def zero(self):
-        return Poly(self.nvars)
+        return self._zero
 
     def coerce(self, value) -> Poly:
         if isinstance(value, Poly):

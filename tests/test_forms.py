@@ -80,19 +80,20 @@ def test_iterated_eval_identity(aff, h3):
 
 def test_graded_symmetry_raw(h3):
     # primitive rules take arguments in any order; an insertion rule runs on
-    # canonical tuples only, so lk_form(3) goes through raw_evaluate
+    # canonical tuples only (all_basis is in canonical order), so lk_form(3)
+    # is read through evaluate on the permuted tuple
     l3 = lk_form(h3, 3)
     forms = [wedge_form(h3, 2), wedge_form(h3, 3), l2_form(h3), l3]
     basis = h3.all_basis()
     for form in forms:
-        rule = form.raw_evaluate if form is l3 else form.fn
+        permuted_value = form.evaluate if form is l3 else form.fn
         for combo in itertools.combinations_with_replacement(basis, form.arity):
-            base = rule(combo)
+            base = form.fn(combo)
             parities = [el.wedge_degree() for el in combo]
             for perm in itertools.permutations(range(form.arity)):
                 sign = koszul_sign(perm, parities)
                 permuted = tuple(combo[i] for i in perm)
-                assert (rule(permuted) - base.scale(sign)).is_zero()
+                assert (permuted_value(permuted) - base.scale(sign)).is_zero()
 
 
 def test_rn_graded_antisymmetry(h3):
@@ -161,15 +162,26 @@ def test_kform_identity_for_extensions(h3_sh2):
         assert iterated_eval_identity(un, (el,))
 
 
-def test_is_zero_examples(aff, broken):
+def test_is_zero_examples(aff, broken, h3):
     cert = is_zero(rn_bracket(l2_form(aff), l2_form(aff)), aff)
-    assert cert.is_zero and cert.complete
+    assert cert.is_zero and cert.complete and cert.failing is None
+    assert cert.family_note == "all canonical basis tuples"
     bad = is_zero(rn_bracket(l2_form(broken), l2_form(broken)), broken)
     assert not bad.is_zero
     assert bad.counterexample is not None
     assert "e1" in bad.counterexample[0]
+    # the failing canonical tuple is kept beside its label
+    assert bad.failing in bad.checked
+    label = ", ".join(broken.basis_label(el) for el in bad.failing)
+    assert bad.counterexample[0] == f"arity {len(bad.failing)}: ({label})"
     trivial = is_zero(PolyForm(aff, [], convention=aff.convention), aff)
     assert trivial.is_zero and trivial.complete
+    # a declared family on a finite instance is a verification, not a proof
+    gens = [h3.generator(i) for i in range(3)]
+    partial = is_zero(wedge_form(h3, 2), h3, gens)
+    assert len(partial.checked) == 3 and not partial.complete
+    assert partial.family_note == "declared family of 3 elements"
+    assert partial.failing == (gens[0], gens[1])
 
 
 def test_is_zero_empty_family_rejected(poly):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rnforms.elements import Element
 from rnforms.rings import (InputError, Poly, PolyRing, RationalRing, format_poly,
                            format_rational, parse_poly, parse_rational)
 
@@ -48,6 +49,24 @@ def test_rational_canonical():
     assert q.denominator > 0
 
 
+def test_poly_ring_builds_unit_and_zero_once(capsys, monkeypatch):
+    ring = PolyRing(("x1", "x2"))
+    assert ring.one() is ring.one() and ring.zero() is ring.zero()
+    assert ring.one() == 1 and ring.zero().is_zero()
+    # the shared unit changes no report: validate the shipped poly-tangent-r2
+    # with it and with a fresh unit per call
+    from rnforms.cli import main
+    from rnforms.scenario import shipped_scenario_path
+    argv = ["--scenario", str(shipped_scenario_path("poly-tangent-r2")),
+            "--format", "json", "validate"]
+    assert main(argv) == 0
+    shared = capsys.readouterr().out
+    monkeypatch.setattr(PolyRing, "one", lambda self: Poly.const(self.nvars, 1))
+    monkeypatch.setattr(PolyRing, "zero", lambda self: Poly(self.nvars))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == shared
+
+
 def test_poly_arithmetic():
     x = Poly.var(2, 0)
     y = Poly.var(2, 1)
@@ -56,7 +75,10 @@ def test_poly_arithmetic():
     assert (p - p).is_zero()
     assert p * Fraction(0) == 0
     three = Poly.const(2, 3)
-    assert three == Fraction(3)
+    assert three == Fraction(3) and hash(three) == hash(Fraction(3))
+    # equal Elements hash equal whatever type their equal coefficients have
+    a, b = Element({(0,): three}), Element({(0,): Fraction(3)})
+    assert a == b and len({a, b}) == 1
     assert (x + 1) * (x + 1) == x * x + 2 * x + 1
 
 
@@ -136,12 +158,26 @@ def _assert_clean(result, nvars):
         assert all(type(e) is int for e in expo)
 
 
+def _assert_hash_agrees(result):
+    """A constant equals the Fraction of its value and hashes as it; a
+    nonconstant Poly equals no Fraction."""
+    terms = result.terms()
+    if len(terms) > 1 or (terms and any(terms[0][0])):
+        assert all(result != q for q in (Fraction(0), Fraction(1), Fraction(-1)))
+        return
+    value = terms[0][1] if terms else Fraction(0)
+    assert result == value and hash(result) == hash(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(poly_pairs(), SCALARS)
 def test_poly_arithmetic_results_are_clean(pair, k):
     P, Q = pair
     for _, result in _operations(P, Q, k):
         _assert_clean(result, P.nvars)
+        _assert_hash_agrees(result)
+    for constant in (P - P, P * 0, Poly.const(P.nvars, k), Poly(P.nvars, {(0,) * P.nvars: k})):
+        _assert_hash_agrees(constant)
 
 
 @settings(max_examples=60, deadline=None)
