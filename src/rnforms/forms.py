@@ -11,21 +11,19 @@ same values are never computed twice under different nodes.  Scaling, sums
 and brackets only merge coefficient maps.  Dense tables are only
 materialized by :func:`is_zero`.
 
-Evaluation rests on one invariant: **a memo key is a canonical tuple**,
-sorted by (wedge degree, key) with no repeated odd factor.  Only
-:meth:`VForm.evaluate` canonicalizes, once, at the entry; everything inside
-works on canonical tuples.  :meth:`VForm._lookup` reads or fills an atomic
-node's memo (a combination sums its nodes' lookups), and :func:`is_zero` and
-:func:`evaluation_table` call it directly, since :func:`basis_tuples` yields
-canonical tuples.  An insertion node's rule evaluates K on the first slice of
-its arguments (a sub-tuple of a canonical tuple is canonical), expands the
-value into interned Q-basis pieces (:func:`_expand`) and places each piece
-into the already sorted rest with one bisection (:func:`_place`), so no tuple
-is ever sorted again.  On a Lie algebra a piece is a wedge monomial, the very
-object ``instance.all_basis()`` returns, so memo hits compare by identity; on
-a polynomial algebroid it is a coordinate monomial times a wedge monomial,
-with a rational coefficient (forms are only Q-multilinear there, because the
-anchor differentiates).
+The kernel runs on integer piece ids.  One id table per instance
+(:class:`_Ids`, built by the first evaluation) numbers the Q-basis pieces
+(wedge monomials on a Lie algebra, in canonical order; coordinate monomial
+times wedge monomial on a polynomial algebroid, the basis up front and the
+rest when first met) and keeps each piece's Element, parity and sort key.
+**A memo key is a tuple of ids in canonical order** (by sort key, no
+repeated odd id) and **a memo value is a piece map** {id: nonzero
+Fraction}, never mutated once stored.  Only :meth:`VForm.evaluate` sorts,
+at the entry; Elements appear only there and in the outputs of
+:func:`is_zero` and :func:`evaluation_table`.  A catalog rule's value is
+split into pieces once per memo miss.  An insertion bisects each piece of
+K(first slice of its key) into the sorted rest, with the Koszul sign of the
+odd ids it passes.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
 minus the sum of the input wedge degrees).  The convention degree is
@@ -39,6 +37,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 
 from .elements import Element
@@ -50,22 +49,77 @@ _ONE = Fraction(1)
 _NO_MEMO = MappingProxyType({})     # the memo of every linear combination
 
 
+class _Ids:
+    """The piece id table of an instance.  ``index`` maps a wedge monomial,
+    a (wedge monomial, exponent) pair or a non-piece argument to its id."""
+
+    def __init__(self, instance: GradedInstance):
+        self.ring = instance.ring
+        self.poly = isinstance(self.ring, PolyRing)
+        self.elements, self.odd, self.keys, self.index = [], [], [], {}
+        for el in instance.all_basis():
+            ((mon, one),) = el.terms.items()
+            self._add(el, (mon, one.terms()[0][0]) if self.poly else mon)
+
+    def _add(self, el: Element, lookup) -> int:
+        i = self.index[lookup] = len(self.elements)
+        self.elements.append(el)
+        self.odd.append(el.wedge_degree() & 1)
+        self.keys.append((el.wedge_degree(), el.key(self.ring)))
+        return i
+
+    def piece(self, mon, expo) -> int:
+        """The id of the polynomial piece x^expo * mon."""
+        i = self.index.get((mon, expo))
+        if i is None:
+            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: _ONE})}), (mon, expo))
+        return i
+
+    def id_of(self, el: Element) -> int:
+        """The id of a nonzero homogeneous element: its piece's when it is
+        one piece with coefficient 1."""
+        ((i, c), *more) = self.split(el).items()
+        if c == 1 and not more:
+            return i
+        i = self.index.get(el)
+        return self._add(el, el) if i is None else i
+
+    def split(self, value: Element) -> dict:
+        """An Element as a piece map."""
+        if not self.poly:
+            index = self.index
+            return {index[mon]: c for mon, c in value.terms.items()}
+        piece = self.piece
+        return {piece(mon, expo): c for mon, poly in value.terms.items()
+                for expo, c in self.ring.coerce(poly).terms()}
+
+    def element(self, value: dict) -> Element:
+        """A piece map as an Element."""
+        terms: dict = {}
+        for i, c in value.items():
+            ((mon, unit),) = self.elements[i].terms.items()
+            terms[mon] = terms[mon] + unit * c if mon in terms else unit * c
+        return Element(terms)
+
+
 class VForm:
     """A single graded-symmetric vector-valued form of one arity.
 
     ``terms`` is None for an atomic node, whose rule ``fn`` runs on memo
-    misses; otherwise it maps atomic nodes to nonzero Fraction
-    coefficients, and ``fn`` is the same combination of the nodes' rules.
-    Rules run on canonical tuples only."""
+    misses: a catalog rule maps a canonical tuple of Elements to an Element,
+    an insertion rule (``on_ids``) maps a key to a piece map.  Otherwise
+    ``terms`` maps atomic nodes to nonzero Fraction coefficients, and there
+    is no rule."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=None, terms=None):
+                 convention=None, terms=None, on_ids=False):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
         self.arity = arity
         self.shift = shift
         self.fn = fn
+        self.on_ids = on_ids
         self.convention = convention or instance.convention
         self.terms = terms
         if terms is None:
@@ -77,12 +131,7 @@ class VForm:
     @classmethod
     def combination(cls, instance, arity, shift, terms, convention=None) -> "VForm":
         """The linear combination sum c * node over ``terms`` (node -> c)."""
-        nodes = tuple(terms.items())
-
-        def fn(args):
-            return _combine([(c, node.fn(args)) for node, c in nodes])
-
-        return cls(instance, arity, shift, fn, convention, terms=terms)
+        return cls(instance, arity, shift, None, convention, terms=terms)
 
     # -- degree ---------------------------------------------------------------
 
@@ -96,29 +145,36 @@ class VForm:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, args) -> Element:
-        canonical, sign = self._entry(args)
+        key, sign = self._canonical(args)
         if not sign:
             return Element.zero()
-        value = self._lookup(canonical)
+        value = self.instance._ids.element(self._lookup(key))
         return value if sign > 0 else -value
 
     __call__ = evaluate
 
-    def _lookup(self, canonical) -> Element:
-        """The value on a canonical tuple: an atomic node reads or fills its
-        memo, a combination sums its nodes' lookups."""
+    def _lookup(self, key) -> dict:
+        """The piece map on a key: an atomic node reads or fills its memo,
+        a combination sums its nodes' lookups."""
         terms = self.terms
         if terms is None:
-            memo = self._memo
-            value = memo.get(canonical)
+            value = self._memo.get(key)
             if value is None:
-                value = memo[canonical] = self.fn(canonical)
+                ids = self.instance._ids
+                value = self._memo[key] = (
+                    self.fn(key) if self.on_ids
+                    else ids.split(self.fn(tuple([ids.elements[i] for i in key]))))
             return value
-        return _combine([(coeff, node._lookup(canonical)) for node, coeff in terms.items()])
+        total: dict = {}
+        for node, coeff in terms.items():
+            _add_into(total, coeff, node._lookup(key))
+        return total
 
-    def _entry(self, args):
-        """(canonical tuple, sign) of checked arguments; sign 0 when an
-        argument is zero or an odd argument repeats."""
+    def _canonical(self, args):
+        """(key, sign) of checked arguments: their ids sorted by sort key,
+        and the int Koszul sign of the sorting permutation
+        (graded.koszul_sign, unvalidated); sign 0 when an argument is zero
+        or an odd argument repeats."""
         args = tuple(args)
         if len(args) != self.arity:
             raise InputError(f"a form of arity {self.arity} got {len(args)} arguments")
@@ -128,30 +184,15 @@ class VForm:
             if arg.wedge_degree() is None:
                 raise InputError(
                     f"a form of arity {self.arity} got the inhomogeneous argument {arg!r}")
-        return self._canonical(args)
-
-    def _canonical(self, args):
-        """Sort nonzero homogeneous arguments by (wedge degree, key) and
-        return (sorted_args, sign): the int Koszul sign of the sorting
-        permutation (graded.koszul_sign, unvalidated), 0 when an odd
-        argument repeats."""
-        ring = self.instance.ring
-        keys = [(arg.wedge_degree(), arg.key(ring)) for arg in args]
-        order = sorted(range(len(args)), key=keys.__getitem__)
-        sign = 1
-        odd = []            # original positions of the odd arguments, in sorted order
-        previous = None
-        for i in order:
-            key = keys[i]
-            if key[0] & 1:
-                if key == previous:
-                    return (), 0
-                for j in odd:
-                    if j > i:
-                        sign = -sign
-                odd.append(i)
-            previous = key
-        return tuple([args[i] for i in order]), sign
+        table = self.instance._ids = self.instance._ids or _Ids(self.instance)
+        ids = [table.id_of(arg) for arg in args]
+        order = sorted(range(len(ids)), key=lambda j: table.keys[ids[j]])
+        key = tuple([ids[i] for i in order])
+        if any(a == b and table.odd[a] for a, b in zip(key, key[1:])):
+            return (), 0
+        odd = [i for i in order if table.odd[ids[i]]]     # original positions, sorted order
+        swaps = sum(a > b for a, b in itertools.combinations(odd, 2))
+        return key, -1 if swaps & 1 else 1
 
     # -- linear structure -------------------------------------------------------
 
@@ -203,30 +244,18 @@ class VForm:
         return cls.combination(instance, arity, shift, {}, convention)
 
 
-def _combine(values) -> Element:
-    """sum c * value over (c, value) pairs, summed term by term in order
-    (the order a chain of Element additions gives)."""
-    if len(values) == 1:
-        coeff, value = values[0]
-        if coeff == 1:
-            return value
-        return -value if coeff == -1 else value.scale(coeff)
-    total: dict = {}
-    for coeff, value in values:
-        negate = coeff == -1
-        plain = negate or coeff == 1
-        for mon, c in value.terms.items():
-            if not plain:
-                c = coeff * c
-            elif negate:
-                c = -c
-            acc = total.get(mon)
-            acc = c if acc is None else acc + c
-            if acc:
-                total[mon] = acc
-            else:
-                total.pop(mon, None)
-    return Element(total)
+def _add_into(total: dict, coeff, value: dict) -> None:
+    """total += coeff * value on piece maps, dropping zeros."""
+    plain, negate = coeff == 1, coeff == -1
+    for piece, c in value.items():
+        if not plain:
+            c = -c if negate else coeff * c
+        acc = total.get(piece)
+        acc = c if acc is None else acc + c
+        if acc:
+            total[piece] = acc
+        else:
+            del total[piece]
 
 
 def shared_node(instance: GradedInstance, key, build) -> VForm:
@@ -301,90 +330,53 @@ def insert(K: VForm, L: VForm) -> VForm:
 
 def _insertion_node(K: VForm, L: VForm) -> VForm:
     """The rule sum over (k, l-1)-unshuffles s of eps(s) L(K(first), rest) on
-    canonical arguments, with K(first) expanded into Q-basis pieces."""
+    keys: each piece of K(first) is bisected into the sorted rest."""
     instance = K.instance
-    ring = instance.ring
     k = K.arity
-    shuffles = unshuffles(k, L.arity - 1)
-    tables: dict = {}       # parity pattern -> ((sign, first k slots, rest), ...)
+    shuffles = [(perm, _getter(perm[:k]), _getter(perm[k:]))
+                for perm in unshuffles(k, L.arity - 1)]
+    tables: dict = {}       # parity pattern -> ((sign, first k getter, rest getter), ...)
 
     def fn(args):
-        keys = [(arg.wedge_degree(), arg.key(ring)) for arg in args]
-        parities = tuple([key[0] & 1 for key in keys])
+        ids = instance._ids
+        odd, keys = ids.odd, ids.keys
+        parities = tuple([odd[i] for i in args])
         table = tables.get(parities)
         if table is None:
             table = tables[parities] = tuple(
-                (int(koszul_sign(perm, parities)), perm[:k], perm[k:]) for perm in shuffles)
-        K_lookup, L_lookup = K._lookup, L._lookup
+                (int(koszul_sign(perm, parities)), first, rest) for perm, first, rest in shuffles)
+        K_get, K_lookup, L_lookup = K._memo.get, K._lookup, L._lookup
         total: dict = {}
-        for sign, first, rest in table:
-            inner = K_lookup(tuple([args[i] for i in first]))
-            if not inner.terms:
+        for sign, take_first, take_rest in table:
+            first = take_first(args)
+            inner = K_get(first)        # the memo hit path of K._lookup, inlined
+            if inner is None:
+                inner = K_lookup(first)
+            if not inner:
                 continue
-            rest_args = tuple([args[i] for i in rest])
-            rest_keys = [keys[i] for i in rest]
-            for coeff, piece, key in _expand(instance, inner):
-                placed, moved = _place(piece, key, rest_args, rest_keys)
-                if not moved:
-                    continue
-                if sign != moved:
-                    coeff = -coeff
-                for mon, c in L_lookup(placed).terms.items():
-                    if coeff != 1:
-                        c = -c if coeff == -1 else c * coeff
-                    acc = total.get(mon)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        total[mon] = acc
-                    else:
-                        total.pop(mon, None)
-        return Element(total)
+            rest = take_rest(args)
+            for piece, coeff in inner.items():
+                pos = bisect_left(rest, keys[piece], key=keys.__getitem__)
+                moved = sign
+                if odd[piece]:
+                    if pos < len(rest) and rest[pos] == piece:
+                        continue
+                    for passed in rest[:pos]:
+                        if odd[passed]:
+                            moved = -moved
+                _add_into(total, coeff if moved > 0 else -coeff,
+                          L_lookup(rest[:pos] + (piece,) + rest[pos:]))
+        return total
 
-    return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention)
+    return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention,
+                 on_ids=True)
 
 
-def _expand(instance: GradedInstance, element: Element) -> list:
-    """``element`` as [(rational coefficient, piece, sort key)], summing to
-    it: the pieces are interned on the instance, one per Q-basis monomial.
-    On a Lie algebra a piece is the basis object of ``instance.all_basis()``
-    for its wedge monomial; on a polynomial algebroid it is a coordinate
-    monomial times a wedge monomial (the basis object when the coordinate
-    monomial is 1)."""
-    table = instance._pieces
-    ring = instance.ring
-    if not table:
-        for el in instance.all_basis():
-            ((mon, one),) = el.terms.items()
-            table[(mon, one.terms()[0][0]) if isinstance(one, Poly) else mon] = (
-                el, (len(mon), el.key(ring)))
-    if not isinstance(ring, PolyRing):
-        return [(c, *table[mon]) for mon, c in element.terms.items()]
-    out = []
-    for mon, poly in element.terms.items():
-        for expo, c in ring.coerce(poly).terms():
-            entry = table.get((mon, expo))
-            if entry is None:
-                piece = Element({mon: Poly(ring.nvars, {expo: _ONE})})
-                entry = table[(mon, expo)] = (piece, (len(mon), piece.key(ring)))
-            out.append((c, *entry))
-    return out
-
-
-def _place(piece: Element, key, rest: tuple, rest_keys: list):
-    """Insert ``piece`` (sort key ``key``) into the canonical tuple ``rest``
-    (sort keys ``rest_keys``) with one bisection: (tuple, sign), where sign is
-    the Koszul sign of moving the piece from the front to its place (the
-    parity of the odd elements it passes when odd), 0 when an odd piece
-    equals an element of ``rest``."""
-    pos = bisect_left(rest_keys, key)
-    sign = 1
-    if key[0] & 1:
-        if pos < len(rest_keys) and rest_keys[pos] == key:
-            return (), 0
-        for passed in rest_keys[:pos]:
-            if passed[0] & 1:
-                sign = -sign
-    return rest[:pos] + (piece,) + rest[pos:], sign
+def _getter(slots):
+    """The sub-tuple at the increasing positions ``slots``, as a C getter."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
 
 def rn_vform(K: VForm, L: VForm) -> VForm:
@@ -505,25 +497,23 @@ class ZeroCertificate:
 def basis_tuples(instance: GradedInstance, arity: int, family=None):
     """Canonical symmetric tuples from the basis (or a declared family):
     non-decreasing in the total order, no repeated odd factor."""
-    if family is None:
-        family = instance.all_basis()
+    for combo, _ in _family_tuples(instance, arity, family):
+        yield combo
+
+
+def _family_tuples(instance: GradedInstance, arity: int, family):
+    """(canonical tuple, its key) pairs of :func:`basis_tuples`."""
+    family = instance.all_basis() if family is None else list(family)
     if not family:
         raise InputError("empty test family")
-    ring = instance.ring
-    decorated = sorted(family, key=lambda el: (el.wedge_degree(), el.key(ring)))
-    if arity == 0:
-        yield ()
-        return
-    for combo in itertools.combinations_with_replacement(decorated, arity):
-        skip = False
-        for a, b in zip(combo, combo[1:]):
-            if a is b or a == b:
-                if a.wedge_degree() % 2:
-                    skip = True
-                    break
-        if skip:
-            continue
-        yield combo
+    table = instance._ids = instance._ids or _Ids(instance)
+    ids = [table.id_of(el) for el in family]
+    odd = table.odd
+    for combo in itertools.combinations_with_replacement(
+            sorted(range(len(ids)), key=lambda p: table.keys[ids[p]]), arity):
+        key = tuple([ids[p] for p in combo])
+        if not any(a == b and odd[a] for a, b in zip(key, key[1:])):
+            yield tuple([family[p] for p in combo]), key
 
 
 def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
@@ -543,14 +533,15 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     checked: list = []
     counterexample = failing = None
     for arity in form.arities():
-        comp = form.component(arity)
-        for combo in basis_tuples(instance, arity, test_family):
-            value = comp._lookup(combo)
+        lookup = form.component(arity)._lookup
+        for combo, key in _family_tuples(instance, arity, test_family):
+            value = lookup(key)
             checked.append(combo)
-            if failing is None and value.terms:
+            if failing is None and value:
                 failing = combo
                 label = ", ".join(instance.basis_label(el) for el in combo)
-                counterexample = (f"arity {arity}: ({label})", instance.basis_label(value))
+                counterexample = (f"arity {arity}: ({label})",
+                                  instance.basis_label(instance._ids.element(value)))
     return ZeroCertificate(checked, complete, counterexample, note, failing)
 
 
@@ -581,11 +572,11 @@ def evaluation_table(form, instance=None, test_family=None) -> dict:
         test_family = default_poly_family(instance)
     table: dict = {}
     for arity in form.arities():
-        comp = form.component(arity)
+        lookup = form.component(arity)._lookup
         rows = {}
-        for combo in basis_tuples(instance, arity, test_family):
+        for combo, key in _family_tuples(instance, arity, test_family):
             label = ", ".join(instance.basis_label(el) for el in combo)
-            rows[label] = element_to_data(instance, comp._lookup(combo))
+            rows[label] = element_to_data(instance, instance._ids.element(lookup(key)))
         table[str(arity)] = rows
     return table
 

@@ -111,7 +111,7 @@ class GradedInstance:
         self._sn_memo: dict = {}
         self._form_nodes: dict = {}     # hash-consed form nodes (forms.shared_node)
         self._node_count = 0            # creation order of atomic form nodes
-        self._pieces: dict = {}         # interned Q-basis pieces (forms._expand)
+        self._ids = None                # the piece id table, built by the first evaluation
         if check:
             self.validate()
 
@@ -163,6 +163,8 @@ class GradedInstance:
         for mon, coeff in sorted(element.terms.items(), key=lambda t: (len(t[0]), t[0])):
             label = "^".join(self.generator_names[i] for i in mon) if mon else "1"
             c = self.ring.format(coeff)
+            if isinstance(c, dict):         # a polynomial, {monomial: rational}
+                c = " + ".join(m if q == "1" else q if m == "1" else f"{q}*{m}" for m, q in c.items())
             bits.append(label if c == "1" else f"({c})*{label}")
         return " + ".join(bits) if bits else "0"
 

@@ -80,15 +80,14 @@ def test_iterated_eval_identity(aff, h3):
 
 def test_graded_symmetry_raw(h3):
     # primitive rules take arguments in any order; an insertion rule runs on
-    # canonical tuples only (all_basis is in canonical order), so lk_form(3)
-    # is read through evaluate on the permuted tuple
+    # id keys only, so lk_form(3) is read through evaluate
     l3 = lk_form(h3, 3)
     forms = [wedge_form(h3, 2), wedge_form(h3, 3), l2_form(h3), l3]
     basis = h3.all_basis()
     for form in forms:
         permuted_value = form.evaluate if form is l3 else form.fn
         for combo in itertools.combinations_with_replacement(basis, form.arity):
-            base = form.fn(combo)
+            base = permuted_value(combo)
             parities = [el.wedge_degree() for el in combo]
             for perm in itertools.permutations(range(form.arity)):
                 sign = koszul_sign(perm, parities)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, VForm, _expand, _place, coordinate_monomials,
-                           default_poly_family, element_form, insert, is_zero, rn_bracket)
+from rnforms.forms import (PolyForm, VForm, _Ids, coordinate_monomials, default_poly_family,
+                           element_form, insert, is_zero, rn_bracket)
 from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                             unshuffles)
 from rnforms.instances import broken_jacobi3, heisenberg3, poly_tangent_r2, so3
@@ -118,7 +118,7 @@ def test_canonical_sign_matches_koszul_references(case):
     name, args = case
     inst = instance(name)
     form = wedge_form(inst, len(args))
-    canonical, sign = form._canonical(args)
+    key, sign = form._canonical(args)
     order, repeated_odd = reference_order(inst, args)
     assert isinstance(sign, int)
     if repeated_odd:
@@ -126,7 +126,23 @@ def test_canonical_sign_matches_koszul_references(case):
         return
     degrees = [arg.wedge_degree() for arg in args]
     assert sign == koszul_sign(order, degrees) == koszul_sign_by_transpositions(order, degrees)
-    assert canonical == tuple(args[i] for i in order)
+    assert key == tuple(id_table(inst).id_of(args[i]) for i in order)
+    assert tuple(id_table(inst).elements[i] for i in key) == tuple(args[i] for i in order)
+
+
+def id_table(inst):
+    """The instance's piece id table, built as the first evaluation builds it."""
+    inst._ids = inst._ids or _Ids(inst)
+    return inst._ids
+
+
+def rule_value(form, args):
+    """The rule of an atomic node on a canonical tuple, without its memo:
+    a catalog rule takes the Elements, an insertion rule their ids."""
+    if not form.on_ids:
+        return form.fn(args)
+    table = id_table(form.instance)
+    return table.element(form.fn(tuple(table.id_of(arg) for arg in args)))
 
 
 @SETTINGS
@@ -148,7 +164,7 @@ def test_evaluate_permuted_is_signed_sorted_value(case, pick):
     assert value == form.evaluate(ordered).scale(sign)
     if sign:
         # the rule on the canonical tuple, without the memo path
-        assert value == form.fn(ordered).scale(sign)
+        assert value == rule_value(form, ordered).scale(sign)
 
 
 @cache
@@ -172,7 +188,7 @@ def test_insert_matches_reference_insertion(case):
         if repeated_odd:
             continue
         ordered = tuple(head[i] for i in order)
-        fast = node.fn(ordered)
+        fast = rule_value(node, ordered)
         assert fast.scale(koszul_sign(order, [arg.wedge_degree() for arg in head])) == slow, index
         slow = reference(ordered)
         # the same terms in the same order on the canonical tuples, the only
@@ -301,7 +317,7 @@ def nested_brackets(name):
     fast = {key: PolyForm(inst, [f.scale(c) for f, c in terms])
             for key, terms in parts.items()}
     slow = {key: {f.arity: ClosureForm(inst, f.arity, f.shift,
-                                       lambda args, f=f, c=c: f.fn(args).scale(c))
+                                       lambda args, f=f, c=c: rule_value(f, args).scale(c))
                   for f, c in terms}
             for key, terms in parts.items()}
     return (rn_bracket(fast["N"], rn_bracket(fast["N"], fast["mu"])),
@@ -391,17 +407,31 @@ def placements(draw):
     return inst, piece, tuple(rest)
 
 
+def placement(inst, piece, rest):
+    """(the tuples the rule saw, value) of the partial application of the
+    0-form ``piece`` into a form whose rule records its arguments and
+    returns the unit: the insertion kernel's placement of one piece into the
+    canonical ``rest``, and its sign times the unit."""
+    seen = []
+
+    def rule(args):
+        seen.append(args)
+        return inst.unit()
+
+    node = insert(element_form(inst, piece), VForm(inst, len(rest) + 1, 0, rule))
+    return seen, node.evaluate(rest)
+
+
 def check_placement(inst, piece, rest):
-    placed, sign = _place(piece, sort_key(inst, piece), rest,
-                          [sort_key(inst, el) for el in rest])
+    seen, value = placement(inst, piece, rest)
     args = (piece,) + rest
     order, repeated_odd = reference_order(inst, args)
     if repeated_odd:
-        assert sign == 0
-        return sign
-    assert sign == koszul_sign(order, [el.wedge_degree() for el in args])
-    assert len(placed) == len(args)
-    assert all(a is args[i] for a, i in zip(placed, order))
+        assert value.is_zero() and seen == []
+        return 0
+    sign = koszul_sign(order, [el.wedge_degree() for el in args])
+    assert value == inst.unit().scale(sign)
+    assert seen == [tuple(args[i] for i in order)]
     return sign
 
 
@@ -419,20 +449,20 @@ def test_place_equal_and_repeated_factors():
     assert check_placement(inst, e12, (e1, e12, e12)) == 1      # equal even factors
     assert check_placement(inst, e2, (e1, e3, e12)) == -1       # passes one odd factor
     assert check_placement(inst, e3, (e1, e2, e12)) == 1        # passes two
-    assert _place(e12, sort_key(inst, e12), (e12,), [sort_key(inst, e12)])[0] == (e12, e12)
+    assert placement(inst, e12, (e12,))[0] == [(e12, e12)]
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_basis_elements_are_their_own_pieces(name):
     inst = instance(name)
+    table = id_table(inst)
     basis = inst.all_basis()
-    for el in basis:
-        ((coeff, piece, key),) = _expand(inst, el)
-        assert piece is el and coeff == 1 and key == sort_key(inst, el)
+    for i, el in enumerate(basis):
+        assert table.split(el) == {i: 1} and table.id_of(el) == i
+        assert table.elements[i] is el and table.keys[i] == sort_key(inst, el)
     value = basis[1].scale(3) + basis[2].scale(Fraction(-1, 2))
-    pieces = [(coeff, piece) for coeff, piece, _ in _expand(inst, value)]
-    assert pieces == [(3, basis[1]), (Fraction(-1, 2), basis[2])]
-    assert pieces[0][1] is basis[1] and pieces[1][1] is basis[2]
+    assert list(table.split(value).items()) == [(1, 3), (2, Fraction(-1, 2))]
+    assert table.element(table.split(value)) == value
 
 
 DENSE = instance("poly-tangent-r2")
@@ -458,16 +488,17 @@ def dense_arguments(draw, size):
 @settings(max_examples=30, deadline=None)
 @given(dense_arguments(3))
 def test_dense_poly_coefficients_split_into_pieces(args):
+    table = id_table(DENSE)
     for arg in args:
-        pieces = _expand(DENSE, arg)
+        pieces = table.split(arg)
         assert len(pieces) == sum(len(c.terms()) for c in arg.terms.values()) >= 2
         total = Element.zero()
-        for coeff, piece, key in pieces:
-            assert key == sort_key(DENSE, piece)
+        for i, coeff in pieces.items():
+            piece = table.elements[i]
+            assert table.id_of(piece) == i and table.keys[i] == sort_key(DENSE, piece)
             total = total + piece.scale(coeff)
-        assert total == arg
-        again = _expand(DENSE, arg)
-        assert all(a[1] is b[1] for a, b in zip(pieces, again))
+        assert total == arg == table.element(pieces)
+        assert table.split(arg) == pieces
     for node, reference in insert_nodes("poly-tangent-r2"):
         if node.arity <= len(args):
             head = args[:node.arity]
@@ -487,22 +518,29 @@ def test_memo_keys_are_canonical_tuples():
     assert coefficient_suite(h3, 3, 3, 3).passed
     keys = 0
     for node in atomic_nodes((scenario.instance, h3)):
-        for key in node._memo:
-            assert len(key) == node.arity
-            assert all(arg.terms and arg.wedge_degree() is not None for arg in key)
-            order, repeated_odd = reference_order(node.instance, key)
+        table = node.instance._ids
+        for key, value in node._memo.items():
+            assert len(key) == node.arity and all(type(i) is int for i in key)
+            order, repeated_odd = reference_order(node.instance,
+                                                  [table.elements[i] for i in key])
             assert order == list(range(len(key))) and not repeated_odd, key
+            assert all(type(i) is int and type(c) is Fraction and c for i, c in value.items())
+            assert table.split(table.element(value)) == value
             keys += 1
     assert keys > 1000
+
+
+def nested_bracket(inst):
+    n_form = PolyForm(inst, [wedge_form(inst, 1), wedge_form(inst, 2).scale(-2)])
+    mu = PolyForm(inst, [l2_form(inst), lk_form(inst, 3).scale(Fraction(1, 2))])
+    return rn_bracket(n_form, rn_bracket(n_form, mu))
 
 
 def test_is_zero_never_sorts_a_tuple(monkeypatch):
     """Only the entry of evaluate sorts arguments; an
     exhaustive check (through every nested insertion) never does."""
     inst = heisenberg3()
-    n_form = PolyForm(inst, [wedge_form(inst, 1), wedge_form(inst, 2).scale(-2)])
-    mu = PolyForm(inst, [l2_form(inst), lk_form(inst, 3).scale(Fraction(1, 2))])
-    form = rn_bracket(n_form, rn_bracket(n_form, mu))
+    form = nested_bracket(inst)
     calls = []
     canonical = VForm._canonical
 
@@ -519,3 +557,21 @@ def test_is_zero_never_sorts_a_tuple(monkeypatch):
     form.component(len(last)).evaluate(last)
     assert len(calls) == 1
 
+
+
+def test_is_zero_never_hashes_an_element(monkeypatch):
+    """The kernel keys its memos by ids: an exhaustive check hashes at most
+    each family element once."""
+    inst = heisenberg3()
+    form = nested_bracket(inst)
+    calls = []
+    element_hash = Element.__hash__
+
+    def spy(self):
+        calls.append(self)
+        return element_hash(self)
+
+    monkeypatch.setattr(Element, "__hash__", spy)
+    certificate = is_zero(form, inst)
+    assert len(certificate.checked) > 100
+    assert len(calls) <= len(inst.all_basis())

@@ -170,8 +170,7 @@ def _bent_anchor(monkeypatch):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_symmetric_e1_e2, "graded skew-symmetry fails on e1, e2"),
-    (_bent_anchor, "graded Leibniz rule fails on ({'1': '1'})*a1, ({'x1': '1'})*1,"
-                   " ({'x1': '1'})*1"),
+    (_bent_anchor, "graded Leibniz rule fails on a1, (x1)*1, (x1)*1"),
 ])
 def test_validate_failure_matches_reference(monkeypatch, corrupt, message):
     with pytest.raises(InputError) as expected:

@@ -8,11 +8,12 @@ from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
 from rnforms.forms import VForm
 from rnforms.graded import GradingConvention
+from rnforms.instances import GradedInstance, PolyAlgebroidData
 from rnforms.pqn import (PQNQuadruple, check_pqn, concomitant, dual_differential,
                          dual_pairing_identity, koszul_bracket, main_theorem_harness,
                          mu_with_background, section3_lemma_suite, stienon_xu_harness)
 from rnforms.report import Report
-from rnforms.rings import InputError
+from rnforms.rings import InputError, PolyRing
 from rnforms.scenario import load_shipped
 
 SH2 = GradingConvention.SHIFTED2
@@ -507,6 +508,21 @@ def heisenberg3_quadruple():
             DualForm(inst, 3, {(0, 1, 2): Fraction(1)}), None)
 
 
+def poly_rank3_quadruple():
+    """A rank-3 polynomial algebroid over the line: rho(a1) = d/dx1, the
+    other anchors 0, [a1, a2] = x1 a3.  H = x1 a1*^a2*^a3* is not zero, so
+    the iterated and mixed checks run here on polynomial pieces of wedge
+    degree 3, numbered as they are met."""
+    ring = PolyRing(("x1",))
+    one, zero, x1 = ring.one(), ring.zero(), ring.var(0)
+    data = PolyAlgebroidData(1, 3, coordinates=("x1",), anchor=[[one], [zero], [zero]],
+                             brackets={(0, 1): {2: x1}})
+    inst = GradedInstance(data, SH2, name="poly-rank3")
+    N = [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
+    return (inst, inst.monomial((0, 2)).scale(x1), N, DualForm(inst, 2, {(0, 2): one}),
+            DualForm(inst, 3, {(0, 1, 2): x1}), inst.all_basis())
+
+
 def shipped_quadruple(name):
     s = load_shipped(name)
     return s.instance, s.pi, s.N, s.omega, s.H, s.test_family()
@@ -514,6 +530,7 @@ def shipped_quadruple(name):
 
 SHIPPED = ("abelian2", "aff1", "heisenberg3", "so3", "poly-tangent-r2")
 INPUTS = {"heisenberg3-quadruple": heisenberg3_quadruple,
+          "poly-rank3-quadruple": poly_rank3_quadruple,
           **{name: (lambda name=name: shipped_quadruple(name)) for name in SHIPPED}}
 
 
@@ -607,7 +624,7 @@ def test_section3_lemma_suite(case):
     new = _moved_entries(INPUTS[case]())
     section3 = new[0]
     assert all(c.passed for c in section3), [c.name for c in section3 if not c.passed]
-    if case == "heisenberg3-quadruple":
+    if case in ("heisenberg3-quadruple", "poly-rank3-quadruple"):
         assert len(section3) == 31
     # each input is built afresh, so the reference shares no memo with the checks
     assert new == _reference_entries(INPUTS[case]())
