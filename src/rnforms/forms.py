@@ -17,8 +17,9 @@ The kernel runs on integer piece ids.  One id table per instance
 times wedge monomial on a polynomial algebroid, the basis up front and the
 rest when first met) and keeps each piece's Element, parity and sort key.
 **A memo key is a tuple of ids in canonical order** (by sort key, no
-repeated odd id) and **a memo value is a piece map** {id: nonzero
-Fraction}, never mutated once stored.  Only :meth:`VForm.evaluate` sorts,
+repeated odd id) and **a memo value is a piece map** {id: nonzero int or
+Fraction}, never mutated once stored: an integral coefficient is an int,
+so the common case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
 at the entry; Elements appear only there and in the outputs of
 :func:`is_zero` and :func:`evaluation_table`.  A catalog rule's value is
 split into pieces once per memo miss.  An insertion bisects each piece of
@@ -88,9 +89,9 @@ class _Ids:
         """An Element as a piece map."""
         if not self.poly:
             index = self.index
-            return {index[mon]: c for mon, c in value.terms.items()}
+            return {index[mon]: _plain(c) for mon, c in value.terms.items()}
         piece = self.piece
-        return {piece(mon, expo): c for mon, poly in value.terms.items()
+        return {piece(mon, expo): _plain(c) for mon, poly in value.terms.items()
                 for expo, c in self.ring.coerce(poly).terms()}
 
     def element(self, value: dict) -> Element:
@@ -108,8 +109,8 @@ class VForm:
     ``terms`` is None for an atomic node, whose rule ``fn`` runs on memo
     misses: a catalog rule maps a canonical tuple of Elements to an Element,
     an insertion rule (``on_ids``) maps a key to a piece map.  Otherwise
-    ``terms`` maps atomic nodes to nonzero Fraction coefficients, and there
-    is no rule."""
+    ``terms`` maps atomic nodes to nonzero Fraction coefficients (read by
+    lookups as :func:`_plain` gives them), and there is no rule."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
                  convention=None, terms=None, on_ids=False):
@@ -127,6 +128,7 @@ class VForm:
             self._order = instance._node_count = instance._node_count + 1
         else:
             self._memo = _NO_MEMO
+            self._coeffs = tuple([(node, _plain(c)) for node, c in terms.items()])
 
     @classmethod
     def combination(cls, instance, arity, shift, terms, convention=None) -> "VForm":
@@ -166,7 +168,7 @@ class VForm:
                     else ids.split(self.fn(tuple([ids.elements[i] for i in key]))))
             return value
         total: dict = {}
-        for node, coeff in terms.items():
+        for node, coeff in self._coeffs:
             _add_into(total, coeff, node._lookup(key))
         return total
 
@@ -244,18 +246,26 @@ class VForm:
         return cls.combination(instance, arity, shift, {}, convention)
 
 
+def _plain(c):
+    """A rational coefficient as a piece map holds it: an int when integral,
+    else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _add_into(total: dict, coeff, value: dict) -> None:
-    """total += coeff * value on piece maps, dropping zeros."""
+    """total += coeff * value on piece maps (coefficients as :func:`_plain`
+    gives them), dropping zeros."""
     plain, negate = coeff == 1, coeff == -1
     for piece, c in value.items():
         if not plain:
             c = -c if negate else coeff * c
         acc = total.get(piece)
-        acc = c if acc is None else acc + c
-        if acc:
-            total[piece] = acc
-        else:
-            del total[piece]
+        if acc is not None:
+            c += acc
+            if not c:
+                del total[piece]
+                continue
+        total[piece] = c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def shared_node(instance: GradedInstance, key, build) -> VForm:

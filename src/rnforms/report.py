@@ -8,11 +8,10 @@ report exists).  JSON output is deterministic: sorted keys, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(NamedTuple):
     name: str
     anchor: str                    # the identity being checked, as a formula
     passed: bool
@@ -31,11 +30,11 @@ class CheckEntry:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    scenario: str
-    checks: list = field(default_factory=list)
+    def __init__(self, command: str, scenario: str):
+        self.command = command
+        self.scenario = scenario
+        self.checks: list = []
 
     def add(self, name, anchor, passed, complete=None, counterexample=None, detail=None):
         self.checks.append(CheckEntry(name, anchor, bool(passed), complete,

@@ -37,9 +37,7 @@ objects.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .dualforms import DualForm, differential
@@ -51,24 +49,32 @@ from .report import Report
 from .rings import InputError, parse_rational
 
 
-@dataclass
 class Scenario:
-    name: str
-    instance: GradedInstance
-    pi: Element
-    N: list
-    omega: DualForm
-    H: DualForm
-    alpha: DualForm
-    lam: Fraction | None
-    pencil_coefficients: list
-    wedge_coefficients: list
-    bracket_index: int
-    i_max: int = 4
-    m_max: int = 4
-    n_max: int = 4
-    poly_degree_bound: int = 1
-    preconditions: Report | None = None
+    """A loaded scenario: the instance, its tensor data and suite bounds.
+    ``preconditions`` is the validate report, set once the scenario is
+    built."""
+
+    def __init__(self, name: str, instance: GradedInstance, pi: Element, N: list,
+                 omega: DualForm, H: DualForm, alpha: DualForm, lam: Fraction | None,
+                 pencil_coefficients: list, wedge_coefficients: list, bracket_index: int,
+                 i_max: int = 4, m_max: int = 4, n_max: int = 4,
+                 poly_degree_bound: int = 1):
+        self.name = name
+        self.instance = instance
+        self.pi = pi
+        self.N = N
+        self.omega = omega
+        self.H = H
+        self.alpha = alpha
+        self.lam = lam
+        self.pencil_coefficients = pencil_coefficients
+        self.wedge_coefficients = wedge_coefficients
+        self.bracket_index = bracket_index
+        self.i_max = i_max
+        self.m_max = m_max
+        self.n_max = n_max
+        self.poly_degree_bound = poly_degree_bound
+        self.preconditions: Report | None = None
 
     def test_family(self):
         if self.instance.ring.kind == "poly":
@@ -298,11 +304,10 @@ def _preconditions(s: Scenario) -> Report:
     return report
 
 
-def shipped_scenario_path(name: str) -> Path:
-    base = resources.files("rnforms") / "scenarios" / f"{name}.json"
-    with resources.as_file(base) as concrete:
-        return Path(concrete)
-
-
 def load_shipped(name: str) -> Scenario:
-    return load_scenario(shipped_scenario_path(name))
+    """A scenario shipped in the package, read through importlib.resources,
+    so also from a zipped install (where the file only exists inside the
+    ``with``)."""
+    from importlib import resources     # here: no CLI command reads a shipped file
+    with resources.as_file(resources.files("rnforms") / "scenarios" / f"{name}.json") as path:
+        return load_scenario(path)

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import build_scenario, load_shipped
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "rnforms" / "scenarios"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = SRC / "rnforms" / "scenarios"
 
 
 def run_cli(capsys, *argv):
@@ -354,3 +358,36 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "status: pass" in result.stdout
+
+
+def _python(code, pythonpath):
+    """Run ``code`` in a fresh interpreter with only ``pythonpath`` on
+    PYTHONPATH; its stdout, or a failure with its stderr."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(pythonpath)})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_adds_no_introspection_modules():
+    """Every command pays for its imports: importing the CLI must not pull
+    in dataclasses or its chain (inspect, ast, dis, tokenize)."""
+    code = "import sys\n{}\nprint(' '.join(sorted(sys.modules)))"
+    bare = set(_python(code.format("pass"), SRC).split())
+    added = set(_python(code.format("import rnforms.cli"), SRC).split()) - bare
+    assert "rnforms.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+
+
+def test_load_shipped_from_a_zipped_install(tmp_path):
+    archive = tmp_path / "rnforms.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted((SRC / "rnforms").rglob("*")):
+            if path.suffix in (".py", ".json"):
+                zipped.write(path, path.relative_to(SRC).as_posix())
+    out = _python("import rnforms.scenario as s\n"
+                  "assert s.__file__.startswith(%r), s.__file__\n"
+                  "scenario = s.load_shipped('aff1')\n"
+                  "print(scenario.name, scenario.preconditions.passed)" % str(archive),
+                  archive)
+    assert out.split() == ["aff1", "True"]

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, VForm, _Ids, coordinate_monomials, default_poly_family,
-                           element_form, insert, is_zero, rn_bracket)
+from rnforms.forms import (PolyForm, VForm, _Ids, basis_tuples, coordinate_monomials,
+                           default_poly_family, element_form, insert, is_zero, rn_bracket)
 from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                             unshuffles)
-from rnforms.instances import broken_jacobi3, heisenberg3, poly_tangent_r2, so3
+from rnforms.instances import (GradedInstance, LieAlgebraData, broken_jacobi3, heisenberg3,
+                               poly_tangent_r2, so3)
 from rnforms.linfty import (check_coboundary, check_full, check_weak, pencil, square_of_sum,
                             sum_of_wedges)
 from rnforms.linfty import coefficient_suite
@@ -308,9 +309,12 @@ def closure_bracket(K, L):
 
 @cache
 def nested_brackets(name):
+    return nested_brackets_on(instance(name))
+
+
+def nested_brackets_on(inst):
     """[N,[N,mu]] with N = N1 - 2 N2 and mu = l2 + (1/2) l3, as shared nodes
     and as closures over the same primitive rules."""
-    inst = instance(name)
     neg = GradingConvention.NEGATED
     parts = {"N": [(wedge_form(inst, 1, neg), 1), (wedge_form(inst, 2, neg), -2)],
              "mu": [(l2_form(inst, neg), 1), (lk_form(inst, 3, neg), Fraction(1, 2))]}
@@ -332,6 +336,80 @@ def test_nested_bracket_matches_closure_evaluator(name, data):
     arity = data.draw(st.sampled_from(fast.arities()))
     args = data.draw(arguments(name, arity, arity))
     assert fast.component(arity).evaluate(args) == slow[arity].evaluate(args)
+
+
+def test_non_unit_combination_through_its_representative():
+    """insert(2K + 3L, M) and insert(M, 2K + 3L): the combination is
+    reduced to a shared representative K + (3/2) L, whose coefficients stay
+    Fractions (an int quotient would be a float), and the insertion equals
+    the reference insertion loop on every canonical basis tuple."""
+    inst = heisenberg3()
+    K = wedge_form(inst, 1)
+    L = extend_bundle_map(inst, [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+    M = l2_form(inst)
+    combination = K.scale(2) + L.scale(3)
+    checked = 0
+    for node, parts in ((insert(combination, M), (reference_insert(K, M), reference_insert(L, M))),
+                        (insert(M, combination), (reference_insert(M, K), reference_insert(M, L)))):
+        for args in basis_tuples(inst, node.arity):
+            expected = parts[0](args).scale(2) + parts[1](args).scale(3)
+            assert node.evaluate(args) == expected, args
+            checked += not expected.is_zero()
+    assert checked
+    shared = [node for node in inst._form_nodes.values() if node.terms is not None]
+    assert [node.terms for node in shared] == [{K: 1, L: Fraction(3, 2)}]
+    assert all(type(c) is Fraction for node in shared for c in node.terms.values())
+    for node in atomic_nodes((inst,)):
+        for value in node._memo.values():
+            assert all(plain_coefficient(c) for c in value.values())
+
+
+# -- generated instances with rational structure constants -----------------------------
+
+NON_INTEGRAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 2))
+
+
+@st.composite
+def two_step_nilpotent(draw):
+    """A 2-step nilpotent Lie algebra of dimension 4 or 5: brackets of the
+    first generators land in the centre (the last one or two), so Jacobi
+    holds by construction; [e1, e2] always has a non-integral constant."""
+    dim = draw(st.integers(4, 5))
+    centre = range(dim - draw(st.integers(1, 2)), dim)
+    constants = st.sampled_from((0, 0, 1, -1, 2) + NON_INTEGRAL)
+    brackets = {(i, j): {k: draw(constants) for k in centre}
+                for i in range(centre.start) for j in range(i + 1, centre.start)}
+    brackets[(0, 1)][centre.stop - 1] = draw(st.sampled_from(NON_INTEGRAL))
+    return GradedInstance(LieAlgebraData(dim, brackets=brackets), name=f"nilpotent{dim}")
+
+
+@settings(max_examples=5, deadline=None)
+@given(two_step_nilpotent(), st.data())
+def test_generated_nilpotent_kernel_matches_references(inst, data):
+    """On generated instances (validated at construction) the kernel agrees
+    with the reference insertion loop and the closure evaluator, its piece
+    maps mix int and Fraction coefficients, and the coefficient identities
+    hold at bounds (2, 2, 2)."""
+    def draw_args(arity):
+        return tuple(data.draw(st.lists(st.sampled_from(inst.all_basis()),
+                                        min_size=arity, max_size=arity)))
+
+    args = draw_args(3)
+    for K in (wedge_form(inst, 1), l2_form(inst)):
+        for L in (wedge_form(inst, 2), l2_form(inst)):
+            head = args[:K.arity + L.arity - 1]
+            assert insert(K, L).evaluate(head) == reference_insert(K, L)(head)
+    fast, slow = nested_brackets_on(inst)
+    for arity in fast.arities():
+        args = draw_args(arity)
+        assert fast.component(arity).evaluate(args) == slow[arity].evaluate(args)
+    assert coefficient_suite(inst, 2, 2, 2).passed
+    kinds = set()
+    for node in atomic_nodes((inst,)):
+        for value in node._memo.values():
+            assert all(plain_coefficient(c) for c in value.values())
+            kinds.update(type(c) for c in value.values())
+    assert kinds == {int, Fraction}
 
 
 # -- lazy certificates -----------------------------------------------------------------
@@ -459,9 +537,11 @@ def test_basis_elements_are_their_own_pieces(name):
     basis = inst.all_basis()
     for i, el in enumerate(basis):
         assert table.split(el) == {i: 1} and table.id_of(el) == i
+        assert all(type(c) is int for c in table.split(el).values())
         assert table.elements[i] is el and table.keys[i] == sort_key(inst, el)
     value = basis[1].scale(3) + basis[2].scale(Fraction(-1, 2))
     assert list(table.split(value).items()) == [(1, 3), (2, Fraction(-1, 2))]
+    assert [type(c) for c in table.split(value).values()] == [int, Fraction]
     assert table.element(table.split(value)) == value
 
 
@@ -505,6 +585,12 @@ def test_dense_poly_coefficients_split_into_pieces(args):
             assert node.evaluate(head) == reference(head)
 
 
+def plain_coefficient(c):
+    """A piece-map coefficient: a nonzero int, or a Fraction that is not
+    integral (never a float, never an integral Fraction)."""
+    return bool(c) and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+
+
 def atomic_nodes(instances):
     return [obj for obj in gc.get_objects()
             if isinstance(obj, VForm) and obj.terms is None and obj.instance in instances]
@@ -524,7 +610,7 @@ def test_memo_keys_are_canonical_tuples():
             order, repeated_odd = reference_order(node.instance,
                                                   [table.elements[i] for i in key])
             assert order == list(range(len(key))) and not repeated_odd, key
-            assert all(type(i) is int and type(c) is Fraction and c for i, c in value.items())
+            assert all(type(i) is int and plain_coefficient(c) for i, c in value.items())
             assert table.split(table.element(value)) == value
             keys += 1
     assert keys > 1000

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,8 +57,9 @@ def test_poly_ring_builds_unit_and_zero_once(capsys, monkeypatch):
     # the shared unit changes no report: validate the shipped poly-tangent-r2
     # with it and with a fresh unit per call
     from rnforms.cli import main
-    from rnforms.scenario import shipped_scenario_path
-    argv = ["--scenario", str(shipped_scenario_path("poly-tangent-r2")),
+    from rnforms import scenario
+    shipped = Path(scenario.__file__).parent / "scenarios" / "poly-tangent-r2.json"
+    argv = ["--scenario", str(shipped),
             "--format", "json", "validate"]
     assert main(argv) == 0
     shared = capsys.readouterr().out
