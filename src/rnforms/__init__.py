@@ -17,8 +17,7 @@ from .dualforms import (DualForm, differential, iota_element, iota_n,
                         lie_derivative, n_star, omega_flat, omega_n, pairing,
                         pi_sharp)
 from .forms import (PolyForm, VForm, ZeroCertificate, as_polyform, element_form,
-                    evaluation_table, insert, is_zero, iterated_eval_identity,
-                    rn_bracket, table_verdict)
+                    insert, is_zero, iterated_eval_identity, rn_bracket)
 from .catalog import (bivector_form, extend_bundle_map, extend_kform,
                       identity_matrix, l2_form, lk_form, matrix_square,
                       wedge_form)
@@ -48,8 +47,7 @@ __all__ = [
     "DualForm", "differential", "iota_element", "iota_n", "lie_derivative",
     "n_star", "omega_flat", "omega_n", "pairing", "pi_sharp",
     "PolyForm", "VForm", "ZeroCertificate", "as_polyform", "element_form",
-    "evaluation_table", "insert", "is_zero", "iterated_eval_identity",
-    "rn_bracket", "table_verdict",
+    "insert", "is_zero", "iterated_eval_identity", "rn_bracket",
     "bivector_form", "extend_bundle_map", "extend_kform", "identity_matrix",
     "l2_form", "lk_form", "matrix_square", "wedge_form",
     "LInftyCandidate", "NijenhuisReport", "check_coboundary", "check_full",

@@ -17,7 +17,7 @@ import re
 import sys
 
 from .catalog import extend_bundle_map, extend_kform, lk_form, wedge_form, bivector_form
-from .forms import PolyForm, basis_tuples, is_zero, rn_bracket
+from .forms import PolyForm, _family_tuples, is_zero, rn_bracket
 from .graded import GradingConvention
 from .linfty import (check_coboundary, check_weak, coefficient_suite,
                      nijenhuis_deformation_theorem_check, pairwise_compatibility,
@@ -98,7 +98,10 @@ def _named_form(name: str, scenario: Scenario):
 
 
 def recognize(poly: PolyForm, scenario: Scenario) -> str:
-    """Express a bracket value in the named catalog when possible."""
+    """Express a bracket value in the named catalog when possible.  Each
+    component is read on the canonical tuples inside its wedge-degree
+    window, the only ones where it or a candidate of its shift can be
+    nonzero."""
     instance = scenario.instance
     family = scenario.test_family()
     bits = []
@@ -108,37 +111,39 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
             candidates.append((f"N{arity}", wedge_form(instance, arity, comp.convention)))
         if arity >= 2:
             candidates.append((f"l{arity}", lk_form(instance, arity, comp.convention)))
-        tuples = list(basis_tuples(instance, arity, family))
-        values = [comp.evaluate(combo) for combo in tuples]
-        if all(v.is_zero() for v in values):
+        keys = list(_family_tuples(instance, arity, family, comp.shift)[1])
+        values = [comp._lookup(key) for key in keys]
+        if not any(values):
             continue
         matched = None
         for name, candidate in candidates:
             if candidate.shift != comp.shift:
                 continue
-            ratio = _candidate_ratio(instance, tuples, values, candidate)
+            ratio = _candidate_ratio(instance, keys, values, candidate)
             if ratio is not None and is_zero(comp - candidate.scale(ratio), instance,
                                              family).is_zero:
                 matched = f"{ratio}*{name}" if ratio != 1 else name
                 break
         if matched is None:
-            first = next((combo, v) for combo, v in zip(tuples, values) if not v.is_zero())
+            table = instance._ids
+            key, value = next((key, v) for key, v in zip(keys, values) if v)
             matched = (f"<arity-{arity} form outside the catalog;"
-                       f" value at {tuple(instance.basis_label(e) for e in first[0])}"
-                       f" is {instance.basis_label(first[1])}>")
+                       f" value at {tuple(instance.basis_label(table.elements[i]) for i in key)}"
+                       f" is {instance.basis_label(table.element(value))}>")
         bits.append(matched)
     return " + ".join(bits) if bits else "0"
 
 
-def _candidate_ratio(instance, tuples, values, candidate):
-    """The only ratio r with value = r * candidate that the first tuple where
+def _candidate_ratio(instance, keys, values, candidate):
+    """The only ratio r with value = r * candidate that the first key where
     the candidate is nonzero allows; None when the candidate vanishes on
-    every tuple or no exact ratio fits there."""
-    for combo, value in zip(tuples, values):
-        cand_val = candidate.evaluate(combo)
-        if cand_val.terms:
-            mon, coeff = next(iter(cand_val.terms.items()))
-            other = value.terms.get(mon)
+    every key or no exact ratio fits there.  Values are piece maps."""
+    table = instance._ids
+    for key, value in zip(keys, values):
+        cand_val = candidate._lookup(key)
+        if cand_val:
+            mon, coeff = next(iter(table.element(cand_val).terms.items()))
+            other = table.element(value).terms.get(mon)
             return None if other is None else _exact_ratio(instance, other, coeff)
     return None
 

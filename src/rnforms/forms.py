@@ -8,8 +8,8 @@ atomic node is hash-consed on its instance by :func:`shared_node`: a catalog
 primitive is keyed by its defining data, an insertion by the shared
 representatives of both sides, so [aK, bL] reuses the node of [K, L] and the
 same values are never computed twice under different nodes.  Scaling, sums
-and brackets only merge coefficient maps.  Dense tables are only
-materialized by :func:`is_zero`.
+and brackets only merge coefficient maps.  Values are only computed by
+evaluation and by :func:`is_zero`.
 
 The kernel runs on integer piece ids.  One id table per instance
 (:class:`_Ids`, built by the first evaluation) numbers the Q-basis pieces
@@ -20,8 +20,8 @@ rest when first met) and keeps each piece's Element, parity and sort key.
 repeated odd id) and **a memo value is a piece map** {id: nonzero int or
 Fraction}, never mutated once stored: an integral coefficient is an int,
 so the common case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
-at the entry; Elements appear only there and in the outputs of
-:func:`is_zero` and :func:`evaluation_table`.  A catalog rule's value is
+at the entry; Elements appear only there and in the failing tuple and
+counterexample of :func:`is_zero`.  A catalog rule's value is
 split into pieces once per memo miss.  An insertion bisects each piece of
 K(first slice of its key) into the sorted rest, with the Koszul sign of the
 odd ids it passes.
@@ -31,6 +31,18 @@ minus the sum of the input wedge degrees).  The convention degree is
 -c under the negated convention and c + 2(k-1) under the shifted-by-2
 convention; both have the parity of c, so every sign in the bracket
 calculus is convention independent.
+
+**The wedge-degree window.**  A form of shift c maps a tuple whose wedge
+degrees sum to s into the exterior power of degree s + c, which is 0 unless
+0 <= s + c <= rank.  So a key outside that window has the value 0 by
+grading, a proof in the same sense as multilinearity: :meth:`VForm._lookup`
+returns the shared empty map for it and stores no memo entry, and
+:func:`is_zero` evaluates only the canonical tuples inside the window while
+its count covers all of them.  The argument rests on one invariant, checked
+where it is not exact by construction: on a memo miss, every piece of a
+catalog rule's value must have wedge degree s + c, or the lookup raises
+RuntimeError.  An insertion's shift is K.shift + L.shift and a
+combination's parts share its shift, so both are exact.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ from .instances import GradedInstance
 from .rings import InputError, Poly, PolyRing
 
 _ONE = Fraction(1)
-_NO_MEMO = MappingProxyType({})     # the memo of every linear combination
+_EMPTY = MappingProxyType({})       # the memo of every linear combination, every out-of-window value
 
 
 class _Ids:
@@ -127,7 +139,7 @@ class VForm:
             self._memo: dict = {}
             self._order = instance._node_count = instance._node_count + 1
         else:
-            self._memo = _NO_MEMO
+            self._memo = _EMPTY
             self._coeffs = tuple([(node, _plain(c)) for node, c in terms.items()])
 
     @classmethod
@@ -157,15 +169,29 @@ class VForm:
 
     def _lookup(self, key) -> dict:
         """The piece map on a key: an atomic node reads or fills its memo,
-        a combination sums its nodes' lookups."""
+        a combination sums its nodes' lookups.  A key outside the wedge-degree
+        window is zero by grading: the empty map, and no memo entry."""
         terms = self.terms
         if terms is None:
             value = self._memo.get(key)
             if value is None:
                 ids = self.instance._ids
-                value = self._memo[key] = (
-                    self.fn(key) if self.on_ids
-                    else ids.split(self.fn(tuple([ids.elements[i] for i in key]))))
+                keys = ids.keys
+                degree = self.shift
+                for i in key:
+                    degree += keys[i][0]
+                if not 0 <= degree <= self.instance.rank:
+                    return _EMPTY
+                if self.on_ids:
+                    value = self.fn(key)
+                else:
+                    value = ids.split(self.fn(tuple([ids.elements[i] for i in key])))
+                    if any(keys[i][0] != degree for i in value):
+                        raise RuntimeError(
+                            f"a rule of arity {self.arity} and wedge shift {self.shift} gave"
+                            f" a value outside wedge degree {degree} on wedge degrees"
+                            f" {[keys[i][0] for i in key]}")
+                self._memo[key] = value
             return value
         total: dict = {}
         for node, coeff in self._coeffs:
@@ -489,7 +515,7 @@ class ZeroCertificate:
     """Verdict of an exhaustive (or declared-family) vanishing check."""
 
     def __init__(self, checked, complete, counterexample, family_note, failing=None):
-        self.checked = checked                  # canonical tuples, in test order
+        self.checked = checked                  # range over the covered canonical tuples
         self.complete = complete
         self.counterexample = counterexample    # (tuple label, value label) or None
         self.family_note = family_note
@@ -504,33 +530,93 @@ class ZeroCertificate:
         return f"ZeroCertificate({status}, complete={self.complete})"
 
 
-def basis_tuples(instance: GradedInstance, arity: int, family=None):
-    """Canonical symmetric tuples from the basis (or a declared family):
-    non-decreasing in the total order, no repeated odd factor."""
-    for combo, _ in _family_tuples(instance, arity, family):
-        yield combo
-
-
-def _family_tuples(instance: GradedInstance, arity: int, family):
-    """(canonical tuple, its key) pairs of :func:`basis_tuples`."""
+def _family_tuples(instance: GradedInstance, arity: int, family, shift: int):
+    """(count, keys) for the canonical tuples of ``arity`` from the basis
+    (or a declared family): non-decreasing in the total order, no repeated
+    odd factor.  ``count`` is the number of them; ``keys`` yields the keys
+    of those whose wedge degrees sum to s with 0 <= s + shift <= rank, in
+    test order (lexicographic over the family positions sorted by key).
+    The others are zero on a form of that shift by grading."""
     family = instance.all_basis() if family is None else list(family)
     if not family:
         raise InputError("empty test family")
     table = instance._ids = instance._ids or _Ids(instance)
-    ids = [table.id_of(el) for el in family]
-    odd = table.odd
-    for combo in itertools.combinations_with_replacement(
-            sorted(range(len(ids)), key=lambda p: table.keys[ids[p]]), arity):
-        key = tuple([ids[p] for p in combo])
-        if not any(a == b and odd[a] for a, b in zip(key, key[1:])):
-            yield tuple([family[p] for p in combo]), key
+    keys, odd = table.keys, table.odd
+    order = sorted([table.id_of(el) for el in family], key=keys.__getitem__)
+    return _tuple_count(order, odd, arity), _window_keys(
+        order, keys, odd, arity, -shift, instance.rank - shift)
+
+
+def _tuple_count(ids, odd, arity: int) -> int:
+    """The coefficient of t^arity in the product over even family positions
+    of 1/(1-t) and over distinct odd ids with m positions of 1 + m t."""
+    series = [1] + [0] * arity
+    multiplicity: dict = {}
+    for i in ids:
+        multiplicity[i] = multiplicity.get(i, 0) + 1
+    for i, m in multiplicity.items():
+        if odd[i]:
+            for a in range(arity, 0, -1):
+                series[a] += m * series[a - 1]
+        else:
+            for _ in range(m):
+                for a in range(1, arity + 1):
+                    series[a] += series[a - 1]
+    return series[arity]
+
+
+def _window_keys(order, keys, odd, arity: int, low: int, high: int):
+    """The non-decreasing ``arity``-tuples over the sorted ids ``order``
+    with no repeated odd id and wedge degree sum in [low, high], in
+    lexicographic order of positions.  Branches that cannot reach the
+    window are cut: least[r][j] and most[r][j] are the smallest and largest
+    degree sums of r picks from positions j on."""
+    n = len(order)
+    degree = [keys[i][0] for i in order]
+    after = list(range(n))          # where the pick after position j may start
+    for j in range(n - 1, -1, -1):
+        if odd[order[j]]:
+            after[j] = after[j + 1] if j + 1 < n and order[j + 1] == order[j] else j + 1
+    far = float("inf")
+    least, most = [[0] * (n + 1)], [[0] * (n + 1)]
+    for _ in range(arity):
+        fewer_least, fewer_most = least[-1], most[-1]
+        row_least, row_most = [far] * (n + 1), [-far] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            row_least[j] = min(row_least[j + 1], degree[j] + fewer_least[after[j]])
+            row_most[j] = max(row_most[j + 1], degree[j] + fewer_most[after[j]])
+        least.append(row_least)
+        most.append(row_most)
+
+    def walk(start, r, total, prefix):
+        fewer_least, fewer_most = least[r - 1], most[r - 1]
+        for j in range(start, n):
+            if total + least[r][j] > high or total + most[r][j] < low:
+                break
+            s = total + degree[j]
+            rest = after[j]
+            if s + fewer_least[rest] > high or s + fewer_most[rest] < low:
+                continue
+            key = prefix + (order[j],)
+            if r == 1:
+                yield key
+            else:
+                yield from walk(rest, r - 1, s, key)
+
+    if not arity:
+        if low <= 0 <= high:
+            yield ()
+    else:
+        yield from walk(0, arity, 0, ())
 
 
 def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     """Exhaustive vanishing verdict on all canonical basis tuples (finite
-    instances without a family: a complete proof by multilinearity and
-    graded symmetry) or on a declared family (always the case on polynomial
-    instances: a verification, flagged as incomplete)."""
+    instances without a family: a complete proof by multilinearity, graded
+    symmetry and grading) or on a declared family (always the case on
+    polynomial instances: a verification, flagged as incomplete).  Only the
+    tuples inside each component's wedge-degree window are evaluated; the
+    certificate counts them all."""
     form = as_polyform(form, instance)
     instance = instance or form.instance
     complete = test_family is None and not isinstance(instance.ring, PolyRing)
@@ -540,66 +626,21 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
         if test_family is None:
             test_family = default_poly_family(instance)
         note = f"declared family of {len(test_family)} elements"
-    checked: list = []
+    covered = 0
     counterexample = failing = None
-    for arity in form.arities():
-        lookup = form.component(arity)._lookup
-        for combo, key in _family_tuples(instance, arity, test_family):
+    for arity, component in form.components.items():
+        count, keys = _family_tuples(instance, arity, test_family, component.shift)
+        covered += count
+        lookup = component._lookup
+        for key in keys:
             value = lookup(key)
-            checked.append(combo)
             if failing is None and value:
-                failing = combo
-                label = ", ".join(instance.basis_label(el) for el in combo)
+                table = instance._ids
+                failing = tuple([table.elements[i] for i in key])
+                label = ", ".join(instance.basis_label(el) for el in failing)
                 counterexample = (f"arity {arity}: ({label})",
-                                  instance.basis_label(instance._ids.element(value)))
-    return ZeroCertificate(checked, complete, counterexample, note, failing)
-
-
-def element_to_data(instance: GradedInstance, element: Element) -> dict:
-    """JSON-ready map wedge-monomial-label -> serialized coefficient."""
-    out = {}
-    for mon, coeff in sorted(element.terms.items(), key=lambda t: (len(t[0]), t[0])):
-        label = "^".join(instance.generator_names[i] for i in mon) if mon else "1"
-        out[label] = instance.ring.format(coeff)
-    return out
-
-
-def element_from_data(instance: GradedInstance, data: dict) -> Element:
-    index = {name: i for i, name in enumerate(instance.generator_names)}
-    terms = {}
-    for label, value in data.items():
-        mon = () if label == "1" else tuple(index[p] for p in label.split("^"))
-        terms[mon] = instance.ring.parse(value)
-    return Element(terms)
-
-
-def evaluation_table(form, instance=None, test_family=None) -> dict:
-    """Dense evaluation table of a form family on the canonical tuples,
-    serializable to JSON and re-readable with identical verdicts."""
-    form = as_polyform(form, instance)
-    instance = instance or form.instance
-    if isinstance(instance.ring, PolyRing) and test_family is None:
-        test_family = default_poly_family(instance)
-    table: dict = {}
-    for arity in form.arities():
-        lookup = form.component(arity)._lookup
-        rows = {}
-        for combo, key in _family_tuples(instance, arity, test_family):
-            label = ", ".join(instance.basis_label(el) for el in combo)
-            rows[label] = element_to_data(instance, instance._ids.element(lookup(key)))
-        table[str(arity)] = rows
-    return table
-
-
-def table_verdict(instance: GradedInstance, table: dict):
-    """(is_zero, first nonzero entry) for a serialized evaluation table,
-    scanning arities and tuples in their serialized order."""
-    for arity in sorted(table, key=int):
-        for label, data in table[arity].items():
-            element = element_from_data(instance, data)
-            if not element.is_zero():
-                return False, f"arity {arity}: ({label})"
-    return True, None
+                                  instance.basis_label(table.element(value)))
+    return ZeroCertificate(range(covered), complete, counterexample, note, failing)
 
 
 def default_poly_family(instance: GradedInstance, coefficient_degree: int = 1):

@@ -1,9 +1,12 @@
 """Differential tests: the fast evaluation path of forms (shared nodes,
-linear combinations, lazy certificates, the canonical-tuple kernel) against
-slow references built from the validated, Fraction-valued
-graded.koszul_sign and a closure evaluator."""
+linear combinations, lazy certificates, the canonical-tuple kernel, the
+wedge-degree window) against slow references built from the validated,
+Fraction-valued graded.koszul_sign, a closure evaluator and the full
+enumeration of canonical tuples."""
 
 import gc
+import itertools
+import time
 from fractions import Fraction
 from functools import cache
 
@@ -14,12 +17,12 @@ from hypothesis import strategies as st
 from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, VForm, _Ids, basis_tuples, coordinate_monomials,
-                           default_poly_family, element_form, insert, is_zero, rn_bracket)
+from rnforms.forms import (PolyForm, VForm, _Ids, coordinate_monomials, default_poly_family,
+                           element_form, insert, is_zero, rn_bracket)
 from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                             unshuffles)
-from rnforms.instances import (GradedInstance, LieAlgebraData, broken_jacobi3, heisenberg3,
-                               poly_tangent_r2, so3)
+from rnforms.instances import (GradedInstance, LieAlgebraData, aff1, broken_jacobi3,
+                               heisenberg3, poly_tangent_r2, so3)
 from rnforms.linfty import (check_coboundary, check_full, check_weak, pencil, square_of_sum,
                             sum_of_wedges)
 from rnforms.linfty import coefficient_suite
@@ -34,7 +37,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 @cache
 def instance(name):
-    return {"h3": heisenberg3, "so3": so3, "broken_jacobi3": broken_jacobi3,
+    return {"aff1": aff1, "h3": heisenberg3, "so3": so3, "broken_jacobi3": broken_jacobi3,
             "poly-tangent-r2": poly_tangent_r2}[name]()
 
 
@@ -88,6 +91,32 @@ def reference_order(inst, args):
     repeated_odd = any(keys[a] == keys[b] and keys[a][0] % 2
                        for a, b in zip(order, order[1:]))
     return order, repeated_odd
+
+
+def reference_family_tuples(inst, arity, family=None):
+    """Every canonical tuple of the basis (or a declared family), window or
+    not, as (tuple of family elements, key) in test order: combinations with
+    replacement of the positions sorted by key, minus those with a repeated
+    odd id."""
+    family = inst.all_basis() if family is None else list(family)
+    table = id_table(inst)
+    ids = [table.id_of(el) for el in family]
+    for combo in itertools.combinations_with_replacement(
+            sorted(range(len(ids)), key=lambda p: table.keys[ids[p]]), arity):
+        key = tuple([ids[p] for p in combo])
+        if not any(a == b and table.odd[a] for a, b in zip(key, key[1:])):
+            yield tuple([family[p] for p in combo]), key
+
+
+def basis_tuples(inst, arity, family=None):
+    """The canonical tuples of :func:`reference_family_tuples`."""
+    return [combo for combo, _ in reference_family_tuples(inst, arity, family)]
+
+
+def in_window(form, args):
+    """Whether the wedge degrees of ``args`` plus the form's shift lie in
+    [0, rank], where a value can be nonzero."""
+    return 0 <= form.shift + sum(el.wedge_degree() for el in args) <= form.instance.rank
 
 
 @st.composite
@@ -370,11 +399,12 @@ NON_INTEGRAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 2)
 
 
 @st.composite
-def two_step_nilpotent(draw):
-    """A 2-step nilpotent Lie algebra of dimension 4 or 5: brackets of the
-    first generators land in the centre (the last one or two), so Jacobi
-    holds by construction; [e1, e2] always has a non-integral constant."""
-    dim = draw(st.integers(4, 5))
+def two_step_nilpotent(draw, max_dim=5):
+    """A 2-step nilpotent Lie algebra of dimension 4 to ``max_dim``: brackets
+    of the first generators land in the centre (the last one or two), so
+    Jacobi holds by construction; [e1, e2] always has a non-integral
+    constant."""
+    dim = draw(st.integers(4, max_dim))
     centre = range(dim - draw(st.integers(1, 2)), dim)
     constants = st.sampled_from((0, 0, 1, -1, 2) + NON_INTEGRAL)
     brackets = {(i, j): {k: draw(constants) for k in centre}
@@ -496,7 +526,9 @@ def placement(inst, piece, rest):
         seen.append(args)
         return inst.unit()
 
-    node = insert(element_form(inst, piece), VForm(inst, len(rest) + 1, 0, rule))
+    # the unit has wedge degree 0: the rule's shift cancels its arguments' degrees
+    shift = -sum(el.wedge_degree() for el in (piece,) + rest)
+    node = insert(element_form(inst, piece), VForm(inst, len(rest) + 1, shift, rule))
     return seen, node.evaluate(rest)
 
 
@@ -612,8 +644,10 @@ def test_memo_keys_are_canonical_tuples():
             assert order == list(range(len(key))) and not repeated_odd, key
             assert all(type(i) is int and plain_coefficient(c) for i, c in value.items())
             assert table.split(table.element(value)) == value
+            # no memo entry outside the wedge-degree window
+            assert in_window(node, [table.elements[i] for i in key]), key
             keys += 1
-    assert keys > 1000
+    assert keys > 500
 
 
 def nested_bracket(inst):
@@ -637,12 +671,13 @@ def test_is_zero_never_sorts_a_tuple(monkeypatch):
     monkeypatch.setattr(VForm, "_canonical", spy)
     certificate = is_zero(form, inst)
     assert calls == []
-    assert len(certificate.checked) > 100
-    assert sum(len(node._memo) for node in atomic_nodes((inst,))) > len(certificate.checked)
-    last = certificate.checked[-1]
+    evaluated = [combo for arity, component in form.components.items()
+                 for combo in basis_tuples(inst, arity) if in_window(component, combo)]
+    assert len(certificate.checked) > len(evaluated) > 100
+    assert sum(len(node._memo) for node in atomic_nodes((inst,))) > len(evaluated)
+    last = evaluated[-1]
     form.component(len(last)).evaluate(last)
     assert len(calls) == 1
-
 
 
 def test_is_zero_never_hashes_an_element(monkeypatch):
@@ -661,3 +696,162 @@ def test_is_zero_never_hashes_an_element(monkeypatch):
     certificate = is_zero(form, inst)
     assert len(certificate.checked) > 100
     assert len(calls) <= len(inst.all_basis())
+
+
+# -- the wedge-degree window -----------------------------------------------------------
+
+
+def closure_form(inst, form):
+    """A catalog form as a ClosureForm over its rule, without memo or window."""
+    return ClosureForm(inst, form.arity, form.shift, lambda args: rule_value(form, args))
+
+
+def window_cases(inst):
+    """(name, PolyForm, {arity: ClosureForm}) pairs of the same forms: the
+    self-bracket [l2, l2], [N2, l2] - l3 with l3 = i_{l2} N2, and the nested
+    [N,[N,mu]] of :func:`nested_brackets_on`."""
+    neg = GradingConvention.NEGATED
+    l2, n2 = l2_form(inst, neg), wedge_form(inst, 2, neg)
+    slow_l2, slow_n2 = closure_form(inst, l2), closure_form(inst, n2)
+    slow_l3 = ClosureForm(inst, 3, -1, reference_insert(slow_l2, slow_n2))
+    mixed = closure_bracket({2: slow_n2}, {2: slow_l2})
+    mixed[3] = mixed[3].combine(slow_l3, -1)
+    nested = nested_brackets_on(inst)
+    return [("[l2,l2]", rn_bracket(l2, l2), closure_bracket({2: slow_l2}, {2: slow_l2})),
+            ("[N2,l2] - l3", rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3, neg)]), mixed),
+            ("[N,[N,mu]]", nested[0], nested[1])]
+
+
+def reference_is_zero(inst, slow, family=None):
+    """(verdict, failing tuple, counterexample, count) of the closure
+    evaluator on every canonical tuple, inside the window or not; the
+    evaluation stops at the first nonzero value."""
+    count, failing, counterexample = 0, None, None
+    for arity in sorted(slow):
+        for combo, _ in reference_family_tuples(inst, arity, family):
+            count += 1
+            if failing is None:
+                value = slow[arity].evaluate(combo)
+                if not value.is_zero():
+                    failing = combo
+                    label = ", ".join(inst.basis_label(el) for el in combo)
+                    counterexample = (f"arity {arity}: ({label})", inst.basis_label(value))
+    return counterexample is None, failing, counterexample, count
+
+
+def check_window_against_reference(inst, family=None):
+    """The windowed certificate gives the reference's verdict, failing
+    tuple, counterexample strings and count; returns the verdicts."""
+    verdicts = set()
+    for name, fast, slow in window_cases(inst):
+        assert fast.arities() == tuple(sorted(slow)), name
+        certificate = is_zero(fast, inst, family)
+        expected = reference_is_zero(inst, slow, family)
+        assert (certificate.is_zero, certificate.failing, certificate.counterexample,
+                len(certificate.checked)) == expected, name
+        verdicts.add(certificate.is_zero)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
+def test_windowed_is_zero_matches_full_enumeration(name):
+    inst = instance(name)
+    family = list(default_poly_family(inst)) if name == "poly-tangent-r2" else None
+    assert check_window_against_reference(inst, family) == {True, False}
+
+
+def test_windowed_is_zero_on_a_family_with_repeats():
+    """A declared family with repeated odd and even elements, a scaled
+    (non-piece) element and the unit twice: the count is that of the
+    enumeration with the repeats, and the verdicts agree."""
+    inst = instance("h3")
+    e1, e2, e3 = (inst.generator(i) for i in range(3))
+    e12, e123 = inst.monomial((0, 1)), inst.monomial((0, 1, 2))
+    family = [e2, e12, e1, inst.unit(), e1, e12, e3.scale(2), e123, inst.unit(), e12]
+    assert check_window_against_reference(inst, family) == {True, False}
+
+
+@settings(max_examples=3, deadline=None)
+@given(two_step_nilpotent(max_dim=4))
+def test_windowed_is_zero_on_generated_nilpotent(inst):
+    """Dimension 4 only: at 5 the reference walks 335,104 canonical tuples."""
+    assert check_window_against_reference(inst) == {True, False}
+
+
+def test_rule_of_the_wrong_wedge_degree_raises():
+    """The window rests on every catalog rule being homogeneous of its
+    declared shift: a value with a piece of another wedge degree is an
+    internal error, never a skipped tuple."""
+    inst = heisenberg3()
+    e1, e2, e12 = inst.generator(0), inst.generator(1), inst.monomial((0, 1))
+    calls = []
+
+    def unit(args):
+        calls.append(args)
+        return inst.unit()
+
+    wrong = VForm(inst, 2, 0, unit)                 # the unit has wedge degree 0, not 2
+    with pytest.raises(RuntimeError):
+        wrong.evaluate((e1, e2))
+    with pytest.raises(RuntimeError):
+        is_zero(wrong, inst)
+    mixed = VForm(inst, 2, 0, lambda args: args[0].wedge(args[1]) + inst.unit())
+    with pytest.raises(RuntimeError):
+        mixed.evaluate((e1, e2))
+    calls.clear()
+    assert wrong.evaluate((e12, e12)).is_zero()    # wedge degree 4 > rank 3: never run
+    assert calls == []
+
+
+def window_counts(inst, arity, shift):
+    """(canonical basis tuples, those with 0 <= s + shift <= rank) from the
+    generating function in t (arity) and x (wedge degree sum s): the
+    product over even basis elements of 1/(1 - t x^d) and over odd ones of
+    1 + t x^d, d the wedge degree."""
+    top = arity * inst.rank
+    series = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(arity)]
+    for el in inst.all_basis():
+        d = el.wedge_degree()
+        if d % 2:
+            for k in range(arity, 0, -1):
+                for s in range(top, d - 1, -1):
+                    series[k][s] += series[k - 1][s - d]
+        else:
+            for k in range(1, arity + 1):
+                for s in range(d, top + 1):
+                    series[k][s] += series[k - 1][s - d]
+    row = series[arity]
+    return sum(row), sum(c for s, c in enumerate(row) if 0 <= s + shift <= inst.rank)
+
+
+def test_abelian_dim4_coboundary_evaluates_only_the_window(monkeypatch):
+    """Scaling guard: on abelian dim 4 the exhaustive co-boundary
+    certificate of N = N1 + N3 covers every canonical tuple of arities 2, 4
+    and 6 and looks up only those inside the window."""
+    inst = GradedInstance(LieAlgebraData(4), name="abelian4")
+    b = (1, 0, 1)
+    result = check_coboundary(sum_of_wedges(inst, b), square_of_sum(inst, b, 2), lk_form(inst, 2))
+    depth, top = [0], []
+    lookup = VForm._lookup
+
+    def spy(form, key):
+        if not depth[0]:
+            top.append((form.arity, form.shift, key))
+        depth[0] += 1
+        try:
+            return lookup(form, key)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(VForm, "_lookup", spy)
+    start = time.perf_counter()
+    certificate = result.certificates["deformation_square"]
+    elapsed = time.perf_counter() - start
+    assert certificate.is_zero and certificate.complete
+    components = sorted({(arity, shift) for arity, shift, _ in top})
+    assert components == [(2, -1), (4, -1), (6, -1)]
+    counts = [window_counts(inst, arity, shift) for arity, shift in components]
+    assert len(certificate.checked) == sum(total for total, _ in counts)
+    assert len(top) == len(set(top)) == sum(inside for _, inside in counts)
+    assert elapsed < 5, elapsed
+
