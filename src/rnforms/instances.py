@@ -4,23 +4,56 @@ Two kinds are supported: the exterior algebra of a finite-dimensional Lie
 algebra over Q (anchor 0, constant coefficients), and a polynomial Lie
 algebroid over affine space (polynomial anchor and structure functions).
 
-The Schouten bracket is computed by recursive graded-Leibniz expansion down
-to generator/function base cases, so the only inputs are the structure
-constants and the anchor.  The graded skew-symmetry and Leibniz identities
-are then verified on the instance rather than assumed:
+The Schouten bracket is a sum over pairs of terms of closed formulas, whose
+only inputs are the structure constants (``_gen_bracket``, read for every
+ordered generator pair, never through antisymmetry) and the anchor
+(``anchor_apply``).  For terms of wedge degrees p = |I| and q = |J|, and
+positions counted from 1:
+
+    [f e_I, g e_J] = fg [e_I, e_J] + f [e_I, g] ^ e_J
+                     + (-1)^{pq-p+q} g [e_J, f] ^ e_I
+    [e_I, e_J] = sum over a, b of (-1)^{a+b} [a_{I_a}, a_{J_b}] ^ e_{I-a} ^ e_{J-b}
+    [e_I, g] = sum over k of (-1)^{p-k} rho(a_{I_k}) g e_{I-k}
+
+On a Lie algebra, and for a constant coefficient, the anchor terms vanish.
+``_sn_memo`` keeps one entry per term pair (I, f, J, g), one per monomial
+pair (I, J) and one per (I, g); a stored value is never mutated.
+
+``validate`` checks the axioms on the instance rather than assuming them:
+Jacobi on generator triples, the anchor morphism property on a polynomial
+algebroid, and the graded skew-symmetry and Leibniz identities
 
     [P,Q] = -(-1)^{(p-1)(q-1)} [Q,P]
     [P, Q^R] = [P,Q]^R + (-1)^{(p-1)q} Q^[P,R]
+
+on every pair and triple of a basis family, so a bracket base case that is
+not antisymmetric or an anchor that does not act as a derivation is caught.
+These Gerstenhaber checks run on piece maps: every family element is one
+piece (wedge monomial times coordinate monomial) with coefficient 1, so
+Q^R is 0 or +-1 times one piece, [P, Q^R] is read from the table of
+brackets over the family (or bracketed once per P when the piece lies
+outside the family), and the right-hand side only moves the pieces of the
+table's rows; no Element is multiplied.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import add
 
-from .elements import Element
+from .elements import Element, sort_monomial
 from .graded import GradingConvention, sign_pow
-from .rings import InputError, PolyRing, RationalRing
+from .rings import InputError, Poly, PolyRing, RationalRing
+
+
+def _distinct(names, what: str) -> tuple:
+    """``names`` as a tuple; InputError naming the first repeated name."""
+    names = tuple(names)
+    for n, name in enumerate(names):
+        if name in names[:n]:
+            raise InputError(f"duplicate {what} name {name!r}")
+    return names
 
 
 class _StructureTable:
@@ -42,7 +75,8 @@ class LieAlgebraData(_StructureTable):
         self.dim = int(dim)
         if self.dim < 1:
             raise InputError("Lie algebra dimension must be positive")
-        self.basis_names = tuple(basis_names or (f"e{i + 1}" for i in range(self.dim)))
+        self.basis_names = _distinct(basis_names or (f"e{i + 1}" for i in range(self.dim)),
+                                     "basis")
         if len(self.basis_names) != self.dim:
             raise InputError("basis name count does not match dimension")
         table = {}
@@ -68,8 +102,10 @@ class PolyAlgebroidData(_StructureTable):
         self.rank = int(rank)
         if self.base_dim < 1 or self.rank < 1:
             raise InputError("base dimension and rank must be positive")
-        self.coordinates = tuple(coordinates or (f"x{i + 1}" for i in range(self.base_dim)))
-        self.generator_names = tuple(generator_names or (f"a{i + 1}" for i in range(self.rank)))
+        self.coordinates = _distinct(coordinates or (f"x{i + 1}" for i in range(self.base_dim)),
+                                     "coordinate")
+        self.generator_names = _distinct(
+            generator_names or (f"a{i + 1}" for i in range(self.rank)), "generator")
         self.ring = PolyRing(self.coordinates)
         zero = self.ring.zero()
         anchor = anchor or [[zero] * self.base_dim for _ in range(self.rank)]
@@ -199,94 +235,68 @@ class GradedInstance:
     def sn_bracket(self, left: Element, right: Element) -> Element:
         """Schouten bracket, additive over terms; wedge degrees satisfy
         deg[P,Q] = p + q - 1 (degree-0 results on two functions vanish)."""
-        out = Element.zero()
+        out: dict = {}
         for m1, c1 in left.terms.items():
             for m2, c2 in right.terms.items():
-                out = out + self._sn_term(c1, m1, c2, m2)
-        return out
+                for mon, c in self._term_bracket(m1, c1, m2, c2).items():
+                    _accumulate(out, mon, c)
+        return Element(out)
 
-    def _sn_term(self, c1, m1, c2, m2) -> Element:
-        constant1 = self._constant_part(c1)
-        constant2 = self._constant_part(c2)
-        f1 = list(m1) if constant1 is not None else [("c", c1)] + list(m1)
-        f2 = list(m2) if constant2 is not None else [("c", c2)] + list(m2)
-        f1 = [("g", f) if isinstance(f, int) else f for f in f1]
-        f2 = [("g", f) if isinstance(f, int) else f for f in f2]
-        result = self._sn_factors(tuple(f1), tuple(f2))
-        if constant1 is not None:
-            result = result.scale(constant1)
-        if constant2 is not None:
-            result = result.scale(constant2)
-        return result
+    def _term_bracket(self, I: tuple, f, J: tuple, g) -> dict:
+        """[f e_I, g e_J] by the first formula of the module docstring."""
+        key = (I, f, J, g)
+        value = self._sn_memo.get(key)
+        if value is None:
+            brackets = self._monomial_bracket(I, J)
+            fg = f * g if brackets else None
+            value = {mon: fg * c for mon, c in brackets.items()}
+            for mon, c in self._anchor_bracket(I, g).items():
+                merged, sign = sort_monomial(mon + J)
+                if sign:
+                    _accumulate(value, merged, f * c if sign > 0 else -(f * c))
+            flip = -1 if (len(I) * len(J) - len(I) + len(J)) % 2 else 1
+            for mon, c in self._anchor_bracket(J, f).items():
+                merged, sign = sort_monomial(mon + I)
+                if sign:
+                    _accumulate(value, merged, g * c if sign * flip > 0 else -(g * c))
+            self._sn_memo[key] = value
+        return value
 
-    def _constant_part(self, coeff):
-        """The coefficient itself when it is killed by the anchor (constants,
-        or anything over a point), else None."""
-        if isinstance(self.data, LieAlgebraData):
-            return coeff
-        poly = self.ring.coerce(coeff)
-        return poly if poly.total_degree() == 0 else None
+    def _monomial_bracket(self, I: tuple, J: tuple) -> dict:
+        """[e_I, e_J] by the second formula of the module docstring."""
+        key = (I, J)
+        value = self._sn_memo.get(key)
+        if value is None:
+            value = {}
+            for a, i in enumerate(I):
+                rest_i = I[:a] + I[a + 1:]
+                for b, j in enumerate(J):
+                    rest = rest_i + J[:b] + J[b + 1:]
+                    odd = (a + b) % 2 == 1
+                    for mon, c in self._gen_bracket(i, j).terms.items():
+                        merged, sign = sort_monomial(mon + rest)
+                        if sign:
+                            _accumulate(value, merged, -c if (sign < 0) != odd else c)
+            self._sn_memo[key] = value
+        return value
 
-    def _factor_degree(self, factors) -> int:
-        return sum(1 for kind, _ in factors if kind == "g")
-
-    def _factor_element(self, factors) -> Element:
-        out = self.unit()
-        for kind, value in factors:
-            if kind == "g":
-                out = out.wedge(Element({(value,): self.ring.one()}))
-            else:
-                out = out.scale(value)
-        return out
-
-    def _sn_factors(self, left: tuple, right: tuple) -> Element:
-        if not left or not right:
-            return Element.zero()
-        key = (left, right)
-        cached = self._sn_memo.get(key)
-        if cached is not None:
-            return cached
-        if len(left) > 1:
-            # [f ^ F', G] = f ^ [F', G] + (-1)^{(g-1) q} [f, G] ^ F'
-            head, tail = left[0], left[1:]
-            q = self._factor_degree(tail)
-            g = self._factor_degree(right)
-            first = self._wedge_factor(head, self._sn_factors(tail, right))
-            second = self._sn_factors((head,), right).wedge(self._factor_element(tail))
-            if (g - 1) * q % 2:
-                second = -second
-            result = first + second
-        elif len(right) > 1:
-            # [f, g0 ^ G'] = [f, g0] ^ G' + (-1)^{(p-1) q0} g0 ^ [f, G']
-            head, tail = right[0], right[1:]
-            p = self._factor_degree(left)
-            q0 = self._factor_degree((head,))
-            first = self._sn_factors(left, (head,)).wedge(self._factor_element(tail))
-            second = self._wedge_factor(head, self._sn_factors(left, tail))
-            if (p - 1) * q0 % 2:
-                second = -second
-            result = first + second
-        else:
-            result = self._sn_base(left[0], right[0])
-        self._sn_memo[key] = result
-        return result
-
-    def _wedge_factor(self, factor, element: Element) -> Element:
-        kind, value = factor
-        if kind == "g":
-            return Element({(value,): self.ring.one()}).wedge(element)
-        return element.scale(value)
-
-    def _sn_base(self, f1, f2) -> Element:
-        kind1, v1 = f1
-        kind2, v2 = f2
-        if kind1 == "g" and kind2 == "g":
-            return self._gen_bracket(v1, v2)
-        if kind1 == "g":
-            return self.scalar(self.anchor_apply(v1, v2))
-        if kind2 == "g":
-            return self.scalar(-self.anchor_apply(v2, v1))
-        return Element.zero()
+    def _anchor_bracket(self, I: tuple, g) -> dict:
+        """[e_I, g] by the third formula of the module docstring."""
+        if isinstance(self.data, LieAlgebraData) or not I:
+            return {}
+        if self.ring.coerce(g).total_degree() == 0:
+            return {}
+        key = (I, g)
+        value = self._sn_memo.get(key)
+        if value is None:
+            value = {}
+            p = len(I)
+            for k, i in enumerate(I):
+                d = self.anchor_apply(i, g)
+                if d:
+                    value[I[:k] + I[k + 1:]] = -d if (p - k - 1) % 2 else d
+            self._sn_memo[key] = value
+        return value
 
     # -- validation ------------------------------------------------------------
 
@@ -344,37 +354,106 @@ class GradedInstance:
         The family is the monomial basis, and on a polynomial algebroid also
         the basis scaled by each coordinate.  Pairs and triples are checked
         in nested family order and the first failure raises InputError.
-        Each distinct bracket is computed once: [P,Q] over the family goes
-        into a table, each Q^R is formed once, and [P, Q^R] is memoized per
-        P, keyed by the element Q^R (sn_bracket depends only on its
-        arguments' terms)."""
+        The checks run on piece maps {piece id: rational} (module
+        docstring); [P, -X] is read as -[P, X], the bracket being bilinear."""
+        poly = isinstance(self.data, PolyAlgebroidData)
+        ids: dict = {}                  # (wedge monomial, exponent) -> piece id
+        keys: list = []                 # piece id -> (wedge monomial, exponent)
+
+        def piece(key) -> int:
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(keys)
+                keys.append(key)
+            return i
+
+        def piece_map(el: Element) -> dict:
+            if not poly:
+                return {piece((mon, ())): c for mon, c in el.terms.items()}
+            return {piece((mon, expo)): q for mon, c in el.terms.items()
+                    for expo, q in self.ring.coerce(c).terms()}
+
+        shifts: dict = {}               # (i, j) -> (piece id of i^j, sign), sign 0 on 0
+
+        def shift(i: int, j: int) -> tuple:
+            out = shifts.get((i, j))
+            if out is None:
+                (m1, e1), (m2, e2) = keys[i], keys[j]
+                mon, sign = sort_monomial(m1 + m2)
+                out = shifts[(i, j)] = (
+                    piece((mon, tuple(map(add, e1, e2)))) if sign else None, sign)
+            return out
+
         family = self._gerstenhaber_family()
-        degrees = [P.require_homogeneous() for P in family]
-        table = [[self.sn_bracket(P, Q) for Q in family] for P in family]
+        members = [next(iter(piece_map(P))) for P in family]
+        position = {i: n for n, i in enumerate(members)}
+        degrees = [len(keys[i][0]) for i in members]
+        table = [[piece_map(self.sn_bracket(P, Q)) for Q in family] for P in family]
         for a, p in enumerate(degrees):
             for b, q in enumerate(degrees):
-                skew = table[a][b] + table[b][a].scale(sign_pow((p - 1) * (q - 1)))
-                if not skew.is_zero():
+                if not _cancels(table[a][b], table[b][a], sign_pow((p - 1) * (q - 1))):
                     raise InputError(
                         f"graded skew-symmetry fails on {self.basis_label(family[a])},"
                         f" {self.basis_label(family[b])}")
-        wedges = [[Q.wedge(R) for R in family] for Q in family]
+        wedges = [[shift(i, j) for j in members] for i in members]
         for a, P in enumerate(family):
             p = degrees[a]
             row = table[a]
-            on_p = dict(zip(family, row))       # [P, X] keyed by X
-            for b, Q in enumerate(family):
+            outside: dict = {}          # [P, X] for the pieces X outside the family
+            for b, Q in enumerate(members):
                 sign = sign_pow((p - 1) * degrees[b])
-                for c, R in enumerate(family):
-                    QR = wedges[b][c]
-                    lhs = on_p.get(QR)
-                    if lhs is None:
-                        lhs = on_p[QR] = self.sn_bracket(P, QR)
-                    rhs = row[b].wedge(R) + Q.wedge(row[c]).scale(sign)
-                    if not (lhs - rhs).is_zero():
-                        raise InputError(
-                            f"graded Leibniz rule fails on {self.basis_label(P)},"
-                            f" {self.basis_label(Q)}, {self.basis_label(R)}")
+                on_q = row[b]
+                for c, R in enumerate(members):
+                    target, flip = wedges[b][c]
+                    lhs = _EMPTY
+                    if flip:
+                        n = position.get(target)
+                        if n is not None:
+                            lhs = row[n]
+                        else:
+                            lhs = outside.get(target)
+                            if lhs is None:
+                                mon, expo = keys[target]
+                                X = Element({mon: Poly(self.ring.nvars, {expo: 1})})
+                                lhs = outside[target] = piece_map(self.sn_bracket(P, X))
+                    on_r = row[c]
+                    if on_q or on_r:
+                        # [P,Q]^R + sign Q^[P,R], times flip so that it reads as lhs
+                        flip = flip or 1
+                        rhs: dict = {}
+                        for i, v in on_q.items():
+                            j, s = shift(i, R)
+                            if s:
+                                _accumulate(rhs, j, v if s * flip > 0 else -v)
+                        for i, v in on_r.items():
+                            j, s = shift(Q, i)
+                            if s:
+                                _accumulate(rhs, j, v if s * sign * flip > 0 else -v)
+                        if lhs == rhs:
+                            continue
+                    elif not lhs:
+                        continue
+                    raise InputError(
+                        f"graded Leibniz rule fails on {self.basis_label(P)},"
+                        f" {self.basis_label(family[b])}, {self.basis_label(family[c])}")
+
+
+_EMPTY: dict = {}
+
+
+def _accumulate(total: dict, key, value) -> None:
+    """total[key] += value, dropping the key when the sum is 0."""
+    acc = total.get(key)
+    acc = value if acc is None else acc + value
+    if acc:
+        total[key] = acc
+    else:
+        del total[key]
+
+
+def _cancels(x: dict, y: dict, sign: int) -> bool:
+    """Whether x + sign * y == 0, for maps with nonzero values."""
+    return len(x) == len(y) and all(y.get(k) == -sign * v for k, v in x.items())
 
 
 # -- standard instances --------------------------------------------------------

@@ -31,7 +31,7 @@ A key outside this schema, at any level, is an input error, and so is a
 value of the wrong JSON type: name is a string (the file name when absent);
 dim, base_dim, rank, n and the suite bounds are integers; a, b, basis,
 coordinates and generators are lists; brackets and each of their rows are
-objects.
+objects.  The names in basis, coordinates and generators must be distinct.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         where = "instance.lie_algebra"
         block = _block(inst_block["lie_algebra"], where, _LIE_KEYS)
         dim = _integer(block, "dim", where)
-        names = tuple(_list(block, "basis", where) or (f"e{i+1}" for i in range(dim)))
+        names = LieAlgebraData(dim, _list(block, "basis", where)).basis_names
         data = LieAlgebraData(
             dim, names,
             {k: {i: parse_rational(v) for i, v in row.items()}

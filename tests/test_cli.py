@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rnforms.cli import main, parse_form_expression
+from rnforms.instances import LieAlgebraData, PolyAlgebroidData
 from rnforms.linfty import pairwise_compatibility
 from rnforms.report import Report
 from rnforms.rings import InputError
@@ -250,6 +251,35 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
         build_scenario(raw)
     with pytest.raises(InputError):
         build_scenario(["not", "an", "object"])
+
+
+def _duplicate_names():
+    """(scenario, message) for a repeated basis, coordinate and generator
+    name; each scenario used to load and pass validate, "x1" meaning the
+    second coordinate."""
+    lie = {"instance": {"lie_algebra": {"dim": 2, "basis": ["e1", "e1"]}}}
+    coordinates = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "coordinates"),
+                          ["x1", "x1"])
+    coordinates["data"].update(omega={"a1^a2": {"x1": "1"}}, alpha={"a1^a2": {"x1^2": "1"}})
+    generators = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "generators"),
+                         ["a1", "a1"])
+    generators["data"] = {}
+    return [(lie, "duplicate basis name 'e1'"),
+            (coordinates, "duplicate coordinate name 'x1'"),
+            (generators, "duplicate generator name 'a1'")]
+
+
+def test_duplicate_names_exit_2(tmp_path, capsys):
+    for n, (raw, message) in enumerate(_duplicate_names()):
+        scenario = tmp_path / f"duplicate{n}.json"
+        scenario.write_text(json.dumps(raw))
+        for command in (("validate",), ("check", "nijenhuis", "--kind", "weak")):
+            code, out, err = run_cli(capsys, "--scenario", str(scenario), *command)
+            assert (code, out, err) == (2, "", f"input error: {message}\n"), (message, command)
+    with pytest.raises(InputError, match="duplicate generator name 'a2'"):
+        PolyAlgebroidData(1, 3, generator_names=("a1", "a2", "a2"))
+    with pytest.raises(InputError, match="duplicate basis name 'f'"):
+        LieAlgebraData(3, basis_names=("f", "g", "f"))
 
 
 EMPTY_SUITE_BOUNDS = [

@@ -31,6 +31,8 @@ from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
 
+from generated_instances import two_step_nilpotent
+
 NAMES = ("h3", "so3", "broken_jacobi3", "poly-tangent-r2")
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -394,24 +396,6 @@ def test_non_unit_combination_through_its_representative():
 
 
 # -- generated instances with rational structure constants -----------------------------
-
-NON_INTEGRAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-5, 2))
-
-
-@st.composite
-def two_step_nilpotent(draw, max_dim=5):
-    """A 2-step nilpotent Lie algebra of dimension 4 to ``max_dim``: brackets
-    of the first generators land in the centre (the last one or two), so
-    Jacobi holds by construction; [e1, e2] always has a non-integral
-    constant."""
-    dim = draw(st.integers(4, max_dim))
-    centre = range(dim - draw(st.integers(1, 2)), dim)
-    constants = st.sampled_from((0, 0, 1, -1, 2) + NON_INTEGRAL)
-    brackets = {(i, j): {k: draw(constants) for k in centre}
-                for i in range(centre.start) for j in range(i + 1, centre.start)}
-    brackets[(0, 1)][centre.stop - 1] = draw(st.sampled_from(NON_INTEGRAL))
-    return GradedInstance(LieAlgebraData(dim, brackets=brackets), name=f"nilpotent{dim}")
-
 
 @settings(max_examples=5, deadline=None)
 @given(two_step_nilpotent(), st.data())

@@ -3,11 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rnforms.elements import Element
 from rnforms.graded import sign_pow
-from rnforms.instances import (GradedInstance, LieAlgebraData, PolyAlgebroidData, heisenberg3,
-                               poly_tangent_r2)
-from rnforms.rings import InputError
+from rnforms.instances import (GradedInstance, LieAlgebraData, PolyAlgebroidData, aff1,
+                               heisenberg3, poly_tangent_r2, so3)
+from rnforms.rings import InputError, Poly
 from rnforms.scenario import load_shipped
+
+from generated_instances import (affine_x_algebroid, elements, poly_rank3, rank3_algebroid,
+                                 two_step_nilpotent)
+from sn_reference import reference_sn_bracket
 
 
 def test_structure_bracket_examples(aff):
@@ -115,16 +123,20 @@ def test_instances_validate(aff, h3, so3_inst, ab2, poly):
 # -- validate's failure paths against a reference -------------------------------
 
 def reference_gerstenhaber(inst):
-    """The unhoisted loops validate used to run: every bracket, wedge and
-    sign recomputed in the innermost loop.  Reference for messages and for
-    which pair or triple fails first."""
+    """The unhoisted loops validate used to run, on the recursive reference
+    bracket: every bracket, wedge and sign recomputed in the innermost loop.
+    Reference for messages and for which pair or triple fails first."""
+    memo = {}
+
+    def bracket(P, Q):
+        return reference_sn_bracket(inst, P, Q, memo)
+
     family = inst._gerstenhaber_family()
     for P in family:
         p = P.require_homogeneous()
         for Q in family:
             q = Q.require_homogeneous()
-            skew = inst.sn_bracket(P, Q) + inst.sn_bracket(Q, P).scale(
-                sign_pow((p - 1) * (q - 1)))
+            skew = bracket(P, Q) + bracket(Q, P).scale(sign_pow((p - 1) * (q - 1)))
             if not skew.is_zero():
                 raise InputError(
                     f"graded skew-symmetry fails on {inst.basis_label(P)},"
@@ -134,13 +146,38 @@ def reference_gerstenhaber(inst):
         for Q in family:
             q = Q.require_homogeneous()
             for R in family:
-                lhs = inst.sn_bracket(P, Q.wedge(R))
-                rhs = inst.sn_bracket(P, Q).wedge(R) + Q.wedge(
-                    inst.sn_bracket(P, R)).scale(sign_pow((p - 1) * q))
+                lhs = bracket(P, Q.wedge(R))
+                rhs = bracket(P, Q).wedge(R) + Q.wedge(bracket(P, R)).scale(sign_pow((p - 1) * q))
                 if not (lhs - rhs).is_zero():
                     raise InputError(
                         f"graded Leibniz rule fails on {inst.basis_label(P)},"
                         f" {inst.basis_label(Q)}, {inst.basis_label(R)}")
+
+
+def reference_validate(inst):
+    """``validate`` on the reference bracket: Jacobi on generator triples,
+    the anchor morphism property, then ``reference_gerstenhaber``."""
+    memo = {}
+    names = inst.generator_names
+    for i, j, k in itertools.combinations(range(inst.rank), 3):
+        ei, ej, ek = inst.generator(i), inst.generator(j), inst.generator(k)
+        cyclic = ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej))
+        jacobiator = sum((reference_sn_bracket(inst, x, reference_sn_bracket(inst, y, z, memo),
+                                               memo) for x, y, z in cyclic), Element.zero())
+        if not jacobiator.is_zero():
+            raise InputError(f"Jacobi identity fails on ({names[i]}, {names[j]}, {names[k]})")
+    if isinstance(inst.data, PolyAlgebroidData):
+        inst._validate_anchor_morphism()
+    reference_gerstenhaber(inst)
+
+
+def raised(check, inst):
+    """The message of the InputError ``check(inst)`` raises, or None."""
+    try:
+        check(inst)
+    except InputError as exc:
+        return str(exc)
+    return None
 
 
 def _symmetric_e1_e2(monkeypatch):
@@ -212,3 +249,107 @@ def test_validate_brackets_each_pair_once(monkeypatch, name):
     family = len(load_shipped(name).instance._gerstenhaber_family())
     assert len(pairs) >= family * family
     assert len(set(pairs)) == len(pairs)
+
+
+# -- the closed-form bracket and validate against the references ------------------
+
+NAMED = {"aff1": aff1, "h3": heisenberg3, "so3": so3, "poly-tangent-r2": poly_tangent_r2,
+         "affine-x": affine_x_algebroid, "rank3": rank3_algebroid}
+
+
+@pytest.mark.parametrize("name", NAMED)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_closed_form_bracket_matches_reference(name, data):
+    inst = NAMED[name]()
+    P, Q = data.draw(elements(inst)), data.draw(elements(inst))
+    assert inst.sn_bracket(P, Q) == reference_sn_bracket(inst, P, Q)
+
+
+@settings(max_examples=15, deadline=None)
+@given(inst=two_step_nilpotent() | poly_rank3(), data=st.data())
+def test_closed_form_bracket_matches_reference_on_generated(inst, data):
+    for _ in range(5):
+        P, Q = data.draw(elements(inst)), data.draw(elements(inst))
+        assert inst.sn_bracket(P, Q) == reference_sn_bracket(inst, P, Q)
+
+
+def corrupt_gen_bracket(inst, i, j, k, factor, mirror=False):
+    """[a_i, a_j] of ``inst`` read as [a_i, a_j] + factor a_k, for this
+    ordered pair only, and with ``mirror`` [a_j, a_i] as [a_j, a_i] - factor a_k
+    too, which keeps skew-symmetry; drops the brackets memoized before."""
+    inst._sn_memo.clear()
+    gen_bracket = inst._gen_bracket
+    extra = inst.generator(k).scale(inst.ring.coerce(factor))
+    perturbed = {(i, j): extra}
+    if mirror:
+        perturbed[(j, i)] = perturbed.get((j, i), Element.zero()) - extra
+    inst._gen_bracket = lambda a, b: gen_bracket(a, b) + perturbed.get((a, b), Element.zero())
+
+
+def corrupt_anchor(inst, degree, factor):
+    """rho(a_i) f of ``inst`` read as rho(a_i) f + factor * f_high, f_high the
+    terms of f of total degree >= ``degree``; drops the brackets memoized
+    before.  The perturbation stays linear in f, as every bracket is: validate
+    reads [P, -X] off the table as -[P, X]."""
+    inst._sn_memo.clear()
+    anchor_apply = inst.anchor_apply
+
+    def bent(i, coeff):
+        coeff = inst.ring.coerce(coeff)
+        high = Poly(coeff.nvars, {e: c for e, c in coeff.terms() if sum(e) >= degree})
+        return anchor_apply(i, coeff) + high * factor
+
+    inst.anchor_apply = bent
+
+
+def assert_same_failure(inst):
+    """validate fails exactly as the reference does, or both pass; and so
+    for the Gerstenhaber identities alone, with the closed form against the
+    recursive bracket on the generator pairs."""
+    for a, b in itertools.product(range(inst.rank), repeat=2):
+        ea, eb = inst.generator(a), inst.generator(b)
+        assert inst.sn_bracket(ea, eb) == reference_sn_bracket(inst, ea, eb)
+    expected = raised(reference_gerstenhaber, inst)
+    assert raised(GradedInstance._validate_gerstenhaber, inst) == expected
+    inst._sn_memo.clear()
+    assert raised(GradedInstance.validate, inst) == raised(reference_validate, inst)
+    return expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(inst=two_step_nilpotent(max_dim=4) | poly_rank3(), data=st.data())
+def test_validate_matches_reference_on_corrupted_brackets(inst, data):
+    inst.validate()
+    pair = st.integers(0, inst.rank - 1)
+    i, j, k = data.draw(pair), data.draw(pair), data.draw(pair)
+    corrupt_gen_bracket(inst, i, j, k, data.draw(st.sampled_from((1, -1, Fraction(1, 2)))),
+                        mirror=data.draw(st.booleans()))
+    assert_same_failure(inst)
+
+
+@settings(max_examples=12, deadline=None)
+@given(inst=poly_rank3() | st.builds(affine_x_algebroid) | st.builds(poly_tangent_r2),
+       data=st.data())
+def test_validate_matches_reference_on_corrupted_anchor(inst, data):
+    inst.validate()
+    x1 = inst.ring.var(0)
+    corrupt_anchor(inst, data.draw(st.integers(1, 2)),
+                   data.draw(st.sampled_from((1, -1, x1, Fraction(1, 2)))))
+    assert_same_failure(inst)
+
+
+def test_generated_corruptions_reach_every_check():
+    """The corruptions above do break the identities: a flipped [a2, a1]
+    fails skew-symmetry first, a bent anchor fails Leibniz first, and a
+    perturbed [a1, a2] can fail Jacobi, which validate checks first."""
+    h3 = heisenberg3(check=False)
+    corrupt_gen_bracket(h3, 1, 0, 2, 2)
+    assert assert_same_failure(h3) == "graded skew-symmetry fails on e1, e2"
+    poly = rank3_algebroid()
+    corrupt_anchor(poly, 2, 1)
+    assert assert_same_failure(poly).startswith("graded Leibniz rule fails on a1, ")
+    so = so3(check=False)
+    corrupt_gen_bracket(so, 0, 1, 0, 1)
+    assert raised(GradedInstance.validate, so) == "Jacobi identity fails on (e1, e2, e3)"
+    assert raised(reference_validate, so) == "Jacobi identity fails on (e1, e2, e3)"
