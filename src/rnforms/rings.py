@@ -206,10 +206,10 @@ def parse_poly(data, nvars: int, names: tuple) -> Poly:
         label = str(label).strip()
         if label not in ("", "1"):
             for factor in label.split():
-                name, _, power = factor.partition("^")
+                name, caret, power = factor.partition("^")
                 if name not in index:
                     raise InputError(f"unknown coordinate {name!r} in monomial {label!r}")
-                if power and not power.isdecimal():
+                if caret and not power.isdecimal():
                     raise InputError(f"bad exponent {power!r} in monomial {label!r}")
                 expo[index[name]] += int(power) if power else 1
         key = tuple(expo)

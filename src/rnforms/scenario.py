@@ -31,7 +31,10 @@ A key outside this schema, at any level, is an input error, and so is a
 value of the wrong JSON type: name is a string (the file name when absent);
 dim, base_dim, rank, n and the suite bounds are integers; a, b, basis,
 coordinates and generators are lists; brackets and each of their rows are
-objects.  The names in basis, coordinates and generators must be distinct.
+objects.  The names in basis, coordinates and generators must be distinct,
+and as many as dim, base_dim and rank; only an absent or null list gives
+the default names.  Two keys that name the same bracket pair ("e1,e2" and
+"e1, e2") or the same monomial ("e1^e2" and "e1 ^ e2") are an input error.
 """
 
 from __future__ import annotations
@@ -151,6 +154,7 @@ def _list(block: dict, key: str, where: str, default=None) -> list | None:
 def _parse_brackets(raw, names) -> dict:
     index = {name: i for i, name in enumerate(names)}
     table = {}
+    keys = {}                           # (i, j) -> the key that named it
     for key, coeffs in _object(raw, "brackets").items():
         parts = [p.strip() for p in str(key).split(",")]
         if len(parts) != 2 or any(p not in index for p in parts):
@@ -158,6 +162,9 @@ def _parse_brackets(raw, names) -> dict:
         i, j = index[parts[0]], index[parts[1]]
         if i >= j:
             raise InputError(f"bracket key {key!r} must name generators in order")
+        if (i, j) in keys:
+            raise InputError(f"bracket keys {keys[(i, j)]!r} and {key!r} name the same pair")
+        keys[(i, j)] = key
         row = {}
         for target, value in _object(coeffs, f"bracket {key!r}").items():
             if target not in index:
@@ -180,18 +187,29 @@ def _parse_monomial_key(key: str, names) -> tuple:
     return indices
 
 
-def _parse_element(raw: dict, instance: GradedInstance) -> Element:
+def _monomial_items(raw, names, where: str):
+    """(key, monomial, value) per key of the JSON object ``raw``; InputError
+    naming ``where`` and both keys when two keys name the same monomial
+    ("e1^e2" and "e1 ^ e2")."""
+    keys = {}                           # monomial -> the key that named it
+    for key, value in _object(raw, where).items():
+        mon = _parse_monomial_key(key, names)
+        if mon in keys:
+            raise InputError(f"{where} keys {keys[mon]!r} and {key!r} name the same monomial")
+        keys[mon] = key
+        yield key, mon, value
+
+
+def _parse_element(raw, instance: GradedInstance, where: str) -> Element:
     terms = {}
-    for key, value in raw.items():
-        mon = _parse_monomial_key(key, instance.generator_names)
+    for _, mon, value in _monomial_items(raw, instance.generator_names, where):
         terms[mon] = instance.ring.parse(value)
     return Element({m: c for m, c in terms.items() if c})
 
 
-def _parse_dualform(raw: dict, instance: GradedInstance, degree: int) -> DualForm:
+def _parse_dualform(raw, instance: GradedInstance, degree: int, where: str) -> DualForm:
     table = {}
-    for key, value in raw.items():
-        mon = _parse_monomial_key(key, instance.generator_names)
+    for key, mon, value in _monomial_items(raw, instance.generator_names, where):
         if len(mon) != degree:
             raise InputError(f"{key!r} is not a degree-{degree} monomial")
         table[mon] = instance.ring.parse(value)
@@ -240,11 +258,9 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         block = _block(inst_block["poly_algebroid"], where, _POLY_KEYS)
         base_dim = _integer(block, "base_dim", where)
         rank = _integer(block, "rank", where)
-        coords = tuple(_list(block, "coordinates", where)
-                       or (f"x{i+1}" for i in range(base_dim)))
-        gens = tuple(_list(block, "generators", where) or (f"a{i+1}" for i in range(rank)))
-        shell = PolyAlgebroidData(base_dim, rank, coords, gens)
-        ring = shell.ring
+        shell = PolyAlgebroidData(base_dim, rank, _list(block, "coordinates", where),
+                                  _list(block, "generators", where))
+        coords, gens, ring = shell.coordinates, shell.generator_names, shell.ring
         anchor = block.get("anchor")
         if anchor is not None:
             anchor = [[ring.parse(v) for v in row]
@@ -258,16 +274,16 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
                          " (lie_algebra or poly_algebroid)")
 
     data_block = _block(raw.get("data"), "data", _DATA_KEYS)
-    pi = _parse_element(_object(data_block.get("pi"), "data.pi"), instance)
+    pi = _parse_element(data_block.get("pi"), instance, "data.pi")
     if not pi.is_zero() and pi.wedge_degree() != 2:
         raise InputError("pi must be a bivector")
     N = _parse_matrix(data_block.get("N"), instance)
-    omega = _parse_dualform(_object(data_block.get("omega"), "data.omega"), instance, 2)
-    H = (_parse_dualform(_object(data_block.get("H"), "data.H"), instance, 3)
+    omega = _parse_dualform(data_block.get("omega"), instance, 2, "data.omega")
+    H = (_parse_dualform(data_block.get("H"), instance, 3, "data.H")
          if instance.rank >= 3 else DualForm.zero(instance, 3))
     if instance.rank < 3 and data_block.get("H"):
         raise InputError("a 3-form needs rank >= 3")
-    alpha = _parse_dualform(_object(data_block.get("alpha"), "data.alpha"), instance, 2)
+    alpha = _parse_dualform(data_block.get("alpha"), instance, 2, "data.alpha")
     lam = data_block.get("lambda")
     lam = None if lam is None else parse_rational(lam)
     a = [parse_rational(v) for v in _list(data_block, "a", "data", ["0", "1"])]
@@ -287,8 +303,16 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
 
 
 def _preconditions(s: Scenario) -> Report:
-    """Axioms already hold (instance construction validates them); record the
-    data-level preconditions: Poisson when pi is given, dH = 0."""
+    """Axioms already hold; record the data-level preconditions: Poisson
+    when pi is given, dH = 0.
+
+    Instance construction validates Jacobi and the anchor morphism, the
+    axioms the input can break.  The Gerstenhaber identities (graded
+    skew-symmetry and Leibniz) hold for every instance that can be loaded:
+    the structure table is antisymmetric on generators, the anchor acts by
+    derivations and the Schouten bracket is their closed-form biderivation
+    (``rnforms.instances``).  ``tests/test_instances.py`` checks both
+    identities on the bracket of every shipped and generated instance."""
     report = Report("validate", s.name)
     report.add("instance axioms",
                "Jacobi + Leibniz + anchor morphism + Gerstenhaber identities", True,

@@ -214,6 +214,10 @@ def test_scenario_shape_errors(tmp_path, capsys):
     bad_power = _edited("poly-tangent-r2", ("data", "omega"), {"a1^a2": {"x2^b": "1"}})
     with pytest.raises(InputError, match="bad exponent 'b'"):
         build_scenario(bad_power)
+    # "x2^" used to read as x2
+    no_power = _edited("poly-tangent-r2", ("data", "omega"), {"a1^a2": {"x2^": "1"}})
+    with pytest.raises(InputError, match="bad exponent '' in monomial 'x2\\^'"):
+        build_scenario(no_power)
     # "a": "01" used to load as ["0", "1"] and pass
     path = tmp_path / "string_pencil.json"
     path.write_text(json.dumps(_edited("aff1", ("data", "a"), "01")))
@@ -255,8 +259,11 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
 
 def _duplicate_names():
     """(scenario, message) for a repeated basis, coordinate and generator
-    name; each scenario used to load and pass validate, "x1" meaning the
-    second coordinate."""
+    name, for two keys that name the same bracket pair or monomial, and for
+    a name list of the wrong length.  Each but one used to load and pass
+    validate, "x1" meaning the second coordinate, the later of two aliased
+    keys silently replacing the earlier, an empty list reading as the
+    default names; one coordinate short ended in a traceback (exit 1)."""
     lie = {"instance": {"lie_algebra": {"dim": 2, "basis": ["e1", "e1"]}}}
     coordinates = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "coordinates"),
                           ["x1", "x1"])
@@ -264,9 +271,34 @@ def _duplicate_names():
     generators = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "generators"),
                          ["a1", "a1"])
     generators["data"] = {}
+    brackets = _edited("aff1", ("instance", "lie_algebra", "brackets"),
+                       {"e1,e2": {"e2": "1"}, "e1, e2": {"e1": "1"}})
+    pi = _edited("aff1", ("data", "pi"), {"e1^e2": "1", "e1 ^ e2": "-1"})
+    omega = _edited("poly-tangent-r2", ("data", "omega"),
+                    {"a1^a2": {"x2": "1"}, "a1 ^ a2": {"x1": "1"}})
+    H = _edited("heisenberg3", ("data", "H"), {"e1^e2^e3": "1", "e1 ^ e2^e3": "2"})
+    alpha = _edited("poly-tangent-r2", ("data", "alpha"), {"a1^a2": "1", " a1^a2": "2"})
+    basis = _edited("aff1", ("instance", "lie_algebra", "basis"), [])
+    no_coordinates = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "coordinates"),
+                             [])
+    no_generators = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "generators"), [])
+    one_coordinate = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "coordinates"),
+                             ["x1"])
+    one_generator = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "generators"),
+                            ["a1"])
     return [(lie, "duplicate basis name 'e1'"),
             (coordinates, "duplicate coordinate name 'x1'"),
-            (generators, "duplicate generator name 'a1'")]
+            (generators, "duplicate generator name 'a1'"),
+            (brackets, "bracket keys 'e1,e2' and 'e1, e2' name the same pair"),
+            (pi, "data.pi keys 'e1^e2' and 'e1 ^ e2' name the same monomial"),
+            (omega, "data.omega keys 'a1^a2' and 'a1 ^ a2' name the same monomial"),
+            (H, "data.H keys 'e1^e2^e3' and 'e1 ^ e2^e3' name the same monomial"),
+            (alpha, "data.alpha keys 'a1^a2' and ' a1^a2' name the same monomial"),
+            (basis, "basis name count does not match dimension"),
+            (no_coordinates, "coordinate name count does not match base dimension"),
+            (no_generators, "generator name count does not match rank"),
+            (one_coordinate, "coordinate name count does not match base dimension"),
+            (one_generator, "generator name count does not match rank")]
 
 
 def test_duplicate_names_exit_2(tmp_path, capsys):
