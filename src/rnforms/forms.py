@@ -3,13 +3,17 @@
 A VForm of arity k maps k-tuples of homogeneous elements to elements,
 multilinearly and graded-symmetrically.  A form is either an atomic node
 (a primitive rule or an insertion), which owns a memo, or a rational linear
-combination of atomic nodes, which owns none.  Forms carry no names.  Every
-atomic node is hash-consed on its instance by :func:`shared_node`: a catalog
-primitive is keyed by its defining data, an insertion by the shared
-representatives of both sides, so [aK, bL] reuses the node of [K, L] and the
-same values are never computed twice under different nodes.  Scaling, sums
-and brackets only merge coefficient maps.  Values are only computed by
-evaluation and by :func:`is_zero`.
+combination of atomic nodes.  A shared combination (the representative that
+:func:`insert` reduces a combination operand to) owns a memo too, so an
+insertion reads each of its operands' values once per key; a combination
+built on the fly by scaling, sums or brackets owns none, and sums its
+nodes' values on every lookup.  Forms carry no names.  Every atomic node
+and every shared combination is hash-consed on its instance by
+:func:`shared_node`: a catalog primitive is keyed by its defining data, an
+insertion by the shared representatives of both sides, so [aK, bL] reuses
+the node of [K, L] and the same values are never computed twice under
+different nodes.  Scaling, sums and brackets only merge coefficient maps.
+Values are only computed by evaluation and by :func:`is_zero`.
 
 The kernel runs on integer piece ids.  One id table per instance
 (:class:`_Ids`, built by the first evaluation) numbers the Q-basis pieces
@@ -18,8 +22,9 @@ times wedge monomial on a polynomial algebroid, the basis up front and the
 rest when first met) and keeps each piece's Element, parity and sort key.
 **A memo key is a tuple of ids in canonical order** (by sort key, no
 repeated odd id) and **a memo value is a piece map** {id: nonzero int or
-Fraction}, never mutated once stored: an integral coefficient is an int,
-so the common case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
+Fraction}, never mutated once stored: an integral coefficient is an int
+(:func:`rings.plain`, the rule of :class:`rings.Poly` too), so the common
+case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
 at the entry; Elements appear only there and in the failing tuple and
 counterexample of :func:`is_zero`.  A catalog rule's value is
 split into pieces once per memo miss.  An insertion bisects each piece of
@@ -36,7 +41,8 @@ calculus is convention independent.
 degrees sum to s into the exterior power of degree s + c, which is 0 unless
 0 <= s + c <= rank.  So a key outside that window has the value 0 by
 grading, a proof in the same sense as multilinearity: :meth:`VForm._lookup`
-returns the shared empty map for it and stores no memo entry, and
+returns the shared empty map for it and stores no memo entry (on an atomic
+node or a shared combination alike), and
 :func:`is_zero` evaluates only the canonical tuples inside the window while
 its count covers all of them.  The argument rests on one invariant, checked
 where it is not exact by construction: on a memo miss, every piece of a
@@ -56,10 +62,10 @@ from types import MappingProxyType
 from .elements import Element
 from .graded import GradingConvention, koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance
-from .rings import InputError, Poly, PolyRing
+from .rings import InputError, Poly, PolyRing, plain
 
 _ONE = Fraction(1)
-_EMPTY = MappingProxyType({})       # the memo of every linear combination, every out-of-window value
+_EMPTY = MappingProxyType({})       # the memo of an unshared combination, every out-of-window value
 
 
 class _Ids:
@@ -85,7 +91,7 @@ class _Ids:
         """The id of the polynomial piece x^expo * mon."""
         i = self.index.get((mon, expo))
         if i is None:
-            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: _ONE})}), (mon, expo))
+            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: 1})}), (mon, expo))
         return i
 
     def id_of(self, el: Element) -> int:
@@ -101,9 +107,9 @@ class _Ids:
         """An Element as a piece map."""
         if not self.poly:
             index = self.index
-            return {index[mon]: _plain(c) for mon, c in value.terms.items()}
+            return {index[mon]: plain(c) for mon, c in value.terms.items()}
         piece = self.piece
-        return {piece(mon, expo): _plain(c) for mon, poly in value.terms.items()
+        return {piece(mon, expo): c for mon, poly in value.terms.items()
                 for expo, c in self.ring.coerce(poly).terms()}
 
     def element(self, value: dict) -> Element:
@@ -122,10 +128,11 @@ class VForm:
     misses: a catalog rule maps a canonical tuple of Elements to an Element,
     an insertion rule (``on_ids``) maps a key to a piece map.  Otherwise
     ``terms`` maps atomic nodes to nonzero Fraction coefficients (read by
-    lookups as :func:`_plain` gives them), and there is no rule."""
+    lookups as :func:`rings.plain` gives them), there is no rule, and only a
+    ``shared`` combination has a memo."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=None, terms=None, on_ids=False):
+                 convention=None, terms=None, on_ids=False, shared=False):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
@@ -139,13 +146,15 @@ class VForm:
             self._memo: dict = {}
             self._order = instance._node_count = instance._node_count + 1
         else:
-            self._memo = _EMPTY
-            self._coeffs = tuple([(node, _plain(c)) for node, c in terms.items()])
+            self._memo = {} if shared else _EMPTY
+            self._coeffs = tuple([(node, plain(c)) for node, c in terms.items()])
 
     @classmethod
-    def combination(cls, instance, arity, shift, terms, convention=None) -> "VForm":
-        """The linear combination sum c * node over ``terms`` (node -> c)."""
-        return cls(instance, arity, shift, None, convention, terms=terms)
+    def combination(cls, instance, arity, shift, terms, convention=None,
+                    shared=False) -> "VForm":
+        """The linear combination sum c * node over ``terms`` (node -> c);
+        ``shared`` gives it a memo."""
+        return cls(instance, arity, shift, None, convention, terms=terms, shared=shared)
 
     # -- degree ---------------------------------------------------------------
 
@@ -168,35 +177,39 @@ class VForm:
     __call__ = evaluate
 
     def _lookup(self, key) -> dict:
-        """The piece map on a key: an atomic node reads or fills its memo,
-        a combination sums its nodes' lookups.  A key outside the wedge-degree
-        window is zero by grading: the empty map, and no memo entry."""
-        terms = self.terms
-        if terms is None:
-            value = self._memo.get(key)
-            if value is None:
-                ids = self.instance._ids
-                keys = ids.keys
-                degree = self.shift
-                for i in key:
-                    degree += keys[i][0]
-                if not 0 <= degree <= self.instance.rank:
-                    return _EMPTY
-                if self.on_ids:
-                    value = self.fn(key)
-                else:
-                    value = ids.split(self.fn(tuple([ids.elements[i] for i in key])))
-                    if any(keys[i][0] != degree for i in value):
-                        raise RuntimeError(
-                            f"a rule of arity {self.arity} and wedge shift {self.shift} gave"
-                            f" a value outside wedge degree {degree} on wedge degrees"
-                            f" {[keys[i][0] for i in key]}")
-                self._memo[key] = value
+        """The piece map on a key: an atomic node runs its rule, a
+        combination sums its nodes' lookups, and both fill the memo when they
+        own one.  A key outside the wedge-degree window is zero by grading:
+        the empty map, and no memo entry."""
+        memo = self._memo
+        value = memo.get(key)
+        if value is not None:
             return value
-        total: dict = {}
-        for node, coeff in self._coeffs:
-            _add_into(total, coeff, node._lookup(key))
-        return total
+        ids = self.instance._ids
+        keys = ids.keys
+        degree = self.shift
+        for i in key:
+            degree += keys[i][0]
+        if not 0 <= degree <= self.instance.rank:
+            return _EMPTY
+        if self.terms is not None:
+            value = {}
+            for node, coeff in self._coeffs:
+                part = node._memo.get(key)      # the memo hit path of node._lookup, inlined
+                _add_into(value, coeff, node._lookup(key) if part is None else part)
+            if memo is _EMPTY:
+                return value
+        elif self.on_ids:
+            value = self.fn(key)
+        else:
+            value = ids.split(self.fn(tuple([ids.elements[i] for i in key])))
+            if any(keys[i][0] != degree for i in value):
+                raise RuntimeError(
+                    f"a rule of arity {self.arity} and wedge shift {self.shift} gave"
+                    f" a value outside wedge degree {degree} on wedge degrees"
+                    f" {[keys[i][0] for i in key]}")
+        memo[key] = value
+        return value
 
     def _canonical(self, args):
         """(key, sign) of checked arguments: their ids sorted by sort key,
@@ -272,15 +285,9 @@ class VForm:
         return cls.combination(instance, arity, shift, {}, convention)
 
 
-def _plain(c):
-    """A rational coefficient as a piece map holds it: an int when integral,
-    else the Fraction."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _add_into(total: dict, coeff, value: dict) -> None:
-    """total += coeff * value on piece maps (coefficients as :func:`_plain`
-    gives them), dropping zeros."""
+    """total += coeff * value on piece maps (coefficients as
+    :func:`rings.plain` gives them), dropping zeros."""
     plain, negate = coeff == 1, coeff == -1
     for piece, c in value.items():
         if not plain:
@@ -308,8 +315,8 @@ def shared_node(instance: GradedInstance, key, build) -> VForm:
 def _representative(form: VForm):
     """(shared representative, factor) with form = factor * representative,
     or (None, 0) for the zero form.  The representative is an atomic node,
-    or a shared combination whose first coefficient (in node creation
-    order) is 1."""
+    or a shared combination, with a memo, whose first coefficient (in node
+    creation order) is 1."""
     if form.terms is None:
         return form, _ONE
     if not form.terms:
@@ -321,7 +328,8 @@ def _representative(form: VForm):
     normalized = tuple([(n, c / factor) for n, c in items])
     rep = shared_node(form.instance, ("combination", normalized),
                       lambda: VForm.combination(form.instance, form.arity, form.shift,
-                                                dict(normalized), form.convention))
+                                                dict(normalized), form.convention,
+                                                shared=True))
     return rep, factor
 
 
@@ -381,11 +389,11 @@ def _insertion_node(K: VForm, L: VForm) -> VForm:
         if table is None:
             table = tables[parities] = tuple(
                 (int(koszul_sign(perm, parities)), first, rest) for perm, first, rest in shuffles)
-        K_get, K_lookup, L_lookup = K._memo.get, K._lookup, L._lookup
+        K_get, K_lookup, L_get, L_lookup = K._memo.get, K._lookup, L._memo.get, L._lookup
         total: dict = {}
         for sign, take_first, take_rest in table:
             first = take_first(args)
-            inner = K_get(first)        # the memo hit path of K._lookup, inlined
+            inner = K_get(first)        # the memo hit paths of K._lookup and L._lookup, inlined
             if inner is None:
                 inner = K_lookup(first)
             if not inner:
@@ -400,8 +408,10 @@ def _insertion_node(K: VForm, L: VForm) -> VForm:
                     for passed in rest[:pos]:
                         if odd[passed]:
                             moved = -moved
+                key = rest[:pos] + (piece,) + rest[pos:]
+                value = L_get(key)
                 _add_into(total, coeff if moved > 0 else -coeff,
-                          L_lookup(rest[:pos] + (piece,) + rest[pos:]))
+                          L_lookup(key) if value is None else value)
         return total
 
     return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention,
@@ -615,8 +625,9 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     instances without a family: a complete proof by multilinearity, graded
     symmetry and grading) or on a declared family (always the case on
     polynomial instances: a verification, flagged as incomplete).  Only the
-    tuples inside each component's wedge-degree window are evaluated; the
-    certificate counts them all."""
+    tuples inside each component's wedge-degree window are evaluated, up to
+    the first nonzero value, the counterexample; the certificate counts
+    them all."""
     form = as_polyform(form, instance)
     instance = instance or form.instance
     complete = test_family is None and not isinstance(instance.ring, PolyRing)
@@ -631,15 +642,18 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     for arity, component in form.components.items():
         count, keys = _family_tuples(instance, arity, test_family, component.shift)
         covered += count
+        if failing is not None:
+            continue
         lookup = component._lookup
         for key in keys:
             value = lookup(key)
-            if failing is None and value:
+            if value:
                 table = instance._ids
                 failing = tuple([table.elements[i] for i in key])
                 label = ", ".join(instance.basis_label(el) for el in failing)
                 counterexample = (f"arity {arity}: ({label})",
                                   instance.basis_label(table.element(value)))
+                break
     return ZeroCertificate(range(covered), complete, counterexample, note, failing)
 
 

@@ -1,13 +1,17 @@
 """Exact coefficient rings: rationals and sparse multivariate polynomials.
 
 Every coefficient in the kernel is either a ``fractions.Fraction`` (Lie
-algebra instances) or a :class:`Poly` over Fraction (polynomial algebroid
-instances).  Both are immutable, hashable and support ``+ - * ==``.
+algebra instances) or a :class:`Poly` with rational coefficients (polynomial
+algebroid instances).  Both are immutable, hashable and support ``+ - * ==``.
+A Poly holds each coefficient as an ``int`` when it is integral and as a
+``Fraction`` only otherwise (:func:`plain`), the rule of the form kernel's
+piece maps, so the common case multiplies and adds machine integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 
@@ -32,11 +36,28 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-class Poly:
-    """Immutable sparse polynomial over Fraction in ``nvars`` coordinates.
+def plain(q):
+    """A rational as a Poly or a piece map holds it: an int when integral,
+    else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
 
-    Terms map exponent tuples to nonzero Fraction coefficients, e.g.
-    ``Poly(2, {(1, 0): Fraction(1)})`` is x1.
+
+def _settled(terms: dict) -> dict:
+    """``terms`` with every integral Fraction value replaced by its int."""
+    for expo, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[expo] = c.numerator
+    return terms
+
+
+class Poly:
+    """Immutable sparse polynomial with rational coefficients in ``nvars``
+    coordinates.
+
+    Terms map exponent tuples to nonzero coefficients, each an ``int`` when
+    integral and a ``Fraction`` only otherwise; every arithmetic result keeps
+    that rule.  ``Poly(2, {(1, 0): 1})`` is x1.  The sorted term tuple behind
+    :meth:`terms` and the hash is built on first use.
     """
 
     __slots__ = ("nvars", "_terms", "_key")
@@ -50,22 +71,26 @@ class Poly:
                 raise InputError(f"exponent tuple {expo} does not match {nvars} variables")
             coeff = Fraction(coeff)
             if coeff:
-                clean[expo] = coeff
+                clean[expo] = plain(coeff)
         self._terms = clean
-        self._key = tuple(sorted(clean.items()))
+        self._key = None
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def var(cls, nvars: int, index: int) -> "Poly":
         expo = [0] * nvars
         expo[index] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        return cls(nvars, {tuple(expo): 1})
 
     def terms(self):
-        return self._key
+        """The (exponent, coefficient) pairs sorted by exponent."""
+        key = self._key
+        if key is None:
+            key = self._key = tuple(sorted(self._terms.items()))
+        return key
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -77,29 +102,33 @@ class Poly:
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
+            if not other:
                 return not self._terms
-            return self._terms == {(0,) * self.nvars: q}
+            return self._terms == {(0,) * self.nvars: other}
         return NotImplemented
 
     def __hash__(self):
-        # a constant hashes as the Fraction it equals (see __eq__)
-        key = self._key
-        if not key:
+        # a constant hashes as the int or Fraction it equals (see __eq__)
+        terms = self._terms
+        if not terms:
             return 0
-        if len(key) == 1 and not any(key[0][0]):
-            return hash(key[0][1])
-        return hash((self.nvars, key))
+        if len(terms) == 1:
+            ((expo, coeff),) = terms.items()
+            if not any(expo):
+                return hash(coeff)
+        return hash((self.nvars, self.terms()))
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         terms = dict(self._terms)
         for expo, coeff in other._terms.items():
             acc = terms.get(expo)
-            acc = coeff if acc is None else acc + coeff
+            if acc is None:
+                terms[expo] = coeff
+                continue
+            acc += coeff
             if acc:
-                terms[expo] = acc
+                terms[expo] = acc if type(acc) is int or acc.denominator != 1 else acc.numerator
             else:
                 del terms[expo]
         return _clean_poly(self.nvars, terms)
@@ -119,19 +148,22 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _clean_poly(self.nvars, {})
-            return _clean_poly(self.nvars, {e: c * other for e, c in self._terms.items()})
+            return _clean_poly(self.nvars,
+                               _settled({e: c * other for e, c in self._terms.items()}))
         other = self._coerce(other)
         terms: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(add, e1, e2))
+                c = c1 * c2
                 acc = terms.get(expo)
-                acc = c1 * c2 if acc is None else acc + c1 * c2
-                if acc:
-                    terms[expo] = acc
-                else:
-                    del terms[expo]
-        return _clean_poly(self.nvars, terms)
+                if acc is not None:
+                    c += acc
+                    if not c:
+                        del terms[expo]
+                        continue
+                terms[expo] = c
+        return _clean_poly(self.nvars, _settled(terms))
 
     __rmul__ = __mul__
 
@@ -141,8 +173,8 @@ class Poly:
                 raise InputError("polynomials over different coordinate sets")
             return other
         if isinstance(other, (int, Fraction)):
-            value = Fraction(other)
-            return _clean_poly(self.nvars, {(0,) * self.nvars: value} if value else {})
+            return _clean_poly(self.nvars, {(0,) * self.nvars: plain(Fraction(other))}
+                               if other else {})
         raise TypeError(f"cannot combine Poly with {type(other).__name__}")
 
     def diff(self, index: int) -> "Poly":
@@ -154,7 +186,7 @@ class Poly:
                 new = list(expo)
                 new[index] = e - 1
                 terms[tuple(new)] = coeff * e
-        return _clean_poly(self.nvars, terms)
+        return _clean_poly(self.nvars, _settled(terms))
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
@@ -167,14 +199,15 @@ def _clean_poly(nvars: int, terms: dict) -> Poly:
     """A Poly that adopts ``terms`` without the public constructor's checks.
 
     The caller keeps the invariant those checks establish: every key is a
-    tuple of ``nvars`` plain ints, every value a nonzero ``Fraction``, and
-    no one else holds ``terms`` (the Poly owns it from here on).  Results
-    of Poly arithmetic on clean operands satisfy it by construction.
+    tuple of ``nvars`` plain ints, every value a nonzero int or a
+    non-integral Fraction, and no one else holds ``terms`` (the Poly owns it
+    from here on).  Results of Poly arithmetic on clean operands satisfy it
+    by construction.
     """
     out = Poly.__new__(Poly)
     out.nvars = nvars
     out._terms = terms
-    out._key = tuple(sorted(terms.items()))
+    out._key = None
     return out
 
 
@@ -194,16 +227,19 @@ def format_poly(p: Poly, names: tuple) -> dict:
 
 
 def parse_poly(data, nvars: int, names: tuple) -> Poly:
-    """Parse either a rational string or an exponent-keyed map into Poly."""
+    """Parse either a rational string or an exponent-keyed map into Poly.
+    Two keys that name the same monomial ("x1 x2" and "x2 x1", "x1^2" and
+    "x1 x1") are an input error naming both."""
     if isinstance(data, str):
         return Poly.const(nvars, parse_rational(data))
     if not isinstance(data, Mapping):
         raise InputError(f"not a polynomial: {data!r}")
     index = {name: i for i, name in enumerate(names)}
     terms: dict = {}
-    for label, value in data.items():
+    labels: dict = {}                   # exponent tuple -> the key that named it
+    for key, value in data.items():
         expo = [0] * nvars
-        label = str(label).strip()
+        label = str(key).strip()
         if label not in ("", "1"):
             for factor in label.split():
                 name, caret, power = factor.partition("^")
@@ -212,8 +248,12 @@ def parse_poly(data, nvars: int, names: tuple) -> Poly:
                 if caret and not power.isdecimal():
                     raise InputError(f"bad exponent {power!r} in monomial {label!r}")
                 expo[index[name]] += int(power) if power else 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + parse_rational(value)
+        expo = tuple(expo)
+        if expo in labels:
+            raise InputError(
+                f"polynomial keys {labels[expo]!r} and {key!r} name the same monomial")
+        labels[expo] = key
+        terms[expo] = parse_rational(value)
     return Poly(nvars, terms)
 
 
@@ -282,7 +322,7 @@ class PolyRing:
         return parse_poly(data, self.nvars, self.names)
 
     def key(self, value):
-        return self.coerce(value)._key
+        return self.coerce(value).terms()
 
     def var(self, index: int) -> Poly:
         return Poly.var(self.nvars, index)

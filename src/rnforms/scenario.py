@@ -33,8 +33,10 @@ dim, base_dim, rank, n and the suite bounds are integers; a, b, basis,
 coordinates and generators are lists; brackets and each of their rows are
 objects.  The names in basis, coordinates and generators must be distinct,
 and as many as dim, base_dim and rank; only an absent or null list gives
-the default names.  Two keys that name the same bracket pair ("e1,e2" and
-"e1, e2") or the same monomial ("e1^e2" and "e1 ^ e2") are an input error.
+the default names.  A key repeated verbatim in any JSON object is an input
+error, and so are two keys that name the same bracket pair ("e1,e2" and
+"e1, e2"), the same monomial ("e1^e2" and "e1 ^ e2") or the same
+polynomial term ("x1 x2" and "x2 x1", "x1^2" and "x1 x1").
 """
 
 from __future__ import annotations
@@ -228,10 +230,23 @@ def load_scenario(path) -> Scenario:
     if not path.exists():
         raise InputError(f"scenario file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario does not parse: {exc}") from exc
     return build_scenario(raw, default_name=path.stem)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; InputError naming a key that it repeats
+    (plain ``json.loads`` would keep the last one)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
 
 
 def build_scenario(raw: dict, default_name="scenario") -> Scenario:

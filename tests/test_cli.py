@@ -257,13 +257,29 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
         build_scenario(["not", "an", "object"])
 
 
+def _repeated(name, path, key, value):
+    """The text of a shipped scenario whose object at ``path`` repeats
+    ``key`` verbatim, with ``value``, after its other keys."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    block = raw
+    for part in path[:-1]:
+        block = block[part]
+    inner = json.dumps(block[path[-1]])
+    block[path[-1]] = "@repeated@"
+    return json.dumps(raw).replace(
+        '"@repeated@"', f"{inner[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}")
+
+
 def _duplicate_names():
     """(scenario, message) for a repeated basis, coordinate and generator
-    name, for two keys that name the same bracket pair or monomial, and for
-    a name list of the wrong length.  Each but one used to load and pass
-    validate, "x1" meaning the second coordinate, the later of two aliased
-    keys silently replacing the earlier, an empty list reading as the
-    default names; one coordinate short ended in a traceback (exit 1)."""
+    name, for a key repeated verbatim, for two keys that name the same
+    bracket pair, monomial or polynomial term, and for a name list of the
+    wrong length.  A scenario is a dict or, for a repeated key, JSON text.
+    Each but one used to load and pass validate, "x1" meaning the second
+    coordinate, the later of two repeated or aliased keys silently replacing
+    the earlier, two aliased polynomial terms being summed, an empty list
+    reading as the default names; one coordinate short ended in a traceback
+    (exit 1)."""
     lie = {"instance": {"lie_algebra": {"dim": 2, "basis": ["e1", "e1"]}}}
     coordinates = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "coordinates"),
                           ["x1", "x1"])
@@ -286,7 +302,22 @@ def _duplicate_names():
                              ["x1"])
     one_generator = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "generators"),
                             ["a1"])
-    return [(lie, "duplicate basis name 'e1'"),
+    repeated_pi = _repeated("aff1", ("data",), "pi", {})
+    repeated_lie = _repeated("aff1", ("instance", "lie_algebra"), "brackets", {})
+    # aliased polynomial terms; each sum is a valid scenario (the shipped
+    # anchor and N where the second term is 0)
+    poly_omega = _edited("poly-tangent-r2", ("data", "omega"),
+                         {"a1^a2": {"x1 x2": "1", "x2 x1": "1"}})
+    poly_N = _edited("poly-tangent-r2", ("data", "N", 0, 0),
+                     {"1": "1", "x1^2": "1", "x1 x1": "0"})
+    poly_anchor = _edited("poly-tangent-r2", ("instance", "poly_algebroid", "anchor", 0, 0),
+                          {"1": "1", "x1^0": "0"})
+    return [(repeated_pi, "repeated key 'pi' in a JSON object"),
+            (repeated_lie, "repeated key 'brackets' in a JSON object"),
+            (poly_omega, "polynomial keys 'x1 x2' and 'x2 x1' name the same monomial"),
+            (poly_N, "polynomial keys 'x1^2' and 'x1 x1' name the same monomial"),
+            (poly_anchor, "polynomial keys '1' and 'x1^0' name the same monomial"),
+            (lie, "duplicate basis name 'e1'"),
             (coordinates, "duplicate coordinate name 'x1'"),
             (generators, "duplicate generator name 'a1'"),
             (brackets, "bracket keys 'e1,e2' and 'e1, e2' name the same pair"),
@@ -304,7 +335,7 @@ def _duplicate_names():
 def test_duplicate_names_exit_2(tmp_path, capsys):
     for n, (raw, message) in enumerate(_duplicate_names()):
         scenario = tmp_path / f"duplicate{n}.json"
-        scenario.write_text(json.dumps(raw))
+        scenario.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         for command in (("validate",), ("check", "nijenhuis", "--kind", "weak")):
             code, out, err = run_cli(capsys, "--scenario", str(scenario), *command)
             assert (code, out, err) == (2, "", f"input error: {message}\n"), (message, command)

@@ -612,14 +612,24 @@ def atomic_nodes(instances):
             if isinstance(obj, VForm) and obj.terms is None and obj.instance in instances]
 
 
+def memo_nodes(instances):
+    """The nodes that own a memo: atomic nodes and shared combinations."""
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, VForm) and type(obj._memo) is dict and obj.instance in instances]
+
+
 def test_memo_keys_are_canonical_tuples():
-    scenario = load_shipped("aff1")
-    main_theorem_harness(scenario.instance, scenario.pi, scenario.N, scenario.omega,
-                         scenario.H, scenario.test_family())
+    """Every memo, of an atomic node or of a shared combination, is keyed by
+    canonical in-window id tuples and holds clean piece maps; a shared
+    combination's entry is the sum of its parts' values."""
+    scenarios = [load_shipped(name) for name in ("aff1", "poly-tangent-r2")]
+    for scenario in scenarios:
+        main_theorem_harness(scenario.instance, scenario.pi, scenario.N, scenario.omega,
+                             scenario.H, scenario.test_family())
     h3 = heisenberg3()
     assert coefficient_suite(h3, 3, 3, 3).passed
-    keys = 0
-    for node in atomic_nodes((scenario.instance, h3)):
+    keys = combination_keys = 0
+    for node in memo_nodes(tuple(scenario.instance for scenario in scenarios) + (h3,)):
         table = node.instance._ids
         for key, value in node._memo.items():
             assert len(key) == node.arity and all(type(i) is int for i in key)
@@ -631,20 +641,28 @@ def test_memo_keys_are_canonical_tuples():
             # no memo entry outside the wedge-degree window
             assert in_window(node, [table.elements[i] for i in key]), key
             keys += 1
-    assert keys > 500
+            if node.terms is not None:
+                parts = Element.zero()
+                for part, coeff in node.terms.items():
+                    parts = parts + table.element(part._lookup(key)).scale(coeff)
+                assert table.element(value) == parts, key
+                combination_keys += 1
+    assert keys > 5000 and combination_keys > 1000
 
 
-def nested_bracket(inst):
+def jacobi_bracket(inst):
+    """[N, [mu, mu]] for mu = l2: zero by the Jacobi identity, so is_zero
+    evaluates every in-window tuple through the nested insertions."""
     n_form = PolyForm(inst, [wedge_form(inst, 1), wedge_form(inst, 2).scale(-2)])
-    mu = PolyForm(inst, [l2_form(inst), lk_form(inst, 3).scale(Fraction(1, 2))])
-    return rn_bracket(n_form, rn_bracket(n_form, mu))
+    mu = PolyForm(inst, [l2_form(inst)])
+    return rn_bracket(n_form, rn_bracket(mu, mu))
 
 
 def test_is_zero_never_sorts_a_tuple(monkeypatch):
     """Only the entry of evaluate sorts arguments; an
     exhaustive check (through every nested insertion) never does."""
     inst = heisenberg3()
-    form = nested_bracket(inst)
+    form = jacobi_bracket(inst)
     calls = []
     canonical = VForm._canonical
 
@@ -654,7 +672,7 @@ def test_is_zero_never_sorts_a_tuple(monkeypatch):
 
     monkeypatch.setattr(VForm, "_canonical", spy)
     certificate = is_zero(form, inst)
-    assert calls == []
+    assert certificate.is_zero and calls == []
     evaluated = [combo for arity, component in form.components.items()
                  for combo in basis_tuples(inst, arity) if in_window(component, combo)]
     assert len(certificate.checked) > len(evaluated) > 100
@@ -668,7 +686,7 @@ def test_is_zero_never_hashes_an_element(monkeypatch):
     """The kernel keys its memos by ids: an exhaustive check hashes at most
     each family element once."""
     inst = heisenberg3()
-    form = nested_bracket(inst)
+    form = jacobi_bracket(inst)
     calls = []
     element_hash = Element.__hash__
 
@@ -762,6 +780,45 @@ def test_windowed_is_zero_on_generated_nilpotent(inst):
     assert check_window_against_reference(inst) == {True, False}
 
 
+@pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
+def test_is_zero_stops_at_the_first_nonzero(name, monkeypatch):
+    """A failing certificate equals the full enumeration's (count, failing
+    tuple, counterexample) and evaluates nothing after its counterexample:
+    its in-window tuples up to the counterexample are each looked up once,
+    and the lookup that found the counterexample is the check's last."""
+    inst = instance(name)
+    family = list(default_poly_family(inst)) if name == "poly-tangent-r2" else None
+    lookup = VForm._lookup
+    failures = 0
+    for case, fast, slow in window_cases(inst):
+        top = set(fast.components.values())
+        events = []             # (top-level component?, key, nonzero?) per returned lookup
+
+        def spy(self, key):
+            value = lookup(self, key)
+            events.append((self in top, key, bool(value)))
+            return value
+
+        monkeypatch.setattr(VForm, "_lookup", spy)
+        certificate = is_zero(fast, inst, family)
+        monkeypatch.undo()
+        verdict, failing, counterexample, count = reference_is_zero(inst, slow, family)
+        assert (certificate.is_zero, certificate.failing, certificate.counterexample,
+                len(certificate.checked)) == (verdict, failing, counterexample, count), case
+        if verdict:
+            continue
+        failures += 1
+        in_window_tuples = [(combo, key) for arity in sorted(slow)
+                            for combo, key in reference_family_tuples(inst, arity, family)
+                            if in_window(fast.component(arity), combo)]
+        upto = [combo for combo, _ in in_window_tuples].index(failing) + 1
+        outer = [event for event in events if event[0]]
+        assert [key for _, key, _ in outer] == [key for _, key in in_window_tuples[:upto]], case
+        assert [nonzero for _, _, nonzero in outer] == [False] * (upto - 1) + [True], case
+        assert events[-1] == outer[-1], case
+    assert failures
+
+
 def test_rule_of_the_wrong_wedge_degree_raises():
     """The window rests on every catalog rule being homogeneous of its
     declared shift: a value with a piece of another wedge degree is an
@@ -771,8 +828,10 @@ def test_rule_of_the_wrong_wedge_degree_raises():
     calls = []
 
     def unit(args):
+        # zero on two units, so that is_zero, which stops at the first
+        # nonzero value, reaches a tuple where the unit has the wrong degree
         calls.append(args)
-        return inst.unit()
+        return inst.unit() if any(arg.wedge_degree() for arg in args) else Element.zero()
 
     wrong = VForm(inst, 2, 0, unit)                 # the unit has wedge degree 0, not 2
     with pytest.raises(RuntimeError):

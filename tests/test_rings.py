@@ -101,6 +101,20 @@ def test_poly_serialization_round_trip():
     assert parse_poly(data, 2, ring.names) == p
 
 
+def test_parse_poly_rejects_aliased_monomials():
+    """Two keys that name one monomial are an input error naming both, as
+    for aliased scenario keys; they used to be summed."""
+    names = ("x1", "x2")
+    for data, first, second in (({"x1 x2": "1", "x2 x1": "1"}, "x1 x2", "x2 x1"),
+                                ({"x1^2": "1", "x1 x1": "-1"}, "x1^2", "x1 x1"),
+                                ({"1": "2", " x2^0": "1"}, "1", " x2^0")):
+        with pytest.raises(InputError) as info:
+            parse_poly(data, 2, names)
+        assert str(info.value) == f"polynomial keys {first!r} and {second!r} name the same monomial"
+    assert parse_poly({"x1 x2": "1", "x2": "1/2"}, 2, names) == Poly(
+        2, {(1, 1): 1, (0, 1): Fraction(1, 2)})
+
+
 def test_poly_mismatched_vars_rejected():
     with pytest.raises(InputError):
         Poly.var(2, 0) + Poly.var(3, 0)
@@ -118,7 +132,7 @@ def test_rational_ring_rejects_polynomials():
 # -- arithmetic results against the public constructor ----------------------------
 
 COEFFS = st.sampled_from([Fraction(c) for c in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 3)])
-SCALARS = st.sampled_from([0, 1, -3, Fraction(0), Fraction(2, 3), Fraction(-5, 2)])
+SCALARS = st.sampled_from([0, 1, -3, Fraction(0), Fraction(3), Fraction(2, 3), Fraction(-5, 2)])
 
 
 @st.composite
@@ -148,33 +162,44 @@ def _operations(P, Q, k):
         yield f"d{i}", P.diff(i)
 
 
+def plain_coefficient(c):
+    """A Poly coefficient: a nonzero int, or a Fraction that is not integral."""
+    return bool(c) and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+
+
 def _assert_clean(result, nvars):
     assert isinstance(result, Poly) and result.nvars == nvars
     checked = Poly(nvars, dict(result.terms()))
     assert result == checked
     assert hash(result) == hash(checked)
-    assert result._key == checked._key
+    assert result.terms() == checked.terms() == tuple(sorted(result._terms.items()))
     for expo, coeff in result._terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+        assert plain_coefficient(coeff), coeff
         assert type(expo) is tuple and len(expo) == nvars
         assert all(type(e) is int for e in expo)
 
 
 def _assert_hash_agrees(result):
-    """A constant equals the Fraction of its value and hashes as it; a
-    nonconstant Poly equals no Fraction."""
+    """A constant equals the int and the Fraction of its value and hashes as
+    them; a nonconstant Poly equals no number."""
     terms = result.terms()
     if len(terms) > 1 or (terms and any(terms[0][0])):
-        assert all(result != q for q in (Fraction(0), Fraction(1), Fraction(-1)))
+        assert all(result != q for q in (0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)))
         return
-    value = terms[0][1] if terms else Fraction(0)
+    value = Fraction(terms[0][1] if terms else 0)
     assert result == value and hash(result) == hash(value)
+    if value.denominator == 1:
+        assert result == value.numerator and hash(result) == hash(value.numerator)
 
 
 @settings(max_examples=200, deadline=None)
 @given(poly_pairs(), SCALARS)
 def test_poly_arithmetic_results_are_clean(pair, k):
+    """Every result holds an int when a coefficient is integral and a
+    Fraction only otherwise, its lazily sorted terms, and the hash of the
+    number a constant equals."""
     P, Q = pair
+    _assert_clean(P, P.nvars)
     for _, result in _operations(P, Q, k):
         _assert_clean(result, P.nvars)
         _assert_hash_agrees(result)
