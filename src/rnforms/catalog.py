@@ -13,6 +13,12 @@
 Each constructor returns the one shared node of its instance for its
 defining data and resolved convention (see forms.shared_node), so building
 a form twice gives the same node and the same memo.
+
+Each primitive declares its order in each argument (forms.VForm.order, the
+bound behind the order family of forms.is_zero): wedge_form 0, a product;
+l2_form 1, the Schouten bracket being a derivation in each slot;
+extend_bundle_map 1 and extend_kform 1, derivation extensions;
+bivector_form 0, as every 0-form.  lk_form, an insertion, gets 1 + 0.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
 
     convention = convention or instance.convention
     return shared_node(instance, ("wedge", k, convention),
-                       lambda: VForm(instance, k, 0, fn, convention))
+                       lambda: VForm(instance, k, 0, fn, convention, order=0))
 
 
 def l2_form(instance: GradedInstance, convention=None) -> VForm:
@@ -54,7 +60,7 @@ def l2_form(instance: GradedInstance, convention=None) -> VForm:
 
     convention = convention or instance.convention
     return shared_node(instance, ("l2", convention),
-                       lambda: VForm(instance, 2, -1, fn, convention))
+                       lambda: VForm(instance, 2, -1, fn, convention, order=1))
 
 
 def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:
@@ -89,7 +95,7 @@ def extend_bundle_map(instance: GradedInstance, N, convention=None) -> VForm:
 
     convention = convention or instance.convention
     return shared_node(instance, ("bundle map", N, convention),
-                       lambda: VForm(instance, 1, 0, fn, convention))
+                       lambda: VForm(instance, 1, 0, fn, convention, order=1))
 
 
 def matrix_square(instance: GradedInstance, N):
@@ -145,7 +151,7 @@ def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2) -> VFor
 
     convention = convention or instance.convention
     return shared_node(instance, ("kform", k, tuple(sorted(kappa.table.items())), convention),
-                       lambda: VForm(instance, k, -k, fn, convention))
+                       lambda: VForm(instance, k, -k, fn, convention, order=1))
 
 
 def identity_matrix(instance: GradedInstance, scale=1):

@@ -31,32 +31,34 @@ from .scenario import Scenario, load_scenario
 NEG = GradingConvention.NEGATED
 SH2 = GradingConvention.SHIFTED2
 
-_TERM = re.compile(r"^\s*(?:(?P<coeff>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<name>[A-Za-z][A-Za-z0-9]*)\s*$")
+_TERM = re.compile(r"^\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<name>[A-Za-z][A-Za-z0-9]*)\s*$")
 
 
 def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
     """Tiny grammar: sums of rational multiples of the named generators
-    N{k}, l{k}, underlineN, underlineOmega, underlineH, pi."""
-    instance = scenario.instance
+    N{k}, l{k}, underlineN, underlineOmega, underlineH, pi.  Terms are
+    joined by "+", "-" or "+-"; the first term may carry one of them too."""
     text = text.strip()
     if not text:
         raise InputError("empty form expression")
-    pieces = re.split(r"(?=[+-])", text.replace(" - ", " +-").replace("- ", "-"))
     parts = []
     convention = None
-    for piece in pieces:
-        piece = piece.strip()
-        if not piece or piece == "+":
+    signs = ""
+    for token in re.findall(r"[+-]|[^+-]+", text):
+        if token in "+-":
+            signs += token
             continue
-        sign = 1
-        while piece and piece[0] in "+-":
-            if piece[0] == "-":
-                sign = -sign
-            piece = piece[1:].strip()
+        piece = token.strip()
+        if not piece:
+            continue
+        if signs not in ("+", "-", "+-") and (parts or signs):
+            raise InputError(f"cannot parse the signs {signs!r} before {piece!r}"
+                             f" in form expression {text!r}")
         match = _TERM.match(piece)
         if not match:
             raise InputError(f"cannot parse form term {piece!r}")
-        coeff = parse_rational(match.group("coeff") or "1") * sign
+        coeff = parse_rational(match.group("coeff") or "1") * (-1 if "-" in signs else 1)
+        signs = ""
         name = match.group("name")
         form, conv = _named_form(name, scenario)
         if convention is None:
@@ -68,6 +70,8 @@ def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
         if coeff != 1:
             form = form.scale(coeff)
         parts.append(form)
+    if signs:
+        raise InputError(f"form expression {text!r} ends in {signs!r}, not in a term")
     return PolyForm(scenario.instance, parts, convention=convention)
 
 
@@ -88,11 +92,14 @@ def _named_form(name: str, scenario: Scenario):
             raise InputError("scenario has no background 3-form")
         return extend_kform(scenario.H, SH2), SH2
     if name.startswith("N") and name[1:].isdigit():
+        if int(name[1:]) < 1:
+            raise InputError(f"{name}: the wedge family N_k starts at N1")
         return wedge_form(instance, int(name[1:]), NEG), NEG
     if name.startswith("l") and name[1:].isdigit():
         k = int(name[1:])
         if k < 2:
-            raise InputError("l1 is identically zero")
+            raise InputError(f"{name}: the bracket family l_k starts at l2"
+                             " (l1 is identically zero)")
         return lk_form(instance, k, NEG), NEG
     raise InputError(f"unknown form name {name!r}")
 

@@ -49,6 +49,30 @@ where it is not exact by construction: on a memo miss, every piece of a
 catalog rule's value must have wedge degree s + c, or the lookup raises
 RuntimeError.  An insertion's shift is K.shift + L.shift and a
 combination's parts share its shift, so both are exact.
+
+**The order family.**  Wedge monomials, times x^a on a polynomial
+algebroid, are the products of generators (basis sections, odd;
+coordinates, even) of a graded-commutative algebra A.  ``VForm.order``
+bounds a form's order in each argument, the others fixed anywhere, in
+Grothendieck's sense: D has order <= r when every (r+1)-fold graded
+commutator [...[D, c_0], ..., c_r] with left multiplications vanishes
+(None: no bound).  Such a form vanishes if it vanishes on all tuples of
+products of <= r generators (1 included: the order family).  Proof:
+expanding the commutator at x = c_{r+1}...c_{m-1} writes D(c_0...c_{m-1})
+through D on shorter products, so by induction on m, D vanishes on all
+products, which span A; then take the next argument.  So :func:`is_zero`,
+on a family that contains the order family, walks that part first, and
+walks all of it only after a nonzero value there (same counterexample;
+the count is always the full one).  A primitive declares its order; an
+insertion has r_K + r_L (a composition); sums and scaling keep the
+largest bound; None stays None.  The bracket :func:`rn_vform` records
+max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes: for
+each split (B, C) of the other arguments, L(K(a, B), C) and K(L(a, C), B)
+form a graded commutator of operators in a of orders r_K and r_L, so of
+order r_K + r_L - 1 ([[D, E], c] = [[D, c], E] +- [D, [E, c]], by
+induction; order 0 is a multiplication); in the other terms a sits in L or
+K directly.  A shared node keeps the tightest bound any construction
+proves.
 """
 
 from __future__ import annotations
@@ -76,8 +100,10 @@ class _Ids:
         self.ring = instance.ring
         self.poly = isinstance(self.ring, PolyRing)
         self.elements, self.odd, self.keys, self.index = [], [], [], {}
+        self.monomials = []         # the wedge monomials of the basis
         for el in instance.all_basis():
             ((mon, one),) = el.terms.items()
+            self.monomials.append(mon)
             self._add(el, (mon, one.terms()[0][0]) if self.poly else mon)
 
     def _add(self, el: Element, lookup) -> int:
@@ -129,10 +155,11 @@ class VForm:
     an insertion rule (``on_ids``) maps a key to a piece map.  Otherwise
     ``terms`` maps atomic nodes to nonzero Fraction coefficients (read by
     lookups as :func:`rings.plain` gives them), there is no rule, and only a
-    ``shared`` combination has a memo."""
+    ``shared`` combination has a memo.  ``order`` is the order bound (see
+    the module docstring), by default that of the nodes."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=None, terms=None, on_ids=False, shared=False):
+                 convention=None, terms=None, on_ids=False, shared=False, order=None):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
@@ -142,19 +169,23 @@ class VForm:
         self.on_ids = on_ids
         self.convention = convention or instance.convention
         self.terms = terms
+        self.order = order
         if terms is None:
             self._memo: dict = {}
             self._order = instance._node_count = instance._node_count + 1
         else:
             self._memo = {} if shared else _EMPTY
             self._coeffs = tuple([(node, plain(c)) for node, c in terms.items()])
+            if order is None:
+                self.order = _max_order([node.order for node in terms])
 
     @classmethod
     def combination(cls, instance, arity, shift, terms, convention=None,
-                    shared=False) -> "VForm":
+                    shared=False, order=None) -> "VForm":
         """The linear combination sum c * node over ``terms`` (node -> c);
         ``shared`` gives it a memo."""
-        return cls(instance, arity, shift, None, convention, terms=terms, shared=shared)
+        return cls(instance, arity, shift, None, convention, terms=terms, shared=shared,
+                   order=order)
 
     # -- degree ---------------------------------------------------------------
 
@@ -262,7 +293,7 @@ class VForm:
             else:
                 del terms[node]
         return VForm.combination(self.instance, self.arity, self.shift, terms,
-                                 self.convention)
+                                 self.convention, order=_max_order((self.order, other.order)))
 
     def __add__(self, other: "VForm") -> "VForm":
         return self._plus(other, 1)
@@ -275,7 +306,7 @@ class VForm:
         terms = ({node: factor * coeff for node, coeff in self.linear_terms().items()}
                  if factor else {})
         return VForm.combination(self.instance, self.arity, self.shift, terms,
-                                 self.convention)
+                                 self.convention, order=self.order)
 
     def __neg__(self) -> "VForm":
         return self.scale(-1)
@@ -301,6 +332,22 @@ def _add_into(total: dict, coeff, value: dict) -> None:
         total[piece] = c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def _max_order(orders):
+    """The largest of some order bounds (0 for none); None if one is None."""
+    top = 0
+    for order in orders:
+        if order is None:
+            return None
+        top = max(top, order)
+    return top
+
+
+def _tighten(node: VForm, order) -> None:
+    """Give ``node`` the bound ``order`` when it is tighter than its own."""
+    if order is not None and (node.order is None or order < node.order):
+        node.order = order
+
+
 def shared_node(instance: GradedInstance, key, build) -> VForm:
     """The one node of ``instance`` for ``key``, built by ``build()`` on the
     first request (hash-consing).  A key names the node's defining data
@@ -322,14 +369,14 @@ def _representative(form: VForm):
     if not form.terms:
         return None, 0
     items = sorted(form.terms.items(), key=lambda item: item[0]._order)
-    node, factor = items[0]
-    if len(items) == 1:
-        return node, factor
-    normalized = tuple([(n, c / factor) for n, c in items])
-    rep = shared_node(form.instance, ("combination", normalized),
-                      lambda: VForm.combination(form.instance, form.arity, form.shift,
-                                                dict(normalized), form.convention,
-                                                shared=True))
+    rep, factor = items[0]
+    if len(items) > 1:
+        normalized = tuple([(n, c / factor) for n, c in items])
+        rep = shared_node(form.instance, ("combination", normalized),
+                          lambda: VForm.combination(form.instance, form.arity, form.shift,
+                                                    dict(normalized), form.convention,
+                                                    shared=True))
+    _tighten(rep, form.order)
     return rep, factor
 
 
@@ -345,7 +392,8 @@ def element_form(instance: GradedInstance, element: Element, convention=None,
         deg = element.require_homogeneous()
     convention = convention or instance.convention
     return shared_node(instance, ("element", element, deg, convention),
-                       lambda: VForm(instance, 0, deg, lambda args: element, convention))
+                       lambda: VForm(instance, 0, deg, lambda args: element, convention,
+                                     order=0))
 
 
 def insert(K: VForm, L: VForm) -> VForm:
@@ -369,6 +417,8 @@ def insert(K: VForm, L: VForm) -> VForm:
         return VForm.zero(K.instance, arity, K.shift + L.shift, K.convention)
     node = shared_node(K.instance, ("insert", K_rep, L_rep),
                        lambda: _insertion_node(K_rep, L_rep))
+    if K_rep.order is not None and L_rep.order is not None:
+        _tighten(node, K_rep.order + L_rep.order)
     return node if a * b == 1 else node.scale(a * b)
 
 
@@ -426,10 +476,14 @@ def _getter(slots):
 
 
 def rn_vform(K: VForm, L: VForm) -> VForm:
-    """Single-component bracket i_K L - (-1)^{deg K deg L} i_L K."""
+    """Single-component bracket i_K L - (-1)^{deg K deg L} i_L K, of order
+    max(r_K + r_L - 1, r_K, r_L) (see the module docstring)."""
     left = insert(K, L)
     right = insert(L, K)
-    return left - right if sign_pow(K.shift * L.shift) > 0 else left + right
+    form = left - right if sign_pow(K.shift * L.shift) > 0 else left + right
+    if K.order is not None and L.order is not None:
+        _tighten(form, max(K.order + L.order - 1, K.order, L.order))
+    return form
 
 
 class PolyForm:
@@ -557,6 +611,23 @@ def _family_tuples(instance: GradedInstance, arity: int, family, shift: int):
         order, keys, odd, arity, -shift, instance.rank - shift)
 
 
+def _order_family(instance: GradedInstance, family, order: int):
+    """The products of at most ``order`` generators (1 included) if
+    ``family`` (the basis when None) has them all and more, else None."""
+    table = instance._ids
+    present = {table.id_of(el) for el in (instance.all_basis() if family is None else family)}
+    n = table.ring.nvars if table.poly else 0
+    wanted = []
+    for mon in table.monomials:
+        for total in range(order - len(mon) + 1):
+            for combo in itertools.combinations_with_replacement(range(n), total):
+                expo = tuple([combo.count(v) for v in range(n)])
+                wanted.append(table.index.get((mon, expo) if table.poly else mon))
+    if present.issuperset(wanted) and len(present) > len(wanted):
+        return [table.elements[i] for i in wanted]
+    return None
+
+
 def _tuple_count(ids, odd, arity: int) -> int:
     """The coefficient of t^arity in the product over even family positions
     of 1/(1-t) and over distinct odd ids with m positions of 1 + m t."""
@@ -627,7 +698,8 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     polynomial instances: a verification, flagged as incomplete).  Only the
     tuples inside each component's wedge-degree window are evaluated, up to
     the first nonzero value, the counterexample; the certificate counts
-    them all."""
+    them all; a component is first walked on its order family when the
+    family contains it (see the module docstring)."""
     form = as_polyform(form, instance)
     instance = instance or form.instance
     complete = test_family is None and not isinstance(instance.ring, PolyRing)
@@ -645,6 +717,11 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
         if failing is not None:
             continue
         lookup = component._lookup
+        short = component.order is not None and _order_family(
+            instance, test_family, component.order)
+        if short and not any(map(lookup, _family_tuples(
+                instance, arity, short, component.shift)[1])):
+            continue
         for key in keys:
             value = lookup(key)
             if value:

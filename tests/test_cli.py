@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,38 @@ def test_bracket_grammar(capsys):
                              "bracket", "--left", "1/0*N2", "--right", "N1")
     assert (code, out) == (2, "")
     assert "1/0" in err
+
+
+@pytest.mark.parametrize("expression", ("N2 +", "N2 + + N3", "N2 ++N3", "+", "N2 -",
+                                        "N2 -+N3", "N2 - -N3"))
+def test_bracket_dangling_or_doubled_sign_exit_2(capsys, expression):
+    """A sign with no term after it, or two signs that are not "+-", is an
+    input error, never a dropped term."""
+    code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
+                             "bracket", "--left", expression, "--right", "N1")
+    assert (code, out) == (2, "")
+    assert repr(expression.strip()) in err
+
+
+def test_bracket_signs_between_terms():
+    scenario = load_shipped("heisenberg3")
+    for text, coefficient in (("N2 - N3", -1), ("N2 + -N3", -1), ("N2 +-N3", -1),
+                              ("N2 + N3", 1), ("N2+N3", 1), ("N2 - 3/2 N3", Fraction(-3, 2))):
+        expr = parse_form_expression(text, scenario)
+        assert list(expr.component(3).linear_terms().values()) == [coefficient], text
+        assert list(expr.component(2).linear_terms().values()) == [1], text
+    for text in ("+N2", "+-N2", "-N2", " + N2"):
+        expr = parse_form_expression(text, scenario)
+        assert list(expr.component(2).linear_terms().values()) == [
+            -1 if "-" in text else 1], text
+
+
+@pytest.mark.parametrize("name", ("l0", "l1", "N0"))
+def test_bracket_out_of_range_term_is_named(capsys, name):
+    code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
+                             "bracket", "--left", name, "--right", "N1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {name}:"), err
 
 
 def test_bracket_underline_terms(capsys):

@@ -37,6 +37,16 @@ NAMES = ("h3", "so3", "broken_jacobi3", "poly-tangent-r2")
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
+def unbounded(monkeypatch):
+    """Force every order bound to None: every form reads None, so is_zero
+    walks the whole window as it did before order families.  A bound
+    assigned meanwhile lands in the form, where it is read once the patch
+    is undone."""
+    monkeypatch.setattr(VForm, "order", property(
+        lambda form: None, lambda form, order: form.__dict__.update(order=order)),
+        raising=False)
+
+
 @cache
 def instance(name):
     return {"aff1": aff1, "h3": heisenberg3, "so3": so3, "broken_jacobi3": broken_jacobi3,
@@ -619,9 +629,20 @@ def memo_nodes(instances):
 
 
 def test_memo_keys_are_canonical_tuples():
+    check_memo_keys(bounded=True)
+
+
+def test_memo_keys_are_canonical_tuples_without_bounds(monkeypatch):
+    unbounded(monkeypatch)
+    check_memo_keys(bounded=False)
+
+
+def check_memo_keys(bounded):
     """Every memo, of an atomic node or of a shared combination, is keyed by
     canonical in-window id tuples and holds clean piece maps; a shared
-    combination's entry is the sum of its parts' values."""
+    combination's entry is the sum of its parts' values.  With every order
+    bound forced to None the certificates walk their whole windows and fill
+    over 5,000 entries; on their order families they fill a few hundred."""
     scenarios = [load_shipped(name) for name in ("aff1", "poly-tangent-r2")]
     for scenario in scenarios:
         main_theorem_harness(scenario.instance, scenario.pi, scenario.N, scenario.omega,
@@ -647,7 +668,10 @@ def test_memo_keys_are_canonical_tuples():
                     parts = parts + table.element(part._lookup(key)).scale(coeff)
                 assert table.element(value) == parts, key
                 combination_keys += 1
-    assert keys > 5000 and combination_keys > 1000
+    if bounded:
+        assert 300 < keys < 1000 and combination_keys > 25, (keys, combination_keys)
+    else:
+        assert keys > 5000 and combination_keys > 1000
 
 
 def jacobi_bracket(inst):
@@ -659,8 +683,19 @@ def jacobi_bracket(inst):
 
 
 def test_is_zero_never_sorts_a_tuple(monkeypatch):
+    check_never_sorts(monkeypatch, bounded=True)
+
+
+def test_is_zero_never_sorts_a_tuple_without_bounds(monkeypatch):
+    unbounded(monkeypatch)
+    check_never_sorts(monkeypatch, bounded=False)
+
+
+def check_never_sorts(monkeypatch, bounded):
     """Only the entry of evaluate sorts arguments; an
-    exhaustive check (through every nested insertion) never does."""
+    exhaustive check (through every nested insertion) never does, on the
+    order family (wedge degree <= 1 here) or, with every bound forced to
+    None, on the whole window."""
     inst = heisenberg3()
     form = jacobi_bracket(inst)
     calls = []
@@ -673,9 +708,12 @@ def test_is_zero_never_sorts_a_tuple(monkeypatch):
     monkeypatch.setattr(VForm, "_canonical", spy)
     certificate = is_zero(form, inst)
     assert certificate.is_zero and calls == []
+    family = [el for el in inst.all_basis() if el.wedge_degree() <= 1] if bounded else None
+    assert {component.order for component in form.components.values()} == {
+        1 if bounded else None}
     evaluated = [combo for arity, component in form.components.items()
-                 for combo in basis_tuples(inst, arity) if in_window(component, combo)]
-    assert len(certificate.checked) > len(evaluated) > 100
+                 for combo in basis_tuples(inst, arity, family) if in_window(component, combo)]
+    assert len(certificate.checked) > len(evaluated) > (5 if bounded else 100)
     assert sum(len(node._memo) for node in atomic_nodes((inst,))) > len(evaluated)
     last = evaluated[-1]
     form.component(len(last)).evaluate(last)
@@ -780,12 +818,74 @@ def test_windowed_is_zero_on_generated_nilpotent(inst):
     assert check_window_against_reference(inst) == {True, False}
 
 
+def generator_products(inst, order):
+    """Every product of at most ``order`` generators (1 included, unit
+    coefficient): a coordinate monomial times a wedge monomial."""
+    monos = [inst.ring.one()]
+    if inst.ring.kind == "poly":
+        monos += coordinate_monomials(inst.ring, order)
+    return [el.scale(poly) for el in inst.all_basis() for poly in monos
+            if el.wedge_degree() + (poly.total_degree() if poly != 1 else 0) <= order]
+
+
+def reference_order_family(inst, family, order):
+    """The order family as a declared family, when ``family`` (the basis
+    when None) contains it and more, else None: the sub-family is_zero
+    walks first."""
+    family = inst.all_basis() if family is None else list(family)
+    if order is None:
+        return None
+    products = generator_products(inst, order)
+    if not all(el in family for el in products) or set(family) == set(products):
+        return None
+    return products
+
+
+def expected_walk(inst, fast, slow, family=None):
+    """The top-level keys that is_zero looks up, in order: per component,
+    the in-window tuples of its order family (when the family contains it)
+    up to the first nonzero value; when there is one, the whole in-window
+    walk up to the counterexample, which ends the check."""
+    keys = []
+    for arity in sorted(slow):
+        component = fast.component(arity)
+        walk = [(combo, key) for combo, key in reference_family_tuples(inst, arity, family)
+                if in_window(component, combo)]
+        short = reference_order_family(inst, family, component.order)
+        if short is not None:
+            for combo, key in reference_family_tuples(inst, arity, short):
+                if in_window(component, combo):
+                    keys.append(key)
+                    if not slow[arity].evaluate(combo).is_zero():
+                        break
+            else:
+                continue
+        for combo, key in walk:
+            keys.append(key)
+            if not slow[arity].evaluate(combo).is_zero():
+                return keys
+    return keys
+
+
 @pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
 def test_is_zero_stops_at_the_first_nonzero(name, monkeypatch):
+    check_first_nonzero(name, monkeypatch, bounded=True)
+
+
+@pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
+def test_is_zero_stops_at_the_first_nonzero_without_bounds(name, monkeypatch):
+    unbounded(monkeypatch)
+    check_first_nonzero(name, monkeypatch, bounded=False)
+
+
+def check_first_nonzero(name, monkeypatch, bounded):
     """A failing certificate equals the full enumeration's (count, failing
-    tuple, counterexample) and evaluates nothing after its counterexample:
-    its in-window tuples up to the counterexample are each looked up once,
-    and the lookup that found the counterexample is the check's last."""
+    tuple, counterexample) and evaluates nothing after its counterexample.
+    With every bound forced to None, its in-window tuples up to the
+    counterexample are each looked up once, and the lookup that found the
+    counterexample is the check's last.  With bounds, each component first
+    walks its order family up to its first nonzero value, then the whole
+    window up to the counterexample (:func:`expected_walk`)."""
     inst = instance(name)
     family = list(default_poly_family(inst)) if name == "poly-tangent-r2" else None
     lookup = VForm._lookup
@@ -799,23 +899,27 @@ def test_is_zero_stops_at_the_first_nonzero(name, monkeypatch):
             events.append((self in top, key, bool(value)))
             return value
 
-        monkeypatch.setattr(VForm, "_lookup", spy)
-        certificate = is_zero(fast, inst, family)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(VForm, "_lookup", spy)
+            certificate = is_zero(fast, inst, family)
         verdict, failing, counterexample, count = reference_is_zero(inst, slow, family)
         assert (certificate.is_zero, certificate.failing, certificate.counterexample,
                 len(certificate.checked)) == (verdict, failing, counterexample, count), case
         if verdict:
             continue
         failures += 1
+        outer = [event for event in events if event[0]]
+        assert events[-1] == outer[-1], case
+        if bounded:
+            assert [key for _, key, _ in outer] == expected_walk(inst, fast, slow, family), case
+            assert outer[-1][2], case
+            continue
         in_window_tuples = [(combo, key) for arity in sorted(slow)
                             for combo, key in reference_family_tuples(inst, arity, family)
                             if in_window(fast.component(arity), combo)]
         upto = [combo for combo, _ in in_window_tuples].index(failing) + 1
-        outer = [event for event in events if event[0]]
         assert [key for _, key, _ in outer] == [key for _, key in in_window_tuples[:upto]], case
         assert [nonzero for _, _, nonzero in outer] == [False] * (upto - 1) + [True], case
-        assert events[-1] == outer[-1], case
     assert failures
 
 
@@ -846,14 +950,15 @@ def test_rule_of_the_wrong_wedge_degree_raises():
     assert calls == []
 
 
-def window_counts(inst, arity, shift):
+def window_counts(inst, arity, shift, family=None):
     """(canonical basis tuples, those with 0 <= s + shift <= rank) from the
     generating function in t (arity) and x (wedge degree sum s): the
     product over even basis elements of 1/(1 - t x^d) and over odd ones of
-    1 + t x^d, d the wedge degree."""
+    1 + t x^d, d the wedge degree; over the distinct elements of
+    ``family`` when given."""
     top = arity * inst.rank
     series = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(arity)]
-    for el in inst.all_basis():
+    for el in inst.all_basis() if family is None else family:
         d = el.wedge_degree()
         if d % 2:
             for k in range(arity, 0, -1):
@@ -868,9 +973,20 @@ def window_counts(inst, arity, shift):
 
 
 def test_abelian_dim4_coboundary_evaluates_only_the_window(monkeypatch):
+    check_abelian_dim4_window(monkeypatch, bounded=True)
+
+
+def test_abelian_dim4_coboundary_evaluates_only_the_window_without_bounds(monkeypatch):
+    unbounded(monkeypatch)
+    check_abelian_dim4_window(monkeypatch, bounded=False)
+
+
+def check_abelian_dim4_window(monkeypatch, bounded):
     """Scaling guard: on abelian dim 4 the exhaustive co-boundary
     certificate of N = N1 + N3 covers every canonical tuple of arities 2, 4
-    and 6 and looks up only those inside the window."""
+    and 6.  Its components have order 1, so it looks up only the tuples of
+    1 and generators inside the window; with every bound forced to None,
+    every tuple inside the window."""
     inst = GradedInstance(LieAlgebraData(4), name="abelian4")
     b = (1, 0, 1)
     result = check_coboundary(sum_of_wedges(inst, b), square_of_sum(inst, b, 2), lk_form(inst, 2))
@@ -879,7 +995,7 @@ def test_abelian_dim4_coboundary_evaluates_only_the_window(monkeypatch):
 
     def spy(form, key):
         if not depth[0]:
-            top.append((form.arity, form.shift, key))
+            top.append((form.arity, form.shift, form.order, key))
         depth[0] += 1
         try:
             return lookup(form, key)
@@ -891,10 +1007,14 @@ def test_abelian_dim4_coboundary_evaluates_only_the_window(monkeypatch):
     certificate = result.certificates["deformation_square"]
     elapsed = time.perf_counter() - start
     assert certificate.is_zero and certificate.complete
-    components = sorted({(arity, shift) for arity, shift, _ in top})
-    assert components == [(2, -1), (4, -1), (6, -1)]
-    counts = [window_counts(inst, arity, shift) for arity, shift in components]
+    components = sorted({(arity, shift, order) for arity, shift, order, _ in top})
+    assert components == [(2, -1, 1 if bounded else None), (4, -1, 1 if bounded else None),
+                          (6, -1, 1 if bounded else None)]
+    counts = [window_counts(inst, arity, shift) for arity, shift, _ in components]
     assert len(certificate.checked) == sum(total for total, _ in counts)
+    if bounded:
+        family = [el for el in inst.all_basis() if el.wedge_degree() <= 1]
+        counts = [window_counts(inst, arity, shift, family) for arity, shift, _ in components]
     assert len(top) == len(set(top)) == sum(inside for _, inside in counts)
     assert elapsed < 5, elapsed
 

@@ -1,0 +1,352 @@
+"""Order bounds and the order family of is_zero: the declared order of each
+catalog primitive against the graded-commutator identity, negative controls
+for unsound bounds, and the reduced certificates against the same
+certificates with every bound forced to None."""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rnforms import cli, forms, linfty, pqn
+from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, wedge_form
+from rnforms.dualforms import DualForm
+from rnforms.elements import Element
+from rnforms.forms import (PolyForm, VForm, default_poly_family, insert, is_zero,
+                           rn_bracket)
+from rnforms.graded import GradingConvention
+from rnforms.instances import heisenberg3, poly_tangent_r2, so3
+from rnforms.scenario import load_shipped
+
+from generated_instances import poly_rank3, two_step_nilpotent
+from test_forms_reference import generator_products, unbounded
+
+SCENARIOS_DIR = Path(forms.__file__).with_name("scenarios")
+NEG = GradingConvention.NEGATED
+SHIPPED = ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")
+COMMANDS = (("bracket", "--left", "N2", "--right", "N2"),
+            ("bracket", "--left", "N1", "--right", "l2"),
+            ("check", "linfty"),
+            ("check", "nijenhuis", "--kind", "weak"),
+            ("check", "nijenhuis", "--kind", "coboundary"),
+            ("check", "nijenhuis", "--kind", "full"),
+            ("check", "pqn"),
+            ("suite", "lemma"), ("suite", "witt"), ("suite", "main-theorem"),
+            ("suite", "stienon-xu"))
+
+
+def summary(certificate):
+    return (certificate.is_zero, len(certificate.checked), certificate.failing,
+            certificate.counterexample, certificate.complete, certificate.family_note)
+
+
+def reduced_components(form, instance, family):
+    """The orders of the components that is_zero walks on their order
+    family first."""
+    form = forms.as_polyform(form, instance)
+    instance._ids = instance._ids or forms._Ids(instance)
+    return [component.order for component in form.components.values()
+            if component.order is not None
+            and forms._order_family(instance, family, component.order) is not None]
+
+
+# -- the graded-commutator identity ------------------------------------------------------
+
+
+def commutator(form, others, gens, x):
+    """[...[[D, c_0], c_1], ..., c_t](x) for D = form(others..., -) and left
+    multiplication by the generators c_i: D_t(x) = D_{t-1}(c x) -
+    (-1)^{|D_{t-1}| |c|} c D_{t-1}(x), |D| the parity of the wedge shift."""
+    if not gens:
+        return form.evaluate(others + (x,))
+    *inner, c = gens
+    inner = tuple(inner)
+    parity = form.shift + sum(el.wedge_degree() for el in others + inner)
+    first = commutator(form, others, inner, c.wedge(x))
+    second = c.wedge(commutator(form, others, inner, x))
+    return first + second if parity * c.wedge_degree() % 2 else first - second
+
+
+def generators(inst):
+    """The odd basis sections and, on a polynomial algebroid, the even
+    coordinates."""
+    gens = [inst.generator(i) for i in range(inst.rank)]
+    if inst.ring.kind == "poly":
+        gens += [inst.unit().scale(inst.ring.var(j)) for j in range(inst.ring.nvars)]
+    return gens
+
+
+def integer_matrix(inst, rng):
+    return [[rng.choice((0, 1, -1, 2)) for _ in range(inst.rank)] for _ in range(inst.rank)]
+
+
+def declared_forms(inst, rng):
+    """(label, form, order): the primitives with their declared order, an
+    insertion (r_K + r_L) and brackets (max(r_K + r_L - 1, r_K, r_L))."""
+    un = extend_bundle_map(inst, integer_matrix(inst, rng), NEG)
+    two = DualForm(inst, 2, {(i, i + 1): (-2) ** i for i in range(inst.rank - 1)})
+    one = DualForm(inst, 1, {(0,): 1, (inst.rank - 1,): 3})
+    l2, n2 = l2_form(inst, NEG), wedge_form(inst, 2, NEG)
+    return [("N1", wedge_form(inst, 1, NEG), 0), ("N2", n2, 0),
+            ("N3", wedge_form(inst, 3, NEG), 0),
+            ("l2", l2, 1), ("uN", un, 1), ("u(2-form)", extend_kform(two), 1),
+            ("u(1-form)", extend_kform(one), 1), ("l3", lk_form(inst, 3, NEG), 1),
+            ("insert(uN, uN)", insert(un, un), 2),
+            ("[uN, l2]", rn_bracket(un, l2).component(2), 1),
+            ("[N2, l2] - 2 l3", (rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3, NEG)])
+                                 .scale(2)).component(3), 1)]
+
+
+def check_declared_orders(inst, rng, samples=12):
+    """For each form of :func:`declared_forms`: its order bound is the one
+    declared, and the (r+1)-fold commutator vanishes on sampled arguments
+    (products of up to 3 generators).  Returns the labels whose r-fold
+    commutator was nonzero somewhere (the bound is attained)."""
+    gens = generators(inst)
+    pieces = generator_products(inst, 3)
+    others_pool = generator_products(inst, 2)
+    sharp = set()
+    for label, form, order in declared_forms(inst, rng):
+        assert form.order == order, label
+        for _ in range(samples):
+            others = tuple(rng.choice(others_pool) for _ in range(form.arity - 1))
+            x = rng.choice(pieces)
+            chosen = [rng.choice(gens) for _ in range(order + 1)]
+            assert commutator(form, others, chosen, x).is_zero(), (label, others, chosen, x)
+            if not commutator(form, others, chosen[:order], x).is_zero():
+                sharp.add(label)
+    return sharp
+
+
+def test_declared_orders_satisfy_the_commutator_identity():
+    """On h3, so3 and poly-tangent-r2 every declared bound satisfies the
+    identity, and every bound is attained on one of them: the identity
+    is not vacuous."""
+    rng = random.Random(7)
+    sharp = set()
+    for inst in (heisenberg3(), so3(), poly_tangent_r2()):
+        sharp |= check_declared_orders(inst, rng, samples=24)
+    assert sharp == {label for label, _, _ in declared_forms(heisenberg3(), rng)}
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.one_of(two_step_nilpotent(max_dim=4), poly_rank3()), st.integers(0, 10 ** 6))
+def test_declared_orders_on_generated_instances(inst, seed):
+    check_declared_orders(inst, random.Random(seed))
+
+
+# -- negative controls ----------------------------------------------------------------------
+
+
+def test_bracket_rule_without_the_unpaired_terms_is_unsound():
+    """[N2, l2] - 2 l3 = -l3 on h3 is nonzero at (1, e1, e2).  Its insertion
+    nodes have order 0 + 1; a bound of r_K + r_L - 1 = 0 (on the nodes, so
+    on l3 = i_{l2} N2 too) would walk only the tuple (1, 1, 1), where it
+    vanishes, and pass it.  The bracket's bound is 1, and so is that of
+    [N2, l2] = l3 alone, whose unpaired terms have the order of l2."""
+    inst = heisenberg3()
+    n2, l2 = wedge_form(inst, 2, NEG), l2_form(inst, NEG)
+    l3 = lk_form(inst, 3, NEG)
+    form = (rn_bracket(n2, l2) - PolyForm(inst, [l3]).scale(2)).component(3)
+    assert l3.order == insert(n2, l2).order == 1
+    assert form.order == 1
+    one, e1, e2 = inst.unit(), inst.generator(0), inst.generator(1)
+    assert form.evaluate((one, one, one)).is_zero()
+    assert not form.evaluate((one, e1, e2)).is_zero()
+    certificate = is_zero(form, inst)
+    assert not certificate.is_zero
+    assert certificate.counterexample[0] == "arity 3: (1, e1, e2)"
+    bracket = rn_bracket(n2, l2)
+    assert bracket.component(3).order == 1
+    assert is_zero(bracket, inst).counterexample[0] == "arity 3: (1, e1, e2)"
+
+
+def test_insertion_raises_the_order():
+    """insert(uN, uN) - u(N^2) = 2 uN(e1) ^ uN(e2) on e1^e2, and zero on
+    1 and on every generator: a bound of 1 would pass it.  Its bound is 2."""
+    inst = heisenberg3()
+    N = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
+    square = [[sum(N[i][k] * N[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    un = extend_bundle_map(inst, N)
+    form = insert(un, un) - extend_bundle_map(inst, square)
+    assert form.order == 2
+    assert all(form.evaluate((el,)).is_zero() for el in generator_products(inst, 1))
+    certificate = is_zero(form, inst)
+    assert not certificate.is_zero
+    assert certificate.failing == (inst.monomial((0, 1)),)
+
+
+def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
+    """A rule with no declared order has bound None, and so has every form
+    built from it: is_zero looks up every in-window tuple."""
+    inst = heisenberg3()
+    l2 = l2_form(inst, NEG)
+    plain = VForm(inst, 2, -1, l2.fn, NEG)          # the rule of l2, no declared order
+    form = rn_bracket(plain, plain).component(3)
+    assert plain.order is None and form.order is None
+    assert rn_bracket(l2, l2).component(3).order == 1
+    _, keys = forms._family_tuples(inst, 3, None, form.shift)
+    window = list(keys)
+    top = []
+    lookup = VForm._lookup
+
+    def spy(node, key):
+        if node is form:
+            top.append(key)
+        return lookup(node, key)
+
+    monkeypatch.setattr(VForm, "_lookup", spy)
+    assert is_zero(form, inst).is_zero
+    assert top == window and len(window) > 50
+
+
+# -- reduced against forced-None certificates ------------------------------------------------
+
+
+@pytest.fixture
+def both_ways(monkeypatch):
+    """Every certificate the checkers and the CLI build is computed with the
+    order bounds and again with every bound forced to None; the two must
+    agree on verdict, count, failing tuple and counterexample.  Returns the
+    (form, instance, family, certificate) records."""
+    records = []
+
+    def twice(form, instance=None, test_family=None):
+        reduced = forms.is_zero(form, instance, test_family)
+        with monkeypatch.context() as patch:
+            unbounded(patch)
+            full = forms.is_zero(form, instance, test_family)
+        assert summary(reduced) == summary(full)
+        records.append((form, instance or form.instance, test_family, reduced))
+        return reduced
+
+    for module in (linfty, pqn, cli):
+        monkeypatch.setattr(module, "is_zero", twice)
+    return records
+
+
+def run_commands(scenario_path, capsys):
+    for command in COMMANDS:
+        code = cli.main(["--scenario", str(scenario_path), "--format", "json", *command])
+        capsys.readouterr()
+        assert code in (0, 1, 2), command
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_reduced_certificates_match_forced_none(name, both_ways, capsys):
+    run_commands(SCENARIOS_DIR / f"{name}.json", capsys)
+    assert len(both_ways) > 20
+    reduced = [orders for form, inst, family, _ in both_ways
+               if (orders := reduced_components(form, inst, family))]
+    assert len(reduced) > len(both_ways) // 2, (len(reduced), len(both_ways))
+
+
+def nested_pool(inst, rng):
+    """Degree-0 and degree-1 forms of arity <= 2 and order <= 2 with small
+    coefficients."""
+    def coeff():
+        return Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2)))
+
+    n = PolyForm(inst, [wedge_form(inst, 1, NEG).scale(coeff()),
+                        wedge_form(inst, 2, NEG).scale(coeff())])
+    un = extend_bundle_map(inst, integer_matrix(inst, rng), NEG)
+    mu = PolyForm(inst, [l2_form(inst, NEG).scale(coeff())])
+    return [n, PolyForm(inst, [un]), mu, n + PolyForm(inst, [un]),
+            PolyForm(inst, [insert(un, un).scale(coeff())])]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.one_of(two_step_nilpotent(max_dim=4), poly_rank3()), st.integers(0, 10 ** 6))
+def test_nested_brackets_on_generated_instances(inst, seed):
+    """[Y, Z], [X, [Y, Z]] and [X, [Y, Z]] - 2 [[X, Y], Z] over a pool of
+    degree-0 and degree-1 forms: the reduced certificate equals the walk
+    with every bound forced to None.  On a polynomial algebroid the family
+    has coordinate degree 2, so it contains the order-2 family too."""
+    rng = random.Random(seed)
+    family = default_poly_family(inst, 2) if inst.ring.kind == "poly" else None
+    pool = nested_pool(inst, rng)
+    x, y, z = (rng.choice(pool) for _ in range(3))
+    inner = rn_bracket(y, z)
+    nested = rn_bracket(x, inner)
+    for form in (inner, nested, nested - rn_bracket(rn_bracket(x, y), z).scale(2)):
+        reduced = is_zero(form, inst, family)
+        with pytest.MonkeyPatch.context() as patch:
+            unbounded(patch)
+            full = is_zero(form, inst, family)
+        assert summary(reduced) == summary(full)
+
+
+# -- polynomial families ------------------------------------------------------------------------
+
+
+def poly_scenario(tmp_path, degree_bound):
+    raw = json.loads((SCENARIOS_DIR / "poly-tangent-r2.json").read_text())
+    raw.setdefault("suite", {})["poly_degree_bound"] = degree_bound
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, capsys):
+    """The default family (coordinate degree 1) contains 1, x_i and a_j, so
+    every order-1 verdict of the poly-tangent-r2 commands is a proof: each
+    such certificate also vanishes on the coordinate-degree-2 family,
+    walked in full."""
+    scenario = load_shipped("poly-tangent-r2")
+    inst, family = scenario.instance, scenario.test_family()
+    inst._ids = forms._Ids(inst)
+    assert set(forms._order_family(inst, family, 1)) == set(generator_products(inst, 1))
+    assert forms._order_family(inst, family, 2) is None
+    run_commands(poly_scenario(tmp_path, 1), capsys)
+    proofs = 0
+    for form, inst, family, certificate in both_ways:
+        if not certificate.is_zero or reduced_components(form, inst, family) != [1] * len(
+                forms.as_polyform(form, inst).components):
+            continue
+        if max(forms.as_polyform(form, inst).arities()) > 3:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            unbounded(patch)
+            assert is_zero(form, inst, default_poly_family(inst, 2)).is_zero
+        proofs += 1
+    assert proofs >= 3
+
+
+def test_family_without_coordinates_is_not_reduced(tmp_path, both_ways, capsys):
+    """With poly_degree_bound 0 the family lacks x_i: no component of order
+    >= 1 is reduced, and every verdict equals the full walk's."""
+    run_commands(poly_scenario(tmp_path, 0), capsys)
+    assert len(both_ways) > 5
+    for form, inst, family, _ in both_ways:
+        assert all(order == 0 for order in reduced_components(form, inst, family))
+
+
+def test_order_two_form_is_caught_with_bound_two():
+    """D(f P) = (d^2 f / dx1 dx2) P has order 2 and vanishes on every
+    product of at most one generator.  With bound 2 it is walked on the
+    order-2 family and found nonzero at x1 x2; the default family, which
+    lacks x1 x2, is never reduced to its order-1 part, and D vanishes on
+    all of it."""
+    inst = poly_tangent_r2()
+
+    def fn(args):
+        (P,) = args
+        return Element({mon: poly.diff(0).diff(1) for mon, poly in P.terms.items()})
+
+    form = VForm(inst, 1, 0, fn, order=2)
+    assert all(form.evaluate((el,)).is_zero() for el in generator_products(inst, 1))
+    x1x2 = inst.unit().scale(inst.ring.var(0) * inst.ring.var(1))
+    assert form.evaluate((x1x2,)) == inst.unit()
+    assert reduced_components(form, inst, default_poly_family(inst, 2)) == [2]
+    certificate = is_zero(form, inst, default_poly_family(inst, 2))
+    assert not certificate.is_zero
+    assert certificate.failing == (x1x2,)
+    default = default_poly_family(inst)
+    assert reduced_components(form, inst, default) == []
+    certificate = is_zero(form, inst, default)
+    assert certificate.is_zero and not certificate.complete
+
