@@ -17,7 +17,7 @@ import re
 import sys
 
 from .catalog import extend_bundle_map, extend_kform, lk_form, wedge_form, bivector_form
-from .forms import PolyForm, _family_tuples, is_zero, rn_bracket
+from .forms import PolyForm, is_zero, rn_bracket
 from .graded import GradingConvention
 from .linfty import (check_coboundary, check_weak, coefficient_suite,
                      nijenhuis_deformation_theorem_check, pairwise_compatibility,
@@ -106,53 +106,41 @@ def _named_form(name: str, scenario: Scenario):
 
 def recognize(poly: PolyForm, scenario: Scenario) -> str:
     """Express a bracket value in the named catalog when possible.  Each
-    component is read on the canonical tuples inside its wedge-degree
-    window, the only ones where it or a candidate of its shift can be
-    nonzero."""
+    component is read only through :func:`is_zero` certificates: its own,
+    whose counterexample fixes the one ratio a candidate allows, and that
+    of the component minus the scaled candidate, which certifies a match."""
     instance = scenario.instance
     family = scenario.test_family()
     bits = []
     for arity, comp in poly.components.items():
+        found = is_zero(comp, instance, family)
+        if found.is_zero:
+            continue
+        value = comp.evaluate(found.failing)
         candidates = []
         if arity >= 1:
             candidates.append((f"N{arity}", wedge_form(instance, arity, comp.convention)))
         if arity >= 2:
             candidates.append((f"l{arity}", lk_form(instance, arity, comp.convention)))
-        keys = list(_family_tuples(instance, arity, family, comp.shift)[1])
-        values = [comp._lookup(key) for key in keys]
-        if not any(values):
-            continue
         matched = None
         for name, candidate in candidates:
             if candidate.shift != comp.shift:
                 continue
-            ratio = _candidate_ratio(instance, keys, values, candidate)
-            if ratio is not None and is_zero(comp - candidate.scale(ratio), instance,
-                                             family).is_zero:
+            cand = candidate.evaluate(found.failing)
+            if cand.is_zero():
+                continue
+            mon, coeff = next(iter(cand.terms.items()))
+            ratio = _exact_ratio(instance, value.terms.get(mon), coeff)
+            # a zero ratio cannot match: the component is nonzero at the tuple
+            if ratio and is_zero(comp - candidate.scale(ratio), instance, family).is_zero:
                 matched = f"{ratio}*{name}" if ratio != 1 else name
                 break
         if matched is None:
-            table = instance._ids
-            key, value = next((key, v) for key, v in zip(keys, values) if v)
             matched = (f"<arity-{arity} form outside the catalog;"
-                       f" value at {tuple(instance.basis_label(table.elements[i]) for i in key)}"
-                       f" is {instance.basis_label(table.element(value))}>")
+                       f" value at {tuple(instance.basis_label(el) for el in found.failing)}"
+                       f" is {instance.basis_label(value)}>")
         bits.append(matched)
     return " + ".join(bits) if bits else "0"
-
-
-def _candidate_ratio(instance, keys, values, candidate):
-    """The only ratio r with value = r * candidate that the first key where
-    the candidate is nonzero allows; None when the candidate vanishes on
-    every key or no exact ratio fits there.  Values are piece maps."""
-    table = instance._ids
-    for key, value in zip(keys, values):
-        cand_val = candidate._lookup(key)
-        if cand_val:
-            mon, coeff = next(iter(table.element(cand_val).terms.items()))
-            other = table.element(value).terms.get(mon)
-            return None if other is None else _exact_ratio(instance, other, coeff)
-    return None
 
 
 def cmd_validate(scenario: Scenario, args) -> Report:

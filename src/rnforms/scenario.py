@@ -258,6 +258,9 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         raise InputError(f"scenario.name must be a string, got {name!r}")
     inst_block = _block(raw.get("instance"), "instance", _INSTANCE_KEYS)
     convention = GradingConvention.parse(raw.get("grading", "negated"))
+    if len(inst_block) > 1:
+        raise InputError("instance has both 'lie_algebra' and 'poly_algebroid';"
+                         " give one of them")
     if "lie_algebra" in inst_block:
         where = "instance.lie_algebra"
         block = _block(inst_block["lie_algebra"], where, _LIE_KEYS)

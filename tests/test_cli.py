@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rnforms.cli import main, parse_form_expression
+from rnforms.cli import cmd_bracket, main, parse_form_expression
 from rnforms.instances import LieAlgebraData, PolyAlgebroidData
 from rnforms.linfty import pairwise_compatibility
 from rnforms.report import Report
@@ -87,6 +88,42 @@ def test_bracket_recognition(capsys):
                            "bracket", "--left", "l2", "--right", "l3")
     assert code == 0
     assert "0" in out
+    for name, left, right, detail in RECOGNIZED:
+        code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / f"{name}.json"),
+                                 "--format", "json", "bracket", "--left", left,
+                                 "--right", right)
+        assert (code, err) == (0, ""), (name, left, right)
+        assert json.loads(out)["checks"][0]["detail"] == detail, (name, left, right)
+
+
+# (scenario, left, right, the recognized bracket): sums and multiples of
+# catalog forms, zero, and a component outside the catalog named by its
+# first nonzero canonical tuple and the value there
+RECOGNIZED = [
+    ("aff1", "underlineN", "pi", "<arity-0 form outside the catalog; value at () is (-4)*e1^e2>"),
+    ("heisenberg3", "underlineN", "underlineH",
+     "<arity-3 form outside the catalog; value at ('e1', 'e2', 'e3') is (-3)*1>"),
+    ("poly-tangent-r2", "underlineOmega", "pi",
+     "<arity-1 form outside the catalog; value at ('a1',) is (x2)*a1>"),
+    ("heisenberg3", "N2 + N3", "l2", "l3 + l4"),
+    ("heisenberg3", "N1", "N4", "3*N4"),
+    ("abelian2", "N2", "l2", "0"),
+]
+
+
+def test_bracket_recognition_reads_only_certificates():
+    """Recognizing [l2, l3] = 0 on a 5-dimensional Heisenberg algebra reads
+    each component through its certificate (the order family), not every
+    canonical tuple of the window: 13,650 memo entries when it did."""
+    raw = {"name": "heisenberg5",
+           "instance": {"lie_algebra": {
+               "dim": 5, "basis": ["e1", "e2", "e3", "e4", "e5"],
+               "brackets": {"e1,e2": {"e5": "1"}, "e3,e4": {"e5": "1"}}}}}
+    scenario = build_scenario(raw)
+    report = cmd_bracket(scenario, argparse.Namespace(left="l2", right="l3"))
+    assert report.checks[0].detail == "0"
+    entries = sum(len(node._memo) for node in scenario.instance._form_nodes.values())
+    assert entries < 1000, entries
 
 
 def test_bracket_grammar(capsys):
@@ -286,6 +323,15 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
     raw["instance"]["lie_algbra"] = raw["instance"]["lie_algebra"]
     with pytest.raises(InputError, match="instance"):
         build_scenario(raw)
+    # both instance blocks used to load the Lie algebra and drop the other
+    raw = json.loads((SCENARIOS / "aff1.json").read_text())
+    poly = json.loads((SCENARIOS / "poly-tangent-r2.json").read_text())
+    raw["instance"].update(poly["instance"])
+    path = tmp_path / "two_instances.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "--scenario", str(path), "validate")
+    assert (code, out) == (2, "")
+    assert "'lie_algebra'" in err and "'poly_algebroid'" in err, err
     with pytest.raises(InputError):
         build_scenario(["not", "an", "object"])
 
