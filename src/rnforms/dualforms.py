@@ -2,7 +2,9 @@
 
 A DualForm stores its values on strictly increasing generator tuples; all
 other values follow by antisymmetry and multilinearity over the coefficient
-ring.  The evaluation pairing is the determinant convention
+ring.  Every computed form is built by ``tabulate`` from its defining
+formula on generator arguments.  The evaluation pairing is the determinant
+convention
 
     (P_1 ^ ... ^ P_p)(a_1, ..., a_p) = det <a_i, P_j>,
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .elements import Element
+from .elements import Element, sort_monomial
 from .instances import GradedInstance
 from .rings import InputError
 
@@ -84,15 +86,11 @@ class DualForm:
 
     def entry(self, indices) -> object:
         """Value on a generator tuple in any order (sign by antisymmetry)."""
-        indices = tuple(indices)
-        if len(set(indices)) != len(indices):
+        order, sign = sort_monomial(indices)
+        value = self.table.get(order) if sign else None
+        if value is None:
             return self.instance.ring.zero()
-        order = tuple(sorted(indices))
-        perm = [order.index(i) for i in indices]
-        inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                         if perm[a] > perm[b])
-        value = self.table.get(order, self.instance.ring.zero())
-        return -value if inversions % 2 else value
+        return value if sign > 0 else -value
 
     def apply(self, sections) -> object:
         """Multilinear evaluation on wedge-degree-1 elements."""
@@ -121,49 +119,41 @@ class DualForm:
         return " + ".join(bits) if bits else "0"
 
 
+def tabulate(inst: GradedInstance, k: int, value) -> DualForm:
+    """The k-form whose entry on each increasing generator tuple
+    (a_i1, ..., a_ik) is ``value(a_i1, ..., a_ik)``, a function of k
+    wedge-degree-1 Elements."""
+    gens = [inst.generator(i) for i in range(inst.rank)]
+    return DualForm(inst, k, {mon: value(*(gens[i] for i in mon))
+                              for mon in itertools.combinations(range(inst.rank), k)})
+
+
 def differential(kappa: DualForm) -> DualForm:
     """Cartan differential: (d k)(X_0..X_k) = sum_i (-1)^i rho(X_i) k(..^i..)
     + sum_{i<j} (-1)^{i+j} k([X_i, X_j], ..^i..^j..)."""
     inst = kappa.instance
-    k = kappa.k
-    table = {}
-    for mon in itertools.combinations(range(inst.rank), k + 1):
-        value = inst.ring.zero()
-        for i, gi in enumerate(mon):
-            rest = mon[:i] + mon[i + 1:]
-            inner = kappa.table.get(rest)
-            if inner:
-                term = inst.anchor_apply(gi, inner)
-                value = value + (term if i % 2 == 0 else -term)
-        for (i, gi), (j, gj) in itertools.combinations(enumerate(mon), 2):
-            bracket = inst.data.bracket_terms(gi, gj)
-            if not bracket:
-                continue
-            rest = tuple(g for g in mon if g not in (gi, gj))
-            acc = inst.ring.zero()
-            for target, coeff in bracket.items():
-                acc = acc + coeff * kappa.entry((target,) + rest)
-            value = value + (-acc if (i + j) % 2 else acc)
-        if value:
-            table[mon] = value
-    return DualForm(inst, k + 1, table)
+
+    def value(*xs):
+        total = inst.ring.zero()
+        for i, X in enumerate(xs):
+            term = inst.anchor_on_function(X, kappa.apply(xs[:i] + xs[i + 1:]))
+            total = total + (-term if i % 2 else term)
+        for (i, X), (j, Y) in itertools.combinations(enumerate(xs), 2):
+            rest = xs[:i] + xs[i + 1:j] + xs[j + 1:]
+            term = kappa.apply((inst.sn_bracket(X, Y),) + rest)
+            total = total + (-term if (i + j) % 2 else term)
+        return total
+
+    return tabulate(inst, kappa.k + 1, value)
 
 
 def iota_element(X: Element, kappa: DualForm) -> DualForm:
     """Contraction with a wedge-degree-1 element in the first slot."""
-    inst = kappa.instance
     if kappa.k == 0:
         raise InputError("cannot contract a 0-form")
-    table: dict = {}
-    for mon in itertools.combinations(range(inst.rank), kappa.k - 1):
-        value = inst.ring.zero()
-        for gmon, coeff in X.terms.items():
-            if len(gmon) != 1:
-                raise InputError("contraction needs a wedge-degree-1 element")
-            value = value + coeff * kappa.entry((gmon[0],) + mon)
-        if value:
-            table[mon] = value
-    return DualForm(inst, kappa.k - 1, table)
+    if any(len(mon) != 1 for mon in X.terms):
+        raise InputError("contraction needs a wedge-degree-1 element")
+    return tabulate(kappa.instance, kappa.k - 1, lambda *rest: kappa.apply((X,) + rest))
 
 
 def lie_derivative(X: Element, kappa: DualForm) -> DualForm:
@@ -203,11 +193,10 @@ def element_on_duals(P: Element, alphas) -> object:
             raise InputError("element degree does not match the number of 1-forms")
         det = ring.zero()
         for perm in itertools.permutations(range(p)):
-            inv = sum(1 for a in range(p) for b in range(a + 1, p) if perm[a] > perm[b])
             prod = ring.one()
             for row, col in enumerate(perm):
                 prod = prod * alphas[row].entry((mon[col],))
-            det = det + (prod if inv % 2 == 0 else -prod)
+            det = det + (prod if sort_monomial(perm)[1] > 0 else -prod)
         total = total + coeff * det
     return total
 
@@ -249,15 +238,7 @@ def n_star(inst: GradedInstance, N, alpha: DualForm) -> DualForm:
     """Transpose action: <N* alpha, X> = <alpha, N X>."""
     if alpha.k != 1:
         raise InputError("N* acts on 1-forms")
-    _check_matrix(inst, N)
-    table = {}
-    for i in range(inst.rank):
-        value = inst.ring.zero()
-        for j in range(inst.rank):
-            value = value + N[j][i] * alpha.entry((j,))
-        if value:
-            table[(i,)] = value
-    return DualForm(inst, 1, table)
+    return tabulate(inst, 1, lambda X: alpha.apply((apply_matrix(inst, N, X),)))
 
 
 def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:
@@ -288,12 +269,6 @@ def matrix_mul(inst: GradedInstance, A, B):
              for j in range(n)] for i in range(n)]
 
 
-def matrix_equal(inst: GradedInstance, A, B) -> bool:
-    n = inst.rank
-    return all(inst.ring.coerce(A[i][j]) == inst.ring.coerce(B[i][j])
-               for i in range(n) for j in range(n))
-
-
 def _check_matrix(inst: GradedInstance, N) -> None:
     n = inst.rank
     if len(N) != n or any(len(row) != n for row in N):
@@ -301,13 +276,10 @@ def _check_matrix(inst: GradedInstance, N) -> None:
 
 
 def compat_n_pi(inst: GradedInstance, N, pi: Element) -> bool:
-    """N o pi# = pi# o N* as matrices."""
+    """N o pi# = pi# o N*, compared on the dual generators."""
     _check_matrix(inst, N)
-    sharp = pi_sharp_matrix(inst, pi)
-    n_sharp = matrix_mul(inst, N, sharp)
-    nstar = [[N[j][i] for j in range(inst.rank)] for i in range(inst.rank)]
-    sharp_nstar = matrix_mul(inst, sharp, nstar)
-    return matrix_equal(inst, n_sharp, sharp_nstar)
+    return all(apply_matrix(inst, N, pi_sharp(pi, a)) == pi_sharp(pi, n_star(inst, N, a))
+               for a in unit_duals(inst))
 
 
 def compat_omega_n(inst: GradedInstance, omega: DualForm, N) -> bool:
@@ -327,13 +299,7 @@ def omega_n(omega: DualForm, N) -> DualForm:
     inst = omega.instance
     if not compat_omega_n(inst, omega, N):
         raise InputError("omega_flat o N != N* o omega_flat; omega_N is not defined")
-    table = {}
-    for mon in itertools.combinations(range(inst.rank), 2):
-        value = omega.apply((apply_matrix(inst, N, inst.generator(mon[0])),
-                             inst.generator(mon[1])))
-        if value:
-            table[mon] = value
-    return DualForm(inst, 2, table)
+    return tabulate(inst, 2, lambda X, Y: omega.apply((apply_matrix(inst, N, X), Y)))
 
 
 def iota_n(theta: DualForm, N) -> DualForm:
@@ -341,17 +307,12 @@ def iota_n(theta: DualForm, N) -> DualForm:
     inst = theta.instance
     if theta.k != 3:
         raise InputError("i_N here acts on 3-forms")
-    table = {}
-    for mon in itertools.combinations(range(inst.rank), 3):
-        gens = [inst.generator(i) for i in mon]
-        value = inst.ring.zero()
-        for slot in range(3):
-            args = list(gens)
-            args[slot] = apply_matrix(inst, N, args[slot])
-            value = value + theta.apply(args)
-        if value:
-            table[mon] = value
-    return DualForm(inst, 3, table)
+
+    def value(*xs):
+        return sum((theta.apply(xs[:slot] + (apply_matrix(inst, N, xs[slot]),) + xs[slot + 1:])
+                    for slot in range(3)), inst.ring.zero())
+
+    return tabulate(inst, 3, value)
 
 
 def background_script(H: DualForm, N) -> DualForm:
@@ -359,13 +320,9 @@ def background_script(H: DualForm, N) -> DualForm:
     inst = H.instance
     if H.k != 3:
         raise InputError("the background combination needs a 3-form")
-    table = {}
-    for mon in itertools.combinations(range(inst.rank), 3):
-        gens = [inst.generator(i) for i in mon]
-        value = inst.ring.zero()
-        for shift in range(3):
-            X, Y, Z = (gens[(0 + shift) % 3], gens[(1 + shift) % 3], gens[(2 + shift) % 3])
-            value = value + H.apply((apply_matrix(inst, N, X), apply_matrix(inst, N, Y), Z))
-        if value:
-            table[mon] = value
-    return DualForm(inst, 3, table)
+
+    def value(X, Y, Z):
+        NX, NY, NZ = (apply_matrix(inst, N, W) for W in (X, Y, Z))
+        return H.apply((NX, NY, Z)) + H.apply((NY, NZ, X)) + H.apply((NZ, NX, Y))
+
+    return tabulate(inst, 3, value)

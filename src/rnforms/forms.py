@@ -519,13 +519,13 @@ class PolyForm:
         return self.components.get(arity)
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
-        other = as_polyform(other, self.instance)
+        other = as_polyform(other)
         return PolyForm(self.instance,
                         list(self.components.values()) + list(other.components.values()),
                         convention=self.convention)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
-        other = as_polyform(other, self.instance)
+        other = as_polyform(other)
         return self + other.scale(-1)
 
     def scale(self, factor) -> "PolyForm":
@@ -534,7 +534,7 @@ class PolyForm:
                         convention=self.convention)
 
 
-def as_polyform(form, instance=None) -> PolyForm:
+def as_polyform(form) -> PolyForm:
     if isinstance(form, PolyForm):
         return form
     if isinstance(form, VForm):
@@ -545,7 +545,7 @@ def as_polyform(form, instance=None) -> PolyForm:
 def rn_bracket(K, L) -> PolyForm:
     """Richardson-Nijenhuis bracket, extended bilinearly over components."""
     K = as_polyform(K)
-    L = as_polyform(L, K.instance)
+    L = as_polyform(L)
     if K.instance is not L.instance:
         raise InputError("forms live on different instances")
     parts = []
@@ -700,7 +700,7 @@ def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
     the first nonzero value, the counterexample; the certificate counts
     them all; a component is first walked on its order family when the
     family contains it (see the module docstring)."""
-    form = as_polyform(form, instance)
+    form = as_polyform(form)
     instance = instance or form.instance
     complete = test_family is None and not isinstance(instance.ring, PolyRing)
     if complete:

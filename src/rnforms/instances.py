@@ -211,8 +211,6 @@ class GradedInstance:
         for mon, coeff in sorted(element.terms.items(), key=lambda t: (len(t[0]), t[0])):
             label = "^".join(self.generator_names[i] for i in mon) if mon else "1"
             c = self.ring.format(coeff)
-            if isinstance(c, dict):         # a polynomial, {monomial: rational}
-                c = " + ".join(m if q == "1" else q if m == "1" else f"{q}*{m}" for m, q in c.items())
             bits.append(label if c == "1" else f"({c})*{label}")
         return " + ".join(bits) if bits else "0"
 

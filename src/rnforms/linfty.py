@@ -280,7 +280,7 @@ def _check_nijenhuis(kind, n_form, k_form, mu, test_family=None) -> NijenhuisRep
     if kind in ("coboundary", "full"):
         if k_form is None:
             raise InputError(f"the {kind} check needs a candidate square")
-        k_form = as_polyform(k_form, instance)
+        k_form = as_polyform(k_form)
         if k_form.degree not in (None, 0):
             raise InputError(f"the square must have degree 0, got {k_form.degree}")
     deformed = rn_bracket(n_form, mu)

@@ -20,7 +20,8 @@ from .catalog import (bivector_form, extend_bundle_map, extend_kform, l2_form,
 from .dualforms import (DualForm, apply_matrix, background_script, compat_n_pi,
                         compat_omega_n, d_function, differential, element_on_duals,
                         iota_n, lie_derivative, matrix_mul, n_star,
-                        omega_n, pairing, pi_sharp, pi_sharp_matrix, unit_duals)
+                        omega_n, pairing, pi_sharp, pi_sharp_matrix, tabulate,
+                        unit_duals)
 from .elements import Element
 from .forms import PolyForm, element_form, insert, is_zero, rn_bracket
 from .graded import GradingConvention
@@ -187,21 +188,10 @@ def _exact_ratio(instance, numerator, denominator):
         return Fraction(0)
     if ring.kind == "rational":
         return Fraction(numerator) / Fraction(denominator)
-    for candidate_num, candidate_den in _poly_ratio_candidates(numerator, denominator):
-        lam = Fraction(candidate_num, candidate_den)
-        if denominator * lam == numerator:
-            return lam
-    return None
-
-
-def _poly_ratio_candidates(numerator, denominator):
-    num_terms = dict(numerator.terms())
-    den_terms = dict(denominator.terms())
-    for expo, c in den_terms.items():
-        if expo in num_terms:
-            yield num_terms[expo], c
-            return
-    yield 0, 1
+    # the only candidate: the ratio at the denominator's first term
+    expo, c = denominator.terms()[0]
+    lam = Fraction(dict(numerator.terms()).get(expo, 0), c)
+    return lam if denominator * lam == numerator else None
 
 
 def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
@@ -227,7 +217,7 @@ def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
 
     def twice_h_on_sharps(a, b):        # 2 H(pi#a, pi#b, .)
         pa, pb = pi_sharp(pi, a), pi_sharp(pi, b)
-        return DualForm(inst, 1, {(m,): 2 * H.apply((pa, pb, Z)) for m, Z in enumerate(gens)})
+        return tabulate(inst, 1, lambda Z: 2 * H.apply((pa, pb, Z)))
 
     bad = next((f"(a,b) = ({a.label()}, {b.label()})"
                 for a, b in itertools.combinations(unit_duals(inst), 2)
@@ -240,9 +230,8 @@ def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
 
     def torsion_target(X, Y):           # pi#(-H(NX,Y,.) - H(X,NY,.) + d omega(X,Y,.))
         NX, NY = apply_matrix(inst, N, X), apply_matrix(inst, N, Y)
-        return pi_sharp(pi, DualForm(inst, 1, {
-            (m,): -H.apply((NX, Y, Z)) - H.apply((X, NY, Z)) + domega.apply((X, Y, Z))
-            for m, Z in enumerate(gens)}))
+        return pi_sharp(pi, tabulate(inst, 1, lambda Z: (
+            -H.apply((NX, Y, Z)) - H.apply((X, NY, Z)) + domega.apply((X, Y, Z)))))
 
     bad = next((f"(X,Y) = ({names[i]}, {names[j]})"
                 for i, j in itertools.combinations(range(inst.rank), 2)
@@ -541,8 +530,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
                        detail="sign as this kernel's conventions force it")
 
             def h_slot(X, Y):                   # H(X,Y,.)
-                return DualForm(instance, 1, {(m,): H.apply((X, Y, Z))
-                                              for m, Z in enumerate(gens)})
+                return tabulate(instance, 1, lambda Z: H.apply((X, Y, Z)))
 
             bad = next((f"(X,Y) = ({names[x]}, {names[y]})"
                         for (x, X), (y, Y) in itertools.product(enumerate(gens), repeat=2)

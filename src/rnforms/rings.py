@@ -315,8 +315,12 @@ class PolyRing:
     def is_zero(self, value) -> bool:
         return not self.coerce(value)
 
-    def format(self, value):
-        return format_poly(self.coerce(value), self.names)
+    def format(self, value) -> str:
+        """The terms in exponent order, each coefficient 1 left out:
+        "3 + x1^2", "x1 + 1/2*x1 x2"."""
+        terms = format_poly(self.coerce(value), self.names)
+        return " + ".join(m if q == "1" else q if m == "1" else f"{q}*{m}"
+                          for m, q in terms.items())
 
     def parse(self, data) -> Poly:
         return parse_poly(data, self.nvars, self.names)

@@ -205,6 +205,28 @@ def test_mathematical_failure_exit_1(tmp_path, capsys):
     assert "status: fail" in out
 
 
+def test_polynomial_dual_form_labels(tmp_path, capsys):
+    # N = diag(1, x1) does not commute with pi# for pi = x1 a1^a2, so
+    # condition (b) fails on the unit duals, printed as dual-form labels
+    raw = {
+        "name": "poly-labels",
+        "instance": {"poly_algebroid": {
+            "base_dim": 2, "coordinates": ["x1", "x2"], "rank": 2, "generators": ["a1", "a2"],
+            "anchor": [[{"1": "1"}, "0"], ["0", {"1": "1"}]], "brackets": {}}},
+        "grading": "shifted2",
+        "data": {"pi": {"a1^a2": {"x1": "1"}}, "N": [["1", "0"], ["0", {"x1": "1"}]]},
+    }
+    path = tmp_path / "poly-labels.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "--scenario", str(path), "check", "pqn")
+    assert code == 1
+    assert "      counterexample: (a,b) = (a1*, a2*)" in out.splitlines()
+    code, out, _ = run_cli(capsys, "--scenario", str(path), "--format", "json", "check", "pqn")
+    assert code == 1
+    conditions = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert conditions["condition (b)"]["counterexample"] == "(a,b) = (a1*, a2*)"
+
+
 def test_json_determinism(capsys):
     args = ("--scenario", str(SCENARIOS / "aff1.json"), "--format", "json",
             "check", "linfty")

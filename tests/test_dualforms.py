@@ -2,12 +2,23 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnforms.dualforms import (DualForm, apply_matrix, background_script,
-                               compat_n_pi, d_function, differential,
-                               element_on_duals, iota_n, lie_derivative, n_star,
-                               omega_flat, omega_n, pairing, pi_sharp)
+                               compat_n_pi, compat_omega_n, d_function, differential,
+                               element_on_duals, iota_element, iota_n, lie_derivative,
+                               n_star, omega_flat, omega_n, pairing, pi_sharp)
+from rnforms.elements import Element
+from rnforms.instances import abelian2, aff1, heisenberg3, poly_tangent_r2, so3
 from rnforms.rings import InputError
+
+from dualforms_reference import (reference_background_script, reference_compat_n_pi,
+                                 reference_differential, reference_entry,
+                                 reference_iota_element, reference_iota_n,
+                                 reference_n_star, reference_omega_n)
+from generated_instances import (affine_x_algebroid, poly_rank3, polynomials, rank3_algebroid,
+                                  two_step_nilpotent)
 
 
 def dual(inst, i):
@@ -122,3 +133,101 @@ def test_top_degree_zero_forms(aff):
     assert top.k == 3 and top.is_zero()
     with pytest.raises(InputError):
         DualForm(aff, 3, {(0, 1, 2): Fraction(1)})
+
+
+def test_polynomial_labels_format_each_coefficient(poly):
+    x1 = poly.ring.var(0)
+    coeff = x1 * x1 + 3
+    assert DualForm(poly, 2, {(0, 1): coeff}).label() == "(3 + x1^2)*a1*^a2*"
+    assert poly.basis_label(Element({(0, 1): coeff})) == "(3 + x1^2)*a1^a2"
+    assert DualForm(poly, 1, {(0,): 1, (1,): Fraction(-1, 2) * x1}).label() == \
+        "a1* + (-1/2*x1)*a2*"
+
+
+# -- the tabulated operators against the loop references (dualforms_reference) ---------
+
+INSTANCES = (st.sampled_from((aff1(), heisenberg3(), so3(), abelian2(), poly_tangent_r2()))
+             | two_step_nilpotent() | st.builds(affine_x_algebroid) | poly_rank3())
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def coefficients(inst):
+    rationals = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    if inst.ring.kind == "poly":
+        return polynomials(inst.ring.nvars) | rationals
+    return rationals
+
+
+def dual_forms(inst, k):
+    keys = list(itertools.combinations(range(inst.rank), k))
+    if not keys:
+        return st.just(DualForm.zero(inst, k))
+    tables = st.dictionaries(st.sampled_from(keys), coefficients(inst), max_size=4)
+    return tables.map(lambda table: DualForm(inst, k, table))
+
+
+def sections(inst):
+    coeffs = st.lists(coefficients(inst), min_size=inst.rank, max_size=inst.rank)
+    return coeffs.map(inst.section)
+
+
+@st.composite
+def bundle_maps(draw, inst):
+    """c Id, a diagonal matrix or a full matrix."""
+    n, entry = inst.rank, coefficients(inst)
+    kind = draw(st.sampled_from(("scalar", "diagonal", "full")))
+    if kind == "full":
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    else:
+        diagonal = [draw(entry)] * n if kind == "scalar" else [draw(entry) for _ in range(n)]
+        rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[inst.ring.coerce(c) for c in row] for row in rows]
+
+
+@SETTINGS
+@given(INSTANCES, st.data())
+def test_entry_differential_and_contraction_match_the_references(inst, data):
+    k = data.draw(st.integers(0, inst.rank))
+    kappa = data.draw(dual_forms(inst, k))
+    indices = data.draw(st.lists(st.integers(0, inst.rank - 1), min_size=k, max_size=k))
+    assert kappa.entry(indices) == reference_entry(kappa, indices)
+    assert differential(kappa) == reference_differential(kappa)
+    if k:
+        X = data.draw(sections(inst))
+        assert iota_element(X, kappa) == reference_iota_element(X, kappa)
+
+
+@SETTINGS
+@given(INSTANCES, st.data())
+def test_bundle_map_operators_match_the_references(inst, data):
+    N = data.draw(bundle_maps(inst))
+    alpha = data.draw(dual_forms(inst, 1))
+    assert n_star(inst, N, alpha) == reference_n_star(inst, N, alpha)
+    pi = Element(data.draw(dual_forms(inst, 2)).table)        # the same table as a bivector
+    assert compat_n_pi(inst, N, pi) == reference_compat_n_pi(inst, N, pi)
+    omega = data.draw(dual_forms(inst, 2))
+    if compat_omega_n(inst, omega, N):
+        assert omega_n(omega, N) == reference_omega_n(omega, N)
+    else:
+        with pytest.raises(InputError):
+            omega_n(omega, N)
+    theta = data.draw(dual_forms(inst, 3))
+    assert iota_n(theta, N) == reference_iota_n(theta, N)
+    assert background_script(theta, N) == reference_background_script(theta, N)
+
+
+def test_differential_matches_the_reference_in_every_anchor_slot(poly):
+    """Every entry has a nonzero derivative along every coordinate, so each
+    anchor term of the Cartan formula contributes, in every slot."""
+    for inst in (poly, affine_x_algebroid(), rank3_algebroid()):
+        coordinates = [inst.ring.var(m) for m in range(inst.ring.nvars)]
+        for k in range(inst.rank + 1):
+            keys = itertools.combinations(range(inst.rank), k)
+            kappa = DualForm(inst, k, {mon: sum((n + m + 1) * x for m, x in enumerate(coordinates))
+                                       for n, mon in enumerate(keys)})
+            assert differential(kappa) == reference_differential(kappa), (inst.name, k)
+
+
+def test_contraction_rejects_a_non_section(h3):
+    with pytest.raises(InputError, match="contraction needs a wedge-degree-1 element"):
+        iota_element(h3.monomial((0, 1)), DualForm(h3, 2, {(0, 1): 1}))

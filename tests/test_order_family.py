@@ -47,7 +47,7 @@ def summary(certificate):
 def reduced_components(form, instance, family):
     """The orders of the components that is_zero walks on their order
     family first."""
-    form = forms.as_polyform(form, instance)
+    form = forms.as_polyform(form)
     instance._ids = instance._ids or forms._Ids(instance)
     return [component.order for component in form.components.values()
             if component.order is not None
@@ -305,9 +305,9 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
     proofs = 0
     for form, inst, family, certificate in both_ways:
         if not certificate.is_zero or reduced_components(form, inst, family) != [1] * len(
-                forms.as_polyform(form, inst).components):
+                forms.as_polyform(form).components):
             continue
-        if max(forms.as_polyform(form, inst).arities()) > 3:
+        if max(forms.as_polyform(form).arities()) > 3:
             continue
         with pytest.MonkeyPatch.context() as patch:
             unbounded(patch)

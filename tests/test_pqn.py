@@ -185,6 +185,41 @@ def test_verdict_equality_on_remaining_shipped_scenarios(so3_inst, ab2, poly):
     assert eq2.passed and report2.passed
 
 
+def _random_quadruple(rng, inst):
+    """(pi, N, omega, H, alpha) with entries in {0, 1, -1, 2}, mostly 0, and
+    N = c Id or a diagonal matrix."""
+    def table(k):
+        return {mon: rng.choice((0, 0, 0, 1, -1, 2))
+                for mon in itertools.combinations(range(inst.rank), k)}
+
+    n = inst.rank
+    diagonal = ([rng.choice((1, 2, -1))] * n if rng.random() < 0.5
+                else [rng.choice((1, 2)) for _ in range(n)])
+    N = [[Fraction(diagonal[i] if i == j else 0) for j in range(n)] for i in range(n)]
+    return (inst.element(table(2)), N, DualForm(inst, 2, table(2)), DualForm(inst, 3, table(3)),
+            DualForm(inst, 2, table(2)))
+
+
+def test_both_sides_agree_on_random_quadruples():
+    """Side A (the co-boundary check) and side B (the tensor conditions) give
+    the same verdict on seeded random quadruples, and both verdicts occur."""
+    import random
+    from rnforms import abelian2, aff1, so3
+    rng = random.Random(2016)
+    verdicts = set()
+    for build in (aff1, heisenberg3, so3, abelian2):
+        inst = build(SH2)
+        for _ in range(10):
+            pi, N, omega, H, alpha = _random_quadruple(rng, inst)
+            for report in (main_theorem_harness(inst, pi, N, omega, H),
+                           stienon_xu_harness(inst, pi, N, omega, alpha)):
+                equality = [c for c in report.checks if c.name == "verdict equality"]
+                if equality:
+                    assert equality[0].passed, (inst.name, report.to_text())
+                    verdicts.add(equality[0].detail)
+    assert verdicts == {"side A pass, side B pass", "side A fail, side B fail"}
+
+
 def test_stienon_xu_rejects_wrong_alpha_degree(aff_sh2):
     pi = aff_sh2.monomial((0, 1))
     N = [[Fraction(1), 0], [0, Fraction(1)]]
