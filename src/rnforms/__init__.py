@@ -29,9 +29,8 @@ from .linfty import (LInftyCandidate, NijenhuisReport, check_coboundary,
                      torsion_alternate, torsion_formulas_agree, torsion_is_zero,
                      witt_action_check)
 from .pqn import (PQNQuadruple, PQNVerdict, check_pqn, concomitant,
-                  dual_differential, dual_pairing_identity, koszul_bracket,
-                  main_theorem_harness, mu_with_background, section3_lemma_suite,
-                  stienon_xu_harness)
+                  dual_pairing_identity, koszul_bracket, main_theorem_harness,
+                  mu_with_background, section3_lemma_suite, stienon_xu_harness)
 from .report import CheckEntry, Report
 from .scenario import Scenario, build_scenario, load_scenario, load_shipped
 
@@ -57,7 +56,7 @@ __all__ = [
     "square_of_sum", "sum_of_wedges", "torsion", "torsion_alternate",
     "torsion_formulas_agree", "torsion_is_zero", "witt_action_check",
     "PQNQuadruple", "PQNVerdict", "check_pqn", "concomitant",
-    "dual_differential", "dual_pairing_identity", "koszul_bracket",
+    "dual_pairing_identity", "koszul_bracket",
     "main_theorem_harness", "mu_with_background", "section3_lemma_suite",
     "stienon_xu_harness",
     "CheckEntry", "Report",

@@ -11,8 +11,9 @@
 - bivector_form: a bivector as a 0-form.
 
 Each constructor returns the one shared node of its instance for its
-defining data and resolved convention (see forms.shared_node), so building
-a form twice gives the same node and the same memo.
+defining data and convention (see forms.shared_node), so building a form
+twice gives the same node and the same memo.  The convention defaults to
+negated, except for extend_kform, whose forms are graded shifted by 2.
 
 Each primitive declares its order in each argument (forms.VForm.order, the
 bound behind the order family of forms.is_zero): wedge_form 0, a product;
@@ -32,8 +33,10 @@ from .graded import GradingConvention, sign_pow
 from .instances import GradedInstance
 from .rings import InputError
 
+NEG = GradingConvention.NEGATED
 
-def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
+
+def wedge_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
     """(P_1, ..., P_k) -> P_1 ^ ... ^ P_k."""
     if k < 1:
         raise InputError("wedge form needs arity >= 1")
@@ -44,12 +47,11 @@ def wedge_form(instance: GradedInstance, k: int, convention=None) -> VForm:
             out = out.wedge(arg)
         return out
 
-    convention = convention or instance.convention
     return shared_node(instance, ("wedge", k, convention),
                        lambda: VForm(instance, k, 0, fn, convention, order=0))
 
 
-def l2_form(instance: GradedInstance, convention=None) -> VForm:
+def l2_form(instance: GradedInstance, convention=NEG) -> VForm:
     """(P, Q) -> (-1)^p [P, Q] for P of wedge degree p."""
 
     def fn(args):
@@ -58,12 +60,11 @@ def l2_form(instance: GradedInstance, convention=None) -> VForm:
         value = instance.sn_bracket(P, Q)
         return -value if p % 2 else value
 
-    convention = convention or instance.convention
     return shared_node(instance, ("l2", convention),
                        lambda: VForm(instance, 2, -1, fn, convention, order=1))
 
 
-def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:
+def lk_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
     """l_k = insertion of l_2 into the (k-1)-fold wedge; arity k, degree +1."""
     if k < 2:
         raise InputError("l_k needs k >= 2 (l_1 is identically zero)")
@@ -73,7 +74,7 @@ def lk_form(instance: GradedInstance, k: int, convention=None) -> VForm:
     return insert(l2, wedge_form(instance, k - 1, convention))
 
 
-def extend_bundle_map(instance: GradedInstance, N, convention=None) -> VForm:
+def extend_bundle_map(instance: GradedInstance, N, convention=NEG) -> VForm:
     """Derivation extension of an endomorphism: zero on functions,
     sum over factors N applied to one generator at a time."""
     _check_matrix(instance, N)
@@ -93,7 +94,6 @@ def extend_bundle_map(instance: GradedInstance, N, convention=None) -> VForm:
                 out = out + prefix.wedge(image).wedge(suffix).scale(coeff)
         return out
 
-    convention = convention or instance.convention
     return shared_node(instance, ("bundle map", N, convention),
                        lambda: VForm(instance, 1, 0, fn, convention, order=1))
 
@@ -149,7 +149,6 @@ def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2) -> VFor
                 out = out + hat.scale(sign * coeff * value)
         return out
 
-    convention = convention or instance.convention
     return shared_node(instance, ("kform", k, tuple(sorted(kappa.table.items())), convention),
                        lambda: VForm(instance, k, -k, fn, convention, order=1))
 
@@ -161,7 +160,7 @@ def identity_matrix(instance: GradedInstance, scale=1):
     return [[one if i == j else zero for j in range(instance.rank)] for i in range(instance.rank)]
 
 
-def bivector_form(instance: GradedInstance, pi: Element, convention=None) -> VForm:
+def bivector_form(instance: GradedInstance, pi: Element, convention=NEG) -> VForm:
     """A bivector as a vector-valued 0-form (degree 0 under shifted2)."""
     if not pi.is_zero() and pi.require_homogeneous() != 2:
         raise InputError("expected a wedge-degree-2 element")

@@ -60,12 +60,12 @@ def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
         coeff = parse_rational(match.group("coeff") or "1") * (-1 if "-" in signs else 1)
         signs = ""
         name = match.group("name")
-        form, conv = _named_form(name, scenario)
+        form = _named_form(name, scenario)
         if convention is None:
-            convention = conv
-        elif convention is not conv:
+            convention = form.convention
+        elif convention is not form.convention:
             raise InputError(
-                f"term {name!r} uses the {conv.value} convention,"
+                f"term {name!r} uses the {form.convention.value} convention,"
                 f" earlier terms use {convention.value}")
         if coeff != 1:
             form = form.scale(coeff)
@@ -80,27 +80,27 @@ def _named_form(name: str, scenario: Scenario):
     if name == "pi":
         if scenario.pi.is_zero():
             raise InputError("scenario has no bivector pi")
-        return bivector_form(instance, scenario.pi, SH2), SH2
+        return bivector_form(instance, scenario.pi, SH2)
     if name == "underlineN":
-        return extend_bundle_map(instance, scenario.N, SH2), SH2
+        return extend_bundle_map(instance, scenario.N, SH2)
     if name == "underlineOmega":
         if scenario.omega.is_zero():
             raise InputError("scenario has no 2-form omega")
-        return extend_kform(scenario.omega, SH2), SH2
+        return extend_kform(scenario.omega, SH2)
     if name == "underlineH":
         if scenario.H.is_zero():
             raise InputError("scenario has no background 3-form")
-        return extend_kform(scenario.H, SH2), SH2
+        return extend_kform(scenario.H, SH2)
     if name.startswith("N") and name[1:].isdigit():
         if int(name[1:]) < 1:
             raise InputError(f"{name}: the wedge family N_k starts at N1")
-        return wedge_form(instance, int(name[1:]), NEG), NEG
+        return wedge_form(instance, int(name[1:]), NEG)
     if name.startswith("l") and name[1:].isdigit():
         k = int(name[1:])
         if k < 2:
             raise InputError(f"{name}: the bracket family l_k starts at l2"
                              " (l1 is identically zero)")
-        return lk_form(instance, k, NEG), NEG
+        return lk_form(instance, k, NEG)
     raise InputError(f"unknown form name {name!r}")
 
 
@@ -113,7 +113,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
     family = scenario.test_family()
     bits = []
     for arity, comp in poly.components.items():
-        found = is_zero(comp, instance, family)
+        found = is_zero(comp, family)
         if found.is_zero:
             continue
         value = comp.evaluate(found.failing)
@@ -132,7 +132,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
             mon, coeff = next(iter(cand.terms.items()))
             ratio = _exact_ratio(instance, value.terms.get(mon), coeff)
             # a zero ratio cannot match: the component is nonzero at the tuple
-            if ratio and is_zero(comp - candidate.scale(ratio), instance, family).is_zero:
+            if ratio and is_zero(comp - candidate.scale(ratio), family).is_zero:
                 matched = f"{ratio}*{name}" if ratio != 1 else name
                 break
         if matched is None:
@@ -161,12 +161,12 @@ def cmd_bracket(scenario: Scenario, args) -> Report:
 def cmd_check_linfty(scenario: Scenario, args) -> Report:
     report = Report("check linfty", scenario.name)
     family = scenario.test_family()
-    candidate = pencil(scenario.instance, scenario.pencil_coefficients, NEG, family)
+    candidate = pencil(scenario.instance, scenario.pencil_coefficients, family)
     report.add_certificate("self-bracket", "[mu,mu] = 0", candidate.certificate())
     k_max = min(len(scenario.pencil_coefficients),
                 max(2, scenario.instance.rank + 1))
     if scenario.instance.ring.kind == "rational":
-        pairwise_compatibility(scenario.instance, max(2, k_max), report, NEG)
+        pairwise_compatibility(scenario.instance, max(2, k_max), report)
     return report
 
 
@@ -175,18 +175,17 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
     family = scenario.test_family()
     report = Report(f"check nijenhuis --kind {args.kind}", scenario.name)
     if args.kind == "weak":
-        n_form = sum_of_wedges(instance, scenario.wedge_coefficients, NEG)
-        mu = pencil(instance, scenario.pencil_coefficients, NEG, family)
+        n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
+        mu = pencil(instance, scenario.pencil_coefficients, family)
         result = check_weak(n_form, mu, family)
     elif args.kind == "coboundary":
-        n_form = sum_of_wedges(instance, scenario.wedge_coefficients, NEG)
-        square = square_of_sum(instance, scenario.wedge_coefficients,
-                               scenario.bracket_index, NEG)
+        n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
+        square = square_of_sum(instance, scenario.wedge_coefficients, scenario.bracket_index)
         mu = lk_form(instance, scenario.bracket_index, NEG)
         result = check_coboundary(n_form, square, mu, family)
     else:
         return nijenhuis_deformation_theorem_check(
-            instance, scenario.N, scenario.pencil_coefficients, NEG, family)
+            instance, scenario.N, scenario.pencil_coefficients, family)
     result.to_report(report)
     return report
 
@@ -202,11 +201,11 @@ def cmd_check_pqn(scenario: Scenario, args) -> Report:
 
 def cmd_suite_lemma(scenario: Scenario, args) -> Report:
     return coefficient_suite(scenario.instance, scenario.i_max, scenario.m_max,
-                             scenario.n_max, NEG, scenario.test_family())
+                             scenario.n_max, scenario.test_family())
 
 
 def cmd_suite_witt(scenario: Scenario, args) -> Report:
-    return witt_action_check(scenario.instance, scenario.i_max, NEG)
+    return witt_action_check(scenario.instance, scenario.i_max)
 
 
 def cmd_suite_main_theorem(scenario: Scenario, args) -> Report:

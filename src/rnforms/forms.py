@@ -159,7 +159,8 @@ class VForm:
     the module docstring), by default that of the nodes."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=None, terms=None, on_ids=False, shared=False, order=None):
+                 convention=GradingConvention.NEGATED, terms=None, on_ids=False, shared=False,
+                 order=None):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
@@ -167,7 +168,7 @@ class VForm:
         self.shift = shift
         self.fn = fn
         self.on_ids = on_ids
-        self.convention = convention or instance.convention
+        self.convention = convention
         self.terms = terms
         self.order = order
         if terms is None:
@@ -180,8 +181,8 @@ class VForm:
                 self.order = _max_order([node.order for node in terms])
 
     @classmethod
-    def combination(cls, instance, arity, shift, terms, convention=None,
-                    shared=False, order=None) -> "VForm":
+    def combination(cls, instance, arity, shift, terms, convention, shared=False,
+                    order=None) -> "VForm":
         """The linear combination sum c * node over ``terms`` (node -> c);
         ``shared`` gives it a memo."""
         return cls(instance, arity, shift, None, convention, terms=terms, shared=shared,
@@ -312,7 +313,7 @@ class VForm:
         return self.scale(-1)
 
     @classmethod
-    def zero(cls, instance, arity, shift, convention=None) -> "VForm":
+    def zero(cls, instance, arity, shift, convention) -> "VForm":
         return cls.combination(instance, arity, shift, {}, convention)
 
 
@@ -351,7 +352,7 @@ def _tighten(node: VForm, order) -> None:
 def shared_node(instance: GradedInstance, key, build) -> VForm:
     """The one node of ``instance`` for ``key``, built by ``build()`` on the
     first request (hash-consing).  A key names the node's defining data
-    together with its resolved convention."""
+    together with its convention."""
     nodes = instance._form_nodes
     node = nodes.get(key)
     if node is None:
@@ -380,8 +381,8 @@ def _representative(form: VForm):
     return rep, factor
 
 
-def element_form(instance: GradedInstance, element: Element, convention=None,
-                 wedge_degree=None) -> VForm:
+def element_form(instance: GradedInstance, element: Element,
+                 convention=GradingConvention.NEGATED, wedge_degree=None) -> VForm:
     """A homogeneous element as a vector-valued 0-form, one node per
     (element, wedge degree, convention)."""
     if element.is_zero():
@@ -390,7 +391,6 @@ def element_form(instance: GradedInstance, element: Element, convention=None,
         deg = wedge_degree
     else:
         deg = element.require_homogeneous()
-    convention = convention or instance.convention
     return shared_node(instance, ("element", element, deg, convention),
                        lambda: VForm(instance, 0, deg, lambda args: element, convention,
                                      order=0))
@@ -691,17 +691,18 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
         yield from walk(0, arity, 0, ())
 
 
-def is_zero(form, instance=None, test_family=None) -> ZeroCertificate:
-    """Exhaustive vanishing verdict on all canonical basis tuples (finite
-    instances without a family: a complete proof by multilinearity, graded
-    symmetry and grading) or on a declared family (always the case on
-    polynomial instances: a verification, flagged as incomplete).  Only the
+def is_zero(form, test_family=None) -> ZeroCertificate:
+    """Exhaustive vanishing verdict, over the form's own instance, on all
+    canonical basis tuples (finite instances without a family: a complete
+    proof by multilinearity, graded symmetry and grading) or on a declared
+    family (always the case on polynomial instances: a verification,
+    flagged as incomplete).  Only the
     tuples inside each component's wedge-degree window are evaluated, up to
     the first nonzero value, the counterexample; the certificate counts
     them all; a component is first walked on its order family when the
     family contains it (see the module docstring)."""
     form = as_polyform(form)
-    instance = instance or form.instance
+    instance = form.instance
     complete = test_family is None and not isinstance(instance.ring, PolyRing)
     if complete:
         note = "all canonical basis tuples"

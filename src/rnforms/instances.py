@@ -48,7 +48,6 @@ import itertools
 from fractions import Fraction
 
 from .elements import Element, sort_monomial
-from .graded import GradingConvention
 from .rings import InputError, PolyRing, RationalRing
 
 
@@ -138,13 +137,13 @@ class PolyAlgebroidData(_StructureTable):
 
 
 class GradedInstance:
-    """A validated instance: basis per wedge degree, exact Schouten bracket,
-    anchor action, and the grading convention used for reported degrees."""
+    """A validated instance: basis per wedge degree, exact Schouten bracket
+    and anchor action.  The grading of a form is the form's own
+    (forms.VForm.convention); the instance carries none."""
 
-    def __init__(self, data, convention=GradingConvention.NEGATED, name="instance", check=True):
+    def __init__(self, data, name="instance", check=True):
         self.data = data
         self.name = name
-        self.convention = GradingConvention.parse(convention) if isinstance(convention, str) else convention
         if isinstance(data, LieAlgebraData):
             self.ring = RationalRing()
             self.rank = data.dim
@@ -355,38 +354,38 @@ def _accumulate(total: dict, key, value) -> None:
 
 # -- standard instances --------------------------------------------------------
 
-def aff1(convention=GradingConvention.NEGATED, check=True) -> GradedInstance:
+def aff1(check=True) -> GradedInstance:
     """2-dim solvable algebra of the affine line: [e1, e2] = e2."""
     data = LieAlgebraData(2, brackets={(0, 1): {1: 1}})
-    return GradedInstance(data, convention, name="aff1", check=check)
+    return GradedInstance(data, name="aff1", check=check)
 
 
-def heisenberg3(convention=GradingConvention.NEGATED, check=True) -> GradedInstance:
+def heisenberg3(check=True) -> GradedInstance:
     """3-dim Heisenberg algebra: [e1, e2] = e3."""
     data = LieAlgebraData(3, brackets={(0, 1): {2: 1}})
-    return GradedInstance(data, convention, name="heisenberg3", check=check)
+    return GradedInstance(data, name="heisenberg3", check=check)
 
 
-def so3(convention=GradingConvention.NEGATED, check=True) -> GradedInstance:
+def so3(check=True) -> GradedInstance:
     """so(3): [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2."""
     data = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
-    return GradedInstance(data, convention, name="so3", check=check)
+    return GradedInstance(data, name="so3", check=check)
 
 
-def abelian2(convention=GradingConvention.NEGATED, check=True) -> GradedInstance:
+def abelian2(check=True) -> GradedInstance:
     data = LieAlgebraData(2)
-    return GradedInstance(data, convention, name="abelian2", check=check)
+    return GradedInstance(data, name="abelian2", check=check)
 
 
-def broken_jacobi3(convention=GradingConvention.NEGATED) -> GradedInstance:
+def broken_jacobi3() -> GradedInstance:
     """Negative control: a 3-dim antisymmetric bracket violating Jacobi
     ([e1,e2]=e3, [e1,e3]=e1; the Jacobiator on (e1,e2,e3) equals e3).
     2-dim tables cannot violate Jacobi, so the control is 3-dimensional."""
     data = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
-    return GradedInstance(data, convention, name="broken-jacobi3", check=False)
+    return GradedInstance(data, name="broken-jacobi3", check=False)
 
 
-def poly_tangent_r2(convention=GradingConvention.SHIFTED2, check=True) -> GradedInstance:
+def poly_tangent_r2(check=True) -> GradedInstance:
     """Tangent algebroid of the affine plane with polynomial coefficients:
     rank 2, identity anchor, zero structure functions."""
     ring = PolyRing(("x1", "x2"))
@@ -397,7 +396,7 @@ def poly_tangent_r2(convention=GradingConvention.SHIFTED2, check=True) -> Graded
         anchor=[[one, zero], [zero, one]],
         brackets={},
     )
-    return GradedInstance(data, convention, name="poly-tangent-r2", check=check)
+    return GradedInstance(data, name="poly-tangent-r2", check=check)
 
 
 STANDARD_INSTANCES = {

@@ -12,7 +12,8 @@ coefficient identities under the Richardson-Nijenhuis bracket:
 which make the span of both families a copy of the polynomial vector
 fields acting on polynomials.  Degree-0 families deform degree-1
 structures: the three nested Nijenhuis conditions and their deformations
-are checked here with exhaustive certificates.
+are checked here with exhaustive certificates.  Every form built here is
+graded negated (``NEG``), where N_k has degree 0 and l_k degree 1.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ NEG = GradingConvention.NEGATED
 class LInftyCandidate:
     """A degree-1 form family with its self-bracket certificate."""
 
-    def __init__(self, instance: GradedInstance, mu: PolyForm, test_family=None):
-        self.instance = instance
+    def __init__(self, mu: PolyForm, test_family=None):
         self.mu = mu
         if mu.degree not in (None, 1):
             raise InputError(f"a bracket family must have degree 1, got {mu.degree}")
@@ -48,7 +48,7 @@ class LInftyCandidate:
     def certificate(self):
         if self._certificate is None:
             square = rn_bracket(self.mu, self.mu)
-            self._certificate = is_zero(square, self.instance, self.test_family)
+            self._certificate = is_zero(square, self.test_family)
         return self._certificate
 
     @property
@@ -56,8 +56,7 @@ class LInftyCandidate:
         return self.certificate().is_zero
 
 
-def pencil(instance: GradedInstance, coefficients, convention=NEG,
-           test_family=None) -> LInftyCandidate:
+def pencil(instance: GradedInstance, coefficients, test_family=None) -> LInftyCandidate:
     """mu = sum_i a_i l_i from a finite coefficient list (a_1 multiplies the
     zero 1-form, so it never contributes)."""
     parts = []
@@ -65,34 +64,32 @@ def pencil(instance: GradedInstance, coefficients, convention=NEG,
         a = Fraction(a)
         if not a or i == 1:
             continue
-        form = lk_form(instance, i, convention)
+        form = lk_form(instance, i, NEG)
         parts.append(form if a == 1 else form.scale(a))
-    mu = PolyForm(instance, parts, convention=convention)
-    return LInftyCandidate(instance, mu, test_family)
+    mu = PolyForm(instance, parts, convention=NEG)
+    return LInftyCandidate(mu, test_family)
 
 
-def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report,
-                           convention=NEG) -> None:
+def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report) -> None:
     if k_max < 2:
         raise InputError("the compatibility checks need k_max >= 2")
     for m in range(2, k_max + 1):
         for n in range(m, k_max + 1):
-            cert = is_zero(rn_bracket(lk_form(instance, m, convention),
-                                      lk_form(instance, n, convention)), instance)
+            cert = is_zero(rn_bracket(lk_form(instance, m, NEG), lk_form(instance, n, NEG)))
             report.add_certificate(f"compatibility [l{m},l{n}]",
                                    f"[l{m},l{n}] = 0", cert)
 
 
-def _matches(instance, bracket: PolyForm, coefficient: Fraction, target: VForm | None,
+def _matches(bracket: PolyForm, coefficient: Fraction, target: VForm | None,
              test_family=None):
     """Certificate that bracket equals coefficient * target exactly."""
     if target is None or coefficient == 0:
-        return is_zero(bracket, instance, test_family)
-    return is_zero(bracket - target.scale(coefficient), instance, test_family)
+        return is_zero(bracket, test_family)
+    return is_zero(bracket - target.scale(coefficient), test_family)
 
 
 def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4,
-                      convention=NEG, test_family=None) -> Report:
+                      test_family=None) -> Report:
     """Verification of the wedge/bracket coefficient identities: exhaustive on
     finite-dimensional instances, over the declared family otherwise."""
     if i_max < 2 or m_max < 2 or n_max < 2:
@@ -100,14 +97,12 @@ def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4,
     if instance.ring.kind == "poly" and test_family is None:
         raise InputError("an infinite-dimensional instance needs a declared test family")
     report = Report("suite lemma", instance.name)
-    wedges = {k: wedge_form(instance, k, convention)
-              for k in range(1, i_max + i_max)}
-    brackets = {k: lk_form(instance, k, convention)
-                for k in range(2, m_max + n_max)}
+    wedges = {k: wedge_form(instance, k, NEG) for k in range(1, i_max + i_max)}
+    brackets = {k: lk_form(instance, k, NEG) for k in range(2, m_max + n_max)}
     for i in range(1, i_max + 1):
         for j in range(1, i_max + 1):
             coeff = Fraction((j - i) * factorial(i + j - 1), factorial(i) * factorial(j))
-            cert = _matches(instance, rn_bracket(wedges[i], wedges[j]), coeff,
+            cert = _matches(rn_bracket(wedges[i], wedges[j]), coeff,
                             wedges.get(i + j - 1), test_family)
             report.add_certificate(
                 f"wedge commutator ({i},{j})",
@@ -115,19 +110,19 @@ def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4,
     for m in range(2, m_max + 1):
         for n in range(2, n_max + 1):
             coeff = Fraction(comb(m + n - 2, m))
-            cert = _matches(instance, rn_bracket(wedges[m], brackets[n]), coeff,
+            cert = _matches(rn_bracket(wedges[m], brackets[n]), coeff,
                             brackets.get(m + n - 1), test_family)
             report.add_certificate(
                 f"mixed commutator ({m},{n})",
                 f"[N{m},l{n}] = ({coeff}) l{m + n - 1}", cert)
-            cert1 = _matches(instance, as_polyform(insert(wedges[m], brackets[n])),
+            cert1 = _matches(as_polyform(insert(wedges[m], brackets[n])),
                              Fraction(comb(m + n - 2, m) + comb(m + n - 3, m - 1)),
                              brackets.get(m + n - 1), test_family)
             report.add_certificate(
                 f"insertion split A ({m},{n})",
                 f"i_N{m} l{n} = ({comb(m + n - 2, m)}+{comb(m + n - 3, m - 1)}) l{m + n - 1}",
                 cert1)
-            cert2 = _matches(instance, as_polyform(insert(brackets[n], wedges[m])),
+            cert2 = _matches(as_polyform(insert(brackets[n], wedges[m])),
                              Fraction(comb(m + n - 3, m - 1)), brackets.get(m + n - 1),
                              test_family)
             report.add_certificate(
@@ -135,13 +130,13 @@ def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4,
                 f"i_l{n} N{m} = ({comb(m + n - 3, m - 1)}) l{m + n - 1}", cert2)
     for m in range(2, m_max + 1):
         for n in range(m, n_max + 1):
-            cert = is_zero(rn_bracket(brackets[m], brackets[n]), instance, test_family)
+            cert = is_zero(rn_bracket(brackets[m], brackets[n]), test_family)
             report.add_certificate(f"bracket commutator ({m},{n})",
                                    f"[l{m},l{n}] = 0", cert)
     return report
 
 
-def witt_action_check(instance: GradedInstance, i_max=4, convention=NEG) -> Report:
+def witt_action_check(instance: GradedInstance, i_max=4) -> Report:
     """The map v_i -> i! N_i, x_i -> i! l_{i+1} intertwines the polynomial
     vector field relation [v_i, v_j] = (j-i) v_{i+j-1} and the module action
     v_i[x_j] = j x_{i+j-1}.  Layered on the coefficient identities: the
@@ -152,13 +147,13 @@ def witt_action_check(instance: GradedInstance, i_max=4, convention=NEG) -> Repo
     if instance.ring.kind == "poly":
         raise InputError("the intertwining suite needs a finite-dimensional instance")
     report = Report("suite witt", instance.name)
-    wedges = {k: wedge_form(instance, k, convention) for k in range(1, 2 * i_max)}
-    brackets = {k: lk_form(instance, k, convention) for k in range(2, 2 * i_max + 1)}
+    wedges = {k: wedge_form(instance, k, NEG) for k in range(1, 2 * i_max)}
+    brackets = {k: lk_form(instance, k, NEG) for k in range(2, 2 * i_max + 1)}
     for i in range(1, i_max + 1):
         for j in range(1, i_max + 1):
             lhs = rn_bracket(wedges[i].scale(factorial(i)), wedges[j].scale(factorial(j)))
             coeff = Fraction((j - i) * factorial(i + j - 1))
-            cert = _matches(instance, lhs, coeff, wedges.get(i + j - 1))
+            cert = _matches(lhs, coeff, wedges.get(i + j - 1))
             report.add_certificate(
                 f"vector field relation ({i},{j})",
                 f"[i! N{i}, j! N{j}] = (j-i) (i+j-1)! N{i + j - 1}", cert)
@@ -167,14 +162,14 @@ def witt_action_check(instance: GradedInstance, i_max=4, convention=NEG) -> Repo
             lhs = rn_bracket(wedges[i].scale(factorial(i)),
                              brackets[j + 1].scale(factorial(j)))
             coeff = Fraction(j * factorial(i + j - 1))
-            cert = _matches(instance, lhs, coeff, brackets.get(i + j))
+            cert = _matches(lhs, coeff, brackets.get(i + j))
             report.add_certificate(
                 f"module action ({i},{j})",
                 f"[i! N{i}, j! l{j + 1}] = j (i+j-1)! l{i + j}", cert)
     return report
 
 
-def square_of_sum(instance: GradedInstance, b, n: int, convention=NEG) -> PolyForm:
+def square_of_sum(instance: GradedInstance, b, n: int) -> PolyForm:
     """The explicit square making sum_i b_i N_i co-boundary for l_n:
     sum_{i,j} b_i b_j C(i+n-2,i) C(j+i+n-3,j) / C(j+i+n-3,i+j-1) N_{i+j-1}."""
     if n < 2:
@@ -189,18 +184,17 @@ def square_of_sum(instance: GradedInstance, b, n: int, convention=NEG) -> PolyFo
             den = comb(j + i + n - 3, i + j - 1)
             k = i + j - 1
             coeffs[k] = coeffs.get(k, Fraction(0)) + bi * bj * Fraction(num, den)
-    parts = [wedge_form(instance, k, convention).scale(c)
-             for k, c in sorted(coeffs.items()) if c]
-    return PolyForm(instance, parts, convention=convention)
+    parts = [wedge_form(instance, k, NEG).scale(c) for k, c in sorted(coeffs.items()) if c]
+    return PolyForm(instance, parts, convention=NEG)
 
 
-def sum_of_wedges(instance: GradedInstance, b, convention=NEG) -> PolyForm:
+def sum_of_wedges(instance: GradedInstance, b) -> PolyForm:
     parts = []
     for i, bi in enumerate(b, start=1):
         bi = Fraction(bi)
         if bi:
-            parts.append(wedge_form(instance, i, convention).scale(bi))
-    return PolyForm(instance, parts, convention=convention)
+            parts.append(wedge_form(instance, i, NEG).scale(bi))
+    return PolyForm(instance, parts, convention=NEG)
 
 
 class LazyCertificates(Mapping):
@@ -287,7 +281,7 @@ def _check_nijenhuis(kind, n_form, k_form, mu, test_family=None) -> NijenhuisRep
     twice = rn_bracket(n_form, deformed)
 
     def certify(form):
-        return lambda: is_zero(form, instance, test_family)
+        return lambda: is_zero(form, test_family)
 
     thunks = {"weak": certify(rn_bracket(mu, twice))}
     if k_form is not None:
@@ -336,8 +330,7 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
                    for m in range(base.base_dim)] for i in range(instance.rank)]
         data = PolyAlgebroidData(base.base_dim, base.rank, base.coordinates,
                                  base.generator_names, anchor, table)
-    return GradedInstance(data, instance.convention,
-                          name=f"{instance.name}(deformed)", check=False)
+    return GradedInstance(data, name=f"{instance.name}(deformed)", check=False)
 
 
 def deformed_bracket(instance: GradedInstance, N):
@@ -407,7 +400,7 @@ def torsion_formulas_agree(instance: GradedInstance, N) -> bool:
     return True
 
 
-def l2_deformed(instance: GradedInstance, N, convention=NEG) -> VForm:
+def l2_deformed(instance: GradedInstance, N) -> VForm:
     """(P,Q) -> (-1)^p [P,Q] of the deformed structure, the same sign
     convention as the undeformed bracket form so that [uN, l2] matches it."""
     deformed = deformed_instance(instance, N)
@@ -418,19 +411,17 @@ def l2_deformed(instance: GradedInstance, N, convention=NEG) -> VForm:
         value = deformed.sn_bracket(P, Q)
         return -value if p % 2 else value
 
-    return VForm(instance, 2, -1, fn, convention)
+    return VForm(instance, 2, -1, fn, NEG)
 
 
-def deformed_l2_certificate(instance: GradedInstance, N, convention=NEG,
-                            test_family=None):
+def deformed_l2_certificate(instance: GradedInstance, N, test_family=None):
     """[uN, l2] = l2^N, exhaustively."""
-    un = extend_bundle_map(instance, N, convention)
-    lhs = rn_bracket(un, l2_form(instance, convention))
-    return is_zero(lhs - l2_deformed(instance, N, convention), instance, test_family)
+    lhs = rn_bracket(extend_bundle_map(instance, N, NEG), l2_form(instance, NEG))
+    return is_zero(lhs - l2_deformed(instance, N), test_family)
 
 
 def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficients,
-                                        convention=NEG, test_family=None) -> Report:
+                                        test_family=None) -> Report:
     """For torsion-free N: the derivation extension is fully Nijenhuis for
     the pencil structure, with square the extension of N^2.  Nonzero torsion
     is a reported precondition failure, not an exception."""
@@ -440,9 +431,9 @@ def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficient
                counterexample=witness)
     if not torsion_free:
         return report
-    mu = pencil(instance, coefficients, convention, test_family)
-    un = extend_bundle_map(instance, N, convention)
-    un2 = extend_bundle_map(instance, matrix_square(instance, N), convention)
+    mu = pencil(instance, coefficients, test_family)
+    un = extend_bundle_map(instance, N, NEG)
+    un2 = extend_bundle_map(instance, matrix_square(instance, N), NEG)
     result = check_full(un, un2, mu, test_family)
     result.to_report(report)
     return report

@@ -26,7 +26,8 @@ from .elements import Element
 from .forms import PolyForm, element_form, insert, is_zero, rn_bracket
 from .graded import GradingConvention
 from .instances import GradedInstance
-from .linfty import (LInftyCandidate, check_coboundary, deformed_instance, torsion)
+from .linfty import (LazyCertificates, LInftyCandidate, check_coboundary, deformed_instance,
+                     torsion)
 from .report import Report
 from .rings import InputError
 
@@ -67,11 +68,6 @@ def concomitant(instance: GradedInstance, pi: Element, N, alpha: DualForm,
     deformed_inst = deformed_instance(instance, N)
     second = koszul_bracket(deformed_inst, pi, alpha, beta)
     return deformed_of_base - DualForm(instance, 1, second.table)
-
-
-def dual_differential(instance: GradedInstance, pi: Element, X: Element) -> Element:
-    """The dual-side differential [pi, X]."""
-    return instance.sn_bracket(pi, X)
 
 
 def dual_pairing_identity(instance: GradedInstance, pi: Element) -> Report:
@@ -263,8 +259,9 @@ def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
 
 def mu_with_background(instance: GradedInstance, H: DualForm,
                        test_family=None):
-    """l2 + uH as a degree-1 family, with the ingredient certificates.
-    Raises InputError when H is not closed, exhibiting the differential."""
+    """l2 + uH as a degree-1 family, with the ingredient certificates,
+    each computed on its first read.  Raises InputError when H is not
+    closed, exhibiting the differential."""
     if H.k != 3:
         raise InputError("the background must be a 3-form")
     dH = differential(H)
@@ -275,16 +272,16 @@ def mu_with_background(instance: GradedInstance, H: DualForm,
     if not H.is_zero():
         parts.append(extend_kform(H, SH2))
     mu = PolyForm(instance, parts, convention=SH2)
-    candidate = LInftyCandidate(instance, mu, test_family)
-    ingredients = {
-        "[l2,l2] = 0": is_zero(rn_bracket(l2, l2), instance, test_family),
-    }
+
+    def certify(left, right):
+        return lambda: is_zero(rn_bracket(left, right), test_family)
+
+    thunks = {"[l2,l2] = 0": certify(l2, l2)}
     if not H.is_zero():
         uH = parts[1]
-        ingredients["[l2,uH] = u(dH) = 0"] = is_zero(rn_bracket(l2, uH), instance,
-                                                     test_family)
-        ingredients["[uH,uH] = 0"] = is_zero(rn_bracket(uH, uH), instance, test_family)
-    return candidate, ingredients
+        thunks["[l2,uH] = u(dH) = 0"] = certify(l2, uH)
+        thunks["[uH,uH] = 0"] = certify(uH, uH)
+    return LInftyCandidate(mu, test_family), LazyCertificates(thunks)
 
 
 def vector_valued_sum(instance: GradedInstance, pi: Element, N,
@@ -392,7 +389,7 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
                      if comp is not None else PolyForm(instance, [], convention=SH2))
         target = grouping if grouping is not None else PolyForm(instance, [],
                                                                 convention=SH2)
-        cert = is_zero(comp_poly - target, instance, test_family)
+        cert = is_zero(comp_poly - target, test_family)
         report.add_certificate(f"decomposition arity {arity}", name, cert)
 
     g0 = None
@@ -437,7 +434,7 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
     component_certificate(4, g4, "[[N,[N,mu]]]_4 = [u(omega),[uN,uH]]")
     if g4 is not None:
         report.add_certificate("arity 4 vanishes", "[u(omega),[uN,uH]] = 0",
-                               is_zero(g4, instance, test_family))
+                               is_zero(g4, test_family))
 
 
 def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
@@ -465,7 +462,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
     extended += [("u(omega)", uomega)] if uomega else []
     extended += [("uH", uH)] if uH else []
     for (la, fa), (lb, fb) in itertools.combinations_with_replacement(extended, 2):
-        cert = is_zero(rn_bracket(fa, fb), instance, test_family)
+        cert = is_zero(rn_bracket(fa, fb), test_family)
         report.add_certificate(f"commuting extensions [{la},{lb}]",
                                "[u(kappa), u(kappa')] = 0", cert)
 
@@ -474,7 +471,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
         if ok_om:
             target = extend_kform(omega_n(omega, N), SH2).scale(2)
-            cert = is_zero(rn_bracket(un, uomega) - target, instance, test_family)
+            cert = is_zero(rn_bracket(un, uomega) - target, test_family)
             report.add_certificate("bundle map against 2-form",
                                    "[uN, u(omega)] = 2 u(omega_N)", cert)
 
@@ -486,9 +483,9 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         dk = differential(kappa)
         lhs = rn_bracket(uk, l2)
         if dk.is_zero():
-            cert = is_zero(lhs, instance, test_family)
+            cert = is_zero(lhs, test_family)
         else:
-            cert = is_zero(lhs - extend_kform(dk, SH2), instance, test_family)
+            cert = is_zero(lhs - extend_kform(dk, SH2), test_family)
         report.add_certificate(f"differential through the bracket ({label})",
                                "[u(kappa), l2] = u(d kappa)", cert)
 
@@ -544,8 +541,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         report.add("compatibility N/pi", "N o pi# = pi# o N*", ok_npi)
         if ok_npi and uH is not None:
             combo = rn_bracket(pif, rn_bracket(un, uH)) + rn_bracket(un, rn_bracket(pif, uH))
-            cert = is_zero(combo.component(2) - insert(un, insert(pif, uH)).scale(2),
-                           instance, gens)
+            cert = is_zero(combo.component(2) - insert(un, insert(pif, uH)).scale(2), gens)
             report.add("mixed bivector/bundle map against the background",
                        "([pi,[uN,uH]] + [uN,[pi,uH]])(X,Y) = 2uH(pi,NX,Y) + 2uH(pi,X,NY)",
                        cert.is_zero, counterexample=None if cert.is_zero else
@@ -576,7 +572,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
                 "(" + ", ".join(instance.basis_label(el) for el in cert.failing) + ")"
 
         cert = is_zero(section_residual - rn_bracket(mhat, uH).component(3).scale(2),
-                       instance, test_family)
+                       test_family)
         report.add(
             "iterated bundle map against the background",
             "[uN,[uN,uH]] = [u(N^2),uH] + 2*(pair terms + [M,uH]) - 2 uN o [uN,uH]",
@@ -584,7 +580,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
             detail="M = (uN o uN - u(N^2))/2; the pair-term-only identity holds"
                    " on section triples and is checked below")
 
-        cert = is_zero(section_residual, instance, gens)
+        cert = is_zero(section_residual, gens)
         report.add("iterated bundle map, section level",
                    "[uN,[uN,uH]] = [u(N^2),uH] + 2*cyclic - 2 uN o [uN,uH] on sections",
                    cert.is_zero, counterexample=triple(cert))

@@ -47,9 +47,6 @@ class Report:
             else f"{certificate.counterexample[0]} -> {certificate.counterexample[1]}",
             f"{len(certificate.checked)} tuples ({certificate.family_note})"))
 
-    def extend(self, other: "Report"):
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 
 class InputError(ValueError):
@@ -20,8 +20,6 @@ class InputError(ValueError):
 
 
 Scalar = Fraction
-
-Coeff = Union[Fraction, "Poly"]
 
 
 def parse_rational(text: str) -> Fraction:

@@ -27,6 +27,9 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
   "suite": {"i_max": 4, "m_max": 4, "n_max": 4, "poly_degree_bound": 1}
 }
 
+``grading`` is validated (a misspelled value is an input error) but builds
+nothing: each command names the grading of every form it builds.
+
 A key outside this schema, at any level, is an input error, and so is a
 value of the wrong JSON type: name is a string (the file name when absent);
 dim, base_dim, rank, n and the suite bounds are integers; a, b, basis,
@@ -257,7 +260,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
     elif not isinstance(name, str):
         raise InputError(f"scenario.name must be a string, got {name!r}")
     inst_block = _block(raw.get("instance"), "instance", _INSTANCE_KEYS)
-    convention = GradingConvention.parse(raw.get("grading", "negated"))
+    GradingConvention.parse(raw.get("grading", "negated"))     # validated; no command reads it
     if len(inst_block) > 1:
         raise InputError("instance has both 'lie_algebra' and 'poly_algebroid';"
                          " give one of them")
@@ -270,7 +273,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
             dim, names,
             {k: {i: parse_rational(v) for i, v in row.items()}
              for k, row in _parse_brackets(block.get("brackets"), names).items()})
-        instance = GradedInstance(data, convention, name=name)
+        instance = GradedInstance(data, name=name)
     elif "poly_algebroid" in inst_block:
         where = "instance.poly_algebroid"
         block = _block(inst_block["poly_algebroid"], where, _POLY_KEYS)
@@ -286,7 +289,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         brackets = {k: {i: ring.parse(v) for i, v in row.items()}
                     for k, row in _parse_brackets(block.get("brackets"), gens).items()}
         data = PolyAlgebroidData(base_dim, rank, coords, gens, anchor, brackets)
-        instance = GradedInstance(data, convention, name=name)
+        instance = GradedInstance(data, name=name)
     else:
         raise InputError("scenario needs an instance block"
                          " (lie_algebra or poly_algebroid)")

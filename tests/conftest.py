@@ -1,7 +1,6 @@
 import pytest
 
 from rnforms import abelian2, aff1, broken_jacobi3, heisenberg3, poly_tangent_r2, so3
-from rnforms.graded import GradingConvention
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +10,8 @@ def aff():
 
 @pytest.fixture(scope="session")
 def aff_sh2():
-    return aff1(GradingConvention.SHIFTED2)
+    """A second aff1, for the tests of forms graded shifted by 2."""
+    return aff1()
 
 
 @pytest.fixture(scope="session")
@@ -21,12 +21,13 @@ def h3():
 
 @pytest.fixture(scope="session")
 def h3_sh2():
-    return heisenberg3(GradingConvention.SHIFTED2)
+    """A second heisenberg3, for the tests of forms graded shifted by 2."""
+    return heisenberg3()
 
 
 @pytest.fixture(scope="session")
 def so3_inst():
-    return so3(GradingConvention.SHIFTED2)
+    return so3()
 
 
 @pytest.fixture(scope="session")

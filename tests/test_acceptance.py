@@ -15,7 +15,6 @@ from rnforms.catalog import extend_bundle_map, lk_form, matrix_square
 from rnforms.dualforms import DualForm, differential
 from rnforms.elements import Element
 from rnforms.forms import as_polyform
-from rnforms.graded import GradingConvention
 from rnforms.linfty import (check_coboundary, check_full, coefficient_suite,
                             deformed_l2_certificate, pairwise_compatibility, pencil,
                             square_of_sum, sum_of_wedges, torsion_formulas_agree,
@@ -24,8 +23,6 @@ from rnforms.pqn import (main_theorem_harness, mu_with_background,
                          section3_lemma_suite, stienon_xu_harness)
 from rnforms.report import Report
 from rnforms.rings import InputError
-
-SH2 = GradingConvention.SHIFTED2
 
 
 def announce(number, message):
@@ -153,7 +150,7 @@ def test_criterion_6_nijenhuis_one_form_theorem(instances):
 
 
 def test_criterion_7_section3_lemma_suite():
-    inst = heisenberg3(SH2)
+    inst = heisenberg3()
     start = time.monotonic()
     pi = inst.monomial((0, 2))
     N = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(1)]]
@@ -169,14 +166,14 @@ def test_criterion_7_section3_lemma_suite():
 
 
 def test_criterion_8_background_structure(monkeypatch):
-    inst = heisenberg3(SH2)
+    inst = heisenberg3()
     H = DualForm(inst, 3, {(0, 1, 2): Fraction(1)})
     candidate, ingredients = mu_with_background(inst, H)
     cert = candidate.certificate()
     assert cert.is_zero and cert.complete
     assert all(c.is_zero for c in ingredients.values())
 
-    s = so3(SH2)
+    s = so3()
     import rnforms.pqn as pqn_module
     top = DualForm(s, 3, {(0, 1, 2): Fraction(1)})
 
@@ -195,11 +192,11 @@ def test_criterion_8_background_structure(monkeypatch):
 
 def test_criterion_9_main_theorem_verdict_equality():
     results = []
-    a = aff1(SH2)
+    a = aff1()
     results.append(("aff1 scalar", True, main_theorem_harness(
         a, a.monomial((0, 1)), [[Fraction(2), 0], [0, Fraction(2)]],
         DualForm.zero(a, 2), DualForm.zero(a, 3))))
-    h = heisenberg3(SH2)
+    h = heisenberg3()
     top = DualForm(h, 3, {(0, 1, 2): Fraction(1)})
     results.append(("heisenberg3 background", True, main_theorem_harness(
         h, Element.zero(), [[Fraction(-2), 0, 0], [0, Fraction(1), 0],
@@ -238,7 +235,7 @@ def test_criterion_10_manifold_triple_verdict_equality():
     assert side_a and side_b
     assert any(c.complete is False for c in passing.checks if c.complete is not None)
 
-    s = so3(SH2)
+    s = so3()
     failing = stienon_xu_harness(
         s, Element.zero(),
         [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(2)]],

@@ -109,19 +109,19 @@ def test_bundle_map_commutes_with_wedges(aff, h3):
     for inst, N, ks in cases:
         un = extend_bundle_map(inst, N)
         for k in ks:
-            cert = is_zero(rn_bracket(un, wedge_form(inst, k)), inst)
+            cert = is_zero(rn_bracket(un, wedge_form(inst, k)))
             assert cert.is_zero and cert.complete
 
 
 def test_catalog_forms_are_shared_nodes(h3_sh2):
     """Each constructor returns the one atomic node of its defining data and
-    resolved convention, however the data is spelled."""
+    convention, however the data is spelled."""
     inst = h3_sh2
     N = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
     un = extend_bundle_map(inst, N, SH2)
     assert un.terms is None
     assert extend_bundle_map(inst, [[Fraction(v) for v in row] for row in N], SH2) is un
-    assert extend_bundle_map(inst, N) is extend_bundle_map(inst, N, SH2)
+    assert extend_bundle_map(inst, N) is extend_bundle_map(inst, N, GradingConvention.NEGATED)
     assert extend_bundle_map(inst, identity_matrix(inst), SH2) is not un
     assert extend_bundle_map(inst, N, GradingConvention.NEGATED) is not un
     omega = DualForm(inst, 2, {(0, 1): Fraction(1), (1, 2): Fraction(2)})

@@ -483,10 +483,12 @@ def test_scenario_round_trip_matches_builders(aff, h3):
         == h3.sn_bracket(h3.generator(0), h3.generator(1))
 
 
-def _shrunk(tmp_path, name, bounds=2):
+def _shrunk(tmp_path, name, bounds=2, flip_grading=False):
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
     raw.setdefault("suite", {})
     raw["suite"].update({"i_max": bounds, "m_max": bounds, "n_max": bounds})
+    if flip_grading:
+        raw["grading"] = {"negated": "shifted2", "shifted2": "negated"}[raw["grading"]]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
     return str(path)
@@ -522,10 +524,10 @@ EXIT_MATRIX = {
 REPORT_HASHES = Path(__file__).with_name("report_hashes.json")
 
 
-def _report_hashes(tmp_path, capsys):
+def _report_hashes(tmp_path, capsys, flip_grading=False):
     """sha256 of the JSON report of every EXIT_MATRIX pair, keyed
     "scenario: command"; asserts each pair's exit code on the way."""
-    paths = {name: _shrunk(tmp_path, name)
+    paths = {name: _shrunk(tmp_path, name, flip_grading=flip_grading)
              for name in ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")}
     hashes = {}
     for command, expectations in EXIT_MATRIX.items():
@@ -543,13 +545,38 @@ def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
     assert _report_hashes(tmp_path, capsys) == json.loads(REPORT_HASHES.read_text())
 
 
-def test_console_entry_point():
+def test_grading_is_validated_and_changes_no_report(tmp_path, capsys):
+    """Each command names the grading of the forms it builds, so the
+    scenario key builds nothing: with the other grading every report is
+    byte for byte the same.  A misspelled grading is still an input error."""
+    assert (_report_hashes(tmp_path, capsys, flip_grading=True)
+            == json.loads(REPORT_HASHES.read_text()))
+    raw = json.loads((SCENARIOS / "aff1.json").read_text())
+    raw["grading"] = "negatd"
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(capsys, "--scenario", str(path), "validate") == (
+        2, "", "input error: unknown grading convention 'negatd'\n")
+
+
+def _console_command():
+    """(argv, env) of the installed console script, or else of its
+    [project.scripts] target in pyproject.toml, run in a fresh interpreter
+    with src on PYTHONPATH."""
     exe = shutil.which("rnforms")
-    if exe is None:
-        pytest.skip("console script not installed")
+    if exe is not None:
+        return [exe], None
+    scripts = (SRC.parent / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    module, function = re.search(r'^rnforms\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    code = f"import sys\nfrom {module} import {function}\nsys.exit({function}())"
+    return [sys.executable, "-c", code], {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def test_console_entry_point():
+    command, env = _console_command()
     result = subprocess.run(
-        [exe, "--scenario", str(SCENARIOS / "aff1.json"), "validate"],
-        capture_output=True, text=True)
+        [*command, "--scenario", str(SCENARIOS / "aff1.json"), "validate"],
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "status: pass" in result.stdout
 

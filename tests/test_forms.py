@@ -100,7 +100,7 @@ def test_rn_graded_antisymmetry(h3):
     for K, L in cases:
         sign = -1 if (K.shift * L.shift) % 2 == 0 else 1
         diff = rn_bracket(K, L) + rn_bracket(L, K).scale(-sign)
-        assert is_zero(diff, h3).is_zero
+        assert is_zero(diff).is_zero
 
 
 def test_rn_graded_jacobi(aff_sh2):
@@ -126,7 +126,7 @@ def test_rn_graded_jacobi(aff_sh2):
         lhs = rn_bracket(rn_bracket(K, L), M)
         rhs = rn_bracket(K, rn_bracket(L, M)) - rn_bracket(
             L, rn_bracket(K, M)).scale(-1 if kl else 1)
-        assert is_zero(lhs - rhs, aff).is_zero
+        assert is_zero(lhs - rhs).is_zero
 
 
 def test_multilinearity_over_scalars(aff):
@@ -159,10 +159,10 @@ def test_kform_identity_for_extensions(h3_sh2):
 
 
 def test_is_zero_examples(aff, broken, h3):
-    cert = is_zero(rn_bracket(l2_form(aff), l2_form(aff)), aff)
+    cert = is_zero(rn_bracket(l2_form(aff), l2_form(aff)))
     assert cert.is_zero and cert.complete and cert.failing is None
     assert cert.family_note == "all canonical basis tuples"
-    bad = is_zero(rn_bracket(l2_form(broken), l2_form(broken)), broken)
+    bad = is_zero(rn_bracket(l2_form(broken), l2_form(broken)))
     assert not bad.is_zero
     assert bad.counterexample is not None
     assert "e1" in bad.counterexample[0]
@@ -172,11 +172,14 @@ def test_is_zero_examples(aff, broken, h3):
     assert [basis.index(el) for el in bad.failing] == sorted(basis.index(el) for el in bad.failing)
     label = ", ".join(broken.basis_label(el) for el in bad.failing)
     assert bad.counterexample[0] == f"arity {len(bad.failing)}: ({label})"
-    trivial = is_zero(PolyForm(aff, [], convention=aff.convention), aff)
+    trivial = is_zero(PolyForm(aff, [], convention=GradingConvention.NEGATED))
     assert trivial.is_zero and trivial.complete
+    # the walk covers the form's own instance, the only one it can name
+    un = extend_bundle_map(h3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    assert is_zero(un).counterexample[0] == "arity 1: (e3)"
     # a declared family on a finite instance is a verification, not a proof
     gens = [h3.generator(i) for i in range(3)]
-    partial = is_zero(wedge_form(h3, 2), h3, gens)
+    partial = is_zero(wedge_form(h3, 2), gens)
     assert len(partial.checked) == 3 and not partial.complete
     assert partial.family_note == "declared family of 3 elements"
     assert partial.failing == (gens[0], gens[1])
@@ -185,7 +188,7 @@ def test_is_zero_examples(aff, broken, h3):
 def test_is_zero_empty_family_rejected(poly):
     form = as_polyform(wedge_form(poly, 2, SH2))
     with pytest.raises(InputError):
-        is_zero(form, poly, [])
+        is_zero(form, [])
 
 
 def test_polyform_convention_mixing_rejected(h3):

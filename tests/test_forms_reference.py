@@ -67,7 +67,7 @@ def catalog(name):
     inst = instance(name)
     forms = [wedge_form(inst, k) for k in (1, 2, 3)] + [l2_form(inst), lk_form(inst, 3)]
     identity = [[1 if i == j else 0 for j in range(inst.rank)] for i in range(inst.rank)]
-    forms.append(extend_bundle_map(inst, identity, inst.convention))
+    forms.append(extend_bundle_map(inst, identity))
     forms.append(element_form(inst, inst.generator(0)))
     return tuple(forms)
 
@@ -706,7 +706,7 @@ def check_never_sorts(monkeypatch, bounded):
         return canonical(self, args)
 
     monkeypatch.setattr(VForm, "_canonical", spy)
-    certificate = is_zero(form, inst)
+    certificate = is_zero(form)
     assert certificate.is_zero and calls == []
     family = [el for el in inst.all_basis() if el.wedge_degree() <= 1] if bounded else None
     assert {component.order for component in form.components.values()} == {
@@ -733,7 +733,7 @@ def test_is_zero_never_hashes_an_element(monkeypatch):
         return element_hash(self)
 
     monkeypatch.setattr(Element, "__hash__", spy)
-    certificate = is_zero(form, inst)
+    certificate = is_zero(form)
     assert len(certificate.checked) > 100
     assert len(calls) <= len(inst.all_basis())
 
@@ -785,7 +785,7 @@ def check_window_against_reference(inst, family=None):
     verdicts = set()
     for name, fast, slow in window_cases(inst):
         assert fast.arities() == tuple(sorted(slow)), name
-        certificate = is_zero(fast, inst, family)
+        certificate = is_zero(fast, family)
         expected = reference_is_zero(inst, slow, family)
         assert (certificate.is_zero, certificate.failing, certificate.counterexample,
                 len(certificate.checked)) == expected, name
@@ -901,7 +901,7 @@ def check_first_nonzero(name, monkeypatch, bounded):
 
         with monkeypatch.context() as patch:
             patch.setattr(VForm, "_lookup", spy)
-            certificate = is_zero(fast, inst, family)
+            certificate = is_zero(fast, family)
         verdict, failing, counterexample, count = reference_is_zero(inst, slow, family)
         assert (certificate.is_zero, certificate.failing, certificate.counterexample,
                 len(certificate.checked)) == (verdict, failing, counterexample, count), case
@@ -941,7 +941,7 @@ def test_rule_of_the_wrong_wedge_degree_raises():
     with pytest.raises(RuntimeError):
         wrong.evaluate((e1, e2))
     with pytest.raises(RuntimeError):
-        is_zero(wrong, inst)
+        is_zero(wrong)
     mixed = VForm(inst, 2, 0, lambda args: args[0].wedge(args[1]) + inst.unit())
     with pytest.raises(RuntimeError):
         mixed.evaluate((e1, e2))

@@ -39,9 +39,9 @@ def test_suite_rejects_polynomial_instances(poly):
 def test_wedge_commutator_specific_coefficients(h3):
     # [N2,N3] = 2 N4 and [N2,l2] = l3 and [l2,l3] = 0
     n2, n3, n4 = (wedge_form(h3, k) for k in (2, 3, 4))
-    assert is_zero(rn_bracket(n2, n3) - as_polyform(n4.scale(2)), h3).is_zero
-    assert is_zero(rn_bracket(n2, l2_form(h3)) - as_polyform(lk_form(h3, 3)), h3).is_zero
-    assert is_zero(rn_bracket(l2_form(h3), lk_form(h3, 3)), h3).is_zero
+    assert is_zero(rn_bracket(n2, n3) - as_polyform(n4.scale(2))).is_zero
+    assert is_zero(rn_bracket(n2, l2_form(h3)) - as_polyform(lk_form(h3, 3))).is_zero
+    assert is_zero(rn_bracket(l2_form(h3), lk_form(h3, 3))).is_zero
 
 
 def test_wedge_scaling_witness(h3):
@@ -49,7 +49,7 @@ def test_wedge_scaling_witness(h3):
     for j in (2, 3):
         lhs = rn_bracket(wedge_form(h3, 1), wedge_form(h3, j))
         rhs = as_polyform(wedge_form(h3, j).scale(j - 1))
-        assert is_zero(lhs - rhs, h3).is_zero
+        assert is_zero(lhs - rhs).is_zero
 
 
 def test_pencil_examples(aff):

@@ -157,12 +157,12 @@ def test_bracket_rule_without_the_unpaired_terms_is_unsound():
     one, e1, e2 = inst.unit(), inst.generator(0), inst.generator(1)
     assert form.evaluate((one, one, one)).is_zero()
     assert not form.evaluate((one, e1, e2)).is_zero()
-    certificate = is_zero(form, inst)
+    certificate = is_zero(form)
     assert not certificate.is_zero
     assert certificate.counterexample[0] == "arity 3: (1, e1, e2)"
     bracket = rn_bracket(n2, l2)
     assert bracket.component(3).order == 1
-    assert is_zero(bracket, inst).counterexample[0] == "arity 3: (1, e1, e2)"
+    assert is_zero(bracket).counterexample[0] == "arity 3: (1, e1, e2)"
 
 
 def test_insertion_raises_the_order():
@@ -175,7 +175,7 @@ def test_insertion_raises_the_order():
     form = insert(un, un) - extend_bundle_map(inst, square)
     assert form.order == 2
     assert all(form.evaluate((el,)).is_zero() for el in generator_products(inst, 1))
-    certificate = is_zero(form, inst)
+    certificate = is_zero(form)
     assert not certificate.is_zero
     assert certificate.failing == (inst.monomial((0, 1)),)
 
@@ -200,7 +200,7 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
         return lookup(node, key)
 
     monkeypatch.setattr(VForm, "_lookup", spy)
-    assert is_zero(form, inst).is_zero
+    assert is_zero(form).is_zero
     assert top == window and len(window) > 50
 
 
@@ -215,13 +215,13 @@ def both_ways(monkeypatch):
     (form, instance, family, certificate) records."""
     records = []
 
-    def twice(form, instance=None, test_family=None):
-        reduced = forms.is_zero(form, instance, test_family)
+    def twice(form, test_family=None):
+        reduced = forms.is_zero(form, test_family)
         with monkeypatch.context() as patch:
             unbounded(patch)
-            full = forms.is_zero(form, instance, test_family)
+            full = forms.is_zero(form, test_family)
         assert summary(reduced) == summary(full)
-        records.append((form, instance or form.instance, test_family, reduced))
+        records.append((form, form.instance, test_family, reduced))
         return reduced
 
     for module in (linfty, pqn, cli):
@@ -273,10 +273,10 @@ def test_nested_brackets_on_generated_instances(inst, seed):
     inner = rn_bracket(y, z)
     nested = rn_bracket(x, inner)
     for form in (inner, nested, nested - rn_bracket(rn_bracket(x, y), z).scale(2)):
-        reduced = is_zero(form, inst, family)
+        reduced = is_zero(form, family)
         with pytest.MonkeyPatch.context() as patch:
             unbounded(patch)
-            full = is_zero(form, inst, family)
+            full = is_zero(form, family)
         assert summary(reduced) == summary(full)
 
 
@@ -311,7 +311,7 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
             continue
         with pytest.MonkeyPatch.context() as patch:
             unbounded(patch)
-            assert is_zero(form, inst, default_poly_family(inst, 2)).is_zero
+            assert is_zero(form, default_poly_family(inst, 2)).is_zero
         proofs += 1
     assert proofs >= 3
 
@@ -342,11 +342,11 @@ def test_order_two_form_is_caught_with_bound_two():
     x1x2 = inst.unit().scale(inst.ring.var(0) * inst.ring.var(1))
     assert form.evaluate((x1x2,)) == inst.unit()
     assert reduced_components(form, inst, default_poly_family(inst, 2)) == [2]
-    certificate = is_zero(form, inst, default_poly_family(inst, 2))
+    certificate = is_zero(form, default_poly_family(inst, 2))
     assert not certificate.is_zero
     assert certificate.failing == (x1x2,)
     default = default_poly_family(inst)
     assert reduced_components(form, inst, default) == []
-    certificate = is_zero(form, inst, default)
+    certificate = is_zero(form, default)
     assert certificate.is_zero and not certificate.complete
 
