@@ -1,18 +1,14 @@
 """Command line interface.
 
-    rnforms <command> [args] --scenario FILE [--format text|json]
+    rnforms --scenario FILE [--format text|json] COMMAND... [--OPTION VALUE]...
 
-Commands: validate; bracket --left EXPR --right EXPR; check linfty;
-check nijenhuis --kind weak|coboundary|full; check pqn; suite lemma;
-suite witt; suite main-theorem; suite stienon-xu.
-
-Exit codes: 0 all checks pass, 1 mathematical failure, 2 input error.
-JSON reports are byte-identical for identical inputs.
+``COMMANDS`` lists each command's words, handler and options, and
+``rnforms -h`` prints it.  Exit codes: 0 all checks pass, 1 mathematical
+failure, 2 input error.  JSON reports are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 
@@ -143,17 +139,13 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
     return " + ".join(bits) if bits else "0"
 
 
-def cmd_validate(scenario: Scenario, args) -> Report:
-    return scenario.preconditions
-
-
 def cmd_bracket(scenario: Scenario, args) -> Report:
-    left = parse_form_expression(args.left, scenario)
-    right = parse_form_expression(args.right, scenario)
+    left = parse_form_expression(args["left"], scenario)
+    right = parse_form_expression(args["right"], scenario)
     result = rn_bracket(left, right)
     report = Report("bracket", scenario.name)
     value = recognize(result, scenario)
-    report.add(f"[{args.left}, {args.right}]", "Richardson-Nijenhuis bracket", True,
+    report.add(f"[{args['left']}, {args['right']}]", "Richardson-Nijenhuis bracket", True,
                detail=value)
     return report
 
@@ -173,12 +165,13 @@ def cmd_check_linfty(scenario: Scenario, args) -> Report:
 def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
     instance = scenario.instance
     family = scenario.test_family()
-    report = Report(f"check nijenhuis --kind {args.kind}", scenario.name)
-    if args.kind == "weak":
+    kind = args["kind"]
+    report = Report(f"check nijenhuis --kind {kind}", scenario.name)
+    if kind == "weak":
         n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
         mu = pencil(instance, scenario.pencil_coefficients, family)
         result = check_weak(n_form, mu, family)
-    elif args.kind == "coboundary":
+    elif kind == "coboundary":
         n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
         square = square_of_sum(instance, scenario.wedge_coefficients, scenario.bracket_index)
         mu = lk_form(instance, scenario.bracket_index, NEG)
@@ -192,25 +185,9 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
 
 def cmd_check_pqn(scenario: Scenario, args) -> Report:
     report = Report("check pqn", scenario.name)
-    quadruple = PQNQuadruple(scenario.instance, scenario.pi, scenario.N,
-                             scenario.omega, scenario.H, scenario.lam)
-    verdict = check_pqn(quadruple)
-    verdict.to_report(report)
+    check_pqn(PQNQuadruple(scenario.instance, scenario.pi, scenario.N, scenario.omega,
+                           scenario.H, scenario.lam)).to_report(report)
     return report
-
-
-def cmd_suite_lemma(scenario: Scenario, args) -> Report:
-    return coefficient_suite(scenario.instance, scenario.i_max, scenario.m_max,
-                             scenario.n_max, scenario.test_family())
-
-
-def cmd_suite_witt(scenario: Scenario, args) -> Report:
-    return witt_action_check(scenario.instance, scenario.i_max)
-
-
-def cmd_suite_main_theorem(scenario: Scenario, args) -> Report:
-    return main_theorem_harness(scenario.instance, scenario.pi, scenario.N,
-                                scenario.omega, scenario.H, scenario.test_family())
 
 
 def cmd_suite_stienon_xu(scenario: Scenario, args) -> Report:
@@ -220,60 +197,83 @@ def cmd_suite_stienon_xu(scenario: Scenario, args) -> Report:
                               scenario.omega, scenario.alpha, scenario.test_family())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rnforms",
-        description="Exact checks for graded bracket structures on Lie algebroids")
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate")
-    bracket = sub.add_parser("bracket")
-    bracket.add_argument("--left", required=True)
-    bracket.add_argument("--right", required=True)
-    check = sub.add_parser("check")
-    check_sub = check.add_subparsers(dest="what", required=True)
-    check_sub.add_parser("linfty")
-    nij = check_sub.add_parser("nijenhuis")
-    nij.add_argument("--kind", choices=("weak", "coboundary", "full"), required=True)
-    check_sub.add_parser("pqn")
-    suite = sub.add_parser("suite")
-    suite_sub = suite.add_subparsers(dest="which", required=True)
-    for name in ("lemma", "witt", "main-theorem", "stienon-xu"):
-        suite_sub.add_parser(name)
-    return parser
+# Each command's words -> its handler and its options, each with its choices
+# (None: any value).  Every option but --format is required.
+COMMANDS = {
+    ("validate",): (lambda s, args: s.preconditions, {}),
+    ("bracket",): (cmd_bracket, {"left": None, "right": None}),
+    ("check", "linfty"): (cmd_check_linfty, {}),
+    ("check", "nijenhuis"): (cmd_check_nijenhuis, {"kind": ("weak", "coboundary", "full")}),
+    ("check", "pqn"): (cmd_check_pqn, {}),
+    ("suite", "lemma"): (lambda s, args: coefficient_suite(
+        s.instance, s.i_max, s.m_max, s.n_max, s.test_family()), {}),
+    ("suite", "witt"): (lambda s, args: witt_action_check(s.instance, s.i_max), {}),
+    ("suite", "main-theorem"): (lambda s, args: main_theorem_harness(
+        s.instance, s.pi, s.N, s.omega, s.H, s.test_family()), {}),
+    ("suite", "stienon-xu"): (cmd_suite_stienon_xu, {}),
+}
+COMMON = {"scenario": None, "format": ("text", "json")}
+USAGE = "usage: rnforms --scenario FILE [--format text|json] COMMAND [OPTIONS]"
+
+
+def parse_args(argv) -> dict:
+    """The option values of ``argv`` by name and its command words under
+    "command"; InputError on anything that ``COMMANDS`` does not take."""
+    words, args = [], {}
+    items = iter(argv)
+    for item in items:
+        if not item.startswith("--"):
+            words.append(item)
+            continue
+        name, equals, value = item[2:].partition("=")
+        if not equals:
+            value = next(items, None)
+            if value is None or value.startswith("--"):
+                raise InputError(f"option --{name} needs a value")
+        if name in args:
+            raise InputError(f"option --{name} is given twice")
+        args[name] = value
+    command = " ".join(words)
+    if tuple(words) not in COMMANDS:
+        raise InputError(f"unknown command {command!r}" if words else "no command given")
+    options = {**COMMON, **COMMANDS[tuple(words)][1]}
+    for name, value in args.items():
+        if name not in options:
+            raise InputError(f"{command!r} takes no option --{name}")
+        if options[name] and value not in options[name]:
+            raise InputError(f"--{name} must be one of {', '.join(options[name])},"
+                             f" got {value!r}")
+    args.setdefault("format", "text")
+    missing = [f"--{name}" for name in options if name not in args]
+    if missing:
+        raise InputError(f"{command!r} needs {' and '.join(missing)}")
+    args["command"] = tuple(words)
+    return args
 
 
 def dispatch(scenario: Scenario, args) -> Report:
-    if args.command == "validate":
-        return cmd_validate(scenario, args)
-    if args.command == "bracket":
-        return cmd_bracket(scenario, args)
-    if args.command == "check":
-        return {"linfty": cmd_check_linfty,
-                "nijenhuis": cmd_check_nijenhuis,
-                "pqn": cmd_check_pqn}[args.what](scenario, args)
-    if args.command == "suite":
-        return {"lemma": cmd_suite_lemma,
-                "witt": cmd_suite_witt,
-                "main-theorem": cmd_suite_main_theorem,
-                "stienon-xu": cmd_suite_stienon_xu}[args.which](scenario, args)
-    raise InputError(f"unknown command {args.command!r}")
+    return COMMANDS[args["command"]][0](scenario, args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, "", "commands:", sep="\n")
+        for words, (_, options) in COMMANDS.items():
+            print(" ", *words, *(f"--{name} {'|'.join(choices or [name.upper()])}"
+                                 for name, choices in options.items()))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = parse_args(argv)
+    except InputError as exc:
+        print(USAGE, f"input error: {exc}", sep="\n", file=sys.stderr)
+        return 2
     try:
-        scenario = load_scenario(args.scenario)
-        report = dispatch(scenario, args)
+        report = dispatch(load_scenario(args["scenario"]), args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.format == "json" else report.to_text())
+    print(report.to_json() if args["format"] == "json" else report.to_text())
     return report.exit_code
 
 

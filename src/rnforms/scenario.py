@@ -230,10 +230,14 @@ def _parse_matrix(raw, instance: GradedInstance) -> list:
 def load_scenario(path) -> Scenario:
     """Parse, build and validate a scenario; InputError on any defect."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"scenario file not found: {path}")
     try:
-        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        text = path.read_bytes().decode("utf-8")
+    except FileNotFoundError as exc:
+        raise InputError(f"scenario file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read scenario file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario does not parse: {exc}") from exc
     return build_scenario(raw, default_name=path.stem)

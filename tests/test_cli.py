@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -43,10 +42,100 @@ def test_unknown_flag_exit_2(capsys):
     assert code == 2
 
 
+AFF1 = str(SCENARIOS / "aff1.json")
+
+# argv that the command table does not take; each exits 2 with the usage
+# line and one input error on stderr and nothing on stdout
+MALFORMED_ARGV = [
+    ("validate",),                                              # no --scenario
+    ("--scenario", AFF1),                                       # no command word
+    ("--scenario", AFF1, "check"),
+    ("--scenario", AFF1, "frobnicate"),                         # unknown command
+    ("--scenario", AFF1, "check", "linfty", "extra"),
+    ("--scenario", AFF1, "--", "validate"),
+    ("--scenario", AFF1, "validate", "--kind", "weak"),         # not this command's
+    ("--scenario", AFF1, "bracket", "--left", "N2", "--right", "N2", "--kind", "weak"),
+    ("--scen", AFF1, "validate"),                               # abbreviations
+    ("--scenario", AFF1, "check", "nijenhuis", "--ki", "weak"),
+    ("--scenario", AFF1, "validate", "--format"),               # missing value
+    ("--scenario", "--format", "json", "validate"),
+    ("--scenario", AFF1, "bracket", "--left", "N2"),            # missing option
+    ("--scenario", AFF1, "check", "nijenhuis"),
+    ("--scenario", AFF1, "--format", "xml", "validate"),        # outside the choices
+    ("--scenario", AFF1, "check", "nijenhuis", "--kind", "strong"),
+    ("--scenario", AFF1, "--format", "json", "--format", "text", "validate"),  # twice
+    ("--scenario", AFF1, "bracket", "--left", "N2", "--right", "N2", "--left=N3"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV,
+                         ids=lambda argv: " ".join(argv).replace(AFF1, "aff1.json"))
+def test_malformed_argv_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: rnforms --scenario FILE")
+    assert error.startswith("input error: ")
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (("-h",), ("--scenario", AFF1, "check", "--help")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: rnforms --scenario FILE")
+        assert "  check nijenhuis --kind weak|coboundary|full\n" in out
+        assert "  suite stienon-xu\n" in out
+
+
+def test_options_with_equals_and_after_the_command_words(capsys):
+    expected = run_cli(capsys, "--scenario", AFF1, "--format", "json",
+                       "check", "nijenhuis", "--kind", "weak")
+    assert expected[0] == 0
+    for argv in (("--scenario=" + AFF1, "--format=json", "check", "nijenhuis", "--kind=weak"),
+                 ("check", "nijenhuis", "--kind", "weak", "--format", "json",
+                  "--scenario", AFF1),
+                 ("--kind", "weak", "check", "--scenario", AFF1, "nijenhuis",
+                  "--format=json")):
+        assert run_cli(capsys, *argv) == expected, argv
+
+
+# (argv, exit code, sha256 of stdout) of argv that the argparse-based CLI
+# accepted, printed by it: text reports, the default format and "=" values,
+# which the golden JSON hashes below do not cover
+ACCEPTED_ARGV = [
+    (("--scenario", str(SCENARIOS / "heisenberg3.json"), "check", "nijenhuis",
+      "--kind=coboundary"), 0, "2d86697500592dcb854eb3409994c428b640665d3a55c93357efaf089be4f6aa"),
+    (("--scenario=" + str(SCENARIOS / "so3.json"), "check", "pqn"), 1,
+     "cea5d41df4e63db89dbfdbca8db970c12c36b06dbd0acb7bd3ee1c1d66d45e3f"),
+    (("--scenario", AFF1, "--format", "text", "bracket", "--left=underlineN", "--right", "pi"),
+     0, "a2a4b4a2a8159edc5d5a09afd813ef13fa7844facf4958935efc35e9e25404ab"),
+    (("--scenario", str(SCENARIOS / "heisenberg3.json"), "suite", "witt"), 0,
+     "a398d20a7559f5bcbbdb99e0cdf2da027aab224a759c020bbc56b21d7fa107fd"),
+]
+
+
+def test_accepted_argv_prints_the_same_bytes(capsys):
+    for argv, expected_code, digest in ACCEPTED_ARGV:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (expected_code, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "--scenario", "/nonexistent.json", "validate")
     assert code == 2
     assert "input error" in err
+
+
+def test_unreadable_scenario_exit_2(tmp_path, capsys):
+    """A directory and a file that is not UTF-8 used to end in a traceback
+    (exit 1, the code of a mathematical failure)."""
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (tmp_path, not_utf8):
+        code, out, err = run_cli(capsys, "--scenario", str(path), "validate")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot read scenario file {path}: "), err
 
 
 def test_broken_jacobi_exit_2(tmp_path, capsys):
@@ -120,7 +209,7 @@ def test_bracket_recognition_reads_only_certificates():
                "dim": 5, "basis": ["e1", "e2", "e3", "e4", "e5"],
                "brackets": {"e1,e2": {"e5": "1"}, "e3,e4": {"e5": "1"}}}}}
     scenario = build_scenario(raw)
-    report = cmd_bracket(scenario, argparse.Namespace(left="l2", right="l3"))
+    report = cmd_bracket(scenario, {"left": "l2", "right": "l3"})
     assert report.checks[0].detail == "0"
     entries = sum(len(node._memo) for node in scenario.instance._form_nodes.values())
     assert entries < 1000, entries
@@ -592,12 +681,14 @@ def _python(code, pythonpath):
 
 def test_cli_import_adds_no_introspection_modules():
     """Every command pays for its imports: importing the CLI must not pull
-    in dataclasses or its chain (inspect, ast, dis, tokenize)."""
+    in dataclasses or its chain (inspect, ast, dis, tokenize), nor argparse
+    and the gettext it imports."""
     code = "import sys\n{}\nprint(' '.join(sorted(sys.modules)))"
     bare = set(_python(code.format("pass"), SRC).split())
     added = set(_python(code.format("import rnforms.cli"), SRC).split()) - bare
     assert "rnforms.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                        "argparse", "gettext"}, sorted(added)
 
 
 def test_load_shipped_from_a_zipped_install(tmp_path):

@@ -6,12 +6,13 @@ import pytest
 
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form
 from rnforms.forms import as_polyform, is_zero, rn_bracket
+from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.linfty import (check_coboundary, check_full, check_weak,
                             coefficient_suite, deformed_bracket, deformed_l2_certificate,
                             nijenhuis_deformation_theorem_check,
                             pairwise_compatibility, pencil, square_of_sum,
-                            sum_of_wedges, torsion_formulas_agree, torsion_is_zero,
-                            witt_action_check)
+                            sum_of_wedges, torsion_alternate, torsion_formulas_agree,
+                            torsion_is_zero, witt_action_check)
 from rnforms.report import Report
 from rnforms.rings import InputError
 
@@ -164,6 +165,40 @@ def test_nijenhuis_theorem_check(aff, h3):
     assert not report2.passed
     assert report2.checks[0].name == "torsion precondition"
     assert not report2.checks[0].passed
+
+
+def _integer_operators(rng, rank, count=24):
+    """``count`` seeded integer matrices lam*I + M, M with 0 to ``rank``
+    nonzero entries in {-1, 1, 2}."""
+    cells = list(itertools.product(range(rank), repeat=2))
+    for _ in range(count):
+        lam = rng.randint(-2, 2)
+        N = [[Fraction(lam * (i == j)) for j in range(rank)] for i in range(rank)]
+        for i, j in rng.sample(cells, rng.randint(0, rank)):
+            N[i][j] += rng.choice((-1, 1, 2))
+        yield N
+
+
+def test_nijenhuis_deformation_theorem_on_random_integer_operators(ab2, h3, so3_inst):
+    """The paper's first result on seeded random integer N: a torsion-free N
+    passes the full check for the pencil structure; any other N fails its
+    torsion precondition and nothing else.  Torsion-freeness is decided by
+    the second torsion formula, not by the check's own."""
+    rng = random.Random(2016)
+    abelian = [ab2] + [GradedInstance(LieAlgebraData(n), name=f"abelian{n}") for n in (3, 4)]
+    for inst in abelian + [h3, so3_inst]:
+        torsion_free_seen = set()
+        for N in _integer_operators(rng, inst.rank):
+            coefficients = [rng.randint(-2, 2) for _ in range(rng.randint(2, 3))]
+            report = nijenhuis_deformation_theorem_check(inst, N, coefficients)
+            t = torsion_alternate(inst, N)
+            torsion_free = all(t(inst.generator(i), inst.generator(j)).is_zero()
+                               for i, j in itertools.combinations(range(inst.rank), 2))
+            torsion_free_seen.add(torsion_free)
+            failed = [c.name for c in report.checks if not c.passed]
+            assert failed == ([] if torsion_free else ["torsion precondition"]), (inst.name, N)
+        # every N is torsion-free on an abelian algebra; both kinds were drawn on the others
+        assert torsion_free_seen == ({True} if inst in abelian else {True, False}), inst.name
 
 
 def test_full_check_negative_control(h3):
