@@ -4,7 +4,8 @@
 
 ``COMMANDS`` lists each command's words, handler and options, and
 ``rnforms -h`` prints it.  Exit codes: 0 all checks pass, 1 mathematical
-failure, 2 input error.  JSON reports are byte-identical for identical inputs.
+failure, 2 input error, 3 internal error (any other exception, one line on
+stderr).  JSON reports are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -270,10 +271,14 @@ def main(argv=None) -> int:
         return 2
     try:
         report = dispatch(load_scenario(args["scenario"]), args)
+        output = report.to_json() if args["format"] == "json" else report.to_text()
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args["format"] == "json" else report.to_text())
+    except Exception as exc:       # a crash, not a failed identity
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    print(output)
     return report.exit_code
 
 

@@ -63,7 +63,11 @@ through D on shorter products, so by induction on m, D vanishes on all
 products, which span A; then take the next argument.  So :func:`is_zero`,
 on a family that contains the order family, walks that part first, and
 walks all of it only after a nonzero value there (same counterexample;
-the count is always the full one).  A primitive declares its order; an
+the count is always the full one).  The family is one list of piece ids
+sorted by key, resolved once per call; the order family is its pieces of
+at most r generator factors (x^a * mon has |a| + |mon|), and the family
+contains it when it has sum_{j <= min(r, rank)} C(rank, j) C(nvars + r - j,
+nvars) distinct ones, their number.  A primitive declares its order; an
 insertion has r_K + r_L (a composition); sums and scaling keep the
 largest bound; None stays None.  The bracket :func:`rn_vform` records
 max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes: for
@@ -80,6 +84,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -94,30 +99,34 @@ _EMPTY = MappingProxyType({})       # the memo of an unshared combination, every
 
 class _Ids:
     """The piece id table of an instance.  ``index`` maps a wedge monomial,
-    a (wedge monomial, exponent) pair or a non-piece argument to its id."""
+    a (wedge monomial, exponent) pair or a non-piece argument to its id;
+    ``size`` gives a piece's number of generator factors (None for a
+    non-piece).  Ids below ``basis`` are the basis, in canonical order."""
 
     def __init__(self, instance: GradedInstance):
         self.ring = instance.ring
+        self.rank = instance.rank
         self.poly = isinstance(self.ring, PolyRing)
-        self.elements, self.odd, self.keys, self.index = [], [], [], {}
-        self.monomials = []         # the wedge monomials of the basis
+        self.elements, self.odd, self.keys, self.size, self.index = [], [], [], [], {}
         for el in instance.all_basis():
             ((mon, one),) = el.terms.items()
-            self.monomials.append(mon)
-            self._add(el, (mon, one.terms()[0][0]) if self.poly else mon)
+            self._add(el, (mon, one.terms()[0][0]) if self.poly else mon, len(mon))
+        self.basis = len(self.elements)
 
-    def _add(self, el: Element, lookup) -> int:
+    def _add(self, el: Element, lookup, size=None) -> int:
         i = self.index[lookup] = len(self.elements)
         self.elements.append(el)
         self.odd.append(el.wedge_degree() & 1)
         self.keys.append((el.wedge_degree(), el.key(self.ring)))
+        self.size.append(size)
         return i
 
     def piece(self, mon, expo) -> int:
         """The id of the polynomial piece x^expo * mon."""
         i = self.index.get((mon, expo))
         if i is None:
-            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: 1})}), (mon, expo))
+            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: 1})}), (mon, expo),
+                          len(mon) + sum(expo))
         return i
 
     def id_of(self, el: Element) -> int:
@@ -578,12 +587,15 @@ def iterated_eval_identity(K: VForm, args) -> bool:
 class ZeroCertificate:
     """Verdict of an exhaustive (or declared-family) vanishing check."""
 
-    def __init__(self, checked, complete, counterexample, family_note, failing=None):
-        self.checked = checked                  # range over the covered canonical tuples
+    def __init__(self, count, complete, counterexample, family_note, failing=None):
+        self.count = count                      # the number of covered canonical tuples
         self.complete = complete
         self.counterexample = counterexample    # (tuple label, value label) or None
         self.family_note = family_note
         self.failing = failing                  # the canonical tuple labelled there
+
+    # read-only for bench/tracer.py, which takes its len(): that fails past 2^63 - 1
+    checked = property(lambda self: range(self.count))
 
     @property
     def is_zero(self) -> bool:
@@ -594,43 +606,24 @@ class ZeroCertificate:
         return f"ZeroCertificate({status}, complete={self.complete})"
 
 
-def _family_tuples(instance: GradedInstance, arity: int, family, shift: int):
-    """(count, keys) for the canonical tuples of ``arity`` from the basis
-    (or a declared family): non-decreasing in the total order, no repeated
-    odd factor.  ``count`` is the number of them; ``keys`` yields the keys
-    of those whose wedge degrees sum to s with 0 <= s + shift <= rank, in
-    test order (lexicographic over the family positions sorted by key).
-    The others are zero on a form of that shift by grading."""
-    family = instance.all_basis() if family is None else list(family)
-    if not family:
-        raise InputError("empty test family")
-    table = instance._ids = instance._ids or _Ids(instance)
-    keys, odd = table.keys, table.odd
-    order = sorted([table.id_of(el) for el in family], key=keys.__getitem__)
-    return _tuple_count(order, odd, arity), _window_keys(
-        order, keys, odd, arity, -shift, instance.rank - shift)
-
-
-def _order_family(instance: GradedInstance, family, order: int):
-    """The products of at most ``order`` generators (1 included) if
-    ``family`` (the basis when None) has them all and more, else None."""
-    table = instance._ids
-    present = {table.id_of(el) for el in (instance.all_basis() if family is None else family)}
-    n = table.ring.nvars if table.poly else 0
-    wanted = []
-    for mon in table.monomials:
-        for total in range(order - len(mon) + 1):
-            for combo in itertools.combinations_with_replacement(range(n), total):
-                expo = tuple([combo.count(v) for v in range(n)])
-                wanted.append(table.index.get((mon, expo) if table.poly else mon))
-    if present.issuperset(wanted) and len(present) > len(wanted):
-        return [table.elements[i] for i in wanted]
+def _order_family(table: _Ids, family, order: int):
+    """The products of at most ``order`` generators (1 included) among the
+    sorted piece ids ``family``, if it has them all and more, else None:
+    its pieces of at most ``order`` factors, counted against their number."""
+    size = table.size
+    short = list(dict.fromkeys([i for i in family if size[i] is not None and size[i] <= order]))
+    nvars = table.ring.nvars if table.poly else 0
+    wanted = sum(comb(table.rank, j) * comb(nvars + order - j, nvars)
+                 for j in range(min(order, table.rank) + 1))
+    if len(short) == wanted and len(set(family)) > wanted:
+        return short
     return None
 
 
-def _tuple_count(ids, odd, arity: int) -> int:
-    """The coefficient of t^arity in the product over even family positions
-    of 1/(1-t) and over distinct odd ids with m positions of 1 + m t."""
+def _tuple_count(ids, odd, arity: int) -> list:
+    """The coefficients of t^0, ..., t^arity in the product over even
+    family positions of 1/(1-t) and over distinct odd ids with m positions
+    of 1 + m t: the number of canonical tuples of each arity."""
     series = [1] + [0] * arity
     multiplicity: dict = {}
     for i in ids:
@@ -643,7 +636,7 @@ def _tuple_count(ids, odd, arity: int) -> int:
             for _ in range(m):
                 for a in range(1, arity + 1):
                     series[a] += series[a - 1]
-    return series[arity]
+    return series
 
 
 def _window_keys(order, keys, odd, arity: int, low: int, high: int):
@@ -703,36 +696,40 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
     family contains it (see the module docstring)."""
     form = as_polyform(form)
     instance = form.instance
-    complete = test_family is None and not isinstance(instance.ring, PolyRing)
+    table = instance._ids = instance._ids or _Ids(instance)
+    keys, odd = table.keys, table.odd
+    complete = test_family is None and not table.poly
     if complete:
         note = "all canonical basis tuples"
+        family = range(table.basis)
     else:
         if test_family is None:
             test_family = default_poly_family(instance)
         note = f"declared family of {len(test_family)} elements"
+        family = sorted(map(table.id_of, test_family), key=keys.__getitem__)
+        if not family:
+            raise InputError("empty test family")
+    counts = _tuple_count(family, odd, max(form.components, default=0))
     covered = 0
     counterexample = failing = None
     for arity, component in form.components.items():
-        count, keys = _family_tuples(instance, arity, test_family, component.shift)
-        covered += count
+        covered += counts[arity]
         if failing is not None:
             continue
         lookup = component._lookup
-        short = component.order is not None and _order_family(
-            instance, test_family, component.order)
-        if short and not any(map(lookup, _family_tuples(
-                instance, arity, short, component.shift)[1])):
+        low, high = -component.shift, instance.rank - component.shift
+        short = component.order is not None and _order_family(table, family, component.order)
+        if short and not any(map(lookup, _window_keys(short, keys, odd, arity, low, high))):
             continue
-        for key in keys:
+        for key in _window_keys(family, keys, odd, arity, low, high):
             value = lookup(key)
             if value:
-                table = instance._ids
                 failing = tuple([table.elements[i] for i in key])
                 label = ", ".join(instance.basis_label(el) for el in failing)
                 counterexample = (f"arity {arity}: ({label})",
                                   instance.basis_label(table.element(value)))
                 break
-    return ZeroCertificate(range(covered), complete, counterexample, note, failing)
+    return ZeroCertificate(covered, complete, counterexample, note, failing)
 
 
 def default_poly_family(instance: GradedInstance, coefficient_degree: int = 1):

@@ -26,13 +26,6 @@ class GradingConvention(str, Enum):
             return -wedge_degree
         return wedge_degree - 2
 
-    @classmethod
-    def parse(cls, text: str) -> "GradingConvention":
-        try:
-            return cls(text)
-        except ValueError:
-            raise InputError(f"unknown grading convention {text!r}") from None
-
 
 def sign_pow(exponent: int) -> int:
     """(-1)**exponent as an exact int, valid for negative exponents too."""

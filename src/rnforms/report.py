@@ -1,8 +1,8 @@
 """Shared check/report schema for suites, checkers and the CLI.
 
 A Report is a flat list of named checks; exit status is 0 when every check
-passes, 1 on a mathematical failure, 2 on input errors (raised before a
-report exists).  JSON output is deterministic: sorted keys, no timestamps.
+passes, 1 on a mathematical failure, 2 on input errors and 3 on internal
+errors (both raised before any report is printed).  JSON output is deterministic: sorted keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Report:
             name, anchor, certificate.is_zero, certificate.complete,
             None if certificate.counterexample is None
             else f"{certificate.counterexample[0]} -> {certificate.counterexample[1]}",
-            f"{len(certificate.checked)} tuples ({certificate.family_note})"))
+            f"{certificate.count} tuples ({certificate.family_note})"))
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,6 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
     // or "poly_algebroid": {"base_dim", "coordinates", "rank",
     //                       "generators", "anchor", "brackets"}
   },
-  "grading": "negated" | "shifted2",
   "data": {
     "pi":     {"e1^e2": "1"},          // bivector, wedge-monomial keys
     "N":      [["2","0"],["0","2"]],   // rank x rank matrix
@@ -27,8 +26,8 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
   "suite": {"i_max": 4, "m_max": 4, "n_max": 4, "poly_degree_bound": 1}
 }
 
-``grading`` is validated (a misspelled value is an input error) but builds
-nothing: each command names the grading of every form it builds.
+Each command names the grading of every form it builds, so a scenario
+carries none: a ``grading`` key is an unknown key like any other.
 
 A key outside this schema, at any level, is an input error, and so is a
 value of the wrong JSON type: name is a string (the file name when absent);
@@ -51,7 +50,6 @@ from pathlib import Path
 from .dualforms import DualForm, differential
 from .elements import Element
 from .forms import default_poly_family
-from .graded import GradingConvention
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .report import Report
 from .rings import InputError, parse_rational
@@ -90,7 +88,7 @@ class Scenario:
         return None
 
 
-_TOP_KEYS = {"name", "instance", "grading", "data", "suite"}
+_TOP_KEYS = {"name", "instance", "data", "suite"}
 _INSTANCE_KEYS = {"lie_algebra", "poly_algebroid"}
 _LIE_KEYS = {"dim", "basis", "brackets"}
 _POLY_KEYS = {"base_dim", "coordinates", "rank", "generators", "anchor", "brackets"}
@@ -264,7 +262,6 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
     elif not isinstance(name, str):
         raise InputError(f"scenario.name must be a string, got {name!r}")
     inst_block = _block(raw.get("instance"), "instance", _INSTANCE_KEYS)
-    GradingConvention.parse(raw.get("grading", "negated"))     # validated; no command reads it
     if len(inst_block) > 1:
         raise InputError("instance has both 'lie_algebra' and 'poly_algebroid';"
                          " give one of them")

@@ -294,6 +294,15 @@ def test_mathematical_failure_exit_1(tmp_path, capsys):
     assert "status: fail" in out
 
 
+def test_internal_error_exit_3(capsys):
+    # N99999999999999999999 overflows the unshuffles of the insertion: a
+    # crash, not a failed identity, so exit 3 with one line on stderr
+    code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
+                             "bracket", "--left", "N3", "--right", "N99999999999999999999")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+
+
 def test_polynomial_dual_form_labels(tmp_path, capsys):
     # N = diag(1, x1) does not commute with pi# for pi = x1 a1^a2, so
     # condition (b) fails on the unit duals, printed as dual-form labels
@@ -302,7 +311,6 @@ def test_polynomial_dual_form_labels(tmp_path, capsys):
         "instance": {"poly_algebroid": {
             "base_dim": 2, "coordinates": ["x1", "x2"], "rank": 2, "generators": ["a1", "a2"],
             "anchor": [[{"1": "1"}, "0"], ["0", {"1": "1"}]], "brackets": {}}},
-        "grading": "shifted2",
         "data": {"pi": {"a1^a2": {"x1": "1"}}, "N": [["1", "0"], ["0", {"x1": "1"}]]},
     }
     path = tmp_path / "poly-labels.json"
@@ -419,6 +427,15 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
     assert code == 2
     assert "status: pass" not in out
     assert "'sute'" in err
+    # each command names the grading of the forms it builds, so the old
+    # top-level key is unknown like any other
+    for grading in ("negated", "shifted2"):
+        raw = json.loads((SCENARIOS / "aff1.json").read_text())
+        raw["grading"] = grading
+        path.write_text(json.dumps(raw))
+        assert run_cli(capsys, "--scenario", str(path), "validate") == (
+            2, "", "input error: unknown key 'grading' in scenario;"
+            " expected one of ['data', 'instance', 'name', 'suite']\n")
     for level, key in (("data", "omgea"), ("data", "pi "), ("suite", "imax")):
         raw = json.loads((SCENARIOS / "aff1.json").read_text())
         raw[level][key] = "1"
@@ -572,12 +589,10 @@ def test_scenario_round_trip_matches_builders(aff, h3):
         == h3.sn_bracket(h3.generator(0), h3.generator(1))
 
 
-def _shrunk(tmp_path, name, bounds=2, flip_grading=False):
+def _shrunk(tmp_path, name, bounds=2):
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
     raw.setdefault("suite", {})
     raw["suite"].update({"i_max": bounds, "m_max": bounds, "n_max": bounds})
-    if flip_grading:
-        raw["grading"] = {"negated": "shifted2", "shifted2": "negated"}[raw["grading"]]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(raw))
     return str(path)
@@ -613,10 +628,10 @@ EXIT_MATRIX = {
 REPORT_HASHES = Path(__file__).with_name("report_hashes.json")
 
 
-def _report_hashes(tmp_path, capsys, flip_grading=False):
+def _report_hashes(tmp_path, capsys):
     """sha256 of the JSON report of every EXIT_MATRIX pair, keyed
     "scenario: command"; asserts each pair's exit code on the way."""
-    paths = {name: _shrunk(tmp_path, name, flip_grading=flip_grading)
+    paths = {name: _shrunk(tmp_path, name)
              for name in ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")}
     hashes = {}
     for command, expectations in EXIT_MATRIX.items():
@@ -632,20 +647,6 @@ def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
     # the golden hashes pin every report byte for byte; regenerate them
     # only for an intended report change
     assert _report_hashes(tmp_path, capsys) == json.loads(REPORT_HASHES.read_text())
-
-
-def test_grading_is_validated_and_changes_no_report(tmp_path, capsys):
-    """Each command names the grading of the forms it builds, so the
-    scenario key builds nothing: with the other grading every report is
-    byte for byte the same.  A misspelled grading is still an input error."""
-    assert (_report_hashes(tmp_path, capsys, flip_grading=True)
-            == json.loads(REPORT_HASHES.read_text()))
-    raw = json.loads((SCENARIOS / "aff1.json").read_text())
-    raw["grading"] = "negatd"
-    path = tmp_path / "misspelled.json"
-    path.write_text(json.dumps(raw))
-    assert run_cli(capsys, "--scenario", str(path), "validate") == (
-        2, "", "input error: unknown grading convention 'negatd'\n")
 
 
 def _console_command():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, wedge_form
 from rnforms.dualforms import DualForm
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, as_polyform, element_form, insert, is_zero,
+from rnforms.forms import (PolyForm, VForm, as_polyform, element_form, insert, is_zero,
                            iterated_eval_identity, rn_bracket)
 from rnforms.graded import GradingConvention, koszul_sign
+from rnforms.instances import GradedInstance, LieAlgebraData
+from rnforms.report import Report
 from rnforms.rings import InputError
 
 SH2 = GradingConvention.SHIFTED2
@@ -189,6 +192,21 @@ def test_is_zero_empty_family_rejected(poly):
     form = as_polyform(wedge_form(poly, 2, SH2))
     with pytest.raises(InputError):
         is_zero(form, [])
+
+
+def test_certificate_count_past_the_index_range_reaches_the_report():
+    """The 12-tuples of the 1024 basis elements of abelian 10 number more
+    than 2^63 - 1, past what len() of a range can give; the certificate
+    counts them as an int and the report prints that count.  With 512 even
+    and 512 odd basis elements the count is the coefficient of t^12 in
+    (1-t)^-512 (1+t)^512."""
+    abelian10 = GradedInstance(LieAlgebraData(10), "abelian10")
+    certificate = is_zero(VForm.zero(abelian10, 12, 0, GradingConvention.NEGATED))
+    expected = sum(math.comb(512, j) * math.comb(511 + 12 - j, 12 - j) for j in range(13))
+    assert certificate.is_zero and certificate.count == expected > 2 ** 63
+    report = Report("check", "abelian10")
+    report.add_certificate("zero", "0 = 0", certificate)
+    assert report.checks[0].detail == f"{expected} tuples (all canonical basis tuples)"
 
 
 def test_polyform_convention_mixing_rejected(h3):

@@ -44,14 +44,25 @@ def summary(certificate):
             certificate.counterexample, certificate.complete, certificate.family_note)
 
 
+def family_ids(instance, family):
+    """The sorted piece ids that is_zero resolves ``family`` to (the basis
+    when None on a Lie algebra)."""
+    table = instance._ids = instance._ids or forms._Ids(instance)
+    if family is None and not table.poly:
+        return range(table.basis)
+    if family is None:
+        family = default_poly_family(instance)
+    return sorted(map(table.id_of, family), key=table.keys.__getitem__)
+
+
 def reduced_components(form, instance, family):
     """The orders of the components that is_zero walks on their order
     family first."""
     form = forms.as_polyform(form)
-    instance._ids = instance._ids or forms._Ids(instance)
+    ids = family_ids(instance, family)
     return [component.order for component in form.components.values()
             if component.order is not None
-            and forms._order_family(instance, family, component.order) is not None]
+            and forms._order_family(instance._ids, ids, component.order) is not None]
 
 
 # -- the graded-commutator identity ------------------------------------------------------
@@ -189,8 +200,10 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
     form = rn_bracket(plain, plain).component(3)
     assert plain.order is None and form.order is None
     assert rn_bracket(l2, l2).component(3).order == 1
-    _, keys = forms._family_tuples(inst, 3, None, form.shift)
-    window = list(keys)
+    ids = family_ids(inst, None)
+    table = inst._ids
+    window = list(forms._window_keys(ids, table.keys, table.odd, 3,
+                                     -form.shift, inst.rank - form.shift))
     top = []
     lookup = VForm._lookup
 
@@ -202,6 +215,25 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
     monkeypatch.setattr(VForm, "_lookup", spy)
     assert is_zero(form).is_zero
     assert top == window and len(window) > 50
+
+
+def test_is_zero_resolves_its_family_once(monkeypatch):
+    """On a form of two components, each walked on its order family first,
+    is_zero maps a declared family through the id table once per element,
+    and the basis of a Lie algebra not at all."""
+    calls = []
+    id_of = forms._Ids.id_of
+    monkeypatch.setattr(forms._Ids, "id_of",
+                        lambda table, el: calls.append(el) or id_of(table, el))
+    poly = poly_tangent_r2()
+    for inst, family in ((heisenberg3(), None), (poly, default_poly_family(poly))):
+        n = PolyForm(inst, [wedge_form(inst, 1, NEG), wedge_form(inst, 2, NEG)])
+        form = rn_bracket(n, PolyForm(inst, [l2_form(inst, NEG)]))
+        assert len(form.components) == 2
+        assert len(reduced_components(form, inst, family)) == 2
+        calls.clear()
+        is_zero(form, family)
+        assert len(calls) == (0 if family is None else len(family))
 
 
 # -- reduced against forced-None certificates ------------------------------------------------
@@ -295,12 +327,23 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
     """The default family (coordinate degree 1) contains 1, x_i and a_j, so
     every order-1 verdict of the poly-tangent-r2 commands is a proof: each
     such certificate also vanishes on the coordinate-degree-2 family,
-    walked in full."""
+    walked in full.  A family that lacks one of them, or has nothing more,
+    is not reduced."""
     scenario = load_shipped("poly-tangent-r2")
     inst, family = scenario.instance, scenario.test_family()
-    inst._ids = forms._Ids(inst)
-    assert set(forms._order_family(inst, family, 1)) == set(generator_products(inst, 1))
-    assert forms._order_family(inst, family, 2) is None
+    table = inst._ids = forms._Ids(inst)
+
+    def order_family(family, order):
+        short = forms._order_family(table, family_ids(inst, family), order)
+        return short and {table.elements[i] for i in short}
+
+    products = generator_products(inst, 1)
+    assert order_family(family, 1) == set(products)
+    assert order_family(family, 2) is None
+    x1 = inst.unit().scale(inst.ring.var(0))
+    assert x1 in products and x1 in family
+    assert order_family([el for el in family if el != x1], 1) is None
+    assert order_family(products, 1) is None
     run_commands(poly_scenario(tmp_path, 1), capsys)
     proofs = 0
     for form, inst, family, certificate in both_ways:
