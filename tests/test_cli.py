@@ -427,15 +427,6 @@ def test_unknown_scenario_keys_exit_2(tmp_path, capsys):
     assert code == 2
     assert "status: pass" not in out
     assert "'sute'" in err
-    # each command names the grading of the forms it builds, so the old
-    # top-level key is unknown like any other
-    for grading in ("negated", "shifted2"):
-        raw = json.loads((SCENARIOS / "aff1.json").read_text())
-        raw["grading"] = grading
-        path.write_text(json.dumps(raw))
-        assert run_cli(capsys, "--scenario", str(path), "validate") == (
-            2, "", "input error: unknown key 'grading' in scenario;"
-            " expected one of ['data', 'instance', 'name', 'suite']\n")
     for level, key in (("data", "omgea"), ("data", "pi "), ("suite", "imax")):
         raw = json.loads((SCENARIOS / "aff1.json").read_text())
         raw[level][key] = "1"
@@ -647,6 +638,22 @@ def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
     # the golden hashes pin every report byte for byte; regenerate them
     # only for an intended report change
     assert _report_hashes(tmp_path, capsys) == json.loads(REPORT_HASHES.read_text())
+
+
+def test_grading_is_validated_and_changes_no_report(tmp_path, capsys):
+    """Each command names the grading of the forms it builds, so a scenario
+    carries none: a "grading" key, well spelled or not, is an unknown key,
+    an input error that prints no report under any command."""
+    for grading in ("negated", "shifted2", "negatd"):
+        raw = json.loads((SCENARIOS / "aff1.json").read_text())
+        raw["grading"] = grading
+        path = tmp_path / f"grading-{grading}.json"
+        path.write_text(json.dumps(raw))
+        for command in EXIT_MATRIX:
+            assert run_cli(capsys, "--scenario", str(path), "--format", "json",
+                           *command) == (
+                2, "", "input error: unknown key 'grading' in scenario;"
+                " expected one of ['data', 'instance', 'name', 'suite']\n")
 
 
 def _console_command():
