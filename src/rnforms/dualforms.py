@@ -130,8 +130,10 @@ def tabulate(inst: GradedInstance, k: int, value) -> DualForm:
 
 def differential(kappa: DualForm) -> DualForm:
     """Cartan differential: (d k)(X_0..X_k) = sum_i (-1)^i rho(X_i) k(..^i..)
-    + sum_{i<j} (-1)^{i+j} k([X_i, X_j], ..^i..^j..)."""
+    + sum_{i<j} (-1)^{i+j} k([X_i, X_j], ..^i..^j..); d0 = 0 at once."""
     inst = kappa.instance
+    if kappa.is_zero():
+        return DualForm.zero(inst, kappa.k + 1)
 
     def value(*xs):
         total = inst.ring.zero()

@@ -16,15 +16,16 @@ different nodes.  Scaling, sums and brackets only merge coefficient maps.
 Values are only computed by evaluation and by :func:`is_zero`.
 
 The kernel runs on integer piece ids.  One id table per instance
-(:class:`_Ids`, built by the first evaluation) numbers the Q-basis pieces
-(wedge monomials on a Lie algebra, in canonical order; coordinate monomial
-times wedge monomial on a polynomial algebroid, the basis up front and the
-rest when first met) and keeps each piece's Element, parity and sort key.
-**A memo key is a tuple of ids in canonical order** (by sort key, no
-repeated odd id) and **a memo value is a piece map** {id: nonzero int or
-Fraction}, never mutated once stored: an integral coefficient is an int
-(:func:`rings.plain`, the rule of :class:`rings.Poly` too), so the common
-case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
+(:class:`_Ids`, empty until the first evaluation or certificate) numbers
+each Q-basis piece (a wedge monomial on a Lie algebra; a coordinate
+monomial times a wedge monomial on a polynomial algebroid) when it first
+meets it, through :meth:`_Ids.piece`, and keeps each piece's Element,
+parity and sort key.  Ids carry no order: every sort and bisect orders
+them by sort key.  **A memo key is a tuple of ids in canonical order** (by
+sort key, no repeated odd id) and **a memo value is a piece map** {id:
+nonzero int or Fraction}, never mutated once stored: an integral
+coefficient is an int (:func:`rings.plain`, the rule of :class:`rings.Poly`
+too), so the common case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
 at the entry; Elements appear only there and in the failing tuple and
 counterexample of :func:`is_zero`.  A catalog rule's value is
 split into pieces once per memo miss.  An insertion bisects each piece of
@@ -60,23 +61,25 @@ commutator [...[D, c_0], ..., c_r] with left multiplications vanishes
 products of <= r generators (1 included: the order family).  Proof:
 expanding the commutator at x = c_{r+1}...c_{m-1} writes D(c_0...c_{m-1})
 through D on shorter products, so by induction on m, D vanishes on all
-products, which span A; then take the next argument.  So :func:`is_zero`,
-on a family that contains the order family, walks that part first, and
-walks all of it only after a nonzero value there (same counterexample;
-the count is always the full one).  The family is one list of piece ids
-sorted by key, resolved once per call; the order family is its pieces of
-at most r generator factors (x^a * mon has |a| + |mon|), and the family
-contains it when it has sum_{j <= min(r, rank)} C(rank, j) C(nvars + r - j,
-nvars) distinct ones, their number.  A primitive declares its order; an
-insertion has r_K + r_L (a composition); sums and scaling keep the
-largest bound; None stays None.  The bracket :func:`rn_vform` records
-max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes: for
-each split (B, C) of the other arguments, L(K(a, B), C) and K(L(a, C), B)
-form a graded commutator of operators in a of orders r_K and r_L, so of
-order r_K + r_L - 1 ([[D, E], c] = [[D, c], E] +- [D, [E, c]], by
-induction; order 0 is a multiplication); in the other terms a sits in L or
-K directly.  A shared node keeps the tightest bound any construction
-proves.
+products, which span A; then take the next argument.  So :func:`is_zero`
+walks the order family, built from its definition, first when the family
+holds all of it and more (on the basis of a Lie algebra: when r < rank),
+and walks the whole family only after a nonzero value there (same
+counterexample; the count is always the full one).  A primitive declares its
+order; an insertion has r_K + r_L (a composition); sums and scaling keep
+the largest bound; None stays None.  The bracket :func:`rn_vform` records
+max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes: for each
+split (B, C) of the other arguments, L(K(a, B), C) and K(L(a, C), B) form a
+graded commutator of operators in a of orders r_K and r_L, so of order
+r_K + r_L - 1 ([[D, E], c] = [[D, c], E] +- [D, [E, c]], by induction;
+order 0 is a multiplication); in the other terms a sits in L or K directly.
+A shared node keeps the tightest bound any construction proves.
+
+**Families as sets.**  A declared family is the set of its distinct piece
+ids.  Every count is the closed sum over b of C(O, b) C(E + a - b - 1,
+a - b) over its E even and O odd ids.  The basis of a Lie algebra has
+E = O = 2^(rank-1); it is listed, and numbered, only for a full walk after
+a nonzero value.
 """
 
 from __future__ import annotations
@@ -98,35 +101,31 @@ _EMPTY = MappingProxyType({})       # the memo of an unshared combination, every
 
 
 class _Ids:
-    """The piece id table of an instance.  ``index`` maps a wedge monomial,
-    a (wedge monomial, exponent) pair or a non-piece argument to its id;
-    ``size`` gives a piece's number of generator factors (None for a
-    non-piece).  Ids below ``basis`` are the basis, in canonical order."""
+    """The piece id table of an instance, empty until a piece is met.
+    ``index`` maps a wedge monomial (on a Lie algebra), a (wedge monomial,
+    exponent) pair or a non-piece argument to its id, the next free one when
+    first met; ``keys[i]`` is its sort key."""
 
     def __init__(self, instance: GradedInstance):
         self.ring = instance.ring
         self.rank = instance.rank
         self.poly = isinstance(self.ring, PolyRing)
-        self.elements, self.odd, self.keys, self.size, self.index = [], [], [], [], {}
-        for el in instance.all_basis():
-            ((mon, one),) = el.terms.items()
-            self._add(el, (mon, one.terms()[0][0]) if self.poly else mon, len(mon))
-        self.basis = len(self.elements)
+        self.elements, self.odd, self.keys, self.index = [], [], [], {}
 
-    def _add(self, el: Element, lookup, size=None) -> int:
+    def _add(self, el: Element, lookup) -> int:
         i = self.index[lookup] = len(self.elements)
         self.elements.append(el)
         self.odd.append(el.wedge_degree() & 1)
         self.keys.append((el.wedge_degree(), el.key(self.ring)))
-        self.size.append(size)
         return i
 
-    def piece(self, mon, expo) -> int:
-        """The id of the polynomial piece x^expo * mon."""
-        i = self.index.get((mon, expo))
+    def piece(self, mon, expo=None) -> int:
+        """The id of the piece x^expo * mon (``expo`` None on a Lie algebra)."""
+        lookup = mon if expo is None else (mon, expo)
+        i = self.index.get(lookup)
         if i is None:
-            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: 1})}), (mon, expo),
-                          len(mon) + sum(expo))
+            unit = self.ring.one() if expo is None else Poly(self.ring.nvars, {expo: 1})
+            i = self._add(Element({mon: unit}), lookup)
         return i
 
     def id_of(self, el: Element) -> int:
@@ -140,10 +139,9 @@ class _Ids:
 
     def split(self, value: Element) -> dict:
         """An Element as a piece map."""
-        if not self.poly:
-            index = self.index
-            return {index[mon]: plain(c) for mon, c in value.terms.items()}
         piece = self.piece
+        if not self.poly:
+            return {piece(mon): plain(c) for mon, c in value.terms.items()}
         return {piece(mon, expo): c for mon, poly in value.terms.items()
                 for expo, c in self.ring.coerce(poly).terms()}
 
@@ -606,59 +604,47 @@ class ZeroCertificate:
         return f"ZeroCertificate({status}, complete={self.complete})"
 
 
-def _order_family(table: _Ids, family, order: int):
-    """The products of at most ``order`` generators (1 included) among the
-    sorted piece ids ``family``, if it has them all and more, else None:
-    its pieces of at most ``order`` factors, counted against their number."""
-    size = table.size
-    short = list(dict.fromkeys([i for i in family if size[i] is not None and size[i] <= order]))
+def _order_family(table: _Ids, order: int) -> list:
+    """The ids of the products of at most ``order`` generators (1 included),
+    sorted by key: wedge monomials of degree j <= order, times x^a with
+    |a| <= order - j on a polynomial algebroid."""
     nvars = table.ring.nvars if table.poly else 0
-    wanted = sum(comb(table.rank, j) * comb(nvars + order - j, nvars)
-                 for j in range(min(order, table.rank) + 1))
-    if len(short) == wanted and len(set(family)) > wanted:
-        return short
-    return None
+    ids = []
+    for j in range(min(order, table.rank) + 1):
+        expos = [None] if not table.poly else [
+            tuple(combo.count(v) for v in range(nvars)) for total in range(order - j + 1)
+            for combo in itertools.combinations_with_replacement(range(nvars), total)]
+        for mon in itertools.combinations(range(table.rank), j):
+            ids.extend([table.piece(mon, expo) for expo in expos])
+    return sorted(ids, key=table.keys.__getitem__)
 
 
-def _tuple_count(ids, odd, arity: int) -> list:
-    """The coefficients of t^0, ..., t^arity in the product over even
-    family positions of 1/(1-t) and over distinct odd ids with m positions
-    of 1 + m t: the number of canonical tuples of each arity."""
-    series = [1] + [0] * arity
-    multiplicity: dict = {}
-    for i in ids:
-        multiplicity[i] = multiplicity.get(i, 0) + 1
-    for i, m in multiplicity.items():
-        if odd[i]:
-            for a in range(arity, 0, -1):
-                series[a] += m * series[a - 1]
-        else:
-            for _ in range(m):
-                for a in range(1, arity + 1):
-                    series[a] += series[a - 1]
-    return series
+def _tuple_count(even: int, odd: int, arity: int) -> int:
+    """The number of canonical tuples of ``arity`` over ``even`` even and
+    ``odd`` odd distinct elements: b distinct odd ones and a multiset of
+    arity - b even ones."""
+    return sum(comb(odd, b) * (comb(even + arity - b - 1, arity - b) if arity > b else 1)
+               for b in range(min(arity, odd) + 1))
 
 
 def _window_keys(order, keys, odd, arity: int, low: int, high: int):
-    """The non-decreasing ``arity``-tuples over the sorted ids ``order``
-    with no repeated odd id and wedge degree sum in [low, high], in
-    lexicographic order of positions.  Branches that cannot reach the
-    window are cut: least[r][j] and most[r][j] are the smallest and largest
-    degree sums of r picks from positions j on."""
+    """The non-decreasing ``arity``-tuples over the distinct ids ``order``,
+    sorted by key, with no repeated odd id and wedge degree sum in [low,
+    high], in lexicographic order of positions: the pick after position j
+    starts at j + 1 after an odd id, at j after an even one.  Branches that
+    cannot reach the window are cut: least[r][j] and most[r][j] are the
+    smallest and largest degree sums of r picks from positions j on."""
     n = len(order)
     degree = [keys[i][0] for i in order]
-    after = list(range(n))          # where the pick after position j may start
-    for j in range(n - 1, -1, -1):
-        if odd[order[j]]:
-            after[j] = after[j + 1] if j + 1 < n and order[j + 1] == order[j] else j + 1
+    step = [odd[i] for i in order]
     far = float("inf")
     least, most = [[0] * (n + 1)], [[0] * (n + 1)]
     for _ in range(arity):
         fewer_least, fewer_most = least[-1], most[-1]
         row_least, row_most = [far] * (n + 1), [-far] * (n + 1)
         for j in range(n - 1, -1, -1):
-            row_least[j] = min(row_least[j + 1], degree[j] + fewer_least[after[j]])
-            row_most[j] = max(row_most[j + 1], degree[j] + fewer_most[after[j]])
+            row_least[j] = min(row_least[j + 1], degree[j] + fewer_least[j + step[j]])
+            row_most[j] = max(row_most[j + 1], degree[j] + fewer_most[j + step[j]])
         least.append(row_least)
         most.append(row_most)
 
@@ -668,7 +654,7 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
             if total + least[r][j] > high or total + most[r][j] < low:
                 break
             s = total + degree[j]
-            rest = after[j]
+            rest = j + step[j]
             if s + fewer_least[rest] > high or s + fewer_most[rest] < low:
                 continue
             key = prefix + (order[j],)
@@ -687,13 +673,12 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
 def is_zero(form, test_family=None) -> ZeroCertificate:
     """Exhaustive vanishing verdict, over the form's own instance, on all
     canonical basis tuples (finite instances without a family: a complete
-    proof by multilinearity, graded symmetry and grading) or on a declared
-    family (always the case on polynomial instances: a verification,
-    flagged as incomplete).  Only the
-    tuples inside each component's wedge-degree window are evaluated, up to
-    the first nonzero value, the counterexample; the certificate counts
-    them all; a component is first walked on its order family when the
-    family contains it (see the module docstring)."""
+    proof by multilinearity, graded symmetry and grading) or on the distinct
+    elements of a declared family (always the case on polynomial instances:
+    a verification, flagged as incomplete).  Only the tuples inside each
+    component's wedge-degree window are evaluated, up to the first nonzero
+    value, the counterexample, and order families first (see the module
+    docstring); the certificate counts them all."""
     form = as_polyform(form)
     instance = form.instance
     table = instance._ids = instance._ids or _Ids(instance)
@@ -701,26 +686,36 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
     complete = test_family is None and not table.poly
     if complete:
         note = "all canonical basis tuples"
-        family = range(table.basis)
+        members = family = None         # the basis, listed only for a full walk
+        evens, odds = (2 ** table.rank + 1) // 2, 2 ** table.rank // 2
     else:
         if test_family is None:
             test_family = default_poly_family(instance)
         note = f"declared family of {len(test_family)} elements"
-        family = sorted(map(table.id_of, test_family), key=keys.__getitem__)
-        if not family:
+        for el in test_family:
+            if el.wedge_degree() is None:
+                raise InputError(f"test family element {instance.basis_label(el)} is zero"
+                                 " or inhomogeneous")
+        members = set(map(table.id_of, test_family))
+        if not members:
             raise InputError("empty test family")
-    counts = _tuple_count(family, odd, max(form.components, default=0))
+        family = sorted(members, key=keys.__getitem__)
+        odds = sum([odd[i] for i in family])
+        evens = len(family) - odds
     covered = 0
     counterexample = failing = None
     for arity, component in form.components.items():
-        covered += counts[arity]
+        covered += _tuple_count(evens, odds, arity)
         if failing is not None:
             continue
         lookup = component._lookup
         low, high = -component.shift, instance.rank - component.shift
-        short = component.order is not None and _order_family(table, family, component.order)
-        if short and not any(map(lookup, _window_keys(short, keys, odd, arity, low, high))):
+        short = component.order is not None and _order_family(table, component.order)
+        if (short and (component.order < table.rank if complete else members > set(short))
+                and not any(map(lookup, _window_keys(short, keys, odd, arity, low, high)))):
             continue
+        if family is None:
+            family = _order_family(table, table.rank)
         for key in _window_keys(family, keys, odd, arity, low, high):
             value = lookup(key)
             if value:

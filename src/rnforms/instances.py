@@ -182,9 +182,6 @@ class GradedInstance:
     def element(self, terms: dict) -> Element:
         return Element({tuple(mon): self.ring.coerce(c) for mon, c in terms.items()})
 
-    def section(self, coeffs) -> Element:
-        return Element({(i,): self.ring.coerce(c) for i, c in enumerate(coeffs)})
-
     # -- basis ----------------------------------------------------------------
 
     def basis(self, wedge_degree: int) -> list[Element]:

@@ -402,7 +402,9 @@ def torsion_formulas_agree(instance: GradedInstance, N) -> bool:
 
 def l2_deformed(instance: GradedInstance, N) -> VForm:
     """(P,Q) -> (-1)^p [P,Q] of the deformed structure, the same sign
-    convention as the undeformed bracket form so that [uN, l2] matches it."""
+    convention as the undeformed bracket form so that [uN, l2] matches it.
+    Order 1: the Schouten extension of any anchored skew bracket is a
+    biderivation, torsion or not."""
     deformed = deformed_instance(instance, N)
 
     def fn(args):
@@ -411,7 +413,7 @@ def l2_deformed(instance: GradedInstance, N) -> VForm:
         value = deformed.sn_bracket(P, Q)
         return -value if p % 2 else value
 
-    return VForm(instance, 2, -1, fn, NEG)
+    return VForm(instance, 2, -1, fn, NEG, order=1)
 
 
 def deformed_l2_certificate(instance: GradedInstance, N, test_family=None):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnforms import dualforms
 from rnforms.dualforms import (DualForm, apply_matrix, background_script,
                                compat_n_pi, compat_omega_n, d_function, differential,
                                element_on_duals, iota_element, iota_n, lie_derivative,
@@ -168,7 +169,7 @@ def dual_forms(inst, k):
 
 def sections(inst):
     coeffs = st.lists(coefficients(inst), min_size=inst.rank, max_size=inst.rank)
-    return coeffs.map(inst.section)
+    return coeffs.map(lambda cs: inst.element({(i,): c for i, c in enumerate(cs)}))
 
 
 @st.composite
@@ -226,6 +227,16 @@ def test_differential_matches_the_reference_in_every_anchor_slot(poly):
             kappa = DualForm(inst, k, {mon: sum((n + m + 1) * x for m, x in enumerate(coordinates))
                                        for n, mon in enumerate(keys)})
             assert differential(kappa) == reference_differential(kappa), (inst.name, k)
+
+
+def test_differential_of_the_zero_form_tabulates_nothing(h3, poly, monkeypatch):
+    """d0 is the zero (k+1)-form at once: no value is computed, in any
+    degree, past the rank too."""
+    monkeypatch.setattr(dualforms, "tabulate", lambda *args: pytest.fail("tabulated d0"))
+    for inst in (h3, poly):
+        for k in range(inst.rank + 2):
+            d = differential(DualForm.zero(inst, k))
+            assert d.is_zero() and d.k == k + 1 and d.instance is inst
 
 
 def test_contraction_rejects_a_non_section(h3):

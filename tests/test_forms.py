@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,19 @@ def test_is_zero_empty_family_rejected(poly):
     form = as_polyform(wedge_form(poly, 2, SH2))
     with pytest.raises(InputError):
         is_zero(form, [])
+
+
+def test_is_zero_rejects_a_zero_or_inhomogeneous_family_element(h3, poly):
+    """A declared family element with no wedge degree fails with an
+    InputError that names it."""
+    e1, e2 = h3.generator(0), h3.generator(1)
+    for family, label in (([Element.zero(), e1], "0"), ([e1 + e1.wedge(e2), e2], "e1 + e1^e2")):
+        message = f"test family element {label} is zero or inhomogeneous"
+        with pytest.raises(InputError, match=re.escape(message)):
+            is_zero(wedge_form(h3, 2), family)
+    mixed = poly.unit() + poly.generator(0)
+    with pytest.raises(InputError, match="is zero or inhomogeneous"):
+        is_zero(wedge_form(poly, 2, SH2), [poly.unit(), mixed])
 
 
 def test_certificate_count_past_the_index_range_reaches_the_report():

@@ -558,17 +558,25 @@ def test_place_equal_and_repeated_factors():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_basis_elements_are_their_own_pieces(name):
+    """Each basis element is its own piece with coefficient 1, with a stable
+    id: the one it got when first met, in any order, whatever is met
+    later."""
     inst = instance(name)
-    table = id_table(inst)
     basis = inst.all_basis()
-    for i, el in enumerate(basis):
+    fresh = _Ids(inst)
+    assert [fresh.id_of(el) for el in reversed(basis)] == list(range(len(basis)))
+    table = id_table(inst)
+    ids = [table.id_of(el) for el in basis]
+    assert len(set(ids)) == len(basis)
+    for i, el in zip(ids, basis):
         assert table.split(el) == {i: 1} and table.id_of(el) == i
         assert all(type(c) is int for c in table.split(el).values())
-        assert table.elements[i] is el and table.keys[i] == sort_key(inst, el)
+        assert table.elements[i] == el and table.keys[i] == sort_key(inst, el)
     value = basis[1].scale(3) + basis[2].scale(Fraction(-1, 2))
-    assert list(table.split(value).items()) == [(1, 3), (2, Fraction(-1, 2))]
+    assert list(table.split(value).items()) == [(ids[1], 3), (ids[2], Fraction(-1, 2))]
     assert [type(c) for c in table.split(value).values()] == [int, Fraction]
     assert table.element(table.split(value)) == value
+    assert [table.id_of(el) for el in basis] == ids
 
 
 DENSE = instance("poly-tangent-r2")
@@ -802,13 +810,22 @@ def test_windowed_is_zero_matches_full_enumeration(name):
 
 def test_windowed_is_zero_on_a_family_with_repeats():
     """A declared family with repeated odd and even elements, a scaled
-    (non-piece) element and the unit twice: the count is that of the
-    enumeration with the repeats, and the verdicts agree."""
+    (non-piece) element and the unit twice is the set of its distinct
+    elements: the count is that of the enumeration over them, the verdicts
+    agree, and the note keeps the declared length."""
     inst = instance("h3")
     e1, e2, e3 = (inst.generator(i) for i in range(3))
     e12, e123 = inst.monomial((0, 1)), inst.monomial((0, 1, 2))
     family = [e2, e12, e1, inst.unit(), e1, e12, e3.scale(2), e123, inst.unit(), e12]
-    assert check_window_against_reference(inst, family) == {True, False}
+    distinct = list(dict.fromkeys(family))
+    assert len(distinct) == 6
+    assert check_window_against_reference(inst, distinct) == {True, False}
+    for name, fast, slow in window_cases(inst):
+        certificate = is_zero(fast, family)
+        expected = reference_is_zero(inst, slow, distinct)
+        assert (certificate.is_zero, certificate.failing, certificate.counterexample,
+                len(certificate.checked)) == expected, name
+        assert certificate.family_note == "declared family of 10 elements"
 
 
 @settings(max_examples=3, deadline=None)
@@ -816,6 +833,42 @@ def test_windowed_is_zero_on_a_family_with_repeats():
 def test_windowed_is_zero_on_generated_nilpotent(inst):
     """Dimension 4 only: at 5 the reference walks 335,104 canonical tuples."""
     assert check_window_against_reference(inst) == {True, False}
+
+
+def reference_count(inst, arity, family=None):
+    """The canonical tuples of ``arity`` over the distinct elements of the
+    basis (or of ``family``), enumerated: combinations with replacement
+    without a repeated odd element."""
+    distinct = list(dict.fromkeys(inst.all_basis() if family is None else family))
+    odd = [el.wedge_degree() % 2 for el in distinct]
+    return sum(not any(a == b and odd[a] for a, b in zip(combo, combo[1:]))
+               for combo in itertools.combinations_with_replacement(range(len(distinct)), arity))
+
+
+@st.composite
+def counted_families(draw):
+    """An instance and None (its basis), or a declared family with repeats,
+    even and odd elements and scaled (non-piece) ones."""
+    inst = draw(st.sampled_from((instance("h3"), instance("so3"), instance("aff1"),
+                                 instance("poly-tangent-r2")))
+                | two_step_nilpotent(max_dim=4))
+    pool = list(default_poly_family(inst) if inst.ring.kind == "poly" else inst.all_basis())
+    pool += [el.scale(c) for el in pool[:6] for c in (2, Fraction(-1, 2))]
+    if inst.ring.kind != "poly" and draw(st.booleans()):
+        return inst, None
+    return inst, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(counted_families())
+def test_closed_count_matches_enumeration(case):
+    """Every arity's count is the closed sum over the family's even and odd
+    distinct elements: is_zero of a zero form counts what the enumeration
+    counts, for arities 0-5."""
+    inst, members = case
+    for arity in range(6):
+        zero = VForm.zero(inst, arity, 0, GradingConvention.NEGATED)
+        assert is_zero(zero, members).count == reference_count(inst, arity, members), arity
 
 
 def generator_products(inst, order):

@@ -6,6 +6,7 @@ certificates with every bound forced to None."""
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -45,24 +46,22 @@ def summary(certificate):
 
 
 def family_ids(instance, family):
-    """The sorted piece ids that is_zero resolves ``family`` to (the basis
-    when None on a Lie algebra)."""
+    """The distinct piece ids of ``family`` (the basis when None on a Lie
+    algebra), sorted by key: the family that is_zero walks in full."""
     table = instance._ids = instance._ids or forms._Ids(instance)
-    if family is None and not table.poly:
-        return range(table.basis)
     if family is None:
-        family = default_poly_family(instance)
-    return sorted(map(table.id_of, family), key=table.keys.__getitem__)
+        family = instance.all_basis() if not table.poly else default_poly_family(instance)
+    return sorted({table.id_of(el) for el in family}, key=table.keys.__getitem__)
 
 
 def reduced_components(form, instance, family):
     """The orders of the components that is_zero walks on their order
-    family first."""
+    family first: the family holds all of it and more."""
     form = forms.as_polyform(form)
-    ids = family_ids(instance, family)
+    ids = set(family_ids(instance, family))
     return [component.order for component in form.components.values()
             if component.order is not None
-            and forms._order_family(instance._ids, ids, component.order) is not None]
+            and ids > set(forms._order_family(instance._ids, component.order))]
 
 
 # -- the graded-commutator identity ------------------------------------------------------
@@ -98,7 +97,8 @@ def integer_matrix(inst, rng):
 def declared_forms(inst, rng):
     """(label, form, order): the primitives with their declared order, an
     insertion (r_K + r_L) and brackets (max(r_K + r_L - 1, r_K, r_L))."""
-    un = extend_bundle_map(inst, integer_matrix(inst, rng), NEG)
+    N = integer_matrix(inst, rng)
+    un = extend_bundle_map(inst, N, NEG)
     two = DualForm(inst, 2, {(i, i + 1): (-2) ** i for i in range(inst.rank - 1)})
     one = DualForm(inst, 1, {(0,): 1, (inst.rank - 1,): 3})
     l2, n2 = l2_form(inst, NEG), wedge_form(inst, 2, NEG)
@@ -106,6 +106,7 @@ def declared_forms(inst, rng):
             ("N3", wedge_form(inst, 3, NEG), 0),
             ("l2", l2, 1), ("uN", un, 1), ("u(2-form)", extend_kform(two), 1),
             ("u(1-form)", extend_kform(one), 1), ("l3", lk_form(inst, 3, NEG), 1),
+            ("l2^N", linfty.l2_deformed(inst, N), 1),
             ("insert(uN, uN)", insert(un, un), 2),
             ("[uN, l2]", rn_bracket(un, l2).component(2), 1),
             ("[N2, l2] - 2 l3", (rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3, NEG)])
@@ -236,6 +237,36 @@ def test_is_zero_resolves_its_family_once(monkeypatch):
         assert len(calls) == (0 if family is None else len(family))
 
 
+def test_passing_certificates_number_only_their_order_family(tmp_path, monkeypatch, capsys):
+    """On abelian 12 (identity N, N = N1 + N2 for the weak check, suite
+    bounds (2, 2, 2)) every certificate passes on its order family and the
+    basis is never listed: the id table numbers the wedge monomials of
+    degree <= d, sum_{j <= d} C(12, j) pieces, with d = 2, 1 and 3 (299
+    pieces at most), not the 4,096 basis monomials."""
+    n = 12
+    raw = {"name": "abelian12",
+           "instance": {"lie_algebra": {"dim": n, "basis": [f"e{i + 1}" for i in range(n)],
+                                        "brackets": {}}},
+           "data": {"N": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+                    "a": ["0", "1"], "b": ["1", "1"], "n": 2},
+           "suite": {"i_max": 2, "m_max": 2, "n_max": 2}}
+    path = tmp_path / "abelian12.json"
+    path.write_text(json.dumps(raw))
+    tables = []
+    init = forms._Ids.__init__
+    monkeypatch.setattr(forms._Ids, "__init__",
+                        lambda table, inst: tables.append(table) or init(table, inst))
+    for command, top in ((("suite", "lemma"), 2), (("check", "linfty"), 1),
+                         (("check", "nijenhuis", "--kind", "weak"), 3)):
+        tables.clear()
+        assert cli.main(["--scenario", str(path), "--format", "json", *command]) == 0, command
+        capsys.readouterr()
+        (table,) = tables
+        assert max(degree for degree, _ in table.keys) == top, command
+        assert len(table.elements) == sum(comb(n, j) for j in range(top + 1)), command
+    assert len(table.elements) == 299
+
+
 # -- reduced against forced-None certificates ------------------------------------------------
 
 
@@ -334,8 +365,8 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
     table = inst._ids = forms._Ids(inst)
 
     def order_family(family, order):
-        short = forms._order_family(table, family_ids(inst, family), order)
-        return short and {table.elements[i] for i in short}
+        short = set(forms._order_family(table, order))
+        return {table.elements[i] for i in short} if set(family_ids(inst, family)) > short else None
 
     products = generator_products(inst, 1)
     assert order_family(family, 1) == set(products)
@@ -366,6 +397,33 @@ def test_family_without_coordinates_is_not_reduced(tmp_path, both_ways, capsys):
     assert len(both_ways) > 5
     for form, inst, family, _ in both_ways:
         assert all(order == 0 for order in reduced_components(form, inst, family))
+
+
+def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
+    """A family that lacks part of the order family (here every coordinate)
+    is walked on its own elements only, on a passing and on a failing
+    certificate: no lookup reaches a piece outside it."""
+    inst = poly_tangent_r2()
+    family = inst.all_basis()
+    l2 = l2_form(inst, NEG)
+    cases = (rn_bracket(l2, l2), PolyForm(inst, [extend_bundle_map(inst, [[0, 0], [0, 1]], NEG)]))
+    top, keys = set(), []
+    lookup = VForm._lookup
+
+    def spy(node, key):
+        if node in top:
+            keys.append(key)
+        return lookup(node, key)
+
+    monkeypatch.setattr(VForm, "_lookup", spy)
+    verdicts = []
+    for form in cases:
+        top.update(form.components.values())
+        assert reduced_components(form, inst, family) == []
+        verdicts.append(is_zero(form, family).is_zero)
+    assert verdicts == [True, False] and keys
+    members = set(family_ids(inst, family))
+    assert all(i in members for key in keys for i in key)
 
 
 def test_order_two_form_is_caught_with_bound_two():
