@@ -4,12 +4,23 @@
 
 ``COMMANDS`` lists each command's words, handler and options, and
 ``rnforms -h`` prints it.  Exit codes: 0 all checks pass, 1 mathematical
-failure, 2 input error, 3 internal error (any other exception, one line on
-stderr).  JSON reports are byte-identical for identical inputs.
+failure, 2 input error, 3 internal error (any other exception, a write
+error on stdout included, one line on stderr).  JSON reports are
+byte-identical for identical inputs.
+
+``main`` returns the exit code and never exits, for in-process callers.
+The process entry point ``run`` (``python -m rnforms.cli`` and the
+installed ``rnforms``) flushes stdout and stderr after ``main`` and ends
+with ``os._exit``: once the report is written, the interpreter's
+finalization (tearing down modules, freeing objects, ``atexit``
+callbacks) only costs time.  Under a profiler or tracer (``python -m
+cProfile``, coverage, a debugger), which write their output at exit, it
+ends with ``sys.exit`` instead.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 
@@ -256,31 +267,79 @@ def dispatch(scenario: Scenario, args) -> Report:
     return COMMANDS[args["command"]][0](scenario, args)
 
 
+def usage_text() -> str:
+    lines = [USAGE, "", "commands:"]
+    for words, (_, options) in COMMANDS.items():
+        flags = [f"--{name} {'|'.join(choices or [name.upper()])}"
+                 for name, choices in options.items()]
+        lines.append(" ".join([" ", *words, *flags]))
+    return "\n".join(lines)
+
+
+def write_stdout(text: str) -> None:
+    """Print ``text`` on stdout and flush it, so that a write error is
+    raised here.  Without stdout (descriptor 1 closed at start-up) there is
+    nothing to write.  After a write error the stream's descriptor is
+    pointed at os.devnull, so the bytes left in its buffer are dropped, not
+    written again by a later flush."""
+    stream = sys.stdout
+    if stream is None:
+        return
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        raise
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(USAGE, "", "commands:", sep="\n")
-        for words, (_, options) in COMMANDS.items():
-            print(" ", *words, *(f"--{name} {'|'.join(choices or [name.upper()])}"
-                                 for name, choices in options.items()))
-        return 0
     try:
-        args = parse_args(argv)
-    except InputError as exc:
-        print(USAGE, f"input error: {exc}", sep="\n", file=sys.stderr)
-        return 2
-    try:
-        report = dispatch(load_scenario(args["scenario"]), args)
-        output = report.to_json() if args["format"] == "json" else report.to_text()
+        if "-h" in argv or "--help" in argv:
+            output, code = usage_text(), 0
+        else:
+            try:
+                args = parse_args(argv)
+            except InputError:
+                print(USAGE, file=sys.stderr)
+                raise
+            report = dispatch(load_scenario(args["scenario"]), args)
+            output = report.to_json() if args["format"] == "json" else report.to_text()
+            code = report.exit_code
+        write_stdout(output)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:       # a crash, not a failed identity
+    except Exception as exc:       # a crash or a write error, not a failed identity
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(output)
-    return report.exit_code
+    return code
+
+
+def _profiled_or_traced() -> bool:
+    """Whether a profiler or tracer is installed, including a tool of
+    ``sys.monitoring`` (Python 3.12 on), where cProfile and coverage may
+    live instead of ``sys.setprofile`` / ``sys.settrace``."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(tool) for tool in range(6))
+
+
+def run():
+    """Run ``main`` on ``sys.argv`` and end the process with its exit code,
+    skipping interpreter finalization unless a profiler or tracer needs it."""
+    code = main()
+    if _profiled_or_traced():
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

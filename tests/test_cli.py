@@ -711,3 +711,95 @@ def test_load_shipped_from_a_zipped_install(tmp_path):
                   "print(scenario.name, scenario.preconditions.passed)" % str(archive),
                   archive)
     assert out.split() == ["aff1", "True"]
+
+
+def _spawn_cli(*argv, prefix=(), env=None, **kwargs):
+    """``python [prefix] -m rnforms.cli argv`` in a fresh process with src on
+    PYTHONPATH; stderr is captured."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
+    return subprocess.run([sys.executable, *prefix, "-m", "rnforms.cli", *argv],
+                          stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+PROCESS_ARGV = {
+    "pass": ("--scenario", str(SCENARIOS / "aff1.json"), "validate"),
+    "fail": ("--scenario", str(SCENARIOS / "so3.json"), "check", "pqn"),
+    "input-error": ("--scenario", str(SCENARIOS / "aff1.json"),
+                    "bracket", "--left", "N0", "--right", "N1"),
+    "crash": ("--scenario", str(SCENARIOS / "heisenberg3.json"),
+              "bracket", "--left", "N3", "--right", "N99999999999999999999"),
+    "help": ("-h",),
+}
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("case", PROCESS_ARGV)
+def test_process_ends_with_the_bytes_and_code_of_main(tmp_path, capsys, case, sink):
+    """The process entry point skips finalization: what reaches its stdout
+    and stderr, and its exit code, are those of main in-process."""
+    argv = PROCESS_ARGV[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == {"pass": 0, "fail": 1, "input-error": 2, "crash": 3, "help": 0}[case]
+    if sink == "pipe":
+        done = _spawn_cli(*argv, stdout=subprocess.PIPE)
+        stdout = done.stdout
+    else:
+        with open(tmp_path / "stdout", "wb") as file:
+            done = _spawn_cli(*argv, stdout=file)
+        stdout = (tmp_path / "stdout").read_bytes()
+    assert (done.returncode, stdout, done.stderr) == (code, out.encode(), err.encode())
+
+
+def test_profiled_process_still_prints_its_profile(capsys):
+    """Under cProfile the entry point exits through SystemExit, which
+    cProfile catches: it prints its table after the report and exits 0,
+    as it does for any script.  os._exit would have skipped both."""
+    code, out, _ = run_cli(capsys, *PROCESS_ARGV["fail"])
+    done = _spawn_cli(*PROCESS_ARGV["fail"], prefix=("-m", "cProfile"),
+                      stdout=subprocess.PIPE)
+    assert (code, done.returncode, done.stderr) == (1, 0, b"")
+    assert done.stdout.startswith(out.encode())
+    assert b"function calls" in done.stdout[len(out):]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_atexit_callbacks_run_only_under_a_tracer(traced):
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'finalized', file=sys.stderr)\n"
+            f"{'sys.settrace(lambda *args: None)' if traced else ''}\n"
+            "runpy.run_module('rnforms.cli', run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-c", code, *PROCESS_ARGV["fail"]],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 1
+    assert b"status: fail" in done.stdout
+    assert done.stderr == (b"finalized\n" if traced else b"")
+
+
+def test_closed_stdout_exits_with_the_report_code():
+    # descriptor 1 closed at start-up: sys.stdout is None, nothing to write
+    done = _spawn_cli(*PROCESS_ARGV["pass"], preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("case", ["pass", "fail", "help"])
+def test_write_error_on_stdout_exits_3(case, unbuffered):
+    # buffered, the print succeeds and the flush fails; unbuffered, the print fails
+    with open("/dev/full", "wb") as full:
+        done = _spawn_cli(*PROCESS_ARGV[case], stdout=full,
+                          env={"PYTHONUNBUFFERED": unbuffered})
+    assert (done.returncode, done.stderr) == (
+        3, b"internal error: OSError: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_drops_the_unwritten_report(monkeypatch, capsys):
+    with open("/dev/full", "w", buffering=1 << 16) as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        code = main(list(PROCESS_ARGV["pass"]))
+        monkeypatch.undo()
+        full.flush()    # the buffered report now goes to os.devnull, not to /dev/full
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: OSError: [Errno 28] No space left on device\n")
