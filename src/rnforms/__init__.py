@@ -5,8 +5,7 @@ rationals); identity checks are exhaustive on finite-dimensional instances
 and run over declared test families on polynomial ones.
 """
 
-from .rings import (InputError, Poly, PolyRing, RationalRing, Scalar,
-                    format_rational, parse_rational)
+from .rings import InputError, Poly, PolyRing, RationalRing, format_rational, parse_rational
 from .graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                      sign_pow, unshuffles)
 from .elements import Element, wedge
@@ -35,7 +34,7 @@ from .report import CheckEntry, Report
 from .scenario import Scenario, build_scenario, load_scenario, load_shipped
 
 __all__ = [
-    "InputError", "Poly", "PolyRing", "RationalRing", "Scalar",
+    "InputError", "Poly", "PolyRing", "RationalRing",
     "format_rational", "parse_rational",
     "GradingConvention", "koszul_sign",
     "koszul_sign_by_transpositions", "sign_pow", "unshuffles",

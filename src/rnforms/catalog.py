@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .dualforms import DualForm, apply_matrix, matrix_mul, _check_matrix
+from .dualforms import DualForm, apply_matrix, check_matrix, matrix_mul
 from .elements import Element
 from .forms import VForm, element_form, insert, shared_node
 from .graded import GradingConvention, sign_pow
@@ -77,7 +77,7 @@ def lk_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
 def extend_bundle_map(instance: GradedInstance, N, convention=NEG) -> VForm:
     """Derivation extension of an endomorphism: zero on functions,
     sum over factors N applied to one generator at a time."""
-    _check_matrix(instance, N)
+    check_matrix(instance, N)
     ring = instance.ring
     N = tuple(tuple(ring.coerce(v) for v in row) for row in N)
 

@@ -5,8 +5,9 @@
 ``COMMANDS`` lists each command's words, handler and options, and
 ``rnforms -h`` prints it.  Exit codes: 0 all checks pass, 1 mathematical
 failure, 2 input error, 3 internal error (any other exception, a write
-error on stdout included, one line on stderr).  JSON reports are
-byte-identical for identical inputs.
+error on stdout included, one line on stderr).  A message that cannot be
+written to stderr is dropped and leaves the exit code as it is.  JSON
+reports are byte-identical for identical inputs.
 
 ``main`` returns the exit code and never exits, for in-process callers.
 The process entry point ``run`` (``python -m rnforms.cli`` and the
@@ -30,7 +31,7 @@ from .graded import GradingConvention
 from .linfty import (check_coboundary, check_weak, coefficient_suite,
                      nijenhuis_deformation_theorem_check, pairwise_compatibility,
                      pencil, square_of_sum, sum_of_wedges, witt_action_check)
-from .pqn import (PQNQuadruple, _exact_ratio, check_pqn, main_theorem_harness,
+from .pqn import (PQNQuadruple, check_pqn, exact_ratio, main_theorem_harness,
                   stienon_xu_harness)
 from .report import Report
 from .rings import InputError, parse_rational
@@ -138,7 +139,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
             if cand.is_zero():
                 continue
             mon, coeff = next(iter(cand.terms.items()))
-            ratio = _exact_ratio(instance, value.terms.get(mon), coeff)
+            ratio = exact_ratio(instance, value.terms.get(mon), coeff)
             # a zero ratio cannot match: the component is nonzero at the tuple
             if ratio and is_zero(comp - candidate.scale(ratio), family).is_zero:
                 matched = f"{ratio}*{name}" if ratio != 1 else name
@@ -276,13 +277,13 @@ def usage_text() -> str:
     return "\n".join(lines)
 
 
-def write_stdout(text: str) -> None:
-    """Print ``text`` on stdout and flush it, so that a write error is
-    raised here.  Without stdout (descriptor 1 closed at start-up) there is
-    nothing to write.  After a write error the stream's descriptor is
-    pointed at os.devnull, so the bytes left in its buffer are dropped, not
-    written again by a later flush."""
-    stream = sys.stdout
+def write(stream, text: str) -> None:
+    """Print ``text`` on ``stream`` (sys.stdout or sys.stderr) and flush
+    it, so that a write error is raised here.  Without the stream
+    (descriptor closed at start-up) there is nothing to write.  After a
+    write error the stream's descriptor is pointed at os.devnull, so the
+    bytes left in its buffer are dropped, not written again by a later
+    flush."""
     if stream is None:
         return
     try:
@@ -295,6 +296,16 @@ def write_stdout(text: str) -> None:
         raise
 
 
+def warn(text: str) -> None:
+    """Print ``text`` on stderr.  A write error there is dropped: the exit
+    code tells what happened to the input and the checks, not whether a
+    message could be shown."""
+    try:
+        write(sys.stderr, text)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -304,17 +315,17 @@ def main(argv=None) -> int:
             try:
                 args = parse_args(argv)
             except InputError:
-                print(USAGE, file=sys.stderr)
+                warn(USAGE)
                 raise
             report = dispatch(load_scenario(args["scenario"]), args)
             output = report.to_json() if args["format"] == "json" else report.to_text()
             code = report.exit_code
-        write_stdout(output)
+        write(sys.stdout, output)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        warn(f"input error: {exc}")
         return 2
     except Exception as exc:       # a crash or a write error, not a failed identity
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        warn(f"internal error: {type(exc).__name__}: {exc}")
         return 3
     return code
 
@@ -335,9 +346,13 @@ def run():
     code = main()
     if _profiled_or_traced():
         sys.exit(code)
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:         # a message lost on stderr does not change the exit code
+        pass
     os._exit(code)
 
 

@@ -245,7 +245,7 @@ def n_star(inst: GradedInstance, N, alpha: DualForm) -> DualForm:
 
 def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:
     """N X for a wedge-degree-1 element."""
-    _check_matrix(inst, N)
+    check_matrix(inst, N)
     terms: dict = {}
     for mon, coeff in X.terms.items():
         if len(mon) != 1:
@@ -271,7 +271,8 @@ def matrix_mul(inst: GradedInstance, A, B):
              for j in range(n)] for i in range(n)]
 
 
-def _check_matrix(inst: GradedInstance, N) -> None:
+def check_matrix(inst: GradedInstance, N) -> None:
+    """InputError unless the bundle map ``N`` is a rank x rank matrix."""
     n = inst.rank
     if len(N) != n or any(len(row) != n for row in N):
         raise InputError(f"bundle map must be a {n}x{n} matrix")
@@ -279,14 +280,14 @@ def _check_matrix(inst: GradedInstance, N) -> None:
 
 def compat_n_pi(inst: GradedInstance, N, pi: Element) -> bool:
     """N o pi# = pi# o N*, compared on the dual generators."""
-    _check_matrix(inst, N)
+    check_matrix(inst, N)
     return all(apply_matrix(inst, N, pi_sharp(pi, a)) == pi_sharp(pi, n_star(inst, N, a))
                for a in unit_duals(inst))
 
 
 def compat_omega_n(inst: GradedInstance, omega: DualForm, N) -> bool:
     """omega_flat o N = N* o omega_flat, i.e. omega(N X, Y) = omega(X, N Y)."""
-    _check_matrix(inst, N)
+    check_matrix(inst, N)
     for i in range(inst.rank):
         for j in range(inst.rank):
             lhs = omega.apply((apply_matrix(inst, N, inst.generator(i)), inst.generator(j)))

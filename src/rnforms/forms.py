@@ -61,25 +61,45 @@ commutator [...[D, c_0], ..., c_r] with left multiplications vanishes
 products of <= r generators (1 included: the order family).  Proof:
 expanding the commutator at x = c_{r+1}...c_{m-1} writes D(c_0...c_{m-1})
 through D on shorter products, so by induction on m, D vanishes on all
-products, which span A; then take the next argument.  So :func:`is_zero`
-walks the order family, built from its definition, first when the family
-holds all of it and more (on the basis of a Lie algebra: when r < rank),
-and walks the whole family only after a nonzero value there (same
-counterexample; the count is always the full one).  A primitive declares its
-order; an insertion has r_K + r_L (a composition); sums and scaling keep
-the largest bound; None stays None.  The bracket :func:`rn_vform` records
-max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes: for each
-split (B, C) of the other arguments, L(K(a, B), C) and K(L(a, C), B) form a
-graded commutator of operators in a of orders r_K and r_L, so of order
-r_K + r_L - 1 ([[D, E], c] = [[D, c], E] +- [D, [E, c]], by induction;
-order 0 is a multiplication); in the other terms a sits in L or K directly.
-A shared node keeps the tightest bound any construction proves.
+products, which span A; then take the next argument.  So on the basis
+of a Lie algebra :func:`is_zero` walks only the order family, built from
+its definition (the whole basis when r is None), and its first nonzero
+value is the counterexample, by the lemma below.  In a declared family it
+walks the order family first when the family holds all of it and more,
+and the whole family only after a nonzero value there (same
+counterexample).  The count is always the full one.  A primitive declares
+its order; an insertion has r_K + r_L (a composition); sums and scaling
+keep the largest bound; None stays None.  The bracket :func:`rn_vform`
+records max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes:
+for each split (B, C) of the other arguments, L(K(a, B), C) and
+K(L(a, C), B) form a graded commutator of operators in a of orders r_K and
+r_L, so of order r_K + r_L - 1 ([[D, E], c] = [[D, c], E] +- [D, [E, c]],
+by induction; order 0 is a multiplication); in the other terms a sits in L
+or K directly.  A shared node keeps the tightest bound any construction
+proves.
+
+**Lemma.**  On the basis of a Lie algebra, the first nonzero canonical
+tuple of a form of order <= r, in the walk's lexicographic order, lies in
+the order family O.  Proof: sort keys order ids by wedge degree first, so
+O (the monomials of degree <= r) is an initial segment of the basis.
+Suppose the first nonzero canonical tuple T* = (t_1..t_k) had an entry of
+degree > r, the first one t_i.  The residual f(t_1..t_{i-1}, .) has order
+<= r in each argument and is nonzero (at (t_i..t_k)), so by the proof
+above it is nonzero on some O-tuple Q.  Then S = sort(t_1..t_{i-1}, Q) is
+canonical, since f(S) = +-f(t_1..t_{i-1}, Q) is nonzero.  S replaces each
+of t_i..t_k by a strictly smaller entry, so it precedes T* entry by entry
+(sorting is monotone) and is smaller in its last: S comes strictly before
+T*, against the choice of T*.  Tuples outside the window are zero, so the
+window changes nothing.  In a declared family (a polynomial algebroid's,
+or an explicit test family) O is not an initial segment of the key order
+(for r >= 1, x_1^(r+1), of wedge degree 0 and outside O, sorts before
+every generator e_j), so both passes stay there.
 
 **Families as sets.**  A declared family is the set of its distinct piece
 ids.  Every count is the closed sum over b of C(O, b) C(E + a - b - 1,
 a - b) over its E even and O odd ids.  The basis of a Lie algebra has
-E = O = 2^(rank-1); it is listed, and numbered, only for a full walk after
-a nonzero value.
+E = O = 2^(rank-1); it is listed, and numbered, only for a component with
+no order bound, or one of at least rank.
 """
 
 from __future__ import annotations
@@ -677,8 +697,11 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
     elements of a declared family (always the case on polynomial instances:
     a verification, flagged as incomplete).  Only the tuples inside each
     component's wedge-degree window are evaluated, up to the first nonzero
-    value, the counterexample, and order families first (see the module
-    docstring); the certificate counts them all."""
+    value, the counterexample.  On the basis of a Lie algebra a component
+    walks its order family alone, whose first nonzero value is the
+    counterexample; a declared family walks it first when it holds all of
+    it and more (see the module docstring).  The certificate counts every
+    canonical tuple."""
     form = as_polyform(form)
     instance = form.instance
     table = instance._ids = instance._ids or _Ids(instance)
@@ -686,7 +709,6 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
     complete = test_family is None and not table.poly
     if complete:
         note = "all canonical basis tuples"
-        members = family = None         # the basis, listed only for a full walk
         evens, odds = (2 ** table.rank + 1) // 2, 2 ** table.rank // 2
     else:
         if test_family is None:
@@ -708,14 +730,15 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
         covered += _tuple_count(evens, odds, arity)
         if failing is not None:
             continue
-        lookup = component._lookup
+        lookup, order = component._lookup, component.order
         low, high = -component.shift, instance.rank - component.shift
-        short = component.order is not None and _order_family(table, component.order)
-        if (short and (component.order < table.rank if complete else members > set(short))
-                and not any(map(lookup, _window_keys(short, keys, odd, arity, low, high)))):
-            continue
-        if family is None:
-            family = _order_family(table, table.rank)
+        if complete:        # the first nonzero tuple lies in the order family (module docstring)
+            family = _order_family(table, table.rank if order is None else order)
+        elif order is not None:
+            short = _order_family(table, order)
+            if (members > set(short)
+                    and not any(map(lookup, _window_keys(short, keys, odd, arity, low, high)))):
+                continue
         for key in _window_keys(family, keys, odd, arity, low, high):
             value = lookup(key)
             if value:

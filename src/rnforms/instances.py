@@ -154,7 +154,6 @@ class GradedInstance:
             self.generator_names = data.generator_names
         else:
             raise InputError(f"unsupported instance data {type(data).__name__}")
-        self._basis_cache: dict = {}
         self._sn_memo: dict = {}
         self._form_nodes: dict = {}     # hash-consed form nodes (forms.shared_node)
         self._node_count = 0            # creation order of atomic form nodes
@@ -184,23 +183,11 @@ class GradedInstance:
 
     # -- basis ----------------------------------------------------------------
 
-    def basis(self, wedge_degree: int) -> list[Element]:
-        """Canonical monomial basis of the wedge-degree-p component
-        (unit coefficients; p = 0 gives the unit function)."""
-        if wedge_degree < 0 or wedge_degree > self.rank:
-            return []
-        if wedge_degree not in self._basis_cache:
-            self._basis_cache[wedge_degree] = [
-                self.monomial(mon)
-                for mon in itertools.combinations(range(self.rank), wedge_degree)
-            ]
-        return self._basis_cache[wedge_degree]
-
     def all_basis(self) -> list[Element]:
-        out = []
-        for p in range(self.rank + 1):
-            out.extend(self.basis(p))
-        return out
+        """The canonical monomial basis by wedge degree (unit coefficients;
+        the unit function first)."""
+        return [self.monomial(mon) for p in range(self.rank + 1)
+                for mon in itertools.combinations(range(self.rank), p)]
 
     def basis_label(self, element: Element) -> str:
         bits = []

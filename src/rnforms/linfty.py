@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .catalog import (extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form)
-from .dualforms import apply_matrix, _check_matrix
+from .dualforms import apply_matrix, check_matrix
 from .elements import Element
 from .forms import PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket
 from .graded import GradingConvention
@@ -311,7 +311,7 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
     """The structure with bracket [X,Y]_N = [NX,Y] + [X,NY] - N[X,Y] and
     anchor rho o N.  A Lie algebroid only when N has vanishing torsion, so
     axiom validation is skipped."""
-    _check_matrix(instance, N)
+    check_matrix(instance, N)
     ring = instance.ring
     N = [[ring.coerce(v) for v in row] for row in N]
     bracket = deformed_bracket(instance, N)
@@ -335,7 +335,7 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
 
 def deformed_bracket(instance: GradedInstance, N):
     """[X,Y]_N on wedge-degree-1 elements."""
-    _check_matrix(instance, N)
+    check_matrix(instance, N)
 
     def bracket(X: Element, Y: Element) -> Element:
         NX = apply_matrix(instance, N, X)
@@ -349,7 +349,7 @@ def deformed_bracket(instance: GradedInstance, N):
 
 def torsion(instance: GradedInstance, N):
     """Nijenhuis torsion T(X,Y) = [NX,NY] - N [X,Y]_N on sections."""
-    _check_matrix(instance, N)
+    check_matrix(instance, N)
     bracket_n = deformed_bracket(instance, N)
 
     def t(X: Element, Y: Element) -> Element:
@@ -362,7 +362,7 @@ def torsion(instance: GradedInstance, N):
 
 def torsion_alternate(instance: GradedInstance, N):
     """The equivalent formula T(X,Y) = ([X,Y]_{N,N} - [X,Y]_{N^2}) / 2."""
-    _check_matrix(instance, N)
+    check_matrix(instance, N)
     bracket_n = deformed_bracket(instance, N)
     n_squared = matrix_square(instance, N)
     bracket_n2 = deformed_bracket(instance, n_squared)

@@ -165,7 +165,7 @@ def solve_scalar_ratio(instance: GradedInstance, lhs: DualForm, target: DualForm
     lam = None
     for mon, value in target.table.items():
         other = lhs.table.get(mon)
-        ratio = _exact_ratio(instance, other, value)
+        ratio = exact_ratio(instance, other, value)
         if ratio is None:
             return None, "no scalar fits"
         if lam is None:
@@ -178,7 +178,10 @@ def solve_scalar_ratio(instance: GradedInstance, lhs: DualForm, target: DualForm
     return lam, f"lambda = {lam}"
 
 
-def _exact_ratio(instance, numerator, denominator):
+def exact_ratio(instance, numerator, denominator):
+    """The scalar lam with numerator = lam * denominator (two coefficients
+    of ``instance``'s ring; 0 when the numerator is None or zero), or None
+    when no scalar fits."""
     ring = instance.ring
     if numerator is None or ring.is_zero(numerator):
         return Fraction(0)

@@ -19,9 +19,6 @@ class InputError(ValueError):
     """Malformed input (shape, parse or axiom failure).  CLI exit code 2."""
 
 
-Scalar = Fraction
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (q omitted when 1) into an exact rational."""
     try:

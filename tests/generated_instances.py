@@ -27,6 +27,27 @@ def two_step_nilpotent(draw, max_dim=5):
     return GradedInstance(LieAlgebraData(dim, brackets=brackets), name=f"nilpotent{dim}")
 
 
+@st.composite
+def semidirect(draw, max_n=3):
+    """R ⋉ R^n for n = 2 to ``max_n``: e1 acts on the abelian ideal spanned
+    by e2..e(n+1) through a random integer matrix A, [e1, e(i+1)] = sum_j
+    A[j][i] e(j+1), and the ideal's brackets vanish, so Jacobi holds for
+    every A (checked at construction all the same)."""
+    n = draw(st.integers(2, max_n))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    brackets = {(0, i + 1): {j + 1: A[j][i] for j in range(n)} for i in range(n)}
+    return GradedInstance(LieAlgebraData(n + 1, brackets=brackets), name=f"semidirect{n}")
+
+
+def heisenberg(m: int) -> GradedInstance:
+    """The Heisenberg algebra of dimension 2m + 1: [e(i), e(m+i)] = e(2m+1)
+    for i = 1..m, all other brackets zero."""
+    dim = 2 * m + 1
+    brackets = {(i, m + i): {dim - 1: 1} for i in range(m)}
+    return GradedInstance(LieAlgebraData(dim, brackets=brackets), name=f"h{dim}")
+
+
 def affine_x_algebroid() -> GradedInstance:
     """Rank 2 over the line: rho(a1) = d/dx, rho(a2) = x d/dx, [a1, a2] = a1."""
     ring = PolyRing(("x1",))

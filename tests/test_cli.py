@@ -794,6 +794,41 @@ def test_write_error_on_stdout_exits_3(case, unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(("argv", "stdout_full", "code"), [
+    (("--scenario", str(SCENARIOS / "aff1.json"), "bogus"), False, 2),
+    (("--scenario", str(SCENARIOS / "missing.json"), "validate"), False, 2),
+    (PROCESS_ARGV["input-error"], False, 2),
+    (PROCESS_ARGV["crash"], False, 3),
+    (PROCESS_ARGV["pass"], True, 3),
+    (PROCESS_ARGV["fail"], False, 1),
+], ids=["unknown-command", "missing-file", "input-error", "crash", "stdout-full", "fail"])
+def test_write_error_on_stderr_keeps_the_exit_code(argv, stdout_full, code):
+    """A usage, input-error or internal-error message that cannot be
+    written to stderr is dropped: the exit code is the one it reports,
+    never the 1 of a failed identity by accident."""
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "rnforms.cli", *argv],
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == code
+    if not stdout_full:
+        assert (b"status: fail" in done.stdout) == (code == 1)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_final_flush_of_stderr_keeps_the_exit_code():
+    # stderr block-buffered on /dev/full, with bytes that only run's flush writes
+    code = ("import sys\n"
+            "from rnforms import cli\n"
+            "sys.stderr = open('/dev/full', 'w', buffering=1 << 16)\n"
+            "cli.main = lambda: sys.stderr.write('unwritten') and 2\n"
+            "cli.run()\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_flush_drops_the_unwritten_report(monkeypatch, capsys):
     with open("/dev/full", "w", buffering=1 << 16) as full:
         monkeypatch.setattr(sys, "stdout", full)

@@ -882,10 +882,13 @@ def generator_products(inst, order):
 
 
 def reference_order_family(inst, family, order):
-    """The order family as a declared family, when ``family`` (the basis
-    when None) contains it and more, else None: the sub-family is_zero
-    walks first."""
-    family = inst.all_basis() if family is None else list(family)
+    """The order family that is_zero walks first, as a declared family, or
+    None.  On the basis of a Lie algebra (``family`` None) it is always
+    walked: the products of at most ``order`` generators, the whole basis
+    when ``order`` is None.  In a declared family, only when the family
+    contains it and more."""
+    if family is None:
+        return generator_products(inst, inst.rank if order is None else order)
     if order is None:
         return None
     products = generator_products(inst, order)
@@ -896,27 +899,30 @@ def reference_order_family(inst, family, order):
 
 def expected_walk(inst, fast, slow, family=None):
     """The top-level keys that is_zero looks up, in order: per component,
-    the in-window tuples of its order family (when the family contains it)
-    up to the first nonzero value; when there is one, the whole in-window
-    walk up to the counterexample, which ends the check."""
+    the in-window tuples of its order family up to the first nonzero value.
+    On the basis of a Lie algebra that walk is the only one, and its first
+    nonzero value is the counterexample.  In a declared family that
+    contains the order family and more, a nonzero value there is followed
+    by the whole in-window walk up to the counterexample; in any other
+    declared family the whole walk is the only one.  The counterexample
+    ends the check."""
     keys = []
     for arity in sorted(slow):
         component = fast.component(arity)
-        walk = [(combo, key) for combo, key in reference_family_tuples(inst, arity, family)
-                if in_window(component, combo)]
         short = reference_order_family(inst, family, component.order)
-        if short is not None:
-            for combo, key in reference_family_tuples(inst, arity, short):
+        walks = [short] if family is None else [family] if short is None else [short, family]
+        for walk in walks:
+            nonzero = False
+            for combo, key in reference_family_tuples(inst, arity, walk):
                 if in_window(component, combo):
                     keys.append(key)
-                    if not slow[arity].evaluate(combo).is_zero():
+                    nonzero = not slow[arity].evaluate(combo).is_zero()
+                    if nonzero:
                         break
-            else:
-                continue
-        for combo, key in walk:
-            keys.append(key)
-            if not slow[arity].evaluate(combo).is_zero():
-                return keys
+            if not nonzero:
+                break
+        else:
+            return keys
     return keys
 
 
@@ -936,9 +942,10 @@ def check_first_nonzero(name, monkeypatch, bounded):
     tuple, counterexample) and evaluates nothing after its counterexample.
     With every bound forced to None, its in-window tuples up to the
     counterexample are each looked up once, and the lookup that found the
-    counterexample is the check's last.  With bounds, each component first
-    walks its order family up to its first nonzero value, then the whole
-    window up to the counterexample (:func:`expected_walk`)."""
+    counterexample is the check's last.  With bounds, each component walks
+    its order family up to its first nonzero value, which on the basis of a
+    Lie algebra is the counterexample; a declared family then walks the
+    whole window up to the counterexample (:func:`expected_walk`)."""
     inst = instance(name)
     family = list(default_poly_family(inst)) if name == "poly-tangent-r2" else None
     lookup = VForm._lookup

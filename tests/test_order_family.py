@@ -23,7 +23,7 @@ from rnforms.graded import GradingConvention
 from rnforms.instances import heisenberg3, poly_tangent_r2, so3
 from rnforms.scenario import load_shipped
 
-from generated_instances import poly_rank3, two_step_nilpotent
+from generated_instances import heisenberg, poly_rank3, semidirect, two_step_nilpotent
 from test_forms_reference import generator_products, unbounded
 
 SCENARIOS_DIR = Path(forms.__file__).with_name("scenarios")
@@ -323,7 +323,8 @@ def nested_pool(inst, rng):
 
 
 @settings(max_examples=6, deadline=None)
-@given(st.one_of(two_step_nilpotent(max_dim=4), poly_rank3()), st.integers(0, 10 ** 6))
+@given(st.one_of(two_step_nilpotent(max_dim=4), semidirect(), poly_rank3()),
+       st.integers(0, 10 ** 6))
 def test_nested_brackets_on_generated_instances(inst, seed):
     """[Y, Z], [X, [Y, Z]] and [X, [Y, Z]] - 2 [[X, Y], Z] over a pool of
     degree-0 and degree-1 forms: the reduced certificate equals the walk
@@ -341,6 +342,44 @@ def test_nested_brackets_on_generated_instances(inst, seed):
             unbounded(patch)
             full = is_zero(form, family)
         assert summary(reduced) == summary(full)
+
+
+@pytest.mark.parametrize(("m", "arity"), [(2, 3), (2, 4), (3, 3)])
+def test_deep_counterexample_on_a_lie_algebra_is_found_in_its_order_family(m, arity,
+                                                                         monkeypatch):
+    """On h5 and h7 with a fixed-seed integer N, the arity-3 component of
+    [[uN, l2], [uN, l2]] and the arity-4 component of [[uN, l2], l3] (order
+    1) fail.  The walk with every bound forced to None looks up every
+    in-window tuple before the counterexample, high-degree entries
+    included; the certificate equals it, yet lists only the order family
+    of order 1.  So the id table holds no piece of degree <= 1 beyond the
+    n + 1 of that family, and the basis is never listed."""
+    def probe(inst):
+        un = extend_bundle_map(inst, integer_matrix(inst, random.Random(7)), NEG)
+        deformed = rn_bracket(un, l2_form(inst, NEG))
+        other = deformed if arity == 3 else PolyForm(inst, [lk_form(inst, 3, NEG)])
+        return rn_bracket(deformed, other).component(arity)
+
+    inst = heisenberg(m)
+    form = probe(inst)
+    assert form.order == 1
+    listed = []
+    order_family = forms._order_family
+    monkeypatch.setattr(forms, "_order_family",
+                        lambda table, order: listed.append(order) or order_family(table, order))
+    certificate = is_zero(form)
+    assert listed == [1]
+    n = inst.rank
+    degrees = [degree for degree, _ in inst._ids.keys]
+    assert sum(degree <= 1 for degree in degrees) == n + 1
+    assert len(degrees) < 2 ** n
+    if arity == 3:
+        assert len(degrees) == n + 1
+    with monkeypatch.context() as patch:
+        unbounded(patch)
+        full = is_zero(probe(heisenberg(m)))
+    assert not full.is_zero
+    assert summary(certificate) == summary(full)
 
 
 # -- polynomial families ------------------------------------------------------------------------
