@@ -20,13 +20,12 @@ from .forms import (PolyForm, VForm, ZeroCertificate, as_polyform, element_form,
 from .catalog import (bivector_form, extend_bundle_map, extend_kform,
                       identity_matrix, l2_form, lk_form, matrix_square,
                       wedge_form)
-from .linfty import (LInftyCandidate, NijenhuisReport, check_coboundary,
-                     check_full, check_weak, coefficient_suite, deformed_bracket,
-                     deformed_instance, deformed_l2_certificate, l2_deformed,
-                     nijenhuis_deformation_theorem_check, pairwise_compatibility,
-                     pencil, square_of_sum, sum_of_wedges, torsion,
-                     torsion_alternate, torsion_formulas_agree, torsion_is_zero,
-                     witt_action_check)
+from .linfty import (coefficient_suite, deformed_bracket, deformed_instance,
+                     deformed_l2_certificate, l2_deformed,
+                     nijenhuis_deformation_theorem_check, nijenhuis_forms,
+                     pairwise_compatibility, pencil, report_nijenhuis, square_of_sum,
+                     sum_of_wedges, torsion, torsion_alternate, torsion_formulas_agree,
+                     torsion_is_zero, witt_action_check)
 from .pqn import (PQNQuadruple, PQNVerdict, check_pqn, concomitant,
                   dual_pairing_identity, koszul_bracket, main_theorem_harness,
                   mu_with_background, section3_lemma_suite, stienon_xu_harness)
@@ -48,11 +47,10 @@ __all__ = [
     "insert", "is_zero", "iterated_eval_identity", "rn_bracket",
     "bivector_form", "extend_bundle_map", "extend_kform", "identity_matrix",
     "l2_form", "lk_form", "matrix_square", "wedge_form",
-    "LInftyCandidate", "NijenhuisReport", "check_coboundary", "check_full",
-    "check_weak", "coefficient_suite", "deformed_bracket", "deformed_instance",
+    "coefficient_suite", "deformed_bracket", "deformed_instance",
     "deformed_l2_certificate", "l2_deformed",
-    "nijenhuis_deformation_theorem_check", "pairwise_compatibility", "pencil",
-    "square_of_sum", "sum_of_wedges", "torsion", "torsion_alternate",
+    "nijenhuis_deformation_theorem_check", "nijenhuis_forms",
+    "pairwise_compatibility", "pencil", "report_nijenhuis", "square_of_sum", "sum_of_wedges", "torsion", "torsion_alternate",
     "torsion_formulas_agree", "torsion_is_zero", "witt_action_check",
     "PQNQuadruple", "PQNVerdict", "check_pqn", "concomitant",
     "dual_pairing_identity", "koszul_bracket",

@@ -28,9 +28,9 @@ import sys
 from .catalog import extend_bundle_map, extend_kform, lk_form, wedge_form, bivector_form
 from .forms import PolyForm, is_zero, rn_bracket
 from .graded import GradingConvention
-from .linfty import (check_coboundary, check_weak, coefficient_suite,
-                     nijenhuis_deformation_theorem_check, pairwise_compatibility,
-                     pencil, square_of_sum, sum_of_wedges, witt_action_check)
+from .linfty import (coefficient_suite, nijenhuis_deformation_theorem_check, nijenhuis_forms,
+                     pairwise_compatibility, pencil, report_nijenhuis, square_of_sum,
+                     sum_of_wedges, witt_action_check)
 from .pqn import (PQNQuadruple, check_pqn, exact_ratio, main_theorem_harness,
                   stienon_xu_harness)
 from .report import Report
@@ -166,8 +166,8 @@ def cmd_bracket(scenario: Scenario, args) -> Report:
 def cmd_check_linfty(scenario: Scenario, args) -> Report:
     report = Report("check linfty", scenario.name)
     family = scenario.test_family()
-    candidate = pencil(scenario.instance, scenario.pencil_coefficients, family)
-    report.add_certificate("self-bracket", "[mu,mu] = 0", candidate.certificate())
+    mu = pencil(scenario.instance, scenario.pencil_coefficients)
+    report.add_certificate("self-bracket", "[mu,mu] = 0", is_zero(rn_bracket(mu, mu), family))
     k_max = min(len(scenario.pencil_coefficients),
                 max(2, scenario.instance.rank + 1))
     if scenario.instance.ring.kind == "rational":
@@ -179,20 +179,17 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
     instance = scenario.instance
     family = scenario.test_family()
     kind = args["kind"]
-    report = Report(f"check nijenhuis --kind {kind}", scenario.name)
-    if kind == "weak":
-        n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
-        mu = pencil(instance, scenario.pencil_coefficients, family)
-        result = check_weak(n_form, mu, family)
-    elif kind == "coboundary":
-        n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
-        square = square_of_sum(instance, scenario.wedge_coefficients, scenario.bracket_index)
-        mu = lk_form(instance, scenario.bracket_index, NEG)
-        result = check_coboundary(n_form, square, mu, family)
-    else:
+    if kind == "full":
         return nijenhuis_deformation_theorem_check(
             instance, scenario.N, scenario.pencil_coefficients, family)
-    result.to_report(report)
+    report = Report(f"check nijenhuis --kind {kind}", scenario.name)
+    n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
+    if kind == "weak":
+        forms = nijenhuis_forms(n_form, pencil(instance, scenario.pencil_coefficients))
+    else:
+        square = square_of_sum(instance, scenario.wedge_coefficients, scenario.bracket_index)
+        forms = nijenhuis_forms(n_form, lk_form(instance, scenario.bracket_index, NEG), square)
+    report_nijenhuis(report, kind, forms, family)
     return report
 
 

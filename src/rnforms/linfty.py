@@ -1,4 +1,4 @@
-"""Families of structures on the wedge algebra and the Nijenhuis checkers.
+"""Families of structures on the wedge algebra and the Nijenhuis conditions.
 
 The wedge family N_k and the bracket family l_k satisfy exact rational
 coefficient identities under the Richardson-Nijenhuis bracket:
@@ -11,15 +11,16 @@ coefficient identities under the Richardson-Nijenhuis bracket:
 
 which make the span of both families a copy of the polynomial vector
 fields acting on polynomials.  Degree-0 families deform degree-1
-structures: the three nested Nijenhuis conditions and their deformations
-are checked here with exhaustive certificates.  Every form built here is
+structures: ``nijenhuis_forms`` names the form of each of the three nested
+Nijenhuis conditions and of the deformed structure's own identities, and a
+caller certifies with ``is_zero`` the ones it reads (``report_nijenhuis``
+certifies those of one kind into a report).  Every form built here is
 graded negated (``NEG``), where N_k has degree 0 and l_k degree 1.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial
 
@@ -35,28 +36,7 @@ from .rings import InputError
 NEG = GradingConvention.NEGATED
 
 
-class LInftyCandidate:
-    """A degree-1 form family with its self-bracket certificate."""
-
-    def __init__(self, mu: PolyForm, test_family=None):
-        self.mu = mu
-        if mu.degree not in (None, 1):
-            raise InputError(f"a bracket family must have degree 1, got {mu.degree}")
-        self.test_family = test_family
-        self._certificate = None
-
-    def certificate(self):
-        if self._certificate is None:
-            square = rn_bracket(self.mu, self.mu)
-            self._certificate = is_zero(square, self.test_family)
-        return self._certificate
-
-    @property
-    def is_linfty(self) -> bool:
-        return self.certificate().is_zero
-
-
-def pencil(instance: GradedInstance, coefficients, test_family=None) -> LInftyCandidate:
+def pencil(instance: GradedInstance, coefficients) -> PolyForm:
     """mu = sum_i a_i l_i from a finite coefficient list (a_1 multiplies the
     zero 1-form, so it never contributes)."""
     parts = []
@@ -66,8 +46,7 @@ def pencil(instance: GradedInstance, coefficients, test_family=None) -> LInftyCa
             continue
         form = lk_form(instance, i, NEG)
         parts.append(form if a == 1 else form.scale(a))
-    mu = PolyForm(instance, parts, convention=NEG)
-    return LInftyCandidate(mu, test_family)
+    return PolyForm(instance, parts, convention=NEG)
 
 
 def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report) -> None:
@@ -197,111 +176,72 @@ def sum_of_wedges(instance: GradedInstance, b) -> PolyForm:
     return PolyForm(instance, parts, convention=NEG)
 
 
-class LazyCertificates(Mapping):
-    """Certificates by name, each computed on its first read."""
-
-    def __init__(self, thunks):
-        self._thunks = thunks
-        self._done = {}
-
-    def __getitem__(self, key):
-        cert = self._done.get(key)
-        if cert is None:
-            cert = self._done[key] = self._thunks[key]()
-        return cert
-
-    def __iter__(self):
-        return iter(self._thunks)
-
-    def __len__(self):
-        return len(self._thunks)
+# each Nijenhuis form's identity, in the order reports list them
+_IDENTITIES = {
+    "deformation_square": "[N,[N,mu]] = [K,mu]",
+    "square_commutes": "[N,K] = 0",
+    "weak": "[mu,[N,[N,mu]]] = 0",
+    "deformed_self": "[[N,mu],[N,mu]] = 0",
+    "deformed_compatible": "[mu,[N,mu]] = 0",
+}
+_REQUIRED = {"weak": ("weak",),
+             "coboundary": ("deformation_square", "weak"),
+             "full": ("deformation_square", "square_commutes", "weak")}
 
 
-class NijenhuisReport:
-    """Structured result of the weak / co-boundary / full checks.
+def nijenhuis_forms(n_form, mu, k_form=None) -> dict:
+    """The Nijenhuis conditions of the degree-0 form N for the degree-1
+    family mu, by name, each as the form that vanishes exactly when it holds:
 
-    Mathematical failure is data here, never an exception; the three
-    certificates cover the deformation-square identity, the commuting
-    square, and the weak identity, plus the deformed structure's own
-    certificates.  Each certificate is computed when first read: a verdict
-    reads only the ones it needs, ``to_report`` reads them all."""
+        weak                 [mu,[N,[N,mu]]] = 0
+        deformation_square   [N,[N,mu]] = [K,mu]    (given a square K)
+        square_commutes      [N,K] = 0              (given a square K)
+        deformed_self        [[N,mu],[N,mu]] = 0
+        deformed_compatible  [mu,[N,mu]] = 0
 
-    def __init__(self, kind, certificates):
-        self.kind = kind
-        self.certificates = certificates
-
-    @property
-    def passed(self) -> bool:
-        if self.kind == "weak":
-            return self.certificates["weak"].is_zero
-        if self.kind == "coboundary":
-            return self.certificates["deformation_square"].is_zero
-        return (self.certificates["deformation_square"].is_zero
-                and self.certificates["square_commutes"].is_zero)
-
-    def to_report(self, report: Report) -> None:
-        named = {
-            "deformation_square": "[N,[N,mu]] = [K,mu]",
-            "square_commutes": "[N,K] = 0",
-            "weak": "[mu,[N,[N,mu]]] = 0",
-            "deformed_self": "[[N,mu],[N,mu]] = 0",
-            "deformed_compatible": "[mu,[N,mu]] = 0",
-        }
-        required = {"weak": ("weak",),
-                    "coboundary": ("deformation_square", "weak"),
-                    "full": ("deformation_square", "square_commutes", "weak")}[self.kind]
-        for key, anchor in named.items():
-            if key not in self.certificates:
-                continue
-            cert = self.certificates[key]
-            if key in required or key.startswith("deformed"):
-                report.add_certificate(f"{self.kind}: {key}", anchor, cert)
-            else:
-                report.add(f"{self.kind}: {key} (informational)", anchor, True,
-                           detail=f"holds: {cert.is_zero};"
-                                  " not part of the co-boundary criterion")
-
-
-def _check_nijenhuis(kind, n_form, k_form, mu, test_family=None) -> NijenhuisReport:
+    N is weak Nijenhuis when ``weak`` vanishes, co-boundary Nijenhuis when
+    ``deformation_square`` does, and Nijenhuis when ``square_commutes`` does
+    too.  Building the forms evaluates nothing: a caller certifies with
+    :func:`is_zero` only the ones it reads."""
+    mu = as_polyform(mu)
+    if mu.degree not in (None, 1):
+        raise InputError(f"a bracket family must have degree 1, got {mu.degree}")
     n_form = as_polyform(n_form)
-    instance = n_form.instance
-    if isinstance(mu, LInftyCandidate):
-        if test_family is None:
-            test_family = mu.test_family
-        mu = mu.mu
     if n_form.degree not in (None, 0):
         raise InputError(f"the deforming form must have degree 0, got {n_form.degree}")
-    if kind in ("coboundary", "full"):
-        if k_form is None:
-            raise InputError(f"the {kind} check needs a candidate square")
+    if k_form is not None:
         k_form = as_polyform(k_form)
         if k_form.degree not in (None, 0):
             raise InputError(f"the square must have degree 0, got {k_form.degree}")
     deformed = rn_bracket(n_form, mu)
     twice = rn_bracket(n_form, deformed)
-
-    def certify(form):
-        return lambda: is_zero(form, test_family)
-
-    thunks = {"weak": certify(rn_bracket(mu, twice))}
+    forms = {"weak": rn_bracket(mu, twice)}
     if k_form is not None:
-        thunks["deformation_square"] = certify(twice - rn_bracket(k_form, mu))
-        thunks["square_commutes"] = certify(rn_bracket(n_form, k_form))
-    thunks["deformed_self"] = certify(rn_bracket(deformed, deformed))
-    thunks["deformed_compatible"] = certify(rn_bracket(mu, deformed))
-    return NijenhuisReport(kind, LazyCertificates(thunks))
+        forms["deformation_square"] = twice - rn_bracket(k_form, mu)
+        forms["square_commutes"] = rn_bracket(n_form, k_form)
+    forms["deformed_self"] = rn_bracket(deformed, deformed)
+    forms["deformed_compatible"] = rn_bracket(mu, deformed)
+    return forms
 
 
-def check_weak(n_form, mu, test_family=None) -> NijenhuisReport:
-    return _check_nijenhuis("weak", n_form, None, mu, test_family)
-
-
-def check_coboundary(n_form, k_form, mu, test_family=None) -> NijenhuisReport:
-    return _check_nijenhuis("coboundary", n_form, k_form, mu, test_family)
-
-
-def check_full(n_form, k_form, mu, test_family=None) -> NijenhuisReport:
-    return _check_nijenhuis("full", n_form, k_form, mu, test_family)
+def report_nijenhuis(report: Report, kind, forms, test_family=None) -> None:
+    """Certify the ``nijenhuis_forms`` of a weak, co-boundary or full check
+    into ``report``: the forms the kind requires and the ``deformed_*`` ones
+    as certificates, the others as informational entries.  Mathematical
+    failure is data here, never an exception."""
+    required = _REQUIRED[kind]
+    if kind != "weak" and "deformation_square" not in forms:
+        raise InputError(f"the {kind} check needs a candidate square")
+    for key, anchor in _IDENTITIES.items():
+        if key not in forms:
+            continue
+        cert = is_zero(forms[key], test_family)
+        if key in required or key.startswith("deformed"):
+            report.add_certificate(f"{kind}: {key}", anchor, cert)
+        else:
+            report.add(f"{kind}: {key} (informational)", anchor, True,
+                       detail=f"holds: {cert.is_zero};"
+                              " not part of the co-boundary criterion")
 
 
 # -- deformed brackets and torsion ----------------------------------------------
@@ -433,9 +373,8 @@ def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficient
                counterexample=witness)
     if not torsion_free:
         return report
-    mu = pencil(instance, coefficients, test_family)
+    mu = pencil(instance, coefficients)
     un = extend_bundle_map(instance, N, NEG)
     un2 = extend_bundle_map(instance, matrix_square(instance, N), NEG)
-    result = check_full(un, un2, mu, test_family)
-    result.to_report(report)
+    report_nijenhuis(report, "full", nijenhuis_forms(un, mu, un2), test_family)
     return report

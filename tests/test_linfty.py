@@ -3,18 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form
-from rnforms.forms import as_polyform, is_zero, rn_bracket
+from rnforms.forms import as_polyform, default_poly_family, is_zero, rn_bracket
 from rnforms.instances import GradedInstance, LieAlgebraData
-from rnforms.linfty import (check_coboundary, check_full, check_weak,
-                            coefficient_suite, deformed_bracket, deformed_l2_certificate,
-                            nijenhuis_deformation_theorem_check,
-                            pairwise_compatibility, pencil, square_of_sum,
-                            sum_of_wedges, torsion_alternate, torsion_formulas_agree,
-                            torsion_is_zero, witt_action_check)
+from rnforms.linfty import (coefficient_suite, deformed_bracket, deformed_l2_certificate,
+                            nijenhuis_deformation_theorem_check, nijenhuis_forms,
+                            pairwise_compatibility, pencil, report_nijenhuis,
+                            square_of_sum, sum_of_wedges, torsion_alternate,
+                            torsion_formulas_agree, torsion_is_zero, witt_action_check)
 from rnforms.report import Report
 from rnforms.rings import InputError
+
+from generated_instances import heisenberg, semidirect
 
 
 def random_matrix(rng, n):
@@ -53,20 +56,22 @@ def test_wedge_scaling_witness(h3):
         assert is_zero(lhs - rhs).is_zero
 
 
+def self_bracket(mu):
+    return is_zero(rn_bracket(mu, mu))
+
+
 def test_pencil_examples(aff):
-    assert pencil(aff, [0, 1]).is_linfty
-    assert pencil(aff, [1, 1, 1]).is_linfty
+    assert self_bracket(pencil(aff, [0, 1])).is_zero
+    assert self_bracket(pencil(aff, [1, 1, 1])).is_zero
     rng = random.Random(7)
     for _ in range(3):
         coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
-        candidate = pencil(aff, coeffs)
-        cert = candidate.certificate()
+        cert = self_bracket(pencil(aff, coeffs))
         assert cert.is_zero and cert.complete
 
 
 def test_pencil_negative_control(broken):
-    candidate = pencil(broken, [0, 1])
-    cert = candidate.certificate()
+    cert = self_bracket(pencil(broken, [0, 1]))
     assert not cert.is_zero
     assert cert.counterexample is not None
 
@@ -103,27 +108,63 @@ def test_coboundary_square_formula(aff):
             b = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
             if not any(b):
                 b[0] = Fraction(1)
-            result = check_coboundary(
-                sum_of_wedges(aff, b), square_of_sum(aff, b, n),
-                as_polyform(lk_form(aff, n)))
-            assert result.passed
+            forms = nijenhuis_forms(sum_of_wedges(aff, b), as_polyform(lk_form(aff, n)),
+                                    square_of_sum(aff, b, n))
+            assert is_zero(forms["deformation_square"]).is_zero
 
 
 def test_check_weak_wedge_sum_against_pencil(aff):
-    result = check_weak(sum_of_wedges(aff, [1, 1]), pencil(aff, [0, 1, 1]))
-    assert result.passed
-    assert result.certificates["deformed_self"].is_zero
-    assert result.certificates["deformed_compatible"].is_zero
+    forms = nijenhuis_forms(sum_of_wedges(aff, [1, 1]), pencil(aff, [0, 1, 1]))
+    assert is_zero(forms["weak"]).is_zero
+    assert is_zero(forms["deformed_self"]).is_zero
+    assert is_zero(forms["deformed_compatible"]).is_zero
+    assert "deformation_square" not in forms and "square_commutes" not in forms
 
 
 def test_check_full_requires_square(aff):
-    with pytest.raises(InputError):
-        check_full(sum_of_wedges(aff, [1]), None, pencil(aff, [0, 1]))
+    forms = nijenhuis_forms(sum_of_wedges(aff, [1]), pencil(aff, [0, 1]))
+    for kind in ("coboundary", "full"):
+        with pytest.raises(InputError, match=f"the {kind} check needs a candidate square"):
+            report_nijenhuis(Report("t", "aff1"), kind, forms)
 
 
 def test_degree_zero_enforced(aff):
-    with pytest.raises(InputError):
-        check_weak(as_polyform(l2_form(aff)), pencil(aff, [0, 1]))
+    with pytest.raises(InputError, match="the deforming form must have degree 0"):
+        nijenhuis_forms(as_polyform(l2_form(aff)), pencil(aff, [0, 1]))
+    with pytest.raises(InputError, match="the square must have degree 0"):
+        nijenhuis_forms(sum_of_wedges(aff, [1]), pencil(aff, [0, 1]), l2_form(aff))
+
+
+def test_bracket_family_degree_one_enforced(aff):
+    """The degree guard covers a raw mu as well as a pencil."""
+    with pytest.raises(InputError, match="a bracket family must have degree 1, got 0"):
+        nijenhuis_forms(sum_of_wedges(aff, [1]), wedge_form(aff, 2))
+    with pytest.raises(InputError, match="a bracket family must have degree 1, got 0"):
+        nijenhuis_forms(sum_of_wedges(aff, [1]), as_polyform(wedge_form(aff, 2)),
+                        square_of_sum(aff, [1], 2))
+
+
+def test_report_nijenhuis_entries(aff):
+    """Each kind writes its required and deformed_* forms as certificates,
+    the others as informational entries, in one fixed order."""
+    b = [1, 1]
+    forms = nijenhuis_forms(sum_of_wedges(aff, b), lk_form(aff, 2), square_of_sum(aff, b, 2))
+    expected = {
+        "weak": ["weak: deformation_square (informational)",
+                 "weak: square_commutes (informational)", "weak: weak",
+                 "weak: deformed_self", "weak: deformed_compatible"],
+        "coboundary": ["coboundary: deformation_square",
+                       "coboundary: square_commutes (informational)", "coboundary: weak",
+                       "coboundary: deformed_self", "coboundary: deformed_compatible"],
+        "full": ["full: deformation_square", "full: square_commutes", "full: weak",
+                 "full: deformed_self", "full: deformed_compatible"],
+    }
+    for kind, names in expected.items():
+        report = Report("t", "aff1")
+        report_nijenhuis(report, kind, forms)
+        assert [c.name for c in report.checks] == names
+        assert all(c.complete is None for c in report.checks if "informational" in c.name)
+        assert all(c.complete for c in report.checks if "informational" not in c.name)
 
 
 def test_torsion_and_deformed_bracket(aff, h3):
@@ -179,36 +220,62 @@ def _integer_operators(rng, rank, count=24):
         yield N
 
 
+def check_theorem(inst, N, coefficients, test_family=None) -> bool:
+    """Run the full check of ``N`` and assert its verdict: all entries pass
+    when N is torsion-free, only the torsion precondition fails otherwise.
+    Torsion-freeness is decided by the second torsion formula, not by the
+    check's own.  Returns whether N is torsion-free."""
+    report = nijenhuis_deformation_theorem_check(inst, N, coefficients, test_family)
+    t = torsion_alternate(inst, N)
+    torsion_free = all(t(inst.generator(i), inst.generator(j)).is_zero()
+                       for i, j in itertools.combinations(range(inst.rank), 2))
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ([] if torsion_free else ["torsion precondition"]), (inst.name, N)
+    return torsion_free
+
+
 def test_nijenhuis_deformation_theorem_on_random_integer_operators(ab2, h3, so3_inst):
     """The paper's first result on seeded random integer N: a torsion-free N
     passes the full check for the pencil structure; any other N fails its
-    torsion precondition and nothing else.  Torsion-freeness is decided by
-    the second torsion formula, not by the check's own."""
+    torsion precondition and nothing else."""
     rng = random.Random(2016)
     abelian = [ab2] + [GradedInstance(LieAlgebraData(n), name=f"abelian{n}") for n in (3, 4)]
-    for inst in abelian + [h3, so3_inst]:
-        torsion_free_seen = set()
-        for N in _integer_operators(rng, inst.rank):
-            coefficients = [rng.randint(-2, 2) for _ in range(rng.randint(2, 3))]
-            report = nijenhuis_deformation_theorem_check(inst, N, coefficients)
-            t = torsion_alternate(inst, N)
-            torsion_free = all(t(inst.generator(i), inst.generator(j)).is_zero()
-                               for i, j in itertools.combinations(range(inst.rank), 2))
-            torsion_free_seen.add(torsion_free)
-            failed = [c.name for c in report.checks if not c.passed]
-            assert failed == ([] if torsion_free else ["torsion precondition"]), (inst.name, N)
+    for inst in abelian + [h3, so3_inst, heisenberg(2)]:
+        torsion_free_seen = {check_theorem(inst, N, [rng.randint(-2, 2)
+                                                     for _ in range(rng.randint(2, 3))])
+                             for N in _integer_operators(rng, inst.rank)}
         # every N is torsion-free on an abelian algebra; both kinds were drawn on the others
         assert torsion_free_seen == ({True} if inst in abelian else {True, False}), inst.name
+
+
+@settings(max_examples=12, deadline=None)
+@given(semidirect(), st.integers(0, 2**32))
+def test_nijenhuis_deformation_theorem_on_generated_instances(inst, seed):
+    rng = random.Random(seed)
+    for N in _integer_operators(rng, inst.rank, count=6):
+        check_theorem(inst, N, [rng.randint(-2, 2) for _ in range(rng.randint(2, 3))])
+
+
+def test_nijenhuis_deformation_theorem_on_a_polynomial_algebroid(poly):
+    """On poly-tangent-r2 every constant N is torsion-free (the anchor is
+    the identity and the brackets vanish), so every seeded N passes the full
+    check over the default declared family."""
+    rng = random.Random(25)
+    family = default_poly_family(poly)
+    torsion_free_seen = {check_theorem(poly, N, [rng.randint(-2, 2)
+                                                 for _ in range(rng.randint(2, 3))], family)
+                         for N in _integer_operators(rng, poly.rank, count=12)}
+    assert torsion_free_seen == {True}
 
 
 def test_full_check_negative_control(h3):
     bad = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(0)]]
     un = extend_bundle_map(h3, bad)
     un2 = extend_bundle_map(h3, matrix_square(h3, bad))
-    result = check_full(un, un2, pencil(h3, [0, 1]))
-    assert not result.passed
-    assert not result.certificates["deformation_square"].is_zero
-    assert result.certificates["deformation_square"].counterexample is not None
+    forms = nijenhuis_forms(un, pencil(h3, [0, 1]), un2)
+    certificate = is_zero(forms["deformation_square"])
+    assert not certificate.is_zero
+    assert certificate.counterexample is not None
 
 
 def test_witt_intertwining_small(aff):

@@ -1,11 +1,15 @@
-"""Module boundaries of the package: no rnforms module imports a private
-name of another, and the canonical-tuple walk stays behind one module:
-only ``forms`` reads form memos, lookups and the piece id table."""
+"""Module boundaries of the package: every public name resolves, no
+rnforms module imports a private name of another, and the canonical-tuple
+walk stays behind one module: only ``forms`` reads form memos, lookups and
+the piece id table."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import rnforms
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rnforms"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -33,6 +37,16 @@ def _kernel_reads(path: Path) -> list:
     return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(_tree(path))
             if isinstance(node, ast.Attribute) and node.attr in KERNEL_ATTRIBUTES
             and isinstance(node.ctx, ast.Load)]
+
+
+def test_every_public_name_resolves_once():
+    """Each name of ``rnforms.__all__`` is bound in the package, once, so
+    ``from rnforms import *`` works after an export is removed."""
+    assert [name for name, n in Counter(rnforms.__all__).items() if n > 1] == []
+    assert [name for name in rnforms.__all__ if not hasattr(rnforms, name)] == []
+    namespace = {}
+    exec("from rnforms import *", namespace)
+    assert set(rnforms.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

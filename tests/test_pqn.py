@@ -6,7 +6,7 @@ import pytest
 from rnforms import catalog, heisenberg3, pqn
 from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
-from rnforms.forms import VForm
+from rnforms.forms import VForm, is_zero, rn_bracket
 from rnforms.graded import GradingConvention
 from rnforms.instances import GradedInstance, PolyAlgebroidData
 from rnforms.pqn import (PQNQuadruple, check_pqn, concomitant, dual_pairing_identity,
@@ -128,13 +128,14 @@ def test_check_pqn_degenerate_pi_exact(h3_sh2):
 
 def test_mu_with_background(h3_sh2, so3_inst, monkeypatch):
     H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
-    candidate, ingredients = mu_with_background(h3_sh2, H)
-    assert candidate.is_linfty
-    assert candidate.certificate().complete
-    for cert in ingredients.values():
-        assert cert.is_zero
-    zero_candidate, _ = mu_with_background(h3_sh2, DualForm.zero(h3_sh2, 3))
-    assert list(zero_candidate.mu.components) == [2]
+    mu = mu_with_background(h3_sh2, H)
+    cert = is_zero(rn_bracket(mu, mu))
+    assert cert.is_zero and cert.complete
+    # the ingredients: [l2,l2] = 0, [l2,uH] = u(dH) = 0 and [uH,uH] = 0
+    l2, uH = catalog.l2_form(h3_sh2, SH2), catalog.extend_kform(H, SH2)
+    for left, right in ((l2, l2), (l2, uH), (uH, uH)):
+        assert is_zero(rn_bracket(left, right)).is_zero
+    assert list(mu_with_background(h3_sh2, DualForm.zero(h3_sh2, 3)).components) == [2]
 
     # deliberately wrong differential table: the closedness gate must fire
     import rnforms.pqn as pqn_module
@@ -161,9 +162,9 @@ def test_main_theorem_precondition_failure_reported(aff_sh2):
 
 
 def test_main_theorem_computes_no_ingredient_certificate(monkeypatch):
-    """The ingredient certificates of mu_with_background are computed on
-    their first read, and the harness reads none of them: on heisenberg3 it
-    certifies the five decomposition components and nothing else."""
+    """The harness certifies no ingredient of l2 + uH: on heisenberg3 it
+    certifies the five decomposition components and side A's deformation
+    square, and nothing else."""
     certify = pqn.is_zero
     forms = []
 
@@ -175,7 +176,7 @@ def test_main_theorem_computes_no_ingredient_certificate(monkeypatch):
     s = load_shipped("heisenberg3")
     report = main_theorem_harness(s.instance, s.pi, s.N, s.omega, s.H, s.test_family())
     assert report.passed
-    assert len(forms) == 5
+    assert len(forms) == 6
 
 
 def test_verdict_equality_on_remaining_shipped_scenarios(so3_inst, ab2, poly):
