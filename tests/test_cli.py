@@ -640,6 +640,98 @@ def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
     assert _report_hashes(tmp_path, capsys) == json.loads(REPORT_HASHES.read_text())
 
 
+# scenarios on which the PQN commands fail, beyond the shipped five
+FAILING_PQN_SCENARIOS = {
+    # Lie algebra: omega is not compatible with N
+    "h3-bad": {
+        "instance": {"lie_algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],
+                                     "brackets": {"e1,e2": {"e3": "1"}}}},
+        "data": {"pi": {"e1^e3": "1"}, "N": [["1", "0", "0"], ["0", "2", "0"],
+                                             ["0", "0", "1"]],
+                 "omega": {"e1^e3": "1", "e2^e3": "1"}, "alpha": {"e1^e2": "1"}}},
+    # polynomial algebroid with Euler anchor: side A and condition (c) fail
+    # at (a1, a2)
+    "euler-bad": {
+        "instance": {"poly_algebroid": {
+            "base_dim": 2, "coordinates": ["x1", "x2"], "rank": 2,
+            "generators": ["a1", "a2"], "brackets": {},
+            "anchor": [[{"x1": "1"}, "0"], ["0", {"x2": "1"}]]}},
+        "data": {"N": [[{"x2": "1"}, "0"], ["0", "1"]], "alpha": {"a1^a2": {"x1": "1"}}},
+        "suite": {"poly_degree_bound": 1}},
+    # Lie algebra with torsion: side A and condition (c) fail at (e1, e2)
+    "h3-torsion": {
+        "instance": {"lie_algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],
+                                     "brackets": {"e1,e2": {"e3": "1"}}}},
+        "data": {"N": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "3"]]}},
+    # every term of the double-bracket decomposition is nonzero
+    "poly-r3-background": {
+        "instance": {"poly_algebroid": {
+            "base_dim": 3, "coordinates": ["x1", "x2", "x3"], "rank": 3,
+            "generators": ["a1", "a2", "a3"], "brackets": {},
+            "anchor": [[{"x1": "1"}, "0", "0"], ["0", {"x2": "1"}, "0"],
+                       ["0", "0", {"x3": "1"}]]}},
+        "data": {"pi": {"a1^a2": {"x3": "1"}}, "N": [["2", "0", "0"], ["0", "2", "0"],
+                                                     ["0", "0", "2"]],
+                 "omega": {"a2^a3": {"x1": "1"}}, "H": {"a1^a2^a3": {"1": "1"}}},
+        "suite": {"poly_degree_bound": 1}},
+    # abelian with a background: stienon-xu refuses H != 0
+    "abelian3-background": {
+        "instance": {"lie_algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],
+                                     "brackets": {}}},
+        "data": {"pi": {"e1^e2": "1"}, "N": [["2", "1", "0"], ["0", "2", "0"],
+                                             ["0", "0", "2"]],
+                 "omega": {"e1^e3": "1"}, "H": {"e1^e2^e3": "1"}}},
+}
+
+# "scenario: command" -> (exit code, sha256 of the JSON report)
+FAILING_PQN_REPORTS = {
+    "h3-bad: check pqn":
+        (1, "0d398ef95362f8523f29e21b52b3771d3cd6bcdca1f17b52971bb61e02bdbe92"),
+    "h3-bad: suite main-theorem":
+        (1, "b3705e4ba59eee565f6c3b7d4fe8f5ef58dafb616e6672822961761da9cc9181"),
+    "h3-bad: suite stienon-xu":
+        (1, "552824652266ff965c33070d176a9aac09efbd913d3ef14a6b84505d0006bdac"),
+    "euler-bad: check pqn":
+        (1, "3a5ca0023b8c145191abd186991237acdb7064d34581e4332295bfd6cec161d5"),
+    "euler-bad: suite main-theorem":
+        (1, "0d669e39830878dc9639efc62b15de9cb417aad3208bc6a254fa5a2430ab4cd8"),
+    "euler-bad: suite stienon-xu":
+        (1, "41395189e0f6c5de14ebb3933373dce4c9103b2cb44ed19600fb7b7645259576"),
+    "h3-torsion: check pqn":
+        (1, "e90d5752bc25b77d8c9ccf3fa04d2d445d6e1f362a8cc00d36edbd6bdaa5c098"),
+    "h3-torsion: suite main-theorem":
+        (1, "f1584014abb157d7082fd494fba4002d7a80a37140bae259649d7393cdd794f4"),
+    "h3-torsion: suite stienon-xu":
+        (1, "af99c08382124f77650ddbffcbfeacb9e05264f7d5195cd11b2da22348d86deb"),
+    "poly-r3-background: check pqn":
+        (1, "cc753a245c7001ab8947f3b2123f52b2beb1dc8d51e94ada821d90b3b6b7e7dc"),
+    "poly-r3-background: suite main-theorem":
+        (1, "ddf6a2700a81f38e6ea037edf738385ef40e668e4a9512d09cc2303ab4dfcc61"),
+    "poly-r3-background: suite stienon-xu":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "abelian3-background: check pqn":
+        (1, "0cdff8dd2662ea21e0f8448bbb42cb7fbb008914f7ea3be3666f87564fc26c04"),
+    "abelian3-background: suite main-theorem":
+        (1, "55b095629e257b52097bcd3f600c660462290ac254207227c5106cbccbcbf695"),
+    "abelian3-background: suite stienon-xu":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def test_pqn_reports_on_failing_scenarios(tmp_path, capsys):
+    # pins the two harnesses and check pqn byte for byte where they fail
+    got = {}
+    for name, raw in FAILING_PQN_SCENARIOS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, **raw}))
+        for command in (("check", "pqn"), ("suite", "main-theorem"), ("suite", "stienon-xu")):
+            code, out, _ = run_cli(capsys, "--scenario", str(path), "--format", "json",
+                                   *command)
+            got[f"{name}: {' '.join(command)}"] = (code, hashlib.sha256(out.encode())
+                                                   .hexdigest())
+    assert got == FAILING_PQN_REPORTS
+
+
 def test_grading_is_validated_and_changes_no_report(tmp_path, capsys):
     """Each command names the grading of the forms it builds, so a scenario
     carries none: a "grading" key, well spelled or not, is an unknown key,
