@@ -9,10 +9,10 @@ insertion reads each of its operands' values once per key; a combination
 built on the fly by scaling, sums or brackets owns none, and sums its
 nodes' values on every lookup.  Forms carry no names.  Every atomic node
 and every shared combination is hash-consed on its instance by
-:func:`shared_node`: a catalog primitive is keyed by its defining data, an
-insertion by the shared representatives of both sides, so [aK, bL] reuses
-the node of [K, L] and the same values are never computed twice under
-different nodes.  Scaling, sums and brackets only merge coefficient maps.
+:func:`shared_node`: a primitive (a catalog form or ``linfty.l2_deformed``)
+is keyed by its defining data, an insertion by the shared representatives
+of both sides, so [aK, bL] reuses the node of [K, L] and the same values
+are never computed twice under different nodes.  Scaling, sums and brackets only merge coefficient maps.
 Values are only computed by evaluation and by :func:`is_zero`.
 
 The kernel runs on integer piece ids.  One id table per instance

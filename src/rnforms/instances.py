@@ -381,12 +381,3 @@ def poly_tangent_r2(check=True) -> GradedInstance:
         brackets={},
     )
     return GradedInstance(data, name="poly-tangent-r2", check=check)
-
-
-STANDARD_INSTANCES = {
-    "aff1": aff1,
-    "heisenberg3": heisenberg3,
-    "so3": so3,
-    "abelian2": abelian2,
-    "poly-tangent-r2": poly_tangent_r2,
-}

@@ -27,7 +27,8 @@ from math import comb, factorial
 from .catalog import (extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form)
 from .dualforms import apply_matrix, check_matrix
 from .elements import Element
-from .forms import PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket
+from .forms import (PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket,
+                    shared_node)
 from .graded import GradingConvention
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .report import Report
@@ -344,16 +345,22 @@ def l2_deformed(instance: GradedInstance, N) -> VForm:
     """(P,Q) -> (-1)^p [P,Q] of the deformed structure, the same sign
     convention as the undeformed bracket form so that [uN, l2] matches it.
     Order 1: the Schouten extension of any anchored skew bracket is a
-    biderivation, torsion or not."""
-    deformed = deformed_instance(instance, N)
+    biderivation, torsion or not.  One shared node per matrix."""
+    check_matrix(instance, N)
+    N = tuple(tuple(instance.ring.coerce(v) for v in row) for row in N)
 
-    def fn(args):
-        P, Q = args
-        p = P.require_homogeneous()
-        value = deformed.sn_bracket(P, Q)
-        return -value if p % 2 else value
+    def build():
+        deformed = deformed_instance(instance, N)
 
-    return VForm(instance, 2, -1, fn, NEG, order=1)
+        def fn(args):
+            P, Q = args
+            p = P.require_homogeneous()
+            value = deformed.sn_bracket(P, Q)
+            return -value if p % 2 else value
+
+        return VForm(instance, 2, -1, fn, NEG, order=1)
+
+    return shared_node(instance, ("deformed l2", N, NEG), build)
 
 
 def deformed_l2_certificate(instance: GradedInstance, N, test_family=None):

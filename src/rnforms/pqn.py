@@ -6,10 +6,13 @@ computation on vector-valued forms.
 Harness structure: side A is the co-boundary condition of pi + uN +
 u(omega) for l2 + uH with square u(N^2) + [u(omega), pi], one ``is_zero``
 certificate on the ``deformation_square`` form of ``nijenhuis_forms`` (the
-other Nijenhuis forms are not certified); side B evaluates the four
-quadruple conditions directly through Koszul brackets, torsion and the
-background combination.  The two verdicts are computed independently and
-asserted equal.
+other Nijenhuis forms are not certified); side B evaluates the quadruple
+conditions directly through Koszul brackets, torsion and the background
+combination.  Conditions (a)-(c) come from one function,
+``quadruple_conditions``: ``check_pqn`` adds the preconditions and condition
+(d) with its solved scalar, and the Stienon-Xu harness (no background) adds
+the exactness of the 2-form term instead.  The two verdicts are computed
+independently and asserted equal.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from fractions import Fraction
 
 from .catalog import (bivector_form, extend_bundle_map, extend_kform, l2_form,
                       matrix_square)
-from .dualforms import (DualForm, apply_matrix, background_script, compat_n_pi,
-                        compat_omega_n, d_function, differential, element_on_duals,
-                        iota_n, lie_derivative, matrix_mul, n_star,
+from .dualforms import (DualForm, apply_matrix, background_script, check_matrix,
+                        compat_n_pi, compat_omega_n, d_function, differential,
+                        element_on_duals, iota_n, lie_derivative, matrix_mul, n_star,
                         omega_n, pairing, pi_sharp, pi_sharp_matrix, tabulate,
                         unit_duals)
 from .elements import Element
@@ -113,9 +116,7 @@ class PQNQuadruple:
         if not pi.is_zero() and pi.require_homogeneous() != 2:
             raise InputError("pi must be a bivector")
         self.pi = pi
-        n = instance.rank
-        if len(N) != n or any(len(row) != n for row in N):
-            raise InputError(f"N must be a {n}x{n} matrix")
+        check_matrix(instance, N)
         self.N = [[instance.ring.coerce(v) for v in row] for row in N]
         if omega.k != 2 or H.k != 3:
             raise InputError("omega must be a 2-form and H a 3-form")
@@ -194,23 +195,20 @@ def exact_ratio(instance, numerator, denominator):
     return lam if denominator * lam == numerator else None
 
 
-def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
-    """Exact verdicts for the quadruple conditions; the scalar coefficient in
-    (d) is solved by exact linear algebra when H is nonzero."""
+def _vanishing(form: DualForm):
+    """(form = 0, the form's label as the witness when it is not)."""
+    return (True, None) if form.is_zero() else (False, form.label())
+
+
+def quadruple_conditions(quadruple: PQNQuadruple) -> dict:
+    """Conditions (a)-(c) of the quadruple as {name: (holds, witness)}: pi
+    is Poisson, the concomitant is twice H on sharps, and the torsion of N
+    is the sharp of the background and d omega terms."""
     inst = quadruple.instance
     pi, N, omega, H = quadruple.pi, quadruple.N, quadruple.omega, quadruple.H
-    verdict = PQNVerdict()
-    ok_npi = compat_n_pi(inst, N, pi)
-    verdict.preconditions["N o pi# = pi# o N*"] = (ok_npi, None)
-    ok_om = compat_omega_n(inst, omega, N)
-    verdict.preconditions["omega_flat o N = N* o omega_flat"] = (ok_om, None)
-    dH = differential(H)
-    verdict.preconditions["d H = 0"] = (dH.is_zero(),
-                                        None if dH.is_zero() else dH.label())
-
     poisson = inst.sn_bracket(pi, pi)
-    verdict.conditions["a"] = (poisson.is_zero(),
-                               None if poisson.is_zero() else inst.basis_label(poisson))
+    conditions = {"a": (poisson.is_zero(),
+                        None if poisson.is_zero() else inst.basis_label(poisson))}
 
     gens = [inst.generator(m) for m in range(inst.rank)]
     names = inst.generator_names
@@ -223,7 +221,7 @@ def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
                 for a, b in itertools.combinations(unit_duals(inst), 2)
                 if not (concomitant(inst, pi, N, a, b) - twice_h_on_sharps(a, b)).is_zero()),
                None)
-    verdict.conditions["b"] = (bad is None, bad)
+    conditions["b"] = (bad is None, bad)
 
     t = torsion(inst, N)
     domega = differential(omega)
@@ -237,24 +235,34 @@ def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
                 for i, j in itertools.combinations(range(inst.rank), 2)
                 if not (t(gens[i], gens[j]) - torsion_target(gens[i], gens[j])).is_zero()),
                None)
-    verdict.conditions["c"] = (bad is None, bad)
+    conditions["c"] = (bad is None, bad)
+    return conditions
 
-    if ok_om:
-        lhs_d = iota_n(domega, N) - differential(omega_n(omega, N)) - background_script(H, N)
-        lam, note = solve_scalar_ratio(inst, lhs_d, H)
-        verdict.lambda_solved = lam
-        verdict.lambda_note = note
-        if lam is None:
-            verdict.conditions["d"] = (False, "no scalar fits")
-        else:
-            residual = lhs_d - H.scale(lam)
-            verdict.conditions["d"] = (residual.is_zero(),
-                                       None if residual.is_zero() else residual.label())
-        if quadruple.lam is not None and lam is not None and lam != quadruple.lam:
-            verdict.conditions["d"] = (False,
-                                       f"solved lambda {lam} != declared {quadruple.lam}")
-    else:
+
+def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
+    """Exact verdicts for the quadruple conditions; the scalar coefficient in
+    (d) is solved by exact linear algebra when H is nonzero."""
+    inst = quadruple.instance
+    pi, N, omega, H = quadruple.pi, quadruple.N, quadruple.omega, quadruple.H
+    verdict = PQNVerdict()
+    verdict.preconditions["N o pi# = pi# o N*"] = (compat_n_pi(inst, N, pi), None)
+    ok_om = compat_omega_n(inst, omega, N)
+    verdict.preconditions["omega_flat o N = N* o omega_flat"] = (ok_om, None)
+    verdict.preconditions["d H = 0"] = _vanishing(differential(H))
+    verdict.conditions = quadruple_conditions(quadruple)
+    if not ok_om:
         verdict.conditions["d"] = (False, "omega_N undefined (compatibility fails)")
+        return verdict
+    lhs_d = (iota_n(differential(omega), N) - differential(omega_n(omega, N))
+             - background_script(H, N))
+    lam, verdict.lambda_note = solve_scalar_ratio(inst, lhs_d, H)
+    verdict.lambda_solved = lam
+    if lam is None:
+        verdict.conditions["d"] = (False, "no scalar fits")
+    elif quadruple.lam is not None and lam != quadruple.lam:
+        verdict.conditions["d"] = (False, f"solved lambda {lam} != declared {quadruple.lam}")
+    else:
+        verdict.conditions["d"] = _vanishing(lhs_d - H.scale(lam))
     return verdict
 
 
@@ -300,6 +308,35 @@ def quadruple_square(instance: GradedInstance, pi: Element, N,
     return PolyForm(instance, parts, convention=SH2)
 
 
+def _matrix_preconditions(report: Report, instance: GradedInstance, pi: Element, N,
+                          omega: DualForm) -> bool:
+    """Report the two matrix identities both harnesses need; True when both
+    hold."""
+    ok_npi = compat_n_pi(instance, N, pi)
+    ok_om = compat_omega_n(instance, omega, N)
+    report.add("precondition: N o pi# = pi# o N*", "matrix identity", ok_npi)
+    report.add("precondition: omega_flat o N = N* o omega_flat", "matrix identity", ok_om)
+    return ok_npi and ok_om
+
+
+def _side_a(report: Report, n_form: PolyForm, mu: PolyForm, square: PolyForm,
+            test_family, identity: str, setting: str, detail=None) -> bool:
+    """Side A: the one certificate, on the deformation square of n_form for
+    mu, reported as the co-boundary verdict and as the certificate."""
+    cert = is_zero(nijenhuis_forms(n_form, mu, square)["deformation_square"], test_family)
+    report.add("side A: co-boundary verdict", f"{identity} with {setting}", cert.is_zero,
+               detail=detail)
+    report.add_certificate("side A: deformation square", identity, cert)
+    return cert.is_zero
+
+
+def _verdict_equality(report: Report, side_a: bool, side_b: bool) -> Report:
+    report.add("verdict equality", "side A == side B", side_a == side_b,
+               detail=f"side A {'pass' if side_a else 'fail'},"
+                      f" side B {'pass' if side_b else 'fail'}")
+    return report
+
+
 def main_theorem_harness(instance: GradedInstance, pi: Element, N,
                          omega: DualForm, H: DualForm,
                          test_family=None) -> Report:
@@ -314,112 +351,72 @@ def main_theorem_harness(instance: GradedInstance, pi: Element, N,
     bracket, including that the arity-4 component [u(omega),[uN,uH]]
     vanishes."""
     report = Report("suite main-theorem", instance.name)
-    ok_npi = compat_n_pi(instance, N, pi)
-    ok_om = compat_omega_n(instance, omega, N)
-    dH = differential(H)
-    report.add("precondition: N o pi# = pi# o N*", "matrix identity", ok_npi)
-    report.add("precondition: omega_flat o N = N* o omega_flat", "matrix identity", ok_om)
-    report.add("precondition: d H = 0", "closed background", dH.is_zero(),
-               counterexample=None if dH.is_zero() else dH.label())
-    if not (ok_npi and ok_om and dH.is_zero()):
+    matrices = _matrix_preconditions(report, instance, pi, N, omega)
+    closed, witness = _vanishing(differential(H))
+    report.add("precondition: d H = 0", "closed background", closed, counterexample=witness)
+    if not (matrices and closed):
         return report
 
     mu = mu_with_background(instance, H)
     n_form = vector_valued_sum(instance, pi, N, omega)
-    k_form = quadruple_square(instance, pi, N, omega)
-    side_a = is_zero(nijenhuis_forms(n_form, mu, k_form)["deformation_square"], test_family)
-    report.add("side A: co-boundary verdict",
-               "[N,[N,mu]] = [K,mu] with N = pi + uN + u(omega), mu = l2 + uH",
-               side_a.is_zero,
-               detail="square u(N^2) + [u(omega),pi]; omega fed with + sign")
-    report.add_certificate("side A: deformation square", "[N,[N,mu]] = [K,mu]", side_a)
+    side_a = _side_a(report, n_form, mu, quadruple_square(instance, pi, N, omega),
+                     test_family, "[N,[N,mu]] = [K,mu]",
+                     "N = pi + uN + u(omega), mu = l2 + uH",
+                     detail="square u(N^2) + [u(omega),pi]; omega fed with + sign")
 
     _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu, test_family)
 
-    side_b_quadruple = PQNQuadruple(instance, pi, N, omega.scale(-1), H, lam=0)
-    verdict = check_pqn(side_b_quadruple)
+    verdict = check_pqn(PQNQuadruple(instance, pi, N, omega.scale(-1), H, lam=0))
     verdict.to_report(report, tag="side B: ")
     side_b = verdict.passes_with_lambda(0)
     report.add("side B: quadruple verdict",
                "conditions (a)-(d) at lambda = 0 on (pi, N, -omega, H)", side_b,
                detail="omega fed with - sign")
-    report.add("verdict equality", "side A == side B", side_a.is_zero == side_b,
-               detail=f"side A {'pass' if side_a.is_zero else 'fail'},"
-                      f" side B {'pass' if side_b else 'fail'}")
-    return report
+    return _verdict_equality(report, side_a, side_b)
+
+
+def _nested(*factors):
+    """[f1,[f2,...,[f(n-1),fn]...]], or None when a factor is None (zero)."""
+    if any(f is None for f in factors):
+        return None
+    form = factors[-1]
+    for f in reversed(factors[:-1]):
+        form = rn_bracket(f, form)
+    return form
 
 
 def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
                           test_family) -> None:
+    """One certificate per arity: the component of [N,[N,mu]] equals the sum
+    of its terms, each a nested bracket (None when a factor is zero)."""
     l2 = l2_form(instance, SH2)
     un = extend_bundle_map(instance, N, SH2)
     pif = bivector_form(instance, pi, SH2) if not pi.is_zero() else None
-    uomega = extend_kform(omega, SH2) if not omega.is_zero() else None
-    uH = extend_kform(H, SH2) if not H.is_zero() else None
+    uomega, uH, udomega = (extend_kform(k, SH2) if not k.is_zero() else None
+                           for k in (omega, H, differential(omega)))
     double = rn_bracket(n_form, rn_bracket(n_form, mu))
-
-    def bracket2(a, b):
-        if a is None or b is None:
-            return None
-        return rn_bracket(a, b)
-
-    def accumulate(*polys):
-        total = None
-        for p in polys:
-            if p is None:
-                continue
-            total = p if total is None else total + p
-        return total
-
-    def component_certificate(arity, grouping, name):
+    pair = l2.evaluate((pi, pi)) if pif is not None else Element.zero()
+    g4 = _nested(uomega, un, uH)
+    rows = [
+        (0, [None if pair.is_zero() else element_form(instance, pair, SH2)],
+         "[[N,[N,mu]]]_0 = l2(pi,pi)"),
+        (1, [_nested(pif, pif, uH), _nested(pif, un, l2), _nested(un, pif, l2)],
+         "[pi,[pi,uH]] + [pi,[uN,l2]] + [uN,[pi,l2]]"),
+        (2, [_nested(pif, un, uH), _nested(un, pif, uH), _nested(un, un, l2),
+             _nested(pif, udomega), _nested(uomega, pif, l2)],
+         "[pi,[uN,uH]] + [uN,[pi,uH]] + [uN,[uN,l2]] + [pi,u(d omega)] + [u(omega),[pi,l2]]"),
+        (3, [_nested(un, un, uH), _nested(un, uomega, l2), _nested(uomega, pif, uH),
+             _nested(uomega, un, l2)],
+         "[uN,[uN,uH]] + [uN,[u(omega),l2]] + [u(omega),[pi,uH]] + [u(omega),[uN,l2]]"),
+        (4, [g4], "[[N,[N,mu]]]_4 = [u(omega),[uN,uH]]"),
+    ]
+    zero = PolyForm(instance, [], convention=SH2)
+    for arity, terms, anchor in rows:
         comp = double.component(arity)
-        comp_poly = (PolyForm(instance, [comp], convention=SH2)
-                     if comp is not None else PolyForm(instance, [], convention=SH2))
-        target = grouping if grouping is not None else PolyForm(instance, [],
-                                                                convention=SH2)
-        cert = is_zero(comp_poly - target, test_family)
-        report.add_certificate(f"decomposition arity {arity}", name, cert)
-
-    g0 = None
-    if pif is not None:
-        value = l2.evaluate((pi, pi))
-        if not value.is_zero():
-            g0 = element_form(instance, value, SH2)
-    component_certificate(0, g0, "[[N,[N,mu]]]_0 = l2(pi,pi)")
-
-    g1 = accumulate(
-        bracket2(pif, bracket2(pif, uH)),
-        bracket2(pif, rn_bracket(un, l2)),
-        rn_bracket(un, rn_bracket(pif, l2)) if pif else None,
-    )
-    component_certificate(1, g1, "[pi,[pi,uH]] + [pi,[uN,l2]] + [uN,[pi,l2]]")
-
-    domega = differential(omega)
-    udomega = extend_kform(domega, SH2) if not domega.is_zero() else None
-    g2 = accumulate(
-        bracket2(pif, bracket2(un, uH)),
-        rn_bracket(un, rn_bracket(pif, uH)) if pif and uH else None,
-        rn_bracket(un, rn_bracket(un, l2)),
-        bracket2(pif, udomega),
-        rn_bracket(uomega, rn_bracket(pif, l2)) if uomega and pif else None,
-    )
-    component_certificate(2, g2,
-                          "[pi,[uN,uH]] + [uN,[pi,uH]] + [uN,[uN,l2]]"
-                          " + [pi,u(d omega)] + [u(omega),[pi,l2]]")
-
-    g3 = accumulate(
-        rn_bracket(un, rn_bracket(un, uH)) if uH else None,
-        rn_bracket(un, rn_bracket(uomega, l2)) if uomega else None,
-        bracket2(uomega, bracket2(pif, uH)),
-        rn_bracket(uomega, rn_bracket(un, l2)) if uomega else None,
-    )
-    component_certificate(3,
-                          g3,
-                          "[uN,[uN,uH]] + [uN,[u(omega),l2]] + [u(omega),[pi,uH]]"
-                          " + [u(omega),[uN,l2]]")
-
-    g4 = rn_bracket(uomega, rn_bracket(un, uH)) if uomega and uH else None
-    component_certificate(4, g4, "[[N,[N,mu]]]_4 = [u(omega),[uN,uH]]")
+        lhs = PolyForm(instance, [] if comp is None else [comp], convention=SH2)
+        target = sum((term for term in terms if term is not None), zero)
+        report.add_certificate(f"decomposition arity {arity}", anchor,
+                               is_zero(lhs - target, test_family))
     if g4 is not None:
         report.add_certificate("arity 4 vanishes", "[u(omega),[uN,uH]] = 0",
                                is_zero(g4, test_family))
@@ -467,13 +464,8 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
             [("omega", omega)] + ([("H", H)] if not H.is_zero() else []):
         if kappa.is_zero():
             continue
-        uk = extend_kform(kappa, SH2)
-        dk = differential(kappa)
-        lhs = rn_bracket(uk, l2)
-        if dk.is_zero():
-            cert = is_zero(lhs, test_family)
-        else:
-            cert = is_zero(lhs - extend_kform(dk, SH2), test_family)
+        cert = is_zero(rn_bracket(extend_kform(kappa, SH2), l2)
+                       - extend_kform(differential(kappa), SH2), test_family)
         report.add_certificate(f"differential through the bracket ({label})",
                                "[u(kappa), l2] = u(d kappa)", cert)
 
@@ -579,43 +571,28 @@ def stienon_xu_harness(instance: GradedInstance, pi: Element, N,
                        omega: DualForm, alpha: DualForm,
                        test_family=None) -> Report:
     """Manifold-triple variant (no background): side A is the co-boundary
-    check with square u(N^2) + [u(omega),pi] + u(alpha); side B is the
-    condition list at H = 0 plus d alpha = i_N d omega - d omega_N."""
+    check with square u(N^2) + [u(omega),pi] + u(alpha); side B is
+    conditions (a)-(c) at H = 0 plus d alpha = i_N d omega - d omega_N."""
     report = Report("suite stienon-xu", instance.name)
     if alpha.k != 2:
         raise InputError("alpha must be a 2-form")
-    ok_npi = compat_n_pi(instance, N, pi)
-    ok_om = compat_omega_n(instance, omega, N)
-    report.add("precondition: N o pi# = pi# o N*", "matrix identity", ok_npi)
-    report.add("precondition: omega_flat o N = N* o omega_flat", "matrix identity", ok_om)
-    if not (ok_npi and ok_om):
+    if not _matrix_preconditions(report, instance, pi, N, omega):
         return report
 
-    l2 = l2_form(instance, SH2)
-    n_form = vector_valued_sum(instance, pi, N, omega)
-    k_form = quadruple_square(instance, pi, N, omega, extra=alpha)
-    side_a = is_zero(nijenhuis_forms(n_form, l2, k_form)["deformation_square"], test_family)
-    report.add("side A: co-boundary verdict",
-               "[N,[N,l2]] = [K,l2] with square u(N^2) + [u(omega),pi] + u(alpha)",
-               side_a.is_zero)
-    report.add_certificate("side A: deformation square", "[N,[N,l2]] = [K,l2]", side_a)
+    side_a = _side_a(report, vector_valued_sum(instance, pi, N, omega),
+                     l2_form(instance, SH2),
+                     quadruple_square(instance, pi, N, omega, extra=alpha), test_family,
+                     "[N,[N,l2]] = [K,l2]", "square u(N^2) + [u(omega),pi] + u(alpha)")
 
-    zero3 = DualForm.zero(instance, 3)
-    quadruple = PQNQuadruple(instance, pi, N, omega.scale(-1), zero3)
-    verdict = check_pqn(quadruple)
-    conditions_abc = all(verdict.conditions[k][0] for k in ("a", "b", "c"))
-    for name in ("a", "b", "c"):
-        ok, witness = verdict.conditions[name]
+    conditions = quadruple_conditions(PQNQuadruple(instance, pi, N, omega.scale(-1),
+                                                   DualForm.zero(instance, 3)))
+    for name, (ok, witness) in conditions.items():
         report.add(f"side B: condition ({name}) at H = 0", f"condition ({name})", ok,
                    counterexample=witness)
-    domega = differential(omega)
-    lhs = iota_n(domega, N) - differential(omega_n(omega, N)) - differential(alpha)
+    exact, witness = _vanishing(iota_n(differential(omega), N)
+                                - differential(omega_n(omega, N)) - differential(alpha))
     report.add("side B: exactness condition",
-               "i_N d omega - d omega_N - d alpha = 0", lhs.is_zero(),
-               counterexample=None if lhs.is_zero() else lhs.label())
-    side_b = conditions_abc and lhs.is_zero()
+               "i_N d omega - d omega_N - d alpha = 0", exact, counterexample=witness)
+    side_b = exact and all(ok for ok, _ in conditions.values())
     report.add("side B: triple verdict", "conditions (a)-(c) + exactness", side_b)
-    report.add("verdict equality", "side A == side B", side_a.is_zero == side_b,
-               detail=f"side A {'pass' if side_a.is_zero else 'fail'},"
-                      f" side B {'pass' if side_b else 'fail'}")
-    return report
+    return _verdict_equality(report, side_a, side_b)

@@ -10,7 +10,7 @@ from rnforms.catalog import extend_bundle_map, l2_form, lk_form, matrix_square, 
 from rnforms.forms import as_polyform, default_poly_family, is_zero, rn_bracket
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.linfty import (coefficient_suite, deformed_bracket, deformed_l2_certificate,
-                            nijenhuis_deformation_theorem_check, nijenhuis_forms,
+                            l2_deformed, nijenhuis_deformation_theorem_check, nijenhuis_forms,
                             pairwise_compatibility, pencil, report_nijenhuis,
                             square_of_sum, sum_of_wedges, torsion_alternate,
                             torsion_formulas_agree, torsion_is_zero, witt_action_check)
@@ -194,6 +194,14 @@ def test_torsion_formulas_agree_50_random(aff, h3, so3_inst, ab2):
 def test_deformed_l2(aff):
     N = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
     assert deformed_l2_certificate(aff, N).is_zero
+
+
+def test_l2_deformed_is_one_shared_node(aff):
+    """l2^N is hash-consed like every atomic node: one node, and one
+    deformed instance, per matrix."""
+    node = l2_deformed(aff, [[1, 2], [0, 3]])
+    assert l2_deformed(aff, [[Fraction(1), Fraction(2)], [0, 3]]) is node
+    assert l2_deformed(aff, [[1, 2], [0, 1]]) is not node
 
 
 def test_nijenhuis_theorem_check(aff, h3):

@@ -95,6 +95,21 @@ def test_concomitant_cross_checked_against_bracket_combination(h3_sh2):
             assert lhs == concomitant(inst, pi, N, a, b).apply((X,))
 
 
+def test_stienon_xu_computes_only_what_it_prints(monkeypatch):
+    """Side B of the manifold-triple harness is conditions (a)-(c) and the
+    exactness condition: it solves no scalar, builds no background term and
+    does not run the full quadruple check."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("stienon-xu computed a condition it does not print")
+
+    for name in ("check_pqn", "solve_scalar_ratio", "background_script"):
+        monkeypatch.setattr(pqn, name, refuse)
+    for name in ("aff1", "abelian2", "poly-tangent-r2"):
+        s = load_shipped(name)
+        assert stienon_xu_harness(s.instance, s.pi, s.N, s.omega, s.alpha,
+                                  s.test_family()).passed, name
+
+
 def test_check_pqn_aff1_scalar(aff_sh2):
     pi = aff_sh2.monomial((0, 1))
     N = [[Fraction(3), 0], [0, Fraction(3)]]
