@@ -119,10 +119,9 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
     whose counterexample fixes the one ratio a candidate allows, and that
     of the component minus the scaled candidate, which certifies a match."""
     instance = scenario.instance
-    family = scenario.test_family()
     bits = []
     for arity, comp in poly.components.items():
-        found = is_zero(comp, family)
+        found = is_zero(comp)
         if found.is_zero:
             continue
         value = comp.evaluate(found.failing)
@@ -141,7 +140,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
             mon, coeff = next(iter(cand.terms.items()))
             ratio = exact_ratio(instance, value.terms.get(mon), coeff)
             # a zero ratio cannot match: the component is nonzero at the tuple
-            if ratio and is_zero(comp - candidate.scale(ratio), family).is_zero:
+            if ratio and is_zero(comp - candidate.scale(ratio)).is_zero:
                 matched = f"{ratio}*{name}" if ratio != 1 else name
                 break
         if matched is None:
@@ -165,9 +164,8 @@ def cmd_bracket(scenario: Scenario, args) -> Report:
 
 def cmd_check_linfty(scenario: Scenario, args) -> Report:
     report = Report("check linfty", scenario.name)
-    family = scenario.test_family()
     mu = pencil(scenario.instance, scenario.pencil_coefficients)
-    report.add_certificate("self-bracket", "[mu,mu] = 0", is_zero(rn_bracket(mu, mu), family))
+    report.add_certificate("self-bracket", "[mu,mu] = 0", is_zero(rn_bracket(mu, mu)))
     k_max = min(len(scenario.pencil_coefficients),
                 max(2, scenario.instance.rank + 1))
     if scenario.instance.ring.kind == "rational":
@@ -177,11 +175,10 @@ def cmd_check_linfty(scenario: Scenario, args) -> Report:
 
 def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
     instance = scenario.instance
-    family = scenario.test_family()
     kind = args["kind"]
     if kind == "full":
         return nijenhuis_deformation_theorem_check(
-            instance, scenario.N, scenario.pencil_coefficients, family)
+            instance, scenario.N, scenario.pencil_coefficients)
     report = Report(f"check nijenhuis --kind {kind}", scenario.name)
     n_form = sum_of_wedges(instance, scenario.wedge_coefficients)
     if kind == "weak":
@@ -189,7 +186,7 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
     else:
         square = square_of_sum(instance, scenario.wedge_coefficients, scenario.bracket_index)
         forms = nijenhuis_forms(n_form, lk_form(instance, scenario.bracket_index, NEG), square)
-    report_nijenhuis(report, kind, forms, family)
+    report_nijenhuis(report, kind, forms)
     return report
 
 
@@ -204,7 +201,7 @@ def cmd_suite_stienon_xu(scenario: Scenario, args) -> Report:
     if not scenario.H.is_zero():
         raise InputError("the manifold-triple harness needs H = 0")
     return stienon_xu_harness(scenario.instance, scenario.pi, scenario.N,
-                              scenario.omega, scenario.alpha, scenario.test_family())
+                              scenario.omega, scenario.alpha)
 
 
 # Each command's words -> its handler and its options, each with its choices
@@ -216,10 +213,10 @@ COMMANDS = {
     ("check", "nijenhuis"): (cmd_check_nijenhuis, {"kind": ("weak", "coboundary", "full")}),
     ("check", "pqn"): (cmd_check_pqn, {}),
     ("suite", "lemma"): (lambda s, args: coefficient_suite(
-        s.instance, s.i_max, s.m_max, s.n_max, s.test_family()), {}),
+        s.instance, s.i_max, s.m_max, s.n_max), {}),
     ("suite", "witt"): (lambda s, args: witt_action_check(s.instance, s.i_max), {}),
     ("suite", "main-theorem"): (lambda s, args: main_theorem_harness(
-        s.instance, s.pi, s.N, s.omega, s.H, s.test_family()), {}),
+        s.instance, s.pi, s.N, s.omega, s.H), {}),
     ("suite", "stienon-xu"): (cmd_suite_stienon_xu, {}),
 }
 COMMON = {"scenario": None, "format": ("text", "json")}

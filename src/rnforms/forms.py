@@ -465,7 +465,7 @@ def _insertion_node(K: VForm, L: VForm) -> VForm:
         table = tables.get(parities)
         if table is None:
             table = tables[parities] = tuple(
-                (int(koszul_sign(perm, parities)), first, rest) for perm, first, rest in shuffles)
+                (koszul_sign(perm, parities), first, rest) for perm, first, rest in shuffles)
         K_get, K_lookup, L_get, L_lookup = K._memo.get, K._lookup, L._memo.get, L._lookup
         total: dict = {}
         for sign, take_first, take_rest in table:
@@ -695,7 +695,10 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
     canonical basis tuples (finite instances without a family: a complete
     proof by multilinearity, graded symmetry and grading) or on the distinct
     elements of a declared family (always the case on polynomial instances:
-    a verification, flagged as incomplete).  Only the tuples inside each
+    a verification, flagged as incomplete).  Without ``test_family``, a
+    polynomial instance's family is the one it declares,
+    ``default_poly_family(instance, instance.poly_degree_bound)``; this is
+    the one place that chooses a family.  Only the tuples inside each
     component's wedge-degree window are evaluated, up to the first nonzero
     value, the counterexample.  On the basis of a Lie algebra a component
     walks its order family alone, whose first nonzero value is the
@@ -712,7 +715,7 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
         evens, odds = (2 ** table.rank + 1) // 2, 2 ** table.rank // 2
     else:
         if test_family is None:
-            test_family = default_poly_family(instance)
+            test_family = default_poly_family(instance, instance.poly_degree_bound)
         note = f"declared family of {len(test_family)} elements"
         for el in test_family:
             if el.wedge_degree() is None:

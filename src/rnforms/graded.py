@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from .rings import InputError
@@ -32,7 +31,7 @@ def sign_pow(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> Fraction:
+def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     """Sign eps(sigma) with X_{sigma(1)} o ... o X_{sigma(n)} = eps * X_1 o ... o X_n.
 
     ``perm[i]`` is the 0-based original index of the item in slot i;
@@ -51,10 +50,10 @@ def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> Fraction:
         for j in range(i + 1, n):
             if perm[i] > perm[j] and degrees[perm[j]] % 2 != 0:
                 sign = -sign
-    return Fraction(sign)
+    return sign
 
 
-def koszul_sign_by_transpositions(perm: Sequence[int], degrees: Sequence[int]) -> Fraction:
+def koszul_sign_by_transpositions(perm: Sequence[int], degrees: Sequence[int]) -> int:
     """Oracle: bubble the permuted list back to identity, one adjacent swap
     at a time, accumulating (-1)^{|a||b|} per swap."""
     n = len(perm)
@@ -70,7 +69,7 @@ def koszul_sign_by_transpositions(perm: Sequence[int], degrees: Sequence[int]) -
                 sign = -sign
             work[j - 1], work[j] = b, a
             j -= 1
-    return Fraction(sign)
+    return sign
 
 
 def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:

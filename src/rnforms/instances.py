@@ -139,11 +139,19 @@ class PolyAlgebroidData(_StructureTable):
 class GradedInstance:
     """A validated instance: basis per wedge degree, exact Schouten bracket
     and anchor action.  The grading of a form is the form's own
-    (forms.VForm.convention); the instance carries none."""
+    (forms.VForm.convention); the instance carries none.
 
-    def __init__(self, data, name="instance", check=True):
+    ``poly_degree_bound`` declares the test family of a polynomial
+    algebroid: the monomial basis and its multiples by the coordinate
+    monomials of degree <= the bound (``forms.default_poly_family``), over
+    which ``forms.is_zero`` certifies when it is given no family.  A
+    scenario sets it from ``suite.poly_degree_bound``; a Lie algebra has no
+    use for it."""
+
+    def __init__(self, data, name="instance", check=True, poly_degree_bound=1):
         self.data = data
         self.name = name
+        self.poly_degree_bound = poly_degree_bound
         if isinstance(data, LieAlgebraData):
             self.ring = RationalRing()
             self.rank = data.dim

@@ -60,57 +60,51 @@ def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report)
                                    f"[l{m},l{n}] = 0", cert)
 
 
-def _matches(bracket: PolyForm, coefficient: Fraction, target: VForm | None,
-             test_family=None):
+def _matches(bracket: PolyForm, coefficient: Fraction, target: VForm | None):
     """Certificate that bracket equals coefficient * target exactly."""
     if target is None or coefficient == 0:
-        return is_zero(bracket, test_family)
-    return is_zero(bracket - target.scale(coefficient), test_family)
+        return is_zero(bracket)
+    return is_zero(bracket - target.scale(coefficient))
 
 
-def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4,
-                      test_family=None) -> Report:
+def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4) -> Report:
     """Verification of the wedge/bracket coefficient identities: exhaustive on
-    finite-dimensional instances, over the declared family otherwise."""
+    finite-dimensional instances, over the instance's declared family
+    otherwise."""
     if i_max < 2 or m_max < 2 or n_max < 2:
         raise InputError("suite bounds must be >= 2")
-    if instance.ring.kind == "poly" and test_family is None:
-        raise InputError("an infinite-dimensional instance needs a declared test family")
     report = Report("suite lemma", instance.name)
     wedges = {k: wedge_form(instance, k, NEG) for k in range(1, i_max + i_max)}
     brackets = {k: lk_form(instance, k, NEG) for k in range(2, m_max + n_max)}
     for i in range(1, i_max + 1):
         for j in range(1, i_max + 1):
             coeff = Fraction((j - i) * factorial(i + j - 1), factorial(i) * factorial(j))
-            cert = _matches(rn_bracket(wedges[i], wedges[j]), coeff,
-                            wedges.get(i + j - 1), test_family)
+            cert = _matches(rn_bracket(wedges[i], wedges[j]), coeff, wedges.get(i + j - 1))
             report.add_certificate(
                 f"wedge commutator ({i},{j})",
                 f"[N{i},N{j}] = ({coeff}) N{i + j - 1}", cert)
     for m in range(2, m_max + 1):
         for n in range(2, n_max + 1):
             coeff = Fraction(comb(m + n - 2, m))
-            cert = _matches(rn_bracket(wedges[m], brackets[n]), coeff,
-                            brackets.get(m + n - 1), test_family)
+            cert = _matches(rn_bracket(wedges[m], brackets[n]), coeff, brackets.get(m + n - 1))
             report.add_certificate(
                 f"mixed commutator ({m},{n})",
                 f"[N{m},l{n}] = ({coeff}) l{m + n - 1}", cert)
             cert1 = _matches(as_polyform(insert(wedges[m], brackets[n])),
                              Fraction(comb(m + n - 2, m) + comb(m + n - 3, m - 1)),
-                             brackets.get(m + n - 1), test_family)
+                             brackets.get(m + n - 1))
             report.add_certificate(
                 f"insertion split A ({m},{n})",
                 f"i_N{m} l{n} = ({comb(m + n - 2, m)}+{comb(m + n - 3, m - 1)}) l{m + n - 1}",
                 cert1)
             cert2 = _matches(as_polyform(insert(brackets[n], wedges[m])),
-                             Fraction(comb(m + n - 3, m - 1)), brackets.get(m + n - 1),
-                             test_family)
+                             Fraction(comb(m + n - 3, m - 1)), brackets.get(m + n - 1))
             report.add_certificate(
                 f"insertion split B ({m},{n})",
                 f"i_l{n} N{m} = ({comb(m + n - 3, m - 1)}) l{m + n - 1}", cert2)
     for m in range(2, m_max + 1):
         for n in range(m, n_max + 1):
-            cert = is_zero(rn_bracket(brackets[m], brackets[n]), test_family)
+            cert = is_zero(rn_bracket(brackets[m], brackets[n]))
             report.add_certificate(f"bracket commutator ({m},{n})",
                                    f"[l{m},l{n}] = 0", cert)
     return report
@@ -225,7 +219,7 @@ def nijenhuis_forms(n_form, mu, k_form=None) -> dict:
     return forms
 
 
-def report_nijenhuis(report: Report, kind, forms, test_family=None) -> None:
+def report_nijenhuis(report: Report, kind, forms) -> None:
     """Certify the ``nijenhuis_forms`` of a weak, co-boundary or full check
     into ``report``: the forms the kind requires and the ``deformed_*`` ones
     as certificates, the others as informational entries.  Mathematical
@@ -236,7 +230,7 @@ def report_nijenhuis(report: Report, kind, forms, test_family=None) -> None:
     for key, anchor in _IDENTITIES.items():
         if key not in forms:
             continue
-        cert = is_zero(forms[key], test_family)
+        cert = is_zero(forms[key])
         if key in required or key.startswith("deformed"):
             report.add_certificate(f"{kind}: {key}", anchor, cert)
         else:
@@ -250,8 +244,8 @@ def report_nijenhuis(report: Report, kind, forms, test_family=None) -> None:
 
 def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
     """The structure with bracket [X,Y]_N = [NX,Y] + [X,NY] - N[X,Y] and
-    anchor rho o N.  A Lie algebroid only when N has vanishing torsion, so
-    axiom validation is skipped."""
+    anchor rho o N, declaring the same test family.  A Lie algebroid only
+    when N has vanishing torsion, so axiom validation is skipped."""
     check_matrix(instance, N)
     ring = instance.ring
     N = [[ring.coerce(v) for v in row] for row in N]
@@ -271,7 +265,8 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
                    for m in range(base.base_dim)] for i in range(instance.rank)]
         data = PolyAlgebroidData(base.base_dim, base.rank, base.coordinates,
                                  base.generator_names, anchor, table)
-    return GradedInstance(data, name=f"{instance.name}(deformed)", check=False)
+    return GradedInstance(data, name=f"{instance.name}(deformed)", check=False,
+                          poly_degree_bound=instance.poly_degree_bound)
 
 
 def deformed_bracket(instance: GradedInstance, N):
@@ -363,14 +358,13 @@ def l2_deformed(instance: GradedInstance, N) -> VForm:
     return shared_node(instance, ("deformed l2", N, NEG), build)
 
 
-def deformed_l2_certificate(instance: GradedInstance, N, test_family=None):
+def deformed_l2_certificate(instance: GradedInstance, N):
     """[uN, l2] = l2^N, exhaustively."""
     lhs = rn_bracket(extend_bundle_map(instance, N, NEG), l2_form(instance, NEG))
-    return is_zero(lhs - l2_deformed(instance, N), test_family)
+    return is_zero(lhs - l2_deformed(instance, N))
 
 
-def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficients,
-                                        test_family=None) -> Report:
+def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficients) -> Report:
     """For torsion-free N: the derivation extension is fully Nijenhuis for
     the pencil structure, with square the extension of N^2.  Nonzero torsion
     is a reported precondition failure, not an exception."""
@@ -383,5 +377,5 @@ def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficient
     mu = pencil(instance, coefficients)
     un = extend_bundle_map(instance, N, NEG)
     un2 = extend_bundle_map(instance, matrix_square(instance, N), NEG)
-    report_nijenhuis(report, "full", nijenhuis_forms(un, mu, un2), test_family)
+    report_nijenhuis(report, "full", nijenhuis_forms(un, mu, un2))
     return report

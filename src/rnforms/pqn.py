@@ -320,10 +320,10 @@ def _matrix_preconditions(report: Report, instance: GradedInstance, pi: Element,
 
 
 def _side_a(report: Report, n_form: PolyForm, mu: PolyForm, square: PolyForm,
-            test_family, identity: str, setting: str, detail=None) -> bool:
+            identity: str, setting: str, detail=None) -> bool:
     """Side A: the one certificate, on the deformation square of n_form for
     mu, reported as the co-boundary verdict and as the certificate."""
-    cert = is_zero(nijenhuis_forms(n_form, mu, square)["deformation_square"], test_family)
+    cert = is_zero(nijenhuis_forms(n_form, mu, square)["deformation_square"])
     report.add("side A: co-boundary verdict", f"{identity} with {setting}", cert.is_zero,
                detail=detail)
     report.add_certificate("side A: deformation square", identity, cert)
@@ -338,8 +338,7 @@ def _verdict_equality(report: Report, side_a: bool, side_b: bool) -> Report:
 
 
 def main_theorem_harness(instance: GradedInstance, pi: Element, N,
-                         omega: DualForm, H: DualForm,
-                         test_family=None) -> Report:
+                         omega: DualForm, H: DualForm) -> Report:
     """Verdict equality of the two independent computations:
 
     side A: pi + uN + u(omega) co-boundary for l2 + uH with square
@@ -360,11 +359,11 @@ def main_theorem_harness(instance: GradedInstance, pi: Element, N,
     mu = mu_with_background(instance, H)
     n_form = vector_valued_sum(instance, pi, N, omega)
     side_a = _side_a(report, n_form, mu, quadruple_square(instance, pi, N, omega),
-                     test_family, "[N,[N,mu]] = [K,mu]",
+                     "[N,[N,mu]] = [K,mu]",
                      "N = pi + uN + u(omega), mu = l2 + uH",
                      detail="square u(N^2) + [u(omega),pi]; omega fed with + sign")
 
-    _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu, test_family)
+    _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu)
 
     verdict = check_pqn(PQNQuadruple(instance, pi, N, omega.scale(-1), H, lam=0))
     verdict.to_report(report, tag="side B: ")
@@ -385,8 +384,7 @@ def _nested(*factors):
     return form
 
 
-def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
-                          test_family) -> None:
+def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None:
     """One certificate per arity: the component of [N,[N,mu]] equals the sum
     of its terms, each a nested bracket (None when a factor is zero)."""
     l2 = l2_form(instance, SH2)
@@ -416,15 +414,14 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu,
         lhs = PolyForm(instance, [] if comp is None else [comp], convention=SH2)
         target = sum((term for term in terms if term is not None), zero)
         report.add_certificate(f"decomposition arity {arity}", anchor,
-                               is_zero(lhs - target, test_family))
+                               is_zero(lhs - target))
     if g4 is not None:
         report.add_certificate("arity 4 vanishes", "[u(omega),[uN,uH]] = 0",
-                               is_zero(g4, test_family))
+                               is_zero(g4))
 
 
 def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
-                         omega: DualForm, H: DualForm,
-                         test_family=None) -> Report:
+                         omega: DualForm, H: DualForm) -> Report:
     """Checks of the dual-form extension identities.
 
     Every identity between vector-valued forms is one is_zero certificate on
@@ -447,7 +444,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
     extended += [("u(omega)", uomega)] if uomega else []
     extended += [("uH", uH)] if uH else []
     for (la, fa), (lb, fb) in itertools.combinations_with_replacement(extended, 2):
-        cert = is_zero(rn_bracket(fa, fb), test_family)
+        cert = is_zero(rn_bracket(fa, fb))
         report.add_certificate(f"commuting extensions [{la},{lb}]",
                                "[u(kappa), u(kappa')] = 0", cert)
 
@@ -456,7 +453,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
         if ok_om:
             target = extend_kform(omega_n(omega, N), SH2).scale(2)
-            cert = is_zero(rn_bracket(un, uomega) - target, test_family)
+            cert = is_zero(rn_bracket(un, uomega) - target)
             report.add_certificate("bundle map against 2-form",
                                    "[uN, u(omega)] = 2 u(omega_N)", cert)
 
@@ -465,7 +462,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         if kappa.is_zero():
             continue
         cert = is_zero(rn_bracket(extend_kform(kappa, SH2), l2)
-                       - extend_kform(differential(kappa), SH2), test_family)
+                       - extend_kform(differential(kappa), SH2))
         report.add_certificate(f"differential through the bracket ({label})",
                                "[u(kappa), l2] = u(d kappa)", cert)
 
@@ -551,8 +548,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
             return None if cert.is_zero else \
                 "(" + ", ".join(instance.basis_label(el) for el in cert.failing) + ")"
 
-        cert = is_zero(section_residual - rn_bracket(mhat, uH).component(3).scale(2),
-                       test_family)
+        cert = is_zero(section_residual - rn_bracket(mhat, uH).component(3).scale(2))
         report.add(
             "iterated bundle map against the background",
             "[uN,[uN,uH]] = [u(N^2),uH] + 2*(pair terms + [M,uH]) - 2 uN o [uN,uH]",
@@ -568,8 +564,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
 
 
 def stienon_xu_harness(instance: GradedInstance, pi: Element, N,
-                       omega: DualForm, alpha: DualForm,
-                       test_family=None) -> Report:
+                       omega: DualForm, alpha: DualForm) -> Report:
     """Manifold-triple variant (no background): side A is the co-boundary
     check with square u(N^2) + [u(omega),pi] + u(alpha); side B is
     conditions (a)-(c) at H = 0 plus d alpha = i_N d omega - d omega_N."""
@@ -581,7 +576,7 @@ def stienon_xu_harness(instance: GradedInstance, pi: Element, N,
 
     side_a = _side_a(report, vector_valued_sum(instance, pi, N, omega),
                      l2_form(instance, SH2),
-                     quadruple_square(instance, pi, N, omega, extra=alpha), test_family,
+                     quadruple_square(instance, pi, N, omega, extra=alpha),
                      "[N,[N,l2]] = [K,l2]", "square u(N^2) + [u(omega),pi] + u(alpha)")
 
     conditions = quadruple_conditions(PQNQuadruple(instance, pi, N, omega.scale(-1),

@@ -49,7 +49,6 @@ from pathlib import Path
 
 from .dualforms import DualForm, differential
 from .elements import Element
-from .forms import default_poly_family
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .report import Report
 from .rings import InputError, parse_rational
@@ -58,13 +57,14 @@ from .rings import InputError, parse_rational
 class Scenario:
     """A loaded scenario: the instance, its tensor data and suite bounds.
     ``preconditions`` is the validate report, set once the scenario is
-    built."""
+    built.  ``suite.poly_degree_bound`` sets the instance's declared test
+    family (``GradedInstance.poly_degree_bound``), which every certificate
+    reads through ``forms.is_zero``."""
 
     def __init__(self, name: str, instance: GradedInstance, pi: Element, N: list,
                  omega: DualForm, H: DualForm, alpha: DualForm, lam: Fraction | None,
                  pencil_coefficients: list, wedge_coefficients: list, bracket_index: int,
-                 i_max: int = 4, m_max: int = 4, n_max: int = 4,
-                 poly_degree_bound: int = 1):
+                 i_max: int = 4, m_max: int = 4, n_max: int = 4):
         self.name = name
         self.instance = instance
         self.pi = pi
@@ -79,13 +79,7 @@ class Scenario:
         self.i_max = i_max
         self.m_max = m_max
         self.n_max = n_max
-        self.poly_degree_bound = poly_degree_bound
         self.preconditions: Report | None = None
-
-    def test_family(self):
-        if self.instance.ring.kind == "poly":
-            return default_poly_family(self.instance, self.poly_degree_bound)
-        return None
 
 
 _TOP_KEYS = {"name", "instance", "data", "suite"}
@@ -318,8 +312,8 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         i_max=_integer(suite, "i_max", "suite", 4),
         m_max=_integer(suite, "m_max", "suite", 4),
         n_max=_integer(suite, "n_max", "suite", 4),
-        poly_degree_bound=_integer(suite, "poly_degree_bound", "suite", 1, minimum=0),
     )
+    instance.poly_degree_bound = _integer(suite, "poly_degree_bound", "suite", 1, minimum=0)
     scenario.preconditions = _preconditions(scenario)
     return scenario
 

@@ -144,7 +144,7 @@ def test_harness_forms_are_rebuilt_from_shared_nodes():
     square and the double bracket creates no new node."""
     s = load_shipped("aff1")
     inst = s.instance
-    assert main_theorem_harness(inst, s.pi, s.N, s.omega, s.H, s.test_family()).passed
+    assert main_theorem_harness(inst, s.pi, s.N, s.omega, s.H).passed
     count = inst._node_count
     n_form = vector_valued_sum(inst, s.pi, s.N, s.omega)
     quadruple_square(inst, s.pi, s.N, s.omega)

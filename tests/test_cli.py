@@ -11,12 +11,16 @@ from pathlib import Path
 
 import pytest
 
+from rnforms.catalog import l2_form
 from rnforms.cli import cmd_bracket, main, parse_form_expression
+from rnforms.forms import is_zero
 from rnforms.instances import LieAlgebraData, PolyAlgebroidData
-from rnforms.linfty import pairwise_compatibility
+from rnforms.linfty import (coefficient_suite, deformed_instance,
+                            nijenhuis_deformation_theorem_check, pairwise_compatibility)
+from rnforms.pqn import main_theorem_harness, stienon_xu_harness
 from rnforms.report import Report
 from rnforms.rings import InputError
-from rnforms.scenario import build_scenario, load_shipped
+from rnforms.scenario import build_scenario, load_scenario, load_shipped
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC / "rnforms" / "scenarios"
@@ -564,9 +568,58 @@ def test_empty_suite_bounds_exit_2(tmp_path, capsys):
                                  *command)
         assert (code, out, err) == (2, "", f"input error: {message}\n"), (name, key, command)
     assert build_scenario(_edited("poly-tangent-r2", ("suite", "poly_degree_bound"), 0)) \
-        .poly_degree_bound == 0
+        .instance.poly_degree_bound == 0
     with pytest.raises(InputError, match="k_max >= 2"):
         pairwise_compatibility(load_shipped("aff1").instance, 1, Report("check linfty", "aff1"))
+
+
+# command -> its certificates on poly-tangent-r2 at the shipped bounds
+POLY_CERTIFICATES = {
+    ("check", "linfty"): 1,
+    ("check", "nijenhuis", "--kind", "weak"): 3,
+    ("check", "nijenhuis", "--kind", "coboundary"): 4,
+    ("check", "nijenhuis", "--kind", "full"): 5,
+    ("suite", "lemma"): 24,
+    ("suite", "main-theorem"): 6,
+    ("suite", "stienon-xu"): 1,
+}
+
+
+@pytest.mark.parametrize("degree,size", [(2, 24), (0, 4)])
+def test_declared_degree_reaches_every_certificate(tmp_path, capsys, degree, size):
+    """suite.poly_degree_bound declares the instance's test family (4 basis
+    multivectors times the coordinate monomials of degree <= the bound), and
+    every certificate of every command covers that family: the CLI's 44,
+    the library harnesses called on the instance with no family (the same
+    bytes), and a certificate on the deformed instance."""
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(_edited("poly-tangent-r2", ("suite", "poly_degree_bound"),
+                                       degree)))
+    note = f"declared family of {size} elements"
+    reports = {}
+    for command, expected in POLY_CERTIFICATES.items():
+        code, out, _ = run_cli(capsys, "--scenario", str(path), "--format", "json", *command)
+        assert code == 0, command
+        reports[command] = out
+        certificates = [c for c in json.loads(out)["checks"] if c["complete"] is not None]
+        assert len(certificates) == expected, command
+        assert all(c["detail"].endswith(f"({note})") and c["complete"] is False
+                   for c in certificates), command
+    s = load_scenario(path)
+    inst = s.instance
+    assert inst.poly_degree_bound == degree
+    library = {
+        ("check", "nijenhuis", "--kind", "full"):
+            nijenhuis_deformation_theorem_check(inst, s.N, s.pencil_coefficients),
+        ("suite", "lemma"): coefficient_suite(inst, s.i_max, s.m_max, s.n_max),
+        ("suite", "main-theorem"): main_theorem_harness(inst, s.pi, s.N, s.omega, s.H),
+        ("suite", "stienon-xu"): stienon_xu_harness(inst, s.pi, s.N, s.omega, s.alpha),
+    }
+    for command, report in library.items():
+        assert report.to_json() + "\n" == reports[command], command
+    deformed = deformed_instance(inst, s.N)
+    assert deformed.poly_degree_bound == degree
+    assert is_zero(l2_form(deformed)).family_note == note
 
 
 def test_scenario_round_trip_matches_builders(aff, h3):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form
-from rnforms.forms import as_polyform, default_poly_family, is_zero, rn_bracket
+from rnforms.forms import as_polyform, is_zero, rn_bracket
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.linfty import (coefficient_suite, deformed_bracket, deformed_l2_certificate,
                             l2_deformed, nijenhuis_deformation_theorem_check, nijenhuis_forms,
@@ -33,11 +33,6 @@ def test_coefficient_suite_small(aff):
     assert any("insertion split A" in n for n in names)
     with pytest.raises(InputError):
         coefficient_suite(aff, 1, 2, 2)
-
-
-def test_suite_rejects_polynomial_instances(poly):
-    with pytest.raises(InputError):
-        coefficient_suite(poly)
 
 
 def test_wedge_commutator_specific_coefficients(h3):
@@ -228,12 +223,12 @@ def _integer_operators(rng, rank, count=24):
         yield N
 
 
-def check_theorem(inst, N, coefficients, test_family=None) -> bool:
+def check_theorem(inst, N, coefficients) -> bool:
     """Run the full check of ``N`` and assert its verdict: all entries pass
     when N is torsion-free, only the torsion precondition fails otherwise.
     Torsion-freeness is decided by the second torsion formula, not by the
     check's own.  Returns whether N is torsion-free."""
-    report = nijenhuis_deformation_theorem_check(inst, N, coefficients, test_family)
+    report = nijenhuis_deformation_theorem_check(inst, N, coefficients)
     t = torsion_alternate(inst, N)
     torsion_free = all(t(inst.generator(i), inst.generator(j)).is_zero()
                        for i, j in itertools.combinations(range(inst.rank), 2))
@@ -267,11 +262,10 @@ def test_nijenhuis_deformation_theorem_on_generated_instances(inst, seed):
 def test_nijenhuis_deformation_theorem_on_a_polynomial_algebroid(poly):
     """On poly-tangent-r2 every constant N is torsion-free (the anchor is
     the identity and the brackets vanish), so every seeded N passes the full
-    check over the default declared family."""
+    check over the family the instance declares."""
     rng = random.Random(25)
-    family = default_poly_family(poly)
     torsion_free_seen = {check_theorem(poly, N, [rng.randint(-2, 2)
-                                                 for _ in range(rng.randint(2, 3))], family)
+                                                 for _ in range(rng.randint(2, 3))])
                          for N in _integer_operators(rng, poly.rank, count=12)}
     assert torsion_free_seen == {True}
 

@@ -1,7 +1,8 @@
 """Module boundaries of the package: every public name resolves, no
-rnforms module imports a private name of another, and the canonical-tuple
+rnforms module imports a private name of another, the canonical-tuple
 walk stays behind one module: only ``forms`` reads form memos, lookups and
-the piece id table."""
+the piece id table, and one function chooses a certificate's test family:
+``forms.is_zero``."""
 
 import ast
 from collections import Counter
@@ -39,6 +40,29 @@ def _kernel_reads(path: Path) -> list:
             and isinstance(node.ctx, ast.Load)]
 
 
+def _family_choices(path: Path) -> list:
+    """Each function of ``path`` (qualified by module) that takes a
+    ``test_family`` parameter or calls ``default_poly_family``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = f"{scope}.{getattr(node, 'name', '<lambda>')}"
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(arg.arg == "test_family" for arg in arguments):
+                found.append(f"{scope}: takes test_family")
+        elif isinstance(node, ast.ClassDef):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and "default_poly_family" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"{scope}: calls default_poly_family")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(_tree(path), path.stem)
+    return found
+
+
 def test_every_public_name_resolves_once():
     """Each name of ``rnforms.__all__`` is bound in the package, once, so
     ``from rnforms import *`` works after an export is removed."""
@@ -60,6 +84,14 @@ def test_only_forms_reads_the_tuple_kernel(path):
     assert _kernel_reads(path) == []
 
 
+def test_only_is_zero_chooses_a_test_family():
+    """A polynomial instance declares its family (``poly_degree_bound``);
+    no function but ``is_zero`` takes one or builds the default."""
+    found = [entry for path in MODULES for entry in _family_choices(path)]
+    assert found == ["forms.is_zero: takes test_family",
+                     "forms.is_zero: calls default_poly_family"]
+
+
 def test_the_guard_sees_a_violation(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("from .forms import _family_tuples\n"
@@ -70,3 +102,13 @@ def test_the_guard_sees_a_violation(tmp_path):
     assert _private_imports(module) == ["line 1: imports _family_tuples from forms",
                                         "line 2: imports _ratio from rnforms.pqn"]
     assert _kernel_reads(module) == ["line 5: reads ._lookup"]
+    module.write_text("class Scenario:\n"
+                      "    def family(self):\n"
+                      "        return forms.default_poly_family(self.instance, 2)\n"
+                      "def check(form, test_family=None):\n"
+                      "    return [default_poly_family(i) for i in (1, 2)]\n"
+                      "SUITE = lambda s, *, test_family: s\n")
+    assert _family_choices(module) == ["module.Scenario.family: calls default_poly_family",
+                                       "module.check: takes test_family",
+                                       "module.check: calls default_poly_family",
+                                       "module.<lambda>: takes test_family"]

@@ -46,11 +46,13 @@ def summary(certificate):
 
 
 def family_ids(instance, family):
-    """The distinct piece ids of ``family`` (the basis when None on a Lie
-    algebra), sorted by key: the family that is_zero walks in full."""
+    """The distinct piece ids of ``family`` (when None: the basis of a Lie
+    algebra, the declared family of a polynomial instance), sorted by key:
+    the family that is_zero walks in full."""
     table = instance._ids = instance._ids or forms._Ids(instance)
     if family is None:
-        family = instance.all_basis() if not table.poly else default_poly_family(instance)
+        family = (instance.all_basis() if not table.poly
+                  else default_poly_family(instance, instance.poly_degree_bound))
     return sorted({table.id_of(el) for el in family}, key=table.keys.__getitem__)
 
 
@@ -275,7 +277,8 @@ def both_ways(monkeypatch):
     """Every certificate the checkers and the CLI build is computed with the
     order bounds and again with every bound forced to None; the two must
     agree on verdict, count, failing tuple and counterexample.  Returns the
-    (form, instance, family, certificate) records."""
+    (form, instance, family, certificate) records; a family of None is the
+    instance's own (``family_ids``)."""
     records = []
 
     def twice(form, test_family=None):
@@ -400,7 +403,8 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
     walked in full.  A family that lacks one of them, or has nothing more,
     is not reduced."""
     scenario = load_shipped("poly-tangent-r2")
-    inst, family = scenario.instance, scenario.test_family()
+    inst = scenario.instance
+    family = default_poly_family(inst, inst.poly_degree_bound)
     table = inst._ids = forms._Ids(inst)
 
     def order_family(family, order):

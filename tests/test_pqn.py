@@ -6,7 +6,7 @@ import pytest
 from rnforms import catalog, heisenberg3, pqn
 from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
-from rnforms.forms import VForm, is_zero, rn_bracket
+from rnforms.forms import VForm, default_poly_family, is_zero, rn_bracket
 from rnforms.graded import GradingConvention
 from rnforms.instances import GradedInstance, PolyAlgebroidData
 from rnforms.pqn import (PQNQuadruple, check_pqn, concomitant, dual_pairing_identity,
@@ -106,8 +106,7 @@ def test_stienon_xu_computes_only_what_it_prints(monkeypatch):
         monkeypatch.setattr(pqn, name, refuse)
     for name in ("aff1", "abelian2", "poly-tangent-r2"):
         s = load_shipped(name)
-        assert stienon_xu_harness(s.instance, s.pi, s.N, s.omega, s.alpha,
-                                  s.test_family()).passed, name
+        assert stienon_xu_harness(s.instance, s.pi, s.N, s.omega, s.alpha).passed, name
 
 
 def test_check_pqn_aff1_scalar(aff_sh2):
@@ -189,7 +188,7 @@ def test_main_theorem_computes_no_ingredient_certificate(monkeypatch):
 
     monkeypatch.setattr(pqn, "is_zero", counting)
     s = load_shipped("heisenberg3")
-    report = main_theorem_harness(s.instance, s.pi, s.N, s.omega, s.H, s.test_family())
+    report = main_theorem_harness(s.instance, s.pi, s.N, s.omega, s.H)
     assert report.passed
     assert len(forms) == 6
 
@@ -577,12 +576,13 @@ def poly_rank3_quadruple():
     """A rank-3 polynomial algebroid over the line: rho(a1) = d/dx1, the
     other anchors 0, [a1, a2] = x1 a3.  H = x1 a1*^a2*^a3* is not zero, so
     the iterated and mixed checks run here on polynomial pieces of wedge
-    degree 3, numbered as they are met."""
+    degree 3, numbered as they are met.  The instance declares coordinate
+    degree 0, so its family is its basis."""
     ring = PolyRing(("x1",))
     one, zero, x1 = ring.one(), ring.zero(), ring.var(0)
     data = PolyAlgebroidData(1, 3, coordinates=("x1",), anchor=[[one], [zero], [zero]],
                              brackets={(0, 1): {2: x1}})
-    inst = GradedInstance(data, name="poly-rank3")
+    inst = GradedInstance(data, name="poly-rank3", poly_degree_bound=0)
     N = [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
     return (inst, inst.monomial((0, 2)).scale(x1), N, DualForm(inst, 2, {(0, 2): one}),
             DualForm(inst, 3, {(0, 1, 2): x1}), inst.all_basis())
@@ -590,7 +590,10 @@ def poly_rank3_quadruple():
 
 def shipped_quadruple(name):
     s = load_shipped(name)
-    return s.instance, s.pi, s.N, s.omega, s.H, s.test_family()
+    inst = s.instance
+    family = (default_poly_family(inst, inst.poly_degree_bound)
+              if inst.ring.kind == "poly" else None)
+    return inst, s.pi, s.N, s.omega, s.H, family
 
 
 SHIPPED = ("abelian2", "aff1", "heisenberg3", "so3", "poly-tangent-r2")
@@ -655,9 +658,9 @@ def test_every_moved_check_has_a_corruption():
 
 def _moved_entries(args):
     """(section 3 entries, check_pqn (b) and (c), dual pairing entries)."""
-    inst, pi, N, omega, H, family = args
+    inst, pi, N, omega, H, _ = args
     verdict = check_pqn(PQNQuadruple(inst, pi, N, omega, H))
-    return (section3_lemma_suite(*args).checks,
+    return (section3_lemma_suite(inst, pi, N, omega, H).checks,
             {name: verdict.conditions[name] for name in "bc"},
             dual_pairing_identity(inst, pi).checks)
 
