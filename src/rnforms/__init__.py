@@ -9,8 +9,7 @@ from .rings import InputError, Poly, PolyRing, RationalRing, format_rational, pa
 from .graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                      sign_pow, unshuffles)
 from .elements import Element, wedge
-from .instances import (GradedInstance, LieAlgebraData, PolyAlgebroidData, abelian2,
-                        aff1, broken_jacobi3, heisenberg3, poly_tangent_r2, so3)
+from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .dualforms import (DualForm, differential, iota_element, iota_n,
                         lie_derivative, n_star, omega_flat, omega_n, pairing,
                         pi_sharp)
@@ -38,8 +37,6 @@ __all__ = [
     "koszul_sign_by_transpositions", "sign_pow", "unshuffles",
     "Element", "wedge",
     "GradedInstance", "LieAlgebraData", "PolyAlgebroidData",
-    "abelian2", "aff1", "broken_jacobi3",
-    "heisenberg3", "poly_tangent_r2", "so3",
     "DualForm", "differential", "iota_element", "iota_n", "lie_derivative",
     "n_star", "omega_flat", "omega_n", "pairing", "pi_sharp",
     "PolyForm", "VForm", "ZeroCertificate", "as_polyform", "element_form",

@@ -6,14 +6,16 @@
 - lk_form(k): the insertion of l2 into the (k-1)-fold wedge.
 - extend_bundle_map: the derivation extension of an endomorphism, killing
   functions, degree 0.
-- extend_kform: the derivation extension of a dual k-form, arity k and
-  degree k-2 under the shifted-by-2 convention.
-- bivector_form: a bivector as a 0-form.
+- extend_kform: the derivation extension u(kappa) of a dual k-form,
+  arity k and degree k-2.
+- bivector_form: a bivector as a 0-form of degree 0.
 
-Each constructor returns the one shared node of its instance for its
-defining data and convention (see forms.shared_node), so building a form
-twice gives the same node and the same memo.  The convention defaults to
-negated, except for extend_kform, whose forms are graded shifted by 2.
+extend_kform and bivector_form build the forms of the shifted-by-2
+grading, the one the paper's pi + uN + u(omega) and l2 + uH live in; the
+other constructors take a convention, negated by default.  Each
+constructor returns the one shared node of its instance for its defining
+data (see forms.shared_node), so building a form twice gives the same node
+and the same memo.
 
 Each primitive declares its order in each argument (forms.VForm.order, the
 bound behind the order family of forms.is_zero): wedge_form 0, a product;
@@ -34,6 +36,7 @@ from .instances import GradedInstance
 from .rings import InputError
 
 NEG = GradingConvention.NEGATED
+SH2 = GradingConvention.SHIFTED2
 
 
 def wedge_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
@@ -104,8 +107,9 @@ def matrix_square(instance: GradedInstance, N):
     return matrix_mul(instance, N, N)
 
 
-def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2) -> VForm:
-    """Derivation extension of a dual k-form to multivector arguments.
+def extend_kform(kappa: DualForm) -> VForm:
+    """Derivation extension of a dual k-form to multivector arguments,
+    degree k-2 in the shifted-by-2 grading.
 
     On monomial arguments P_j = P_{j,1} ^ ... ^ P_{j,p_j} the value is
 
@@ -149,8 +153,8 @@ def extend_kform(kappa: DualForm, convention=GradingConvention.SHIFTED2) -> VFor
                 out = out + hat.scale(sign * coeff * value)
         return out
 
-    return shared_node(instance, ("kform", k, tuple(sorted(kappa.table.items())), convention),
-                       lambda: VForm(instance, k, -k, fn, convention, order=1))
+    return shared_node(instance, ("kform", k, tuple(sorted(kappa.table.items()))),
+                       lambda: VForm(instance, k, -k, fn, SH2, order=1))
 
 
 def identity_matrix(instance: GradedInstance, scale=1):
@@ -160,8 +164,9 @@ def identity_matrix(instance: GradedInstance, scale=1):
     return [[one if i == j else zero for j in range(instance.rank)] for i in range(instance.rank)]
 
 
-def bivector_form(instance: GradedInstance, pi: Element, convention=NEG) -> VForm:
-    """A bivector as a vector-valued 0-form (degree 0 under shifted2)."""
+def bivector_form(instance: GradedInstance, pi: Element) -> VForm:
+    """A bivector as a vector-valued 0-form, degree 0 in the shifted-by-2
+    grading."""
     if not pi.is_zero() and pi.require_homogeneous() != 2:
         raise InputError("expected a wedge-degree-2 element")
-    return element_form(instance, pi, convention, wedge_degree=2)
+    return element_form(instance, pi, SH2, wedge_degree=2)

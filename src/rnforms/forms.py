@@ -378,8 +378,8 @@ def _tighten(node: VForm, order) -> None:
 
 def shared_node(instance: GradedInstance, key, build) -> VForm:
     """The one node of ``instance`` for ``key``, built by ``build()`` on the
-    first request (hash-consing).  A key names the node's defining data
-    together with its convention."""
+    first request (hash-consing).  A key names the node's defining data,
+    and its convention unless the constructor fixes one."""
     nodes = instance._form_nodes
     node = nodes.get(key)
     if node is None:

@@ -343,49 +343,3 @@ def _accumulate(total: dict, key, value) -> None:
     else:
         del total[key]
 
-
-# -- standard instances --------------------------------------------------------
-
-def aff1(check=True) -> GradedInstance:
-    """2-dim solvable algebra of the affine line: [e1, e2] = e2."""
-    data = LieAlgebraData(2, brackets={(0, 1): {1: 1}})
-    return GradedInstance(data, name="aff1", check=check)
-
-
-def heisenberg3(check=True) -> GradedInstance:
-    """3-dim Heisenberg algebra: [e1, e2] = e3."""
-    data = LieAlgebraData(3, brackets={(0, 1): {2: 1}})
-    return GradedInstance(data, name="heisenberg3", check=check)
-
-
-def so3(check=True) -> GradedInstance:
-    """so(3): [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2."""
-    data = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
-    return GradedInstance(data, name="so3", check=check)
-
-
-def abelian2(check=True) -> GradedInstance:
-    data = LieAlgebraData(2)
-    return GradedInstance(data, name="abelian2", check=check)
-
-
-def broken_jacobi3() -> GradedInstance:
-    """Negative control: a 3-dim antisymmetric bracket violating Jacobi
-    ([e1,e2]=e3, [e1,e3]=e1; the Jacobiator on (e1,e2,e3) equals e3).
-    2-dim tables cannot violate Jacobi, so the control is 3-dimensional."""
-    data = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
-    return GradedInstance(data, name="broken-jacobi3", check=False)
-
-
-def poly_tangent_r2(check=True) -> GradedInstance:
-    """Tangent algebroid of the affine plane with polynomial coefficients:
-    rank 2, identity anchor, zero structure functions."""
-    ring = PolyRing(("x1", "x2"))
-    one, zero = ring.one(), ring.zero()
-    data = PolyAlgebroidData(
-        base_dim=2, rank=2,
-        coordinates=("x1", "x2"), generator_names=("a1", "a2"),
-        anchor=[[one, zero], [zero, one]],
-        brackets={},
-    )
-    return GradedInstance(data, name="poly-tangent-r2", check=check)

@@ -279,7 +279,7 @@ def mu_with_background(instance: GradedInstance, H: DualForm) -> PolyForm:
         raise InputError(f"background 3-form is not closed: dH = {dH.label()}")
     parts = [l2_form(instance, SH2)]
     if not H.is_zero():
-        parts.append(extend_kform(H, SH2))
+        parts.append(extend_kform(H))
     return PolyForm(instance, parts, convention=SH2)
 
 
@@ -288,10 +288,10 @@ def vector_valued_sum(instance: GradedInstance, pi: Element, N,
     """pi + uN + u(omega), the degree-0 form of the quadruple harness."""
     parts = []
     if not pi.is_zero():
-        parts.append(bivector_form(instance, pi, SH2))
+        parts.append(bivector_form(instance, pi))
     parts.append(extend_bundle_map(instance, N, SH2))
     if not omega.is_zero():
-        parts.append(extend_kform(omega, SH2))
+        parts.append(extend_kform(omega))
     return PolyForm(instance, parts, convention=SH2)
 
 
@@ -300,11 +300,11 @@ def quadruple_square(instance: GradedInstance, pi: Element, N,
     """u(N^2) + [u(omega), pi] (+ u(alpha) for the manifold-triple variant)."""
     parts = [extend_bundle_map(instance, matrix_square(instance, N), SH2)]
     if not omega.is_zero() and not pi.is_zero():
-        uomega = extend_kform(omega, SH2)
-        bracket = rn_bracket(uomega, bivector_form(instance, pi, SH2))
+        uomega = extend_kform(omega)
+        bracket = rn_bracket(uomega, bivector_form(instance, pi))
         parts.extend(bracket.components.values())
     if extra is not None and not extra.is_zero():
-        parts.append(extend_kform(extra, SH2))
+        parts.append(extend_kform(extra))
     return PolyForm(instance, parts, convention=SH2)
 
 
@@ -389,9 +389,8 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None
     of its terms, each a nested bracket (None when a factor is zero)."""
     l2 = l2_form(instance, SH2)
     un = extend_bundle_map(instance, N, SH2)
-    pif = bivector_form(instance, pi, SH2) if not pi.is_zero() else None
-    uomega, uH, udomega = (extend_kform(k, SH2) if not k.is_zero() else None
-                           for k in (omega, H, differential(omega)))
+    pif = bivector_form(instance, pi) if not pi.is_zero() else None
+    uomega, uH = (extend_kform(k) if not k.is_zero() else None for k in (omega, H))
     double = rn_bracket(n_form, rn_bracket(n_form, mu))
     pair = l2.evaluate((pi, pi)) if pif is not None else Element.zero()
     g4 = _nested(uomega, un, uH)
@@ -401,8 +400,9 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None
         (1, [_nested(pif, pif, uH), _nested(pif, un, l2), _nested(un, pif, l2)],
          "[pi,[pi,uH]] + [pi,[uN,l2]] + [uN,[pi,l2]]"),
         (2, [_nested(pif, un, uH), _nested(un, pif, uH), _nested(un, un, l2),
-             _nested(pif, udomega), _nested(uomega, pif, l2)],
-         "[pi,[uN,uH]] + [uN,[pi,uH]] + [uN,[uN,l2]] + [pi,u(d omega)] + [u(omega),[pi,l2]]"),
+             _nested(pif, uomega, l2), _nested(uomega, pif, l2)],
+         "[pi,[uN,uH]] + [uN,[pi,uH]] + [uN,[uN,l2]] + [pi,[u(omega),l2]]"
+         " + [u(omega),[pi,l2]]"),
         (3, [_nested(un, un, uH), _nested(un, uomega, l2), _nested(uomega, pif, uH),
              _nested(uomega, un, l2)],
          "[uN,[uN,uH]] + [uN,[u(omega),l2]] + [u(omega),[pi,uH]] + [u(omega),[uN,l2]]"),
@@ -437,10 +437,10 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
     gens = [instance.generator(i) for i in range(instance.rank)]
     names = instance.generator_names
     un = extend_bundle_map(instance, N, SH2)
-    uomega = extend_kform(omega, SH2) if not omega.is_zero() else None
-    uH = extend_kform(H, SH2) if not H.is_zero() else None
+    uomega = extend_kform(omega) if not omega.is_zero() else None
+    uH = extend_kform(H) if not H.is_zero() else None
 
-    extended = [(f"u({d.label()})", extend_kform(d, SH2)) for d in duals]
+    extended = [(f"u({d.label()})", extend_kform(d)) for d in duals]
     extended += [("u(omega)", uomega)] if uomega else []
     extended += [("uH", uH)] if uH else []
     for (la, fa), (lb, fb) in itertools.combinations_with_replacement(extended, 2):
@@ -452,7 +452,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
         ok_om = compat_omega_n(instance, omega, N)
         report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
         if ok_om:
-            target = extend_kform(omega_n(omega, N), SH2).scale(2)
+            target = extend_kform(omega_n(omega, N)).scale(2)
             cert = is_zero(rn_bracket(un, uomega) - target)
             report.add_certificate("bundle map against 2-form",
                                    "[uN, u(omega)] = 2 u(omega_N)", cert)
@@ -461,12 +461,12 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
             [("omega", omega)] + ([("H", H)] if not H.is_zero() else []):
         if kappa.is_zero():
             continue
-        cert = is_zero(rn_bracket(extend_kform(kappa, SH2), l2)
-                       - extend_kform(differential(kappa), SH2))
+        cert = is_zero(rn_bracket(l2, extend_kform(kappa))
+                       - extend_kform(differential(kappa)))
         report.add_certificate(f"differential through the bracket ({label})",
-                               "[u(kappa), l2] = u(d kappa)", cert)
+                               "[l2, u(kappa)] = u(d kappa)", cert)
 
-    pif = bivector_form(instance, pi, SH2) if not pi.is_zero() else None
+    pif = bivector_form(instance, pi) if not pi.is_zero() else None
     if pif is not None:
         brackets = [instance.sn_bracket(pi, X) for X in gens]
         bad = next((f"(X,a,b) = ({names[x]}, {a.label()}, {b.label()})"

@@ -47,17 +47,15 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .dualforms import DualForm, differential
+from .dualforms import DualForm
 from .elements import Element
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
-from .report import Report
 from .rings import InputError, parse_rational
 
 
 class Scenario:
     """A loaded scenario: the instance, its tensor data and suite bounds.
-    ``preconditions`` is the validate report, set once the scenario is
-    built.  ``suite.poly_degree_bound`` sets the instance's declared test
+    ``suite.poly_degree_bound`` sets the instance's declared test
     family (``GradedInstance.poly_degree_bound``), which every certificate
     reads through ``forms.is_zero``."""
 
@@ -79,7 +77,6 @@ class Scenario:
         self.i_max = i_max
         self.m_max = m_max
         self.n_max = n_max
-        self.preconditions: Report | None = None
 
 
 _TOP_KEYS = {"name", "instance", "data", "suite"}
@@ -314,34 +311,7 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         n_max=_integer(suite, "n_max", "suite", 4),
     )
     instance.poly_degree_bound = _integer(suite, "poly_degree_bound", "suite", 1, minimum=0)
-    scenario.preconditions = _preconditions(scenario)
     return scenario
-
-
-def _preconditions(s: Scenario) -> Report:
-    """Axioms already hold; record the data-level preconditions: Poisson
-    when pi is given, dH = 0.
-
-    Instance construction validates Jacobi and the anchor morphism, the
-    axioms the input can break.  The Gerstenhaber identities (graded
-    skew-symmetry and Leibniz) hold for every instance that can be loaded:
-    the structure table is antisymmetric on generators, the anchor acts by
-    derivations and the Schouten bracket is their closed-form biderivation
-    (``rnforms.instances``).  ``tests/test_instances.py`` checks both
-    identities on the bracket of every shipped and generated instance."""
-    report = Report("validate", s.name)
-    report.add("instance axioms",
-               "Jacobi + Leibniz + anchor morphism + Gerstenhaber identities", True,
-               detail="validated at load")
-    if not s.pi.is_zero():
-        poisson = s.instance.sn_bracket(s.pi, s.pi)
-        report.add("pi Poisson", "[pi,pi] = 0", poisson.is_zero(),
-                   counterexample=None if poisson.is_zero()
-                   else s.instance.basis_label(poisson))
-    dH = differential(s.H)
-    report.add("closed background", "d H = 0", dH.is_zero(),
-               counterexample=None if dH.is_zero() else dH.label())
-    return report
 
 
 def load_shipped(name: str) -> Scenario:

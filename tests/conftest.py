@@ -1,43 +1,45 @@
 import pytest
 
-from rnforms import abelian2, aff1, broken_jacobi3, heisenberg3, poly_tangent_r2, so3
+from rnforms import load_shipped
+
+from generated_instances import broken_jacobi3
 
 
 @pytest.fixture(scope="session")
 def aff():
-    return aff1()
+    return load_shipped("aff1").instance
 
 
 @pytest.fixture(scope="session")
 def aff_sh2():
     """A second aff1, for the tests of forms graded shifted by 2."""
-    return aff1()
+    return load_shipped("aff1").instance
 
 
 @pytest.fixture(scope="session")
 def h3():
-    return heisenberg3()
+    return load_shipped("heisenberg3").instance
 
 
 @pytest.fixture(scope="session")
 def h3_sh2():
     """A second heisenberg3, for the tests of forms graded shifted by 2."""
-    return heisenberg3()
+    return load_shipped("heisenberg3").instance
 
 
 @pytest.fixture(scope="session")
 def so3_inst():
-    return so3()
+    return load_shipped("so3").instance
 
 
 @pytest.fixture(scope="session")
 def ab2():
-    return abelian2()
+    return load_shipped("abelian2").instance
 
 
 @pytest.fixture(scope="session")
 def poly():
-    return poly_tangent_r2()
+    return load_shipped("poly-tangent-r2").instance
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Instances beyond the shipped ones, fixed and generated (Hypothesis
-strategies), with random elements on them."""
+strategies), with random elements on them, and the negative control
+``broken_jacobi3``."""
 
 from fractions import Fraction
 
@@ -38,6 +39,14 @@ def semidirect(draw, max_n=3):
                       min_size=n, max_size=n))
     brackets = {(0, i + 1): {j + 1: A[j][i] for j in range(n)} for i in range(n)}
     return GradedInstance(LieAlgebraData(n + 1, brackets=brackets), name=f"semidirect{n}")
+
+
+def broken_jacobi3() -> GradedInstance:
+    """Negative control: a 3-dim antisymmetric bracket violating Jacobi
+    ([e1,e2]=e3, [e1,e3]=e1; the Jacobiator on (e1,e2,e3) equals e3).
+    2-dim tables cannot violate Jacobi, so the control is 3-dimensional."""
+    data = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
+    return GradedInstance(data, name="broken-jacobi3", check=False)
 
 
 def heisenberg(m: int) -> GradedInstance:

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from rnforms import abelian2, aff1, broken_jacobi3, heisenberg3, poly_tangent_r2, so3
 from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, matrix_square
 from rnforms.dualforms import DualForm, differential
 from rnforms.elements import Element
@@ -23,6 +22,9 @@ from rnforms.pqn import (main_theorem_harness, mu_with_background,
                          section3_lemma_suite, stienon_xu_harness)
 from rnforms.report import Report
 from rnforms.rings import InputError
+from rnforms.scenario import load_shipped
+
+from generated_instances import broken_jacobi3
 
 
 def self_bracket(mu):
@@ -44,10 +46,10 @@ def announce(number, message):
 @pytest.fixture(scope="module")
 def instances():
     return {
-        "aff1": aff1(),
-        "heisenberg3": heisenberg3(),
-        "so3": so3(),
-        "abelian2": abelian2(),
+        "aff1": load_shipped("aff1").instance,
+        "heisenberg3": load_shipped("heisenberg3").instance,
+        "so3": load_shipped("so3").instance,
+        "abelian2": load_shipped("abelian2").instance,
     }
 
 
@@ -157,7 +159,7 @@ def test_criterion_6_nijenhuis_one_form_theorem(instances):
 
 
 def test_criterion_7_section3_lemma_suite():
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     start = time.monotonic()
     pi = inst.monomial((0, 2))
     N = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(1)]]
@@ -173,16 +175,16 @@ def test_criterion_7_section3_lemma_suite():
 
 
 def test_criterion_8_background_structure(monkeypatch):
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     H = DualForm(inst, 3, {(0, 1, 2): Fraction(1)})
     cert = self_bracket(mu_with_background(inst, H))
     assert cert.is_zero and cert.complete
     # the ingredients: [l2,l2] = 0, [l2,uH] = u(dH) = 0 and [uH,uH] = 0
     sh2 = GradingConvention.SHIFTED2
-    l2, uH = l2_form(inst, sh2), extend_kform(H, sh2)
+    l2, uH = l2_form(inst, sh2), extend_kform(H)
     assert all(is_zero(rn_bracket(a, b)).is_zero for a, b in ((l2, l2), (l2, uH), (uH, uH)))
 
-    s = so3()
+    s = load_shipped("so3").instance
     import rnforms.pqn as pqn_module
     top = DualForm(s, 3, {(0, 1, 2): Fraction(1)})
 
@@ -201,11 +203,11 @@ def test_criterion_8_background_structure(monkeypatch):
 
 def test_criterion_9_main_theorem_verdict_equality():
     results = []
-    a = aff1()
+    a = load_shipped("aff1").instance
     results.append(("aff1 scalar", True, main_theorem_harness(
         a, a.monomial((0, 1)), [[Fraction(2), 0], [0, Fraction(2)]],
         DualForm.zero(a, 2), DualForm.zero(a, 3))))
-    h = heisenberg3()
+    h = load_shipped("heisenberg3").instance
     top = DualForm(h, 3, {(0, 1, 2): Fraction(1)})
     results.append(("heisenberg3 background", True, main_theorem_harness(
         h, Element.zero(), [[Fraction(-2), 0, 0], [0, Fraction(1), 0],
@@ -230,7 +232,7 @@ def test_criterion_9_main_theorem_verdict_equality():
 
 
 def test_criterion_10_manifold_triple_verdict_equality():
-    p = poly_tangent_r2()
+    p = load_shipped("poly-tangent-r2").instance
     ring = p.ring
     x1, x2 = ring.var(0), ring.var(1)
     conformal = ring.coerce(1) + x1 * x1
@@ -244,7 +246,7 @@ def test_criterion_10_manifold_triple_verdict_equality():
     assert side_a and side_b
     assert any(c.complete is False for c in passing.checks if c.complete is not None)
 
-    s = so3()
+    s = load_shipped("so3").instance
     failing = stienon_xu_harness(
         s, Element.zero(),
         [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(2)]],

@@ -1,17 +1,22 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rnforms.catalog import (bivector_form, extend_bundle_map, extend_kform,
                              identity_matrix, l2_form, lk_form, matrix_square, wedge_form)
-from rnforms.dualforms import DualForm, pi_sharp
+from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
 from rnforms.forms import element_form, is_zero, rn_bracket
 from rnforms.graded import GradingConvention, koszul_sign, sign_pow, unshuffles
 from rnforms.pqn import main_theorem_harness, quadruple_square, vector_valued_sum
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
+
+from generated_instances import heisenberg, semidirect, two_step_nilpotent
 
 SH2 = GradingConvention.SHIFTED2
 
@@ -82,7 +87,7 @@ def test_matrix_square(aff):
 
 def test_extend_kform_normalization(aff_sh2):
     omega = DualForm(aff_sh2, 2, {(0, 1): Fraction(1)})
-    uomega = extend_kform(omega, SH2)
+    uomega = extend_kform(omega)
     e1, e2 = aff_sh2.generator(0), aff_sh2.generator(1)
     assert uomega.evaluate((e1, e2)) == aff_sh2.unit()
     assert uomega.evaluate((aff_sh2.unit(), e1)).is_zero()
@@ -91,7 +96,7 @@ def test_extend_kform_normalization(aff_sh2):
 
 def test_extend_kform_bivector_slot(h3_sh2):
     H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
-    uH = extend_kform(H, SH2)
+    uH = extend_kform(H)
     pi = h3_sh2.monomial((0, 2))
     for x, y in itertools.product(range(3), repeat=2):
         X, Y = h3_sh2.generator(x), h3_sh2.generator(y)
@@ -125,18 +130,65 @@ def test_catalog_forms_are_shared_nodes(h3_sh2):
     assert extend_bundle_map(inst, identity_matrix(inst), SH2) is not un
     assert extend_bundle_map(inst, N, GradingConvention.NEGATED) is not un
     omega = DualForm(inst, 2, {(0, 1): Fraction(1), (1, 2): Fraction(2)})
-    uomega = extend_kform(omega, SH2)
+    uomega = extend_kform(omega)
     assert uomega.terms is None
-    assert extend_kform(DualForm(inst, 2, {(1, 2): 2, (0, 1): 1}), SH2) is uomega
-    assert extend_kform(DualForm(inst, 2, {(0, 1): 1}), SH2) is not uomega
+    assert extend_kform(DualForm(inst, 2, {(1, 2): 2, (0, 1): 1})) is uomega
+    assert extend_kform(DualForm(inst, 2, {(0, 1): 1})) is not uomega
     pi = inst.monomial((0, 2))
-    pif = bivector_form(inst, pi, SH2)
+    pif = bivector_form(inst, pi)
     assert pif.terms is None
-    assert bivector_form(inst, inst.monomial((0, 2)), SH2) is pif
+    assert bivector_form(inst, inst.monomial((0, 2))) is pif
     assert element_form(inst, pi, SH2) is pif
     assert element_form(inst, pi.scale(2), SH2) is not pif
     assert lk_form(inst, 3) is lk_form(inst, 3)
     assert lk_form(inst, 3).terms is None
+
+
+def test_kform_and_bivector_forms_are_graded_shifted_by_2(h3_sh2):
+    """u(kappa) and a bivector are forms of the shifted-by-2 grading, of
+    degrees k - 2 and 0, and neither constructor takes a convention."""
+    inst = h3_sh2
+    for k in (1, 2, 3):
+        u = extend_kform(DualForm(inst, k, {tuple(range(k)): Fraction(1)}))
+        assert (u.convention, u.arity, u.degree) == (SH2, k, k - 2)
+    for pi in (inst.monomial((0, 1)), Element.zero()):
+        pif = bivector_form(inst, pi)
+        assert (pif.convention, pif.arity, pif.degree) == (SH2, 0, 0)
+    with pytest.raises(TypeError):
+        extend_kform(DualForm(inst, 1, {(0,): 1}), SH2)
+    with pytest.raises(TypeError):
+        bivector_form(inst, inst.monomial((0, 1)), SH2)
+
+
+def open_kform(inst, k, rng):
+    """A random k-form of ``inst``, not closed when some basis k-form is not:
+    while the form is closed, the next basis k-form is added to it."""
+    monomials = list(itertools.combinations(range(inst.rank), k))
+    kappa = DualForm(inst, k, {mon: rng.choice((0, 1, -1, 2, Fraction(1, 2)))
+                               for mon in monomials})
+    for mon in monomials:
+        if not differential(kappa).is_zero():
+            break
+        kappa = kappa + DualForm(inst, k, {mon: 1})
+    return kappa
+
+
+@settings(max_examples=10, deadline=None)
+@example(inst=heisenberg(2), seed=0)
+@given(inst=st.one_of(two_step_nilpotent(), semidirect()), seed=st.integers(0, 2 ** 32))
+def test_l2_brackets_u_kappa_to_u_d_kappa(inst, seed):
+    """[l2, u(kappa)] = u(d kappa) and [u(kappa), l2] = (-1)^(k+1) u(d kappa)
+    for k = 1, 2, 3, on a kappa that is not closed whenever the instance
+    has such a k-form (h5, the explicit example, has one for each k)."""
+    rng = random.Random(seed)
+    l2 = l2_form(inst, SH2)
+    for k in (1, 2, 3):
+        kappa = open_kform(inst, k, rng)
+        dkappa = differential(kappa)
+        assert inst.name != "h5" or not dkappa.is_zero()
+        u, ud = extend_kform(kappa), extend_kform(dkappa)
+        assert is_zero(rn_bracket(l2, u) - ud).is_zero
+        assert is_zero(rn_bracket(u, l2) - ud.scale(sign_pow(k + 1))).is_zero
 
 
 def test_harness_forms_are_rebuilt_from_shared_nodes():

@@ -747,19 +747,19 @@ FAILING_PQN_REPORTS = {
     "euler-bad: check pqn":
         (1, "3a5ca0023b8c145191abd186991237acdb7064d34581e4332295bfd6cec161d5"),
     "euler-bad: suite main-theorem":
-        (1, "0d669e39830878dc9639efc62b15de9cb417aad3208bc6a254fa5a2430ab4cd8"),
+        (1, "df3a801490774a992c6026e060100bcd780e9d163b0fde2aa8db4c310674f8a9"),
     "euler-bad: suite stienon-xu":
         (1, "41395189e0f6c5de14ebb3933373dce4c9103b2cb44ed19600fb7b7645259576"),
     "h3-torsion: check pqn":
         (1, "e90d5752bc25b77d8c9ccf3fa04d2d445d6e1f362a8cc00d36edbd6bdaa5c098"),
     "h3-torsion: suite main-theorem":
-        (1, "f1584014abb157d7082fd494fba4002d7a80a37140bae259649d7393cdd794f4"),
+        (1, "3901af6b3ec35d44c7de6d8bcf69b7292950a1942f782e91a36d15d7f6dd0cf5"),
     "h3-torsion: suite stienon-xu":
         (1, "af99c08382124f77650ddbffcbfeacb9e05264f7d5195cd11b2da22348d86deb"),
     "poly-r3-background: check pqn":
         (1, "cc753a245c7001ab8947f3b2123f52b2beb1dc8d51e94ada821d90b3b6b7e7dc"),
     "poly-r3-background: suite main-theorem":
-        (1, "ddf6a2700a81f38e6ea037edf738385ef40e668e4a9512d09cc2303ab4dfcc61"),
+        (1, "6930d67aaf16fadb3493fda4bd06d4b72d19729c8e5fc252ff8fa8008db565cc"),
     "poly-r3-background: suite stienon-xu":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "abelian3-background: check pqn":
@@ -850,10 +850,10 @@ def test_load_shipped_from_a_zipped_install(tmp_path):
         for path in sorted((SRC / "rnforms").rglob("*")):
             if path.suffix in (".py", ".json"):
                 zipped.write(path, path.relative_to(SRC).as_posix())
-    out = _python("import rnforms.scenario as s\n"
+    out = _python("import rnforms.cli as c, rnforms.scenario as s\n"
                   "assert s.__file__.startswith(%r), s.__file__\n"
                   "scenario = s.load_shipped('aff1')\n"
-                  "print(scenario.name, scenario.preconditions.passed)" % str(archive),
+                  "print(scenario.name, c.cmd_validate(scenario, {}).passed)" % str(archive),
                   archive)
     assert out.split() == ["aff1", "True"]
 

@@ -11,8 +11,8 @@ from rnforms.dualforms import (DualForm, apply_matrix, background_script,
                                element_on_duals, iota_element, iota_n, lie_derivative,
                                n_star, omega_flat, omega_n, pairing, pi_sharp)
 from rnforms.elements import Element
-from rnforms.instances import abelian2, aff1, heisenberg3, poly_tangent_r2, so3
 from rnforms.rings import InputError
+from rnforms.scenario import load_shipped
 
 from dualforms_reference import (reference_background_script, reference_compat_n_pi,
                                  reference_differential, reference_entry,
@@ -147,7 +147,8 @@ def test_polynomial_labels_format_each_coefficient(poly):
 
 # -- the tabulated operators against the loop references (dualforms_reference) ---------
 
-INSTANCES = (st.sampled_from((aff1(), heisenberg3(), so3(), abelian2(), poly_tangent_r2()))
+SHIPPED = ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")
+INSTANCES = (st.sampled_from([load_shipped(name).instance for name in SHIPPED])
              | two_step_nilpotent() | st.builds(affine_x_algebroid) | poly_rank3())
 SETTINGS = settings(max_examples=40, deadline=None)
 

@@ -114,7 +114,7 @@ def test_rn_graded_jacobi(aff_sh2):
     aff = aff_sh2
     un = extend_bundle_map(aff, [[Fraction(1), Fraction(2)],
                                  [Fraction(0), Fraction(3)]], SH2)
-    uomega = extend_kform(DualForm(aff, 2, {(0, 1): Fraction(1)}), SH2)
+    uomega = extend_kform(DualForm(aff, 2, {(0, 1): Fraction(1)}))
     n2 = wedge_form(aff, 2, SH2)
     l2 = l2_form(aff, SH2)
     triples = [
@@ -147,8 +147,8 @@ def test_multilinearity_over_scalars(aff):
 def test_kform_identity_for_extensions(h3_sh2):
     # the iterated-bracket identity holds for the derivation extensions too
     inst = h3_sh2
-    uomega = extend_kform(DualForm(inst, 2, {(0, 1): Fraction(1)}), SH2)
-    uH = extend_kform(DualForm(inst, 3, {(0, 1, 2): Fraction(1)}), SH2)
+    uomega = extend_kform(DualForm(inst, 2, {(0, 1): Fraction(1)}))
+    uH = extend_kform(DualForm(inst, 3, {(0, 1, 2): Fraction(1)}))
     un = extend_bundle_map(inst, [[Fraction(2), Fraction(1), 0],
                                   [0, Fraction(2), 0],
                                   [0, 0, Fraction(1)]], SH2)
@@ -241,8 +241,8 @@ def test_degree_reporting(h3, h3_sh2):
     assert lk_form(h3, 3).degree == 1
     assert l2_form(h3_sh2, SH2).degree == 1
     omega = DualForm(h3_sh2, 2, {(0, 1): Fraction(1)})
-    assert extend_kform(omega, SH2).degree == 0
+    assert extend_kform(omega).degree == 0
     H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
-    assert extend_kform(H, SH2).degree == 1
+    assert extend_kform(H).degree == 1
     pi_form = element_form(h3_sh2, h3_sh2.monomial((0, 1)), SH2)
     assert pi_form.degree == 0

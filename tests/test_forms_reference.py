@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rnforms import linfty
@@ -21,8 +21,7 @@ from rnforms.forms import (PolyForm, VForm, _Ids, coordinate_monomials, default_
                            element_form, insert, is_zero, rn_bracket)
 from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
                             unshuffles)
-from rnforms.instances import (GradedInstance, LieAlgebraData, aff1, broken_jacobi3,
-                               heisenberg3, poly_tangent_r2, so3)
+from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms import pqn
 from rnforms.linfty import (coefficient_suite, nijenhuis_forms, pencil, report_nijenhuis,
                             square_of_sum, sum_of_wedges, torsion_formulas_agree)
@@ -31,7 +30,7 @@ from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
 
-from generated_instances import semidirect, two_step_nilpotent
+from generated_instances import broken_jacobi3, semidirect, two_step_nilpotent
 
 NAMES = ("h3", "so3", "broken_jacobi3", "poly-tangent-r2")
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -49,8 +48,9 @@ def unbounded(monkeypatch):
 
 @cache
 def instance(name):
-    return {"aff1": aff1, "h3": heisenberg3, "so3": so3, "broken_jacobi3": broken_jacobi3,
-            "poly-tangent-r2": poly_tangent_r2}[name]()
+    if name == "broken_jacobi3":
+        return broken_jacobi3()
+    return load_shipped({"h3": "heisenberg3"}.get(name, name)).instance
 
 
 @cache
@@ -240,13 +240,14 @@ def test_insert_matches_reference_insertion(case):
         assert inst.basis_label(fast) == inst.basis_label(slow), index
 
 
-@pytest.mark.parametrize("make", [heisenberg3, poly_tangent_r2])
-def test_equal_arguments_in_opposite_term_order_give_equal_labels(make):
+@pytest.mark.parametrize("name", ["heisenberg3", "poly-tangent-r2"],
+                         ids=lambda name: name.replace("-", "_"))
+def test_equal_arguments_in_opposite_term_order_give_equal_labels(name):
     """Two equal Elements with their terms in opposite order, evaluated one
     after the other on one instance: the second reads the first one's id,
     so a value may keep the first one's term order, but the values and the
     labels reports print are equal."""
-    inst = make()
+    inst = load_shipped(name).instance
     e = inst.generator
     forward = e(0) + e(1).scale(2)
     backward = e(1).scale(2) + e(0)
@@ -420,7 +421,7 @@ def test_non_unit_combination_through_its_representative():
     reduced to a shared representative K + (3/2) L, whose coefficients stay
     Fractions (an int quotient would be a float), and the insertion equals
     the reference insertion loop on every canonical basis tuple."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     K = wedge_form(inst, 1)
     L = extend_bundle_map(inst, [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
     M = l2_form(inst)
@@ -443,7 +444,11 @@ def test_non_unit_combination_through_its_representative():
 
 # -- generated instances with rational structure constants -----------------------------
 
-@settings(max_examples=8, deadline=None)
+# no shrink phase: each shrink step re-runs a whole example, coefficient suite
+# included, and shrinking one failure took minutes; a failure is reported on
+# the example that failed
+@settings(max_examples=8, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(st.one_of(two_step_nilpotent(), semidirect()), st.data())
 def test_generated_nilpotent_kernel_matches_references(inst, data):
     """On generated instances (validated at construction), two-step
@@ -702,7 +707,7 @@ def check_memo_keys(bounded):
     for scenario in scenarios:
         main_theorem_harness(scenario.instance, scenario.pi, scenario.N, scenario.omega,
                              scenario.H)
-    h3 = heisenberg3()
+    h3 = load_shipped("heisenberg3").instance
     assert coefficient_suite(h3, 3, 3, 3).passed
     keys = combination_keys = 0
     for node in memo_nodes(tuple(scenario.instance for scenario in scenarios) + (h3,)):
@@ -751,7 +756,7 @@ def check_never_sorts(monkeypatch, bounded):
     exhaustive check (through every nested insertion) never does, on the
     order family (wedge degree <= 1 here) or, with every bound forced to
     None, on the whole window."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     form = jacobi_bracket(inst)
     calls = []
     canonical = VForm._canonical
@@ -778,7 +783,7 @@ def check_never_sorts(monkeypatch, bounded):
 def test_is_zero_never_hashes_an_element(monkeypatch):
     """The kernel keys its memos by ids: an exhaustive check hashes at most
     each family element once."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     form = jacobi_bracket(inst)
     calls = []
     element_hash = Element.__hash__
@@ -1034,7 +1039,7 @@ def test_rule_of_the_wrong_wedge_degree_raises():
     """The window rests on every catalog rule being homogeneous of its
     declared shift: a value with a piece of another wedge degree is an
     internal error, never a skipped tuple."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     e1, e2, e12 = inst.generator(0), inst.generator(1), inst.monomial((0, 1))
     calls = []
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from rnforms.elements import Element
 from rnforms.graded import sign_pow
-from rnforms.instances import (GradedInstance, LieAlgebraData, PolyAlgebroidData, aff1,
-                               heisenberg3, poly_tangent_r2, so3)
+from rnforms.instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from rnforms.rings import InputError, Poly
 from rnforms.scenario import load_shipped
 
@@ -195,10 +194,16 @@ def raised(check, *args):
     return None
 
 
+def unchecked(name):
+    """A fresh, unvalidated instance on the data of the shipped scenario
+    ``name``: no bracket is memoized before a test corrupts it."""
+    return GradedInstance(load_shipped(name).instance.data, name=name, check=False)
+
+
 def _symmetric_e1_e2(monkeypatch):
     """h3 whose base case [e2, e1] returns +e3: Jacobi still holds (the
     Jacobiator on (e1, e2, e3) never reads [e2, e1]), skew-symmetry fails."""
-    inst = heisenberg3(check=False)
+    inst = unchecked("heisenberg3")
     gen_bracket = inst._gen_bracket
     monkeypatch.setattr(inst, "_gen_bracket",
                         lambda i, j: -gen_bracket(i, j) if (i, j) == (1, 0) else gen_bracket(i, j))
@@ -209,7 +214,7 @@ def _bent_anchor(monkeypatch):
     """poly-tangent-r2 whose anchor adds 1 to rho(a_i) f for f of total
     degree >= 2.  The skew-symmetry family has coefficients of degree <= 1
     only, so skew-symmetry holds; Leibniz on (a1, x1, x1) reads [a1, x1^2]."""
-    inst = poly_tangent_r2(check=False)
+    inst = unchecked("poly-tangent-r2")
     anchor_apply = inst.anchor_apply
 
     def bent(i, coeff):
@@ -260,7 +265,10 @@ def test_validate_brackets_only_generators(monkeypatch, name):
 
 # -- the closed-form bracket and validate against the references ------------------
 
-NAMED = {"aff1": aff1, "h3": heisenberg3, "so3": so3, "poly-tangent-r2": poly_tangent_r2,
+NAMED = {"aff1": lambda: load_shipped("aff1").instance,
+         "h3": lambda: load_shipped("heisenberg3").instance,
+         "so3": lambda: load_shipped("so3").instance,
+         "poly-tangent-r2": lambda: load_shipped("poly-tangent-r2").instance,
          "affine-x": affine_x_algebroid, "rank3": rank3_algebroid}
 
 
@@ -336,7 +344,7 @@ def test_validate_matches_reference_on_corrupted_brackets(inst, data):
 
 
 @settings(max_examples=12, deadline=None)
-@given(inst=poly_rank3() | st.builds(affine_x_algebroid) | st.builds(poly_tangent_r2),
+@given(inst=poly_rank3() | st.builds(affine_x_algebroid) | st.builds(NAMED["poly-tangent-r2"]),
        data=st.data())
 def test_validate_matches_reference_on_corrupted_anchor(inst, data):
     inst.validate()
@@ -350,13 +358,13 @@ def test_generated_corruptions_reach_every_check():
     """The corruptions above do break the identities: a flipped [a2, a1]
     fails skew-symmetry first, a bent anchor fails Leibniz first, and a
     perturbed [a1, a2] can fail Jacobi, which validate checks."""
-    h3 = heisenberg3(check=False)
+    h3 = unchecked("heisenberg3")
     corrupt_gen_bracket(h3, 1, 0, 2, 2)
     assert assert_same_failure(h3) == "graded skew-symmetry fails on e1, e2"
     poly = rank3_algebroid()
     corrupt_anchor(poly, 2, 1)
     assert assert_same_failure(poly).startswith("graded Leibniz rule fails on a1, ")
-    so = so3(check=False)
+    so = unchecked("so3")
     corrupt_gen_bracket(so, 0, 1, 0, 1)
     assert raised(GradedInstance.validate, so) == "Jacobi identity fails on (e1, e2, e3)"
     assert raised(reference_validate, so) == "Jacobi identity fails on (e1, e2, e3)"

@@ -20,7 +20,6 @@ from rnforms.elements import Element
 from rnforms.forms import (PolyForm, VForm, default_poly_family, insert, is_zero,
                            rn_bracket)
 from rnforms.graded import GradingConvention
-from rnforms.instances import heisenberg3, poly_tangent_r2, so3
 from rnforms.scenario import load_shipped
 
 from generated_instances import heisenberg, poly_rank3, semidirect, two_step_nilpotent
@@ -142,9 +141,10 @@ def test_declared_orders_satisfy_the_commutator_identity():
     is not vacuous."""
     rng = random.Random(7)
     sharp = set()
-    for inst in (heisenberg3(), so3(), poly_tangent_r2()):
-        sharp |= check_declared_orders(inst, rng, samples=24)
-    assert sharp == {label for label, _, _ in declared_forms(heisenberg3(), rng)}
+    for name in ("heisenberg3", "so3", "poly-tangent-r2"):
+        sharp |= check_declared_orders(load_shipped(name).instance, rng, samples=24)
+    h3 = load_shipped("heisenberg3").instance
+    assert sharp == {label for label, _, _ in declared_forms(h3, rng)}
 
 
 @settings(max_examples=3, deadline=None)
@@ -162,7 +162,7 @@ def test_bracket_rule_without_the_unpaired_terms_is_unsound():
     on l3 = i_{l2} N2 too) would walk only the tuple (1, 1, 1), where it
     vanishes, and pass it.  The bracket's bound is 1, and so is that of
     [N2, l2] = l3 alone, whose unpaired terms have the order of l2."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     n2, l2 = wedge_form(inst, 2, NEG), l2_form(inst, NEG)
     l3 = lk_form(inst, 3, NEG)
     form = (rn_bracket(n2, l2) - PolyForm(inst, [l3]).scale(2)).component(3)
@@ -182,7 +182,7 @@ def test_bracket_rule_without_the_unpaired_terms_is_unsound():
 def test_insertion_raises_the_order():
     """insert(uN, uN) - u(N^2) = 2 uN(e1) ^ uN(e2) on e1^e2, and zero on
     1 and on every generator: a bound of 1 would pass it.  Its bound is 2."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     N = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
     square = [[sum(N[i][k] * N[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     un = extend_bundle_map(inst, N)
@@ -197,7 +197,7 @@ def test_insertion_raises_the_order():
 def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
     """A rule with no declared order has bound None, and so has every form
     built from it: is_zero looks up every in-window tuple."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     l2 = l2_form(inst, NEG)
     plain = VForm(inst, 2, -1, l2.fn, NEG)          # the rule of l2, no declared order
     form = rn_bracket(plain, plain).component(3)
@@ -228,8 +228,9 @@ def test_is_zero_resolves_its_family_once(monkeypatch):
     id_of = forms._Ids.id_of
     monkeypatch.setattr(forms._Ids, "id_of",
                         lambda table, el: calls.append(el) or id_of(table, el))
-    poly = poly_tangent_r2()
-    for inst, family in ((heisenberg3(), None), (poly, default_poly_family(poly))):
+    poly = load_shipped("poly-tangent-r2").instance
+    h3 = load_shipped("heisenberg3").instance
+    for inst, family in ((h3, None), (poly, default_poly_family(poly))):
         n = PolyForm(inst, [wedge_form(inst, 1, NEG), wedge_form(inst, 2, NEG)])
         form = rn_bracket(n, PolyForm(inst, [l2_form(inst, NEG)]))
         assert len(form.components) == 2
@@ -446,7 +447,7 @@ def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
     """A family that lacks part of the order family (here every coordinate)
     is walked on its own elements only, on a passing and on a failing
     certificate: no lookup reaches a piece outside it."""
-    inst = poly_tangent_r2()
+    inst = load_shipped("poly-tangent-r2").instance
     family = inst.all_basis()
     l2 = l2_form(inst, NEG)
     cases = (rn_bracket(l2, l2), PolyForm(inst, [extend_bundle_map(inst, [[0, 0], [0, 1]], NEG)]))
@@ -475,7 +476,7 @@ def test_order_two_form_is_caught_with_bound_two():
     order-2 family and found nonzero at x1 x2; the default family, which
     lacks x1 x2, is never reduced to its order-1 part, and D vanishes on
     all of it."""
-    inst = poly_tangent_r2()
+    inst = load_shipped("poly-tangent-r2").instance
 
     def fn(args):
         (P,) = args

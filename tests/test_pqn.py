@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from rnforms import catalog, heisenberg3, pqn
+from rnforms import catalog, pqn
 from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
 from rnforms.forms import VForm, default_poly_family, is_zero, rn_bracket
 from rnforms.graded import GradingConvention
-from rnforms.instances import GradedInstance, PolyAlgebroidData
+from rnforms.instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from rnforms.pqn import (PQNQuadruple, check_pqn, concomitant, dual_pairing_identity,
                          koszul_bracket, main_theorem_harness, mu_with_background,
                          section3_lemma_suite, stienon_xu_harness)
@@ -82,7 +82,7 @@ def test_concomitant_cross_checked_against_bracket_combination(h3_sh2):
     N = [[Fraction(3), Fraction(1), 0], [0, Fraction(3), 0], [0, Fraction(1), Fraction(2)]]
     un = extend_bundle_map(inst, N, SH2)
     l2 = l2_form(inst, SH2)
-    pif = bivector_form(inst, pi, SH2)
+    pif = bivector_form(inst, pi)
     combo = rn_bracket(pif, rn_bracket(un, l2)) + rn_bracket(
         as_polyform(un), rn_bracket(pif, as_polyform(l2)))
     comp = combo.component(1)
@@ -146,7 +146,7 @@ def test_mu_with_background(h3_sh2, so3_inst, monkeypatch):
     cert = is_zero(rn_bracket(mu, mu))
     assert cert.is_zero and cert.complete
     # the ingredients: [l2,l2] = 0, [l2,uH] = u(dH) = 0 and [uH,uH] = 0
-    l2, uH = catalog.l2_form(h3_sh2, SH2), catalog.extend_kform(H, SH2)
+    l2, uH = catalog.l2_form(h3_sh2, SH2), catalog.extend_kform(H)
     for left, right in ((l2, l2), (l2, uH), (uH, uH)):
         assert is_zero(rn_bracket(left, right)).is_zero
     assert list(mu_with_background(h3_sh2, DualForm.zero(h3_sh2, 3)).components) == [2]
@@ -204,8 +204,7 @@ def test_verdict_equality_on_remaining_shipped_scenarios(so3_inst, ab2, poly):
     eq = next(c for c in report.checks if c.name == "verdict equality")
     assert eq.passed and not report.passed  # equal verdicts, both failing
 
-    from rnforms import abelian2
-    ab = abelian2()
+    ab = load_shipped("abelian2").instance
     report2 = main_theorem_harness(
         ab, ab.monomial((0, 1)),
         [[Fraction(1), 0], [0, Fraction(1)]],
@@ -233,11 +232,10 @@ def test_both_sides_agree_on_random_quadruples():
     """Side A (the co-boundary check) and side B (the tensor conditions) give
     the same verdict on seeded random quadruples, and both verdicts occur."""
     import random
-    from rnforms import abelian2, aff1, so3
     rng = random.Random(2016)
     verdicts = set()
-    for build in (aff1, heisenberg3, so3, abelian2):
-        inst = build()
+    for name in ("aff1", "heisenberg3", "so3", "abelian2"):
+        inst = load_shipped(name).instance
         for _ in range(10):
             pi, N, omega, H, alpha = _random_quadruple(rng, inst)
             for report in (main_theorem_harness(inst, pi, N, omega, H),
@@ -348,11 +346,11 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
     duals = [DualForm(instance, 1, {(i,): ring.one()}) for i in range(instance.rank)]
     gens = [instance.generator(i) for i in range(instance.rank)]
     un = pqn.extend_bundle_map(instance, N, SH2)
-    uomega = pqn.extend_kform(omega, SH2) if not omega.is_zero() else None
-    uH = pqn.extend_kform(H, SH2) if not H.is_zero() else None
+    uomega = pqn.extend_kform(omega) if not omega.is_zero() else None
+    uH = pqn.extend_kform(H) if not H.is_zero() else None
 
     one_forms = list(duals)
-    extended = [(f"u({d.label()})", pqn.extend_kform(d, SH2)) for d in one_forms]
+    extended = [(f"u({d.label()})", pqn.extend_kform(d)) for d in one_forms]
     extended += [("u(omega)", uomega)] if uomega else []
     extended += [("uH", uH)] if uH else []
     for (la, fa), (lb, fb) in itertools.combinations_with_replacement(extended, 2):
@@ -364,7 +362,7 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
         ok_om = pqn.compat_omega_n(instance, omega, N)
         report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
         if ok_om:
-            target = pqn.extend_kform(pqn.omega_n(omega, N), SH2).scale(2)
+            target = pqn.extend_kform(pqn.omega_n(omega, N)).scale(2)
             cert = pqn.is_zero(pqn.rn_bracket(un, uomega) - target, test_family)
             report.add_certificate("bundle map against 2-form",
                                    "[uN, u(omega)] = 2 u(omega_N)", cert)
@@ -373,17 +371,17 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
             [("omega", omega)] + ([("H", H)] if not H.is_zero() else []):
         if kappa.is_zero():
             continue
-        uk = pqn.extend_kform(kappa, SH2)
+        uk = pqn.extend_kform(kappa)
         dk = pqn.differential(kappa)
-        lhs = pqn.rn_bracket(uk, l2)
+        lhs = pqn.rn_bracket(l2, uk)
         if dk.is_zero():
             cert = pqn.is_zero(lhs, test_family)
         else:
-            cert = pqn.is_zero(lhs - pqn.extend_kform(dk, SH2), test_family)
+            cert = pqn.is_zero(lhs - pqn.extend_kform(dk), test_family)
         report.add_certificate(f"differential through the bracket ({label})",
-                               "[u(kappa), l2] = u(d kappa)", cert)
+                               "[l2, u(kappa)] = u(d kappa)", cert)
 
-    pif = pqn.bivector_form(instance, pi, SH2) if not pi.is_zero() else None
+    pif = pqn.bivector_form(instance, pi) if not pi.is_zero() else None
     if pif is not None:
         bad = None
         for x in range(instance.rank):
@@ -566,7 +564,7 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
 
 def heisenberg3_quadruple():
     """The one input that reaches all 31 section-3 checks."""
-    inst = heisenberg3()
+    inst = load_shipped("heisenberg3").instance
     N = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(1)]]
     return (inst, inst.monomial((0, 2)), N, DualForm(inst, 2, {(0, 2): Fraction(1)}),
             DualForm(inst, 3, {(0, 1, 2): Fraction(1)}), None)
@@ -588,6 +586,18 @@ def poly_rank3_quadruple():
             DualForm(inst, 3, {(0, 1, 2): x1}), inst.all_basis())
 
 
+def non_closed_omega_quadruple():
+    """On [e1,e2] = e2, [e1,e3] = e3 the 2-form omega = e2*^e3* is not
+    closed, d omega = -2 e1*^e2*^e3*, so "differential through the bracket
+    (omega)" tells [l2, u(omega)] = u(d omega) from [u(omega), l2] =
+    -u(d omega)."""
+    inst = GradedInstance(LieAlgebraData(3, brackets={(0, 1): {1: 1}, (0, 2): {2: 1}}),
+                          name="non-closed-omega")
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    return (inst, Element.zero(), identity, DualForm(inst, 2, {(1, 2): 1}),
+            DualForm.zero(inst, 3), None)
+
+
 def shipped_quadruple(name):
     s = load_shipped(name)
     inst = s.instance
@@ -599,6 +609,7 @@ def shipped_quadruple(name):
 SHIPPED = ("abelian2", "aff1", "heisenberg3", "so3", "poly-tangent-r2")
 INPUTS = {"heisenberg3-quadruple": heisenberg3_quadruple,
           "poly-rank3-quadruple": poly_rank3_quadruple,
+          "non-closed-omega": non_closed_omega_quadruple,
           **{name: (lambda name=name: shipped_quadruple(name)) for name in SHIPPED}}
 
 
