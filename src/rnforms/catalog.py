@@ -1,8 +1,8 @@
 """The named vector-valued forms of the kernel.
 
-- wedge_form(k): the k-fold wedge product, degree 0 under the negated
-  convention; wedge_form(1) is the identity.
-- l2_form: (P, Q) -> (-1)^p [P, Q], degree +1 in both conventions.
+- wedge_form(k): the k-fold wedge product, degree 0 in the negated
+  grading; wedge_form(1) is the identity.
+- l2_form: (P, Q) -> (-1)^p [P, Q], degree +1 in both gradings.
 - lk_form(k): the insertion of l2 into the (k-1)-fold wedge.
 - extend_bundle_map: the derivation extension of an endomorphism, killing
   functions, degree 0.
@@ -10,9 +10,9 @@
   arity k and degree k-2.
 - bivector_form: a bivector as a 0-form of degree 0.
 
-extend_kform and bivector_form build the forms of the shifted-by-2
-grading, the one the paper's pi + uN + u(omega) and l2 + uH live in; the
-other constructors take a convention, negated by default.  Each
+No constructor takes a grading: a form's values depend on its wedge shift
+alone, and its degree in either grading is read off its arity and shift
+(graded.GradingConvention.form_degree) where one is checked.  Each
 constructor returns the one shared node of its instance for its defining
 data (see forms.shared_node), so building a form twice gives the same node
 and the same memo.
@@ -31,15 +31,12 @@ import itertools
 from .dualforms import DualForm, apply_matrix, check_matrix, matrix_mul
 from .elements import Element
 from .forms import VForm, element_form, insert, shared_node
-from .graded import GradingConvention, sign_pow
+from .graded import sign_pow
 from .instances import GradedInstance
 from .rings import InputError
 
-NEG = GradingConvention.NEGATED
-SH2 = GradingConvention.SHIFTED2
 
-
-def wedge_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
+def wedge_form(instance: GradedInstance, k: int) -> VForm:
     """(P_1, ..., P_k) -> P_1 ^ ... ^ P_k."""
     if k < 1:
         raise InputError("wedge form needs arity >= 1")
@@ -50,11 +47,10 @@ def wedge_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
             out = out.wedge(arg)
         return out
 
-    return shared_node(instance, ("wedge", k, convention),
-                       lambda: VForm(instance, k, 0, fn, convention, order=0))
+    return shared_node(instance, ("wedge", k), lambda: VForm(instance, k, 0, fn, order=0))
 
 
-def l2_form(instance: GradedInstance, convention=NEG) -> VForm:
+def l2_form(instance: GradedInstance) -> VForm:
     """(P, Q) -> (-1)^p [P, Q] for P of wedge degree p."""
 
     def fn(args):
@@ -63,21 +59,20 @@ def l2_form(instance: GradedInstance, convention=NEG) -> VForm:
         value = instance.sn_bracket(P, Q)
         return -value if p % 2 else value
 
-    return shared_node(instance, ("l2", convention),
-                       lambda: VForm(instance, 2, -1, fn, convention, order=1))
+    return shared_node(instance, ("l2",), lambda: VForm(instance, 2, -1, fn, order=1))
 
 
-def lk_form(instance: GradedInstance, k: int, convention=NEG) -> VForm:
+def lk_form(instance: GradedInstance, k: int) -> VForm:
     """l_k = insertion of l_2 into the (k-1)-fold wedge; arity k, degree +1."""
     if k < 2:
         raise InputError("l_k needs k >= 2 (l_1 is identically zero)")
-    l2 = l2_form(instance, convention)
+    l2 = l2_form(instance)
     if k == 2:
         return l2
-    return insert(l2, wedge_form(instance, k - 1, convention))
+    return insert(l2, wedge_form(instance, k - 1))
 
 
-def extend_bundle_map(instance: GradedInstance, N, convention=NEG) -> VForm:
+def extend_bundle_map(instance: GradedInstance, N) -> VForm:
     """Derivation extension of an endomorphism: zero on functions,
     sum over factors N applied to one generator at a time."""
     check_matrix(instance, N)
@@ -97,8 +92,7 @@ def extend_bundle_map(instance: GradedInstance, N, convention=NEG) -> VForm:
                 out = out + prefix.wedge(image).wedge(suffix).scale(coeff)
         return out
 
-    return shared_node(instance, ("bundle map", N, convention),
-                       lambda: VForm(instance, 1, 0, fn, convention, order=1))
+    return shared_node(instance, ("bundle map", N), lambda: VForm(instance, 1, 0, fn, order=1))
 
 
 def matrix_square(instance: GradedInstance, N):
@@ -154,7 +148,7 @@ def extend_kform(kappa: DualForm) -> VForm:
         return out
 
     return shared_node(instance, ("kform", k, tuple(sorted(kappa.table.items()))),
-                       lambda: VForm(instance, k, -k, fn, SH2, order=1))
+                       lambda: VForm(instance, k, -k, fn, order=1))
 
 
 def identity_matrix(instance: GradedInstance, scale=1):
@@ -169,4 +163,4 @@ def bivector_form(instance: GradedInstance, pi: Element) -> VForm:
     grading."""
     if not pi.is_zero() and pi.require_homogeneous() != 2:
         raise InputError("expected a wedge-degree-2 element")
-    return element_form(instance, pi, SH2, wedge_degree=2)
+    return element_form(instance, pi, wedge_degree=2)

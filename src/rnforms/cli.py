@@ -44,15 +44,19 @@ SH2 = GradingConvention.SHIFTED2
 _TERM = re.compile(r"^\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<name>[A-Za-z][A-Za-z0-9]*)\s*$")
 
 
-def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
+def parse_form_expression(text: str, scenario: Scenario):
     """Tiny grammar: sums of rational multiples of the named generators
     N{k}, l{k}, underlineN, underlineOmega, underlineH, pi.  Terms are
-    joined by "+", "-" or "+-"; the first term may carry one of them too."""
+    joined by "+", "-" or "+-"; the first term may carry one of them too.
+
+    Returns (form, grading).  Each name is read in one grading: N{k} and
+    l{k} negated, pi and the underlined extensions shifted by 2.  All terms
+    must share it, and the components must have one degree there."""
     text = text.strip()
     if not text:
         raise InputError("empty form expression")
     parts = []
-    convention = None
+    grading = None
     signs = ""
     for token in re.findall(r"[+-]|[^+-]+", text):
         if token in "+-":
@@ -71,18 +75,24 @@ def parse_form_expression(text: str, scenario: Scenario) -> PolyForm:
         signs = ""
         name = match.group("name")
         form = _named_form(name, scenario)
-        if convention is None:
-            convention = form.convention
-        elif convention is not form.convention:
+        term_grading = NEG if name[0] in "Nl" and name[1:].isdigit() else SH2
+        if grading is None:
+            grading = term_grading
+        elif grading is not term_grading:
             raise InputError(
-                f"term {name!r} uses the {form.convention.value} convention,"
-                f" earlier terms use {convention.value}")
+                f"term {name!r} uses the {term_grading.value} convention,"
+                f" earlier terms use {grading.value}")
         if coeff != 1:
             form = form.scale(coeff)
         parts.append(form)
     if signs:
         raise InputError(f"form expression {text!r} ends in {signs!r}, not in a term")
-    return PolyForm(scenario.instance, parts, convention=convention)
+    form = PolyForm(scenario.instance, parts)
+    degrees = {grading.form_degree(comp.arity, comp.shift) for comp in form.components.values()}
+    if len(degrees) > 1:
+        raise InputError(
+            f"components of distinct convention degrees {sorted(degrees)} in one form family")
+    return form, grading
 
 
 def _named_form(name: str, scenario: Scenario):
@@ -92,7 +102,7 @@ def _named_form(name: str, scenario: Scenario):
             raise InputError("scenario has no bivector pi")
         return bivector_form(instance, scenario.pi)
     if name == "underlineN":
-        return extend_bundle_map(instance, scenario.N, SH2)
+        return extend_bundle_map(instance, scenario.N)
     if name == "underlineOmega":
         if scenario.omega.is_zero():
             raise InputError("scenario has no 2-form omega")
@@ -104,13 +114,13 @@ def _named_form(name: str, scenario: Scenario):
     if name.startswith("N") and name[1:].isdigit():
         if int(name[1:]) < 1:
             raise InputError(f"{name}: the wedge family N_k starts at N1")
-        return wedge_form(instance, int(name[1:]), NEG)
+        return wedge_form(instance, int(name[1:]))
     if name.startswith("l") and name[1:].isdigit():
         k = int(name[1:])
         if k < 2:
             raise InputError(f"{name}: the bracket family l_k starts at l2"
                              " (l1 is identically zero)")
-        return lk_form(instance, k, NEG)
+        return lk_form(instance, k)
     raise InputError(f"unknown form name {name!r}")
 
 
@@ -128,9 +138,9 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
         value = comp.evaluate(found.failing)
         candidates = []
         if arity >= 1:
-            candidates.append((f"N{arity}", wedge_form(instance, arity, comp.convention)))
+            candidates.append((f"N{arity}", wedge_form(instance, arity)))
         if arity >= 2:
-            candidates.append((f"l{arity}", lk_form(instance, arity, comp.convention)))
+            candidates.append((f"l{arity}", lk_form(instance, arity)))
         matched = None
         for name, candidate in candidates:
             if candidate.shift != comp.shift:
@@ -179,8 +189,10 @@ def cmd_validate(scenario: Scenario, args) -> Report:
 
 
 def cmd_bracket(scenario: Scenario, args) -> Report:
-    left = parse_form_expression(args["left"], scenario)
-    right = parse_form_expression(args["right"], scenario)
+    left, left_grading = parse_form_expression(args["left"], scenario)
+    right, right_grading = parse_form_expression(args["right"], scenario)
+    if left_grading is not right_grading:
+        raise InputError("mixing grading conventions in an insertion")
     result = rn_bracket(left, right)
     report = Report("bracket", scenario.name)
     value = recognize(result, scenario)
@@ -212,7 +224,7 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
         forms = nijenhuis_forms(n_form, pencil(instance, scenario.pencil_coefficients))
     else:
         square = square_of_sum(instance, scenario.wedge_coefficients, scenario.bracket_index)
-        forms = nijenhuis_forms(n_form, lk_form(instance, scenario.bracket_index, NEG), square)
+        forms = nijenhuis_forms(n_form, lk_form(instance, scenario.bracket_index), square)
     report_nijenhuis(report, kind, forms)
     return report
 

@@ -33,10 +33,12 @@ K(first slice of its key) into the sorted rest, with the Koszul sign of the
 odd ids it passes.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
-minus the sum of the input wedge degrees).  The convention degree is
--c under the negated convention and c + 2(k-1) under the shifted-by-2
-convention; both have the parity of c, so every sign in the bracket
-calculus is convention independent.
+minus the sum of the input wedge degrees), and a form carries no grading.
+A grading's degree is -c (negated) or c + 2(k-1) (shifted by 2,
+graded.GradingConvention.form_degree); both have the parity of c, so every
+sign in the bracket calculus is grading independent.  Only the callers that
+check a degree pick a grading: ``linfty.nijenhuis_forms`` and the form
+expressions of ``cli``.
 
 **The wedge-degree window.**  A form of shift c maps a tuple whose wedge
 degrees sum to s into the exterior power of degree s + c, which is 0 unless
@@ -112,7 +114,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .elements import Element
-from .graded import GradingConvention, koszul_sign, sign_pow, unshuffles
+from .graded import koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance
 from .rings import InputError, Poly, PolyRing, plain
 
@@ -186,8 +188,7 @@ class VForm:
     the module docstring), by default that of the nodes."""
 
     def __init__(self, instance: GradedInstance, arity: int, shift: int, fn,
-                 convention=GradingConvention.NEGATED, terms=None, on_ids=False, shared=False,
-                 order=None):
+                 terms=None, on_ids=False, shared=False, order=None):
         if arity < 0:
             raise InputError("form arity must be nonnegative")
         self.instance = instance
@@ -195,7 +196,6 @@ class VForm:
         self.shift = shift
         self.fn = fn
         self.on_ids = on_ids
-        self.convention = convention
         self.terms = terms
         self.order = order
         if terms is None:
@@ -208,21 +208,10 @@ class VForm:
                 self.order = _max_order([node.order for node in terms])
 
     @classmethod
-    def combination(cls, instance, arity, shift, terms, convention, shared=False,
-                    order=None) -> "VForm":
+    def combination(cls, instance, arity, shift, terms, shared=False, order=None) -> "VForm":
         """The linear combination sum c * node over ``terms`` (node -> c);
         ``shared`` gives it a memo."""
-        return cls(instance, arity, shift, None, convention, terms=terms, shared=shared,
-                   order=order)
-
-    # -- degree ---------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Convention degree of the form as a graded map."""
-        if self.convention is GradingConvention.NEGATED:
-            return -self.shift
-        return self.shift + 2 * (self.arity - 1)
+        return cls(instance, arity, shift, None, terms=terms, shared=shared, order=order)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -303,9 +292,6 @@ class VForm:
     def _compatible(self, other: "VForm") -> None:
         if self.instance is not other.instance:
             raise InputError("forms live on different instances")
-        if self.convention is not other.convention:
-            raise InputError(
-                f"mixing grading conventions ({self.convention.value} vs {other.convention.value})")
         if self.arity != other.arity or self.shift != other.shift:
             raise InputError(
                 f"cannot add forms of arity/shift ({self.arity},{self.shift}) and"
@@ -321,7 +307,7 @@ class VForm:
             else:
                 del terms[node]
         return VForm.combination(self.instance, self.arity, self.shift, terms,
-                                 self.convention, order=_max_order((self.order, other.order)))
+                                 order=_max_order((self.order, other.order)))
 
     def __add__(self, other: "VForm") -> "VForm":
         return self._plus(other, 1)
@@ -334,14 +320,14 @@ class VForm:
         terms = ({node: factor * coeff for node, coeff in self.linear_terms().items()}
                  if factor else {})
         return VForm.combination(self.instance, self.arity, self.shift, terms,
-                                 self.convention, order=self.order)
+                                 order=self.order)
 
     def __neg__(self) -> "VForm":
         return self.scale(-1)
 
     @classmethod
-    def zero(cls, instance, arity, shift, convention) -> "VForm":
-        return cls.combination(instance, arity, shift, {}, convention)
+    def zero(cls, instance, arity, shift) -> "VForm":
+        return cls.combination(instance, arity, shift, {})
 
 
 def _add_into(total: dict, coeff, value: dict) -> None:
@@ -378,8 +364,7 @@ def _tighten(node: VForm, order) -> None:
 
 def shared_node(instance: GradedInstance, key, build) -> VForm:
     """The one node of ``instance`` for ``key``, built by ``build()`` on the
-    first request (hash-consing).  A key names the node's defining data,
-    and its convention unless the constructor fixes one."""
+    first request (hash-consing).  A key names the node's defining data."""
     nodes = instance._form_nodes
     node = nodes.get(key)
     if node is None:
@@ -402,25 +387,22 @@ def _representative(form: VForm):
         normalized = tuple([(n, c / factor) for n, c in items])
         rep = shared_node(form.instance, ("combination", normalized),
                           lambda: VForm.combination(form.instance, form.arity, form.shift,
-                                                    dict(normalized), form.convention,
-                                                    shared=True))
+                                                    dict(normalized), shared=True))
     _tighten(rep, form.order)
     return rep, factor
 
 
-def element_form(instance: GradedInstance, element: Element,
-                 convention=GradingConvention.NEGATED, wedge_degree=None) -> VForm:
+def element_form(instance: GradedInstance, element: Element, wedge_degree=None) -> VForm:
     """A homogeneous element as a vector-valued 0-form, one node per
-    (element, wedge degree, convention)."""
+    (element, wedge degree)."""
     if element.is_zero():
         if wedge_degree is None:
             raise InputError("zero 0-form needs an explicit wedge degree")
         deg = wedge_degree
     else:
         deg = element.require_homogeneous()
-    return shared_node(instance, ("element", element, deg, convention),
-                       lambda: VForm(instance, 0, deg, lambda args: element, convention,
-                                     order=0))
+    return shared_node(instance, ("element", element, deg),
+                       lambda: VForm(instance, 0, deg, lambda args: element, order=0))
 
 
 def insert(K: VForm, L: VForm) -> VForm:
@@ -433,15 +415,13 @@ def insert(K: VForm, L: VForm) -> VForm:
     and the result is that node times the product of the factors."""
     if K.instance is not L.instance:
         raise InputError("forms live on different instances")
-    if K.convention is not L.convention:
-        raise InputError("mixing grading conventions in an insertion")
     arity = K.arity + L.arity - 1
     if L.arity == 0 and arity < 0:
         raise InputError("insertion of a 0-form into a 0-form is undefined")
     K_rep, a = _representative(K)
     L_rep, b = _representative(L)
     if L.arity == 0 or K_rep is None or L_rep is None:
-        return VForm.zero(K.instance, arity, K.shift + L.shift, K.convention)
+        return VForm.zero(K.instance, arity, K.shift + L.shift)
     node = shared_node(K.instance, ("insert", K_rep, L_rep),
                        lambda: _insertion_node(K_rep, L_rep))
     if K_rep.order is not None and L_rep.order is not None:
@@ -491,8 +471,7 @@ def _insertion_node(K: VForm, L: VForm) -> VForm:
                           L_lookup(key) if value is None else value)
         return total
 
-    return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, K.convention,
-                 on_ids=True)
+    return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, on_ids=True)
 
 
 def _getter(slots):
@@ -514,9 +493,9 @@ def rn_vform(K: VForm, L: VForm) -> VForm:
 
 
 class PolyForm:
-    """Finite sum of VForms of distinct arities sharing one convention degree."""
+    """Finite sum of VForms of distinct arities."""
 
-    def __init__(self, instance: GradedInstance, components, convention=None):
+    def __init__(self, instance: GradedInstance, components):
         self.instance = instance
         comps = {}
         for form in components:
@@ -527,17 +506,6 @@ class PolyForm:
             else:
                 comps[form.arity] = form
         self.components = dict(sorted(comps.items()))
-        conventions = {f.convention for f in self.components.values()}
-        if convention is None and not conventions:
-            raise InputError("empty sum of forms needs an explicit convention")
-        if len(conventions) > 1:
-            raise InputError("mixing grading conventions in one form family")
-        self.convention = convention or conventions.pop()
-        degrees = {f.degree for f in self.components.values()}
-        if len(degrees) > 1:
-            raise InputError(
-                f"components of distinct convention degrees {sorted(degrees)} in one form family")
-        self.degree = degrees.pop() if degrees else None
 
     def arities(self):
         return tuple(self.components)
@@ -548,8 +516,7 @@ class PolyForm:
     def __add__(self, other: "PolyForm") -> "PolyForm":
         other = as_polyform(other)
         return PolyForm(self.instance,
-                        list(self.components.values()) + list(other.components.values()),
-                        convention=self.convention)
+                        list(self.components.values()) + list(other.components.values()))
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         other = as_polyform(other)
@@ -557,8 +524,7 @@ class PolyForm:
 
     def scale(self, factor) -> "PolyForm":
         return PolyForm(self.instance,
-                        [f.scale(factor) for f in self.components.values()],
-                        convention=self.convention)
+                        [f.scale(factor) for f in self.components.values()])
 
 
 def as_polyform(form) -> PolyForm:
@@ -581,7 +547,7 @@ def rn_bracket(K, L) -> PolyForm:
             if k == 0 and l == 0:
                 continue
             parts.append(rn_vform(Kk, Ll))
-    return PolyForm(K.instance, parts, convention=K.convention)
+    return PolyForm(K.instance, parts)
 
 
 def iterated_eval_identity(K: VForm, args) -> bool:
@@ -591,7 +557,7 @@ def iterated_eval_identity(K: VForm, args) -> bool:
         raise InputError(f"expected {K.arity} arguments, got {len(args)}")
     current = as_polyform(K)
     for arg in args:
-        x = element_form(K.instance, arg, K.convention)
+        x = element_form(K.instance, arg)
         current = rn_bracket(x, current)
     final = current.component(0)
     direct = K.evaluate(args)

@@ -1,8 +1,9 @@
 """Graded combinatorics: Koszul signs and unshuffles.
 
 Signs in a graded-symmetric world depend only on degree parities, which
-coincide for the two grading conventions used here (deg P = -p and
-deg P = p - 2 both have the parity of the wedge degree p).
+coincide for the two grading conventions used here: a form of arity k and
+wedge shift c has degree -c in one and c + 2(k - 1) in the other, both of
+the parity of c.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from .rings import InputError
 
 
 class GradingConvention(str, Enum):
-    """Convention degree assigned to a wedge-degree-p element."""
+    """A grading of the multivector space, read off a form's (arity, wedge
+    shift): the kernel's values and signs depend on the shift alone."""
 
-    NEGATED = "negated"      # deg P = -p
-    SHIFTED2 = "shifted2"    # deg P = p - 2
+    NEGATED = "negated"      # deg P = -p: N_k degree 0, l_k degree 1
+    SHIFTED2 = "shifted2"    # deg P = p - 2: pi + uN + u(omega) degree 0, l2 + uH degree 1
 
-    def degree(self, wedge_degree: int) -> int:
+    def form_degree(self, arity: int, shift: int) -> int:
+        """The degree of a form of ``arity`` and wedge ``shift`` as a graded map."""
         if self is GradingConvention.NEGATED:
-            return -wedge_degree
-        return wedge_degree - 2
+            return -shift
+        return shift + 2 * (arity - 1)
 
 
 def sign_pow(exponent: int) -> int:

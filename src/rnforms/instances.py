@@ -138,8 +138,9 @@ class PolyAlgebroidData(_StructureTable):
 
 class GradedInstance:
     """A validated instance: basis per wedge degree, exact Schouten bracket
-    and anchor action.  The grading of a form is the form's own
-    (forms.VForm.convention); the instance carries none.
+    and anchor action.  Neither the instance nor its forms carry a grading:
+    a form's degree is read off its arity and wedge shift
+    (graded.GradingConvention.form_degree) where one is checked.
 
     ``poly_degree_bound`` declares the test family of a polynomial
     algebroid: the monomial basis and its multiples by the coordinate

@@ -14,8 +14,11 @@ fields acting on polynomials.  Degree-0 families deform degree-1
 structures: ``nijenhuis_forms`` names the form of each of the three nested
 Nijenhuis conditions and of the deformed structure's own identities, and a
 caller certifies with ``is_zero`` the ones it reads (``report_nijenhuis``
-certifies those of one kind into a report).  Every form built here is
-graded negated (``NEG``), where N_k has degree 0 and l_k degree 1.
+certifies those of one kind into a report).  The forms carry no grading:
+``nijenhuis_forms`` checks the degrees of its operands in each grading of
+``graded.GradingConvention`` and keeps those in which all of them fit, the
+negated one for N_k (degree 0) and l_k (degree 1), the shifted-by-2 one for
+the PQN structure pi + uN + u(omega) and l2 + uH.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .report import Report
 from .rings import InputError
 
-NEG = GradingConvention.NEGATED
-
 
 def pencil(instance: GradedInstance, coefficients) -> PolyForm:
     """mu = sum_i a_i l_i from a finite coefficient list (a_1 multiplies the
@@ -45,9 +46,9 @@ def pencil(instance: GradedInstance, coefficients) -> PolyForm:
         a = Fraction(a)
         if not a or i == 1:
             continue
-        form = lk_form(instance, i, NEG)
+        form = lk_form(instance, i)
         parts.append(form if a == 1 else form.scale(a))
-    return PolyForm(instance, parts, convention=NEG)
+    return PolyForm(instance, parts)
 
 
 def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report) -> None:
@@ -55,7 +56,7 @@ def pairwise_compatibility(instance: GradedInstance, k_max: int, report: Report)
         raise InputError("the compatibility checks need k_max >= 2")
     for m in range(2, k_max + 1):
         for n in range(m, k_max + 1):
-            cert = is_zero(rn_bracket(lk_form(instance, m, NEG), lk_form(instance, n, NEG)))
+            cert = is_zero(rn_bracket(lk_form(instance, m), lk_form(instance, n)))
             report.add_certificate(f"compatibility [l{m},l{n}]",
                                    f"[l{m},l{n}] = 0", cert)
 
@@ -74,8 +75,8 @@ def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4) -> Re
     if i_max < 2 or m_max < 2 or n_max < 2:
         raise InputError("suite bounds must be >= 2")
     report = Report("suite lemma", instance.name)
-    wedges = {k: wedge_form(instance, k, NEG) for k in range(1, i_max + i_max)}
-    brackets = {k: lk_form(instance, k, NEG) for k in range(2, m_max + n_max)}
+    wedges = {k: wedge_form(instance, k) for k in range(1, i_max + i_max)}
+    brackets = {k: lk_form(instance, k) for k in range(2, m_max + n_max)}
     for i in range(1, i_max + 1):
         for j in range(1, i_max + 1):
             coeff = Fraction((j - i) * factorial(i + j - 1), factorial(i) * factorial(j))
@@ -121,8 +122,8 @@ def witt_action_check(instance: GradedInstance, i_max=4) -> Report:
     if instance.ring.kind == "poly":
         raise InputError("the intertwining suite needs a finite-dimensional instance")
     report = Report("suite witt", instance.name)
-    wedges = {k: wedge_form(instance, k, NEG) for k in range(1, 2 * i_max)}
-    brackets = {k: lk_form(instance, k, NEG) for k in range(2, 2 * i_max + 1)}
+    wedges = {k: wedge_form(instance, k) for k in range(1, 2 * i_max)}
+    brackets = {k: lk_form(instance, k) for k in range(2, 2 * i_max + 1)}
     for i in range(1, i_max + 1):
         for j in range(1, i_max + 1):
             lhs = rn_bracket(wedges[i].scale(factorial(i)), wedges[j].scale(factorial(j)))
@@ -158,8 +159,8 @@ def square_of_sum(instance: GradedInstance, b, n: int) -> PolyForm:
             den = comb(j + i + n - 3, i + j - 1)
             k = i + j - 1
             coeffs[k] = coeffs.get(k, Fraction(0)) + bi * bj * Fraction(num, den)
-    parts = [wedge_form(instance, k, NEG).scale(c) for k, c in sorted(coeffs.items()) if c]
-    return PolyForm(instance, parts, convention=NEG)
+    parts = [wedge_form(instance, k).scale(c) for k, c in sorted(coeffs.items()) if c]
+    return PolyForm(instance, parts)
 
 
 def sum_of_wedges(instance: GradedInstance, b) -> PolyForm:
@@ -167,8 +168,8 @@ def sum_of_wedges(instance: GradedInstance, b) -> PolyForm:
     for i, bi in enumerate(b, start=1):
         bi = Fraction(bi)
         if bi:
-            parts.append(wedge_form(instance, i, NEG).scale(bi))
-    return PolyForm(instance, parts, convention=NEG)
+            parts.append(wedge_form(instance, i).scale(bi))
+    return PolyForm(instance, parts)
 
 
 # each Nijenhuis form's identity, in the order reports list them
@@ -197,17 +198,24 @@ def nijenhuis_forms(n_form, mu, k_form=None) -> dict:
     N is weak Nijenhuis when ``weak`` vanishes, co-boundary Nijenhuis when
     ``deformation_square`` does, and Nijenhuis when ``square_commutes`` does
     too.  Building the forms evaluates nothing: a caller certifies with
-    :func:`is_zero` only the ones it reads."""
+    :func:`is_zero` only the ones it reads.
+
+    The degrees are checked in mu, N, K order, each in the gradings that
+    its predecessors left: InputError when no grading gives every component
+    the wanted degree, listing the degrees in the first grading left."""
     mu = as_polyform(mu)
-    if mu.degree not in (None, 1):
-        raise InputError(f"a bracket family must have degree 1, got {mu.degree}")
     n_form = as_polyform(n_form)
-    if n_form.degree not in (None, 0):
-        raise InputError(f"the deforming form must have degree 0, got {n_form.degree}")
+    checks = [(mu, 1, "a bracket family"), (n_form, 0, "the deforming form")]
     if k_form is not None:
         k_form = as_polyform(k_form)
-        if k_form.degree not in (None, 0):
-            raise InputError(f"the square must have degree 0, got {k_form.degree}")
+        checks.append((k_form, 0, "the square"))
+    gradings = list(GradingConvention)
+    for form, wanted, what in checks:
+        fits = [g for g in gradings if _degrees(form, g) <= {wanted}]
+        if not fits:
+            got = ", ".join(map(str, sorted(_degrees(form, gradings[0]))))
+            raise InputError(f"{what} must have degree {wanted}, got {got}")
+        gradings = fits
     deformed = rn_bracket(n_form, mu)
     twice = rn_bracket(n_form, deformed)
     forms = {"weak": rn_bracket(mu, twice)}
@@ -217,6 +225,11 @@ def nijenhuis_forms(n_form, mu, k_form=None) -> dict:
     forms["deformed_self"] = rn_bracket(deformed, deformed)
     forms["deformed_compatible"] = rn_bracket(mu, deformed)
     return forms
+
+
+def _degrees(form: PolyForm, grading: GradingConvention) -> set:
+    """The degrees of the components of ``form`` in ``grading``."""
+    return {grading.form_degree(comp.arity, comp.shift) for comp in form.components.values()}
 
 
 def report_nijenhuis(report: Report, kind, forms) -> None:
@@ -353,14 +366,14 @@ def l2_deformed(instance: GradedInstance, N) -> VForm:
             value = deformed.sn_bracket(P, Q)
             return -value if p % 2 else value
 
-        return VForm(instance, 2, -1, fn, NEG, order=1)
+        return VForm(instance, 2, -1, fn, order=1)
 
-    return shared_node(instance, ("deformed l2", N, NEG), build)
+    return shared_node(instance, ("deformed l2", N), build)
 
 
 def deformed_l2_certificate(instance: GradedInstance, N):
     """[uN, l2] = l2^N, exhaustively."""
-    lhs = rn_bracket(extend_bundle_map(instance, N, NEG), l2_form(instance, NEG))
+    lhs = rn_bracket(extend_bundle_map(instance, N), l2_form(instance))
     return is_zero(lhs - l2_deformed(instance, N))
 
 
@@ -375,7 +388,7 @@ def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficient
     if not torsion_free:
         return report
     mu = pencil(instance, coefficients)
-    un = extend_bundle_map(instance, N, NEG)
-    un2 = extend_bundle_map(instance, matrix_square(instance, N), NEG)
+    un = extend_bundle_map(instance, N)
+    un2 = extend_bundle_map(instance, matrix_square(instance, N))
     report_nijenhuis(report, "full", nijenhuis_forms(un, mu, un2))
     return report

@@ -29,13 +29,10 @@ from .dualforms import (DualForm, apply_matrix, background_script, check_matrix,
                         unit_duals)
 from .elements import Element
 from .forms import PolyForm, element_form, insert, is_zero, rn_bracket
-from .graded import GradingConvention
 from .instances import GradedInstance
 from .linfty import deformed_instance, nijenhuis_forms, torsion
 from .report import Report
 from .rings import InputError
-
-SH2 = GradingConvention.SHIFTED2
 
 
 # -- Koszul bracket and concomitant ---------------------------------------------
@@ -277,10 +274,10 @@ def mu_with_background(instance: GradedInstance, H: DualForm) -> PolyForm:
     dH = differential(H)
     if not dH.is_zero():
         raise InputError(f"background 3-form is not closed: dH = {dH.label()}")
-    parts = [l2_form(instance, SH2)]
+    parts = [l2_form(instance)]
     if not H.is_zero():
         parts.append(extend_kform(H))
-    return PolyForm(instance, parts, convention=SH2)
+    return PolyForm(instance, parts)
 
 
 def vector_valued_sum(instance: GradedInstance, pi: Element, N,
@@ -289,23 +286,23 @@ def vector_valued_sum(instance: GradedInstance, pi: Element, N,
     parts = []
     if not pi.is_zero():
         parts.append(bivector_form(instance, pi))
-    parts.append(extend_bundle_map(instance, N, SH2))
+    parts.append(extend_bundle_map(instance, N))
     if not omega.is_zero():
         parts.append(extend_kform(omega))
-    return PolyForm(instance, parts, convention=SH2)
+    return PolyForm(instance, parts)
 
 
 def quadruple_square(instance: GradedInstance, pi: Element, N,
                      omega: DualForm, extra: DualForm | None = None) -> PolyForm:
     """u(N^2) + [u(omega), pi] (+ u(alpha) for the manifold-triple variant)."""
-    parts = [extend_bundle_map(instance, matrix_square(instance, N), SH2)]
+    parts = [extend_bundle_map(instance, matrix_square(instance, N))]
     if not omega.is_zero() and not pi.is_zero():
         uomega = extend_kform(omega)
         bracket = rn_bracket(uomega, bivector_form(instance, pi))
         parts.extend(bracket.components.values())
     if extra is not None and not extra.is_zero():
         parts.append(extend_kform(extra))
-    return PolyForm(instance, parts, convention=SH2)
+    return PolyForm(instance, parts)
 
 
 def _matrix_preconditions(report: Report, instance: GradedInstance, pi: Element, N,
@@ -387,15 +384,15 @@ def _nested(*factors):
 def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None:
     """One certificate per arity: the component of [N,[N,mu]] equals the sum
     of its terms, each a nested bracket (None when a factor is zero)."""
-    l2 = l2_form(instance, SH2)
-    un = extend_bundle_map(instance, N, SH2)
+    l2 = l2_form(instance)
+    un = extend_bundle_map(instance, N)
     pif = bivector_form(instance, pi) if not pi.is_zero() else None
     uomega, uH = (extend_kform(k) if not k.is_zero() else None for k in (omega, H))
     double = rn_bracket(n_form, rn_bracket(n_form, mu))
     pair = l2.evaluate((pi, pi)) if pif is not None else Element.zero()
     g4 = _nested(uomega, un, uH)
     rows = [
-        (0, [None if pair.is_zero() else element_form(instance, pair, SH2)],
+        (0, [None if pair.is_zero() else element_form(instance, pair)],
          "[[N,[N,mu]]]_0 = l2(pi,pi)"),
         (1, [_nested(pif, pif, uH), _nested(pif, un, l2), _nested(un, pif, l2)],
          "[pi,[pi,uH]] + [pi,[uN,l2]] + [uN,[pi,l2]]"),
@@ -408,10 +405,10 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None
          "[uN,[uN,uH]] + [uN,[u(omega),l2]] + [u(omega),[pi,uH]] + [u(omega),[uN,l2]]"),
         (4, [g4], "[[N,[N,mu]]]_4 = [u(omega),[uN,uH]]"),
     ]
-    zero = PolyForm(instance, [], convention=SH2)
+    zero = PolyForm(instance, [])
     for arity, terms, anchor in rows:
         comp = double.component(arity)
-        lhs = PolyForm(instance, [] if comp is None else [comp], convention=SH2)
+        lhs = PolyForm(instance, [] if comp is None else [comp])
         target = sum((term for term in terms if term is not None), zero)
         report.add_certificate(f"decomposition arity {arity}", anchor,
                                is_zero(lhs - target))
@@ -432,11 +429,11 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
     +C and the double-pi combination carries -2H, the two flips cancelling
     in the equivalence propositions)."""
     report = Report("suite section3", instance.name)
-    l2 = l2_form(instance, SH2)
+    l2 = l2_form(instance)
     duals = unit_duals(instance)
     gens = [instance.generator(i) for i in range(instance.rank)]
     names = instance.generator_names
-    un = extend_bundle_map(instance, N, SH2)
+    un = extend_bundle_map(instance, N)
     uomega = extend_kform(omega) if not omega.is_zero() else None
     uH = extend_kform(H) if not H.is_zero() else None
 
@@ -534,7 +531,7 @@ def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
                        lhs_m == rhs_m)
 
     if uH is not None:
-        un2 = extend_bundle_map(instance, matrix_square(instance, N), SH2)
+        un2 = extend_bundle_map(instance, matrix_square(instance, N))
         unun = insert(un, un)                       # uN o uN
         # twice the pair terms: uN in two distinct slots of uH
         twice_pairs = insert(un, insert(un, uH)) - insert(unun, uH)
@@ -575,7 +572,7 @@ def stienon_xu_harness(instance: GradedInstance, pi: Element, N,
         return report
 
     side_a = _side_a(report, vector_valued_sum(instance, pi, N, omega),
-                     l2_form(instance, SH2),
+                     l2_form(instance),
                      quadruple_square(instance, pi, N, omega, extra=alpha),
                      "[N,[N,l2]] = [K,l2]", "square u(N^2) + [u(omega),pi] + u(alpha)")
 

@@ -11,19 +11,7 @@ def aff():
 
 
 @pytest.fixture(scope="session")
-def aff_sh2():
-    """A second aff1, for the tests of forms graded shifted by 2."""
-    return load_shipped("aff1").instance
-
-
-@pytest.fixture(scope="session")
 def h3():
-    return load_shipped("heisenberg3").instance
-
-
-@pytest.fixture(scope="session")
-def h3_sh2():
-    """A second heisenberg3, for the tests of forms graded shifted by 2."""
     return load_shipped("heisenberg3").instance
 
 

@@ -14,7 +14,6 @@ from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, m
 from rnforms.dualforms import DualForm, differential
 from rnforms.elements import Element
 from rnforms.forms import as_polyform, is_zero, rn_bracket
-from rnforms.graded import GradingConvention
 from rnforms.linfty import (coefficient_suite, deformed_l2_certificate, nijenhuis_forms,
                             pairwise_compatibility, pencil, square_of_sum, sum_of_wedges,
                             torsion_formulas_agree, torsion_is_zero, witt_action_check)
@@ -180,8 +179,7 @@ def test_criterion_8_background_structure(monkeypatch):
     cert = self_bracket(mu_with_background(inst, H))
     assert cert.is_zero and cert.complete
     # the ingredients: [l2,l2] = 0, [l2,uH] = u(dH) = 0 and [uH,uH] = 0
-    sh2 = GradingConvention.SHIFTED2
-    l2, uH = l2_form(inst, sh2), extend_kform(H)
+    l2, uH = l2_form(inst), extend_kform(H)
     assert all(is_zero(rn_bracket(a, b)).is_zero for a, b in ((l2, l2), (l2, uH), (uH, uH)))
 
     s = load_shipped("so3").instance

@@ -85,23 +85,23 @@ def test_matrix_square(aff):
                                      [Fraction(0), Fraction(4)]]
 
 
-def test_extend_kform_normalization(aff_sh2):
-    omega = DualForm(aff_sh2, 2, {(0, 1): Fraction(1)})
+def test_extend_kform_normalization(aff):
+    omega = DualForm(aff, 2, {(0, 1): Fraction(1)})
     uomega = extend_kform(omega)
-    e1, e2 = aff_sh2.generator(0), aff_sh2.generator(1)
-    assert uomega.evaluate((e1, e2)) == aff_sh2.unit()
-    assert uomega.evaluate((aff_sh2.unit(), e1)).is_zero()
-    assert uomega.degree == 0
+    e1, e2 = aff.generator(0), aff.generator(1)
+    assert uomega.evaluate((e1, e2)) == aff.unit()
+    assert uomega.evaluate((aff.unit(), e1)).is_zero()
+    assert SH2.form_degree(uomega.arity, uomega.shift) == 0
 
 
-def test_extend_kform_bivector_slot(h3_sh2):
-    H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
+def test_extend_kform_bivector_slot(h3):
+    H = DualForm(h3, 3, {(0, 1, 2): Fraction(1)})
     uH = extend_kform(H)
-    pi = h3_sh2.monomial((0, 2))
+    pi = h3.monomial((0, 2))
     for x, y in itertools.product(range(3), repeat=2):
-        X, Y = h3_sh2.generator(x), h3_sh2.generator(y)
-        hxy = DualForm(h3_sh2, 1, {(m,): H.apply((X, Y, h3_sh2.generator(m)))
-                                   for m in range(3)})
+        X, Y = h3.generator(x), h3.generator(y)
+        hxy = DualForm(h3, 1, {(m,): H.apply((X, Y, h3.generator(m)))
+                               for m in range(3)})
         assert (uH.evaluate((pi, X, Y)) - pi_sharp(pi, hxy)).is_zero()
 
 
@@ -118,17 +118,18 @@ def test_bundle_map_commutes_with_wedges(aff, h3):
             assert cert.is_zero and cert.complete
 
 
-def test_catalog_forms_are_shared_nodes(h3_sh2):
-    """Each constructor returns the one atomic node of its defining data and
-    convention, however the data is spelled."""
-    inst = h3_sh2
+def test_catalog_forms_are_shared_nodes(h3):
+    """Each constructor returns the one atomic node of its defining data,
+    however the data is spelled and whichever grading its caller reads it
+    in: the PQN sum pi + uN + u(omega) holds the node of uN that the L-infinity
+    deformation brackets."""
+    inst = h3
     N = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
-    un = extend_bundle_map(inst, N, SH2)
+    un = extend_bundle_map(inst, N)
     assert un.terms is None
-    assert extend_bundle_map(inst, [[Fraction(v) for v in row] for row in N], SH2) is un
-    assert extend_bundle_map(inst, N) is extend_bundle_map(inst, N, GradingConvention.NEGATED)
-    assert extend_bundle_map(inst, identity_matrix(inst), SH2) is not un
-    assert extend_bundle_map(inst, N, GradingConvention.NEGATED) is not un
+    assert extend_bundle_map(inst, [[Fraction(v) for v in row] for row in N]) is un
+    assert extend_bundle_map(inst, identity_matrix(inst)) is not un
+    assert vector_valued_sum(inst, Element.zero(), N, DualForm.zero(inst, 2)).component(1) is un
     omega = DualForm(inst, 2, {(0, 1): Fraction(1), (1, 2): Fraction(2)})
     uomega = extend_kform(omega)
     assert uomega.terms is None
@@ -138,26 +139,28 @@ def test_catalog_forms_are_shared_nodes(h3_sh2):
     pif = bivector_form(inst, pi)
     assert pif.terms is None
     assert bivector_form(inst, inst.monomial((0, 2))) is pif
-    assert element_form(inst, pi, SH2) is pif
-    assert element_form(inst, pi.scale(2), SH2) is not pif
+    assert element_form(inst, pi) is pif
+    assert element_form(inst, pi.scale(2)) is not pif
     assert lk_form(inst, 3) is lk_form(inst, 3)
     assert lk_form(inst, 3).terms is None
 
 
-def test_kform_and_bivector_forms_are_graded_shifted_by_2(h3_sh2):
-    """u(kappa) and a bivector are forms of the shifted-by-2 grading, of
-    degrees k - 2 and 0, and neither constructor takes a convention."""
-    inst = h3_sh2
+def test_kform_and_bivector_forms_are_graded_shifted_by_2(h3):
+    """u(kappa) and a bivector have degrees k - 2 and 0 in the shifted-by-2
+    grading, and no catalog constructor takes a grading."""
+    inst = h3
     for k in (1, 2, 3):
         u = extend_kform(DualForm(inst, k, {tuple(range(k)): Fraction(1)}))
-        assert (u.convention, u.arity, u.degree) == (SH2, k, k - 2)
+        assert (u.arity, SH2.form_degree(u.arity, u.shift)) == (k, k - 2)
     for pi in (inst.monomial((0, 1)), Element.zero()):
         pif = bivector_form(inst, pi)
-        assert (pif.convention, pif.arity, pif.degree) == (SH2, 0, 0)
-    with pytest.raises(TypeError):
-        extend_kform(DualForm(inst, 1, {(0,): 1}), SH2)
-    with pytest.raises(TypeError):
-        bivector_form(inst, inst.monomial((0, 1)), SH2)
+        assert (pif.arity, SH2.form_degree(pif.arity, pif.shift)) == (0, 0)
+    for build, args in ((extend_kform, (DualForm(inst, 1, {(0,): 1}),)),
+                        (bivector_form, (inst, inst.monomial((0, 1)))),
+                        (wedge_form, (inst, 2)), (l2_form, (inst,)), (lk_form, (inst, 3)),
+                        (extend_bundle_map, (inst, identity_matrix(inst)))):
+        with pytest.raises(TypeError):
+            build(*args, SH2)
 
 
 def open_kform(inst, k, rng):
@@ -181,7 +184,7 @@ def test_l2_brackets_u_kappa_to_u_d_kappa(inst, seed):
     for k = 1, 2, 3, on a kappa that is not closed whenever the instance
     has such a k-form (h5, the explicit example, has one for each k)."""
     rng = random.Random(seed)
-    l2 = l2_form(inst, SH2)
+    l2 = l2_form(inst)
     for k in (1, 2, 3):
         kappa = open_kform(inst, k, rng)
         dkappa = differential(kappa)
@@ -200,5 +203,5 @@ def test_harness_forms_are_rebuilt_from_shared_nodes():
     count = inst._node_count
     n_form = vector_valued_sum(inst, s.pi, s.N, s.omega)
     quadruple_square(inst, s.pi, s.N, s.omega)
-    rn_bracket(n_form, rn_bracket(n_form, l2_form(inst, SH2)))
+    rn_bracket(n_form, rn_bracket(n_form, l2_form(inst)))
     assert inst._node_count == count

@@ -14,6 +14,7 @@ import pytest
 from rnforms.catalog import l2_form
 from rnforms.cli import cmd_bracket, main, parse_form_expression
 from rnforms.forms import is_zero
+from rnforms.graded import GradingConvention
 from rnforms.instances import LieAlgebraData, PolyAlgebroidData
 from rnforms.linfty import (coefficient_suite, deformed_instance,
                             nijenhuis_deformation_theorem_check, pairwise_compatibility)
@@ -221,13 +222,16 @@ def test_bracket_recognition_reads_only_certificates():
 
 def test_bracket_grammar(capsys):
     scenario = load_shipped("heisenberg3")
-    expr = parse_form_expression("2/3 N2 + N3 - 1 N2", scenario)
-    assert set(expr.components) == {2, 3}
+    expr, grading = parse_form_expression("2/3 N2 + N3 - 1 N2", scenario)
+    assert (set(expr.components), grading) == ({2, 3}, GradingConvention.NEGATED)
+    expr, grading = parse_form_expression("pi - underlineN", load_shipped("aff1"))
+    assert (set(expr.components), grading) == ({0, 1}, GradingConvention.SHIFTED2)
     with pytest.raises(InputError):
         parse_form_expression("frob3", scenario)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="term 'underlineN' uses the shifted2 convention,"
+                                         " earlier terms use negated"):
         parse_form_expression("N2 + underlineN", scenario)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("distinct convention degrees [0, 1]")):
         # degree-0 and degree-1 generators cannot share one family
         parse_form_expression("N2 + l3", scenario)
     with pytest.raises(InputError):
@@ -238,6 +242,11 @@ def test_bracket_grammar(capsys):
                              "bracket", "--left", "1/0*N2", "--right", "N1")
     assert (code, out) == (2, "")
     assert "1/0" in err
+    for left, right in (("N2", "underlineN"), ("underlineH", "l2")):
+        code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
+                                 "bracket", "--left", left, "--right", right)
+        assert (code, out, err) == (
+            2, "", "input error: mixing grading conventions in an insertion\n")
 
 
 @pytest.mark.parametrize("expression", ("N2 +", "N2 + + N3", "N2 ++N3", "+", "N2 -",
@@ -255,11 +264,11 @@ def test_bracket_signs_between_terms():
     scenario = load_shipped("heisenberg3")
     for text, coefficient in (("N2 - N3", -1), ("N2 + -N3", -1), ("N2 +-N3", -1),
                               ("N2 + N3", 1), ("N2+N3", 1), ("N2 - 3/2 N3", Fraction(-3, 2))):
-        expr = parse_form_expression(text, scenario)
+        expr, _ = parse_form_expression(text, scenario)
         assert list(expr.component(3).linear_terms().values()) == [coefficient], text
         assert list(expr.component(2).linear_terms().values()) == [1], text
     for text in ("+N2", "+-N2", "-N2", " + N2"):
-        expr = parse_form_expression(text, scenario)
+        expr, _ = parse_form_expression(text, scenario)
         assert list(expr.component(2).linear_terms().values()) == [
             -1 if "-" in text else 1], text
 

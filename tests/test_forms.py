@@ -15,7 +15,7 @@ from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.report import Report
 from rnforms.rings import InputError
 
-SH2 = GradingConvention.SHIFTED2
+NEG, SH2 = GradingConvention.NEGATED, GradingConvention.SHIFTED2
 
 
 def test_eval_examples(aff):
@@ -55,7 +55,10 @@ def test_insert_bookkeeping(h3):
         composed = insert(l2, nk)
         assert composed.arity == 2 + k - 1
         assert composed.shift == l2.shift + nk.shift
-        assert composed.degree == l2.degree + nk.degree
+        for grading in GradingConvention:
+            degree = grading.form_degree
+            assert degree(composed.arity, composed.shift) == (
+                degree(l2.arity, l2.shift) + degree(nk.arity, nk.shift))
 
 
 def test_rn_bracket_zero_form_partial_application(aff):
@@ -107,18 +110,17 @@ def test_rn_graded_antisymmetry(h3):
         assert is_zero(diff).is_zero
 
 
-def test_rn_graded_jacobi(aff_sh2):
+def test_rn_graded_jacobi(aff):
     # [[K,L],M] = [K,[L,M]] - (-1)^{KL} [L,[K,M]] on triples drawn from the
     # wedge family, the bracket form, a bundle-map extension and a 2-form
     # extension
-    aff = aff_sh2
     un = extend_bundle_map(aff, [[Fraction(1), Fraction(2)],
-                                 [Fraction(0), Fraction(3)]], SH2)
+                                 [Fraction(0), Fraction(3)]])
     uomega = extend_kform(DualForm(aff, 2, {(0, 1): Fraction(1)}))
-    n2 = wedge_form(aff, 2, SH2)
-    l2 = l2_form(aff, SH2)
+    n2 = wedge_form(aff, 2)
+    l2 = l2_form(aff)
     triples = [
-        (n2, l2, wedge_form(aff, 1, SH2)),
+        (n2, l2, wedge_form(aff, 1)),
         (n2, l2, un),
         (l2, l2, n2),
         (un, uomega, l2),
@@ -144,14 +146,14 @@ def test_multilinearity_over_scalars(aff):
     assert (lhs - rhs).is_zero()
 
 
-def test_kform_identity_for_extensions(h3_sh2):
+def test_kform_identity_for_extensions(h3):
     # the iterated-bracket identity holds for the derivation extensions too
-    inst = h3_sh2
+    inst = h3
     uomega = extend_kform(DualForm(inst, 2, {(0, 1): Fraction(1)}))
     uH = extend_kform(DualForm(inst, 3, {(0, 1, 2): Fraction(1)}))
     un = extend_bundle_map(inst, [[Fraction(2), Fraction(1), 0],
                                   [0, Fraction(2), 0],
-                                  [0, 0, Fraction(1)]], SH2)
+                                  [0, 0, Fraction(1)]])
     basis = inst.all_basis()
     for combo in itertools.combinations_with_replacement(basis, 2):
         assert iterated_eval_identity(uomega, combo)
@@ -176,7 +178,7 @@ def test_is_zero_examples(aff, broken, h3):
     assert [basis.index(el) for el in bad.failing] == sorted(basis.index(el) for el in bad.failing)
     label = ", ".join(broken.basis_label(el) for el in bad.failing)
     assert bad.counterexample[0] == f"arity {len(bad.failing)}: ({label})"
-    trivial = is_zero(PolyForm(aff, [], convention=GradingConvention.NEGATED))
+    trivial = is_zero(PolyForm(aff, []))
     assert trivial.is_zero and trivial.complete
     # the walk covers the form's own instance, the only one it can name
     un = extend_bundle_map(h3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
@@ -190,7 +192,7 @@ def test_is_zero_examples(aff, broken, h3):
 
 
 def test_is_zero_empty_family_rejected(poly):
-    form = as_polyform(wedge_form(poly, 2, SH2))
+    form = as_polyform(wedge_form(poly, 2))
     with pytest.raises(InputError):
         is_zero(form, [])
 
@@ -205,7 +207,7 @@ def test_is_zero_rejects_a_zero_or_inhomogeneous_family_element(h3, poly):
             is_zero(wedge_form(h3, 2), family)
     mixed = poly.unit() + poly.generator(0)
     with pytest.raises(InputError, match="is zero or inhomogeneous"):
-        is_zero(wedge_form(poly, 2, SH2), [poly.unit(), mixed])
+        is_zero(wedge_form(poly, 2), [poly.unit(), mixed])
 
 
 def test_certificate_count_past_the_index_range_reaches_the_report():
@@ -215,7 +217,7 @@ def test_certificate_count_past_the_index_range_reaches_the_report():
     and 512 odd basis elements the count is the coefficient of t^12 in
     (1-t)^-512 (1+t)^512."""
     abelian10 = GradedInstance(LieAlgebraData(10), "abelian10")
-    certificate = is_zero(VForm.zero(abelian10, 12, 0, GradingConvention.NEGATED))
+    certificate = is_zero(VForm.zero(abelian10, 12, 0))
     expected = sum(math.comb(512, j) * math.comb(511 + 12 - j, 12 - j) for j in range(13))
     assert certificate.is_zero and certificate.count == expected > 2 ** 63
     report = Report("check", "abelian10")
@@ -223,26 +225,21 @@ def test_certificate_count_past_the_index_range_reaches_the_report():
     assert report.checks[0].detail == f"{expected} tuples (all canonical basis tuples)"
 
 
-def test_polyform_convention_mixing_rejected(h3):
-    neg = wedge_form(h3, 2, GradingConvention.NEGATED)
-    sh2 = extend_bundle_map(h3, [[Fraction(1), 0, 0], [0, Fraction(1), 0],
-                                 [0, 0, Fraction(1)]], SH2)
-    with pytest.raises(InputError):
-        PolyForm(h3, [neg, sh2])
-
-
 def test_polyform_degree_mixing_rejected(h3):
     with pytest.raises(InputError):
         PolyForm(h3, [wedge_form(h3, 2), l2_form(h3)])
 
 
-def test_degree_reporting(h3, h3_sh2):
-    assert wedge_form(h3, 2).degree == 0
-    assert lk_form(h3, 3).degree == 1
-    assert l2_form(h3_sh2, SH2).degree == 1
-    omega = DualForm(h3_sh2, 2, {(0, 1): Fraction(1)})
-    assert extend_kform(omega).degree == 0
-    H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
-    assert extend_kform(H).degree == 1
-    pi_form = element_form(h3_sh2, h3_sh2.monomial((0, 1)), SH2)
-    assert pi_form.degree == 0
+def test_degree_reporting(h3):
+    def degree(grading, form):
+        return grading.form_degree(form.arity, form.shift)
+
+    assert degree(NEG, wedge_form(h3, 2)) == 0
+    assert degree(NEG, lk_form(h3, 3)) == 1
+    assert degree(SH2, l2_form(h3)) == 1
+    omega = DualForm(h3, 2, {(0, 1): Fraction(1)})
+    assert degree(SH2, extend_kform(omega)) == 0
+    H = DualForm(h3, 3, {(0, 1, 2): Fraction(1)})
+    assert degree(SH2, extend_kform(H)) == 1
+    pi_form = element_form(h3, h3.monomial((0, 1)))
+    assert degree(SH2, pi_form) == 0

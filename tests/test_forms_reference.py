@@ -19,8 +19,7 @@ from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
 from rnforms.forms import (PolyForm, VForm, _Ids, coordinate_monomials, default_poly_family,
                            element_form, insert, is_zero, rn_bracket)
-from rnforms.graded import (GradingConvention, koszul_sign, koszul_sign_by_transpositions,
-                            unshuffles)
+from rnforms.graded import koszul_sign, koszul_sign_by_transpositions, unshuffles
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms import pqn
 from rnforms.linfty import (coefficient_suite, nijenhuis_forms, pencil, report_nijenhuis,
@@ -393,9 +392,8 @@ def nested_brackets(name):
 def nested_brackets_on(inst):
     """[N,[N,mu]] with N = N1 - 2 N2 and mu = l2 + (1/2) l3, as shared nodes
     and as closures over the same primitive rules."""
-    neg = GradingConvention.NEGATED
-    parts = {"N": [(wedge_form(inst, 1, neg), 1), (wedge_form(inst, 2, neg), -2)],
-             "mu": [(l2_form(inst, neg), 1), (lk_form(inst, 3, neg), Fraction(1, 2))]}
+    parts = {"N": [(wedge_form(inst, 1), 1), (wedge_form(inst, 2), -2)],
+             "mu": [(l2_form(inst), 1), (lk_form(inst, 3), Fraction(1, 2))]}
     fast = {key: PolyForm(inst, [f.scale(c) for f, c in terms])
             for key, terms in parts.items()}
     slow = {key: {f.arity: ClosureForm(inst, f.arity, f.shift,
@@ -810,15 +808,14 @@ def window_cases(inst):
     """(name, PolyForm, {arity: ClosureForm}) pairs of the same forms: the
     self-bracket [l2, l2], [N2, l2] - l3 with l3 = i_{l2} N2, and the nested
     [N,[N,mu]] of :func:`nested_brackets_on`."""
-    neg = GradingConvention.NEGATED
-    l2, n2 = l2_form(inst, neg), wedge_form(inst, 2, neg)
+    l2, n2 = l2_form(inst), wedge_form(inst, 2)
     slow_l2, slow_n2 = closure_form(inst, l2), closure_form(inst, n2)
     slow_l3 = ClosureForm(inst, 3, -1, reference_insert(slow_l2, slow_n2))
     mixed = closure_bracket({2: slow_n2}, {2: slow_l2})
     mixed[3] = mixed[3].combine(slow_l3, -1)
     nested = nested_brackets_on(inst)
     return [("[l2,l2]", rn_bracket(l2, l2), closure_bracket({2: slow_l2}, {2: slow_l2})),
-            ("[N2,l2] - l3", rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3, neg)]), mixed),
+            ("[N2,l2] - l3", rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3)]), mixed),
             ("[N,[N,mu]]", nested[0], nested[1])]
 
 
@@ -919,7 +916,7 @@ def test_closed_count_matches_enumeration(case):
     counts, for arities 0-5."""
     inst, members = case
     for arity in range(6):
-        zero = VForm.zero(inst, arity, 0, GradingConvention.NEGATED)
+        zero = VForm.zero(inst, arity, 0)
         assert is_zero(zero, members).count == reference_count(inst, arity, members), arity
 
 

@@ -71,12 +71,18 @@ def test_unshuffles_1_1():
 
 
 def test_grading_conventions_share_parity():
-    for p in range(6):
-        neg = GradingConvention.NEGATED.degree(p)
-        sh2 = GradingConvention.SHIFTED2.degree(p)
-        assert neg % 2 == p % 2 == sh2 % 2
-    assert GradingConvention.NEGATED.degree(3) == -3
-    assert GradingConvention.SHIFTED2.degree(3) == 1
+    """Both gradings give a form of wedge shift c a degree of the parity of c."""
+    for arity in range(5):
+        for shift in range(-4, 5):
+            neg = GradingConvention.NEGATED.form_degree(arity, shift)
+            sh2 = GradingConvention.SHIFTED2.form_degree(arity, shift)
+            assert neg % 2 == shift % 2 == sh2 % 2
+    # an element of wedge degree 3, as a 0-form
+    assert GradingConvention.NEGATED.form_degree(0, 3) == -3
+    assert GradingConvention.SHIFTED2.form_degree(0, 3) == 1
+    # l2, then u(H) of a 3-form H: degree 1 in both, then in the shifted-by-2 one only
+    assert [g.form_degree(2, -1) for g in GradingConvention] == [1, 1]
+    assert [g.form_degree(3, -3) for g in GradingConvention] == [3, 1]
 
 
 def test_sign_pow_negative_exponents():

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form
 from rnforms.forms import as_polyform, is_zero, rn_bracket
+from rnforms.dualforms import DualForm
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.linfty import (coefficient_suite, deformed_bracket, deformed_l2_certificate,
                             l2_deformed, nijenhuis_deformation_theorem_check, nijenhuis_forms,
                             pairwise_compatibility, pencil, report_nijenhuis,
                             square_of_sum, sum_of_wedges, torsion_alternate,
                             torsion_formulas_agree, torsion_is_zero, witt_action_check)
+from rnforms.pqn import mu_with_background, vector_valued_sum
 from rnforms.report import Report
 from rnforms.rings import InputError
 
@@ -123,11 +125,21 @@ def test_check_full_requires_square(aff):
             report_nijenhuis(Report("t", "aff1"), kind, forms)
 
 
-def test_degree_zero_enforced(aff):
+def test_degree_zero_enforced(aff, h3):
     with pytest.raises(InputError, match="the deforming form must have degree 0"):
         nijenhuis_forms(as_polyform(l2_form(aff)), pencil(aff, [0, 1]))
     with pytest.raises(InputError, match="the square must have degree 0"):
         nijenhuis_forms(sum_of_wedges(aff, [1]), pencil(aff, [0, 1]), l2_form(aff))
+    # The PQN forms fit the shifted-by-2 grading only: there pi + uN + u(omega)
+    # has degree 0 and l2 + uH (H != 0) degree 1.
+    mu = mu_with_background(h3, DualForm(h3, 3, {(0, 1, 2): Fraction(1)}))
+    n_form = vector_valued_sum(h3, h3.monomial((0, 2)), [[2, 0, 0], [0, 1, 0], [0, 0, 2]],
+                               DualForm(h3, 2, {(0, 1): Fraction(1)}))
+    assert set(n_form.components) == {0, 1, 2} and set(mu.components) == {2, 3}
+    assert "weak" in nijenhuis_forms(n_form, mu)
+    # N1 + N2 has degree 0 in the negated grading alone, where l2 + uH has none
+    with pytest.raises(InputError, match="the deforming form must have degree 0, got 0, 2"):
+        nijenhuis_forms(sum_of_wedges(h3, [1, 1]), mu)
 
 
 def test_bracket_family_degree_one_enforced(aff):

@@ -1,8 +1,9 @@
 """Module boundaries of the package: every public name resolves, no
 rnforms module imports a private name of another, the canonical-tuple
 walk stays behind one module: only ``forms`` reads form memos, lookups and
-the piece id table, and one function chooses a certificate's test family:
-``forms.is_zero``."""
+the piece id table, one function chooses a certificate's test family:
+``forms.is_zero``, and only the modules that check a degree name a
+grading."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,7 @@ import rnforms
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rnforms"
 MODULES = sorted(PACKAGE.glob("*.py"))
 KERNEL_ATTRIBUTES = {"_lookup", "_memo", "_ids"}
+GRADING_NAMES = {"GradingConvention", "convention", "grading"}
 
 
 def _tree(path: Path):
@@ -63,6 +65,20 @@ def _family_choices(path: Path) -> list:
     return found
 
 
+def _grading_uses(path: Path) -> list:
+    """Where ``path`` names a grading: ``GradingConvention`` (its export in
+    ``__all__`` too), or a name, parameter or attribute ``convention`` or
+    ``grading``, in line order."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.alias: "name",
+              ast.Constant: "value"}
+    found = []
+    for node in ast.walk(_tree(path)):
+        name = getattr(node, fields.get(type(node), ""), None)
+        if isinstance(name, str) and name in GRADING_NAMES:
+            found.append((node.lineno, f"line {node.lineno}: names {name}"))
+    return [entry for _, entry in sorted(found)]
+
+
 def test_every_public_name_resolves_once():
     """Each name of ``rnforms.__all__`` is bound in the package, once, so
     ``from rnforms import *`` works after an export is removed."""
@@ -92,6 +108,15 @@ def test_only_is_zero_chooses_a_test_family():
                      "forms.is_zero: calls default_poly_family"]
 
 
+def test_only_the_degree_checks_name_a_grading():
+    """Forms carry no grading, so neither the kernel nor the catalog nor
+    ``pqn`` names one: only ``graded``, which defines the gradings, the two
+    degree checks (``linfty.nijenhuis_forms`` and the form expressions of
+    ``cli``) and the package export do."""
+    assert sorted(path.stem for path in MODULES if _grading_uses(path)) == [
+        "__init__", "cli", "graded", "linfty"]
+
+
 def test_the_guard_sees_a_violation(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("from .forms import _family_tuples\n"
@@ -112,3 +137,11 @@ def test_the_guard_sees_a_violation(tmp_path):
                                        "module.check: takes test_family",
                                        "module.check: calls default_poly_family",
                                        "module.<lambda>: takes test_family"]
+    module.write_text("from .graded import GradingConvention\n"
+                      "def wedge_form(instance, k, convention=None):\n"
+                      "    return shared_node(instance, (k, form.convention), build)\n"
+                      "__all__ = ['GradingConvention']\n")
+    assert _grading_uses(module) == ["line 1: names GradingConvention",
+                                     "line 2: names convention",
+                                     "line 3: names convention",
+                                     "line 4: names GradingConvention"]

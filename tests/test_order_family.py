@@ -19,14 +19,12 @@ from rnforms.dualforms import DualForm
 from rnforms.elements import Element
 from rnforms.forms import (PolyForm, VForm, default_poly_family, insert, is_zero,
                            rn_bracket)
-from rnforms.graded import GradingConvention
 from rnforms.scenario import load_shipped
 
 from generated_instances import heisenberg, poly_rank3, semidirect, two_step_nilpotent
 from test_forms_reference import generator_products, unbounded
 
 SCENARIOS_DIR = Path(forms.__file__).with_name("scenarios")
-NEG = GradingConvention.NEGATED
 SHIPPED = ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")
 COMMANDS = (("bracket", "--left", "N2", "--right", "N2"),
             ("bracket", "--left", "N1", "--right", "l2"),
@@ -99,18 +97,18 @@ def declared_forms(inst, rng):
     """(label, form, order): the primitives with their declared order, an
     insertion (r_K + r_L) and brackets (max(r_K + r_L - 1, r_K, r_L))."""
     N = integer_matrix(inst, rng)
-    un = extend_bundle_map(inst, N, NEG)
+    un = extend_bundle_map(inst, N)
     two = DualForm(inst, 2, {(i, i + 1): (-2) ** i for i in range(inst.rank - 1)})
     one = DualForm(inst, 1, {(0,): 1, (inst.rank - 1,): 3})
-    l2, n2 = l2_form(inst, NEG), wedge_form(inst, 2, NEG)
-    return [("N1", wedge_form(inst, 1, NEG), 0), ("N2", n2, 0),
-            ("N3", wedge_form(inst, 3, NEG), 0),
+    l2, n2 = l2_form(inst), wedge_form(inst, 2)
+    return [("N1", wedge_form(inst, 1), 0), ("N2", n2, 0),
+            ("N3", wedge_form(inst, 3), 0),
             ("l2", l2, 1), ("uN", un, 1), ("u(2-form)", extend_kform(two), 1),
-            ("u(1-form)", extend_kform(one), 1), ("l3", lk_form(inst, 3, NEG), 1),
+            ("u(1-form)", extend_kform(one), 1), ("l3", lk_form(inst, 3), 1),
             ("l2^N", linfty.l2_deformed(inst, N), 1),
             ("insert(uN, uN)", insert(un, un), 2),
             ("[uN, l2]", rn_bracket(un, l2).component(2), 1),
-            ("[N2, l2] - 2 l3", (rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3, NEG)])
+            ("[N2, l2] - 2 l3", (rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3)])
                                  .scale(2)).component(3), 1)]
 
 
@@ -163,8 +161,8 @@ def test_bracket_rule_without_the_unpaired_terms_is_unsound():
     vanishes, and pass it.  The bracket's bound is 1, and so is that of
     [N2, l2] = l3 alone, whose unpaired terms have the order of l2."""
     inst = load_shipped("heisenberg3").instance
-    n2, l2 = wedge_form(inst, 2, NEG), l2_form(inst, NEG)
-    l3 = lk_form(inst, 3, NEG)
+    n2, l2 = wedge_form(inst, 2), l2_form(inst)
+    l3 = lk_form(inst, 3)
     form = (rn_bracket(n2, l2) - PolyForm(inst, [l3]).scale(2)).component(3)
     assert l3.order == insert(n2, l2).order == 1
     assert form.order == 1
@@ -198,8 +196,8 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
     """A rule with no declared order has bound None, and so has every form
     built from it: is_zero looks up every in-window tuple."""
     inst = load_shipped("heisenberg3").instance
-    l2 = l2_form(inst, NEG)
-    plain = VForm(inst, 2, -1, l2.fn, NEG)          # the rule of l2, no declared order
+    l2 = l2_form(inst)
+    plain = VForm(inst, 2, -1, l2.fn)          # the rule of l2, no declared order
     form = rn_bracket(plain, plain).component(3)
     assert plain.order is None and form.order is None
     assert rn_bracket(l2, l2).component(3).order == 1
@@ -231,8 +229,8 @@ def test_is_zero_resolves_its_family_once(monkeypatch):
     poly = load_shipped("poly-tangent-r2").instance
     h3 = load_shipped("heisenberg3").instance
     for inst, family in ((h3, None), (poly, default_poly_family(poly))):
-        n = PolyForm(inst, [wedge_form(inst, 1, NEG), wedge_form(inst, 2, NEG)])
-        form = rn_bracket(n, PolyForm(inst, [l2_form(inst, NEG)]))
+        n = PolyForm(inst, [wedge_form(inst, 1), wedge_form(inst, 2)])
+        form = rn_bracket(n, PolyForm(inst, [l2_form(inst)]))
         assert len(form.components) == 2
         assert len(reduced_components(form, inst, family)) == 2
         calls.clear()
@@ -318,10 +316,10 @@ def nested_pool(inst, rng):
     def coeff():
         return Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2)))
 
-    n = PolyForm(inst, [wedge_form(inst, 1, NEG).scale(coeff()),
-                        wedge_form(inst, 2, NEG).scale(coeff())])
-    un = extend_bundle_map(inst, integer_matrix(inst, rng), NEG)
-    mu = PolyForm(inst, [l2_form(inst, NEG).scale(coeff())])
+    n = PolyForm(inst, [wedge_form(inst, 1).scale(coeff()),
+                        wedge_form(inst, 2).scale(coeff())])
+    un = extend_bundle_map(inst, integer_matrix(inst, rng))
+    mu = PolyForm(inst, [l2_form(inst).scale(coeff())])
     return [n, PolyForm(inst, [un]), mu, n + PolyForm(inst, [un]),
             PolyForm(inst, [insert(un, un).scale(coeff())])]
 
@@ -359,9 +357,9 @@ def test_deep_counterexample_on_a_lie_algebra_is_found_in_its_order_family(m, ar
     of order 1.  So the id table holds no piece of degree <= 1 beyond the
     n + 1 of that family, and the basis is never listed."""
     def probe(inst):
-        un = extend_bundle_map(inst, integer_matrix(inst, random.Random(7)), NEG)
-        deformed = rn_bracket(un, l2_form(inst, NEG))
-        other = deformed if arity == 3 else PolyForm(inst, [lk_form(inst, 3, NEG)])
+        un = extend_bundle_map(inst, integer_matrix(inst, random.Random(7)))
+        deformed = rn_bracket(un, l2_form(inst))
+        other = deformed if arity == 3 else PolyForm(inst, [lk_form(inst, 3)])
         return rn_bracket(deformed, other).component(arity)
 
     inst = heisenberg(m)
@@ -449,8 +447,8 @@ def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
     certificate: no lookup reaches a piece outside it."""
     inst = load_shipped("poly-tangent-r2").instance
     family = inst.all_basis()
-    l2 = l2_form(inst, NEG)
-    cases = (rn_bracket(l2, l2), PolyForm(inst, [extend_bundle_map(inst, [[0, 0], [0, 1]], NEG)]))
+    l2 = l2_form(inst)
+    cases = (rn_bracket(l2, l2), PolyForm(inst, [extend_bundle_map(inst, [[0, 0], [0, 1]])]))
     top, keys = set(), []
     lookup = VForm._lookup
 

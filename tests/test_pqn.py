@@ -7,7 +7,6 @@ from rnforms import catalog, pqn
 from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
 from rnforms.forms import VForm, default_poly_family, is_zero, rn_bracket
-from rnforms.graded import GradingConvention
 from rnforms.instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from rnforms.pqn import (PQNQuadruple, check_pqn, concomitant, dual_pairing_identity,
                          koszul_bracket, main_theorem_harness, mu_with_background,
@@ -16,22 +15,20 @@ from rnforms.report import Report
 from rnforms.rings import InputError, PolyRing
 from rnforms.scenario import load_shipped
 
-SH2 = GradingConvention.SHIFTED2
-
 
 def dual(inst, i):
     return DualForm(inst, 1, {(i,): inst.ring.one()})
 
 
-def test_koszul_bracket_zero_bivector(aff_sh2):
-    out = koszul_bracket(aff_sh2, Element.zero(), dual(aff_sh2, 0), dual(aff_sh2, 1))
+def test_koszul_bracket_zero_bivector(aff):
+    out = koszul_bracket(aff, Element.zero(), dual(aff, 0), dual(aff, 1))
     assert out.is_zero()
 
 
-def test_koszul_bracket_aff1_by_cartan_expansion(aff_sh2):
+def test_koszul_bracket_aff1_by_cartan_expansion(aff):
     # {a,b} = L_{pi#a} b - L_{pi#b} a - d(pi(a,b)) assembled term by term
     from rnforms.dualforms import d_function, element_on_duals, lie_derivative
-    inst = aff_sh2
+    inst = aff
     pi = inst.monomial((0, 1))
     for i, j in itertools.product(range(2), repeat=2):
         a, b = dual(inst, i), dual(inst, j)
@@ -50,9 +47,9 @@ def test_koszul_bracket_abelian_vanishes(ab2):
         assert koszul_bracket(ab2, pi, dual(ab2, i), dual(ab2, j)).is_zero()
 
 
-def test_dual_pairing_identity(aff_sh2):
-    pi = aff_sh2.monomial((0, 1))
-    report = dual_pairing_identity(aff_sh2, pi)
+def test_dual_pairing_identity(aff):
+    pi = aff.monomial((0, 1))
+    report = dual_pairing_identity(aff, pi)
     assert report.passed
 
 
@@ -62,26 +59,26 @@ def test_dual_pairing_identity_poly(poly):
     assert report.passed
 
 
-def test_concomitant_identity_and_scaling(h3_sh2):
-    pi = h3_sh2.monomial((0, 2))
+def test_concomitant_identity_and_scaling(h3):
+    pi = h3.monomial((0, 2))
     identity = [[Fraction(1) if i == j else Fraction(0) for j in range(3)]
                 for i in range(3)]
     scaled = [[Fraction(5) if i == j else Fraction(0) for j in range(3)]
               for i in range(3)]
     for N in (identity, scaled):
         for i, j in itertools.combinations(range(3), 2):
-            assert concomitant(h3_sh2, pi, N, dual(h3_sh2, i), dual(h3_sh2, j)).is_zero()
+            assert concomitant(h3, pi, N, dual(h3, i), dual(h3, j)).is_zero()
 
 
-def test_concomitant_cross_checked_against_bracket_combination(h3_sh2):
+def test_concomitant_cross_checked_against_bracket_combination(h3):
     from rnforms.catalog import bivector_form, extend_bundle_map, l2_form
     from rnforms.dualforms import element_on_duals
     from rnforms.forms import as_polyform, rn_bracket
-    inst = h3_sh2
+    inst = h3
     pi = inst.monomial((0, 1))
     N = [[Fraction(3), Fraction(1), 0], [0, Fraction(3), 0], [0, Fraction(1), Fraction(2)]]
-    un = extend_bundle_map(inst, N, SH2)
-    l2 = l2_form(inst, SH2)
+    un = extend_bundle_map(inst, N)
+    l2 = l2_form(inst)
     pif = bivector_form(inst, pi)
     combo = rn_bracket(pif, rn_bracket(un, l2)) + rn_bracket(
         as_polyform(un), rn_bracket(pif, as_polyform(l2)))
@@ -109,47 +106,47 @@ def test_stienon_xu_computes_only_what_it_prints(monkeypatch):
         assert stienon_xu_harness(s.instance, s.pi, s.N, s.omega, s.alpha).passed, name
 
 
-def test_check_pqn_aff1_scalar(aff_sh2):
-    pi = aff_sh2.monomial((0, 1))
+def test_check_pqn_aff1_scalar(aff):
+    pi = aff.monomial((0, 1))
     N = [[Fraction(3), 0], [0, Fraction(3)]]
-    quadruple = PQNQuadruple(aff_sh2, pi, N, DualForm.zero(aff_sh2, 2),
-                             DualForm.zero(aff_sh2, 3))
+    quadruple = PQNQuadruple(aff, pi, N, DualForm.zero(aff, 2),
+                             DualForm.zero(aff, 3))
     verdict = check_pqn(quadruple)
     assert verdict.passed
     assert verdict.lambda_solved == 0
 
 
-def test_check_pqn_noncompatible_reported(aff_sh2):
-    pi = aff_sh2.monomial((0, 1))
+def test_check_pqn_noncompatible_reported(aff):
+    pi = aff.monomial((0, 1))
     N = [[Fraction(1), 0], [0, Fraction(2)]]
-    quadruple = PQNQuadruple(aff_sh2, pi, N, DualForm.zero(aff_sh2, 2),
-                             DualForm.zero(aff_sh2, 3))
+    quadruple = PQNQuadruple(aff, pi, N, DualForm.zero(aff, 2),
+                             DualForm.zero(aff, 3))
     verdict = check_pqn(quadruple)
     assert not verdict.preconditions["N o pi# = pi# o N*"][0]
     assert not verdict.passed
 
 
-def test_check_pqn_degenerate_pi_exact(h3_sh2):
+def test_check_pqn_degenerate_pi_exact(h3):
     # degenerate pi with N = 0: condition (b) reduces to 2H(pi#a, pi#b, .) = 0
-    pi = h3_sh2.monomial((0, 2))
+    pi = h3.monomial((0, 2))
     zero = [[Fraction(0)] * 3 for _ in range(3)]
-    H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
-    quadruple = PQNQuadruple(h3_sh2, pi, zero, DualForm.zero(h3_sh2, 2), H)
+    H = DualForm(h3, 3, {(0, 1, 2): Fraction(1)})
+    quadruple = PQNQuadruple(h3, pi, zero, DualForm.zero(h3, 2), H)
     verdict = check_pqn(quadruple)
     assert not verdict.conditions["b"][0]
     assert verdict.conditions["a"][0]
 
 
-def test_mu_with_background(h3_sh2, so3_inst, monkeypatch):
-    H = DualForm(h3_sh2, 3, {(0, 1, 2): Fraction(1)})
-    mu = mu_with_background(h3_sh2, H)
+def test_mu_with_background(h3, so3_inst, monkeypatch):
+    H = DualForm(h3, 3, {(0, 1, 2): Fraction(1)})
+    mu = mu_with_background(h3, H)
     cert = is_zero(rn_bracket(mu, mu))
     assert cert.is_zero and cert.complete
     # the ingredients: [l2,l2] = 0, [l2,uH] = u(dH) = 0 and [uH,uH] = 0
-    l2, uH = catalog.l2_form(h3_sh2, SH2), catalog.extend_kform(H)
+    l2, uH = catalog.l2_form(h3), catalog.extend_kform(H)
     for left, right in ((l2, l2), (l2, uH), (uH, uH)):
         assert is_zero(rn_bracket(left, right)).is_zero
-    assert list(mu_with_background(h3_sh2, DualForm.zero(h3_sh2, 3)).components) == [2]
+    assert list(mu_with_background(h3, DualForm.zero(h3, 3)).components) == [2]
 
     # deliberately wrong differential table: the closedness gate must fire
     import rnforms.pqn as pqn_module
@@ -165,11 +162,11 @@ def test_mu_with_background(h3_sh2, so3_inst, monkeypatch):
         mu_with_background(so3_inst, bad_table)
 
 
-def test_main_theorem_precondition_failure_reported(aff_sh2):
-    pi = aff_sh2.monomial((0, 1))
+def test_main_theorem_precondition_failure_reported(aff):
+    pi = aff.monomial((0, 1))
     N = [[Fraction(1), 0], [0, Fraction(2)]]
-    report = main_theorem_harness(aff_sh2, pi, N, DualForm.zero(aff_sh2, 2),
-                                  DualForm.zero(aff_sh2, 3))
+    report = main_theorem_harness(aff, pi, N, DualForm.zero(aff, 2),
+                                  DualForm.zero(aff, 3))
     assert not report.passed
     assert any("precondition" in c.name and not c.passed for c in report.checks)
     assert all("side" not in c.name for c in report.checks)
@@ -247,12 +244,12 @@ def test_both_sides_agree_on_random_quadruples():
     assert verdicts == {"side A pass, side B pass", "side A fail, side B fail"}
 
 
-def test_stienon_xu_rejects_wrong_alpha_degree(aff_sh2):
-    pi = aff_sh2.monomial((0, 1))
+def test_stienon_xu_rejects_wrong_alpha_degree(aff):
+    pi = aff.monomial((0, 1))
     N = [[Fraction(1), 0], [0, Fraction(1)]]
     with pytest.raises(InputError):
-        stienon_xu_harness(aff_sh2, pi, N, DualForm.zero(aff_sh2, 2),
-                           DualForm.zero(aff_sh2, 3))
+        stienon_xu_harness(aff, pi, N, DualForm.zero(aff, 2),
+                           DualForm.zero(aff, 3))
 
 
 # -- the hand-rolled loops before every form identity went through is_zero -------------
@@ -342,10 +339,10 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
     triples, the pair terms as a closure and M as an ad-hoc VForm."""
     report = Report("suite section3", instance.name)
     ring = instance.ring
-    l2 = pqn.l2_form(instance, SH2)
+    l2 = pqn.l2_form(instance)
     duals = [DualForm(instance, 1, {(i,): ring.one()}) for i in range(instance.rank)]
     gens = [instance.generator(i) for i in range(instance.rank)]
-    un = pqn.extend_bundle_map(instance, N, SH2)
+    un = pqn.extend_bundle_map(instance, N)
     uomega = pqn.extend_kform(omega) if not omega.is_zero() else None
     uH = pqn.extend_kform(H) if not H.is_zero() else None
 
@@ -500,11 +497,10 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
 
     if uH is not None:
         n_sq = pqn.matrix_square(instance, N)
-        un2 = pqn.extend_bundle_map(instance, n_sq, SH2)
+        un2 = pqn.extend_bundle_map(instance, n_sq)
         mhat = VForm(instance, 1, 0,
                      lambda args: (un.evaluate((un.evaluate(args),))
-                                   - un2.evaluate(args)).scale(Fraction(1, 2)),
-                     SH2)
+                                   - un2.evaluate(args)).scale(Fraction(1, 2)))
         lhs3 = pqn.rn_bracket(un, pqn.rn_bracket(un, uH)).component(3)
         term1 = pqn.rn_bracket(un2, uH).component(3)
         inner3 = pqn.rn_bracket(un, uH).component(3)
