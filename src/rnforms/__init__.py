@@ -24,9 +24,9 @@ from .linfty import (coefficient_suite, deformed_bracket, deformed_instance,
                      pairwise_compatibility, pencil, report_nijenhuis, square_of_sum,
                      sum_of_wedges, torsion, torsion_alternate, torsion_formulas_agree,
                      torsion_is_zero, witt_action_check)
-from .pqn import (PQNQuadruple, PQNVerdict, check_pqn, concomitant,
-                  dual_pairing_identity, koszul_bracket, main_theorem_harness,
-                  mu_with_background, section3_lemma_suite, stienon_xu_harness)
+from .pqn import (check_pqn, concomitant, dual_pairing_identity, koszul_bracket,
+                  main_theorem_harness, mu_with_background, section3_lemma_suite,
+                  stienon_xu_harness)
 from .report import CheckEntry, Report
 from .scenario import Scenario, build_scenario, load_scenario, load_shipped
 
@@ -48,8 +48,7 @@ __all__ = [
     "nijenhuis_deformation_theorem_check", "nijenhuis_forms",
     "pairwise_compatibility", "pencil", "report_nijenhuis", "square_of_sum", "sum_of_wedges", "torsion", "torsion_alternate",
     "torsion_formulas_agree", "torsion_is_zero", "witt_action_check",
-    "PQNQuadruple", "PQNVerdict", "check_pqn", "concomitant",
-    "dual_pairing_identity", "koszul_bracket",
+    "check_pqn", "concomitant", "dual_pairing_identity", "koszul_bracket",
     "main_theorem_harness", "mu_with_background", "section3_lemma_suite",
     "stienon_xu_harness",
     "CheckEntry", "Report",

@@ -32,8 +32,7 @@ from .graded import GradingConvention
 from .linfty import (coefficient_suite, nijenhuis_deformation_theorem_check, nijenhuis_forms,
                      pairwise_compatibility, pencil, report_nijenhuis, square_of_sum,
                      sum_of_wedges, witt_action_check)
-from .pqn import (PQNQuadruple, check_pqn, exact_ratio, main_theorem_harness,
-                  stienon_xu_harness)
+from .pqn import check_pqn, exact_ratio, main_theorem_harness, stienon_xu_harness
 from .report import Report
 from .rings import InputError, parse_rational
 from .scenario import Scenario, load_scenario
@@ -231,8 +230,8 @@ def cmd_check_nijenhuis(scenario: Scenario, args) -> Report:
 
 def cmd_check_pqn(scenario: Scenario, args) -> Report:
     report = Report("check pqn", scenario.name)
-    check_pqn(PQNQuadruple(scenario.instance, scenario.pi, scenario.N, scenario.omega,
-                           scenario.H, scenario.lam)).to_report(report)
+    check_pqn(report, scenario.instance, scenario.pi, scenario.N, scenario.omega,
+              scenario.H, scenario.lam)
     return report
 
 

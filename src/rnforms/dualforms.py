@@ -38,10 +38,7 @@ class DualForm:
             mon = tuple(mon)
             if len(mon) != k:
                 raise InputError(f"table key {mon} does not have length {k}")
-            if any(not 0 <= i < instance.rank for i in mon):
-                raise InputError(f"table key {mon} indexes an unknown generator")
-            if list(mon) != sorted(set(mon)):
-                raise InputError(f"table key {mon} must be strictly increasing")
+            mon = instance.monomial_key(mon, "table key")
             coeff = ring.coerce(coeff)
             if coeff:
                 clean[mon] = coeff

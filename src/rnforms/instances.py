@@ -184,11 +184,22 @@ class GradedInstance:
             raise InputError(f"generator index {i} out of range")
         return Element({(i,): self.ring.one()})
 
+    def monomial_key(self, indices, what="monomial") -> tuple:
+        """``indices`` as a monomial key; InputError unless they are distinct
+        generator indices in increasing order."""
+        mon = tuple(indices)
+        if any(not 0 <= i < self.rank for i in mon):
+            raise InputError(f"{what} {mon} indexes an unknown generator")
+        if any(a >= b for a, b in zip(mon, mon[1:])):
+            raise InputError(f"{what} {mon} must be strictly increasing")
+        return mon
+
     def monomial(self, indices) -> Element:
-        return Element({tuple(indices): self.ring.one()})
+        return Element({self.monomial_key(indices): self.ring.one()})
 
     def element(self, terms: dict) -> Element:
-        return Element({tuple(mon): self.ring.coerce(c) for mon, c in terms.items()})
+        return Element({self.monomial_key(mon): self.ring.coerce(c)
+                        for mon, c in terms.items()})
 
     # -- basis ----------------------------------------------------------------
 

@@ -9,10 +9,11 @@ certificate on the ``deformation_square`` form of ``nijenhuis_forms`` (the
 other Nijenhuis forms are not certified); side B evaluates the quadruple
 conditions directly through Koszul brackets, torsion and the background
 combination.  Conditions (a)-(c) come from one function,
-``quadruple_conditions``: ``check_pqn`` adds the preconditions and condition
-(d) with its solved scalar, and the Stienon-Xu harness (no background) adds
-the exactness of the 2-form term instead.  The two verdicts are computed
-independently and asserted equal.
+``quadruple_conditions``.  ``check_pqn`` writes the preconditions, (a)-(c)
+and condition (d) with its solved scalar as entries into the report it is
+given and returns whether they all pass; the Stienon-Xu harness (no
+background) reports (a)-(c) and the exactness of the 2-form term instead.
+The two verdicts are computed independently and asserted equal.
 """
 
 from __future__ import annotations
@@ -101,60 +102,27 @@ def dual_pairing_identity(instance: GradedInstance, pi: Element) -> Report:
     return report
 
 
-# -- quadruple data and verdicts --------------------------------------------------
+# -- quadruple conditions --------------------------------------------------------
+
+CONDITION_ANCHORS = {
+    "a": "[pi,pi] = 0",
+    "b": "C(pi,N)(a,b) = 2 H(pi#a, pi#b, .)",
+    "c": "T(X,Y) = pi#(-H(NX,Y,.) - H(X,NY,.) + d omega(X,Y,.))",
+    "d": "i_N d omega - d omega_N - script_H = lambda H",
+}
 
 
-class PQNQuadruple:
-    """(pi, N, omega, H, lambda) on an instance, shape-checked."""
-
-    def __init__(self, instance: GradedInstance, pi: Element, N, omega: DualForm,
-                 H: DualForm, lam=None):
-        self.instance = instance
-        if not pi.is_zero() and pi.require_homogeneous() != 2:
-            raise InputError("pi must be a bivector")
-        self.pi = pi
-        check_matrix(instance, N)
-        self.N = [[instance.ring.coerce(v) for v in row] for row in N]
-        if omega.k != 2 or H.k != 3:
-            raise InputError("omega must be a 2-form and H a 3-form")
-        self.omega = omega
-        self.H = H
-        self.lam = None if lam is None else Fraction(lam)
-
-
-class PQNVerdict:
-    """Per-condition verdicts for the quadruple conditions."""
-
-    def __init__(self):
-        self.preconditions: dict = {}
-        self.conditions: dict = {}
-        self.lambda_solved = None
-        self.lambda_note = None
-
-    @property
-    def passed(self) -> bool:
-        return (all(v[0] for v in self.preconditions.values())
-                and all(v[0] for v in self.conditions.values()))
-
-    def passes_with_lambda(self, lam) -> bool:
-        return self.passed and self.lambda_solved == Fraction(lam)
-
-    def to_report(self, report: Report, tag="") -> None:
-        for name, (ok, witness) in self.preconditions.items():
-            report.add(f"{tag}precondition: {name}", name, ok, counterexample=witness)
-        anchors = {
-            "a": "[pi,pi] = 0",
-            "b": "C(pi,N)(a,b) = 2 H(pi#a, pi#b, .)",
-            "c": "T(X,Y) = pi#(-H(NX,Y,.) - H(X,NY,.) + d omega(X,Y,.))",
-            "d": "i_N d omega - d omega_N - script_H = lambda H",
-        }
-        for name, (ok, witness) in self.conditions.items():
-            report.add(f"{tag}condition ({name})", anchors[name], ok,
-                       counterexample=witness)
-        if "d" in self.conditions:
-            report.add(f"{tag}lambda", "solved scalar coefficient",
-                       self.lambda_solved is not None,
-                       detail=self.lambda_note)
+def _shape_checked(instance: GradedInstance, pi: Element, N, omega: DualForm,
+                   H: DualForm) -> list:
+    """N coerced to the instance's ring, once pi is checked to be a
+    bivector, N a matrix of the rank, omega a 2-form and H a 3-form."""
+    if not pi.is_zero() and pi.require_homogeneous() != 2:
+        raise InputError("pi must be a bivector")
+    check_matrix(instance, N)
+    N = [[instance.ring.coerce(v) for v in row] for row in N]
+    if omega.k != 2 or H.k != 3:
+        raise InputError("omega must be a 2-form and H a 3-form")
+    return N
 
 
 def solve_scalar_ratio(instance: GradedInstance, lhs: DualForm, target: DualForm):
@@ -197,70 +165,78 @@ def _vanishing(form: DualForm):
     return (True, None) if form.is_zero() else (False, form.label())
 
 
-def quadruple_conditions(quadruple: PQNQuadruple) -> dict:
+def quadruple_conditions(instance: GradedInstance, pi: Element, N, omega: DualForm,
+                         H: DualForm) -> dict:
     """Conditions (a)-(c) of the quadruple as {name: (holds, witness)}: pi
     is Poisson, the concomitant is twice H on sharps, and the torsion of N
     is the sharp of the background and d omega terms."""
-    inst = quadruple.instance
-    pi, N, omega, H = quadruple.pi, quadruple.N, quadruple.omega, quadruple.H
-    poisson = inst.sn_bracket(pi, pi)
+    N = _shape_checked(instance, pi, N, omega, H)
+    poisson = instance.sn_bracket(pi, pi)
     conditions = {"a": (poisson.is_zero(),
-                        None if poisson.is_zero() else inst.basis_label(poisson))}
+                        None if poisson.is_zero() else instance.basis_label(poisson))}
 
-    gens = [inst.generator(m) for m in range(inst.rank)]
-    names = inst.generator_names
+    gens = [instance.generator(m) for m in range(instance.rank)]
+    names = instance.generator_names
 
     def twice_h_on_sharps(a, b):        # 2 H(pi#a, pi#b, .)
         pa, pb = pi_sharp(pi, a), pi_sharp(pi, b)
-        return tabulate(inst, 1, lambda Z: 2 * H.apply((pa, pb, Z)))
+        return tabulate(instance, 1, lambda Z: 2 * H.apply((pa, pb, Z)))
 
     bad = next((f"(a,b) = ({a.label()}, {b.label()})"
-                for a, b in itertools.combinations(unit_duals(inst), 2)
-                if not (concomitant(inst, pi, N, a, b) - twice_h_on_sharps(a, b)).is_zero()),
+                for a, b in itertools.combinations(unit_duals(instance), 2)
+                if not (concomitant(instance, pi, N, a, b) - twice_h_on_sharps(a, b)).is_zero()),
                None)
     conditions["b"] = (bad is None, bad)
 
-    t = torsion(inst, N)
+    t = torsion(instance, N)
     domega = differential(omega)
 
     def torsion_target(X, Y):           # pi#(-H(NX,Y,.) - H(X,NY,.) + d omega(X,Y,.))
-        NX, NY = apply_matrix(inst, N, X), apply_matrix(inst, N, Y)
-        return pi_sharp(pi, tabulate(inst, 1, lambda Z: (
+        NX, NY = apply_matrix(instance, N, X), apply_matrix(instance, N, Y)
+        return pi_sharp(pi, tabulate(instance, 1, lambda Z: (
             -H.apply((NX, Y, Z)) - H.apply((X, NY, Z)) + domega.apply((X, Y, Z)))))
 
     bad = next((f"(X,Y) = ({names[i]}, {names[j]})"
-                for i, j in itertools.combinations(range(inst.rank), 2)
+                for i, j in itertools.combinations(range(instance.rank), 2)
                 if not (t(gens[i], gens[j]) - torsion_target(gens[i], gens[j])).is_zero()),
                None)
     conditions["c"] = (bad is None, bad)
     return conditions
 
 
-def check_pqn(quadruple: PQNQuadruple) -> PQNVerdict:
-    """Exact verdicts for the quadruple conditions; the scalar coefficient in
-    (d) is solved by exact linear algebra when H is nonzero."""
-    inst = quadruple.instance
-    pi, N, omega, H = quadruple.pi, quadruple.N, quadruple.omega, quadruple.H
-    verdict = PQNVerdict()
-    verdict.preconditions["N o pi# = pi# o N*"] = (compat_n_pi(inst, N, pi), None)
-    ok_om = compat_omega_n(inst, omega, N)
-    verdict.preconditions["omega_flat o N = N* o omega_flat"] = (ok_om, None)
-    verdict.preconditions["d H = 0"] = _vanishing(differential(H))
-    verdict.conditions = quadruple_conditions(quadruple)
+def check_pqn(report: Report, instance: GradedInstance, pi: Element, N, omega: DualForm,
+              H: DualForm, lam=None, tag="") -> bool:
+    """Add the quadruple's entries to ``report``, each name prefixed by
+    ``tag``: its three preconditions, conditions (a)-(d) and the scalar
+    coefficient of (d), solved by exact linear algebra (a declared ``lam``
+    that differs fails (d)).  Returns whether every entry added passes."""
+    N = _shape_checked(instance, pi, N, omega, H)
+    first = len(report.checks)
+    ok_npi, ok_om = compat_n_pi(instance, N, pi), compat_omega_n(instance, omega, N)
+    for name, (ok, witness) in {"N o pi# = pi# o N*": (ok_npi, None),
+                                "omega_flat o N = N* o omega_flat": (ok_om, None),
+                                "d H = 0": _vanishing(differential(H))}.items():
+        report.add(f"{tag}precondition: {name}", name, ok, counterexample=witness)
+    conditions = quadruple_conditions(instance, pi, N, omega, H)
+    solved = note = None
     if not ok_om:
-        verdict.conditions["d"] = (False, "omega_N undefined (compatibility fails)")
-        return verdict
-    lhs_d = (iota_n(differential(omega), N) - differential(omega_n(omega, N))
-             - background_script(H, N))
-    lam, verdict.lambda_note = solve_scalar_ratio(inst, lhs_d, H)
-    verdict.lambda_solved = lam
-    if lam is None:
-        verdict.conditions["d"] = (False, "no scalar fits")
-    elif quadruple.lam is not None and lam != quadruple.lam:
-        verdict.conditions["d"] = (False, f"solved lambda {lam} != declared {quadruple.lam}")
+        conditions["d"] = (False, "omega_N undefined (compatibility fails)")
     else:
-        verdict.conditions["d"] = _vanishing(lhs_d - H.scale(lam))
-    return verdict
+        lhs_d = (iota_n(differential(omega), N) - differential(omega_n(omega, N))
+                 - background_script(H, N))
+        solved, note = solve_scalar_ratio(instance, lhs_d, H)
+        if solved is None:
+            conditions["d"] = (False, "no scalar fits")
+        elif lam is not None and solved != Fraction(lam):
+            conditions["d"] = (False, f"solved lambda {solved} != declared {Fraction(lam)}")
+        else:
+            conditions["d"] = _vanishing(lhs_d - H.scale(solved))
+    for name, (ok, witness) in conditions.items():
+        report.add(f"{tag}condition ({name})", CONDITION_ANCHORS[name], ok,
+                   counterexample=witness)
+    report.add(f"{tag}lambda", "solved scalar coefficient", solved is not None,
+               detail=note)
+    return all(c.passed for c in report.checks[first:])
 
 
 # -- background structures ---------------------------------------------------------
@@ -362,9 +338,7 @@ def main_theorem_harness(instance: GradedInstance, pi: Element, N,
 
     _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu)
 
-    verdict = check_pqn(PQNQuadruple(instance, pi, N, omega.scale(-1), H, lam=0))
-    verdict.to_report(report, tag="side B: ")
-    side_b = verdict.passes_with_lambda(0)
+    side_b = check_pqn(report, instance, pi, N, omega.scale(-1), H, lam=0, tag="side B: ")
     report.add("side B: quadruple verdict",
                "conditions (a)-(d) at lambda = 0 on (pi, N, -omega, H)", side_b,
                detail="omega fed with - sign")
@@ -576,8 +550,8 @@ def stienon_xu_harness(instance: GradedInstance, pi: Element, N,
                      quadruple_square(instance, pi, N, omega, extra=alpha),
                      "[N,[N,l2]] = [K,l2]", "square u(N^2) + [u(omega),pi] + u(alpha)")
 
-    conditions = quadruple_conditions(PQNQuadruple(instance, pi, N, omega.scale(-1),
-                                                   DualForm.zero(instance, 3)))
+    conditions = quadruple_conditions(instance, pi, N, omega.scale(-1),
+                                      DualForm.zero(instance, 3))
     for name, (ok, witness) in conditions.items():
         report.add(f"side B: condition ({name}) at H = 0", f"condition ({name})", ok,
                    counterexample=witness)

@@ -743,6 +743,12 @@ FAILING_PQN_SCENARIOS = {
         "data": {"pi": {"e1^e2": "1"}, "N": [["2", "1", "0"], ["0", "2", "0"],
                                              ["0", "0", "2"]],
                  "omega": {"e1^e3": "1"}, "H": {"e1^e2^e3": "1"}}},
+    # aff1 with a declared lambda that is not the solved one: condition (d)
+    # fails on check pqn only (the harnesses pin lambda to 0 or solve none)
+    "aff1-declared-lambda": {
+        "instance": {"lie_algebra": {"dim": 2, "basis": ["e1", "e2"],
+                                     "brackets": {"e1,e2": {"e2": "1"}}}},
+        "data": {"lambda": "1"}},
 }
 
 # "scenario: command" -> (exit code, sha256 of the JSON report)
@@ -777,6 +783,12 @@ FAILING_PQN_REPORTS = {
         (1, "55b095629e257b52097bcd3f600c660462290ac254207227c5106cbccbcbf695"),
     "abelian3-background: suite stienon-xu":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "aff1-declared-lambda: check pqn":
+        (1, "3285c809acdd75fd5b10379cb8aadabe658ccd9b35b0d144253068461c9cbb3c"),
+    "aff1-declared-lambda: suite main-theorem":
+        (0, "cce56ff88775adc389a5eeac0bcae12535ecf7c7c68f152c193a2b51e2ed03ee"),
+    "aff1-declared-lambda: suite stienon-xu":
+        (0, "0ad2a223118ca5aa470d7842a58dd5b128e353213c546aa54859da5710e8d47b"),
 }
 
 

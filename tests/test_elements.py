@@ -57,8 +57,18 @@ def test_element_no_zero_coefficients_stored():
     assert el2.is_zero() and not el2.terms
 
 
-def test_element_hash_eq(aff):
+def test_element_hash_eq(aff, h3):
     a = aff.generator(0).wedge(aff.generator(1))
     b = aff.monomial((0, 1))
     assert a == b and hash(a) == hash(b)
     assert a != aff.generator(0)
+    # a key that is not increasing distinct generator indices would make a
+    # second, unequal spelling of one element (or of none), so it is refused
+    for bad, message in [((1, 1), "must be strictly increasing"),
+                         ((1, 0), "must be strictly increasing"),
+                         ((5,), "indexes an unknown generator")]:
+        with pytest.raises(InputError, match=message):
+            h3.monomial(bad)
+        with pytest.raises(InputError, match=message):
+            h3.element({bad: 1})
+    assert h3.element({(0, 1): -1}) == h3.generator(1).wedge(h3.generator(0))

@@ -8,8 +8,8 @@ from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
 from rnforms.forms import VForm, default_poly_family, is_zero, rn_bracket
 from rnforms.instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
-from rnforms.pqn import (PQNQuadruple, check_pqn, concomitant, dual_pairing_identity,
-                         koszul_bracket, main_theorem_harness, mu_with_background,
+from rnforms.pqn import (check_pqn, concomitant, dual_pairing_identity, koszul_bracket,
+                         main_theorem_harness, mu_with_background, quadruple_conditions,
                          section3_lemma_suite, stienon_xu_harness)
 from rnforms.report import Report
 from rnforms.rings import InputError, PolyRing
@@ -109,21 +109,30 @@ def test_stienon_xu_computes_only_what_it_prints(monkeypatch):
 def test_check_pqn_aff1_scalar(aff):
     pi = aff.monomial((0, 1))
     N = [[Fraction(3), 0], [0, Fraction(3)]]
-    quadruple = PQNQuadruple(aff, pi, N, DualForm.zero(aff, 2),
-                             DualForm.zero(aff, 3))
-    verdict = check_pqn(quadruple)
-    assert verdict.passed
-    assert verdict.lambda_solved == 0
+    report = Report("check pqn", aff.name)
+    passed = check_pqn(report, aff, pi, N, DualForm.zero(aff, 2), DualForm.zero(aff, 3))
+    assert passed is True
+    assert passed == all(c.passed for c in report.checks)
+    assert len(report.checks) == 8
+    lam = report.checks[-1]
+    assert (lam.name, lam.passed, lam.detail) == ("lambda", True,
+                                                  "forced 0 (target form vanishes)")
+    # the verdict is of the entries check_pqn adds, not of the whole report
+    report.add("an earlier failure", "fails", False)
+    assert check_pqn(report, aff, pi, N, DualForm.zero(aff, 2), DualForm.zero(aff, 3))
 
 
 def test_check_pqn_noncompatible_reported(aff):
     pi = aff.monomial((0, 1))
     N = [[Fraction(1), 0], [0, Fraction(2)]]
-    quadruple = PQNQuadruple(aff, pi, N, DualForm.zero(aff, 2),
-                             DualForm.zero(aff, 3))
-    verdict = check_pqn(quadruple)
-    assert not verdict.preconditions["N o pi# = pi# o N*"][0]
-    assert not verdict.passed
+    report = Report("check pqn", aff.name)
+    report.add("an earlier entry", "passes", True)
+    passed = check_pqn(report, aff, pi, N, DualForm.zero(aff, 2), DualForm.zero(aff, 3),
+                       tag="side B: ")
+    entries = {c.name: c.passed for c in report.checks}
+    assert not entries["side B: precondition: N o pi# = pi# o N*"]
+    assert passed is False
+    assert passed == all(c.passed for c in report.checks)
 
 
 def test_check_pqn_degenerate_pi_exact(h3):
@@ -131,10 +140,26 @@ def test_check_pqn_degenerate_pi_exact(h3):
     pi = h3.monomial((0, 2))
     zero = [[Fraction(0)] * 3 for _ in range(3)]
     H = DualForm(h3, 3, {(0, 1, 2): Fraction(1)})
-    quadruple = PQNQuadruple(h3, pi, zero, DualForm.zero(h3, 2), H)
-    verdict = check_pqn(quadruple)
-    assert not verdict.conditions["b"][0]
-    assert verdict.conditions["a"][0]
+    conditions = quadruple_conditions(h3, pi, zero, DualForm.zero(h3, 2), H)
+    assert not conditions["b"][0]
+    assert conditions["a"][0]
+
+
+def test_quadruple_shape_checks(aff):
+    """Both entry points refuse a malformed quadruple with the same
+    messages, before any entry is added."""
+    pi, N = aff.monomial((0, 1)), [[1, 0], [0, 1]]
+    omega, H = DualForm.zero(aff, 2), DualForm.zero(aff, 3)
+    cases = [((aff.generator(0), N, omega, H), "pi must be a bivector"),
+             ((pi, [[1, 0]], omega, H), "bundle map must be a 2x2 matrix"),
+             ((pi, N, H, omega), "omega must be a 2-form and H a 3-form")]
+    for args, message in cases:
+        with pytest.raises(InputError, match=message):
+            quadruple_conditions(aff, *args)
+        report = Report("check pqn", aff.name)
+        with pytest.raises(InputError, match=message):
+            check_pqn(report, aff, *args)
+        assert report.checks == []
 
 
 def test_mu_with_background(h3, so3_inst, monkeypatch):
@@ -290,10 +315,9 @@ def reference_dual_pairing(instance, pi):
     return report
 
 
-def reference_conditions_bc(quadruple):
+def reference_conditions_bc(inst, pi, N, omega, H):
     """check_pqn's conditions (b) and (c) as {name: (ok, witness)}."""
-    inst = quadruple.instance
-    pi, N, omega, H = quadruple.pi, quadruple.N, quadruple.omega, quadruple.H
+    N = [[inst.ring.coerce(v) for v in row] for row in N]
     duals = [DualForm(inst, 1, {(i,): inst.ring.one()}) for i in range(inst.rank)]
     conditions = {}
     bad = None
@@ -666,16 +690,16 @@ def test_every_moved_check_has_a_corruption():
 def _moved_entries(args):
     """(section 3 entries, check_pqn (b) and (c), dual pairing entries)."""
     inst, pi, N, omega, H, _ = args
-    verdict = check_pqn(PQNQuadruple(inst, pi, N, omega, H))
+    conditions = quadruple_conditions(inst, pi, N, omega, H)
     return (section3_lemma_suite(inst, pi, N, omega, H).checks,
-            {name: verdict.conditions[name] for name in "bc"},
+            {name: conditions[name] for name in "bc"},
             dual_pairing_identity(inst, pi).checks)
 
 
 def _reference_entries(args):
     inst, pi, N, omega, H, family = args
     return (reference_section3(*args).checks,
-            reference_conditions_bc(PQNQuadruple(inst, pi, N, omega, H)),
+            reference_conditions_bc(inst, pi, N, omega, H),
             reference_dual_pairing(inst, pi).checks)
 
 
