@@ -151,13 +151,6 @@ def extend_kform(kappa: DualForm) -> VForm:
                        lambda: VForm(instance, k, -k, fn, order=1))
 
 
-def identity_matrix(instance: GradedInstance, scale=1):
-    ring = instance.ring
-    one = ring.coerce(scale)
-    zero = ring.zero()
-    return [[one if i == j else zero for j in range(instance.rank)] for i in range(instance.rank)]
-
-
 def bivector_form(instance: GradedInstance, pi: Element) -> VForm:
     """A bivector as a vector-valued 0-form, degree 0 in the shifted-by-2
     grading."""

@@ -224,20 +224,11 @@ def unit_duals(inst: GradedInstance) -> list:
     return [DualForm(inst, 1, {(i,): inst.ring.one()}) for i in range(inst.rank)]
 
 
-def pi_sharp_matrix(inst: GradedInstance, pi: Element):
-    """Matrix of pi# (columns are pi# of the dual generators)."""
-    cols = []
-    for alpha in unit_duals(inst):
-        image = pi_sharp(pi, alpha)
-        cols.append([image.terms.get((j,), inst.ring.zero()) for j in range(inst.rank)])
-    return [[cols[j][i] for j in range(inst.rank)] for i in range(inst.rank)]
-
-
 def n_star(inst: GradedInstance, N, alpha: DualForm) -> DualForm:
     """Transpose action: <N* alpha, X> = <alpha, N X>."""
     if alpha.k != 1:
         raise InputError("N* acts on 1-forms")
-    return tabulate(inst, 1, lambda X: alpha.apply((apply_matrix(inst, N, X),)))
+    return tabulate(inst, 1, lambda X: pairing(alpha, apply_matrix(inst, N, X)))
 
 
 def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:
@@ -253,13 +244,6 @@ def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:
                 acc = terms.get((j,), inst.ring.zero()) + coeff * entry
                 terms[(j,)] = acc
     return Element({mon: c for mon, c in terms.items() if c})
-
-
-def omega_flat(omega: DualForm, X: Element) -> DualForm:
-    """omega_flat(X) = omega(X, .)."""
-    if omega.k != 2:
-        raise InputError("flat map needs a 2-form")
-    return iota_element(X, omega)
 
 
 def matrix_mul(inst: GradedInstance, A, B):

@@ -10,8 +10,6 @@ first use.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rings import InputError
 
 
@@ -139,9 +137,3 @@ class Element:
             bits.append(f"({coeff})*{label}")
         return " + ".join(bits)
 
-
-def wedge(*elements: Element) -> Element:
-    out = Element({(): Fraction(1)})
-    for el in elements:
-        out = out.wedge(el)
-    return out

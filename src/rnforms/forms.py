@@ -9,8 +9,8 @@ insertion reads each of its operands' values once per key; a combination
 built on the fly by scaling, sums or brackets owns none, and sums its
 nodes' values on every lookup.  Forms carry no names.  Every atomic node
 and every shared combination is hash-consed on its instance by
-:func:`shared_node`: a primitive (a catalog form or ``linfty.l2_deformed``)
-is keyed by its defining data, an insertion by the shared representatives
+:func:`shared_node`: a primitive (a catalog form) is keyed by its
+defining data, an insertion by the shared representatives
 of both sides, so [aK, bL] reuses the node of [K, L] and the same values
 are never computed twice under different nodes.  Scaling, sums and brackets only merge coefficient maps.
 Values are only computed by evaluation and by :func:`is_zero`.
@@ -507,9 +507,6 @@ class PolyForm:
                 comps[form.arity] = form
         self.components = dict(sorted(comps.items()))
 
-    def arities(self):
-        return tuple(self.components)
-
     def component(self, arity: int) -> VForm | None:
         return self.components.get(arity)
 
@@ -548,21 +545,6 @@ def rn_bracket(K, L) -> PolyForm:
                 continue
             parts.append(rn_vform(Kk, Ll))
     return PolyForm(K.instance, parts)
-
-
-def iterated_eval_identity(K: VForm, args) -> bool:
-    """K(X1,...,Xk) equals the iterated bracket [Xk,...,[X2,[X1,K]]...]."""
-    args = tuple(args)
-    if len(args) != K.arity:
-        raise InputError(f"expected {K.arity} arguments, got {len(args)}")
-    current = as_polyform(K)
-    for arg in args:
-        x = element_form(K.instance, arg)
-        current = rn_bracket(x, current)
-    final = current.component(0)
-    direct = K.evaluate(args)
-    iterated = final.evaluate(()) if final is not None else Element.zero()
-    return (direct - iterated).is_zero()
 
 
 # -- exhaustive zero checking ----------------------------------------------------

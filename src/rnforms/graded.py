@@ -56,25 +56,6 @@ def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
-def koszul_sign_by_transpositions(perm: Sequence[int], degrees: Sequence[int]) -> int:
-    """Oracle: bubble the permuted list back to identity, one adjacent swap
-    at a time, accumulating (-1)^{|a||b|} per swap."""
-    n = len(perm)
-    if n != len(degrees):
-        raise InputError("permutation and degree list lengths differ")
-    work = list(perm)
-    sign = 1
-    for i in range(n):
-        j = work.index(i)
-        while j > i:
-            a, b = work[j - 1], work[j]
-            if degrees[a] % 2 and degrees[b] % 2:
-                sign = -sign
-            work[j - 1], work[j] = b, a
-            j -= 1
-    return sign
-
-
 def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
     """All (i,j)-unshuffles of 0..i+j-1: increasing on the first i slots and
     on the last j slots; lexicographic order, binom(i+j, i) of them."""

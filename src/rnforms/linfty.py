@@ -27,11 +27,10 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from .catalog import (extend_bundle_map, l2_form, lk_form, matrix_square, wedge_form)
+from .catalog import extend_bundle_map, lk_form, matrix_square, wedge_form
 from .dualforms import apply_matrix, check_matrix
 from .elements import Element
-from .forms import (PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket,
-                    shared_node)
+from .forms import PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket
 from .graded import GradingConvention
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .report import Report
@@ -309,25 +308,6 @@ def torsion(instance: GradedInstance, N):
     return t
 
 
-def torsion_alternate(instance: GradedInstance, N):
-    """The equivalent formula T(X,Y) = ([X,Y]_{N,N} - [X,Y]_{N^2}) / 2."""
-    check_matrix(instance, N)
-    bracket_n = deformed_bracket(instance, N)
-    n_squared = matrix_square(instance, N)
-    bracket_n2 = deformed_bracket(instance, n_squared)
-
-    def twice_deformed(X, Y):
-        NX = apply_matrix(instance, N, X)
-        NY = apply_matrix(instance, N, Y)
-        return (bracket_n(NX, Y) + bracket_n(X, NY)
-                - apply_matrix(instance, N, bracket_n(X, Y)))
-
-    def t(X: Element, Y: Element) -> Element:
-        return (twice_deformed(X, Y) - bracket_n2(X, Y)).scale(Fraction(1, 2))
-
-    return t
-
-
 def torsion_is_zero(instance: GradedInstance, N) -> tuple[bool, str | None]:
     """Exact torsion test on generator pairs (the torsion is tensorial)."""
     t = torsion(instance, N)
@@ -337,44 +317,6 @@ def torsion_is_zero(instance: GradedInstance, N) -> tuple[bool, str | None]:
             names = instance.generator_names
             return False, f"T({names[i]},{names[j]}) = {instance.basis_label(value)}"
     return True, None
-
-
-def torsion_formulas_agree(instance: GradedInstance, N) -> bool:
-    t1 = torsion(instance, N)
-    t2 = torsion_alternate(instance, N)
-    for i, j in itertools.combinations(range(instance.rank), 2):
-        X, Y = instance.generator(i), instance.generator(j)
-        if not (t1(X, Y) - t2(X, Y)).is_zero():
-            return False
-    return True
-
-
-def l2_deformed(instance: GradedInstance, N) -> VForm:
-    """(P,Q) -> (-1)^p [P,Q] of the deformed structure, the same sign
-    convention as the undeformed bracket form so that [uN, l2] matches it.
-    Order 1: the Schouten extension of any anchored skew bracket is a
-    biderivation, torsion or not.  One shared node per matrix."""
-    check_matrix(instance, N)
-    N = tuple(tuple(instance.ring.coerce(v) for v in row) for row in N)
-
-    def build():
-        deformed = deformed_instance(instance, N)
-
-        def fn(args):
-            P, Q = args
-            p = P.require_homogeneous()
-            value = deformed.sn_bracket(P, Q)
-            return -value if p % 2 else value
-
-        return VForm(instance, 2, -1, fn, order=1)
-
-    return shared_node(instance, ("deformed l2", N), build)
-
-
-def deformed_l2_certificate(instance: GradedInstance, N):
-    """[uN, l2] = l2^N, exhaustively."""
-    lhs = rn_bracket(extend_bundle_map(instance, N), l2_form(instance))
-    return is_zero(lhs - l2_deformed(instance, N))
 
 
 def nijenhuis_deformation_theorem_check(instance: GradedInstance, N, coefficients) -> Report:

@@ -25,11 +25,10 @@ from .catalog import (bivector_form, extend_bundle_map, extend_kform, l2_form,
                       matrix_square)
 from .dualforms import (DualForm, apply_matrix, background_script, check_matrix,
                         compat_n_pi, compat_omega_n, d_function, differential,
-                        element_on_duals, iota_n, lie_derivative, matrix_mul, n_star,
-                        omega_n, pairing, pi_sharp, pi_sharp_matrix, tabulate,
-                        unit_duals)
+                        element_on_duals, iota_n, lie_derivative, n_star, omega_n,
+                        pi_sharp, tabulate, unit_duals)
 from .elements import Element
-from .forms import PolyForm, element_form, insert, is_zero, rn_bracket
+from .forms import PolyForm, element_form, is_zero, rn_bracket
 from .instances import GradedInstance
 from .linfty import deformed_instance, nijenhuis_forms, torsion
 from .report import Report
@@ -70,36 +69,6 @@ def concomitant(instance: GradedInstance, pi: Element, N, alpha: DualForm,
     deformed_inst = deformed_instance(instance, N)
     second = koszul_bracket(deformed_inst, pi, alpha, beta)
     return deformed_of_base - DualForm(instance, 1, second.table)
-
-
-def dual_pairing_identity(instance: GradedInstance, pi: Element) -> Report:
-    """<{a,b}, X> = -[pi,X](a,b) + rho(pi#a)<b,X> - rho(pi#b)<a,X> on all
-    basis triples, plus the Poisson precondition [pi,pi] = 0."""
-    report = Report("dual pairing", instance.name)
-    report.add("Poisson precondition", "[pi,pi] = 0",
-               instance.sn_bracket(pi, pi).is_zero())
-    gens = [instance.generator(x) for x in range(instance.rank)]
-    names = instance.generator_names
-
-    def rhs(a, b, X):
-        value = -element_on_duals(instance.sn_bracket(pi, X), (a, b))
-        pa, pb = pi_sharp(pi, a), pi_sharp(pi, b)
-        if not pa.is_zero():
-            value = value + instance.anchor_on_function(pa, pairing(b, X))
-        if not pb.is_zero():
-            value = value - instance.anchor_on_function(pb, pairing(a, X))
-        return value
-
-    bad = next((f"({a.label()}, {b.label()}, {names[x]})"
-                for a, b in itertools.product(unit_duals(instance), repeat=2)
-                for kb in [koszul_bracket(instance, pi, a, b)]
-                for x, X in enumerate(gens)
-                if pairing(kb, X) != rhs(a, b, X)), None)
-    report.add("pairing identity",
-               "<{a,b},X> = -[pi,X](a,b) + rho(pi#a)<b,X> - rho(pi#b)<a,X>",
-               bad is None, complete=instance.ring.kind == "rational",
-               counterexample=bad)
-    return report
 
 
 # -- quadruple conditions --------------------------------------------------------
@@ -389,149 +358,6 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None
     if g4 is not None:
         report.add_certificate("arity 4 vanishes", "[u(omega),[uN,uH]] = 0",
                                is_zero(g4))
-
-
-def section3_lemma_suite(instance: GradedInstance, pi: Element, N,
-                         omega: DualForm, H: DualForm) -> Report:
-    """Checks of the dual-form extension identities.
-
-    Every identity between vector-valued forms is one is_zero certificate on
-    a combination of shared nodes; an identity that pairs form values with
-    dual 1-forms is an exact comparison reporting its first failing case.
-    The bracket-combination identities hold with the signs this kernel's
-    conventions force (exactly measured; the concomitant combination carries
-    +C and the double-pi combination carries -2H, the two flips cancelling
-    in the equivalence propositions)."""
-    report = Report("suite section3", instance.name)
-    l2 = l2_form(instance)
-    duals = unit_duals(instance)
-    gens = [instance.generator(i) for i in range(instance.rank)]
-    names = instance.generator_names
-    un = extend_bundle_map(instance, N)
-    uomega = extend_kform(omega) if not omega.is_zero() else None
-    uH = extend_kform(H) if not H.is_zero() else None
-
-    extended = [(f"u({d.label()})", extend_kform(d)) for d in duals]
-    extended += [("u(omega)", uomega)] if uomega else []
-    extended += [("uH", uH)] if uH else []
-    for (la, fa), (lb, fb) in itertools.combinations_with_replacement(extended, 2):
-        cert = is_zero(rn_bracket(fa, fb))
-        report.add_certificate(f"commuting extensions [{la},{lb}]",
-                               "[u(kappa), u(kappa')] = 0", cert)
-
-    if not omega.is_zero():
-        ok_om = compat_omega_n(instance, omega, N)
-        report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
-        if ok_om:
-            target = extend_kform(omega_n(omega, N)).scale(2)
-            cert = is_zero(rn_bracket(un, uomega) - target)
-            report.add_certificate("bundle map against 2-form",
-                                   "[uN, u(omega)] = 2 u(omega_N)", cert)
-
-    for label, kappa in [(d.label(), d) for d in duals] + \
-            [("omega", omega)] + ([("H", H)] if not H.is_zero() else []):
-        if kappa.is_zero():
-            continue
-        cert = is_zero(rn_bracket(l2, extend_kform(kappa))
-                       - extend_kform(differential(kappa)))
-        report.add_certificate(f"differential through the bracket ({label})",
-                               "[l2, u(kappa)] = u(d kappa)", cert)
-
-    pif = bivector_form(instance, pi) if not pi.is_zero() else None
-    if pif is not None:
-        brackets = [instance.sn_bracket(pi, X) for X in gens]
-        bad = next((f"(X,a,b) = ({names[x]}, {a.label()}, {b.label()})"
-                    for x, br in enumerate(brackets)
-                    for a, b in itertools.product(duals, repeat=2)
-                    if element_on_duals(un.evaluate((br,)), (a, b))
-                    != (element_on_duals(br, (n_star(instance, N, a), b))
-                        + element_on_duals(br, (a, n_star(instance, N, b))))), None)
-        report.add("derivation through the pairing",
-                   "uN [pi,X](a,b) = [pi,X](N*a,b) + [pi,X](a,N*b)",
-                   bad is None, counterexample=bad)
-
-        comp = (rn_bracket(pif, rn_bracket(un, l2))
-                + rn_bracket(un, rn_bracket(pif, l2))).component(1)
-        bad = next((f"(X,a,b) = ({names[x]}, {a.label()}, {b.label()})"
-                    for x, X in enumerate(gens)
-                    for a, b in itertools.combinations(duals, 2)
-                    if element_on_duals(comp.evaluate((X,)), (a, b))
-                    != concomitant(instance, pi, N, a, b).apply((X,))), None)
-        report.add("concomitant through the bracket",
-                   "([pi,[uN,l2]] + [uN,[pi,l2]])(X)(a,b) = C(pi,N)(a,b)(X)",
-                   bad is None, counterexample=bad,
-                   detail="sign as this kernel's conventions force it")
-
-        if uH is not None:
-            double = rn_bracket(pif, rn_bracket(pif, uH)).component(1)
-            bad = next((f"(X,a,b) = ({names[x]}, {a.label()}, {b.label()})"
-                        for x, X in enumerate(gens)
-                        for a, b in itertools.combinations(duals, 2)
-                        if element_on_duals(double.evaluate((X,)), (a, b))
-                        != -2 * H.apply((pi_sharp(pi, a), pi_sharp(pi, b), X))), None)
-            report.add("double bivector against the background",
-                       "[pi,[pi,uH]](X)(a,b) = -2 H(pi#a, pi#b, X)",
-                       bad is None, counterexample=bad,
-                       detail="sign as this kernel's conventions force it")
-
-            def h_slot(X, Y):                   # H(X,Y,.)
-                return tabulate(instance, 1, lambda Z: H.apply((X, Y, Z)))
-
-            bad = next((f"(X,Y) = ({names[x]}, {names[y]})"
-                        for (x, X), (y, Y) in itertools.product(enumerate(gens), repeat=2)
-                        if not (uH.evaluate((pi, X, Y)) - pi_sharp(pi, h_slot(X, Y))).is_zero()),
-                       None)
-            report.add("bivector slot of the background extension",
-                       "uH(pi, X, Y) = pi#(H(X,Y,.))", bad is None,
-                       counterexample=bad)
-
-        ok_npi = compat_n_pi(instance, N, pi)
-        report.add("compatibility N/pi", "N o pi# = pi# o N*", ok_npi)
-        if ok_npi and uH is not None:
-            combo = rn_bracket(pif, rn_bracket(un, uH)) + rn_bracket(un, rn_bracket(pif, uH))
-            cert = is_zero(combo.component(2) - insert(un, insert(pif, uH)).scale(2), gens)
-            report.add("mixed bivector/bundle map against the background",
-                       "([pi,[uN,uH]] + [uN,[pi,uH]])(X,Y) = 2uH(pi,NX,Y) + 2uH(pi,X,NY)",
-                       cert.is_zero, counterexample=None if cert.is_zero else
-                       "(X,Y) = (" + ", ".join(names[gens.index(el)] for el in cert.failing) + ")")
-
-        if ok_npi:
-            unpi = un.evaluate((pi,))
-            lhs_m = pi_sharp_matrix(instance, unpi)
-            two_n = [[2 * N[i][j] for j in range(instance.rank)]
-                     for i in range(instance.rank)]
-            rhs_m = matrix_mul(instance, two_n, pi_sharp_matrix(instance, pi))
-            report.add("sharp of the derived bivector", "(uN pi)# = 2 N o pi#",
-                       lhs_m == rhs_m)
-
-    if uH is not None:
-        un2 = extend_bundle_map(instance, matrix_square(instance, N))
-        unun = insert(un, un)                       # uN o uN
-        # twice the pair terms: uN in two distinct slots of uH
-        twice_pairs = insert(un, insert(un, uH)) - insert(unun, uH)
-        mhat = (unun - un2).scale(Fraction(1, 2))
-        # [uN,[uN,uH]] - ([u(N^2),uH] + 2*pair terms - 2 uN o [uN,uH])
-        section_residual = (rn_bracket(un, rn_bracket(un, uH)).component(3)
-                            - rn_bracket(un2, uH).component(3) - twice_pairs
-                            + insert(rn_bracket(un, uH).component(3), un).scale(2))
-
-        def triple(cert):
-            return None if cert.is_zero else \
-                "(" + ", ".join(instance.basis_label(el) for el in cert.failing) + ")"
-
-        cert = is_zero(section_residual - rn_bracket(mhat, uH).component(3).scale(2))
-        report.add(
-            "iterated bundle map against the background",
-            "[uN,[uN,uH]] = [u(N^2),uH] + 2*(pair terms + [M,uH]) - 2 uN o [uN,uH]",
-            cert.is_zero, counterexample=triple(cert),
-            detail="M = (uN o uN - u(N^2))/2; the pair-term-only identity holds"
-                   " on section triples and is checked below")
-
-        cert = is_zero(section_residual, gens)
-        report.add("iterated bundle map, section level",
-                   "[uN,[uN,uH]] = [u(N^2),uH] + 2*cyclic - 2 uN o [uN,uH] on sections",
-                   cert.is_zero, counterexample=triple(cert))
-    return report
 
 
 def stienon_xu_harness(instance: GradedInstance, pi: Element, N,

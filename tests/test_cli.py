@@ -408,8 +408,17 @@ def test_scenario_shape_errors(tmp_path, capsys):
         build_scenario(base)
     base = json.loads((SCENARIOS / "aff1.json").read_text())
     base["data"]["H"] = {"e1^e2^e3": "1"}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape("a 3-form needs rank >= 3")):
         build_scenario(base)
+    # below rank 3 a data.H of the wrong type used to load silently
+    for value in ([], "", 0, False):
+        for name in ("aff1", "heisenberg3"):
+            with pytest.raises(InputError, match="^data.H must be a JSON object$"):
+                build_scenario(_edited(name, ("data", "H"), value))
+    path = tmp_path / "list_background.json"
+    path.write_text(json.dumps(_edited("aff1", ("data", "H"), [])))
+    code, out, err = run_cli(capsys, "--scenario", str(path), "validate")
+    assert (code, out, err) == (2, "", "input error: data.H must be a JSON object\n")
     for name, path, value in SHAPE_ERRORS:
         with pytest.raises(InputError, match=re.escape(path[-1])):
             build_scenario(_edited(name, path, value))

@@ -9,7 +9,7 @@ from rnforms import dualforms
 from rnforms.dualforms import (DualForm, apply_matrix, background_script,
                                compat_n_pi, compat_omega_n, d_function, differential,
                                element_on_duals, iota_element, iota_n, lie_derivative,
-                               n_star, omega_flat, omega_n, pairing, pi_sharp)
+                               n_star, omega_n, pairing, pi_sharp)
 from rnforms.elements import Element
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
@@ -94,8 +94,8 @@ def test_n_star_transpose(aff):
 
 def test_omega_flat(aff):
     omega = DualForm(aff, 2, {(0, 1): Fraction(1)})
-    assert omega_flat(omega, aff.generator(0)).table == {(1,): Fraction(1)}
-    assert omega_flat(omega, aff.generator(1)).table == {(0,): Fraction(-1)}
+    assert iota_element(aff.generator(0), omega).table == {(1,): Fraction(1)}
+    assert iota_element(aff.generator(1), omega).table == {(0,): Fraction(-1)}
 
 
 def test_omega_n_scalar(h3):

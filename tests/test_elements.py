@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rnforms.elements import Element, sort_monomial, wedge
+from rnforms.elements import Element, sort_monomial
 from rnforms.rings import InputError
 
 
@@ -24,7 +24,7 @@ def test_wedge_basics(aff):
 def test_wedge_associativity_three_dim(h3):
     e1, e2, e3 = (h3.generator(i) for i in range(3))
     assert e1.wedge(e2).wedge(e3) == h3.monomial((0, 1, 2))
-    assert wedge(e1, e2, e3) == e1.wedge(e2.wedge(e3))
+    assert e1.wedge(e2).wedge(e3) == e1.wedge(e2.wedge(e3))
 
 
 def test_wedge_graded_commutativity(h3):
@@ -72,3 +72,11 @@ def test_element_hash_eq(aff, h3):
         with pytest.raises(InputError, match=message):
             h3.element({bad: 1})
     assert h3.element({(0, 1): -1}) == h3.generator(1).wedge(h3.generator(0))
+
+
+def test_element_is_not_exported():
+    """``Element`` takes any monomial key unchecked, so the package exports
+    the instance's checked builders (``monomial``, ``element``) instead."""
+    import rnforms
+    assert "Element" not in rnforms.__all__
+    assert not hasattr(rnforms, "Element")

@@ -9,7 +9,7 @@ from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, w
 from rnforms.dualforms import DualForm
 from rnforms.elements import Element
 from rnforms.forms import (PolyForm, VForm, as_polyform, element_form, insert, is_zero,
-                           iterated_eval_identity, rn_bracket)
+                           rn_bracket)
 from rnforms.graded import GradingConvention, koszul_sign
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.report import Report
@@ -68,6 +68,16 @@ def test_rn_bracket_zero_form_partial_application(aff):
     comp = bracket.component(1)
     assert comp is not None
     assert comp.evaluate((e2,)) == K.evaluate((e1, e2))
+
+
+def iterated_eval_identity(K: VForm, args) -> bool:
+    """K(X1,...,Xk) equals the iterated bracket [Xk,...,[X2,[X1,K]]...]."""
+    current = as_polyform(K)
+    for arg in args:
+        current = rn_bracket(element_form(K.instance, arg), current)
+    final = current.component(0)
+    iterated = final.evaluate(()) if final is not None else Element.zero()
+    return (K.evaluate(tuple(args)) - iterated).is_zero()
 
 
 def test_iterated_eval_identity(aff, h3):

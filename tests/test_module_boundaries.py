@@ -2,8 +2,10 @@
 rnforms module imports a private name of another, the canonical-tuple
 walk stays behind one module: only ``forms`` reads form memos, lookups and
 the piece id table, one function chooses a certificate's test family:
-``forms.is_zero``, and only the modules that check a degree name a
-grading."""
+``forms.is_zero``, only the modules that check a degree name a grading,
+no module imports a name it does not read, and every module-level
+function and class is read somewhere in the package (tests are no
+caller: a function only they need lives under ``tests/``)."""
 
 import ast
 from collections import Counter
@@ -17,6 +19,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rnforms"
 MODULES = sorted(PACKAGE.glob("*.py"))
 KERNEL_ATTRIBUTES = {"_lookup", "_memo", "_ids"}
 GRADING_NAMES = {"GradingConvention", "convention", "grading"}
+# definitions that only a library user calls
+LIBRARY_ENTRY_POINTS = ["scenario.load_shipped"]
 
 
 def _tree(path: Path):
@@ -79,6 +83,46 @@ def _grading_uses(path: Path) -> list:
     return [entry for _, entry in sorted(found)]
 
 
+def _unused_imports(path: Path) -> list:
+    """The names that ``path`` imports (``__future__`` features aside) and
+    never reads."""
+    tree = _tree(path)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            found += [f"line {node.lineno}: imports {name}" for name in bound
+                      if name not in read]
+    return found
+
+
+def _unreferenced(paths) -> list:
+    """Each module-level function and class of ``paths``, as module.name,
+    that nothing in ``paths`` reads but its own body: neither its module
+    (by its name) nor another module (by the name it imported it under
+    with ``from .module import``)."""
+    defined, read = set(), set()
+    for path in paths:
+        module, tree = path.stem, _tree(path)
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for alias in node.names}
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = (module, top.name)
+                defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    target = imported.get(node.id, (module, node.id))
+                    if target != own:
+                        read.add(target)
+    return sorted(f"{module}.{name}" for module, name in defined - read)
+
+
 def test_every_public_name_resolves_once():
     """Each name of ``rnforms.__all__`` is bound in the package, once, so
     ``from rnforms import *`` works after an export is removed."""
@@ -117,6 +161,19 @@ def test_only_the_degree_checks_name_a_grading():
         "__init__", "cli", "graded", "linfty"]
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_does_not_read(path):
+    assert _unused_imports(path) == []
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    """A function or class that only tests call is a reference: it belongs
+    under ``tests/``.  ``__init__`` re-exports and is no caller."""
+    assert _unreferenced([p for p in MODULES if p.name != "__init__.py"]) == \
+        LIBRARY_ENTRY_POINTS
+
+
 def test_the_guard_sees_a_violation(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("from .forms import _family_tuples\n"
@@ -145,3 +202,22 @@ def test_the_guard_sees_a_violation(tmp_path):
                                      "line 2: names convention",
                                      "line 3: names convention",
                                      "line 4: names GradingConvention"]
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\n"
+                      "from .other import used, imported_only\n"
+                      "def helper():\n"
+                      "    return used()\n"
+                      "def recursive(n):\n"
+                      "    return recursive(n - 1)\n"
+                      "class Lonely:\n"
+                      "    pass\n"
+                      "if __name__ == '__main__':\n"
+                      "    helper()\n")
+    other = tmp_path / "other.py"
+    other.write_text("def used():\n"
+                     "    return 1\n"
+                     "def imported_only():\n"
+                     "    return 2\n")
+    assert _unused_imports(module) == ["line 2: imports os", "line 3: imports imported_only"]
+    assert _unreferenced([module, other]) == ["module.Lonely", "module.recursive",
+                                              "other.imported_only"]

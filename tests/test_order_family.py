@@ -22,6 +22,7 @@ from rnforms.forms import (PolyForm, VForm, default_poly_family, insert, is_zero
 from rnforms.scenario import load_shipped
 
 from generated_instances import heisenberg, poly_rank3, semidirect, two_step_nilpotent
+from linfty_reference import l2_deformed
 from test_forms_reference import generator_products, unbounded
 
 SCENARIOS_DIR = Path(forms.__file__).with_name("scenarios")
@@ -105,7 +106,7 @@ def declared_forms(inst, rng):
             ("N3", wedge_form(inst, 3), 0),
             ("l2", l2, 1), ("uN", un, 1), ("u(2-form)", extend_kform(two), 1),
             ("u(1-form)", extend_kform(one), 1), ("l3", lk_form(inst, 3), 1),
-            ("l2^N", linfty.l2_deformed(inst, N), 1),
+            ("l2^N", l2_deformed(inst, N), 1),
             ("insert(uN, uN)", insert(un, un), 2),
             ("[uN, l2]", rn_bracket(un, l2).component(2), 1),
             ("[N2, l2] - 2 l3", (rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3)])
@@ -423,7 +424,7 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
         if not certificate.is_zero or reduced_components(form, inst, family) != [1] * len(
                 forms.as_polyform(form).components):
             continue
-        if max(forms.as_polyform(form).arities()) > 3:
+        if max(forms.as_polyform(form).components) > 3:
             continue
         with pytest.MonkeyPatch.context() as patch:
             unbounded(patch)
