@@ -66,12 +66,12 @@ through D on shorter products, so by induction on m, D vanishes on all
 products, which span A; then take the next argument.  So on the basis
 of a Lie algebra :func:`is_zero` walks only the order family, built from
 its definition (the whole basis when r is None), and its first nonzero
-value is the counterexample, by the lemma below.  In a declared family it
-walks the order family first when the family holds all of it and more,
-and the whole family only after a nonzero value there (same
-counterexample).  The count is always the full one.  A primitive declares
-its order; an insertion has r_K + r_L (a composition); sums and scaling
-keep the largest bound; None stays None.  The bracket :func:`rn_vform`
+value is the counterexample, by the lemma below.  On a polynomial
+algebroid it walks the order family first when the declared family holds
+all of it and more, and the whole family only after a nonzero value
+there (same counterexample).  The count is always the full one.  A
+primitive declares its order; an insertion has r_K + r_L (a composition);
+sums and scaling keep the largest bound; None stays None.  The bracket :func:`rn_vform`
 records max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes:
 for each split (B, C) of the other arguments, L(K(a, B), C) and
 K(L(a, C), B) form a graded commutator of operators in a of orders r_K and
@@ -92,16 +92,21 @@ canonical, since f(S) = +-f(t_1..t_{i-1}, Q) is nonzero.  S replaces each
 of t_i..t_k by a strictly smaller entry, so it precedes T* entry by entry
 (sorting is monotone) and is smaller in its last: S comes strictly before
 T*, against the choice of T*.  Tuples outside the window are zero, so the
-window changes nothing.  In a declared family (a polynomial algebroid's,
-or an explicit test family) O is not an initial segment of the key order
-(for r >= 1, x_1^(r+1), of wedge degree 0 and outside O, sorts before
-every generator e_j), so both passes stay there.
+window changes nothing.  In a polynomial algebroid's declared family O
+is not an initial segment of the key order (for r >= 1, x_1^(r+1), of
+wedge degree 0 and outside O, sorts before every generator e_j), so both
+passes stay there.
 
-**Families as sets.**  A declared family is the set of its distinct piece
-ids.  Every count is the closed sum over b of C(O, b) C(E + a - b - 1,
-a - b) over its E even and O odd ids.  The basis of a Lie algebra has
-E = O = 2^(rank-1); it is listed, and numbered, only for a component with
-no order bound, or one of at least rank.
+**The declared family.**  A polynomial algebroid certifies on the pieces
+x^a times a wedge monomial with |a| <= ``poly_degree_bound``, built from
+that definition as piece ids by the enumerator of the order family (where
+|a| + wedge degree <= r), so its pieces are distinct.  It holds all of
+the order family of r, and more, exactly when r <= the bound: only then
+is x_1^r in it, and a_1 x_1^bound is never in that order family.  Every
+count is the closed sum over b of C(O, b) C(E + a - b - 1, a - b) over
+the family's E even and O odd ids.  The basis of a Lie algebra has E = O
+= 2^(rank-1); it is listed, and numbered, only for a component with no
+order bound, or one of at least rank.
 """
 
 from __future__ import annotations
@@ -551,7 +556,8 @@ def rn_bracket(K, L) -> PolyForm:
 
 
 class ZeroCertificate:
-    """Verdict of an exhaustive (or declared-family) vanishing check."""
+    """Verdict of an exhaustive (or, on a polynomial algebroid,
+    declared-family) vanishing check."""
 
     def __init__(self, count, complete, counterexample, family_note, failing=None):
         self.count = count                      # the number of covered canonical tuples
@@ -572,15 +578,17 @@ class ZeroCertificate:
         return f"ZeroCertificate({status}, complete={self.complete})"
 
 
-def _order_family(table: _Ids, order: int) -> list:
+def _order_family(table: _Ids, order: int, bound=None) -> list:
     """The ids of the products of at most ``order`` generators (1 included),
     sorted by key: wedge monomials of degree j <= order, times x^a with
-    |a| <= order - j on a polynomial algebroid."""
+    |a| <= order - j on a polynomial algebroid, or with |a| <= ``bound``
+    when it is given (the declared family, for ``order`` the rank)."""
     nvars = table.ring.nvars if table.poly else 0
     ids = []
     for j in range(min(order, table.rank) + 1):
+        top = order - j if bound is None else bound
         expos = [None] if not table.poly else [
-            tuple(combo.count(v) for v in range(nvars)) for total in range(order - j + 1)
+            tuple(combo.count(v) for v in range(nvars)) for total in range(top + 1)
             for combo in itertools.combinations_with_replacement(range(nvars), total)]
         for mon in itertools.combinations(range(table.rank), j):
             ids.extend([table.piece(mon, expo) for expo in expos])
@@ -638,41 +646,29 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
         yield from walk(0, arity, 0, ())
 
 
-def is_zero(form, test_family=None) -> ZeroCertificate:
-    """Exhaustive vanishing verdict, over the form's own instance, on all
-    canonical basis tuples (finite instances without a family: a complete
-    proof by multilinearity, graded symmetry and grading) or on the distinct
-    elements of a declared family (always the case on polynomial instances:
-    a verification, flagged as incomplete).  Without ``test_family``, a
-    polynomial instance's family is the one it declares,
-    ``default_poly_family(instance, instance.poly_degree_bound)``; this is
-    the one place that chooses a family.  Only the tuples inside each
-    component's wedge-degree window are evaluated, up to the first nonzero
-    value, the counterexample.  On the basis of a Lie algebra a component
-    walks its order family alone, whose first nonzero value is the
-    counterexample; a declared family walks it first when it holds all of
-    it and more (see the module docstring).  The certificate counts every
-    canonical tuple."""
+def is_zero(form) -> ZeroCertificate:
+    """Exhaustive vanishing verdict, over the form's own instance: on all
+    canonical basis tuples of a Lie algebra (a complete proof by
+    multilinearity, graded symmetry and grading), on the declared family of
+    a polynomial algebroid (``poly_degree_bound``; a verification, flagged
+    as incomplete).  Only the tuples inside each component's wedge-degree
+    window are evaluated, up to the first nonzero value, the
+    counterexample.  On the basis of a Lie algebra a component walks its
+    order family alone, whose first nonzero value is the counterexample; a
+    declared family walks it first when it holds all of it and more (see
+    the module docstring).  The certificate counts every canonical tuple."""
     form = as_polyform(form)
     instance = form.instance
     table = instance._ids = instance._ids or _Ids(instance)
     keys, odd = table.keys, table.odd
-    complete = test_family is None and not table.poly
+    complete = not table.poly
     if complete:
         note = "all canonical basis tuples"
         evens, odds = (2 ** table.rank + 1) // 2, 2 ** table.rank // 2
     else:
-        if test_family is None:
-            test_family = default_poly_family(instance, instance.poly_degree_bound)
-        note = f"declared family of {len(test_family)} elements"
-        for el in test_family:
-            if el.wedge_degree() is None:
-                raise InputError(f"test family element {instance.basis_label(el)} is zero"
-                                 " or inhomogeneous")
-        members = set(map(table.id_of, test_family))
-        if not members:
-            raise InputError("empty test family")
-        family = sorted(members, key=keys.__getitem__)
+        bound = instance.poly_degree_bound
+        family = _order_family(table, table.rank, bound)
+        note = f"declared family of {len(family)} elements"
         odds = sum([odd[i] for i in family])
         evens = len(family) - odds
     covered = 0
@@ -685,10 +681,9 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
         low, high = -component.shift, instance.rank - component.shift
         if complete:        # the first nonzero tuple lies in the order family (module docstring)
             family = _order_family(table, table.rank if order is None else order)
-        elif order is not None:
+        elif order is not None and order <= bound:     # the family holds it and more
             short = _order_family(table, order)
-            if (members > set(short)
-                    and not any(map(lookup, _window_keys(short, keys, odd, arity, low, high)))):
+            if not any(map(lookup, _window_keys(short, keys, odd, arity, low, high))):
                 continue
         for key in _window_keys(family, keys, odd, arity, low, high):
             value = lookup(key)
@@ -699,26 +694,3 @@ def is_zero(form, test_family=None) -> ZeroCertificate:
                                   instance.basis_label(table.element(value)))
                 break
     return ZeroCertificate(covered, complete, counterexample, note, failing)
-
-
-def default_poly_family(instance: GradedInstance, coefficient_degree: int = 1):
-    """Monomial multivectors scaled by coordinate monomials of bounded degree."""
-    ring = instance.ring
-    family = list(instance.all_basis())
-    if coefficient_degree >= 1:
-        monos = coordinate_monomials(ring, coefficient_degree)
-        for poly in monos:
-            family.extend(el.scale(poly) for el in instance.all_basis())
-    return family
-
-
-def coordinate_monomials(ring: PolyRing, max_degree: int):
-    """Nonconstant coordinate monomials of total degree <= max_degree."""
-    out = []
-    for total in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(ring.nvars), total):
-            poly = ring.one()
-            for idx in combo:
-                poly = poly * ring.var(idx)
-            out.append(poly)
-    return out

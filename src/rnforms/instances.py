@@ -142,12 +142,11 @@ class GradedInstance:
     a form's degree is read off its arity and wedge shift
     (graded.GradingConvention.form_degree) where one is checked.
 
-    ``poly_degree_bound`` declares the test family of a polynomial
-    algebroid: the monomial basis and its multiples by the coordinate
-    monomials of degree <= the bound (``forms.default_poly_family``), over
-    which ``forms.is_zero`` certifies when it is given no family.  A
-    scenario sets it from ``suite.poly_degree_bound``; a Lie algebra has no
-    use for it."""
+    ``poly_degree_bound``, an int >= 0 (checked on every assignment),
+    declares the test family of a polynomial algebroid: the monomial basis and its multiples by the
+    coordinate monomials of degree <= the bound, the only tuples over which
+    ``forms.is_zero`` certifies there.  A scenario sets it from
+    ``suite.poly_degree_bound``; a Lie algebra has no use for it."""
 
     def __init__(self, data, name="instance", check=True, poly_degree_bound=1):
         self.data = data
@@ -169,6 +168,17 @@ class GradedInstance:
         self._ids = None                # the piece id table, built by the first evaluation
         if check:
             self.validate()
+
+    @property
+    def poly_degree_bound(self) -> int:
+        return self._poly_degree_bound
+
+    @poly_degree_bound.setter
+    def poly_degree_bound(self, bound) -> None:
+        # a negative bound would declare an empty family, on which every form passes
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+            raise InputError(f"poly_degree_bound must be an integer >= 0, got {bound!r}")
+        self._poly_degree_bound = bound
 
     # -- element constructors -------------------------------------------------
 

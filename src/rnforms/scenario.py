@@ -55,9 +55,9 @@ from .rings import InputError, parse_rational
 
 class Scenario:
     """A loaded scenario: the instance, its tensor data and suite bounds.
-    ``suite.poly_degree_bound`` sets the instance's declared test
-    family (``GradedInstance.poly_degree_bound``), which every certificate
-    reads through ``forms.is_zero``."""
+    ``suite.poly_degree_bound`` (an integer >= 0, default 1) sets the
+    instance's declared test family (``GradedInstance.poly_degree_bound``),
+    the one family that ``forms.is_zero`` certifies on there."""
 
     def __init__(self, name: str, instance: GradedInstance, pi: Element, N: list,
                  omega: DualForm, H: DualForm, alpha: DualForm, lam: Fraction | None,

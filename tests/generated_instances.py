@@ -110,3 +110,9 @@ def elements(draw, inst):
         coefficients = st.sampled_from((1, -1, 2, -3) + NON_INTEGRAL)
     terms = draw(st.dictionaries(monomials, coefficients, min_size=1, max_size=4))
     return Element({mon: c if isinstance(c, Poly) else Fraction(c) for mon, c in terms.items()})
+
+
+def with_bound(inst: GradedInstance, bound: int) -> GradedInstance:
+    """A fresh instance on the data of ``inst`` that declares the test
+    family of coordinate degree ``bound``."""
+    return GradedInstance(inst.data, name=inst.name, poly_degree_bound=bound)

@@ -22,6 +22,7 @@ from rnforms.forms import VForm
 from rnforms.report import Report
 
 from dualforms_reference import pi_sharp_matrix
+from forms_reference import declared_family
 
 
 def reference_dual_pairing(instance, pi):
@@ -97,14 +98,15 @@ def reference_conditions_bc(inst, pi, N, omega, H):
     return conditions
 
 
-def reference_section3(instance, pi, N, omega, H, test_family=None):
+def reference_section3(instance, pi, N, omega, H):
     """The section-3 lemma checks, one report entry each (31 on rank 3
     when pi, omega and H are nonzero and N is compatible with pi and
     omega).  The identities between
     brackets of extensions are ``is_zero`` certificates; the others are
     hand-rolled loops over basis tuples, the iterated ones over
-    combinations_with_replacement triples with the pair terms as a closure
-    and M as an ad-hoc VForm."""
+    combinations_with_replacement triples of the instance's family (the
+    declared one on a polynomial algebroid) with the pair terms as a
+    closure and M as an ad-hoc VForm."""
     report = Report("suite section3", instance.name)
     ring = instance.ring
     l2 = pqn.l2_form(instance)
@@ -119,7 +121,7 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
     extended += [("u(omega)", uomega)] if uomega else []
     extended += [("uH", uH)] if uH else []
     for (la, fa), (lb, fb) in itertools.combinations_with_replacement(extended, 2):
-        cert = pqn.is_zero(pqn.rn_bracket(fa, fb), test_family)
+        cert = pqn.is_zero(pqn.rn_bracket(fa, fb))
         report.add_certificate(f"commuting extensions [{la},{lb}]",
                                "[u(kappa), u(kappa')] = 0", cert)
 
@@ -128,7 +130,7 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
         report.add("compatibility omega/N", "omega_flat o N = N* o omega_flat", ok_om)
         if ok_om:
             target = pqn.extend_kform(pqn.omega_n(omega, N)).scale(2)
-            cert = pqn.is_zero(pqn.rn_bracket(un, uomega) - target, test_family)
+            cert = pqn.is_zero(pqn.rn_bracket(un, uomega) - target)
             report.add_certificate("bundle map against 2-form",
                                    "[uN, u(omega)] = 2 u(omega_N)", cert)
 
@@ -140,9 +142,9 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
         dk = pqn.differential(kappa)
         lhs = pqn.rn_bracket(l2, uk)
         if dk.is_zero():
-            cert = pqn.is_zero(lhs, test_family)
+            cert = pqn.is_zero(lhs)
         else:
-            cert = pqn.is_zero(lhs - pqn.extend_kform(dk), test_family)
+            cert = pqn.is_zero(lhs - pqn.extend_kform(dk))
         report.add_certificate(f"differential through the bracket ({label})",
                                "[l2, u(kappa)] = u(d kappa)", cert)
 
@@ -288,7 +290,7 @@ def reference_section3(instance, pi, N, omega, H, test_family=None):
             return total
 
         bad = None
-        family = test_family if test_family is not None else instance.all_basis()
+        family = declared_family(instance)
         for combo in itertools.combinations_with_replacement(family, 3):
             l_val = lhs3.evaluate(combo)
             r_val = (term1.evaluate(combo)

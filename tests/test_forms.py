@@ -1,6 +1,6 @@
+import inspect
 import itertools
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +14,8 @@ from rnforms.graded import GradingConvention, koszul_sign
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms.report import Report
 from rnforms.rings import InputError
+
+from generated_instances import with_bound
 
 NEG, SH2 = GradingConvention.NEGATED, GradingConvention.SHIFTED2
 
@@ -174,7 +176,7 @@ def test_kform_identity_for_extensions(h3):
         assert iterated_eval_identity(un, (el,))
 
 
-def test_is_zero_examples(aff, broken, h3):
+def test_is_zero_examples(aff, broken, h3, poly):
     cert = is_zero(rn_bracket(l2_form(aff), l2_form(aff)))
     assert cert.is_zero and cert.complete and cert.failing is None
     assert cert.family_note == "all canonical basis tuples"
@@ -193,31 +195,15 @@ def test_is_zero_examples(aff, broken, h3):
     # the walk covers the form's own instance, the only one it can name
     un = extend_bundle_map(h3, [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert is_zero(un).counterexample[0] == "arity 1: (e3)"
-    # a declared family on a finite instance is a verification, not a proof
-    gens = [h3.generator(i) for i in range(3)]
-    partial = is_zero(wedge_form(h3, 2), gens)
-    assert len(partial.checked) == 3 and not partial.complete
-    assert partial.family_note == "declared family of 3 elements"
-    assert partial.failing == (gens[0], gens[1])
-
-
-def test_is_zero_empty_family_rejected(poly):
-    form = as_polyform(wedge_form(poly, 2))
-    with pytest.raises(InputError):
-        is_zero(form, [])
-
-
-def test_is_zero_rejects_a_zero_or_inhomogeneous_family_element(h3, poly):
-    """A declared family element with no wedge degree fails with an
-    InputError that names it."""
-    e1, e2 = h3.generator(0), h3.generator(1)
-    for family, label in (([Element.zero(), e1], "0"), ([e1 + e1.wedge(e2), e2], "e1 + e1^e2")):
-        message = f"test family element {label} is zero or inhomogeneous"
-        with pytest.raises(InputError, match=re.escape(message)):
-            is_zero(wedge_form(h3, 2), family)
-    mixed = poly.unit() + poly.generator(0)
-    with pytest.raises(InputError, match="is zero or inhomogeneous"):
-        is_zero(wedge_form(poly, 2), [poly.unit(), mixed])
+    # a polynomial algebroid's declared family is a verification, not a proof: at
+    # coordinate degree 0 it is the basis 1, a1, a2, a1^a2, with 8 canonical pairs
+    flat = with_bound(poly, 0)
+    partial = is_zero(wedge_form(flat, 2))
+    assert partial.count == 8 and not partial.complete
+    assert partial.family_note == "declared family of 4 elements"
+    assert partial.failing == (flat.unit(), flat.unit())
+    # a certificate covers its instance's tuples alone: no family argument
+    assert list(inspect.signature(is_zero).parameters) == ["form"]
 
 
 def test_certificate_count_past_the_index_range_reaches_the_report():

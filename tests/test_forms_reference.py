@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, VForm, _Ids, coordinate_monomials, default_poly_family,
-                           element_form, insert, is_zero, rn_bracket)
+from rnforms.forms import (PolyForm, VForm, _Ids, _tuple_count, element_form, insert, is_zero,
+                           rn_bracket)
 from rnforms.graded import koszul_sign, unshuffles
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms import pqn
@@ -29,11 +29,15 @@ from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
 
-from generated_instances import broken_jacobi3, semidirect, two_step_nilpotent
+from forms_reference import coordinate_monomials, declared_family
+from generated_instances import (broken_jacobi3, poly_rank3, semidirect, two_step_nilpotent,
+                                 with_bound)
 from graded_reference import koszul_sign_by_transpositions
 from linfty_reference import torsion_formulas_agree
 
 NAMES = ("h3", "so3", "broken_jacobi3", "poly-tangent-r2")
+# the window tests add poly-tangent-r2 declaring coordinate degree 2
+WINDOW_NAMES = ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2", "poly-tangent-r2@2")
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -49,17 +53,18 @@ def unbounded(monkeypatch):
 
 @cache
 def instance(name):
+    """A shipped instance, or ``broken_jacobi3``; "name@d" declares the
+    coordinate degree d."""
     if name == "broken_jacobi3":
         return broken_jacobi3()
-    return load_shipped({"h3": "heisenberg3"}.get(name, name)).instance
+    name, _, bound = name.partition("@")
+    inst = load_shipped({"h3": "heisenberg3"}.get(name, name)).instance
+    return with_bound(inst, int(bound)) if bound else inst
 
 
 @cache
 def family(name):
-    inst = instance(name)
-    if name == "poly-tangent-r2":
-        return tuple(default_poly_family(inst))
-    return tuple(inst.all_basis())
+    return tuple(declared_family(instance(name)))
 
 
 @cache
@@ -107,11 +112,12 @@ def reference_order(inst, args):
 
 
 def reference_family_tuples(inst, arity, family=None):
-    """Every canonical tuple of the basis (or a declared family), window or
-    not, as (tuple of family elements, key) in test order: combinations with
-    replacement of the positions sorted by key, minus those with a repeated
-    odd id."""
-    family = inst.all_basis() if family is None else list(family)
+    """Every canonical tuple of the instance's family (the basis of a Lie
+    algebra, a polynomial algebroid's declared family) or of ``family``,
+    window or not, as (tuple of family elements, key) in test order:
+    combinations with replacement of the positions sorted by key, minus
+    those with a repeated odd id."""
+    family = declared_family(inst) if family is None else list(family)
     table = id_table(inst)
     ids = [table.id_of(el) for el in family]
     for combo in itertools.combinations_with_replacement(
@@ -497,9 +503,9 @@ def test_harness_computes_only_the_deformation_square(harness, monkeypatch):
         built.append(linfty.nijenhuis_forms(*args, **kwargs))
         return built[-1]
 
-    def counting(form, test_family=None):
+    def counting(form):
         certified.append(form)
-        return is_zero(form, test_family)
+        return is_zero(form)
 
     monkeypatch.setattr(pqn, "nijenhuis_forms", building)
     monkeypatch.setattr(pqn, "is_zero", counting)
@@ -821,13 +827,13 @@ def window_cases(inst):
             ("[N,[N,mu]]", nested[0], nested[1])]
 
 
-def reference_is_zero(inst, slow, family=None):
+def reference_is_zero(inst, slow):
     """(verdict, failing tuple, counterexample, count) of the closure
-    evaluator on every canonical tuple, inside the window or not; the
-    evaluation stops at the first nonzero value."""
+    evaluator on every canonical tuple of the instance's family, inside the
+    window or not; the evaluation stops at the first nonzero value."""
     count, failing, counterexample = 0, None, None
     for arity in sorted(slow):
-        for combo, _ in reference_family_tuples(inst, arity, family):
+        for combo, _ in reference_family_tuples(inst, arity):
             count += 1
             if failing is None:
                 value = slow[arity].evaluate(combo)
@@ -838,45 +844,26 @@ def reference_is_zero(inst, slow, family=None):
     return counterexample is None, failing, counterexample, count
 
 
-def check_window_against_reference(inst, family=None):
+def check_window_against_reference(inst):
     """The windowed certificate gives the reference's verdict, failing
     tuple, counterexample strings and count; returns the verdicts."""
     verdicts = set()
     for name, fast, slow in window_cases(inst):
         assert tuple(fast.components) == tuple(sorted(slow)), name
-        certificate = is_zero(fast, family)
-        expected = reference_is_zero(inst, slow, family)
+        certificate = is_zero(fast)
+        expected = reference_is_zero(inst, slow)
         assert (certificate.is_zero, certificate.failing, certificate.counterexample,
                 len(certificate.checked)) == expected, name
         verdicts.add(certificate.is_zero)
     return verdicts
 
 
-@pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
+@pytest.mark.parametrize("name", WINDOW_NAMES + ("poly-tangent-r2@0",))
 def test_windowed_is_zero_matches_full_enumeration(name):
-    inst = instance(name)
-    family = list(default_poly_family(inst)) if name == "poly-tangent-r2" else None
-    assert check_window_against_reference(inst, family) == {True, False}
-
-
-def test_windowed_is_zero_on_a_family_with_repeats():
-    """A declared family with repeated odd and even elements, a scaled
-    (non-piece) element and the unit twice is the set of its distinct
-    elements: the count is that of the enumeration over them, the verdicts
-    agree, and the note keeps the declared length."""
-    inst = instance("h3")
-    e1, e2, e3 = (inst.generator(i) for i in range(3))
-    e12, e123 = inst.monomial((0, 1)), inst.monomial((0, 1, 2))
-    family = [e2, e12, e1, inst.unit(), e1, e12, e3.scale(2), e123, inst.unit(), e12]
-    distinct = list(dict.fromkeys(family))
-    assert len(distinct) == 6
-    assert check_window_against_reference(inst, distinct) == {True, False}
-    for name, fast, slow in window_cases(inst):
-        certificate = is_zero(fast, family)
-        expected = reference_is_zero(inst, slow, distinct)
-        assert (certificate.is_zero, certificate.failing, certificate.counterexample,
-                len(certificate.checked)) == expected, name
-        assert certificate.family_note == "declared family of 10 elements"
+    """At coordinate degree 0 poly-tangent-r2's family holds constant
+    sections only, which commute: every case vanishes there."""
+    expected = {True} if name == "poly-tangent-r2@0" else {True, False}
+    assert check_window_against_reference(instance(name)) == expected
 
 
 @settings(max_examples=3, deadline=None)
@@ -886,40 +873,36 @@ def test_windowed_is_zero_on_generated_nilpotent(inst):
     assert check_window_against_reference(inst) == {True, False}
 
 
-def reference_count(inst, arity, family=None):
-    """The canonical tuples of ``arity`` over the distinct elements of the
-    basis (or of ``family``), enumerated: combinations with replacement
-    without a repeated odd element."""
-    distinct = list(dict.fromkeys(inst.all_basis() if family is None else family))
-    odd = [el.wedge_degree() % 2 for el in distinct]
-    return sum(not any(a == b and odd[a] for a, b in zip(combo, combo[1:]))
-               for combo in itertools.combinations_with_replacement(range(len(distinct)), arity))
+def enumerated_count(parities, arity):
+    """The canonical tuples of ``arity`` over distinct elements of the given
+    parities, enumerated: combinations with replacement without a repeated
+    odd element."""
+    return sum(not any(a == b and parities[a] for a, b in zip(combo, combo[1:]))
+               for combo in itertools.combinations_with_replacement(range(len(parities)), arity))
 
 
 @st.composite
-def counted_families(draw):
-    """An instance and None (its basis), or a declared family with repeats,
-    even and odd elements and scaled (non-piece) ones."""
-    inst = draw(st.sampled_from((instance("h3"), instance("so3"), instance("aff1"),
-                                 instance("poly-tangent-r2")))
-                | two_step_nilpotent(max_dim=4))
-    pool = list(default_poly_family(inst) if inst.ring.kind == "poly" else inst.all_basis())
-    pool += [el.scale(c) for el in pool[:6] for c in (2, Fraction(-1, 2))]
-    if inst.ring.kind != "poly" and draw(st.booleans()):
-        return inst, None
-    return inst, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+def counted_instances(draw):
+    """A Lie algebra, or poly-tangent-r2 or a generated polynomial algebroid
+    declaring coordinate degree 0 to 2."""
+    lie = st.sampled_from((instance("h3"), instance("so3"), instance("aff1")))
+    poly = st.sampled_from((instance("poly-tangent-r2"),)) | poly_rank3()
+    inst = draw(lie | two_step_nilpotent(max_dim=4) | poly)
+    return with_bound(inst, draw(st.integers(0, 2))) if inst.ring.kind == "poly" else inst
 
 
 @settings(max_examples=40, deadline=None)
-@given(counted_families())
-def test_closed_count_matches_enumeration(case):
-    """Every arity's count is the closed sum over the family's even and odd
-    distinct elements: is_zero of a zero form counts what the enumeration
-    counts, for arities 0-5."""
-    inst, members = case
+@given(st.integers(0, 6), st.integers(0, 6), counted_instances())
+def test_closed_count_matches_enumeration(even, odd, inst):
+    """Every arity's count is the closed sum over a family's even and odd
+    distinct elements: ``_tuple_count`` counts what the enumeration counts
+    over ``even`` even and ``odd`` odd elements, and is_zero of a zero form
+    what it counts over the instance's family, for arities 0-5."""
+    parities = [el.wedge_degree() % 2 for el in declared_family(inst)]
     for arity in range(6):
+        assert _tuple_count(even, odd, arity) == enumerated_count([0] * even + [1] * odd, arity)
         zero = VForm.zero(inst, arity, 0)
-        assert is_zero(zero, members).count == reference_count(inst, arity, members), arity
+        assert is_zero(zero).count == enumerated_count(parities, arity), arity
 
 
 def generator_products(inst, order):
@@ -932,23 +915,24 @@ def generator_products(inst, order):
             if el.wedge_degree() + (poly.total_degree() if poly != 1 else 0) <= order]
 
 
-def reference_order_family(inst, family, order):
-    """The order family that is_zero walks first, as a declared family, or
-    None.  On the basis of a Lie algebra (``family`` None) it is always
-    walked: the products of at most ``order`` generators, the whole basis
-    when ``order`` is None.  In a declared family, only when the family
-    contains it and more."""
-    if family is None:
+def reference_order_family(inst, order):
+    """The order family that is_zero walks first, as Elements, or None.  On
+    the basis of a Lie algebra it is always walked: the products of at most
+    ``order`` generators, the whole basis when ``order`` is None.  In a
+    polynomial algebroid's declared family, only when the family contains
+    it and more."""
+    if inst.ring.kind != "poly":
         return generator_products(inst, inst.rank if order is None else order)
     if order is None:
         return None
     products = generator_products(inst, order)
+    family = declared_family(inst)
     if not all(el in family for el in products) or set(family) == set(products):
         return None
     return products
 
 
-def expected_walk(inst, fast, slow, family=None):
+def expected_walk(inst, fast, slow):
     """The top-level keys that is_zero looks up, in order: per component,
     the in-window tuples of its order family up to the first nonzero value.
     On the basis of a Lie algebra that walk is the only one, and its first
@@ -960,7 +944,8 @@ def expected_walk(inst, fast, slow, family=None):
     keys = []
     for arity in sorted(slow):
         component = fast.component(arity)
-        short = reference_order_family(inst, family, component.order)
+        short = reference_order_family(inst, component.order)
+        family = declared_family(inst) if inst.ring.kind == "poly" else None
         walks = [short] if family is None else [family] if short is None else [short, family]
         for walk in walks:
             nonzero = False
@@ -977,12 +962,12 @@ def expected_walk(inst, fast, slow, family=None):
     return keys
 
 
-@pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
+@pytest.mark.parametrize("name", WINDOW_NAMES)
 def test_is_zero_stops_at_the_first_nonzero(name, monkeypatch):
     check_first_nonzero(name, monkeypatch, bounded=True)
 
 
-@pytest.mark.parametrize("name", ("aff1", "h3", "so3", "broken_jacobi3", "poly-tangent-r2"))
+@pytest.mark.parametrize("name", WINDOW_NAMES)
 def test_is_zero_stops_at_the_first_nonzero_without_bounds(name, monkeypatch):
     unbounded(monkeypatch)
     check_first_nonzero(name, monkeypatch, bounded=False)
@@ -998,7 +983,6 @@ def check_first_nonzero(name, monkeypatch, bounded):
     Lie algebra is the counterexample; a declared family then walks the
     whole window up to the counterexample (:func:`expected_walk`)."""
     inst = instance(name)
-    family = list(default_poly_family(inst)) if name == "poly-tangent-r2" else None
     lookup = VForm._lookup
     failures = 0
     for case, fast, slow in window_cases(inst):
@@ -1012,8 +996,8 @@ def check_first_nonzero(name, monkeypatch, bounded):
 
         with monkeypatch.context() as patch:
             patch.setattr(VForm, "_lookup", spy)
-            certificate = is_zero(fast, family)
-        verdict, failing, counterexample, count = reference_is_zero(inst, slow, family)
+            certificate = is_zero(fast)
+        verdict, failing, counterexample, count = reference_is_zero(inst, slow)
         assert (certificate.is_zero, certificate.failing, certificate.counterexample,
                 len(certificate.checked)) == (verdict, failing, counterexample, count), case
         if verdict:
@@ -1022,11 +1006,11 @@ def check_first_nonzero(name, monkeypatch, bounded):
         outer = [event for event in events if event[0]]
         assert events[-1] == outer[-1], case
         if bounded:
-            assert [key for _, key, _ in outer] == expected_walk(inst, fast, slow, family), case
+            assert [key for _, key, _ in outer] == expected_walk(inst, fast, slow), case
             assert outer[-1][2], case
             continue
         in_window_tuples = [(combo, key) for arity in sorted(slow)
-                            for combo, key in reference_family_tuples(inst, arity, family)
+                            for combo, key in reference_family_tuples(inst, arity)
                             if in_window(fast.component(arity), combo)]
         upto = [combo for combo, _ in in_window_tuples].index(failing) + 1
         assert [key for _, key, _ in outer] == [key for _, key in in_window_tuples[:upto]], case

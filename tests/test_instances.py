@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,20 @@ def test_structure_bracket_examples(aff):
     assert aff.sn_bracket(e1, e2) == e2
     assert aff.sn_bracket(e1, e1.wedge(e2)) == e1.wedge(e2)
     assert aff.sn_bracket(aff.unit(), aff.unit()).is_zero()
+
+
+@pytest.mark.parametrize("bound", [-1, True, False, 1.5, "1", None])
+def test_poly_degree_bound_must_be_a_nonnegative_int(poly, bound):
+    """A negative bound would declare an empty family, and a bool or a
+    float would stand for an int: each is an InputError, given to the
+    constructor or assigned later."""
+    message = f"poly_degree_bound must be an integer >= 0, got {bound!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        GradedInstance(poly.data, poly_degree_bound=bound)
+    inst = GradedInstance(poly.data, poly_degree_bound=0)
+    with pytest.raises(InputError, match=re.escape(message)):
+        inst.poly_degree_bound = bound
+    assert inst.poly_degree_bound == 0
 
 
 def test_degree_bookkeeping(h3):

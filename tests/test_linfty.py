@@ -283,6 +283,22 @@ def test_nijenhuis_deformation_theorem_on_a_polynomial_algebroid(poly):
     assert torsion_free_seen == {True}
 
 
+def test_nijenhuis_deformation_theorem_with_non_constant_operators(poly):
+    """On poly-tangent-r2, the tangent bundle of R^2, diag(1 + x1^2, x2) is
+    torsion-free (each entry depends on its own coordinate only) and passes
+    the full check; diag(x2, x1) and [[x1, x2], [0, x1]] have torsion and
+    fail the torsion precondition only.  Torsion is decided by the second
+    torsion formula, as in :func:`check_theorem`."""
+    x1, x2 = poly.ring.var(0), poly.ring.var(1)
+    one, zero = poly.ring.one(), poly.ring.zero()
+    operators = {"diag(1 + x1^2, x2)": ([[one + x1 * x1, zero], [zero, x2]], True),
+                 "diag(x2, x1)": ([[x2, zero], [zero, x1]], False),
+                 "[[x1, x2], [0, x1]]": ([[x1, x2], [zero, x1]], False)}
+    for label, (N, torsion_free) in operators.items():
+        for coefficients in ([0, 1], [2, -1, 1]):
+            assert check_theorem(poly, N, coefficients) == torsion_free, (label, coefficients)
+
+
 def test_full_check_negative_control(h3):
     bad = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(0)]]
     un = extend_bundle_map(h3, bad)

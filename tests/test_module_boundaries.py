@@ -1,11 +1,12 @@
 """Module boundaries of the package: every public name resolves, no
 rnforms module imports a private name of another, the canonical-tuple
 walk stays behind one module: only ``forms`` reads form memos, lookups and
-the piece id table, one function chooses a certificate's test family:
-``forms.is_zero``, only the modules that check a degree name a grading,
-no module imports a name it does not read, and every module-level
-function and class is read somewhere in the package (tests are no
-caller: a function only they need lives under ``tests/``)."""
+the piece id table, no function takes a certificate's test family or
+builds one from Elements (a certificate covers its instance's family,
+which ``forms.is_zero`` builds), only the modules that check a degree name
+a grading, no module imports a name it does not read, and every
+module-level function and class is read somewhere in the package (tests
+are no caller: a function only they need lives under ``tests/``)."""
 
 import ast
 from collections import Counter
@@ -145,11 +146,11 @@ def test_only_forms_reads_the_tuple_kernel(path):
 
 
 def test_only_is_zero_chooses_a_test_family():
-    """A polynomial instance declares its family (``poly_degree_bound``);
-    no function but ``is_zero`` takes one or builds the default."""
-    found = [entry for path in MODULES for entry in _family_choices(path)]
-    assert found == ["forms.is_zero: takes test_family",
-                     "forms.is_zero: calls default_poly_family"]
+    """A polynomial instance declares its family (``poly_degree_bound``),
+    and ``is_zero`` builds it as piece ids from that definition: no package
+    function takes a family or builds it from Elements (the Element-level
+    ``default_poly_family`` is a reference under ``tests/``)."""
+    assert [entry for path in MODULES for entry in _family_choices(path)] == []
 
 
 def test_only_the_degree_checks_name_a_grading():

@@ -17,11 +17,12 @@ from rnforms import cli, forms, linfty, pqn
 from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, wedge_form
 from rnforms.dualforms import DualForm
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, VForm, default_poly_family, insert, is_zero,
-                           rn_bracket)
+from rnforms.forms import PolyForm, VForm, insert, is_zero, rn_bracket
 from rnforms.scenario import load_shipped
 
-from generated_instances import heisenberg, poly_rank3, semidirect, two_step_nilpotent
+from forms_reference import declared_family, default_poly_family
+from generated_instances import (heisenberg, poly_rank3, semidirect, two_step_nilpotent,
+                                 with_bound)
 from linfty_reference import l2_deformed
 from test_forms_reference import generator_products, unbounded
 
@@ -43,22 +44,21 @@ def summary(certificate):
             certificate.counterexample, certificate.complete, certificate.family_note)
 
 
-def family_ids(instance, family):
-    """The distinct piece ids of ``family`` (when None: the basis of a Lie
-    algebra, the declared family of a polynomial instance), sorted by key:
-    the family that is_zero walks in full."""
+def family_ids(instance):
+    """The distinct piece ids of the instance's family (the basis of a Lie
+    algebra, the declared family of a polynomial instance, from the
+    Element-level reference), sorted by key: the family that is_zero walks
+    in full."""
     table = instance._ids = instance._ids or forms._Ids(instance)
-    if family is None:
-        family = (instance.all_basis() if not table.poly
-                  else default_poly_family(instance, instance.poly_degree_bound))
-    return sorted({table.id_of(el) for el in family}, key=table.keys.__getitem__)
+    return sorted({table.id_of(el) for el in declared_family(instance)},
+                  key=table.keys.__getitem__)
 
 
-def reduced_components(form, instance, family):
+def reduced_components(form, instance):
     """The orders of the components that is_zero walks on their order
-    family first: the family holds all of it and more."""
+    family first: the instance's family holds all of it and more."""
     form = forms.as_polyform(form)
-    ids = set(family_ids(instance, family))
+    ids = set(family_ids(instance))
     return [component.order for component in form.components.values()
             if component.order is not None
             and ids > set(forms._order_family(instance._ids, component.order))]
@@ -202,7 +202,7 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
     form = rn_bracket(plain, plain).component(3)
     assert plain.order is None and form.order is None
     assert rn_bracket(l2, l2).component(3).order == 1
-    ids = family_ids(inst, None)
+    ids = family_ids(inst)
     table = inst._ids
     window = list(forms._window_keys(ids, table.keys, table.odd, 3,
                                      -form.shift, inst.rank - form.shift))
@@ -221,22 +221,28 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
 
 def test_is_zero_resolves_its_family_once(monkeypatch):
     """On a form of two components, each walked on its order family first,
-    is_zero maps a declared family through the id table once per element,
-    and the basis of a Lie algebra not at all."""
-    calls = []
-    id_of = forms._Ids.id_of
+    is_zero maps no Element through the id table: a polynomial algebroid's
+    declared family is built once per call as piece ids, and the basis of
+    a Lie algebra is not listed."""
+    calls, built = [], []
+    id_of, order_family = forms._Ids.id_of, forms._order_family
     monkeypatch.setattr(forms._Ids, "id_of",
                         lambda table, el: calls.append(el) or id_of(table, el))
+    monkeypatch.setattr(forms, "_order_family",
+                        lambda table, order, bound=None: built.append(bound is not None)
+                        or order_family(table, order, bound))
     poly = load_shipped("poly-tangent-r2").instance
     h3 = load_shipped("heisenberg3").instance
-    for inst, family in ((h3, None), (poly, default_poly_family(poly))):
+    for inst in (h3, poly):
         n = PolyForm(inst, [wedge_form(inst, 1), wedge_form(inst, 2)])
         form = rn_bracket(n, PolyForm(inst, [l2_form(inst)]))
         assert len(form.components) == 2
-        assert len(reduced_components(form, inst, family)) == 2
+        assert len(reduced_components(form, inst)) == 2
         calls.clear()
-        is_zero(form, family)
-        assert len(calls) == (0 if family is None else len(family))
+        built.clear()
+        is_zero(form)
+        assert calls == []
+        assert built.count(True) == (inst is poly)
 
 
 def test_passing_certificates_number_only_their_order_family(tmp_path, monkeypatch, capsys):
@@ -277,17 +283,16 @@ def both_ways(monkeypatch):
     """Every certificate the checkers and the CLI build is computed with the
     order bounds and again with every bound forced to None; the two must
     agree on verdict, count, failing tuple and counterexample.  Returns the
-    (form, instance, family, certificate) records; a family of None is the
-    instance's own (``family_ids``)."""
+    (form, instance, certificate) records."""
     records = []
 
-    def twice(form, test_family=None):
-        reduced = forms.is_zero(form, test_family)
+    def twice(form):
+        reduced = forms.is_zero(form)
         with monkeypatch.context() as patch:
             unbounded(patch)
-            full = forms.is_zero(form, test_family)
+            full = forms.is_zero(form)
         assert summary(reduced) == summary(full)
-        records.append((form, form.instance, test_family, reduced))
+        records.append((form, form.instance, reduced))
         return reduced
 
     for module in (linfty, pqn, cli):
@@ -306,8 +311,8 @@ def run_commands(scenario_path, capsys):
 def test_reduced_certificates_match_forced_none(name, both_ways, capsys):
     run_commands(SCENARIOS_DIR / f"{name}.json", capsys)
     assert len(both_ways) > 20
-    reduced = [orders for form, inst, family, _ in both_ways
-               if (orders := reduced_components(form, inst, family))]
+    reduced = [orders for form, inst, _ in both_ways
+               if (orders := reduced_components(form, inst))]
     assert len(reduced) > len(both_ways) // 2, (len(reduced), len(both_ways))
 
 
@@ -331,19 +336,20 @@ def nested_pool(inst, rng):
 def test_nested_brackets_on_generated_instances(inst, seed):
     """[Y, Z], [X, [Y, Z]] and [X, [Y, Z]] - 2 [[X, Y], Z] over a pool of
     degree-0 and degree-1 forms: the reduced certificate equals the walk
-    with every bound forced to None.  On a polynomial algebroid the family
-    has coordinate degree 2, so it contains the order-2 family too."""
+    with every bound forced to None.  A polynomial algebroid declares
+    coordinate degree 2, so its family contains the order-2 family too."""
     rng = random.Random(seed)
-    family = default_poly_family(inst, 2) if inst.ring.kind == "poly" else None
+    if inst.ring.kind == "poly":
+        inst = with_bound(inst, 2)
     pool = nested_pool(inst, rng)
     x, y, z = (rng.choice(pool) for _ in range(3))
     inner = rn_bracket(y, z)
     nested = rn_bracket(x, inner)
     for form in (inner, nested, nested - rn_bracket(rn_bracket(x, y), z).scale(2)):
-        reduced = is_zero(form, family)
+        reduced = is_zero(form)
         with pytest.MonkeyPatch.context() as patch:
             unbounded(patch)
-            full = is_zero(form, family)
+            full = is_zero(form)
         assert summary(reduced) == summary(full)
 
 
@@ -397,38 +403,35 @@ def poly_scenario(tmp_path, degree_bound):
 
 
 def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, capsys):
-    """The default family (coordinate degree 1) contains 1, x_i and a_j, so
-    every order-1 verdict of the poly-tangent-r2 commands is a proof: each
-    such certificate also vanishes on the coordinate-degree-2 family,
-    walked in full.  A family that lacks one of them, or has nothing more,
-    is not reduced."""
-    scenario = load_shipped("poly-tangent-r2")
-    inst = scenario.instance
-    family = default_poly_family(inst, inst.poly_degree_bound)
+    """The default family (coordinate degree 1) contains 1, x_i and a_j, and
+    more, so every order-1 verdict of the poly-tangent-r2 commands is a
+    proof: each such certificate also vanishes on the coordinate-degree-2
+    family, walked in full.  A declared family holds the order family of r
+    and more exactly when r is at most its coordinate degree."""
+    inst = load_shipped("poly-tangent-r2").instance
     table = inst._ids = forms._Ids(inst)
-
-    def order_family(family, order):
-        short = set(forms._order_family(table, order))
-        return {table.elements[i] for i in short} if set(family_ids(inst, family)) > short else None
-
     products = generator_products(inst, 1)
-    assert order_family(family, 1) == set(products)
-    assert order_family(family, 2) is None
+    assert {table.elements[i] for i in forms._order_family(table, 1)} == set(products)
     x1 = inst.unit().scale(inst.ring.var(0))
-    assert x1 in products and x1 in family
-    assert order_family([el for el in family if el != x1], 1) is None
-    assert order_family(products, 1) is None
+    assert x1 in products and x1 in declared_family(inst)
+    for bound in range(4):
+        flat = with_bound(inst, bound)
+        ids = set(family_ids(flat))
+        for order in range(5):
+            short = set(forms._order_family(flat._ids, order))
+            assert (ids > short) == (order <= bound), (bound, order)
     run_commands(poly_scenario(tmp_path, 1), capsys)
     proofs = 0
-    for form, inst, family, certificate in both_ways:
-        if not certificate.is_zero or reduced_components(form, inst, family) != [1] * len(
+    for form, inst, certificate in both_ways:
+        if not certificate.is_zero or reduced_components(form, inst) != [1] * len(
                 forms.as_polyform(form).components):
             continue
         if max(forms.as_polyform(form).components) > 3:
             continue
         with pytest.MonkeyPatch.context() as patch:
             unbounded(patch)
-            assert is_zero(form, default_poly_family(inst, 2)).is_zero
+            patch.setattr(inst, "poly_degree_bound", 2)
+            assert is_zero(form).is_zero
         proofs += 1
     assert proofs >= 3
 
@@ -438,16 +441,15 @@ def test_family_without_coordinates_is_not_reduced(tmp_path, both_ways, capsys):
     >= 1 is reduced, and every verdict equals the full walk's."""
     run_commands(poly_scenario(tmp_path, 0), capsys)
     assert len(both_ways) > 5
-    for form, inst, family, _ in both_ways:
-        assert all(order == 0 for order in reduced_components(form, inst, family))
+    for form, inst, _ in both_ways:
+        assert all(order == 0 for order in reduced_components(form, inst))
 
 
 def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
-    """A family that lacks part of the order family (here every coordinate)
-    is walked on its own elements only, on a passing and on a failing
-    certificate: no lookup reaches a piece outside it."""
-    inst = load_shipped("poly-tangent-r2").instance
-    family = inst.all_basis()
+    """A family that lacks part of the order family (at coordinate degree 0,
+    every coordinate) is walked on its own elements only, on a passing and
+    on a failing certificate: no lookup reaches a piece outside it."""
+    inst = with_bound(load_shipped("poly-tangent-r2").instance, 0)
     l2 = l2_form(inst)
     cases = (rn_bracket(l2, l2), PolyForm(inst, [extend_bundle_map(inst, [[0, 0], [0, 1]])]))
     top, keys = set(), []
@@ -462,35 +464,95 @@ def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
     verdicts = []
     for form in cases:
         top.update(form.components.values())
-        assert reduced_components(form, inst, family) == []
-        verdicts.append(is_zero(form, family).is_zero)
+        assert reduced_components(form, inst) == []
+        verdicts.append(is_zero(form).is_zero)
     assert verdicts == [True, False] and keys
-    members = set(family_ids(inst, family))
+    members = set(family_ids(inst))
     assert all(i in members for key in keys for i in key)
 
 
-def test_order_two_form_is_caught_with_bound_two():
-    """D(f P) = (d^2 f / dx1 dx2) P has order 2 and vanishes on every
-    product of at most one generator.  With bound 2 it is walked on the
-    order-2 family and found nonzero at x1 x2; the default family, which
-    lacks x1 x2, is never reduced to its order-1 part, and D vanishes on
-    all of it."""
-    inst = load_shipped("poly-tangent-r2").instance
-
+def order_two_form(inst):
+    """D(f P) = (d^2 f / dx1 dx2) P, of order 2."""
     def fn(args):
         (P,) = args
         return Element({mon: poly.diff(0).diff(1) for mon, poly in P.terms.items()})
 
-    form = VForm(inst, 1, 0, fn, order=2)
+    return VForm(inst, 1, 0, fn, order=2)
+
+
+def test_order_two_form_is_caught_with_bound_two():
+    """D(f P) = (d^2 f / dx1 dx2) P has order 2 and vanishes on every
+    product of at most one generator.  Declaring coordinate degree 2, it is
+    walked on the order-2 family and found nonzero at x1 x2; the default
+    family, which lacks x1 x2, is never reduced to its order-1 part, and D
+    vanishes on all of it."""
+    default = load_shipped("poly-tangent-r2").instance
+    inst = with_bound(default, 2)
+    form = order_two_form(inst)
     assert all(form.evaluate((el,)).is_zero() for el in generator_products(inst, 1))
     x1x2 = inst.unit().scale(inst.ring.var(0) * inst.ring.var(1))
     assert form.evaluate((x1x2,)) == inst.unit()
-    assert reduced_components(form, inst, default_poly_family(inst, 2)) == [2]
-    certificate = is_zero(form, default_poly_family(inst, 2))
+    assert reduced_components(form, inst) == [2]
+    certificate = is_zero(form)
     assert not certificate.is_zero
     assert certificate.failing == (x1x2,)
-    default = default_poly_family(inst)
-    assert reduced_components(form, inst, default) == []
-    certificate = is_zero(form, default)
+    form = order_two_form(default)
+    assert default.poly_degree_bound == 1 and reduced_components(form, default) == []
+    certificate = is_zero(form)
     assert certificate.is_zero and not certificate.complete
 
+
+def check_declared_family(inst):
+    """The declared family that is_zero builds as piece ids is the set of
+    distinct pieces of the Element-level reference, and its note counts
+    2^rank C(nvars + d, d) elements at coordinate degree d."""
+    bound = inst.poly_degree_bound
+    size = 2 ** inst.rank * comb(inst.ring.nvars + bound, bound)
+    certificate = is_zero(VForm.zero(inst, 1, 0))
+    assert certificate.family_note == f"declared family of {size} elements"
+    assert certificate.count == size
+    table = inst._ids
+    ids = forms._order_family(table, inst.rank, bound)
+    reference = default_poly_family(inst, bound)
+    assert len(set(ids)) == len(ids) == len(set(reference)) == size
+    assert set(ids) == {table.id_of(el) for el in reference}
+    assert {table.elements[i] for i in ids} == set(reference)
+
+
+@pytest.mark.parametrize("bound", range(4))
+def test_declared_family_is_the_reference_family(bound):
+    check_declared_family(with_bound(load_shipped("poly-tangent-r2").instance, bound))
+
+
+@settings(max_examples=4, deadline=None)
+@given(poly_rank3())
+def test_declared_family_is_the_reference_family_on_generated_algebroids(inst):
+    for bound in range(4):
+        check_declared_family(with_bound(inst, bound))
+
+
+def forms_of_known_order(inst, seed):
+    """:func:`declared_forms` and two that vanish on every algebroid, with
+    their order bounds: [l2, l2] (Jacobi) and [N2, l2] - l3."""
+    l2, n2 = l2_form(inst), wedge_form(inst, 2)
+    vanishing = [("[l2, l2]", rn_bracket(l2, l2).component(3), 1),
+                 ("[N2, l2] - l3", (rn_bracket(n2, l2) - PolyForm(inst, [lk_form(inst, 3)]))
+                  .component(3), 1)]
+    return declared_forms(inst, random.Random(seed)) + vanishing
+
+
+@settings(max_examples=8, deadline=None)
+@given(poly_rank3(), st.integers(0, 10 ** 6))
+def test_verdict_does_not_depend_on_a_bound_above_the_order(inst, seed):
+    """A form of order r that vanishes on the declared family of coordinate
+    degree r vanishes on every section (the order-family lemma), so each
+    form of order r <= 2 gets one verdict at poly_degree_bound r, r + 1 and
+    r + 2.  Both verdicts occur."""
+    verdicts = {}
+    for bound in range(5):
+        for label, form, order in forms_of_known_order(with_bound(inst, bound), seed):
+            assert form.order == order <= 2, label
+            if order <= bound <= order + 2:
+                verdicts.setdefault(label, set()).add(is_zero(form).is_zero)
+    assert all(len(seen) == 1 for seen in verdicts.values()), verdicts
+    assert set().union(*verdicts.values()) == {True, False}

@@ -6,7 +6,7 @@ import pytest
 from rnforms import catalog, forms, pqn
 from rnforms.dualforms import DualForm, differential, pi_sharp
 from rnforms.elements import Element
-from rnforms.forms import default_poly_family, is_zero, rn_bracket
+from rnforms.forms import is_zero, rn_bracket
 from rnforms.instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from rnforms.pqn import (check_pqn, concomitant, koszul_bracket, main_theorem_harness,
                          mu_with_background, quadruple_conditions, stienon_xu_harness)
@@ -205,9 +205,9 @@ def test_main_theorem_computes_no_ingredient_certificate(monkeypatch):
     certify = pqn.is_zero
     forms = []
 
-    def counting(form, test_family=None):
+    def counting(form):
         forms.append(form)
-        return certify(form, test_family)
+        return certify(form)
 
     monkeypatch.setattr(pqn, "is_zero", counting)
     s = load_shipped("heisenberg3")
@@ -286,7 +286,7 @@ def heisenberg3_quadruple():
     inst = load_shipped("heisenberg3").instance
     N = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(1)]]
     return (inst, inst.monomial((0, 2)), N, DualForm(inst, 2, {(0, 2): Fraction(1)}),
-            DualForm(inst, 3, {(0, 1, 2): Fraction(1)}), None)
+            DualForm(inst, 3, {(0, 1, 2): Fraction(1)}))
 
 
 def poly_rank3_quadruple():
@@ -302,7 +302,7 @@ def poly_rank3_quadruple():
     inst = GradedInstance(data, name="poly-rank3", poly_degree_bound=0)
     N = [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
     return (inst, inst.monomial((0, 2)).scale(x1), N, DualForm(inst, 2, {(0, 2): one}),
-            DualForm(inst, 3, {(0, 1, 2): x1}), inst.all_basis())
+            DualForm(inst, 3, {(0, 1, 2): x1}))
 
 
 def non_closed_omega_quadruple():
@@ -314,15 +314,12 @@ def non_closed_omega_quadruple():
                           name="non-closed-omega")
     identity = [[int(i == j) for j in range(3)] for i in range(3)]
     return (inst, Element.zero(), identity, DualForm(inst, 2, {(1, 2): 1}),
-            DualForm.zero(inst, 3), None)
+            DualForm.zero(inst, 3))
 
 
 def shipped_quadruple(name):
     s = load_shipped(name)
-    inst = s.instance
-    family = (default_poly_family(inst, inst.poly_degree_bound)
-              if inst.ring.kind == "poly" else None)
-    return inst, s.pi, s.N, s.omega, s.H, family
+    return s.instance, s.pi, s.N, s.omega, s.H
 
 
 SHIPPED = ("abelian2", "aff1", "heisenberg3", "so3", "poly-tangent-r2")
@@ -391,18 +388,16 @@ def test_every_moved_check_has_a_corruption():
 
 def _conditions_bc(args):
     """Conditions (b) and (c) of ``pqn.quadruple_conditions``."""
-    inst, pi, N, omega, H, _ = args
-    conditions = quadruple_conditions(inst, pi, N, omega, H)
+    conditions = quadruple_conditions(*args)
     return {name: conditions[name] for name in "bc"}
 
 
 def _reference_entries(args):
     """(section 3 entries, conditions (b) and (c), dual pairing entries),
     all from the references."""
-    inst, pi, N, omega, H, _ = args
     return (reference_section3(*args).checks,
-            reference_conditions_bc(inst, pi, N, omega, H),
-            reference_dual_pairing(inst, pi).checks)
+            reference_conditions_bc(*args),
+            reference_dual_pairing(*args[:2]).checks)
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
