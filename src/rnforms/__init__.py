@@ -1,11 +1,12 @@
 """Exact kernel for graded-symmetric vector-valued forms on Lie algebroids.
 
-Everything is computed over exact rationals (or polynomials over the
-rationals); identity checks are exhaustive on finite-dimensional instances
-and run over declared test families on polynomial ones.
+Everything is computed over polynomials with exact rational coefficients;
+a Lie algebra is the algebroid over a point, whose polynomials are
+constants.  Identity checks are exhaustive on an instance with no
+coordinates and run over a declared test family on one with coordinates.
 """
 
-from .rings import InputError, Poly, PolyRing, RationalRing, format_rational, parse_rational
+from .rings import InputError, Poly, PolyRing, format_rational, parse_rational
 from .graded import GradingConvention, koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
 from .dualforms import (DualForm, differential, iota_element, iota_n,
@@ -24,7 +25,7 @@ from .report import CheckEntry, Report
 from .scenario import Scenario, build_scenario, load_scenario, load_shipped
 
 __all__ = [
-    "InputError", "Poly", "PolyRing", "RationalRing",
+    "InputError", "Poly", "PolyRing",
     "format_rational", "parse_rational",
     "GradingConvention", "koszul_sign", "sign_pow", "unshuffles",
     "GradedInstance", "LieAlgebraData", "PolyAlgebroidData",

@@ -148,7 +148,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
             if cand.is_zero():
                 continue
             mon, coeff = next(iter(cand.terms.items()))
-            ratio = exact_ratio(instance, value.terms.get(mon), coeff)
+            ratio = exact_ratio(value.terms.get(mon), coeff)
             # a zero ratio cannot match: the component is nonzero at the tuple
             if ratio and is_zero(comp - candidate.scale(ratio)).is_zero:
                 matched = f"{ratio}*{name}" if ratio != 1 else name
@@ -206,7 +206,7 @@ def cmd_check_linfty(scenario: Scenario, args) -> Report:
     report.add_certificate("self-bracket", "[mu,mu] = 0", is_zero(rn_bracket(mu, mu)))
     k_max = min(len(scenario.pencil_coefficients),
                 max(2, scenario.instance.rank + 1))
-    if scenario.instance.ring.kind == "rational":
+    if not scenario.instance.data.base_dim:
         pairwise_compatibility(scenario.instance, max(2, k_max), report)
     return report
 

@@ -1,7 +1,8 @@
 """Sparse exact elements of the exterior algebra of an instance.
 
 An Element is a finite linear combination of exterior monomials over the
-generators, with coefficients in the instance's ring (Fraction or Poly).
+generators, with coefficients in the instance's ring (Poly; constants on
+a Lie algebra, the algebroid over a point).
 Monomials are strictly increasing tuples of 0-based generator indices; the
 empty tuple is the unit function.  Elements are immutable and hashable so
 they can key memo tables; each caches its key, hash and wedge degree on

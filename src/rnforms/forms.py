@@ -17,10 +17,10 @@ Values are only computed by evaluation and by :func:`is_zero`.
 
 The kernel runs on integer piece ids.  One id table per instance
 (:class:`_Ids`, empty until the first evaluation or certificate) numbers
-each Q-basis piece (a wedge monomial on a Lie algebra; a coordinate
-monomial times a wedge monomial on a polynomial algebroid) when it first
-meets it, through :meth:`_Ids.piece`, and keeps each piece's Element,
-parity and sort key.  Ids carry no order: every sort and bisect orders
+each Q-basis piece (a coordinate monomial times a wedge monomial: the
+wedge monomial alone when there are no coordinates) when it first meets
+it, through :meth:`_Ids.piece`, and keeps each piece's Element, parity and
+sort key.  Ids carry no order: every sort and bisect orders
 them by sort key.  **A memo key is a tuple of ids in canonical order** (by
 sort key, no repeated odd id) and **a memo value is a piece map** {id:
 nonzero int or Fraction}, never mutated once stored: an integral
@@ -53,9 +53,9 @@ catalog rule's value must have wedge degree s + c, or the lookup raises
 RuntimeError.  An insertion's shift is K.shift + L.shift and a
 combination's parts share its shift, so both are exact.
 
-**The order family.**  Wedge monomials, times x^a on a polynomial
-algebroid, are the products of generators (basis sections, odd;
-coordinates, even) of a graded-commutative algebra A.  ``VForm.order``
+**The order family.**  Wedge monomials times coordinate monomials x^a
+are the products of generators (basis sections, odd; coordinates, even)
+of a graded-commutative algebra A.  ``VForm.order``
 bounds a form's order in each argument, the others fixed anywhere, in
 Grothendieck's sense: D has order <= r when every (r+1)-fold graded
 commutator [...[D, c_0], ..., c_r] with left multiplications vanishes
@@ -63,12 +63,12 @@ commutator [...[D, c_0], ..., c_r] with left multiplications vanishes
 products of <= r generators (1 included: the order family).  Proof:
 expanding the commutator at x = c_{r+1}...c_{m-1} writes D(c_0...c_{m-1})
 through D on shorter products, so by induction on m, D vanishes on all
-products, which span A; then take the next argument.  So on the basis
-of a Lie algebra :func:`is_zero` walks only the order family, built from
-its definition (the whole basis when r is None), and its first nonzero
-value is the counterexample, by the lemma below.  On a polynomial
-algebroid it walks the order family first when the declared family holds
-all of it and more, and the whole family only after a nonzero value
+products, which span A; then take the next argument.  So on an instance
+with no coordinates (a Lie algebra) :func:`is_zero` walks only the order
+family, built from its definition (the whole basis when r is None), and
+its first nonzero value is the counterexample, by the lemma below.  With
+coordinates it walks the order family first when the declared family
+holds all of it and more, and the whole family only after a nonzero value
 there (same counterexample).  The count is always the full one.  A
 primitive declares its order; an insertion has r_K + r_L (a composition);
 sums and scaling keep the largest bound; None stays None.  The bracket :func:`rn_vform`
@@ -80,10 +80,11 @@ by induction; order 0 is a multiplication); in the other terms a sits in L
 or K directly.  A shared node keeps the tightest bound any construction
 proves.
 
-**Lemma.**  On the basis of a Lie algebra, the first nonzero canonical
-tuple of a form of order <= r, in the walk's lexicographic order, lies in
-the order family O.  Proof: sort keys order ids by wedge degree first, so
-O (the monomials of degree <= r) is an initial segment of the basis.
+**Lemma.**  On an instance with no coordinates, the first nonzero
+canonical tuple of a form of order <= r, in the walk's lexicographic
+order, lies in the order family O.  Proof: sort keys order ids by wedge
+degree first and there is no coordinate, so O (the wedge monomials of
+degree <= r) is an initial segment of the basis.
 Suppose the first nonzero canonical tuple T* = (t_1..t_k) had an entry of
 degree > r, the first one t_i.  The residual f(t_1..t_{i-1}, .) has order
 <= r in each argument and is nonzero (at (t_i..t_k)), so by the proof
@@ -92,21 +93,21 @@ canonical, since f(S) = +-f(t_1..t_{i-1}, Q) is nonzero.  S replaces each
 of t_i..t_k by a strictly smaller entry, so it precedes T* entry by entry
 (sorting is monotone) and is smaller in its last: S comes strictly before
 T*, against the choice of T*.  Tuples outside the window are zero, so the
-window changes nothing.  In a polynomial algebroid's declared family O
-is not an initial segment of the key order (for r >= 1, x_1^(r+1), of
-wedge degree 0 and outside O, sorts before every generator e_j), so both
-passes stay there.
+window changes nothing.  With a coordinate, O is not an initial segment
+of the declared family's key order (for r >= 1, x_1^(r+1), of wedge
+degree 0 and outside O, sorts before every generator e_j), so both passes
+stay there.
 
-**The declared family.**  A polynomial algebroid certifies on the pieces
-x^a times a wedge monomial with |a| <= ``poly_degree_bound``, built from
-that definition as piece ids by the enumerator of the order family (where
-|a| + wedge degree <= r), so its pieces are distinct.  It holds all of
+**The declared family.**  An instance with coordinates certifies on the
+pieces x^a times a wedge monomial with |a| <= ``poly_degree_bound``,
+built from that definition as piece ids by the enumerator of the order
+family (where |a| + wedge degree <= r), so its pieces are distinct.  It holds all of
 the order family of r, and more, exactly when r <= the bound: only then
 is x_1^r in it, and a_1 x_1^bound is never in that order family.  Every
 count is the closed sum over b of C(O, b) C(E + a - b - 1, a - b) over
-the family's E even and O odd ids.  The basis of a Lie algebra has E = O
-= 2^(rank-1); it is listed, and numbered, only for a component with no
-order bound, or one of at least rank.
+the family's E even and O odd ids.  With no coordinates the family is the
+basis, with E = O = 2^(rank-1); it is listed, and numbered, only for a
+component with no order bound, or one of at least rank.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ from types import MappingProxyType
 from .elements import Element
 from .graded import koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance
-from .rings import InputError, Poly, PolyRing, plain
+from .rings import InputError, Poly, plain
 
 _ONE = Fraction(1)
 _EMPTY = MappingProxyType({})       # the memo of an unshared combination, every out-of-window value
@@ -129,14 +130,13 @@ _EMPTY = MappingProxyType({})       # the memo of an unshared combination, every
 
 class _Ids:
     """The piece id table of an instance, empty until a piece is met.
-    ``index`` maps a wedge monomial (on a Lie algebra), a (wedge monomial,
-    exponent) pair or a non-piece argument to its id, the next free one when
-    first met; ``keys[i]`` is its sort key."""
+    ``index`` maps a (wedge monomial, exponent) pair or a non-piece argument
+    to its id, the next free one when first met; ``keys[i]`` is its sort
+    key."""
 
     def __init__(self, instance: GradedInstance):
         self.ring = instance.ring
         self.rank = instance.rank
-        self.poly = isinstance(self.ring, PolyRing)
         self.elements, self.odd, self.keys, self.index = [], [], [], {}
 
     def _add(self, el: Element, lookup) -> int:
@@ -146,13 +146,12 @@ class _Ids:
         self.keys.append((el.wedge_degree(), el.key(self.ring)))
         return i
 
-    def piece(self, mon, expo=None) -> int:
-        """The id of the piece x^expo * mon (``expo`` None on a Lie algebra)."""
-        lookup = mon if expo is None else (mon, expo)
+    def piece(self, mon, expo) -> int:
+        """The id of the piece x^expo * mon."""
+        lookup = (mon, expo)
         i = self.index.get(lookup)
         if i is None:
-            unit = self.ring.one() if expo is None else Poly(self.ring.nvars, {expo: 1})
-            i = self._add(Element({mon: unit}), lookup)
+            i = self._add(Element({mon: Poly(self.ring.nvars, {expo: 1})}), lookup)
         return i
 
     def id_of(self, el: Element) -> int:
@@ -167,8 +166,6 @@ class _Ids:
     def split(self, value: Element) -> dict:
         """An Element as a piece map."""
         piece = self.piece
-        if not self.poly:
-            return {piece(mon): plain(c) for mon, c in value.terms.items()}
         return {piece(mon, expo): c for mon, poly in value.terms.items()
                 for expo, c in self.ring.coerce(poly).terms()}
 
@@ -556,7 +553,7 @@ def rn_bracket(K, L) -> PolyForm:
 
 
 class ZeroCertificate:
-    """Verdict of an exhaustive (or, on a polynomial algebroid,
+    """Verdict of an exhaustive (or, on an instance with coordinates,
     declared-family) vanishing check."""
 
     def __init__(self, count, complete, counterexample, family_note, failing=None):
@@ -581,15 +578,15 @@ class ZeroCertificate:
 def _order_family(table: _Ids, order: int, bound=None) -> list:
     """The ids of the products of at most ``order`` generators (1 included),
     sorted by key: wedge monomials of degree j <= order, times x^a with
-    |a| <= order - j on a polynomial algebroid, or with |a| <= ``bound``
-    when it is given (the declared family, for ``order`` the rank)."""
-    nvars = table.ring.nvars if table.poly else 0
+    |a| <= order - j, or with |a| <= ``bound`` when it is given (the
+    declared family, for ``order`` the rank).  With no coordinates x^a is
+    1 alone."""
+    nvars = table.ring.nvars
     ids = []
     for j in range(min(order, table.rank) + 1):
         top = order - j if bound is None else bound
-        expos = [None] if not table.poly else [
-            tuple(combo.count(v) for v in range(nvars)) for total in range(top + 1)
-            for combo in itertools.combinations_with_replacement(range(nvars), total)]
+        expos = [tuple(combo.count(v) for v in range(nvars)) for total in range(top + 1)
+                 for combo in itertools.combinations_with_replacement(range(nvars), total)]
         for mon in itertools.combinations(range(table.rank), j):
             ids.extend([table.piece(mon, expo) for expo in expos])
     return sorted(ids, key=table.keys.__getitem__)
@@ -648,20 +645,21 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
 
 def is_zero(form) -> ZeroCertificate:
     """Exhaustive vanishing verdict, over the form's own instance: on all
-    canonical basis tuples of a Lie algebra (a complete proof by
-    multilinearity, graded symmetry and grading), on the declared family of
-    a polynomial algebroid (``poly_degree_bound``; a verification, flagged
-    as incomplete).  Only the tuples inside each component's wedge-degree
-    window are evaluated, up to the first nonzero value, the
-    counterexample.  On the basis of a Lie algebra a component walks its
-    order family alone, whose first nonzero value is the counterexample; a
-    declared family walks it first when it holds all of it and more (see
-    the module docstring).  The certificate counts every canonical tuple."""
+    canonical basis tuples of an instance with no coordinates, such as a
+    Lie algebra (a complete proof by multilinearity, graded symmetry and
+    grading), on the declared family of one with coordinates
+    (``poly_degree_bound``; a verification, flagged as incomplete).  Only
+    the tuples inside each component's wedge-degree window are evaluated,
+    up to the first nonzero value, the counterexample.  With no
+    coordinates a component walks its order family alone, whose first
+    nonzero value is the counterexample; a declared family walks it first
+    when it holds all of it and more (see the module docstring).  The
+    certificate counts every canonical tuple."""
     form = as_polyform(form)
     instance = form.instance
     table = instance._ids = instance._ids or _Ids(instance)
     keys, odd = table.keys, table.odd
-    complete = not table.poly
+    complete = not instance.data.base_dim
     if complete:
         note = "all canonical basis tuples"
         evens, odds = (2 ** table.rank + 1) // 2, 2 ** table.rank // 2

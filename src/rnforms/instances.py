@@ -1,8 +1,10 @@
 """Concrete Gerstenhaber-algebra instances.
 
-Two kinds are supported: the exterior algebra of a finite-dimensional Lie
-algebra over Q (anchor 0, constant coefficients), and a polynomial Lie
-algebroid over affine space (polynomial anchor and structure functions).
+An instance is the exterior algebra of a polynomial Lie algebroid over
+affine space (:class:`PolyAlgebroidData`: polynomial anchor and structure
+functions, coefficients in Q[x1..xd]).  A finite-dimensional Lie algebra
+over Q is the algebroid over a point (:func:`LieAlgebraData`): no
+coordinates, so no anchor and constant coefficients in ``PolyRing(())``.
 
 The Schouten bracket is a sum over pairs of terms of closed formulas, whose
 only inputs are the structure constants (``_gen_bracket``, read for every
@@ -15,16 +17,16 @@ positions counted from 1:
     [e_I, e_J] = sum over a, b of (-1)^{a+b} [a_{I_a}, a_{J_b}] ^ e_{I-a} ^ e_{J-b}
     [e_I, g] = sum over k of (-1)^{p-k} rho(a_{I_k}) g e_{I-k}
 
-On a Lie algebra, and for a constant coefficient, the anchor terms vanish.
+With no coordinates, and for a constant coefficient, the anchor terms
+vanish.
 ``_sn_memo`` keeps one entry per monomial pair (I, J) and one per (I, g); a
 stored value is never mutated.  A term pair (I, f, J, g) is not memoized: it
 is assembled from these two memos, and the same pair rarely comes back (the
 form kernel already memoizes each piece pair it brackets).
 
 ``validate`` checks the axioms that the input data can break: Jacobi on
-generator triples, then, on a polynomial algebroid, the anchor morphism
-property rho([a_i, a_j]) = [rho(a_i), rho(a_j)].  The graded skew-symmetry
-and Leibniz identities
+generator triples, then the anchor morphism property rho([a_i, a_j]) =
+[rho(a_i), rho(a_j)].  The graded skew-symmetry and Leibniz identities
 
     [P,Q] = -(-1)^{(p-1)(q-1)} [Q,P]
     [P, Q^R] = [P,Q]^R + (-1)^{(p-1)q} Q^[P,R]
@@ -36,7 +38,7 @@ check them: ``bracket_terms`` stores [a_i, a_j] for i < j only and returns
 derivation; and the closed formulas above are the biderivation of the
 exterior algebra that extends these base cases.  ``tests/test_instances.py``
 checks both identities on ``sn_bracket`` over a basis family (the monomial
-basis, and on a polynomial algebroid also its coordinate multiples) of every
+basis, and its coordinate multiples where there are coordinates) of every
 shipped instance and of generated ones, compares ``sn_bracket`` with a
 recursive reference bracket, and shows that the check catches a base case
 that is not antisymmetric and an anchor that is not a derivation.
@@ -45,10 +47,8 @@ that is not antisymmetric and an anchor that is not a derivation.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-
 from .elements import Element, sort_monomial
-from .rings import InputError, PolyRing, RationalRing
+from .rings import InputError, PolyRing
 
 
 def _distinct(names, what: str) -> tuple:
@@ -60,53 +60,20 @@ def _distinct(names, what: str) -> tuple:
     return names
 
 
-class _StructureTable:
-    """Structure constants or functions [a_i, a_j] = sum_k f^k_ij a_k, kept
-    in ``table`` for i < j only."""
-
-    def bracket_terms(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
-
-class LieAlgebraData(_StructureTable):
-    """Structure constants [e_i, e_j] = sum_k c^k_ij e_k, stored for i < j."""
-
-    def __init__(self, dim: int, basis_names=None, brackets=None):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise InputError("Lie algebra dimension must be positive")
-        if basis_names is None:
-            basis_names = (f"e{i + 1}" for i in range(self.dim))
-        self.basis_names = _distinct(basis_names, "basis")
-        if len(self.basis_names) != self.dim:
-            raise InputError("basis name count does not match dimension")
-        table = {}
-        for (i, j), coeffs in (brackets or {}).items():
-            if not (0 <= i < j < self.dim):
-                raise InputError(f"bracket key ({i},{j}) must have 0 <= i < j < dim")
-            row = {int(k): Fraction(v) for k, v in coeffs.items() if Fraction(v)}
-            if any(not 0 <= k < self.dim for k in row):
-                raise InputError(f"bracket [{i},{j}] targets an unknown generator")
-            if row:
-                table[(i, j)] = row
-        self.table = table
-
-
-class PolyAlgebroidData(_StructureTable):
+class PolyAlgebroidData:
     """Polynomial Lie algebroid over Q[x1..xd]: rank-r free module with
     anchor rho (r x d polynomial matrix, rho(a_i) = sum_m anchor[i][m] d/dx_m)
-    and structure functions [a_i, a_j] = sum_k f^k_ij(x) a_k."""
+    and structure functions [a_i, a_j] = sum_k f^k_ij(x) a_k, kept in
+    ``table`` for i < j only.  With d = 0 it is a Lie algebra, the
+    algebroid over a point (:func:`LieAlgebraData`): no coordinates, no
+    anchor, and constant coefficients in ``PolyRing(())``."""
 
     def __init__(self, base_dim: int, rank: int, coordinates=None, generator_names=None,
                  anchor=None, brackets=None):
         self.base_dim = int(base_dim)
         self.rank = int(rank)
-        if self.base_dim < 1 or self.rank < 1:
-            raise InputError("base dimension and rank must be positive")
+        if self.base_dim < 0 or self.rank < 1:
+            raise InputError("base dimension must be >= 0 and rank positive")
         if coordinates is None:
             coordinates = (f"x{i + 1}" for i in range(self.base_dim))
         if generator_names is None:
@@ -135,6 +102,31 @@ class PolyAlgebroidData(_StructureTable):
                 table[(i, j)] = row
         self.table = table
 
+    def bracket_terms(self, i: int, j: int) -> dict:
+        if i == j:
+            return {}
+        if i < j:
+            return dict(self.table.get((i, j), {}))
+        return {k: -c for k, c in self.table.get((j, i), {}).items()}
+
+
+def LieAlgebraData(dim: int, basis_names=None, brackets=None) -> PolyAlgebroidData:
+    """The Lie algebra with structure constants [e_i, e_j] = sum_k c^k_ij
+    e_k (keys i < j), as the algebroid over a point: no coordinates and
+    no anchor."""
+    dim = int(dim)
+    if dim < 1:
+        raise InputError("Lie algebra dimension must be positive")
+    if basis_names is None:
+        basis_names = (f"e{i + 1}" for i in range(dim))
+    basis_names = _distinct(basis_names, "basis")
+    if len(basis_names) != dim:
+        raise InputError("basis name count does not match dimension")
+    for i, j in brackets or {}:
+        if not (0 <= i < j < dim):
+            raise InputError(f"bracket key ({i},{j}) must have 0 <= i < j < dim")
+    return PolyAlgebroidData(0, dim, (), basis_names, None, brackets)
+
 
 class GradedInstance:
     """A validated instance: basis per wedge degree, exact Schouten bracket
@@ -143,25 +135,19 @@ class GradedInstance:
     (graded.GradingConvention.form_degree) where one is checked.
 
     ``poly_degree_bound``, an int >= 0 (checked on every assignment),
-    declares the test family of a polynomial algebroid: the monomial basis and its multiples by the
-    coordinate monomials of degree <= the bound, the only tuples over which
-    ``forms.is_zero`` certifies there.  A scenario sets it from
-    ``suite.poly_degree_bound``; a Lie algebra has no use for it."""
+    declares the test family of an instance with coordinates: the monomial
+    basis and its multiples by the coordinate monomials of degree <= the
+    bound, the only tuples over which ``forms.is_zero`` certifies there.  A
+    scenario sets it from ``suite.poly_degree_bound``; an instance with no
+    coordinates (a Lie algebra) has no use for it."""
 
     def __init__(self, data, name="instance", check=True, poly_degree_bound=1):
         self.data = data
         self.name = name
         self.poly_degree_bound = poly_degree_bound
-        if isinstance(data, LieAlgebraData):
-            self.ring = RationalRing()
-            self.rank = data.dim
-            self.generator_names = data.basis_names
-        elif isinstance(data, PolyAlgebroidData):
-            self.ring = data.ring
-            self.rank = data.rank
-            self.generator_names = data.generator_names
-        else:
-            raise InputError(f"unsupported instance data {type(data).__name__}")
+        self.ring = data.ring
+        self.rank = data.rank
+        self.generator_names = data.generator_names
         self._sn_memo: dict = {}
         self._form_nodes: dict = {}     # hash-consed form nodes (forms.shared_node)
         self._node_count = 0            # creation order of atomic form nodes
@@ -230,9 +216,8 @@ class GradedInstance:
     # -- anchor and bracket base cases ----------------------------------------
 
     def anchor_apply(self, gen_index: int, coeff):
-        """rho(a_i) acting on a coefficient (0 on a Lie algebra over a point)."""
-        if isinstance(self.data, LieAlgebraData):
-            return self.ring.zero()
+        """rho(a_i) acting on a coefficient (0 with no coordinates, as on a
+        Lie algebra)."""
         total = self.ring.zero()
         poly = self.ring.coerce(coeff)
         for m in range(self.data.base_dim):
@@ -301,9 +286,8 @@ class GradedInstance:
 
     def _anchor_bracket(self, I: tuple, g) -> dict:
         """[e_I, g] by the third formula of the module docstring."""
-        if isinstance(self.data, LieAlgebraData) or not I:
-            return {}
-        if self.ring.coerce(g).total_degree() == 0:
+        # with no coordinates every coefficient is a constant
+        if not I or not self.data.base_dim or self.ring.coerce(g).total_degree() == 0:
             return {}
         key = (I, g)
         value = self._sn_memo.get(key)
@@ -326,16 +310,15 @@ class GradedInstance:
                 + self.sn_bracket(ek, self.sn_bracket(ei, ej)))
 
     def validate(self) -> None:
-        """Jacobi on generator triples, then the anchor morphism property on
-        a polynomial algebroid: the axioms the input data can break (module
-        docstring).  Raises InputError."""
+        """Jacobi on generator triples, then the anchor morphism property:
+        the axioms the input data can break (module docstring).  Raises
+        InputError."""
         for i, j, k in itertools.combinations(range(self.rank), 3):
             if not self.jacobiator(i, j, k).is_zero():
                 names = self.generator_names
                 raise InputError(
                     f"Jacobi identity fails on ({names[i]}, {names[j]}, {names[k]})")
-        if isinstance(self.data, PolyAlgebroidData):
-            self._validate_anchor_morphism()
+        self._validate_anchor_morphism()
 
     def _validate_anchor_morphism(self) -> None:
         """rho([a_i,a_j]) = [rho(a_i), rho(a_j)] as polynomial vector fields."""

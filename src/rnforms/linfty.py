@@ -32,7 +32,7 @@ from .dualforms import apply_matrix, check_matrix
 from .elements import Element
 from .forms import PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket
 from .graded import GradingConvention
-from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
+from .instances import GradedInstance, PolyAlgebroidData
 from .report import Report
 from .rings import InputError
 
@@ -118,7 +118,7 @@ def witt_action_check(instance: GradedInstance, i_max=4) -> Report:
     with the bracket values themselves certified against the named targets."""
     if i_max < 1:
         raise InputError("the intertwining suite bound i_max must be >= 1")
-    if instance.ring.kind == "poly":
+    if instance.data.base_dim:
         raise InputError("the intertwining suite needs a finite-dimensional instance")
     report = Report("suite witt", instance.name)
     wedges = {k: wedge_form(instance, k) for k in range(1, 2 * i_max)}
@@ -268,15 +268,11 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
         row = {mon[0]: c for mon, c in value.terms.items()}
         if row:
             table[(i, j)] = row
-    if isinstance(instance.data, LieAlgebraData):
-        data = LieAlgebraData(instance.rank, instance.generator_names, table)
-    else:
-        base = instance.data
-        anchor = [[sum((N[j][i] * base.anchor[j][m] for j in range(instance.rank)),
-                       ring.zero())
-                   for m in range(base.base_dim)] for i in range(instance.rank)]
-        data = PolyAlgebroidData(base.base_dim, base.rank, base.coordinates,
-                                 base.generator_names, anchor, table)
+    base = instance.data
+    anchor = [[sum((N[j][i] * base.anchor[j][m] for j in range(instance.rank)), ring.zero())
+               for m in range(base.base_dim)] for i in range(instance.rank)]
+    data = PolyAlgebroidData(base.base_dim, base.rank, base.coordinates,
+                             base.generator_names, anchor, table)
     return GradedInstance(data, name=f"{instance.name}(deformed)", check=False,
                           poly_degree_bound=instance.poly_degree_bound)
 

@@ -94,14 +94,14 @@ def _shape_checked(instance: GradedInstance, pi: Element, N, omega: DualForm,
     return N
 
 
-def solve_scalar_ratio(instance: GradedInstance, lhs: DualForm, target: DualForm):
+def solve_scalar_ratio(lhs: DualForm, target: DualForm):
     """Exact rational lambda with lhs = lambda * target, or None."""
     if target.is_zero():
         return (Fraction(0), "forced 0 (target form vanishes)") if lhs.is_zero() else (None, "no scalar fits")
     lam = None
     for mon, value in target.table.items():
         other = lhs.table.get(mon)
-        ratio = exact_ratio(instance, other, value)
+        ratio = exact_ratio(other, value)
         if ratio is None:
             return None, "no scalar fits"
         if lam is None:
@@ -114,15 +114,12 @@ def solve_scalar_ratio(instance: GradedInstance, lhs: DualForm, target: DualForm
     return lam, f"lambda = {lam}"
 
 
-def exact_ratio(instance, numerator, denominator):
+def exact_ratio(numerator, denominator):
     """The scalar lam with numerator = lam * denominator (two coefficients
-    of ``instance``'s ring; 0 when the numerator is None or zero), or None
-    when no scalar fits."""
-    ring = instance.ring
-    if numerator is None or ring.is_zero(numerator):
+    of one ring; 0 when the numerator is None or zero), or None when no
+    scalar fits."""
+    if not numerator:
         return Fraction(0)
-    if ring.kind == "rational":
-        return Fraction(numerator) / Fraction(denominator)
     # the only candidate: the ratio at the denominator's first term
     expo, c = denominator.terms()[0]
     lam = Fraction(dict(numerator.terms()).get(expo, 0), c)
@@ -193,7 +190,7 @@ def check_pqn(report: Report, instance: GradedInstance, pi: Element, N, omega: D
     else:
         lhs_d = (iota_n(differential(omega), N) - differential(omega_n(omega, N))
                  - background_script(H, N))
-        solved, note = solve_scalar_ratio(instance, lhs_d, H)
+        solved, note = solve_scalar_ratio(lhs_d, H)
         if solved is None:
             conditions["d"] = (False, "no scalar fits")
         elif lam is not None and solved != Fraction(lam):

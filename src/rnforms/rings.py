@@ -1,11 +1,14 @@
-"""Exact coefficient rings: rationals and sparse multivariate polynomials.
+"""Exact coefficient rings: sparse multivariate polynomials over Q.
 
-Every coefficient in the kernel is either a ``fractions.Fraction`` (Lie
-algebra instances) or a :class:`Poly` with rational coefficients (polynomial
-algebroid instances).  Both are immutable, hashable and support ``+ - * ==``.
-A Poly holds each coefficient as an ``int`` when it is integral and as a
-``Fraction`` only otherwise (:func:`plain`), the rule of the form kernel's
-piece maps, so the common case multiplies and adds machine integers.
+Every coefficient in the kernel is a :class:`Poly` with rational
+coefficients in the instance's coordinates, an element of its
+:class:`PolyRing`.  A Lie algebra is the algebroid over a point, whose ring
+``PolyRing(())`` has no variables: its coefficients are the constants.  A
+Poly is immutable, hashable, supports ``+ - * ==`` and equals the int or
+``Fraction`` of a constant.  It holds each coefficient as an ``int`` when
+it is integral and as a ``Fraction`` only otherwise (:func:`plain`), the
+rule of the form kernel's piece maps, so the common case multiplies and
+adds machine integers.
 """
 
 from __future__ import annotations
@@ -252,41 +255,9 @@ def parse_poly(data, nvars: int, names: tuple) -> Poly:
     return Poly(nvars, terms)
 
 
-class RationalRing:
-    """Coefficient ring of a Lie algebra instance (plain rationals)."""
-
-    kind = "rational"
-
-    def one(self):
-        return Fraction(1)
-
-    def zero(self):
-        return Fraction(0)
-
-    def coerce(self, value) -> Fraction:
-        if isinstance(value, Poly):
-            raise InputError("polynomial coefficient in a rational-coefficient instance")
-        return Fraction(value)
-
-    def is_zero(self, value) -> bool:
-        return not value
-
-    def format(self, value) -> str:
-        return format_rational(value)
-
-    def parse(self, data) -> Fraction:
-        if isinstance(data, Mapping):
-            raise InputError("polynomial coefficient in a rational-coefficient instance")
-        return parse_rational(data)
-
-    def key(self, value):
-        return (value.numerator, value.denominator)
-
-
 class PolyRing:
-    """Coefficient ring of a polynomial algebroid: Q[x1..xd]."""
-
-    kind = "poly"
+    """Coefficient ring of an instance: Q[x1..xd], or Q itself when there
+    are no coordinates (d = 0)."""
 
     def __init__(self, names: tuple):
         self.names = tuple(names)
@@ -306,9 +277,6 @@ class PolyRing:
                 raise InputError("polynomial over a different coordinate set")
             return value
         return Poly.const(self.nvars, Fraction(value))
-
-    def is_zero(self, value) -> bool:
-        return not self.coerce(value)
 
     def format(self, value) -> str:
         """The terms in exponent order, each coefficient 1 left out:

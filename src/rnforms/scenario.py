@@ -39,6 +39,15 @@ the default names.  A key repeated verbatim in any JSON object is an input
 error, and so are two keys that name the same bracket pair ("e1,e2" and
 "e1, e2"), the same monomial ("e1^e2" and "e1 ^ e2") or the same
 polynomial term ("x1 x2" and "x2 x1", "x1^2" and "x1 x1").
+
+Both blocks build one kind of instance: a ``lie_algebra`` is the algebroid
+over a point, with no coordinates.  The schema still reads their
+coefficients differently.  In a ``lie_algebra`` a coefficient is a
+rational: a string, or a JSON number that loads like the string it prints
+as (2, 0.5), and an exponent-keyed map is an input error.  In a
+``poly_algebroid`` it is a string or an exponent-keyed map, and a JSON
+number is an input error.  A ``lie_algebra`` needs dim >= 1, a
+``poly_algebroid`` base_dim >= 1 and rank >= 1.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from pathlib import Path
 from .dualforms import DualForm
 from .elements import Element
 from .instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
-from .rings import InputError, parse_rational
+from .rings import InputError, Poly, parse_rational
 
 
 class Scenario:
@@ -194,26 +203,36 @@ def _monomial_items(raw, names, where: str):
         yield key, mon, value
 
 
-def _parse_element(raw, instance: GradedInstance, where: str) -> Element:
+def _lie_coefficient(value) -> Poly:
+    """A coefficient of a ``lie_algebra`` scenario, a constant of its ring
+    ``PolyRing(())``: a rational string or a JSON number, never an
+    exponent-keyed map."""
+    if isinstance(value, dict):
+        raise InputError("polynomial coefficient in a rational-coefficient instance")
+    return Poly.const(0, parse_rational(value))
+
+
+def _parse_element(raw, instance: GradedInstance, parse, where: str) -> Element:
     terms = {}
     for _, mon, value in _monomial_items(raw, instance.generator_names, where):
-        terms[mon] = instance.ring.parse(value)
+        terms[mon] = parse(value)
     return Element({m: c for m, c in terms.items() if c})
 
 
-def _parse_dualform(raw, instance: GradedInstance, degree: int, where: str) -> DualForm:
+def _parse_dualform(raw, instance: GradedInstance, parse, degree: int,
+                    where: str) -> DualForm:
     table = {}
     for key, mon, value in _monomial_items(raw, instance.generator_names, where):
         if len(mon) != degree:
             raise InputError(f"{key!r} is not a degree-{degree} monomial")
-        table[mon] = instance.ring.parse(value)
+        table[mon] = parse(value)
     return DualForm(instance, degree, table)
 
 
-def _parse_matrix(raw, instance: GradedInstance) -> list:
+def _parse_matrix(raw, instance: GradedInstance, parse) -> list:
     n = instance.rank
     raw = raw if raw is not None else [["0"] * n for _ in range(n)]
-    return [[instance.ring.parse(v) for v in row] for row in _matrix(raw, "data.N", n, n)]
+    return [[parse(v) for v in row] for row in _matrix(raw, "data.N", n, n)]
 
 
 def load_scenario(path) -> Scenario:
@@ -260,17 +279,19 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         where = "instance.lie_algebra"
         block = _block(inst_block["lie_algebra"], where, _LIE_KEYS)
         dim = _integer(block, "dim", where)
-        names = LieAlgebraData(dim, _list(block, "basis", where)).basis_names
+        names = LieAlgebraData(dim, _list(block, "basis", where)).generator_names
         data = LieAlgebraData(
             dim, names,
             {k: {i: parse_rational(v) for i, v in row.items()}
              for k, row in _parse_brackets(block.get("brackets"), names).items()})
-        instance = GradedInstance(data, name=name)
+        parse = _lie_coefficient
     elif "poly_algebroid" in inst_block:
         where = "instance.poly_algebroid"
         block = _block(inst_block["poly_algebroid"], where, _POLY_KEYS)
         base_dim = _integer(block, "base_dim", where)
         rank = _integer(block, "rank", where)
+        if base_dim < 1 or rank < 1:
+            raise InputError("base dimension and rank must be positive")
         shell = PolyAlgebroidData(base_dim, rank, _list(block, "coordinates", where),
                                   _list(block, "generators", where))
         coords, gens, ring = shell.coordinates, shell.generator_names, shell.ring
@@ -281,22 +302,23 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         brackets = {k: {i: ring.parse(v) for i, v in row.items()}
                     for k, row in _parse_brackets(block.get("brackets"), gens).items()}
         data = PolyAlgebroidData(base_dim, rank, coords, gens, anchor, brackets)
-        instance = GradedInstance(data, name=name)
+        parse = ring.parse
     else:
         raise InputError("scenario needs an instance block"
                          " (lie_algebra or poly_algebroid)")
+    instance = GradedInstance(data, name=name)
 
     data_block = _block(raw.get("data"), "data", _DATA_KEYS)
-    pi = _parse_element(data_block.get("pi"), instance, "data.pi")
+    pi = _parse_element(data_block.get("pi"), instance, parse, "data.pi")
     if not pi.is_zero() and pi.wedge_degree() != 2:
         raise InputError("pi must be a bivector")
-    N = _parse_matrix(data_block.get("N"), instance)
-    omega = _parse_dualform(data_block.get("omega"), instance, 2, "data.omega")
+    N = _parse_matrix(data_block.get("N"), instance, parse)
+    omega = _parse_dualform(data_block.get("omega"), instance, parse, 2, "data.omega")
     H_table = _object(data_block.get("H"), "data.H")
     if instance.rank < 3 and H_table:
         raise InputError("a 3-form needs rank >= 3")
-    H = _parse_dualform(H_table, instance, 3, "data.H")
-    alpha = _parse_dualform(data_block.get("alpha"), instance, 2, "data.alpha")
+    H = _parse_dualform(H_table, instance, parse, 3, "data.H")
+    alpha = _parse_dualform(data_block.get("alpha"), instance, parse, 2, "data.alpha")
     lam = data_block.get("lambda")
     lam = None if lam is None else parse_rational(lam)
     a = [parse_rational(v) for v in _list(data_block, "a", "data", ["0", "1"])]

@@ -32,6 +32,6 @@ def default_poly_family(instance, coefficient_degree: int = 1):
 def declared_family(instance):
     """The family that ``is_zero`` covers, as Elements: the basis of a Lie
     algebra, the declared family of a polynomial algebroid."""
-    if instance.ring.kind != "poly":
+    if not instance.data.base_dim:
         return instance.all_basis()
     return default_poly_family(instance, instance.poly_degree_bound)

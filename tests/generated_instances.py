@@ -101,15 +101,16 @@ def poly_rank3(draw):
 
 @st.composite
 def elements(draw, inst):
-    """A random element: up to four terms of any wedge degrees with Fraction
-    coefficients, and on a polynomial algebroid also Poly ones."""
+    """A random element: up to four terms of any wedge degrees with rational
+    coefficients, and where there are coordinates also polynomial ones,
+    each in the instance's ring."""
     monomials = st.sets(st.integers(0, inst.rank - 1)).map(lambda s: tuple(sorted(s)))
-    if inst.ring.kind == "poly":
+    if inst.data.base_dim:
         coefficients = polynomials(inst.ring.nvars) | st.sampled_from(NON_INTEGRAL + (1, -2))
     else:
         coefficients = st.sampled_from((1, -1, 2, -3) + NON_INTEGRAL)
     terms = draw(st.dictionaries(monomials, coefficients, min_size=1, max_size=4))
-    return Element({mon: c if isinstance(c, Poly) else Fraction(c) for mon, c in terms.items()})
+    return Element({mon: inst.ring.coerce(c) for mon, c in terms.items()})
 
 
 def with_bound(inst: GradedInstance, bound: int) -> GradedInstance:

@@ -17,7 +17,6 @@ too.  Slow, and independent of the closed formulas of ``sn_bracket``.
 from __future__ import annotations
 
 from rnforms.elements import Element
-from rnforms.instances import LieAlgebraData
 
 
 def reference_sn_bracket(inst, left: Element, right: Element, memo=None) -> Element:
@@ -47,7 +46,7 @@ def _term(inst, memo, c1, m1, c2, m2) -> Element:
 def _constant_part(inst, coeff):
     """The coefficient itself when the anchor kills it (constants, or
     anything over a point), else None."""
-    if isinstance(inst.data, LieAlgebraData):
+    if not inst.data.base_dim:
         return coeff
     poly = inst.ring.coerce(coeff)
     return poly if poly.total_degree() == 0 else None

@@ -140,10 +140,9 @@ def gerstenhaber_family(inst) -> list[Element]:
     """The monomial basis, and on a polynomial algebroid also the basis
     scaled by each coordinate."""
     family = list(inst.all_basis())
-    if isinstance(inst.data, PolyAlgebroidData):
-        for m in range(inst.data.base_dim):
-            x = inst.ring.var(m)
-            family.extend(el.scale(x) for el in inst.all_basis())
+    for m in range(inst.data.base_dim):
+        x = inst.ring.var(m)
+        family.extend(el.scale(x) for el in inst.all_basis())
     return family
 
 
@@ -196,7 +195,7 @@ def reference_validate(inst):
         jacobiator = sum((bracket(x, bracket(y, z)) for x, y, z in cyclic), Element.zero())
         if not jacobiator.is_zero():
             raise InputError(f"Jacobi identity fails on ({names[i]}, {names[j]}, {names[k]})")
-    if isinstance(inst.data, PolyAlgebroidData):
+    if inst.data.base_dim:
         inst._validate_anchor_morphism()
 
 

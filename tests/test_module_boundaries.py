@@ -4,9 +4,11 @@ walk stays behind one module: only ``forms`` reads form memos, lookups and
 the piece id table, no function takes a certificate's test family or
 builds one from Elements (a certificate covers its instance's family,
 which ``forms.is_zero`` builds), only the modules that check a degree name
-a grading, no module imports a name it does not read, and every
-module-level function and class is read somewhere in the package (tests
-are no caller: a function only they need lives under ``tests/``)."""
+a grading, no module tells a Lie algebra from an algebroid but by its
+structure table (a Lie algebra is the algebroid over a point), no module
+imports a name it does not read, and every module-level function and class
+is read somewhere in the package (tests are no caller: a function only
+they need lives under ``tests/``)."""
 
 import ast
 from collections import Counter
@@ -20,6 +22,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rnforms"
 MODULES = sorted(PACKAGE.glob("*.py"))
 KERNEL_ATTRIBUTES = {"_lookup", "_memo", "_ids"}
 GRADING_NAMES = {"GradingConvention", "convention", "grading"}
+INSTANCE_TYPES = {"LieAlgebraData", "PolyAlgebroidData", "PolyRing"}
 # definitions that only a library user calls
 LIBRARY_ENTRY_POINTS = ["scenario.load_shipped"]
 
@@ -81,6 +84,28 @@ def _grading_uses(path: Path) -> list:
         name = getattr(node, fields.get(type(node), ""), None)
         if isinstance(name, str) and name in GRADING_NAMES:
             found.append((node.lineno, f"line {node.lineno}: names {name}"))
+    return [entry for _, entry in sorted(found)]
+
+
+def _kind_branches(path: Path) -> list:
+    """Where ``path`` tells a Lie algebra from an algebroid by a second
+    type: the name ``RationalRing`` (an export string too), a ``.kind``
+    read, or an ``isinstance`` test against an ``INSTANCE_TYPES`` name."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        names = [getattr(node, field, None) for field in ("id", "attr", "name", "value")]
+        if "RationalRing" in names:
+            found.append((node.lineno, f"line {node.lineno}: names RationalRing"))
+        if isinstance(node, ast.Attribute) and node.attr == "kind" \
+                and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, f"line {node.lineno}: reads .kind"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            for name in (getattr(t, "id", None) or getattr(t, "attr", None) for t in types):
+                if name in INSTANCE_TYPES:
+                    found.append((node.lineno,
+                                  f"line {node.lineno}: isinstance against {name}"))
     return [entry for _, entry in sorted(found)]
 
 
@@ -162,6 +187,14 @@ def test_only_the_degree_checks_name_a_grading():
         "__init__", "cli", "graded", "linfty"]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_kind_of_instance(path):
+    """A Lie algebra is the algebroid over a point: one ring type and one
+    structure table, so the package branches on ``data.base_dim == 0`` (no
+    coordinates) alone, never on a ring kind or an instance type."""
+    assert _kind_branches(path) == []
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_read(path):
@@ -203,6 +236,21 @@ def test_the_guard_sees_a_violation(tmp_path):
                                      "line 2: names convention",
                                      "line 3: names convention",
                                      "line 4: names GradingConvention"]
+    module.write_text("from .rings import RationalRing\n"
+                      "if instance.ring.kind == 'poly':\n"
+                      "    ring = rings.RationalRing()\n"
+                      "instance.kind = 'lie'\n"
+                      "if isinstance(data, LieAlgebraData) or isinstance(r, (int, PolyRing)):\n"
+                      "    flag = isinstance(data, instances.PolyAlgebroidData)\n"
+                      "ok = isinstance(data, GradedInstance) and data.base_dim == 0\n"
+                      "__all__ = ['RationalRing']\n")
+    assert _kind_branches(module) == ["line 1: names RationalRing",
+                                      "line 2: reads .kind",
+                                      "line 3: names RationalRing",
+                                      "line 5: isinstance against LieAlgebraData",
+                                      "line 5: isinstance against PolyRing",
+                                      "line 6: isinstance against PolyAlgebroidData",
+                                      "line 8: names RationalRing"]
     module.write_text("from __future__ import annotations\n"
                       "import os.path\n"
                       "from .other import used, imported_only\n"

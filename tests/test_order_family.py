@@ -18,6 +18,7 @@ from rnforms.catalog import extend_bundle_map, extend_kform, l2_form, lk_form, w
 from rnforms.dualforms import DualForm
 from rnforms.elements import Element
 from rnforms.forms import PolyForm, VForm, insert, is_zero, rn_bracket
+from rnforms.instances import GradedInstance, PolyAlgebroidData
 from rnforms.scenario import load_shipped
 
 from forms_reference import declared_family, default_poly_family
@@ -85,7 +86,7 @@ def generators(inst):
     """The odd basis sections and, on a polynomial algebroid, the even
     coordinates."""
     gens = [inst.generator(i) for i in range(inst.rank)]
-    if inst.ring.kind == "poly":
+    if inst.data.base_dim:
         gens += [inst.unit().scale(inst.ring.var(j)) for j in range(inst.ring.nvars)]
     return gens
 
@@ -150,6 +151,55 @@ def test_declared_orders_satisfy_the_commutator_identity():
 @given(st.one_of(two_step_nilpotent(max_dim=4), poly_rank3()), st.integers(0, 10 ** 6))
 def test_declared_orders_on_generated_instances(inst, seed):
     check_declared_orders(inst, random.Random(seed))
+
+
+# -- a Lie algebra against its constants over a line ------------------------------------
+
+
+def over_a_line(inst):
+    """The Lie algebra ``inst`` with the same constants over one coordinate
+    x1 and zero anchor, declaring coordinate degree 0: its declared family
+    is the basis of ``inst``, walked in full as on any instance with
+    coordinates."""
+    data = inst.data
+    table = {key: {k: c.terms()[0][1] for k, c in row.items()}
+             for key, row in data.table.items()}
+    line = PolyAlgebroidData(1, data.rank, ("x1",), data.generator_names, None, table)
+    return GradedInstance(line, name=inst.name, poly_degree_bound=0)
+
+
+def check_the_point_and_the_line_agree(inst, seed):
+    """For each form of :func:`declared_forms`, and for [l2, l2] (zero by
+    Jacobi), is_zero on the Lie algebra (the order family alone, by the
+    Lemma of ``forms``) and on its constants over a line (the whole family)
+    give the same verdict, count and counterexample labels; only
+    ``complete`` and the note differ."""
+    line = over_a_line(inst)
+
+    def forms_of(instance):
+        jacobi = ("[l2, l2]", rn_bracket(l2_form(instance), l2_form(instance)), None)
+        return declared_forms(instance, random.Random(seed)) + [jacobi]
+
+    for (label, form, _), (_, twin, _) in zip(forms_of(inst), forms_of(line)):
+        point, full = is_zero(form), is_zero(twin)
+        assert (point.is_zero, point.count, point.counterexample) == \
+            (full.is_zero, full.count, full.counterexample), label
+        assert (point.complete, point.family_note) == (True, "all canonical basis tuples")
+        assert (full.complete, full.family_note) == \
+            (False, f"declared family of {2 ** inst.rank} elements")
+
+
+@pytest.mark.parametrize("name", [name for name in SHIPPED if name != "poly-tangent-r2"])
+def test_shipped_lie_algebra_agrees_with_its_constants_over_a_line(name):
+    check_the_point_and_the_line_agree(load_shipped(name).instance, 7)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(two_step_nilpotent(max_dim=4), semidirect(),
+                 st.builds(heisenberg, st.just(2))),
+       st.integers(0, 10 ** 6))
+def test_generated_lie_algebra_agrees_with_its_constants_over_a_line(inst, seed):
+    check_the_point_and_the_line_agree(inst, seed)
 
 
 # -- negative controls ----------------------------------------------------------------------
@@ -339,7 +389,7 @@ def test_nested_brackets_on_generated_instances(inst, seed):
     with every bound forced to None.  A polynomial algebroid declares
     coordinate degree 2, so its family contains the order-2 family too."""
     rng = random.Random(seed)
-    if inst.ring.kind == "poly":
+    if inst.data.base_dim:
         inst = with_bound(inst, 2)
     pool = nested_pool(inst, rng)
     x, y, z = (rng.choice(pool) for _ in range(3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rnforms.elements import Element
-from rnforms.rings import (InputError, Poly, PolyRing, RationalRing, format_poly,
+from rnforms.rings import (InputError, Poly, PolyRing, format_poly,
                            format_rational, parse_poly, parse_rational)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -123,10 +123,17 @@ def test_poly_mismatched_vars_rejected():
         ring.parse({"z^2": "1"})
 
 
-def test_rational_ring_rejects_polynomials():
-    ring = RationalRing()
+def test_constant_ring_rejects_polynomials():
+    """PolyRing(()), the ring of a Lie algebra, holds the constants: it
+    refuses a polynomial in a coordinate, and a constant equals, hashes
+    and prints as its rational."""
+    ring = PolyRing(())
     with pytest.raises(InputError):
         ring.coerce(Poly.var(1, 0))
+    half = ring.coerce(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert ring.format(half) == "1/2" and ring.format(ring.coerce(-3)) == "-3"
+    assert ring.parse("2/4") == ring.coerce(Fraction(1, 2))
 
 
 # -- arithmetic results against the public constructor ----------------------------
