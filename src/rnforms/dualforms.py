@@ -3,13 +3,11 @@
 A DualForm stores its values on strictly increasing generator tuples; all
 other values follow by antisymmetry and multilinearity over the coefficient
 ring.  Every computed form is built by ``tabulate`` from its defining
-formula on generator arguments.  The evaluation pairing is the determinant
-convention
-
-    (P_1 ^ ... ^ P_p)(a_1, ..., a_p) = det <a_i, P_j>,
-
-which fixes every contraction sign in the kernel.  The differential is the
-Cartan formula (anchor terms plus bracket terms); over a point it reduces to
+formula on generator arguments.  The determinant convention, which fixes
+every contraction sign in the kernel, is stated once, at ``pi_sharp``; its
+permutation-determinant reference, ``element_on_duals``, lives in
+``tests/dualforms_reference.py``.  The differential is the Cartan formula
+(anchor terms plus bracket terms); over a point it reduces to
 d k(X, Y) = -k([X, Y]).
 """
 
@@ -177,31 +175,13 @@ def pairing(alpha: DualForm, X: Element):
     return alpha.apply((X,))
 
 
-def element_on_duals(P: Element, alphas) -> object:
-    """Determinant-convention evaluation of a wedge-degree-p element on p
-    1-forms: (P_1^...^P_p)(a_1..a_p) = det <a_i, P_j>."""
-    alphas = tuple(alphas)
-    inst = alphas[0].instance if alphas else None
-    if inst is None:
-        raise InputError("need at least one 1-form")
-    ring = inst.ring
-    p = len(alphas)
-    total = ring.zero()
-    for mon, coeff in P.terms.items():
-        if len(mon) != p:
-            raise InputError("element degree does not match the number of 1-forms")
-        det = ring.zero()
-        for perm in itertools.permutations(range(p)):
-            prod = ring.one()
-            for row, col in enumerate(perm):
-                prod = prod * alphas[row].entry((mon[col],))
-            det = det + (prod if sort_monomial(perm)[1] > 0 else -prod)
-        total = total + coeff * det
-    return total
-
-
 def pi_sharp(pi: Element, alpha: DualForm) -> Element:
-    """<beta, pi#(alpha)> = pi(alpha, beta) under the determinant pairing."""
+    """pi#(alpha), defined by <beta, pi#(alpha)> = pi(alpha, beta) under the
+    determinant convention
+
+        (P_1 ^ ... ^ P_p)(a_1, ..., a_p) = det <a_i, P_j>,
+
+    so (e_i ^ e_j)(alpha, beta) = alpha_i beta_j - alpha_j beta_i."""
     inst = alpha.instance
     if alpha.k != 1:
         raise InputError("pi# needs a 1-form")

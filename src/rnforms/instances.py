@@ -122,9 +122,6 @@ def LieAlgebraData(dim: int, basis_names=None, brackets=None) -> PolyAlgebroidDa
     basis_names = _distinct(basis_names, "basis")
     if len(basis_names) != dim:
         raise InputError("basis name count does not match dimension")
-    for i, j in brackets or {}:
-        if not (0 <= i < j < dim):
-            raise InputError(f"bracket key ({i},{j}) must have 0 <= i < j < dim")
     return PolyAlgebroidData(0, dim, (), basis_names, None, brackets)
 
 

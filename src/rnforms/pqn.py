@@ -25,8 +25,8 @@ from .catalog import (bivector_form, extend_bundle_map, extend_kform, l2_form,
                       matrix_square)
 from .dualforms import (DualForm, apply_matrix, background_script, check_matrix,
                         compat_n_pi, compat_omega_n, d_function, differential,
-                        element_on_duals, iota_n, lie_derivative, n_star, omega_n,
-                        pi_sharp, tabulate, unit_duals)
+                        iota_n, lie_derivative, n_star, omega_n, pairing, pi_sharp,
+                        tabulate, unit_duals)
 from .elements import Element
 from .forms import PolyForm, element_form, is_zero, rn_bracket
 from .instances import GradedInstance
@@ -42,7 +42,8 @@ def koszul_bracket(instance: GradedInstance, pi: Element, alpha: DualForm,
                    beta: DualForm) -> DualForm:
     """{a,b} = L_{pi# a} b - L_{pi# b} a - d(pi(a,b)) on 1-forms, computed
     with the instance's bracket and anchor (pass a deformed instance for the
-    deformed bracket's Koszul bracket)."""
+    deformed bracket's Koszul bracket).  pi(a,b) is read as <b, pi# a>,
+    the determinant convention of ``pi_sharp``."""
     if alpha.k != 1 or beta.k != 1:
         raise InputError("the Koszul bracket acts on 1-forms")
     if alpha.instance is not instance:
@@ -53,9 +54,7 @@ def koszul_bracket(instance: GradedInstance, pi: Element, alpha: DualForm,
     pb = pi_sharp(pi, beta)
     first = lie_derivative(pa, beta) if not pa.is_zero() else DualForm.zero(instance, 1)
     second = lie_derivative(pb, alpha) if not pb.is_zero() else DualForm.zero(instance, 1)
-    scalar = element_on_duals(pi, (alpha, beta)) if not pi.is_zero() else instance.ring.zero()
-    third = d_function(instance, scalar)
-    return first - second - third
+    return first - second - d_function(instance, pairing(beta, pa))
 
 
 def concomitant(instance: GradedInstance, pi: Element, N, alpha: DualForm,
@@ -95,22 +94,15 @@ def _shape_checked(instance: GradedInstance, pi: Element, N, omega: DualForm,
 
 
 def solve_scalar_ratio(lhs: DualForm, target: DualForm):
-    """Exact rational lambda with lhs = lambda * target, or None."""
+    """Exact rational lambda with lhs = lambda * target, or None, with its
+    note.  The one candidate is the ratio at the target's first entry
+    (``exact_ratio``), accepted iff lhs == lambda * target."""
     if target.is_zero():
         return (Fraction(0), "forced 0 (target form vanishes)") if lhs.is_zero() else (None, "no scalar fits")
-    lam = None
-    for mon, value in target.table.items():
-        other = lhs.table.get(mon)
-        ratio = exact_ratio(other, value)
-        if ratio is None:
-            return None, "no scalar fits"
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            return None, "no scalar fits"
-    for mon in lhs.table:
-        if mon not in target.table:
-            return None, "no scalar fits"
+    mon, value = next(iter(target.table.items()))
+    lam = exact_ratio(lhs.table.get(mon), value)
+    if lam is None or lhs != target.scale(lam):
+        return None, "no scalar fits"
     return lam, f"lambda = {lam}"
 
 
@@ -329,7 +321,7 @@ def _decomposition_checks(report, instance, pi, N, omega, H, n_form, mu) -> None
     pif = bivector_form(instance, pi) if not pi.is_zero() else None
     uomega, uH = (extend_kform(k) if not k.is_zero() else None for k in (omega, H))
     double = rn_bracket(n_form, rn_bracket(n_form, mu))
-    pair = l2.evaluate((pi, pi)) if pif is not None else Element.zero()
+    pair = instance.sn_bracket(pi, pi)     # l2(pi,pi) = [pi,pi]
     g4 = _nested(uomega, un, uH)
     rows = [
         (0, [None if pair.is_zero() else element_form(instance, pair)],

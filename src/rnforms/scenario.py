@@ -280,11 +280,11 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
         block = _block(inst_block["lie_algebra"], where, _LIE_KEYS)
         dim = _integer(block, "dim", where)
         names = LieAlgebraData(dim, _list(block, "basis", where)).generator_names
+        parse = _lie_coefficient
         data = LieAlgebraData(
             dim, names,
-            {k: {i: parse_rational(v) for i, v in row.items()}
+            {k: {i: parse(v) for i, v in row.items()}
              for k, row in _parse_brackets(block.get("brackets"), names).items()})
-        parse = _lie_coefficient
     elif "poly_algebroid" in inst_block:
         where = "instance.poly_algebroid"
         block = _block(inst_block["poly_algebroid"], where, _POLY_KEYS)

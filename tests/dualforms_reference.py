@@ -6,7 +6,10 @@ instead of from its defining formula on generator arguments
 Every operator reads entries through ``reference_entry``, which takes the
 sign of a permutation from its inversion count, so no sign code is shared
 with ``DualForm.entry``.  ``compat_n_pi`` is compared as a matrix identity.
-Slow, and independent of the tabulated operators.
+``element_on_duals`` evaluates a multivector on 1-forms as a permutation
+determinant, the reference for the determinant convention that
+``dualforms.pi_sharp`` states.  Slow, and independent of the tabulated
+operators.
 """
 
 from __future__ import annotations
@@ -14,6 +17,13 @@ from __future__ import annotations
 import itertools
 
 from rnforms.dualforms import DualForm, apply_matrix, matrix_mul, pi_sharp, unit_duals
+from rnforms.rings import InputError
+
+
+def _odd(perm) -> bool:
+    """Whether the permutation ``perm`` has an odd inversion count."""
+    return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+               if perm[a] > perm[b]) % 2 == 1
 
 
 def reference_entry(form: DualForm, indices):
@@ -22,11 +32,30 @@ def reference_entry(form: DualForm, indices):
     if len(set(indices)) != len(indices):
         return form.instance.ring.zero()
     order = tuple(sorted(indices))
-    perm = [order.index(i) for i in indices]
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
     value = form.table.get(order, form.instance.ring.zero())
-    return -value if inversions % 2 else value
+    return -value if _odd([order.index(i) for i in indices]) else value
+
+
+def element_on_duals(P, alphas):
+    """Determinant-convention evaluation of a wedge-degree-p element on p
+    1-forms: (P_1^...^P_p)(a_1..a_p) = det <a_i, P_j>."""
+    alphas = tuple(alphas)
+    if not alphas:
+        raise InputError("need at least one 1-form")
+    ring = alphas[0].instance.ring
+    p = len(alphas)
+    total = ring.zero()
+    for mon, coeff in P.terms.items():
+        if len(mon) != p:
+            raise InputError("element degree does not match the number of 1-forms")
+        det = ring.zero()
+        for perm in itertools.permutations(range(p)):
+            prod = ring.one()
+            for row, col in enumerate(perm):
+                prod = prod * reference_entry(alphas[row], (mon[col],))
+            det = det + (-prod if _odd(perm) else prod)
+        total = total + coeff * det
+    return total
 
 
 def reference_apply(form: DualForm, sections):

@@ -3,11 +3,14 @@ PQN equivalence rests on, mostly as hand-rolled loops over basis tuples.  No
 command prints these reports; ``test_pqn.py`` checks that every entry
 passes on its inputs and that each planted corruption fails the entries
 it must.  ``reference_conditions_bc`` recomputes conditions (b) and (c) of
-``pqn.quadruple_conditions`` the same way.
+``pqn.quadruple_conditions`` the same way, and ``reference_solve_scalar_ratio``
+solves condition (d)'s scalar entry by entry.
 
 Every function these checks share with ``rnforms.pqn`` is read through that
 module, and the insertion through ``rnforms.forms``, so a corruption
 patched there reaches the references and ``pqn``'s own conditions alike.
+A bivector is read on two 1-forms by the permutation-determinant reference
+``element_on_duals``, which ``pqn`` does not use.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from rnforms.elements import Element
 from rnforms.forms import VForm
 from rnforms.report import Report
 
-from dualforms_reference import pi_sharp_matrix
+from dualforms_reference import element_on_duals, pi_sharp_matrix
 from forms_reference import declared_family
 
 
@@ -38,7 +41,7 @@ def reference_dual_pairing(instance, pi):
             X = instance.generator(x)
             lhs = pairing(kb, X)
             bracket = instance.sn_bracket(pi, X)
-            rhs = (-pqn.element_on_duals(bracket, (a, b)) if not bracket.is_zero()
+            rhs = (-element_on_duals(bracket, (a, b)) if not bracket.is_zero()
                    else ring.zero())
             rhs = rhs + instance.anchor_on_function(pqn.pi_sharp(pi, a), pairing(b, X)) \
                 if not pqn.pi_sharp(pi, a).is_zero() else rhs
@@ -54,6 +57,26 @@ def reference_dual_pairing(instance, pi):
                bad is None, complete=not instance.data.base_dim,
                counterexample=bad)
     return report
+
+
+def reference_solve_scalar_ratio(lhs: DualForm, target: DualForm):
+    """``pqn.solve_scalar_ratio`` entry by entry: one ratio on every entry
+    of the target, and no entry of lhs outside the target's support."""
+    if target.is_zero():
+        return (Fraction(0), "forced 0 (target form vanishes)") if lhs.is_zero() else (None, "no scalar fits")
+    lam = None
+    for mon, value in target.table.items():
+        ratio = pqn.exact_ratio(lhs.table.get(mon), value)
+        if ratio is None:
+            return None, "no scalar fits"
+        if lam is None:
+            lam = ratio
+        elif lam != ratio:
+            return None, "no scalar fits"
+    for mon in lhs.table:
+        if mon not in target.table:
+            return None, "no scalar fits"
+    return lam, f"lambda = {lam}"
 
 
 def reference_conditions_bc(inst, pi, N, omega, H):
@@ -157,13 +180,13 @@ def reference_section3(instance, pi, N, omega, H):
             lhs_el = un.evaluate((br,)) if not br.is_zero() else Element.zero()
             for i, j in itertools.product(range(instance.rank), repeat=2):
                 a, b = duals[i], duals[j]
-                lhs_v = (pqn.element_on_duals(lhs_el, (a, b))
+                lhs_v = (element_on_duals(lhs_el, (a, b))
                          if not lhs_el.is_zero() else ring.zero())
                 if br.is_zero():
                     rhs_v = ring.zero()
                 else:
-                    rhs_v = (pqn.element_on_duals(br, (pqn.n_star(instance, N, a), b))
-                             + pqn.element_on_duals(br, (a, pqn.n_star(instance, N, b))))
+                    rhs_v = (element_on_duals(br, (pqn.n_star(instance, N, a), b))
+                             + element_on_duals(br, (a, pqn.n_star(instance, N, b))))
                 if lhs_v != rhs_v:
                     bad = f"(X,a,b) = ({instance.generator_names[x]}, {a.label()}, {b.label()})"
                     break
@@ -182,7 +205,7 @@ def reference_section3(instance, pi, N, omega, H):
             val = comp.evaluate((X,))
             for i, j in itertools.combinations(range(instance.rank), 2):
                 a, b = duals[i], duals[j]
-                lhs_v = pqn.element_on_duals(val, (a, b)) if not val.is_zero() else ring.zero()
+                lhs_v = element_on_duals(val, (a, b)) if not val.is_zero() else ring.zero()
                 rhs_v = pqn.concomitant(instance, pi, N, a, b).apply((X,))
                 if lhs_v != rhs_v:
                     bad = f"(X,a,b) = ({instance.generator_names[x]}, {a.label()}, {b.label()})"
@@ -202,7 +225,7 @@ def reference_section3(instance, pi, N, omega, H):
                 val = double.evaluate((X,))
                 for i, j in itertools.combinations(range(instance.rank), 2):
                     a, b = duals[i], duals[j]
-                    lhs_v = (pqn.element_on_duals(val, (a, b))
+                    lhs_v = (element_on_duals(val, (a, b))
                              if not val.is_zero() else ring.zero())
                     pa, pb = pqn.pi_sharp(pi, a), pqn.pi_sharp(pi, b)
                     rhs_v = (-2 * H.apply((pa, pb, X))

@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from rnforms import dualforms
 from rnforms.dualforms import (DualForm, apply_matrix, background_script,
                                compat_n_pi, compat_omega_n, d_function, differential,
-                               element_on_duals, iota_element, iota_n, lie_derivative,
-                               n_star, omega_n, pairing, pi_sharp)
+                               iota_element, iota_n, lie_derivative, n_star, omega_n,
+                               pairing, pi_sharp)
 from rnforms.elements import Element
 from rnforms.rings import InputError
 from rnforms.scenario import load_shipped
 
-from dualforms_reference import (reference_background_script, reference_compat_n_pi,
-                                 reference_differential, reference_entry,
+from dualforms_reference import (element_on_duals, reference_background_script,
+                                 reference_compat_n_pi, reference_differential, reference_entry,
                                  reference_iota_element, reference_iota_n,
                                  reference_n_star, reference_omega_n)
-from generated_instances import (affine_x_algebroid, poly_rank3, polynomials, rank3_algebroid,
-                                  two_step_nilpotent)
+from generated_instances import (affine_x_algebroid, elements, poly_rank3, polynomials,
+                                  rank3_algebroid, semidirect, two_step_nilpotent)
 
 
 def dual(inst, i):
@@ -197,6 +197,18 @@ def test_entry_differential_and_contraction_match_the_references(inst, data):
     if k:
         X = data.draw(sections(inst))
         assert iota_element(X, kappa) == reference_iota_element(X, kappa)
+
+
+@settings(max_examples=30, deadline=None)
+@given(semidirect() | two_step_nilpotent() | poly_rank3(), st.data())
+def test_pi_sharp_pairing_matches_the_determinant_reference(inst, data):
+    """<b, pi# a> = pi(a, b), read by the permutation determinant, for a
+    random bivector (the wedge-degree-2 part of a random element) and
+    random 1-forms on generated instances."""
+    P = data.draw(elements(inst))
+    pi = Element({mon: c for mon, c in P.terms.items() if len(mon) == 2})
+    a, b = data.draw(dual_forms(inst, 1)), data.draw(dual_forms(inst, 1))
+    assert pairing(b, pi_sharp(pi, a)) == element_on_duals(pi, (a, b))
 
 
 @SETTINGS

@@ -5,7 +5,8 @@ the piece id table, no function takes a certificate's test family or
 builds one from Elements (a certificate covers its instance's family,
 which ``forms.is_zero`` builds), only the modules that check a degree name
 a grading, no module tells a Lie algebra from an algebroid but by its
-structure table (a Lie algebra is the algebroid over a point), no module
+structure table (a Lie algebra is the algebroid over a point), only
+``cli.recognize`` evaluates a form at a tuple, no module
 imports a name it does not read, and every module-level function and class
 is read somewhere in the package (tests are no caller: a function only
 they need lives under ``tests/``)."""
@@ -66,6 +67,23 @@ def _family_choices(path: Path) -> list:
         elif isinstance(node, ast.Call) and "default_poly_family" in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             found.append(f"{scope}: calls default_poly_family")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(_tree(path), path.stem)
+    return found
+
+
+def _evaluations(path: Path) -> list:
+    """Each ``.evaluate(`` call of ``path``, by the function (qualified by
+    module) that makes it, with its line."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            scope = f"{scope}.{getattr(node, 'name', '<lambda>')}"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "evaluate":
+            found.append(f"{scope}: line {node.lineno} calls .evaluate")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -178,6 +196,15 @@ def test_only_is_zero_chooses_a_test_family():
     assert [entry for path in MODULES for entry in _family_choices(path)] == []
 
 
+def test_only_recognize_evaluates_a_form():
+    """A certificate reads a form through ``is_zero`` alone; the one package
+    function that evaluates a form at a tuple is ``cli.recognize``, at a
+    certificate's counterexample (a bracket of elements is the instance's
+    ``sn_bracket``)."""
+    calls = [entry for path in MODULES for entry in _evaluations(path)]
+    assert calls and [entry for entry in calls if not entry.startswith("cli.recognize:")] == []
+
+
 def test_only_the_degree_checks_name_a_grading():
     """Forms carry no grading, so neither the kernel nor the catalog nor
     ``pqn`` names one: only ``graded``, which defines the gradings, the two
@@ -228,6 +255,16 @@ def test_the_guard_sees_a_violation(tmp_path):
                                        "module.check: takes test_family",
                                        "module.check: calls default_poly_family",
                                        "module.<lambda>: takes test_family"]
+    module.write_text("def recognize(comp, failing):\n"
+                      "    return comp.evaluate(failing)\n"
+                      "class Harness:\n"
+                      "    def pair(self, l2, pi):\n"
+                      "        return l2.evaluate((pi, pi))\n"
+                      "value = (lambda f: f.evaluate(()))(form)\n"
+                      "evaluate(form)\n")
+    assert _evaluations(module) == ["module.recognize: line 2 calls .evaluate",
+                                    "module.Harness.pair: line 5 calls .evaluate",
+                                    "module.<lambda>: line 6 calls .evaluate"]
     module.write_text("from .graded import GradingConvention\n"
                       "def wedge_form(instance, k, convention=None):\n"
                       "    return shared_node(instance, (k, form.convention), build)\n"

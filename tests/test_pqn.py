@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnforms import catalog, forms, pqn
 from rnforms.dualforms import DualForm, differential, pi_sharp
@@ -14,7 +16,10 @@ from rnforms.report import Report
 from rnforms.rings import InputError, PolyRing
 from rnforms.scenario import load_shipped
 
-from pqn_reference import reference_conditions_bc, reference_dual_pairing, reference_section3
+from dualforms_reference import element_on_duals
+from generated_instances import poly_rank3, semidirect, two_step_nilpotent
+from pqn_reference import (reference_conditions_bc, reference_dual_pairing, reference_section3,
+                           reference_solve_scalar_ratio)
 
 
 def dual(inst, i):
@@ -28,7 +33,7 @@ def test_koszul_bracket_zero_bivector(aff):
 
 def test_koszul_bracket_aff1_by_cartan_expansion(aff):
     # {a,b} = L_{pi#a} b - L_{pi#b} a - d(pi(a,b)) assembled term by term
-    from rnforms.dualforms import d_function, element_on_duals, lie_derivative
+    from rnforms.dualforms import d_function, lie_derivative
     inst = aff
     pi = inst.monomial((0, 1))
     for i, j in itertools.product(range(2), repeat=2):
@@ -73,7 +78,6 @@ def test_concomitant_identity_and_scaling(h3):
 
 def test_concomitant_cross_checked_against_bracket_combination(h3):
     from rnforms.catalog import bivector_form, extend_bundle_map, l2_form
-    from rnforms.dualforms import element_on_duals
     from rnforms.forms import as_polyform, rn_bracket
     inst = h3
     pi = inst.monomial((0, 1))
@@ -105,6 +109,32 @@ def test_stienon_xu_computes_only_what_it_prints(monkeypatch):
     for name in ("aff1", "abelian2", "poly-tangent-r2"):
         s = load_shipped(name)
         assert stienon_xu_harness(s.instance, s.pi, s.N, s.omega, s.alpha).passed, name
+
+
+def _ratio_cases(inst):
+    """(case, lhs, target, the lambda that fits or None) on 1-forms."""
+    def form(*coeffs):
+        return DualForm(inst, 1, {(i,): c for i, c in enumerate(coeffs)})
+
+    target, zero = form(1, 2), DualForm.zero(inst, 1)
+    cases = [("proportional", target.scale(Fraction(-3, 2)), target, Fraction(-3, 2)),
+             ("proportional, lambda = 0", zero, target, 0),
+             ("zero target, zero lhs", zero, zero, 0),
+             ("zero target, nonzero lhs", form(1), zero, None),
+             ("lhs outside the target's support", form(2, 1), form(1), None),
+             ("two ratios", form(1, 3), target, None)]
+    if inst.data.base_dim:
+        cases.append(("lhs = x1 target", target.scale(inst.ring.var(0)), target, None))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["aff1", "so3", "poly-tangent-r2"])
+def test_solve_scalar_ratio_matches_the_reference(name):
+    inst = load_shipped(name).instance
+    for case, lhs, target, lam in _ratio_cases(inst):
+        solved = pqn.solve_scalar_ratio(lhs, target)
+        assert solved == reference_solve_scalar_ratio(lhs, target), case
+        assert solved[0] == lam, case
 
 
 def test_check_pqn_aff1_scalar(aff):
@@ -267,6 +297,27 @@ def test_both_sides_agree_on_random_quadruples():
                 if equality:
                     assert equality[0].passed, (inst.name, report.to_text())
                     verdicts.add(equality[0].detail)
+    assert verdicts == {"side A pass, side B pass", "side A fail, side B fail"}
+
+
+def test_both_sides_agree_on_generated_algebras():
+    """The same verdict equality on generated Lie algebras and polynomial
+    algebroids, with diagonal N."""
+    verdicts = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(semidirect(max_n=3) | two_step_nilpotent(max_dim=4) | poly_rank3(),
+           st.randoms(use_true_random=False))
+    def agree(inst, rng):
+        pi, N, omega, H, alpha = _random_quadruple(rng, inst)
+        for report in (main_theorem_harness(inst, pi, N, omega, H),
+                       stienon_xu_harness(inst, pi, N, omega, alpha)):
+            for entry in report.checks:
+                if entry.name == "verdict equality":
+                    assert entry.passed, (inst.name, report.to_text())
+                    verdicts.add(entry.detail)
+
+    agree()
     assert verdicts == {"side A pass, side B pass", "side A fail, side B fail"}
 
 

@@ -63,9 +63,8 @@ def test_lie_number_coefficient_loads_like_its_string(tmp_path, capsys, name, pa
 @pytest.mark.parametrize("name,path,argv", LIE_COEFFICIENTS, ids=_id)
 def test_lie_polynomial_coefficient_exits_2(tmp_path, capsys, name, path, argv):
     code, out, err = _run(tmp_path, capsys, _edited(name, path, {"1": "1"}), *argv)
-    # a bracket row is read by the rational parser itself, the data by the ring
-    message = ("not a rational number: {'1': '1'}" if path[0] == "instance"
-               else "polynomial coefficient in a rational-coefficient instance")
+    # a bracket row is read by the same coefficient reader as the data
+    message = "polynomial coefficient in a rational-coefficient instance"
     assert (code, out, err) == (2, "", f"input error: {message}\n")
 
 
