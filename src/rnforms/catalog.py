@@ -75,9 +75,7 @@ def lk_form(instance: GradedInstance, k: int) -> VForm:
 def extend_bundle_map(instance: GradedInstance, N) -> VForm:
     """Derivation extension of an endomorphism: zero on functions,
     sum over factors N applied to one generator at a time."""
-    check_matrix(instance, N)
-    ring = instance.ring
-    N = tuple(tuple(ring.coerce(v) for v in row) for row in N)
+    N = check_matrix(instance, N)
 
     def fn(args):
         (P,) = args
@@ -96,8 +94,7 @@ def extend_bundle_map(instance: GradedInstance, N) -> VForm:
 
 
 def matrix_square(instance: GradedInstance, N):
-    ring = instance.ring
-    N = [[ring.coerce(v) for v in row] for row in N]
+    N = check_matrix(instance, N)
     return matrix_mul(instance, N, N)
 
 

@@ -35,7 +35,7 @@ from .linfty import (coefficient_suite, nijenhuis_deformation_theorem_check, nij
 from .pqn import check_pqn, exact_ratio, main_theorem_harness, stienon_xu_harness
 from .report import Report
 from .rings import InputError, parse_rational
-from .scenario import Scenario, load_scenario
+from .scenario import INDEX_LIMIT, Scenario, load_scenario
 
 NEG = GradingConvention.NEGATED
 SH2 = GradingConvention.SHIFTED2
@@ -45,8 +45,9 @@ _TERM = re.compile(r"^\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<name>[A-Za-z][
 
 def parse_form_expression(text: str, scenario: Scenario):
     """Tiny grammar: sums of rational multiples of the named generators
-    N{k}, l{k}, underlineN, underlineOmega, underlineH, pi.  Terms are
-    joined by "+", "-" or "+-"; the first term may carry one of them too.
+    N{k}, l{k} (k <= INDEX_LIMIT), underlineN, underlineOmega, underlineH,
+    pi.  Terms are joined by "+", "-" or "+-"; the first term may carry one
+    of them too.
 
     Returns (form, grading).  Each name is read in one grading: N{k} and
     l{k} negated, pi and the underlined extensions shifted by 2.  All terms
@@ -110,12 +111,16 @@ def _named_form(name: str, scenario: Scenario):
         if scenario.H.is_zero():
             raise InputError("scenario has no background 3-form")
         return extend_kform(scenario.H)
-    if name.startswith("N") and name[1:].isdigit():
-        if int(name[1:]) < 1:
-            raise InputError(f"{name}: the wedge family N_k starts at N1")
-        return wedge_form(instance, int(name[1:]))
-    if name.startswith("l") and name[1:].isdigit():
-        k = int(name[1:])
+    if name[0] in "Nl" and name[1:].isdigit():
+        digits = name[1:].lstrip("0")
+        # the length test first: int() refuses strings past 4300 digits
+        k = int(digits or "0") if len(digits) <= len(str(INDEX_LIMIT)) else INDEX_LIMIT + 1
+        if k > INDEX_LIMIT:
+            raise InputError(f"{name}: indices above {INDEX_LIMIT} (the index limit) are refused")
+        if name[0] == "N":
+            if k < 1:
+                raise InputError(f"{name}: the wedge family N_k starts at N1")
+            return wedge_form(instance, k)
         if k < 2:
             raise InputError(f"{name}: the bracket family l_k starts at l2"
                              " (l1 is identically zero)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .elements import Element, sort_monomial
+from .elements import Element, accumulate, sort_monomial
 from .instances import GradedInstance
 from .rings import InputError
 
@@ -53,11 +53,7 @@ class DualForm:
         self._check(other)
         table = dict(self.table)
         for mon, coeff in other.table.items():
-            acc = table.get(mon, self.instance.ring.zero()) + coeff
-            if acc:
-                table[mon] = acc
-            else:
-                table.pop(mon, None)
+            accumulate(table, mon, coeff)
         return DualForm(self.instance, self.k, table)
 
     def __sub__(self, other: "DualForm") -> "DualForm":
@@ -105,13 +101,7 @@ class DualForm:
         return total
 
     def label(self) -> str:
-        inst = self.instance
-        bits = []
-        for mon, coeff in sorted(self.table.items()):
-            name = "^".join(f"{inst.generator_names[i]}*" for i in mon) if mon else "1"
-            c = inst.ring.format(coeff)
-            bits.append(f"({c})*{name}" if c != "1" else name)
-        return " + ".join(bits) if bits else "0"
+        return self.instance.basis_label(Element(self.table), "*")
 
 
 def tabulate(inst: GradedInstance, k: int, value) -> DualForm:
@@ -182,7 +172,6 @@ def pi_sharp(pi: Element, alpha: DualForm) -> Element:
         (P_1 ^ ... ^ P_p)(a_1, ..., a_p) = det <a_i, P_j>,
 
     so (e_i ^ e_j)(alpha, beta) = alpha_i beta_j - alpha_j beta_i."""
-    inst = alpha.instance
     if alpha.k != 1:
         raise InputError("pi# needs a 1-form")
     if not pi.is_zero() and pi.require_homogeneous() != 2:
@@ -193,10 +182,10 @@ def pi_sharp(pi: Element, alpha: DualForm) -> Element:
         aj = alpha.entry((j,))
         # (e_i ^ e_j)# alpha = <alpha, e_i> e_j - <alpha, e_j> e_i
         if ai:
-            terms[(j,)] = terms.get((j,), inst.ring.zero()) + coeff * ai
+            accumulate(terms, (j,), coeff * ai)
         if aj:
-            terms[(i,)] = terms.get((i,), inst.ring.zero()) - coeff * aj
-    return Element({mon: c for mon, c in terms.items() if c})
+            accumulate(terms, (i,), -(coeff * aj))
+    return Element(terms)
 
 
 def unit_duals(inst: GradedInstance) -> list:
@@ -208,12 +197,13 @@ def n_star(inst: GradedInstance, N, alpha: DualForm) -> DualForm:
     """Transpose action: <N* alpha, X> = <alpha, N X>."""
     if alpha.k != 1:
         raise InputError("N* acts on 1-forms")
+    N = check_matrix(inst, N)
     return tabulate(inst, 1, lambda X: pairing(alpha, apply_matrix(inst, N, X)))
 
 
 def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:
-    """N X for a wedge-degree-1 element."""
-    check_matrix(inst, N)
+    """N X for a wedge-degree-1 element, with ``N`` as ``check_matrix``
+    returns it (each entry that takes a bundle map checks it once)."""
     terms: dict = {}
     for mon, coeff in X.terms.items():
         if len(mon) != 1:
@@ -221,9 +211,8 @@ def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:
         for j in range(inst.rank):
             entry = N[j][mon[0]]
             if entry:
-                acc = terms.get((j,), inst.ring.zero()) + coeff * entry
-                terms[(j,)] = acc
-    return Element({mon: c for mon, c in terms.items() if c})
+                accumulate(terms, (j,), coeff * entry)
+    return Element(terms)
 
 
 def matrix_mul(inst: GradedInstance, A, B):
@@ -232,23 +221,26 @@ def matrix_mul(inst: GradedInstance, A, B):
              for j in range(n)] for i in range(n)]
 
 
-def check_matrix(inst: GradedInstance, N) -> None:
-    """InputError unless the bundle map ``N`` is a rank x rank matrix."""
+def check_matrix(inst: GradedInstance, N) -> tuple:
+    """The bundle map ``N`` as rows of entries in the instance's ring;
+    InputError unless it is a rank x rank matrix."""
     n = inst.rank
     if len(N) != n or any(len(row) != n for row in N):
         raise InputError(f"bundle map must be a {n}x{n} matrix")
+    coerce = inst.ring.coerce
+    return tuple(tuple(coerce(v) for v in row) for row in N)
 
 
 def compat_n_pi(inst: GradedInstance, N, pi: Element) -> bool:
     """N o pi# = pi# o N*, compared on the dual generators."""
-    check_matrix(inst, N)
+    N = check_matrix(inst, N)
     return all(apply_matrix(inst, N, pi_sharp(pi, a)) == pi_sharp(pi, n_star(inst, N, a))
                for a in unit_duals(inst))
 
 
 def compat_omega_n(inst: GradedInstance, omega: DualForm, N) -> bool:
     """omega_flat o N = N* o omega_flat, i.e. omega(N X, Y) = omega(X, N Y)."""
-    check_matrix(inst, N)
+    N = check_matrix(inst, N)
     for i in range(inst.rank):
         for j in range(inst.rank):
             lhs = omega.apply((apply_matrix(inst, N, inst.generator(i)), inst.generator(j)))
@@ -261,6 +253,7 @@ def compat_omega_n(inst: GradedInstance, omega: DualForm, N) -> bool:
 def omega_n(omega: DualForm, N) -> DualForm:
     """omega_N(X, Y) = omega(N X, Y) = omega(X, N Y); requires compatibility."""
     inst = omega.instance
+    N = check_matrix(inst, N)
     if not compat_omega_n(inst, omega, N):
         raise InputError("omega_flat o N != N* o omega_flat; omega_N is not defined")
     return tabulate(inst, 2, lambda X, Y: omega.apply((apply_matrix(inst, N, X), Y)))
@@ -271,6 +264,7 @@ def iota_n(theta: DualForm, N) -> DualForm:
     inst = theta.instance
     if theta.k != 3:
         raise InputError("i_N here acts on 3-forms")
+    N = check_matrix(inst, N)
 
     def value(*xs):
         return sum((theta.apply(xs[:slot] + (apply_matrix(inst, N, xs[slot]),) + xs[slot + 1:])
@@ -284,6 +278,7 @@ def background_script(H: DualForm, N) -> DualForm:
     inst = H.instance
     if H.k != 3:
         raise InputError("the background combination needs a 3-form")
+    N = check_matrix(inst, N)
 
     def value(X, Y, Z):
         NX, NY, NZ = (apply_matrix(inst, N, W) for W in (X, Y, Z))

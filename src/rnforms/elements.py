@@ -11,6 +11,7 @@ first use.
 
 from __future__ import annotations
 
+from .graded import inversion_sign
 from .rings import InputError
 
 
@@ -18,17 +19,20 @@ def sort_monomial(indices) -> tuple:
     """Sort generator indices, returning (sorted_tuple, sign); sign 0 on a
     repeated index (exterior square)."""
     indices = tuple(indices)
-    n = len(indices)
-    if len(set(indices)) != n:
+    if len(set(indices)) != len(indices):
         return (), 0
-    sign = 1
-    work = list(indices)
-    for i in range(n):
-        m = min(range(i, n), key=work.__getitem__)
-        if m != i:
-            work[i], work[m] = work[m], work[i]
-            sign = -sign
-    return tuple(work), sign
+    return tuple(sorted(indices)), inversion_sign(indices)
+
+
+def accumulate(total: dict, key, value) -> None:
+    """total[key] += value, dropping the key when the sum is 0: the one
+    sparse sum of the package (the piece maps of ``forms`` aside)."""
+    acc = total.get(key)
+    acc = value if acc is None else acc + value
+    if acc:
+        total[key] = acc
+    else:
+        total.pop(key, None)
 
 
 _UNSET = object()        # wedge degree not computed yet (None means zero/mixed)
@@ -88,12 +92,7 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         terms = dict(self.terms)
         for mon, coeff in other.terms.items():
-            acc = terms.get(mon)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
+            accumulate(terms, mon, coeff)
         out = Element.__new__(Element)
         out.terms = terms
         out._key = None
@@ -108,8 +107,6 @@ class Element:
         return self + (-other)
 
     def scale(self, factor) -> "Element":
-        if not factor:
-            return Element.zero()
         return Element({mon: factor * coeff for mon, coeff in self.terms.items()})
 
     def wedge(self, other: "Element") -> "Element":
@@ -118,15 +115,8 @@ class Element:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mon, sign = sort_monomial(m1 + m2)
-                if sign == 0:
-                    continue
-                coeff = c1 * c2 if sign > 0 else -(c1 * c2)
-                acc = out.get(mon)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[mon] = acc
-                else:
-                    out.pop(mon, None)
+                if sign:
+                    accumulate(out, mon, c1 * c2 if sign > 0 else -(c1 * c2))
         return Element(out)
 
     def __repr__(self):

@@ -31,6 +31,10 @@ counterexample of :func:`is_zero`.  A catalog rule's value is
 split into pieces once per memo miss.  An insertion bisects each piece of
 K(first slice of its key) into the sorted rest, with the Koszul sign of the
 odd ids it passes.
+Two fast paths stay beside the package's one permutation sign
+(``graded.inversion_sign``) and one sparse sum (``elements.accumulate``),
+as every certificate spends its time in them: that insertion sign, one pass
+after a bisect, and :func:`_add_into`, which adds a whole scaled piece map.
 
 Degree bookkeeping is carried by the wedge shift c (output wedge degree
 minus the sum of the input wedge degrees), and a form carries no grading.
@@ -119,8 +123,8 @@ from math import comb
 from operator import itemgetter
 from types import MappingProxyType
 
-from .elements import Element
-from .graded import koszul_sign, sign_pow, unshuffles
+from .elements import Element, accumulate
+from .graded import inversion_sign, koszul_sign, sign_pow, unshuffles
 from .instances import GradedInstance
 from .rings import InputError, Poly, plain
 
@@ -263,9 +267,9 @@ class VForm:
 
     def _canonical(self, args):
         """(key, sign) of checked arguments: their ids sorted by sort key,
-        and the int Koszul sign of the sorting permutation
-        (graded.koszul_sign, unvalidated); sign 0 when an argument is zero
-        or an odd argument repeats."""
+        and the int Koszul sign of the sorting permutation (the inversion
+        sign of its odd entries, as in graded.koszul_sign); sign 0 when an
+        argument is zero or an odd argument repeats."""
         args = tuple(args)
         if len(args) != self.arity:
             raise InputError(f"a form of arity {self.arity} got {len(args)} arguments")
@@ -281,9 +285,8 @@ class VForm:
         key = tuple([ids[i] for i in order])
         if any(a == b and table.odd[a] for a, b in zip(key, key[1:])):
             return (), 0
-        odd = [i for i in order if table.odd[ids[i]]]     # original positions, sorted order
-        swaps = sum(a > b for a, b in itertools.combinations(odd, 2))
-        return key, -1 if swaps & 1 else 1
+        # the odd arguments' original positions, in sorted order
+        return key, inversion_sign([i for i in order if table.odd[ids[i]]])
 
     # -- linear structure -------------------------------------------------------
 
@@ -303,11 +306,7 @@ class VForm:
         self._compatible(other)
         terms = dict(self.linear_terms())
         for node, coeff in other.linear_terms().items():
-            acc = terms.get(node, 0) + factor * coeff
-            if acc:
-                terms[node] = acc
-            else:
-                del terms[node]
+            accumulate(terms, node, factor * coeff)
         return VForm.combination(self.instance, self.arity, self.shift, terms,
                                  order=_max_order((self.order, other.order)))
 
@@ -334,7 +333,8 @@ class VForm:
 
 def _add_into(total: dict, coeff, value: dict) -> None:
     """total += coeff * value on piece maps (coefficients as
-    :func:`rings.plain` gives them), dropping zeros."""
+    :func:`rings.plain` gives them), dropping zeros: a fast path (see the
+    module docstring) that takes a whole map and keeps an integral sum an int."""
     plain, negate = coeff == 1, coeff == -1
     for piece, c in value.items():
         if not plain:
@@ -433,7 +433,8 @@ def insert(K: VForm, L: VForm) -> VForm:
 
 def _insertion_node(K: VForm, L: VForm) -> VForm:
     """The rule sum over (k, l-1)-unshuffles s of eps(s) L(K(first), rest) on
-    keys: each piece of K(first) is bisected into the sorted rest."""
+    keys: each piece of K(first) is bisected into the sorted rest, its sign
+    counted over the odd ids it passes (a fast path: the rest is sorted)."""
     instance = K.instance
     k = K.arity
     shuffles = [(perm, _getter(perm[:k]), _getter(perm[k:]))

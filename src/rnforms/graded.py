@@ -1,5 +1,9 @@
 """Graded combinatorics: Koszul signs and unshuffles.
 
+``inversion_sign`` is the package's one permutation sign: it signs
+``elements.sort_monomial``, ``koszul_sign`` (on the odd entries) and
+``forms.VForm._canonical``; only the insertion of ``forms`` counts inline.
+
 Signs in a graded-symmetric world depend only on degree parities, which
 coincide for the two grading conventions used here: a form of arity k and
 wedge shift c has degree -c in one and c + 2(k - 1) in the other, both of
@@ -34,6 +38,12 @@ def sign_pow(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
+def inversion_sign(items) -> int:
+    """(-1)**(number of inversions of ``items``): +1 or -1, the sign of the
+    permutation that sorts distinct ``items``."""
+    return -1 if sum(a > b for a, b in itertools.combinations(items, 2)) & 1 else 1
+
+
 def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     """Sign eps(sigma) with X_{sigma(1)} o ... o X_{sigma(n)} = eps * X_1 o ... o X_n.
 
@@ -46,14 +56,7 @@ def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
         raise InputError("permutation and degree list lengths differ")
     if sorted(perm) != list(range(n)):
         raise InputError(f"not a permutation of 0..{n - 1}: {perm!r}")
-    sign = 1
-    for i in range(n):
-        if degrees[perm[i]] % 2 == 0:
-            continue
-        for j in range(i + 1, n):
-            if perm[i] > perm[j] and degrees[perm[j]] % 2 != 0:
-                sign = -sign
-    return sign
+    return inversion_sign([k for k in perm if degrees[k] % 2])
 
 
 def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:

@@ -47,7 +47,7 @@ that is not antisymmetric and an anchor that is not a derivation.
 from __future__ import annotations
 
 import itertools
-from .elements import Element, sort_monomial
+from .elements import Element, accumulate, sort_monomial
 from .rings import InputError, PolyRing
 
 
@@ -202,10 +202,12 @@ class GradedInstance:
         return [self.monomial(mon) for p in range(self.rank + 1)
                 for mon in itertools.combinations(range(self.rank), p)]
 
-    def basis_label(self, element: Element) -> str:
+    def basis_label(self, element: Element, mark: str = "") -> str:
+        """The terms by wedge degree, then monomial, each coefficient 1 left
+        out; ``mark`` follows each generator name ("*" labels a dual form)."""
         bits = []
         for mon, coeff in sorted(element.terms.items(), key=lambda t: (len(t[0]), t[0])):
-            label = "^".join(self.generator_names[i] for i in mon) if mon else "1"
+            label = "^".join(self.generator_names[i] + mark for i in mon) if mon else "1"
             c = self.ring.format(coeff)
             bits.append(label if c == "1" else f"({c})*{label}")
         return " + ".join(bits) if bits else "0"
@@ -244,7 +246,7 @@ class GradedInstance:
         for m1, c1 in left.terms.items():
             for m2, c2 in right.terms.items():
                 for mon, c in self._term_bracket(m1, c1, m2, c2).items():
-                    _accumulate(out, mon, c)
+                    accumulate(out, mon, c)
         return Element(out)
 
     def _term_bracket(self, I: tuple, f, J: tuple, g) -> dict:
@@ -255,12 +257,12 @@ class GradedInstance:
         for mon, c in self._anchor_bracket(I, g).items():
             merged, sign = sort_monomial(mon + J)
             if sign:
-                _accumulate(value, merged, f * c if sign > 0 else -(f * c))
+                accumulate(value, merged, f * c if sign > 0 else -(f * c))
         flip = -1 if (len(I) * len(J) - len(I) + len(J)) % 2 else 1
         for mon, c in self._anchor_bracket(J, f).items():
             merged, sign = sort_monomial(mon + I)
             if sign:
-                _accumulate(value, merged, g * c if sign * flip > 0 else -(g * c))
+                accumulate(value, merged, g * c if sign * flip > 0 else -(g * c))
         return value
 
     def _monomial_bracket(self, I: tuple, J: tuple) -> dict:
@@ -277,7 +279,7 @@ class GradedInstance:
                     for mon, c in self._gen_bracket(i, j).terms.items():
                         merged, sign = sort_monomial(mon + rest)
                         if sign:
-                            _accumulate(value, merged, -c if (sign < 0) != odd else c)
+                            accumulate(value, merged, -c if (sign < 0) != odd else c)
             self._sn_memo[key] = value
         return value
 
@@ -334,14 +336,4 @@ class GradedInstance:
                     raise InputError(
                         f"anchor is not a morphism on ({self.generator_names[i]},"
                         f" {self.generator_names[j]})")
-
-
-def _accumulate(total: dict, key, value) -> None:
-    """total[key] += value, dropping the key when the sum is 0."""
-    acc = total.get(key)
-    acc = value if acc is None else acc + value
-    if acc:
-        total[key] = acc
-    else:
-        del total[key]
 

@@ -258,9 +258,8 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
     """The structure with bracket [X,Y]_N = [NX,Y] + [X,NY] - N[X,Y] and
     anchor rho o N, declaring the same test family.  A Lie algebroid only
     when N has vanishing torsion, so axiom validation is skipped."""
-    check_matrix(instance, N)
+    N = check_matrix(instance, N)
     ring = instance.ring
-    N = [[ring.coerce(v) for v in row] for row in N]
     bracket = deformed_bracket(instance, N)
     table = {}
     for i, j in itertools.combinations(range(instance.rank), 2):
@@ -279,7 +278,7 @@ def deformed_instance(instance: GradedInstance, N) -> GradedInstance:
 
 def deformed_bracket(instance: GradedInstance, N):
     """[X,Y]_N on wedge-degree-1 elements."""
-    check_matrix(instance, N)
+    N = check_matrix(instance, N)
 
     def bracket(X: Element, Y: Element) -> Element:
         NX = apply_matrix(instance, N, X)
@@ -293,7 +292,7 @@ def deformed_bracket(instance: GradedInstance, N):
 
 def torsion(instance: GradedInstance, N):
     """Nijenhuis torsion T(X,Y) = [NX,NY] - N [X,Y]_N on sections."""
-    check_matrix(instance, N)
+    N = check_matrix(instance, N)
     bracket_n = deformed_bracket(instance, N)
 
     def t(X: Element, Y: Element) -> Element:

@@ -81,13 +81,12 @@ CONDITION_ANCHORS = {
 
 
 def _shape_checked(instance: GradedInstance, pi: Element, N, omega: DualForm,
-                   H: DualForm) -> list:
+                   H: DualForm) -> tuple:
     """N coerced to the instance's ring, once pi is checked to be a
     bivector, N a matrix of the rank, omega a 2-form and H a 3-form."""
     if not pi.is_zero() and pi.require_homogeneous() != 2:
         raise InputError("pi must be a bivector")
-    check_matrix(instance, N)
-    N = [[instance.ring.coerce(v) for v in row] for row in N]
+    N = check_matrix(instance, N)
     if omega.k != 2 or H.k != 3:
         raise InputError("omega must be a 2-form and H a 3-form")
     return N

@@ -117,6 +117,8 @@ class Poly:
         return hash((self.nvars, self.terms()))
 
     def __add__(self, other) -> "Poly":
+        """A fast path beside ``elements.accumulate``, under every
+        coefficient sum: it keeps an integral coefficient an int."""
         other = self._coerce(other)
         terms = dict(self._terms)
         for expo, coeff in other._terms.items():

@@ -26,6 +26,12 @@ instances, exponent-keyed maps {"x1^2 x2": "1/3", "1": "2"}):
   "suite": {"i_max": 4, "m_max": 4, "n_max": 4, "poly_degree_bound": 1}
 }
 
+The suite bounds, n and the lengths of a and b are at most ``INDEX_LIMIT``
+(12), like the indices k of the CLI's N<k> and l<k>: a form's work grows
+combinatorially in its arity (heisenberg3's [N12, N12] takes seconds,
+[N16, N16] minutes), so a larger value is an input error (exit 2) rather
+than a run that exhausts memory.  No shipped value exceeds 4.
+
 Each command names the grading of every form it builds, so a scenario
 carries none: a ``grading`` key is an unknown key like any other.
 
@@ -88,6 +94,8 @@ class Scenario:
         self.n_max = n_max
 
 
+INDEX_LIMIT = 12        # see the module docstring
+
 _TOP_KEYS = {"name", "instance", "data", "suite"}
 _INSTANCE_KEYS = {"lie_algebra", "poly_algebroid"}
 _LIE_KEYS = {"dim", "basis", "brackets"}
@@ -127,10 +135,12 @@ def _block(raw, where: str, keys: set) -> dict:
     return raw
 
 
-def _integer(block: dict, key: str, where: str, default=None, minimum=None) -> int:
+def _integer(block: dict, key: str, where: str, default=None, minimum=None,
+             bounded=False) -> int:
     """block[key] as a JSON integer (not a bool or a float), ``default``
     when absent or null; InputError naming the field otherwise, when it is
-    absent with no default, or when it is below ``minimum``."""
+    absent with no default, below ``minimum``, or ``bounded`` and above
+    ``INDEX_LIMIT``."""
     value = block.get(key)
     if value is None:
         if default is None:
@@ -140,17 +150,24 @@ def _integer(block: dict, key: str, where: str, default=None, minimum=None) -> i
         raise InputError(f"{where}.{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InputError(f"{where}.{key} must be >= {minimum}, got {value}")
+    if bounded and value > INDEX_LIMIT:
+        raise InputError(f"{where}.{key} must be <= {INDEX_LIMIT} (the index limit),"
+                         f" got {value}")
     return value
 
 
-def _list(block: dict, key: str, where: str, default=None) -> list | None:
+def _list(block: dict, key: str, where: str, default=None, bounded=False) -> list | None:
     """block[key] as a JSON list, ``default`` when absent or null;
-    InputError naming the field otherwise."""
+    InputError naming the field otherwise, or when it is ``bounded`` and
+    longer than ``INDEX_LIMIT``."""
     value = block.get(key)
     if value is None:
         return default
     if not isinstance(value, list):
         raise InputError(f"{where}.{key} must be a list, got {value!r}")
+    if bounded and len(value) > INDEX_LIMIT:
+        raise InputError(f"{where}.{key} must have at most {INDEX_LIMIT} entries"
+                         f" (the index limit), got {len(value)}")
     return value
 
 
@@ -213,10 +230,8 @@ def _lie_coefficient(value) -> Poly:
 
 
 def _parse_element(raw, instance: GradedInstance, parse, where: str) -> Element:
-    terms = {}
-    for _, mon, value in _monomial_items(raw, instance.generator_names, where):
-        terms[mon] = parse(value)
-    return Element({m: c for m, c in terms.items() if c})
+    return Element({mon: parse(value)
+                    for _, mon, value in _monomial_items(raw, instance.generator_names, where)})
 
 
 def _parse_dualform(raw, instance: GradedInstance, parse, degree: int,
@@ -321,18 +336,19 @@ def build_scenario(raw: dict, default_name="scenario") -> Scenario:
     alpha = _parse_dualform(data_block.get("alpha"), instance, parse, 2, "data.alpha")
     lam = data_block.get("lambda")
     lam = None if lam is None else parse_rational(lam)
-    a = [parse_rational(v) for v in _list(data_block, "a", "data", ["0", "1"])]
-    b = [parse_rational(v) for v in _list(data_block, "b", "data", ["1"])]
-    n = _integer(data_block, "n", "data", 2)
+    a = [parse_rational(v) for v in _list(data_block, "a", "data", ["0", "1"], bounded=True)]
+    b = [parse_rational(v) for v in _list(data_block, "b", "data", ["1"], bounded=True)]
+    n = _integer(data_block, "n", "data", 2, bounded=True)
     suite = _block(raw.get("suite"), "suite", _SUITE_KEYS)
     scenario = Scenario(
         name=name, instance=instance, pi=pi, N=N, omega=omega, H=H, alpha=alpha,
         lam=lam, pencil_coefficients=a, wedge_coefficients=b, bracket_index=n,
-        i_max=_integer(suite, "i_max", "suite", 4),
-        m_max=_integer(suite, "m_max", "suite", 4),
-        n_max=_integer(suite, "n_max", "suite", 4),
+        i_max=_integer(suite, "i_max", "suite", 4, bounded=True),
+        m_max=_integer(suite, "m_max", "suite", 4, bounded=True),
+        n_max=_integer(suite, "n_max", "suite", 4, bounded=True),
     )
-    instance.poly_degree_bound = _integer(suite, "poly_degree_bound", "suite", 1, minimum=0)
+    instance.poly_degree_bound = _integer(suite, "poly_degree_bound", "suite", 1, minimum=0,
+                                          bounded=True)
     return scenario
 
 

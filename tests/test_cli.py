@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
+import time
 import zipfile
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,9 @@ from rnforms.linfty import (coefficient_suite, deformed_instance,
 from rnforms.pqn import main_theorem_harness, stienon_xu_harness
 from rnforms.report import Report
 from rnforms.rings import InputError
-from rnforms.scenario import build_scenario, load_scenario, load_shipped
+from rnforms.scenario import INDEX_LIMIT, build_scenario, load_scenario, load_shipped
+
+from report_hashes import EXIT_MATRIX, PINNED, report_hashes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC / "rnforms" / "scenarios"
@@ -281,6 +285,18 @@ def test_bracket_out_of_range_term_is_named(capsys, name):
     assert err.startswith(f"input error: {name}:"), err
 
 
+def test_bracket_indices_stop_at_the_index_limit(capsys):
+    scenario = load_shipped("heisenberg3")
+    for name in (f"N{INDEX_LIMIT}", f"l{INDEX_LIMIT}", f"N0{INDEX_LIMIT}"):
+        assert list(parse_form_expression(name, scenario)[0].components) == [INDEX_LIMIT]
+    # past 4300 digits int() itself would refuse the index, with exit 3
+    for name in (f"N{INDEX_LIMIT + 1}", f"l{INDEX_LIMIT + 1}", "N" + "9" * 5000):
+        code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
+                                 "bracket", "--left", "N1", "--right", name)
+        assert (code, out, err) == (2, "", f"input error: {name}: indices above"
+                                    f" {INDEX_LIMIT} (the index limit) are refused\n")
+
+
 def test_bracket_underline_terms(capsys):
     code, out, _ = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
                            "bracket", "--left", "underlineN", "--right", "underlineH")
@@ -307,13 +323,19 @@ def test_mathematical_failure_exit_1(tmp_path, capsys):
     assert "status: fail" in out
 
 
+# [c*l2, c*N3] = -c^2 l4 on heisenberg3: with c of 2200 digits the label's
+# ratio has 4400, past Python's default limit on int-to-str conversion (4300)
+HUGE = "7" * 2200
+CRASH = ("--scenario", str(SCENARIOS / "heisenberg3.json"),
+         "bracket", "--left", f"{HUGE}*l2", "--right", f"{HUGE}*N3")
+
+
 def test_internal_error_exit_3(capsys):
-    # N99999999999999999999 overflows the unshuffles of the insertion: a
-    # crash, not a failed identity, so exit 3 with one line on stderr
-    code, out, err = run_cli(capsys, "--scenario", str(SCENARIOS / "heisenberg3.json"),
-                             "bracket", "--left", "N3", "--right", "N99999999999999999999")
+    # a crash, not a failed identity, so exit 3 with one line on stderr
+    code, out, err = run_cli(capsys, *CRASH)
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: OverflowError: ") and err.count("\n") == 1
+    assert err.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
 
 
 def test_polynomial_dual_form_labels(tmp_path, capsys):
@@ -383,6 +405,60 @@ SHAPE_ERRORS = [
     ("poly-tangent-r2", ("instance", "poly_algebroid", "anchor"), [[{"1": "1"}, "0"]]),
     ("poly-tangent-r2", ("suite", "poly_degree_bound"), 1.0),
 ]
+
+
+@pytest.mark.parametrize("path", [("suite", "i_max"), ("suite", "m_max"), ("suite", "n_max"),
+                                  ("suite", "poly_degree_bound"), ("data", "n"),
+                                  ("data", "a"), ("data", "b")], ids=".".join)
+def test_index_limit_bounds_each_arity_of_a_scenario(path):
+    assert INDEX_LIMIT == 12            # the messages name it
+    where, listed = ".".join(path), path[-1] in ("a", "b")
+    build_scenario(_edited("aff1", path, ["1"] * 12 if listed else 12))
+    message = (f"{where} must have at most 12 entries (the index limit), got 13" if listed
+               else f"{where} must be <= 12 (the index limit), got 13")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build_scenario(_edited("aff1", path, ["1"] * 13 if listed else 13))
+
+
+# inputs that ran until they crashed (exit 3) before the index limit:
+# case -> (scenario, edit of its JSON or None, command, message)
+RUNAWAY_INPUTS = {
+    "N-index": ("heisenberg3", None, ("bracket", "--left", "N3", "--right",
+                                      "N99999999999999999999"),
+                "N99999999999999999999: indices above 12 (the index limit) are refused"),
+    "l-index": ("heisenberg3", None, ("bracket", "--left", "l3", "--right", "l300"),
+                "l300: indices above 12 (the index limit) are refused"),
+    "data.n": ("abelian2", (("data", "n"), 1000000),
+               ("check", "nijenhuis", "--kind", "coboundary"),
+               "data.n must be <= 12 (the index limit), got 1000000"),
+    "i_max-lemma": ("abelian2", (("suite", "i_max"), 1000), ("suite", "lemma"),
+                    "suite.i_max must be <= 12 (the index limit), got 1000"),
+    "i_max-witt": ("abelian2", (("suite", "i_max"), 1000), ("suite", "witt"),
+                   "suite.i_max must be <= 12 (the index limit), got 1000"),
+}
+
+
+def _address_space_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("case", RUNAWAY_INPUTS)
+def test_runaway_input_exits_2_at_once(tmp_path, case):
+    """Under a 1 GB address-space cap on the child alone, each input exits 2
+    within a second, start-up included; each used to overflow or run out
+    of memory (exit 3)."""
+    name, edit, command, message = RUNAWAY_INPUTS[case]
+    path = SCENARIOS / f"{name}.json"
+    if edit:
+        path = tmp_path / path.name
+        path.write_text(json.dumps(_edited(name, *edit)))
+    start = time.monotonic()
+    done = _spawn_cli("--scenario", str(path), *command, stdout=subprocess.PIPE,
+                      preexec_fn=_address_space_1gb, timeout=60)
+    elapsed = time.monotonic() - start
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", f"input error: {message}\n".encode())
+    assert elapsed < 1, elapsed
 
 
 def _edited(name, path, value):
@@ -651,64 +727,11 @@ def test_scenario_round_trip_matches_builders(aff, h3):
         == h3.sn_bracket(h3.generator(0), h3.generator(1))
 
 
-def _shrunk(tmp_path, name, bounds=2):
-    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
-    raw.setdefault("suite", {})
-    raw["suite"].update({"i_max": bounds, "m_max": bounds, "n_max": bounds})
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(raw))
-    return str(path)
-
-
-EXIT_MATRIX = {
-    # command key -> {scenario: expected exit code}
-    ("validate",): dict.fromkeys(
-        ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2"), 0),
-    ("bracket", "--left", "N2", "--right", "N2"): dict.fromkeys(
-        ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2"), 0),
-    ("check", "linfty"): dict.fromkeys(
-        ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2"), 0),
-    ("check", "nijenhuis", "--kind", "weak"): dict.fromkeys(
-        ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2"), 0),
-    ("check", "nijenhuis", "--kind", "coboundary"): dict.fromkeys(
-        ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2"), 0),
-    ("check", "nijenhuis", "--kind", "full"): {
-        "aff1": 0, "heisenberg3": 0, "so3": 1, "abelian2": 0, "poly-tangent-r2": 0},
-    ("check", "pqn"): {
-        "aff1": 0, "heisenberg3": 0, "so3": 1, "abelian2": 0, "poly-tangent-r2": 0},
-    ("suite", "lemma"): {
-        "aff1": 0, "heisenberg3": 0, "so3": 0, "abelian2": 0, "poly-tangent-r2": 0},
-    ("suite", "witt"): {
-        "aff1": 0, "heisenberg3": 0, "so3": 0, "abelian2": 0, "poly-tangent-r2": 2},
-    ("suite", "main-theorem"): {
-        "aff1": 0, "heisenberg3": 0, "so3": 1, "abelian2": 0, "poly-tangent-r2": 0},
-    ("suite", "stienon-xu"): {
-        "aff1": 0, "heisenberg3": 2, "so3": 2, "abelian2": 0, "poly-tangent-r2": 0},
-}
-
-
-REPORT_HASHES = Path(__file__).with_name("report_hashes.json")
-
-
-def _report_hashes(tmp_path, capsys):
-    """sha256 of the JSON report of every EXIT_MATRIX pair, keyed
-    "scenario: command"; asserts each pair's exit code on the way."""
-    paths = {name: _shrunk(tmp_path, name)
-             for name in ("aff1", "heisenberg3", "so3", "abelian2", "poly-tangent-r2")}
-    hashes = {}
-    for command, expectations in EXIT_MATRIX.items():
-        for name, expected in expectations.items():
-            code, out, _ = run_cli(capsys, "--scenario", paths[name], "--format", "json",
-                                   *command)
-            assert code == expected, (command, name, code, expected)
-            hashes[f"{name}: {' '.join(command)}"] = hashlib.sha256(out.encode()).hexdigest()
-    return hashes
-
-
-def test_exit_code_contract_on_every_shipped_scenario(tmp_path, capsys):
+def test_exit_code_contract_on_every_shipped_scenario(tmp_path):
     # the golden hashes pin every report byte for byte; regenerate them
-    # only for an intended report change
-    assert _report_hashes(tmp_path, capsys) == json.loads(REPORT_HASHES.read_text())
+    # only for an intended report change (tests/report_hashes.py runs the
+    # same comparison without pytest)
+    assert report_hashes(tmp_path) == json.loads(PINNED.read_text())
 
 
 # scenarios on which the PQN commands fail, beyond the shipped five
@@ -901,8 +924,7 @@ PROCESS_ARGV = {
     "fail": ("--scenario", str(SCENARIOS / "so3.json"), "check", "pqn"),
     "input-error": ("--scenario", str(SCENARIOS / "aff1.json"),
                     "bracket", "--left", "N0", "--right", "N1"),
-    "crash": ("--scenario", str(SCENARIOS / "heisenberg3.json"),
-              "bracket", "--left", "N3", "--right", "N99999999999999999999"),
+    "crash": CRASH,
     "help": ("-h",),
 }
 

@@ -2,9 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rnforms.elements import Element, sort_monomial
+from rnforms.graded import inversion_sign
 from rnforms.rings import InputError
+
+from graded_reference import koszul_sign_by_transpositions
 
 
 def test_sort_monomial_signs():
@@ -12,6 +16,21 @@ def test_sort_monomial_signs():
     assert sort_monomial((1, 0)) == ((0, 1), -1)
     assert sort_monomial((1, 2, 0)) == ((0, 1, 2), 1)
     assert sort_monomial((0, 0)) == ((), 0)
+
+
+@given(st.lists(st.integers(min_value=-5, max_value=5), max_size=8))
+def test_one_sign_rule_against_transpositions(items):
+    """inversion_sign is the sign of the stable sort of ``items``, so on
+    all-odd degrees the Koszul sign of its ranks; sort_monomial reads it,
+    and gives ((), 0) on a repeated index."""
+    order = sorted(range(len(items)), key=items.__getitem__)      # stable
+    ranks = [0] * len(items)
+    for rank, position in enumerate(order):
+        ranks[position] = rank
+    sign = koszul_sign_by_transpositions(ranks, [1] * len(items))
+    assert inversion_sign(items) == sign
+    expected = ((), 0) if len(set(items)) < len(items) else (tuple(sorted(items)), sign)
+    assert sort_monomial(items) == expected
 
 
 def test_wedge_basics(aff):

@@ -7,9 +7,10 @@ which ``forms.is_zero`` builds), only the modules that check a degree name
 a grading, no module tells a Lie algebra from an algebroid but by its
 structure table (a Lie algebra is the algebroid over a point), only
 ``cli.recognize`` evaluates a form at a tuple, no module
-imports a name it does not read, and every module-level function and class
-is read somewhere in the package (tests are no caller: a function only
-they need lives under ``tests/``)."""
+imports a name it does not read, every module-level function and class
+is read somewhere in the package and every method but a dunder is read
+there as an attribute (tests are no caller: a function only they need
+lives under ``tests/``)."""
 
 import ast
 from collections import Counter
@@ -24,8 +25,11 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 KERNEL_ATTRIBUTES = {"_lookup", "_memo", "_ids"}
 GRADING_NAMES = {"GradingConvention", "convention", "grading"}
 INSTANCE_TYPES = {"LieAlgebraData", "PolyAlgebroidData", "PolyRing"}
-# definitions that only a library user calls
-LIBRARY_ENTRY_POINTS = ["scenario.load_shipped"]
+# definitions that only a library user calls: the shipped scenarios by
+# name, and the constructors of a constant, of the whole basis and of a
+# coordinate that the tests build their fixtures and examples with
+LIBRARY_ENTRY_POINTS = ["instances.GradedInstance.all_basis", "instances.GradedInstance.scalar",
+                        "rings.PolyRing.var", "scenario.load_shipped"]
 
 
 def _tree(path: Path):
@@ -142,14 +146,32 @@ def _unused_imports(path: Path) -> list:
     return found
 
 
+def _attribute_reads(node) -> Counter:
+    """How often each attribute name is read under ``node``."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def _unreferenced(paths) -> list:
     """Each module-level function and class of ``paths``, as module.name,
     that nothing in ``paths`` reads but its own body: neither its module
     (by its name) nor another module (by the name it imported it under
-    with ``from .module import``)."""
+    with ``from .module import``).  And each method of a module-level class
+    but a dunder, as module.Class.name, whose name no attribute read in
+    ``paths`` names but in its own body (a method is read by name alone,
+    whatever the object)."""
     defined, read = set(), set()
+    attributes = sum((_attribute_reads(_tree(path)) for path in paths), Counter())
+    unread_methods = []
     for path in paths:
         module, tree = path.stem, _tree(path)
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                unread_methods += [
+                    f"{module}.{top.name}.{node.name}" for node in top.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and attributes[node.name] == _attribute_reads(node)[node.name]]
         imported = {alias.asname or alias.name: (node.module, alias.name)
                     for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level == 1
@@ -164,7 +186,7 @@ def _unreferenced(paths) -> list:
                     target = imported.get(node.id, (module, node.id))
                     if target != own:
                         read.add(target)
-    return sorted(f"{module}.{name}" for module, name in defined - read)
+    return sorted([f"{module}.{name}" for module, name in defined - read] + unread_methods)
 
 
 def test_every_public_name_resolves_once():
@@ -229,8 +251,8 @@ def test_no_module_imports_a_name_it_does_not_read(path):
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    """A function or class that only tests call is a reference: it belongs
-    under ``tests/``.  ``__init__`` re-exports and is no caller."""
+    """A function, class or method that only tests call is a reference: it
+    belongs under ``tests/``.  ``__init__`` re-exports and is no caller."""
     assert _unreferenced([p for p in MODULES if p.name != "__init__.py"]) == \
         LIBRARY_ENTRY_POINTS
 
@@ -301,9 +323,20 @@ def test_the_guard_sees_a_violation(tmp_path):
                       "    helper()\n")
     other = tmp_path / "other.py"
     other.write_text("def used():\n"
-                     "    return 1\n"
+                     "    return Ring().one().scale(2)\n"
                      "def imported_only():\n"
-                     "    return 2\n")
+                     "    return 2\n"
+                     "class Ring:\n"
+                     "    def __add__(self, other):\n"
+                     "        return self\n"
+                     "    def one(self):\n"
+                     "        return self.var(0)\n"
+                     "    def var(self, index):\n"
+                     "        return self.var(index - 1) if index else self\n"
+                     "    def scale(self, factor):\n"
+                     "        return self\n"
+                     "    def zero(self):\n"
+                     "        return self.zero()\n")
     assert _unused_imports(module) == ["line 2: imports os", "line 3: imports imported_only"]
     assert _unreferenced([module, other]) == ["module.Lonely", "module.recursive",
-                                              "other.imported_only"]
+                                              "other.Ring.zero", "other.imported_only"]
