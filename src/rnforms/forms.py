@@ -28,9 +28,10 @@ coefficient is an int (:func:`rings.plain`, the rule of :class:`rings.Poly`
 too), so the common case runs on C integer arithmetic.  Only :meth:`VForm.evaluate` sorts,
 at the entry; Elements appear only there and in the failing tuple and
 counterexample of :func:`is_zero`.  A catalog rule's value is
-split into pieces once per memo miss.  An insertion bisects each piece of
-K(first slice of its key) into the sorted rest, with the Koszul sign of the
-odd ids it passes.
+split into pieces once per memo miss.  An insertion sums over the
+distinct splits (first, rest) of its key (``graded.distinct_splits``),
+and bisects each piece of K(first) into the sorted rest, with the Koszul
+sign of the odd ids it passes; building its node builds nothing.
 Two fast paths stay beside the package's one permutation sign
 (``graded.inversion_sign``) and one sparse sum (``elements.accumulate``),
 as every certificate spends its time in them: that insertion sign, one pass
@@ -120,11 +121,10 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
 from types import MappingProxyType
 
 from .elements import Element, accumulate
-from .graded import inversion_sign, koszul_sign, sign_pow, unshuffles
+from .graded import distinct_splits, koszul_sign, sign_pow
 from .instances import GradedInstance
 from .rings import InputError, Poly, plain
 
@@ -267,9 +267,8 @@ class VForm:
 
     def _canonical(self, args):
         """(key, sign) of checked arguments: their ids sorted by sort key,
-        and the int Koszul sign of the sorting permutation (the inversion
-        sign of its odd entries, as in graded.koszul_sign); sign 0 when an
-        argument is zero or an odd argument repeats."""
+        and the graded.koszul_sign of the sorting permutation; sign 0 when
+        an argument is zero or an odd argument repeats."""
         args = tuple(args)
         if len(args) != self.arity:
             raise InputError(f"a form of arity {self.arity} got {len(args)} arguments")
@@ -285,8 +284,7 @@ class VForm:
         key = tuple([ids[i] for i in order])
         if any(a == b and table.odd[a] for a, b in zip(key, key[1:])):
             return (), 0
-        # the odd arguments' original positions, in sorted order
-        return key, inversion_sign([i for i in order if table.odd[ids[i]]])
+        return key, koszul_sign(order, [table.odd[i] for i in ids])
 
     # -- linear structure -------------------------------------------------------
 
@@ -409,8 +407,9 @@ def element_form(instance: GradedInstance, element: Element, wedge_degree=None) 
 
 def insert(K: VForm, L: VForm) -> VForm:
     """Insertion of K into every argument slot of L over (k, l-1)-unshuffles
-    with Koszul signs.  Inserting into a 0-form gives the zero form;
-    inserting a 0-form X into L is the partial application L(X, ...).
+    with Koszul signs, summed over a key's distinct splits.
+    Inserting into a 0-form gives the zero form; inserting a 0-form X into
+    L is the partial application L(X, ...).
 
     Both sides are first reduced to (shared representative, factor); the
     insertion of the two representatives is one atomic node per instance,
@@ -432,36 +431,25 @@ def insert(K: VForm, L: VForm) -> VForm:
 
 
 def _insertion_node(K: VForm, L: VForm) -> VForm:
-    """The rule sum over (k, l-1)-unshuffles s of eps(s) L(K(first), rest) on
-    keys: each piece of K(first) is bisected into the sorted rest, its sign
-    counted over the odd ids it passes (a fast path: the rest is sorted)."""
-    instance = K.instance
-    k = K.arity
-    shuffles = [(perm, _getter(perm[:k]), _getter(perm[k:]))
-                for perm in unshuffles(k, L.arity - 1)]
-    tables: dict = {}       # parity pattern -> ((sign, first k getter, rest getter), ...)
+    """The rule of i_K L on keys, summed over the distinct splits of a key."""
+    instance, k = K.instance, K.arity
 
     def fn(args):
-        ids = instance._ids
-        odd, keys = ids.odd, ids.keys
-        parities = tuple([odd[i] for i in args])
-        table = tables.get(parities)
-        if table is None:
-            table = tables[parities] = tuple(
-                (koszul_sign(perm, parities), first, rest) for perm, first, rest in shuffles)
+        odd, by_key = instance._ids.odd, instance._ids.keys.__getitem__
+        shape = tuple([(odd[u], len(list(copies))) for u, copies in itertools.groupby(args)])
         K_get, K_lookup, L_get, L_lookup = K._memo.get, K._lookup, L._memo.get, L._lookup
         total: dict = {}
-        for sign, take_first, take_rest in table:
-            first = take_first(args)
+        for scale, first_at, rest_at in distinct_splits(shape, k):
+            first = tuple(map(args.__getitem__, first_at))
             inner = K_get(first)        # the memo hit paths of K._lookup and L._lookup, inlined
             if inner is None:
                 inner = K_lookup(first)
             if not inner:
                 continue
-            rest = take_rest(args)
+            rest = tuple(map(args.__getitem__, rest_at))
             for piece, coeff in inner.items():
-                pos = bisect_left(rest, keys[piece], key=keys.__getitem__)
-                moved = sign
+                pos = bisect_left(rest, by_key(piece), key=by_key)
+                moved = scale
                 if odd[piece]:
                     if pos < len(rest) and rest[pos] == piece:
                         continue
@@ -470,18 +458,10 @@ def _insertion_node(K: VForm, L: VForm) -> VForm:
                             moved = -moved
                 key = rest[:pos] + (piece,) + rest[pos:]
                 value = L_get(key)
-                _add_into(total, coeff if moved > 0 else -coeff,
-                          L_lookup(key) if value is None else value)
+                _add_into(total, moved * coeff, L_lookup(key) if value is None else value)
         return total
 
     return VForm(instance, k + L.arity - 1, K.shift + L.shift, fn, on_ids=True)
-
-
-def _getter(slots):
-    """The sub-tuple at the increasing positions ``slots``, as a C getter."""
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
 
 
 def rn_vform(K: VForm, L: VForm) -> VForm:

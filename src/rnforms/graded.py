@@ -1,8 +1,11 @@
 """Graded combinatorics: Koszul signs and unshuffles.
 
 ``inversion_sign`` is the package's one permutation sign: it signs
-``elements.sort_monomial``, ``koszul_sign`` (on the odd entries) and
-``forms.VForm._canonical``; only the insertion of ``forms`` counts inline.
+``elements.sort_monomial``, ``koszul_sign`` (on the odd entries; it signs
+``forms.VForm._canonical``) and the odd part of ``distinct_splits``, which
+``unshuffles`` enumerates; only the insertion of ``forms`` counts inline.
+``distinct_splits`` lists the terms of an insertion on a sorted tuple, once
+per shape of its runs of equal entries.
 
 Signs in a graded-symmetric world depend only on degree parities, which
 coincide for the two grading conventions used here: a form of arity k and
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
+from functools import cache
+from math import comb, prod
 from typing import Sequence
 
 from .rings import InputError
@@ -73,3 +78,23 @@ def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
         result.append(first + rest)
     return result
 
+
+@cache
+def distinct_splits(shape: tuple, k: int) -> list:
+    """The distinct (k, n - k)-splits of a sorted tuple with runs of ``shape`` ((odd, multiplicity)
+    per run; odd entries never repeat), as (weight * sign, first positions, rest positions): the
+    C(m, j) unshuffles taking j of m copies of an even entry are one split (even entries carry
+    no sign); the odd entries split by a (b, O - b)-unshuffle, signed by its inversions."""
+    runs = list(zip(itertools.accumulate([m for _, m in shape], initial=0), shape))
+    odds, evens = [s for s, (o, _) in runs if o], [(s, m) for s, (o, m) in runs if not o]
+    splits = []
+    for taken in itertools.product(*[range(m + 1) for _, m in evens]):
+        b = k - sum(taken)
+        if 0 <= b <= len(odds):
+            first = [p for (s, _), j in zip(evens, taken) for p in range(s, s + j)]
+            rest = [p for (s, m), j in zip(evens, taken) for p in range(s + j, s + m)]
+            weight = prod([comb(m, j) for (_, m), j in zip(evens, taken)])
+            splits += [(weight * inversion_sign(perm), sorted(first + [odds[i] for i in perm[:b]]),
+                        sorted(rest + [odds[i] for i in perm[b:]]))
+                       for perm in unshuffles(b, len(odds) - b)]
+    return splits

@@ -261,7 +261,7 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:     # RecursionError: nested too deep
         raise InputError(f"scenario does not parse: {exc}") from exc
     return build_scenario(raw, default_name=path.stem)
 

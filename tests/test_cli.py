@@ -438,8 +438,9 @@ RUNAWAY_INPUTS = {
 }
 
 
-def _address_space_1gb():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _address_space(limit):
+    """A preexec function that caps the child's address space at ``limit`` bytes."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize("case", RUNAWAY_INPUTS)
@@ -454,11 +455,44 @@ def test_runaway_input_exits_2_at_once(tmp_path, case):
         path.write_text(json.dumps(_edited(name, *edit)))
     start = time.monotonic()
     done = _spawn_cli("--scenario", str(path), *command, stdout=subprocess.PIPE,
-                      preexec_fn=_address_space_1gb, timeout=60)
+                      preexec_fn=_address_space(1 << 30), timeout=60)
     elapsed = time.monotonic() - start
     assert (done.returncode, done.stdout, done.stderr) == (
         2, b"", f"input error: {message}\n".encode())
     assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize("side", ["N12", "l12"])
+def test_top_arity_bracket_finishes_in_256mb(side):
+    """[N12, N12] and [l12, l12] on heisenberg3, at the index limit: an
+    insertion sums over the distinct splits of a key and builds no table of
+    the C(23, 12) unshuffles, so each exits 0 within 2 s under a 256 MB
+    address-space cap on the child alone (with that table, both ran out of
+    memory)."""
+    start = time.monotonic()
+    done = _spawn_cli("--scenario", str(SCENARIOS / "heisenberg3.json"), "bracket",
+                      "--left", side, "--right", side, stdout=subprocess.PIPE,
+                      preexec_fn=_address_space(256 << 20), timeout=60)
+    elapsed = time.monotonic() - start
+    assert (done.returncode, done.stdout, done.stderr) == (0, (
+        f"command: bracket\nscenario: heisenberg3\nPASS  [{side}, {side}]  ::  "
+        "Richardson-Nijenhuis bracket\n      0\nstatus: pass\n").encode(), b"")
+    assert elapsed < 2, elapsed
+
+
+def test_deeply_nested_scenario_exits_2(tmp_path, capsys):
+    """A name of 100,000 nested arrays overflows the JSON decoder's
+    recursion limit: a parse error like any other, exit 2 (it was an
+    internal error, exit 3), in-process and through the process entry."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": ' + "[" * 100000 + "]" * 100000 + "}")
+    argv = ("--scenario", str(path), "validate")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: scenario does not parse: maximum recursion depth")
+    assert err.count("\n") == 1
+    done = _spawn_cli(*argv, stdout=subprocess.PIPE, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", err.encode())
 
 
 def _edited(name, path, value):

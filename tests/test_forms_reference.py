@@ -247,6 +247,52 @@ def test_insert_matches_reference_insertion(case):
         assert inst.basis_label(fast) == inst.basis_label(slow), index
 
 
+def split_catalog(inst):
+    """Forms whose insertions reach arity 8: the wedge forms and l_k up to
+    arity 5 and the identity's extension."""
+    identity = [[1 if i == j else 0 for j in range(inst.rank)] for i in range(inst.rank)]
+    return ([wedge_form(inst, k) for k in range(1, 6)] + [lk_form(inst, k) for k in range(2, 6)]
+            + [extend_bundle_map(inst, identity)])
+
+
+@st.composite
+def split_cases(draw):
+    """(instance, K, L, arguments of their insertion, of arity <= 8): one to
+    three distinct family elements of wedge degree 1 and even ones drawn
+    with repeats from at most three, the unit among them, in a drawn order
+    (mostly inside the wedge-degree window)."""
+    inst = draw(st.sampled_from(("h3", "so3", "poly-tangent-r2")).map(instance)
+                | two_step_nilpotent(max_dim=4) | semidirect() | poly_rank3())
+    forms = split_catalog(inst)
+    K = draw(st.sampled_from(forms))
+    L = draw(st.sampled_from([L for L in forms if K.arity + L.arity - 1 <= 8]))
+    arity = K.arity + L.arity - 1
+    pool = declared_family(inst)
+    odds = [el for el in pool if el.wedge_degree() == 1]
+    evens = [el for el in pool if not el.wedge_degree() % 2 and el != inst.unit()]
+    few = [inst.unit()] + draw(st.lists(st.sampled_from(evens), max_size=2))
+    picks = draw(st.lists(st.integers(0, len(odds) - 1), min_size=1, max_size=min(arity, 3),
+                          unique=True))
+    args = [odds[i] for i in picks]
+    args += draw(st.lists(st.sampled_from(few), min_size=arity - len(args),
+                          max_size=arity - len(args)))
+    return inst, K, L, tuple(draw(st.permutations(args)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_cases())
+def test_insertion_over_distinct_splits_matches_reference_up_to_arity_8(case):
+    """The rule sums over the distinct splits of a key, with binomial
+    weights for repeated even ids and signs from the odd ids alone; the
+    reference sums over every unshuffle with graded.koszul_sign."""
+    inst, K, L, args = case
+    node, reference = insert(K, L), reference_insert(K, L)
+    assert node.evaluate(args) == reference(args)
+    order, _ = reference_order(inst, args)
+    ordered = tuple(args[i] for i in order)
+    assert rule_value(node, ordered) == reference(ordered)
+
+
 @pytest.mark.parametrize("name", ["heisenberg3", "poly-tangent-r2"],
                          ids=lambda name: name.replace("-", "_"))
 def test_equal_arguments_in_opposite_term_order_give_equal_labels(name):

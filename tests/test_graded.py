@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rnforms.graded import GradingConvention, koszul_sign, sign_pow, unshuffles
+from rnforms.graded import GradingConvention, distinct_splits, koszul_sign, sign_pow, unshuffles
 from rnforms.rings import InputError
 
 from graded_reference import koszul_sign_by_transpositions
@@ -69,6 +70,27 @@ def test_unshuffle_counts(i, j, count):
 
 def test_unshuffles_1_1():
     assert unshuffles(1, 1) == [(0, 1), (1, 0)]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 3)), max_size=4), st.data())
+def test_distinct_splits_are_the_unshuffles_by_value(runs, data):
+    """A sorted tuple with one value per run, an odd one never repeated:
+    grouping its (k, n - k)-unshuffles by the values they split into, and
+    summing their Koszul signs, gives each distinct split once, as its
+    weight times sign, with both position lists increasing."""
+    shape = tuple((odd, 1 if odd else m) for odd, m in runs)
+    entries = [r for r, (_, m) in enumerate(shape) for _ in range(m)]
+    k = data.draw(st.integers(0, len(entries)))
+    by_value = Counter()
+    for perm in unshuffles(k, len(entries) - k):
+        split = (tuple(entries[i] for i in perm[:k]), tuple(entries[i] for i in perm[k:]))
+        by_value[split] += koszul_sign(perm, [shape[r][0] for r in entries])
+    splits = {}
+    for scale, first, rest in distinct_splits(shape, k):
+        assert first == sorted(first) and rest == sorted(rest)
+        splits[tuple(entries[i] for i in first), tuple(entries[i] for i in rest)] = scale
+    assert splits == dict(by_value)
+    assert len(splits) == len(distinct_splits(shape, k))
 
 
 def test_grading_conventions_share_parity():
