@@ -34,7 +34,7 @@ from .linfty import (coefficient_suite, nijenhuis_deformation_theorem_check, nij
                      sum_of_wedges, witt_action_check)
 from .pqn import check_pqn, exact_ratio, main_theorem_harness, stienon_xu_harness
 from .report import Report
-from .rings import InputError, parse_rational
+from .rings import InputError, format_rational, parse_rational
 from .scenario import INDEX_LIMIT, Scenario, load_scenario
 
 NEG = GradingConvention.NEGATED
@@ -156,7 +156,7 @@ def recognize(poly: PolyForm, scenario: Scenario) -> str:
             ratio = exact_ratio(value.terms.get(mon), coeff)
             # a zero ratio cannot match: the component is nonzero at the tuple
             if ratio and is_zero(comp - candidate.scale(ratio)).is_zero:
-                matched = f"{ratio}*{name}" if ratio != 1 else name
+                matched = f"{format_rational(ratio)}*{name}" if ratio != 1 else name
                 break
         if matched is None:
             matched = (f"<arity-{arity} form outside the catalog;"

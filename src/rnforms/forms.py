@@ -29,9 +29,11 @@ too), so the common case runs on C integer arithmetic.  Only :meth:`VForm.evalua
 at the entry; Elements appear only there and in the failing tuple and
 counterexample of :func:`is_zero`.  A catalog rule's value is
 split into pieces once per memo miss.  An insertion sums over the
-distinct splits (first, rest) of its key (``graded.distinct_splits``),
-and bisects each piece of K(first) into the sorted rest, with the Koszul
-sign of the odd ids it passes; building its node builds nothing.
+distinct splits (first, rest) of its key (``graded.distinct_splits``, kept
+once per process for each shape of key and k, with C-level getters of
+both sub-tuples), and bisects each piece of K(first) into the sorted rest,
+with the Koszul sign of the odd ids it passes; building its node builds
+nothing.
 Two fast paths stay beside the package's one permutation sign
 (``graded.inversion_sign``) and one sparse sum (``elements.accumulate``),
 as every certificate spends its time in them: that insertion sign, one pass
@@ -74,7 +76,10 @@ family, built from its definition (the whole basis when r is None), and
 its first nonzero value is the counterexample, by the lemma below.  With
 coordinates it walks the order family first when the declared family
 holds all of it and more, and the whole family only after a nonzero value
-there (same counterexample).  The count is always the full one.  A
+there (same counterexample); when the family lacks part of it (r above
+``poly_degree_bound``), it walks the order family alone, whose first
+nonzero value is the counterexample and whose zero verdict is a proof.
+The count is always the full family's.  A
 primitive declares its order; an insertion has r_K + r_L (a composition);
 sums and scaling keep the largest bound; None stays None.  The bracket :func:`rn_vform`
 records max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes:
@@ -120,7 +125,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from math import comb
+from operator import eq, itemgetter
 from types import MappingProxyType
 
 from .elements import Element, accumulate
@@ -430,23 +437,48 @@ def insert(K: VForm, L: VForm) -> VForm:
     return node if a * b == 1 else node.scale(a * b)
 
 
+@cache
+def _split_getters(parities: tuple, repeats, k: int) -> list:
+    """``graded.distinct_splits`` of a key whose entries have ``parities``
+    and where entry i equals entry i + 1 exactly when ``repeats[i]`` (no
+    entry repeats when ``repeats`` is None), with each position list as a
+    C-level getter of a tuple: (weight * sign, first getter, rest getter)."""
+    shape: list = []
+    for i, parity in enumerate(parities):
+        if i and repeats and repeats[i - 1]:
+            shape[-1] = (parity, shape[-1][1] + 1)
+        else:
+            shape.append((parity, 1))
+
+    def getter(positions):
+        if len(positions) == 1:     # itemgetter of one index returns the entry, not a tuple
+            return itemgetter(slice(positions[0], positions[0] + 1))
+        return itemgetter(*positions) if positions else itemgetter(slice(0))
+
+    return [(scale, getter(first), getter(rest))
+            for scale, first, rest in distinct_splits(tuple(shape), k)]
+
+
 def _insertion_node(K: VForm, L: VForm) -> VForm:
     """The rule of i_K L on keys, summed over the distinct splits of a key."""
     instance, k = K.instance, K.arity
 
     def fn(args):
         odd, by_key = instance._ids.odd, instance._ids.keys.__getitem__
-        shape = tuple([(odd[u], len(list(copies))) for u, copies in itertools.groupby(args)])
+        parities = tuple(map(odd.__getitem__, args))
+        # odd ids never repeat, so a key with fewer than two even ids has no repeat
+        repeats = tuple(map(eq, args, args[1:])) if parities.count(0) > 1 else None
+        splits = _split_getters(parities, repeats, k)
         K_get, K_lookup, L_get, L_lookup = K._memo.get, K._lookup, L._memo.get, L._lookup
         total: dict = {}
-        for scale, first_at, rest_at in distinct_splits(shape, k):
-            first = tuple(map(args.__getitem__, first_at))
+        for scale, first_of, rest_of in splits:
+            first = first_of(args)
             inner = K_get(first)        # the memo hit paths of K._lookup and L._lookup, inlined
             if inner is None:
                 inner = K_lookup(first)
             if not inner:
                 continue
-            rest = tuple(map(args.__getitem__, rest_at))
+            rest = rest_of(args)
             for piece, coeff in inner.items():
                 pos = bisect_left(rest, by_key(piece), key=by_key)
                 moved = scale
@@ -632,10 +664,12 @@ def is_zero(form) -> ZeroCertificate:
     (``poly_degree_bound``; a verification, flagged as incomplete).  Only
     the tuples inside each component's wedge-degree window are evaluated,
     up to the first nonzero value, the counterexample.  With no
-    coordinates a component walks its order family alone, whose first
-    nonzero value is the counterexample; a declared family walks it first
-    when it holds all of it and more (see the module docstring).  The
-    certificate counts every canonical tuple."""
+    coordinates, or a declared family that lacks part of the order family
+    (order above the bound), a component walks its order family alone,
+    whose first nonzero value is the counterexample; a declared family
+    walks it first when it holds all of it and more (see the module
+    docstring).  The certificate counts every canonical tuple of the
+    family."""
     form = as_polyform(form)
     instance = form.instance
     table = instance._ids = instance._ids or _Ids(instance)
@@ -659,12 +693,16 @@ def is_zero(form) -> ZeroCertificate:
         lookup, order = component._lookup, component.order
         low, high = -component.shift, instance.rank - component.shift
         if complete:        # the first nonzero tuple lies in the order family (module docstring)
-            family = _order_family(table, table.rank if order is None else order)
-        elif order is not None and order <= bound:     # the family holds it and more
-            short = _order_family(table, order)
-            if not any(map(lookup, _window_keys(short, keys, odd, arity, low, high))):
-                continue
-        for key in _window_keys(family, keys, odd, arity, low, high):
+            walk = _order_family(table, table.rank if order is None else order)
+        elif order is not None and order > bound:      # the family lacks part of it
+            walk = _order_family(table, order)
+        else:
+            walk = family
+            if order is not None:       # the family holds it and more
+                short = _order_family(table, order)
+                if not any(map(lookup, _window_keys(short, keys, odd, arity, low, high))):
+                    continue
+        for key in _window_keys(walk, keys, odd, arity, low, high):
             value = lookup(key)
             if value:
                 failing = tuple([table.elements[i] for i in key])

@@ -4,8 +4,8 @@
 ``elements.sort_monomial``, ``koszul_sign`` (on the odd entries; it signs
 ``forms.VForm._canonical``) and the odd part of ``distinct_splits``, which
 ``unshuffles`` enumerates; only the insertion of ``forms`` counts inline.
-``distinct_splits`` lists the terms of an insertion on a sorted tuple, once
-per shape of its runs of equal entries.
+``distinct_splits`` lists the terms of an insertion on a sorted tuple of a
+given shape of runs of equal entries; ``forms`` keeps them once per shape.
 
 Signs in a graded-symmetric world depend only on degree parities, which
 coincide for the two grading conventions used here: a form of arity k and
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import cache
 from math import comb, prod
 from typing import Sequence
 
@@ -79,7 +78,6 @@ def unshuffles(i: int, j: int) -> list[tuple[int, ...]]:
     return result
 
 
-@cache
 def distinct_splits(shape: tuple, k: int) -> list:
     """The distinct (k, n - k)-splits of a sorted tuple with runs of ``shape`` ((odd, multiplicity)
     per run; odd entries never repeat), as (weight * sign, first positions, rest positions): the

@@ -34,7 +34,7 @@ from .forms import PolyForm, VForm, as_polyform, insert, is_zero, rn_bracket
 from .graded import GradingConvention
 from .instances import GradedInstance, PolyAlgebroidData
 from .report import Report
-from .rings import InputError
+from .rings import InputError, format_rational
 
 
 def pencil(instance: GradedInstance, coefficients) -> PolyForm:
@@ -82,14 +82,14 @@ def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4) -> Re
             cert = _matches(rn_bracket(wedges[i], wedges[j]), coeff, wedges.get(i + j - 1))
             report.add_certificate(
                 f"wedge commutator ({i},{j})",
-                f"[N{i},N{j}] = ({coeff}) N{i + j - 1}", cert)
+                f"[N{i},N{j}] = ({format_rational(coeff)}) N{i + j - 1}", cert)
     for m in range(2, m_max + 1):
         for n in range(2, n_max + 1):
             coeff = Fraction(comb(m + n - 2, m))
             cert = _matches(rn_bracket(wedges[m], brackets[n]), coeff, brackets.get(m + n - 1))
             report.add_certificate(
                 f"mixed commutator ({m},{n})",
-                f"[N{m},l{n}] = ({coeff}) l{m + n - 1}", cert)
+                f"[N{m},l{n}] = ({format_rational(coeff)}) l{m + n - 1}", cert)
             cert1 = _matches(as_polyform(insert(wedges[m], brackets[n])),
                              Fraction(comb(m + n - 2, m) + comb(m + n - 3, m - 1)),
                              brackets.get(m + n - 1))

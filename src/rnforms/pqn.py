@@ -32,7 +32,7 @@ from .forms import PolyForm, element_form, is_zero, rn_bracket
 from .instances import GradedInstance
 from .linfty import deformed_instance, nijenhuis_forms, torsion
 from .report import Report
-from .rings import InputError
+from .rings import InputError, format_rational
 
 
 # -- Koszul bracket and concomitant ---------------------------------------------
@@ -102,7 +102,7 @@ def solve_scalar_ratio(lhs: DualForm, target: DualForm):
     lam = exact_ratio(lhs.table.get(mon), value)
     if lam is None or lhs != target.scale(lam):
         return None, "no scalar fits"
-    return lam, f"lambda = {lam}"
+    return lam, f"lambda = {format_rational(lam)}"
 
 
 def exact_ratio(numerator, denominator):
@@ -185,7 +185,8 @@ def check_pqn(report: Report, instance: GradedInstance, pi: Element, N, omega: D
         if solved is None:
             conditions["d"] = (False, "no scalar fits")
         elif lam is not None and solved != Fraction(lam):
-            conditions["d"] = (False, f"solved lambda {solved} != declared {Fraction(lam)}")
+            conditions["d"] = (False, f"solved lambda {format_rational(solved)}"
+                                      f" != declared {format_rational(Fraction(lam))}")
         else:
             conditions["d"] = _vanishing(lhs_d - H.scale(solved))
     for name, (ok, witness) in conditions.items():

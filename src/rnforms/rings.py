@@ -13,6 +13,7 @@ adds machine integers.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
@@ -31,7 +32,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """"p/q", or "p" when q is 1, as ``str`` prints a Fraction, at any size:
+    the digits come from ``decimal.Decimal``, which converts any int
+    exactly, where ``str`` of an int refuses more than 4300 digits by
+    default."""
+    numerator = str(Decimal(q.numerator))
+    return numerator if q.denominator == 1 else f"{numerator}/{Decimal(q.denominator)}"
 
 
 def plain(q):

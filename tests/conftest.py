@@ -1,6 +1,6 @@
 import pytest
 
-from rnforms import load_shipped
+from rnforms.scenario import load_shipped
 
 from generated_instances import broken_jacobi3
 

@@ -1,3 +1,5 @@
+import ast
+import decimal
 import hashlib
 import json
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from rnforms import cli
 from rnforms.catalog import l2_form
 from rnforms.cli import cmd_bracket, main, parse_form_expression
 from rnforms.forms import is_zero
@@ -326,16 +329,37 @@ def test_mathematical_failure_exit_1(tmp_path, capsys):
 # [c*l2, c*N3] = -c^2 l4 on heisenberg3: with c of 2200 digits the label's
 # ratio has 4400, past Python's default limit on int-to-str conversion (4300)
 HUGE = "7" * 2200
-CRASH = ("--scenario", str(SCENARIOS / "heisenberg3.json"),
-         "bracket", "--left", f"{HUGE}*l2", "--right", f"{HUGE}*N3")
+HUGE_LABEL = ("--scenario", str(SCENARIOS / "heisenberg3.json"),
+              "bracket", "--left", f"{HUGE}*l2", "--right", f"{HUGE}*N3")
 
 
-def test_internal_error_exit_3(capsys):
+def test_a_rational_of_any_size_is_printed(capsys):
+    c = int(HUGE)
+    code, out, err = run_cli(capsys, *HUGE_LABEL)
+    label = f"-{decimal.Decimal(c * c)}*l4"
+    assert (code, err, len(label)) == (0, "", 4404)
+    assert f"\n      {label}\n" in out
+
+
+def _crash(scenario, args):
+    raise RuntimeError("planted crash")
+
+
+# a crash that is no input: ``cli.dispatch`` raises, in-process (patched to
+# ``_crash``) and in a process that patches it before the entry ``cli.run``
+CRASH = ("--scenario", AFF1, "validate")
+CRASH_ENTRY = ("-c", "from rnforms import cli\n"
+                     "def crash(scenario, args):\n"
+                     "    raise RuntimeError('planted crash')\n"
+                     "cli.dispatch = crash\n"
+                     "cli.run()\n")
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
     # a crash, not a failed identity, so exit 3 with one line on stderr
+    monkeypatch.setattr(cli, "dispatch", _crash)
     code, out, err = run_cli(capsys, *CRASH)
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: ValueError: Exceeds the limit (4300 digits)")
-    assert err.count("\n") == 1
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: planted crash\n")
 
 
 def test_polynomial_dual_form_labels(tmp_path, capsys):
@@ -750,6 +774,21 @@ def test_declared_degree_reaches_every_certificate(tmp_path, capsys, degree, siz
     assert is_zero(l2_form(deformed)).family_note == note
 
 
+def test_a_bound_below_the_order_gives_no_false_value(tmp_path, capsys):
+    """[l2, N3] = -l4 has order 1 and is nonzero at (1, 1, x2, a2).  At
+    poly_degree_bound 0 the declared family holds no x_i, so each
+    certificate walks its order family, and the bracket prints -1*l4 at
+    bound 0 as at the shipped bound 1, not 0."""
+    for bound in (0, 1):
+        path = tmp_path / f"poly-{bound}.json"
+        path.write_text(json.dumps(_edited("poly-tangent-r2", ("suite", "poly_degree_bound"),
+                                           bound)))
+        code, out, err = run_cli(capsys, "--scenario", str(path),
+                                 "bracket", "--left", "l2", "--right", "N3")
+        assert (code, err) == (0, ""), bound
+        assert "\n      -1*l4\n" in out, bound
+
+
 def test_scenario_round_trip_matches_builders(aff, h3):
     s = load_shipped("aff1")
     assert s.instance.rank == aff.rank
@@ -931,6 +970,36 @@ def test_cli_import_adds_no_introspection_modules():
                         "argparse", "gettext"}, sorted(added)
 
 
+def test_importing_a_module_loads_only_its_own_imports():
+    """The package binds no names, so ``import rnforms`` runs no module
+    and ``import rnforms.scenario`` runs only what scenario imports: not
+    the form kernel, the catalog, the checkers or the report."""
+    code = ("import sys\n{}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rnforms')))")
+    assert _python(code.format("import rnforms"), SRC).split() == ["rnforms"]
+    assert _python(code.format("import rnforms.scenario"), SRC).split() == [
+        "rnforms", "rnforms.dualforms", "rnforms.elements", "rnforms.graded",
+        "rnforms.instances", "rnforms.rings", "rnforms.scenario"]
+
+
+def test_readme_library_use_runs():
+    """README's "Library use" block runs as written, and each expression
+    whose line ends in a comment gives the value the comment starts with."""
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("\n## Library use\n")[1].split("```python\n")[1].split("\n```")[0]
+    lines, namespace, checked = block.splitlines(), {}, 0
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        comment = lines[statement.end_lineno - 1].partition("  # ")[2]
+        assert not comment or comment.startswith(repr(value)), (code, value)
+        checked += bool(comment)
+    assert checked == 3
+
+
 def test_load_shipped_from_a_zipped_install(tmp_path):
     archive = tmp_path / "rnforms.zip"
     with zipfile.ZipFile(archive, "w") as zipped:
@@ -945,11 +1014,14 @@ def test_load_shipped_from_a_zipped_install(tmp_path):
     assert out.split() == ["aff1", "True"]
 
 
-def _spawn_cli(*argv, prefix=(), env=None, **kwargs):
-    """``python [prefix] -m rnforms.cli argv`` in a fresh process with src on
-    PYTHONPATH; stderr is captured."""
+CLI_ENTRY = ("-m", "rnforms.cli")
+
+
+def _spawn_cli(*argv, prefix=(), entry=CLI_ENTRY, env=None, **kwargs):
+    """``python [prefix] -m rnforms.cli argv`` (or another ``entry``) in a
+    fresh process with src on PYTHONPATH; stderr is captured."""
     env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
-    return subprocess.run([sys.executable, *prefix, "-m", "rnforms.cli", *argv],
+    return subprocess.run([sys.executable, *prefix, *entry, *argv],
                           stderr=subprocess.PIPE, env=env, **kwargs)
 
 
@@ -965,18 +1037,22 @@ PROCESS_ARGV = {
 
 @pytest.mark.parametrize("sink", ["pipe", "file"])
 @pytest.mark.parametrize("case", PROCESS_ARGV)
-def test_process_ends_with_the_bytes_and_code_of_main(tmp_path, capsys, case, sink):
+def test_process_ends_with_the_bytes_and_code_of_main(tmp_path, capsys, monkeypatch, case,
+                                                      sink):
     """The process entry point skips finalization: what reaches its stdout
     and stderr, and its exit code, are those of main in-process."""
-    argv = PROCESS_ARGV[case]
+    argv, entry = PROCESS_ARGV[case], CLI_ENTRY
+    if case == "crash":
+        monkeypatch.setattr(cli, "dispatch", _crash)
+        entry = CRASH_ENTRY
     code, out, err = run_cli(capsys, *argv)
     assert code == {"pass": 0, "fail": 1, "input-error": 2, "crash": 3, "help": 0}[case]
     if sink == "pipe":
-        done = _spawn_cli(*argv, stdout=subprocess.PIPE)
+        done = _spawn_cli(*argv, entry=entry, stdout=subprocess.PIPE)
         stdout = done.stdout
     else:
         with open(tmp_path / "stdout", "wb") as file:
-            done = _spawn_cli(*argv, stdout=file)
+            done = _spawn_cli(*argv, entry=entry, stdout=file)
         stdout = (tmp_path / "stdout").read_bytes()
     assert (done.returncode, stdout, done.stderr) == (code, out.encode(), err.encode())
 
@@ -1025,20 +1101,20 @@ def test_write_error_on_stdout_exits_3(case, unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize(("argv", "stdout_full", "code"), [
-    (("--scenario", str(SCENARIOS / "aff1.json"), "bogus"), False, 2),
-    (("--scenario", str(SCENARIOS / "missing.json"), "validate"), False, 2),
-    (PROCESS_ARGV["input-error"], False, 2),
-    (PROCESS_ARGV["crash"], False, 3),
-    (PROCESS_ARGV["pass"], True, 3),
-    (PROCESS_ARGV["fail"], False, 1),
+@pytest.mark.parametrize(("argv", "entry", "stdout_full", "code"), [
+    (("--scenario", str(SCENARIOS / "aff1.json"), "bogus"), CLI_ENTRY, False, 2),
+    (("--scenario", str(SCENARIOS / "missing.json"), "validate"), CLI_ENTRY, False, 2),
+    (PROCESS_ARGV["input-error"], CLI_ENTRY, False, 2),
+    (PROCESS_ARGV["crash"], CRASH_ENTRY, False, 3),
+    (PROCESS_ARGV["pass"], CLI_ENTRY, True, 3),
+    (PROCESS_ARGV["fail"], CLI_ENTRY, False, 1),
 ], ids=["unknown-command", "missing-file", "input-error", "crash", "stdout-full", "fail"])
-def test_write_error_on_stderr_keeps_the_exit_code(argv, stdout_full, code):
+def test_write_error_on_stderr_keeps_the_exit_code(argv, entry, stdout_full, code):
     """A usage, input-error or internal-error message that cannot be
     written to stderr is dropped: the exit code is the one it reports,
     never the 1 of a failed identity by accident."""
     with open("/dev/full", "wb") as full:
-        done = subprocess.run([sys.executable, "-m", "rnforms.cli", *argv],
+        done = subprocess.run([sys.executable, *entry, *argv],
                               stdout=full if stdout_full else subprocess.PIPE, stderr=full,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == code

@@ -92,10 +92,3 @@ def test_element_hash_eq(aff, h3):
             h3.element({bad: 1})
     assert h3.element({(0, 1): -1}) == h3.generator(1).wedge(h3.generator(0))
 
-
-def test_element_is_not_exported():
-    """``Element`` takes any monomial key unchecked, so the package exports
-    the instance's checked builders (``monomial``, ``element``) instead."""
-    import rnforms
-    assert "Element" not in rnforms.__all__
-    assert not hasattr(rnforms, "Element")

@@ -1,6 +1,5 @@
-"""Module boundaries of the package: every public name resolves, no
-rnforms module imports a private name of another, the canonical-tuple
-walk stays behind one module: only ``forms`` reads form memos, lookups and
+"""Module boundaries of the package: no rnforms module imports a private
+name of another, the canonical-tuple walk stays behind one module: only ``forms`` reads form memos, lookups and
 the piece id table, no function takes a certificate's test family or
 builds one from Elements (a certificate covers its instance's family,
 which ``forms.is_zero`` builds), only the modules that check a degree name
@@ -17,8 +16,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-
-import rnforms
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rnforms"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -189,16 +186,6 @@ def _unreferenced(paths) -> list:
     return sorted([f"{module}.{name}" for module, name in defined - read] + unread_methods)
 
 
-def test_every_public_name_resolves_once():
-    """Each name of ``rnforms.__all__`` is bound in the package, once, so
-    ``from rnforms import *`` works after an export is removed."""
-    assert [name for name, n in Counter(rnforms.__all__).items() if n > 1] == []
-    assert [name for name in rnforms.__all__ if not hasattr(rnforms, name)] == []
-    namespace = {}
-    exec("from rnforms import *", namespace)
-    assert set(rnforms.__all__) <= set(namespace)
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_private_name(path):
     assert _private_imports(path) == []
@@ -229,11 +216,11 @@ def test_only_recognize_evaluates_a_form():
 
 def test_only_the_degree_checks_name_a_grading():
     """Forms carry no grading, so neither the kernel nor the catalog nor
-    ``pqn`` names one: only ``graded``, which defines the gradings, the two
-    degree checks (``linfty.nijenhuis_forms`` and the form expressions of
-    ``cli``) and the package export do."""
+    ``pqn`` names one: only ``graded``, which defines the gradings, and the
+    two degree checks (``linfty.nijenhuis_forms`` and the form expressions
+    of ``cli``) do."""
     assert sorted(path.stem for path in MODULES if _grading_uses(path)) == [
-        "__init__", "cli", "graded", "linfty"]
+        "cli", "graded", "linfty"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -244,17 +231,15 @@ def test_one_kind_of_instance(path):
     assert _kind_branches(path) == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_read(path):
     assert _unused_imports(path) == []
 
 
 def test_every_definition_has_a_caller_in_the_package():
     """A function, class or method that only tests call is a reference: it
-    belongs under ``tests/``.  ``__init__`` re-exports and is no caller."""
-    assert _unreferenced([p for p in MODULES if p.name != "__init__.py"]) == \
-        LIBRARY_ENTRY_POINTS
+    belongs under ``tests/``."""
+    assert _unreferenced(MODULES) == LIBRARY_ENTRY_POINTS
 
 
 def test_the_guard_sees_a_violation(tmp_path):

@@ -486,19 +486,39 @@ def test_default_poly_family_contains_the_order_one_family(tmp_path, both_ways, 
     assert proofs >= 3
 
 
-def test_family_without_coordinates_is_not_reduced(tmp_path, both_ways, capsys):
+def test_family_without_coordinates_is_not_reduced(tmp_path, monkeypatch, capsys):
     """With poly_degree_bound 0 the family lacks x_i: no component of order
-    >= 1 is reduced, and every verdict equals the full walk's."""
+    >= 1 is reduced, each walks its own order family in the family's place,
+    and every verdict equals the one at a bound of the largest order, where
+    the family holds every order family and more."""
+    records = []
+
+    def twice(form):
+        certificate = forms.is_zero(form)
+        orders = [component.order for component in forms.as_polyform(form).components.values()]
+        with monkeypatch.context() as patch:
+            patch.setattr(form.instance, "poly_degree_bound", max(orders, default=0))
+            high = forms.is_zero(form)
+        records.append((form, form.instance, orders, certificate.is_zero, high.is_zero))
+        return certificate
+
+    for module in (linfty, pqn, cli):
+        monkeypatch.setattr(module, "is_zero", twice)
     run_commands(poly_scenario(tmp_path, 0), capsys)
-    assert len(both_ways) > 5
-    for form, inst, _ in both_ways:
+    assert len(records) > 5
+    assert sum(max(orders, default=0) > 0 for _, _, orders, _, _ in records) > 5
+    assert {verdict for *_, verdict, _ in records} == {True, False}
+    for form, inst, orders, verdict, high in records:
+        assert None not in orders and verdict == high
         assert all(order == 0 for order in reduced_components(form, inst))
 
 
-def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
+def test_order_family_is_walked_where_the_declared_family_lacks_part_of_it(monkeypatch):
     """A family that lacks part of the order family (at coordinate degree 0,
-    every coordinate) is walked on its own elements only, on a passing and
-    on a failing certificate: no lookup reaches a piece outside it."""
+    every coordinate) is not walked: each component walks its own order
+    family alone, on a passing and on a failing certificate, so every
+    lookup is a tuple of order-family pieces, and x_i, outside the family,
+    is reached."""
     inst = with_bound(load_shipped("poly-tangent-r2").instance, 0)
     l2 = l2_form(inst)
     cases = (rn_bracket(l2, l2), PolyForm(inst, [extend_bundle_map(inst, [[0, 0], [0, 1]])]))
@@ -517,8 +537,9 @@ def test_declared_family_is_walked_on_its_own_elements(monkeypatch):
         assert reduced_components(form, inst) == []
         verdicts.append(is_zero(form).is_zero)
     assert verdicts == [True, False] and keys
-    members = set(family_ids(inst))
-    assert all(i in members for key in keys for i in key)
+    order_family = set(forms._order_family(inst._ids, 1))
+    assert all(i in order_family for key in keys for i in key)
+    assert {i for key in keys for i in key} - set(family_ids(inst))
 
 
 def order_two_form(inst):
@@ -533,9 +554,9 @@ def order_two_form(inst):
 def test_order_two_form_is_caught_with_bound_two():
     """D(f P) = (d^2 f / dx1 dx2) P has order 2 and vanishes on every
     product of at most one generator.  Declaring coordinate degree 2, it is
-    walked on the order-2 family and found nonzero at x1 x2; the default
-    family, which lacks x1 x2, is never reduced to its order-1 part, and D
-    vanishes on all of it."""
+    walked on the order-2 family and found nonzero at x1 x2.  The default
+    family lacks x1 x2 and D vanishes on all of it, so it is not walked:
+    D walks its order-2 family in its place, and fails there too."""
     default = load_shipped("poly-tangent-r2").instance
     inst = with_bound(default, 2)
     form = order_two_form(inst)
@@ -548,8 +569,10 @@ def test_order_two_form_is_caught_with_bound_two():
     assert certificate.failing == (x1x2,)
     form = order_two_form(default)
     assert default.poly_degree_bound == 1 and reduced_components(form, default) == []
+    assert all(form.evaluate((el,)).is_zero() for el in declared_family(default))
     certificate = is_zero(form)
-    assert certificate.is_zero and not certificate.complete
+    assert not certificate.is_zero and not certificate.complete
+    assert certificate.failing == (x1x2,)
 
 
 def check_declared_family(inst):
@@ -593,16 +616,17 @@ def forms_of_known_order(inst, seed):
 
 @settings(max_examples=8, deadline=None)
 @given(poly_rank3(), st.integers(0, 10 ** 6))
-def test_verdict_does_not_depend_on_a_bound_above_the_order(inst, seed):
-    """A form of order r that vanishes on the declared family of coordinate
-    degree r vanishes on every section (the order-family lemma), so each
-    form of order r <= 2 gets one verdict at poly_degree_bound r, r + 1 and
-    r + 2.  Both verdicts occur."""
+def test_verdict_does_not_depend_on_the_bound(inst, seed):
+    """A form of order r that vanishes on its order family vanishes on every
+    section (the order-family lemma), and is_zero walks that family at every
+    poly_degree_bound: alone below r, before the declared family from r on.
+    So each form of order r <= 2 gets one verdict at every bound 0-4, and
+    one with a nonzero value on its order family fails at every bound.  Both
+    verdicts occur."""
     verdicts = {}
     for bound in range(5):
         for label, form, order in forms_of_known_order(with_bound(inst, bound), seed):
             assert form.order == order <= 2, label
-            if order <= bound <= order + 2:
-                verdicts.setdefault(label, set()).add(is_zero(form).is_zero)
+            verdicts.setdefault(label, set()).add(is_zero(form).is_zero)
     assert all(len(seen) == 1 for seen in verdicts.values()), verdicts
     assert set().union(*verdicts.values()) == {True, False}
