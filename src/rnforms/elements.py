@@ -5,8 +5,9 @@ generators, with coefficients in the instance's ring (Poly; constants on
 a Lie algebra, the algebroid over a point).
 Monomials are strictly increasing tuples of 0-based generator indices; the
 empty tuple is the unit function.  Elements are immutable and hashable so
-they can key memo tables; each caches its key, hash and wedge degree on
-first use.
+they can key memo tables.  Each caches its wedge degree on first use, the
+one cache here that is read more than once per Element; its key and hash
+are computed when asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ _UNSET = object()        # wedge degree not computed yet (None means zero/mixed)
 
 
 class Element:
-    __slots__ = ("terms", "_key", "_hash", "_degree")
+    __slots__ = ("terms", "_degree")
 
     def __init__(self, terms=None):
         clean = {}
@@ -47,8 +48,6 @@ class Element:
             if coeff:
                 clean[tuple(mon)] = coeff
         self.terms = clean
-        self._key = None
-        self._hash = None
         self._degree = _UNSET
 
     @classmethod
@@ -75,9 +74,7 @@ class Element:
         return deg
 
     def key(self, ring):
-        if self._key is None:
-            self._key = tuple(sorted((mon, ring.key(c)) for mon, c in self.terms.items()))
-        return self._key
+        return tuple(sorted((mon, ring.key(c)) for mon, c in self.terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -85,20 +82,13 @@ class Element:
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Element") -> "Element":
         terms = dict(self.terms)
         for mon, coeff in other.terms.items():
             accumulate(terms, mon, coeff)
-        out = Element.__new__(Element)
-        out.terms = terms
-        out._key = None
-        out._hash = None
-        out._degree = _UNSET
-        return out
+        return Element(terms)
 
     def __neg__(self) -> "Element":
         return self.scale(-1)

@@ -617,37 +617,31 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
     """The non-decreasing ``arity``-tuples over the distinct ids ``order``,
     sorted by key, with no repeated odd id and wedge degree sum in [low,
     high], in lexicographic order of positions: the pick after position j
-    starts at j + 1 after an odd id, at j after an even one.  Branches that
-    cannot reach the window are cut: least[r][j] and most[r][j] are the
-    smallest and largest degree sums of r picks from positions j on."""
+    starts at j + 1 after an odd id, at j after an even one.  Sort keys
+    begin with the wedge degree, so the degrees never fall along ``order``,
+    and two cuts drop only branches that hold no tuple in the window.  With
+    r picks left from position j on, each pick has degree at least
+    degree[j], so once total + r * degree[j] exceeds ``high`` no later
+    position fits either; and each pick has degree at most the last entry's,
+    ``top``, so a branch with total + r * top below ``low`` is empty.  The
+    last pick is yielded when its sum reaches ``low``."""
     n = len(order)
     degree = [keys[i][0] for i in order]
     step = [odd[i] for i in order]
-    far = float("inf")
-    least, most = [[0] * (n + 1)], [[0] * (n + 1)]
-    for _ in range(arity):
-        fewer_least, fewer_most = least[-1], most[-1]
-        row_least, row_most = [far] * (n + 1), [-far] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            row_least[j] = min(row_least[j + 1], degree[j] + fewer_least[j + step[j]])
-            row_most[j] = max(row_most[j + 1], degree[j] + fewer_most[j + step[j]])
-        least.append(row_least)
-        most.append(row_most)
+    top = degree[-1] if n else 0
 
     def walk(start, r, total, prefix):
-        fewer_least, fewer_most = least[r - 1], most[r - 1]
+        if total + r * top < low:
+            return
         for j in range(start, n):
-            if total + least[r][j] > high or total + most[r][j] < low:
-                break
             s = total + degree[j]
-            rest = j + step[j]
-            if s + fewer_least[rest] > high or s + fewer_most[rest] < low:
-                continue
+            if s + (r - 1) * degree[j] > high:
+                break
             key = prefix + (order[j],)
-            if r == 1:
+            if r > 1:
+                yield from walk(j + step[j], r - 1, s, key)
+            elif s >= low:
                 yield key
-            else:
-                yield from walk(rest, r - 1, s, key)
 
     if not arity:
         if low <= 0 <= high:

@@ -19,10 +19,11 @@ positions counted from 1:
 
 With no coordinates, and for a constant coefficient, the anchor terms
 vanish.
-``_sn_memo`` keeps one entry per monomial pair (I, J) and one per (I, g); a
-stored value is never mutated.  A term pair (I, f, J, g) is not memoized: it
-is assembled from these two memos, and the same pair rarely comes back (the
-form kernel already memoizes each piece pair it brackets).
+``_sn_memo`` keeps one entry per anchor pair (I, g), a value never
+mutated once stored.  Neither a monomial pair (I, J) nor a term pair
+(I, f, J, g) is memoized: the form kernel already memoizes each piece pair
+it brackets, so the same pair rarely comes back, and [e_I, e_J] is a short
+sum over the generator brackets.
 
 ``validate`` checks the axioms that the input data can break: Jacobi on
 generator triples, then the anchor morphism property rho([a_i, a_j]) =
@@ -267,20 +268,16 @@ class GradedInstance:
 
     def _monomial_bracket(self, I: tuple, J: tuple) -> dict:
         """[e_I, e_J] by the second formula of the module docstring."""
-        key = (I, J)
-        value = self._sn_memo.get(key)
-        if value is None:
-            value = {}
-            for a, i in enumerate(I):
-                rest_i = I[:a] + I[a + 1:]
-                for b, j in enumerate(J):
-                    rest = rest_i + J[:b] + J[b + 1:]
-                    odd = (a + b) % 2 == 1
-                    for mon, c in self._gen_bracket(i, j).terms.items():
-                        merged, sign = sort_monomial(mon + rest)
-                        if sign:
-                            accumulate(value, merged, -c if (sign < 0) != odd else c)
-            self._sn_memo[key] = value
+        value = {}
+        for a, i in enumerate(I):
+            rest_i = I[:a] + I[a + 1:]
+            for b, j in enumerate(J):
+                rest = rest_i + J[:b] + J[b + 1:]
+                odd = (a + b) % 2 == 1
+                for mon, c in self._gen_bracket(i, j).terms.items():
+                    merged, sign = sort_monomial(mon + rest)
+                    if sign:
+                        accumulate(value, merged, -c if (sign < 0) != odd else c)
         return value
 
     def _anchor_bracket(self, I: tuple, g) -> dict:

@@ -13,6 +13,7 @@ adds machine integers.
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from operator import add
@@ -24,10 +25,20 @@ class InputError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (q omitted when 1) into an exact rational."""
+    """Parse "p/q" (q omitted when 1) into an exact rational.  ``Fraction``
+    raises the interpreter's limit on the digits of an int (4300 by
+    default) as a malformed number; a numeral past it is refused by its
+    length, and the message echoes only a prefix of it."""
+    numeral = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        return Fraction(numeral)
     except (ValueError, ZeroDivisionError) as exc:
+        digits = sum(map(str.isdigit, numeral))
+        # 0 means no limit, as does an interpreter from before the limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and digits > limit:
+            raise InputError(f"rational number of {digits} digits, past the limit of"
+                             f" {limit} digits per integer: {numeral[:20]!r}...") from exc
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
@@ -60,11 +71,12 @@ class Poly:
 
     Terms map exponent tuples to nonzero coefficients, each an ``int`` when
     integral and a ``Fraction`` only otherwise; every arithmetic result keeps
-    that rule.  ``Poly(2, {(1, 0): 1})`` is x1.  The sorted term tuple behind
-    :meth:`terms` and the hash is built on first use.
+    that rule.  ``Poly(2, {(1, 0): 1})`` is x1.  :meth:`terms` sorts the
+    terms on every call: a cached tuple of them is read too rarely to pay
+    for itself.
     """
 
-    __slots__ = ("nvars", "_terms", "_key")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Fraction] | None = None):
         self.nvars = nvars
@@ -77,7 +89,6 @@ class Poly:
             if coeff:
                 clean[expo] = plain(coeff)
         self._terms = clean
-        self._key = None
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
@@ -91,10 +102,7 @@ class Poly:
 
     def terms(self):
         """The (exponent, coefficient) pairs sorted by exponent."""
-        key = self._key
-        if key is None:
-            key = self._key = tuple(sorted(self._terms.items()))
-        return key
+        return tuple(sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -213,7 +221,6 @@ def _clean_poly(nvars: int, terms: dict) -> Poly:
     out = Poly.__new__(Poly)
     out.nvars = nvars
     out._terms = terms
-    out._key = None
     return out
 
 

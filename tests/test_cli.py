@@ -341,6 +341,26 @@ def test_a_rational_of_any_size_is_printed(capsys):
     assert f"\n      {label}\n" in out
 
 
+# a numeral past that limit on input, which ``Fraction`` raises as a malformed
+# number: refused by its length, with a 20-digit prefix, not echoed in full
+LONG = "7" * 5000
+LONG_ERROR = ("input error: rational number of 5000 digits, past the limit of 4300"
+              f" digits per integer: '{LONG[:20]}'...\n")
+
+
+def test_a_numeral_past_the_digit_limit_is_refused_by_its_length(tmp_path, capsys):
+    raw = json.loads((SCENARIOS / "heisenberg3.json").read_text())
+    raw["data"]["lambda"] = LONG
+    path = tmp_path / "long-lambda.json"
+    path.write_text(json.dumps(raw))
+    bracket = ("--scenario", str(SCENARIOS / "heisenberg3.json"), "bracket", "--right", "N3")
+    assert run_cli(capsys, *bracket, "--left", f"{LONG}*l2") == (2, "", LONG_ERROR)
+    assert run_cli(capsys, "--scenario", str(path), "validate") == (2, "", LONG_ERROR)
+    # an ordinary malformed numeral keeps its message
+    assert run_cli(capsys, *bracket, "--left", "7/0*l2") == (
+        2, "", "input error: not a rational number: '7/0'\n")
+
+
 def _crash(scenario, args):
     raise RuntimeError("planted crash")
 

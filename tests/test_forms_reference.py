@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from rnforms import linfty
 from rnforms.catalog import extend_bundle_map, l2_form, lk_form, wedge_form
 from rnforms.elements import Element
-from rnforms.forms import (PolyForm, VForm, _Ids, _tuple_count, element_form, insert, is_zero,
-                           rn_bracket)
+from rnforms.forms import (PolyForm, VForm, _Ids, _tuple_count, _window_keys, element_form,
+                           insert, is_zero, rn_bracket)
 from rnforms.graded import koszul_sign, unshuffles
 from rnforms.instances import GradedInstance, LieAlgebraData
 from rnforms import pqn
@@ -696,7 +696,7 @@ def dense_arguments(draw, size):
     for _ in range(size):
         el = draw(st.sampled_from(DENSE.all_basis()))
         terms = draw(st.lists(st.tuples(st.sampled_from(DENSE_MONOMIALS), COEFFICIENTS),
-                              min_size=2, max_size=4, unique_by=lambda t: t[0]._key))
+                              min_size=2, max_size=4, unique_by=lambda t: t[0].terms()))
         poly = DENSE.ring.zero()
         for mono, coeff in terms:
             poly = poly + mono * coeff
@@ -926,6 +926,33 @@ def test_windowed_is_zero_matches_full_enumeration(name):
 def test_windowed_is_zero_on_generated_nilpotent(inst):
     """Dimension 4 only: at 5 the reference walks 335,104 canonical tuples."""
     assert check_window_against_reference(inst) == {True, False}
+
+
+@st.composite
+def walker_inputs(draw):
+    """Ids sorted by key with degrees 0-4 (each id's parity its degree's),
+    numbered out of order, an arity of 0-6 and a window [low, high]."""
+    degrees = sorted(draw(st.lists(st.integers(0, 4), max_size=8)))
+    ids = draw(st.permutations(range(len(degrees))))
+    keys, odd = [None] * len(ids), [None] * len(ids)
+    for position, (i, degree) in enumerate(zip(ids, degrees)):
+        keys[i], odd[i] = (degree, position), degree & 1
+    low, high = draw(st.integers(-2, 26)), draw(st.integers(-2, 26))
+    return list(ids), keys, odd, draw(st.integers(0, 6)), low, high
+
+
+@settings(max_examples=300, deadline=None)
+@given(walker_inputs())
+def test_window_walk_matches_brute_force(inputs):
+    """The cut walk of ``_window_keys`` yields exactly the canonical
+    tuples in the window, in lexicographic order of positions: every
+    non-decreasing position tuple with no repeated odd id, filtered."""
+    order, keys, odd, arity, low, high = inputs
+    expected = [tuple(order[j] for j in combo)
+                for combo in itertools.combinations_with_replacement(range(len(order)), arity)
+                if not any(a == b and odd[order[a]] for a, b in zip(combo, combo[1:]))
+                and low <= sum(keys[order[j]][0] for j in combo) <= high]
+    assert list(_window_keys(order, keys, odd, arity, low, high)) == expected
 
 
 def enumerated_count(parities, arity):
