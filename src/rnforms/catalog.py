@@ -151,6 +151,6 @@ def extend_kform(kappa: DualForm) -> VForm:
 def bivector_form(instance: GradedInstance, pi: Element) -> VForm:
     """A bivector as a vector-valued 0-form, degree 0 in the shifted-by-2
     grading."""
-    if not pi.is_zero() and pi.require_homogeneous() != 2:
+    if pi.require_homogeneous() != 2:
         raise InputError("expected a wedge-degree-2 element")
-    return element_form(instance, pi, wedge_degree=2)
+    return element_form(instance, pi)

@@ -70,19 +70,10 @@ commutator [...[D, c_0], ..., c_r] with left multiplications vanishes
 products of <= r generators (1 included: the order family).  Proof:
 expanding the commutator at x = c_{r+1}...c_{m-1} writes D(c_0...c_{m-1})
 through D on shorter products, so by induction on m, D vanishes on all
-products, which span A; then take the next argument.  So on an instance
-with no coordinates (a Lie algebra) :func:`is_zero` walks only the order
-family, built from its definition (the whole basis when r is None), and
-its first nonzero value is the counterexample, by the lemma below.  With
-coordinates it walks the order family first when the declared family
-holds all of it and more, and the whole family only after a nonzero value
-there (same counterexample); when the family lacks part of it (r above
-``poly_degree_bound``), it walks the order family alone, whose first
-nonzero value is the counterexample and whose zero verdict is a proof.
-The count is always the full family's.  A
-primitive declares its order; an insertion has r_K + r_L (a composition);
-sums and scaling keep the largest bound; None stays None.  The bracket :func:`rn_vform`
-records max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes:
+products, which span A; then take the next argument.  A primitive
+declares its order; an insertion has r_K + r_L (a composition); sums and
+scaling keep the largest bound; None stays None.  The bracket
+:func:`rn_vform` records max(r_K + r_L - 1, r_K, r_L) on its combination, not on its nodes:
 for each split (B, C) of the other arguments, L(K(a, B), C) and
 K(L(a, C), B) form a graded commutator of operators in a of orders r_K and
 r_L, so of order r_K + r_L - 1 ([[D, E], c] = [[D, c], E] +- [D, [E, c]],
@@ -103,21 +94,23 @@ canonical, since f(S) = +-f(t_1..t_{i-1}, Q) is nonzero.  S replaces each
 of t_i..t_k by a strictly smaller entry, so it precedes T* entry by entry
 (sorting is monotone) and is smaller in its last: S comes strictly before
 T*, against the choice of T*.  Tuples outside the window are zero, so the
-window changes nothing.  With a coordinate, O is not an initial segment
-of the declared family's key order (for r >= 1, x_1^(r+1), of wedge
-degree 0 and outside O, sorts before every generator e_j), so both passes
-stay there.
+window changes nothing.  With a coordinate O is not an initial segment of
+the declared family: x_1^(r+1), of wedge degree 0 and outside O, sorts
+before every generator.
 
-**The declared family.**  An instance with coordinates certifies on the
-pieces x^a times a wedge monomial with |a| <= ``poly_degree_bound``,
-built from that definition as piece ids by the enumerator of the order
-family (where |a| + wedge degree <= r), so its pieces are distinct.  It holds all of
-the order family of r, and more, exactly when r <= the bound: only then
-is x_1^r in it, and a_1 x_1^bound is never in that order family.  Every
-count is the closed sum over b of C(O, b) C(E + a - b - 1, a - b) over
-the family's E even and O odd ids.  With no coordinates the family is the
-basis, with E = O = 2^(rank-1); it is listed, and numbered, only for a
-component with no order bound, or one of at least rank.
+**The declared family and the two walks.**  An instance with coordinates
+certifies on the pieces x^a times a wedge monomial with |a| <=
+``poly_degree_bound`` (with none, on the basis), ``_order_family(table,
+rank, bound)``: h = C(nvars + bound, bound) 2^(rank-1) odd pieces and as
+many even ones, so each count is the closed sum over b of C(h, b) C(h + a -
+b - 1, a - b), and nothing is listed to count.  :func:`is_zero` walks a
+component's window by two rules.  First, a component of order r walks its
+order family, and a zero walk is a proof on any instance; its first
+nonzero value is the counterexample with no coordinates (the lemma) or for
+r above the bound (the family lacks x_1^r there, and O takes its place).
+Second, the declared family is listed and walked only to place a
+counterexample the first walk cannot: for a component with no order, or
+with coordinates and r <= the bound, where the family holds O and more.
 """
 
 from __future__ import annotations
@@ -234,8 +227,6 @@ class VForm:
             return Element.zero()
         value = self.instance._ids.element(self._lookup(key))
         return value if sign > 0 else -value
-
-    __call__ = evaluate
 
     def _lookup(self, key) -> dict:
         """The piece map on a key: an atomic node runs its rule, a
@@ -399,16 +390,11 @@ def _representative(form: VForm):
     return rep, factor
 
 
-def element_form(instance: GradedInstance, element: Element, wedge_degree=None) -> VForm:
-    """A homogeneous element as a vector-valued 0-form, one node per
-    (element, wedge degree)."""
-    if element.is_zero():
-        if wedge_degree is None:
-            raise InputError("zero 0-form needs an explicit wedge degree")
-        deg = wedge_degree
-    else:
-        deg = element.require_homogeneous()
-    return shared_node(instance, ("element", element, deg),
+def element_form(instance: GradedInstance, element: Element) -> VForm:
+    """A nonzero homogeneous element as a vector-valued 0-form, one node per
+    element."""
+    deg = element.require_homogeneous()
+    return shared_node(instance, ("element", element),
                        lambda: VForm(instance, 0, deg, lambda args: element, order=0))
 
 
@@ -651,57 +637,40 @@ def _window_keys(order, keys, odd, arity: int, low: int, high: int):
 
 
 def is_zero(form) -> ZeroCertificate:
-    """Exhaustive vanishing verdict, over the form's own instance: on all
-    canonical basis tuples of an instance with no coordinates, such as a
-    Lie algebra (a complete proof by multilinearity, graded symmetry and
-    grading), on the declared family of one with coordinates
-    (``poly_degree_bound``; a verification, flagged as incomplete).  Only
-    the tuples inside each component's wedge-degree window are evaluated,
-    up to the first nonzero value, the counterexample.  With no
-    coordinates, or a declared family that lacks part of the order family
-    (order above the bound), a component walks its order family alone,
-    whose first nonzero value is the counterexample; a declared family
-    walks it first when it holds all of it and more (see the module
-    docstring).  The certificate counts every canonical tuple of the
-    family."""
+    """Vanishing verdict over the family of the form's own instance: every
+    canonical basis tuple with no coordinates (a Lie algebra: a proof, by
+    multilinearity, graded symmetry and grading), else the declared family
+    (``poly_degree_bound``; flagged incomplete).  The count covers every
+    canonical tuple of the family, in closed form; only tuples inside a
+    component's wedge-degree window are evaluated, by the two walks of the
+    module docstring, up to the first nonzero value, the counterexample."""
     form = as_polyform(form)
     instance = form.instance
     table = instance._ids = instance._ids or _Ids(instance)
-    keys, odd = table.keys, table.odd
-    complete = not instance.data.base_dim
-    if complete:
-        note = "all canonical basis tuples"
-        evens, odds = (2 ** table.rank + 1) // 2, 2 ** table.rank // 2
-    else:
-        bound = instance.poly_degree_bound
-        family = _order_family(table, table.rank, bound)
-        note = f"declared family of {len(family)} elements"
-        odds = sum([odd[i] for i in family])
-        evens = len(family) - odds
-    covered = 0
-    counterexample = failing = None
+    nvars, bound = table.ring.nvars, instance.poly_degree_bound
+    half = comb(nvars + bound, bound) * 2 ** (table.rank - 1)
+    note = f"declared family of {2 * half} elements" if nvars else "all canonical basis tuples"
+    covered, found = 0, None
     for arity, component in form.components.items():
-        covered += _tuple_count(evens, odds, arity)
-        if failing is not None:
+        covered += _tuple_count(half, half, arity)
+        if found:
             continue
-        lookup, order = component._lookup, component.order
-        low, high = -component.shift, instance.rank - component.shift
-        if complete:        # the first nonzero tuple lies in the order family (module docstring)
-            walk = _order_family(table, table.rank if order is None else order)
-        elif order is not None and order > bound:      # the family lacks part of it
-            walk = _order_family(table, order)
-        else:
-            walk = family
-            if order is not None:       # the family holds it and more
-                short = _order_family(table, order)
-                if not any(map(lookup, _window_keys(short, keys, odd, arity, low, high))):
-                    continue
-        for key in _window_keys(walk, keys, odd, arity, low, high):
-            value = lookup(key)
-            if value:
-                failing = tuple([table.elements[i] for i in key])
-                label = ", ".join(instance.basis_label(el) for el in failing)
-                counterexample = (f"arity {arity}: ({label})",
-                                  instance.basis_label(table.element(value)))
-                break
-    return ZeroCertificate(covered, complete, counterexample, note, failing)
+
+        def first_nonzero(walk):
+            keys = _window_keys(walk, table.keys, table.odd, arity, -component.shift,
+                                instance.rank - component.shift)
+            return next(((arity, key, value) for key in keys
+                         if (value := component._lookup(key))), None)
+
+        order = component.order
+        if order is not None:
+            found = first_nonzero(_order_family(table, order))
+        if order is None or (found and nvars and order <= bound):
+            found = first_nonzero(_order_family(table, table.rank, bound))
+    counterexample = failing = None
+    if found:
+        arity, key, value = found
+        failing = tuple([table.elements[i] for i in key])
+        label = ", ".join(instance.basis_label(el) for el in failing)
+        counterexample = (f"arity {arity}: ({label})", instance.basis_label(table.element(value)))
+    return ZeroCertificate(covered, not nvars, counterexample, note, failing)

@@ -7,10 +7,10 @@ over Q is the algebroid over a point (:func:`LieAlgebraData`): no
 coordinates, so no anchor and constant coefficients in ``PolyRing(())``.
 
 The Schouten bracket is a sum over pairs of terms of closed formulas, whose
-only inputs are the structure constants (``_gen_bracket``, read for every
-ordered generator pair, never through antisymmetry) and the anchor
-(``anchor_apply``).  For terms of wedge degrees p = |I| and q = |J|, and
-positions counted from 1:
+only inputs are the structure constants
+(``PolyAlgebroidData.bracket_terms``, read for every ordered generator
+pair, never through antisymmetry) and the anchor (``anchor_apply``).  For
+terms of wedge degrees p = |I| and q = |J|, and positions counted from 1:
 
     [f e_I, g e_J] = fg [e_I, e_J] + f [e_I, g] ^ e_J
                      + (-1)^{pq-p+q} g [e_J, f] ^ e_I
@@ -104,10 +104,11 @@ class PolyAlgebroidData:
         self.table = table
 
     def bracket_terms(self, i: int, j: int) -> dict:
+        """[a_i, a_j] as {k: f^k_ij}; for i < j the stored row itself."""
         if i == j:
             return {}
         if i < j:
-            return dict(self.table.get((i, j), {}))
+            return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
 
@@ -235,9 +236,6 @@ class GradedInstance:
             total = total + c * self.anchor_apply(mon[0], coeff)
         return total
 
-    def _gen_bracket(self, i: int, j: int) -> Element:
-        return Element({(k,): c for k, c in self.data.bracket_terms(i, j).items()})
-
     # -- Schouten bracket ------------------------------------------------------
 
     def sn_bracket(self, left: Element, right: Element) -> Element:
@@ -274,8 +272,8 @@ class GradedInstance:
             for b, j in enumerate(J):
                 rest = rest_i + J[:b] + J[b + 1:]
                 odd = (a + b) % 2 == 1
-                for mon, c in self._gen_bracket(i, j).terms.items():
-                    merged, sign = sort_monomial(mon + rest)
+                for k, c in self.data.bracket_terms(i, j).items():
+                    merged, sign = sort_monomial((k,) + rest)
                     if sign:
                         accumulate(value, merged, -c if (sign < 0) != odd else c)
         return value

@@ -67,7 +67,7 @@ def _matches(bracket: PolyForm, coefficient: Fraction, target: VForm | None):
     return is_zero(bracket - target.scale(coefficient))
 
 
-def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4) -> Report:
+def coefficient_suite(instance: GradedInstance, i_max, m_max, n_max) -> Report:
     """Verification of the wedge/bracket coefficient identities: exhaustive on
     finite-dimensional instances, over the instance's declared family
     otherwise."""
@@ -110,7 +110,7 @@ def coefficient_suite(instance: GradedInstance, i_max=4, m_max=4, n_max=4) -> Re
     return report
 
 
-def witt_action_check(instance: GradedInstance, i_max=4) -> Report:
+def witt_action_check(instance: GradedInstance, i_max) -> Report:
     """The map v_i -> i! N_i, x_i -> i! l_{i+1} intertwines the polynomial
     vector field relation [v_i, v_j] = (j-i) v_{i+j-1} and the module action
     v_i[x_j] = j x_{i+j-1}.  Layered on the coefficient identities: the

@@ -36,9 +36,8 @@ class Report:
         self.scenario = scenario
         self.checks: list = []
 
-    def add(self, name, anchor, passed, complete=None, counterexample=None, detail=None):
-        self.checks.append(CheckEntry(name, anchor, bool(passed), complete,
-                                      counterexample, detail))
+    def add(self, name, anchor, passed, counterexample=None, detail=None):
+        self.checks.append(CheckEntry(name, anchor, bool(passed), None, counterexample, detail))
 
     def add_certificate(self, name, anchor, certificate):
         self.checks.append(CheckEntry(

@@ -104,9 +104,6 @@ class Poly:
         """The (exponent, coefficient) pairs sorted by exponent."""
         return tuple(sorted(self._terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -77,7 +77,7 @@ class Scenario:
     def __init__(self, name: str, instance: GradedInstance, pi: Element, N: list,
                  omega: DualForm, H: DualForm, alpha: DualForm, lam: Fraction | None,
                  pencil_coefficients: list, wedge_coefficients: list, bracket_index: int,
-                 i_max: int = 4, m_max: int = 4, n_max: int = 4):
+                 i_max: int, m_max: int, n_max: int):
         self.name = name
         self.instance = instance
         self.pi = pi
@@ -260,7 +260,9 @@ def load_scenario(path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        # an int literal goes through parse_rational, which refuses one past the digit limit
+        raw = json.loads(text, object_pairs_hook=_unique_keys,
+                         parse_int=lambda literal: int(parse_rational(literal)))
     except (json.JSONDecodeError, RecursionError) as exc:     # RecursionError: nested too deep
         raise InputError(f"scenario does not parse: {exc}") from exc
     return build_scenario(raw, default_name=path.stem)

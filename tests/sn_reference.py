@@ -8,7 +8,7 @@ factor tuples peels one factor at a time:
     [f ^ F', G] = f ^ [F', G] + (-1)^{(g-1) q} [f, G] ^ F'
     [f, g0 ^ G'] = [f, g0] ^ G' + (-1)^{(p-1) q0} g0 ^ [f, G']
 
-with [a_i, a_j] = ``_gen_bracket(i, j)``, [a_i, f] = ``anchor_apply(i, f)``,
+with [a_i, a_j] = ``data.bracket_terms(i, j)``, [a_i, f] = ``anchor_apply(i, f)``,
 [f, a_i] = -``anchor_apply(i, f)`` and [f, g] = 0.  It reads the base cases
 through the instance, so a test that patches them patches this reference
 too.  Slow, and independent of the closed formulas of ``sn_bracket``.
@@ -98,7 +98,7 @@ def _factors(inst, memo, left: tuple, right: tuple) -> Element:
 def _base(inst, f1, f2) -> Element:
     (kind1, v1), (kind2, v2) = f1, f2
     if kind1 == "g" and kind2 == "g":
-        return inst._gen_bracket(v1, v2)
+        return Element({(k,): c for k, c in inst.data.bracket_terms(v1, v2).items()})
     if kind1 == "g":
         return inst.scalar(inst.anchor_apply(v1, v2))
     if kind2 == "g":

@@ -361,6 +361,17 @@ def test_a_numeral_past_the_digit_limit_is_refused_by_its_length(tmp_path, capsy
         2, "", "input error: not a rational number: '7/0'\n")
 
 
+@pytest.mark.parametrize("field", ["lambda", "n"])
+def test_an_unquoted_json_integer_past_the_digit_limit_is_refused(field, tmp_path, capsys):
+    # the literal reaches parse_rational as the JSON parser reads it, before
+    # any int of 5000 digits is built (which the interpreter refuses)
+    raw = json.loads((SCENARIOS / "heisenberg3.json").read_text())
+    raw["data"][field] = "LONG"
+    path = tmp_path / f"long-{field}.json"
+    path.write_text(json.dumps(raw).replace('"LONG"', LONG))
+    assert run_cli(capsys, "--scenario", str(path), "validate") == (2, "", LONG_ERROR)
+
+
 def _crash(scenario, args):
     raise RuntimeError("planted crash")
 

@@ -218,9 +218,9 @@ def _symmetric_e1_e2(monkeypatch):
     """h3 whose base case [e2, e1] returns +e3: Jacobi still holds (the
     Jacobiator on (e1, e2, e3) never reads [e2, e1]), skew-symmetry fails."""
     inst = unchecked("heisenberg3")
-    gen_bracket = inst._gen_bracket
-    monkeypatch.setattr(inst, "_gen_bracket",
-                        lambda i, j: -gen_bracket(i, j) if (i, j) == (1, 0) else gen_bracket(i, j))
+    terms = inst.data.bracket_terms
+    monkeypatch.setattr(inst.data, "bracket_terms",
+                        lambda i, j: terms(0, 1) if (i, j) == (1, 0) else terms(i, j))
     return inst
 
 
@@ -308,12 +308,18 @@ def corrupt_gen_bracket(inst, i, j, k, factor, mirror=False):
     ordered pair only, and with ``mirror`` [a_j, a_i] as [a_j, a_i] - factor a_k
     too, which keeps skew-symmetry; drops the brackets memoized before."""
     inst._sn_memo.clear()
-    gen_bracket = inst._gen_bracket
-    extra = inst.generator(k).scale(inst.ring.coerce(factor))
+    terms = inst.data.bracket_terms
+    extra = inst.ring.coerce(factor)
     perturbed = {(i, j): extra}
     if mirror:
-        perturbed[(j, i)] = perturbed.get((j, i), Element.zero()) - extra
-    inst._gen_bracket = lambda a, b: gen_bracket(a, b) + perturbed.get((a, b), Element.zero())
+        perturbed[(j, i)] = perturbed.get((j, i), 0) - extra
+
+    def bent(a, b):
+        row = dict(terms(a, b))
+        row[k] = row.get(k, 0) + perturbed.get((a, b), 0)
+        return {target: c for target, c in row.items() if c}
+
+    inst.data.bracket_terms = bent
 
 
 def corrupt_anchor(inst, degree, factor):

@@ -3,6 +3,7 @@ catalog primitive against the graded-commutator identity, negative controls
 for unsound bounds, and the reduced certificates against the same
 certificates with every bound forced to None."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -270,10 +271,13 @@ def test_rule_without_a_declared_order_walks_the_whole_window(monkeypatch):
 
 
 def test_is_zero_resolves_its_family_once(monkeypatch):
-    """On a form of two components, each walked on its order family first,
-    is_zero maps no Element through the id table: a polynomial algebroid's
-    declared family is built once per call as piece ids, and the basis of
-    a Lie algebra is not listed."""
+    """On a failing form of two components, each walked on its order family
+    first, is_zero maps no Element through the id table: a polynomial
+    algebroid's declared family is built once per call as piece ids, to
+    place the counterexample, and the basis of a Lie algebra is not listed.
+    A passing certificate on poly-tangent-r2 ([l2, l2], order 1) lists no
+    declared family: its id table numbers the 5 pieces of its order family
+    (1, x1, x2, a1, a2) and none of the 12 of the declared one."""
     calls, built = [], []
     id_of, order_family = forms._Ids.id_of, forms._order_family
     monkeypatch.setattr(forms._Ids, "id_of",
@@ -293,6 +297,16 @@ def test_is_zero_resolves_its_family_once(monkeypatch):
         is_zero(form)
         assert calls == []
         assert built.count(True) == (inst is poly)
+    fresh = load_shipped("poly-tangent-r2").instance
+    l2 = PolyForm(fresh, [l2_form(fresh)])
+    built.clear()
+    certificate = is_zero(rn_bracket(l2, l2))
+    assert certificate.is_zero and certificate.family_note == "declared family of 12 elements"
+    assert built == [False]
+    table = fresh._ids
+    assert len(table.elements) == 5
+    # listing the order family numbers no new piece
+    assert sorted(order_family(table, 1)) == list(range(5)) and len(table.elements) == 5
 
 
 def test_passing_certificates_number_only_their_order_family(tmp_path, monkeypatch, capsys):
@@ -425,7 +439,8 @@ def test_deep_counterexample_on_a_lie_algebra_is_found_in_its_order_family(m, ar
     listed = []
     order_family = forms._order_family
     monkeypatch.setattr(forms, "_order_family",
-                        lambda table, order: listed.append(order) or order_family(table, order))
+                        lambda table, order, bound=None: listed.append(order)
+                        or order_family(table, order, bound))
     certificate = is_zero(form)
     assert listed == [1]
     n = inst.rank
@@ -573,6 +588,38 @@ def test_order_two_form_is_caught_with_bound_two():
     certificate = is_zero(form)
     assert not certificate.is_zero and not certificate.complete
     assert certificate.failing == (x1x2,)
+
+
+def reference_count(even, odd, arity):
+    """The coefficient of t^arity in (1 + t)^odd / (1 - t)^even: the
+    canonical tuples over ``even`` even and ``odd`` odd distinct elements,
+    by series products (``forms._tuple_count`` sums binomials)."""
+    series = [1] + [0] * arity
+    for _ in range(odd):
+        series = [c + (series[i - 1] if i else 0) for i, c in enumerate(series)]
+    for _ in range(even):
+        series = list(itertools.accumulate(series))
+    return series[arity]
+
+
+@settings(max_examples=20, deadline=None)
+@given(two_step_nilpotent(max_dim=4) | poly_rank3()
+       | st.builds(lambda: load_shipped("poly-tangent-r2").instance), st.integers(0, 4))
+def test_closed_count_is_that_of_the_reference_family(inst, bound):
+    """is_zero counts and names the instance's family in closed form, with
+    nothing listed: its note and count are those of the Element-level
+    ``declared_family`` (the basis of a Lie algebra), from its length and
+    its split into odd and even elements, at every arity 0-4."""
+    inst = with_bound(inst, bound)
+    family = set(declared_family(inst))
+    odd = sum(el.wedge_degree() % 2 for el in family)
+    note = (f"declared family of {len(family)} elements" if inst.data.base_dim
+            else "all canonical basis tuples")
+    for arity in range(5):
+        certificate = is_zero(VForm.zero(inst, arity, 0))
+        assert certificate.family_note == note
+        assert certificate.count == reference_count(len(family) - odd, odd, arity), arity
+        assert certificate.complete == (not inst.data.base_dim)
 
 
 def check_declared_family(inst):
