@@ -1,4 +1,5 @@
-"""Antisymmetric k-forms on the dual, and the Cartan calculus on them.
+"""Antisymmetric k-forms on the dual, their differential, and the bundle-map
+operators on them.
 
 A DualForm stores its values on strictly increasing generator tuples; all
 other values follow by antisymmetry and multilinearity over the coefficient
@@ -8,7 +9,8 @@ every contraction sign in the kernel, is stated once, at ``pi_sharp``; its
 permutation-determinant reference, ``element_on_duals``, lives in
 ``tests/dualforms_reference.py``.  The differential is the Cartan formula
 (anchor terms plus bracket terms); over a point it reduces to
-d k(X, Y) = -k([X, Y]).
+d k(X, Y) = -k([X, Y]).  A 1-form pairs with a section by ``apply``;
+``pqn.koszul_bracket`` reads its Lie derivatives off their definition.
 """
 
 from __future__ import annotations
@@ -134,37 +136,6 @@ def differential(kappa: DualForm) -> DualForm:
     return tabulate(inst, kappa.k + 1, value)
 
 
-def iota_element(X: Element, kappa: DualForm) -> DualForm:
-    """Contraction with a wedge-degree-1 element in the first slot."""
-    if kappa.k == 0:
-        raise InputError("cannot contract a 0-form")
-    if any(len(mon) != 1 for mon in X.terms):
-        raise InputError("contraction needs a wedge-degree-1 element")
-    return tabulate(kappa.instance, kappa.k - 1, lambda *rest: kappa.apply((X,) + rest))
-
-
-def lie_derivative(X: Element, kappa: DualForm) -> DualForm:
-    """Cartan formula L_X = i_X d + d i_X; on 0-forms, rho(X) f."""
-    inst = kappa.instance
-    if kappa.k == 0:
-        f = kappa.table.get((), inst.ring.zero())
-        return DualForm(inst, 0, {(): inst.anchor_on_function(X, f)})
-    first = iota_element(X, differential(kappa))
-    second = differential(iota_element(X, kappa))
-    return first + second
-
-
-def d_function(inst: GradedInstance, f) -> DualForm:
-    return differential(DualForm(inst, 0, {(): f}))
-
-
-def pairing(alpha: DualForm, X: Element):
-    """<alpha, X> for a 1-form and a section."""
-    if alpha.k != 1:
-        raise InputError("pairing needs a 1-form")
-    return alpha.apply((X,))
-
-
 def pi_sharp(pi: Element, alpha: DualForm) -> Element:
     """pi#(alpha), defined by <beta, pi#(alpha)> = pi(alpha, beta) under the
     determinant convention
@@ -198,7 +169,7 @@ def n_star(inst: GradedInstance, N, alpha: DualForm) -> DualForm:
     if alpha.k != 1:
         raise InputError("N* acts on 1-forms")
     N = check_matrix(inst, N)
-    return tabulate(inst, 1, lambda X: pairing(alpha, apply_matrix(inst, N, X)))
+    return tabulate(inst, 1, lambda X: alpha.apply((apply_matrix(inst, N, X),)))
 
 
 def apply_matrix(inst: GradedInstance, N, X: Element) -> Element:

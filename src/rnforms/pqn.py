@@ -8,7 +8,9 @@ u(omega) for l2 + uH with square u(N^2) + [u(omega), pi], one ``is_zero``
 certificate on the ``deformation_square`` form of ``nijenhuis_forms`` (the
 other Nijenhuis forms are not certified); side B evaluates the quadruple
 conditions directly through Koszul brackets, torsion and the background
-combination.  Conditions (a)-(c) come from one function,
+combination.  A Koszul bracket is one ``tabulate``: its value on each
+generator, read off the definitions of the Lie derivative and the
+differential.  Conditions (a)-(c) come from one function,
 ``quadruple_conditions``.  ``check_pqn`` writes the preconditions, (a)-(c)
 and condition (d) with its solved scalar as entries into the report it is
 given and returns whether they all pass; the Stienon-Xu harness (no
@@ -24,9 +26,8 @@ from fractions import Fraction
 from .catalog import (bivector_form, extend_bundle_map, extend_kform, l2_form,
                       matrix_square)
 from .dualforms import (DualForm, apply_matrix, background_script, check_matrix,
-                        compat_n_pi, compat_omega_n, d_function, differential,
-                        iota_n, lie_derivative, n_star, omega_n, pairing, pi_sharp,
-                        tabulate, unit_duals)
+                        compat_n_pi, compat_omega_n, differential, iota_n, n_star,
+                        omega_n, pi_sharp, tabulate, unit_duals)
 from .elements import Element
 from .forms import PolyForm, element_form, is_zero, rn_bracket
 from .instances import GradedInstance
@@ -40,21 +41,24 @@ from .rings import InputError, format_rational
 
 def koszul_bracket(instance: GradedInstance, pi: Element, alpha: DualForm,
                    beta: DualForm) -> DualForm:
-    """{a,b} = L_{pi# a} b - L_{pi# b} a - d(pi(a,b)) on 1-forms, computed
-    with the instance's bracket and anchor (pass a deformed instance for the
-    deformed bracket's Koszul bracket).  pi(a,b) is read as <b, pi# a>,
-    the determinant convention of ``pi_sharp``."""
+    """{a,b} = L_{pi# a} b - L_{pi# b} a - d(pi(a,b)) on 1-forms, read on
+    each generator Y through (L_X b)(Y) = rho(X) b(Y) - b([X,Y]) and
+    (d f)(Y) = rho(Y) f, with the instance's anchor and bracket (pass a
+    deformed instance for the deformed bracket's Koszul bracket).
+    pi(a,b) is read as <b, pi# a>, the determinant convention of
+    ``pi_sharp``."""
     if alpha.k != 1 or beta.k != 1:
         raise InputError("the Koszul bracket acts on 1-forms")
-    if alpha.instance is not instance:
-        alpha = DualForm(instance, 1, alpha.table)
-    if beta.instance is not instance:
-        beta = DualForm(instance, 1, beta.table)
-    pa = pi_sharp(pi, alpha)
-    pb = pi_sharp(pi, beta)
-    first = lie_derivative(pa, beta) if not pa.is_zero() else DualForm.zero(instance, 1)
-    second = lie_derivative(pb, alpha) if not pb.is_zero() else DualForm.zero(instance, 1)
-    return first - second - d_function(instance, pairing(beta, pa))
+    pa, pb = pi_sharp(pi, alpha), pi_sharp(pi, beta)
+    pairing = beta.apply((pa,))                 # pi(a,b)
+    rho, bracket = instance.anchor_on_function, instance.sn_bracket
+
+    def value(Y):
+        return (rho(pa, beta.apply((Y,))) - beta.apply((bracket(pa, Y),))
+                - rho(pb, alpha.apply((Y,))) + alpha.apply((bracket(pb, Y),))
+                - rho(Y, pairing))
+
+    return tabulate(instance, 1, value)
 
 
 def concomitant(instance: GradedInstance, pi: Element, N, alpha: DualForm,

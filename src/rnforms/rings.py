@@ -25,21 +25,27 @@ class InputError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (q omitted when 1) into an exact rational.  ``Fraction``
-    raises the interpreter's limit on the digits of an int (4300 by
-    default) as a malformed number; a numeral past it is refused by its
-    length, and the message echoes only a prefix of it."""
+    """Parse "p/q" (q omitted when 1), or a decimal such as "2.5e3", into an
+    exact rational.  ``Fraction`` raises the interpreter's limit on the
+    digits of an int (4300 by default) as a malformed number; a numeral
+    past it is refused by its length, and the message echoes only a prefix
+    of it.  An exponent past the limit is refused the same way, before
+    ``Fraction`` writes out its power of ten."""
     numeral = str(text).strip()
-    try:
-        return Fraction(numeral)
-    except (ValueError, ZeroDivisionError) as exc:
-        digits = sum(map(str.isdigit, numeral))
-        # 0 means no limit, as does an interpreter from before the limit
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        if limit and digits > limit:
-            raise InputError(f"rational number of {digits} digits, past the limit of"
-                             f" {limit} digits per integer: {numeral[:20]!r}...") from exc
-        raise InputError(f"not a rational number: {text!r}") from exc
+    digits = sum(map(str.isdigit, numeral))
+    # 0 means no limit, as does an interpreter from before the limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    power = numeral.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if limit and digits <= limit and power.isdecimal() and int(power) > limit:
+        digits += int(power) - len(power)       # the zeros it writes out
+    else:
+        try:
+            return Fraction(numeral)
+        except (ValueError, ZeroDivisionError) as exc:
+            if not (limit and digits > limit):
+                raise InputError(f"not a rational number: {text!r}") from exc
+    raise InputError(f"rational number of {digits} digits, past the limit of"
+                     f" {limit} digits per integer: {numeral[:20]!r}...")
 
 
 def format_rational(q: Fraction) -> str:
@@ -227,7 +233,7 @@ def monomial_label(expo: Iterable[int], names: tuple) -> str:
         if e == 1:
             factors.append(name)
         elif e > 1:
-            factors.append(f"{name}^{e}")
+            factors.append(f"{name}^{Decimal(e)}")   # str() refuses an int past the limit
     return " ".join(factors) if factors else "1"
 
 
@@ -257,7 +263,8 @@ def parse_poly(data, nvars: int, names: tuple) -> Poly:
                     raise InputError(f"unknown coordinate {name!r} in monomial {label!r}")
                 if caret and not power.isdecimal():
                     raise InputError(f"bad exponent {power!r} in monomial {label!r}")
-                expo[index[name]] += int(power) if power else 1
+                # an exponent past the digit limit is refused as a numeral is
+                expo[index[name]] += int(parse_rational(power)) if power else 1
         expo = tuple(expo)
         if expo in labels:
             raise InputError(

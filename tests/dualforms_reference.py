@@ -108,6 +108,12 @@ def reference_iota_element(X, kappa: DualForm) -> DualForm:
     return DualForm(inst, kappa.k - 1, table)
 
 
+def reference_lie_derivative(X, kappa: DualForm) -> DualForm:
+    """The Cartan formula L_X = i_X d + d i_X on a k-form, k >= 1."""
+    return (reference_iota_element(X, reference_differential(kappa))
+            + reference_differential(reference_iota_element(X, kappa)))
+
+
 def reference_n_star(inst, N, alpha: DualForm) -> DualForm:
     table = {}
     for i in range(inst.rank):

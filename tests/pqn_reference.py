@@ -1,5 +1,6 @@
 """The section-3 lemmas and the Koszul-bracket pairing identity that the
-PQN equivalence rests on, mostly as hand-rolled loops over basis tuples.  No
+PQN equivalence rests on, mostly as hand-rolled loops over basis tuples, and
+the Koszul bracket by the Cartan formula (``reference_koszul_bracket``).  No
 command prints these reports; ``test_pqn.py`` checks that every entry
 passes on its inputs and that each planted corruption fails the entries
 it must.  ``reference_conditions_bc`` recomputes conditions (b) and (c) of
@@ -19,12 +20,13 @@ import itertools
 from fractions import Fraction
 
 from rnforms import forms, pqn
-from rnforms.dualforms import DualForm, matrix_mul, pairing
+from rnforms.dualforms import DualForm, matrix_mul
 from rnforms.elements import Element
 from rnforms.forms import VForm
 from rnforms.report import Report
 
-from dualforms_reference import element_on_duals, pi_sharp_matrix
+from dualforms_reference import (element_on_duals, pi_sharp_matrix, reference_differential,
+                                 reference_lie_derivative)
 from forms_reference import declared_family
 
 
@@ -39,13 +41,13 @@ def reference_dual_pairing(instance, pi):
         kb = pqn.koszul_bracket(instance, pi, a, b)
         for x in range(instance.rank):
             X = instance.generator(x)
-            lhs = pairing(kb, X)
+            lhs = kb.apply((X,))
             bracket = instance.sn_bracket(pi, X)
             rhs = (-element_on_duals(bracket, (a, b)) if not bracket.is_zero()
                    else ring.zero())
-            rhs = rhs + instance.anchor_on_function(pqn.pi_sharp(pi, a), pairing(b, X)) \
+            rhs = rhs + instance.anchor_on_function(pqn.pi_sharp(pi, a), b.apply((X,))) \
                 if not pqn.pi_sharp(pi, a).is_zero() else rhs
-            rhs = rhs - instance.anchor_on_function(pqn.pi_sharp(pi, b), pairing(a, X)) \
+            rhs = rhs - instance.anchor_on_function(pqn.pi_sharp(pi, b), a.apply((X,))) \
                 if not pqn.pi_sharp(pi, b).is_zero() else rhs
             if lhs != rhs:
                 bad = f"({a.label()}, {b.label()}, {instance.generator_names[x]})"
@@ -56,6 +58,17 @@ def reference_dual_pairing(instance, pi):
                "<{a,b},X> = -[pi,X](a,b) + rho(pi#a)<b,X> - rho(pi#b)<a,X>",
                bad is None, counterexample=bad)
     return report
+
+
+def reference_koszul_bracket(instance, pi, alpha, beta) -> DualForm:
+    """{a,b} = L_{pi# a} b - L_{pi# b} a - d(pi(a,b)), each Lie derivative
+    by the Cartan formula of the reference operators on ``instance``'s
+    anchor and bracket, and pi(a,b) read by the permutation determinant."""
+    a, b = (DualForm(instance, 1, form.table) for form in (alpha, beta))
+    pairing = DualForm(instance, 0, {(): element_on_duals(pi, (a, b))})
+    return (reference_lie_derivative(pqn.pi_sharp(pi, a), b)
+            - reference_lie_derivative(pqn.pi_sharp(pi, b), a)
+            - reference_differential(pairing))
 
 
 def reference_solve_scalar_ratio(lhs: DualForm, target: DualForm):

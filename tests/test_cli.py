@@ -28,7 +28,8 @@ from rnforms.report import Report
 from rnforms.rings import InputError
 from rnforms.scenario import INDEX_LIMIT, build_scenario, load_scenario, load_shipped
 
-from report_hashes import EXIT_MATRIX, PINNED, report_hashes
+from report_hashes import (EXIT_MATRIX, FAILING_PQN_REPORTS, PINNED, failing_pqn_reports,
+                           report_hashes)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC / "rnforms" / "scenarios"
@@ -361,6 +362,32 @@ def test_a_numeral_past_the_digit_limit_is_refused_by_its_length(tmp_path, capsy
         2, "", "input error: not a rational number: '7/0'\n")
 
 
+def test_a_polynomial_exponent_past_the_digit_limit_is_refused(tmp_path, capsys):
+    # int() of the exponent raised past 4300 digits, an internal error (exit 3)
+    raw = json.loads((SCENARIOS / "poly-tangent-r2.json").read_text())
+    raw["data"]["pi"] = {"a1^a2": {"x1^" + "9" * 5000: "1"}}
+    path = tmp_path / "long-exponent.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(capsys, "--scenario", str(path), "validate") == (2, "", (
+        "input error: rational number of 5000 digits, past the limit of 4300 digits per"
+        f" integer: '{'9' * 20}'...\n"))
+
+
+def test_a_polynomial_exponent_of_any_size_is_printed(tmp_path, capsys):
+    # omega = pi = x1^e a1^a2 with e of 4300 digits: the bracket's exponent
+    # 2e has 4301, which str() of an int refused (exit 3)
+    e = 10**4300 - 1
+    raw = json.loads((SCENARIOS / "poly-tangent-r2.json").read_text())
+    raw["data"]["pi"] = raw["data"]["omega"] = {"a1^a2": {f"x1^{decimal.Decimal(e)}": "1"}}
+    path = tmp_path / "long-exponent.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "--scenario", str(path), "bracket",
+                             "--left", "underlineOmega", "--right", "pi")
+    exponent = str(decimal.Decimal(2 * e))
+    assert (code, err, len(exponent)) == (0, "", 4301)
+    assert f"x1^{exponent}" in out
+
+
 @pytest.mark.parametrize("field", ["lambda", "n"])
 def test_an_unquoted_json_integer_past_the_digit_limit_is_refused(field, tmp_path, capsys):
     # the literal reaches parse_rational as the JSON parser reads it, before
@@ -475,8 +502,11 @@ def test_index_limit_bounds_each_arity_of_a_scenario(path):
         build_scenario(_edited("aff1", path, ["1"] * 13 if listed else 13))
 
 
-# inputs that ran until they crashed (exit 3) before the index limit:
+# inputs that ran until they crashed (exit 3) before the index limit, or
+# for minutes before the digit limit bounded an exponent:
 # case -> (scenario, edit of its JSON or None, command, message)
+EXPONENT_ERROR = ("rational number of 100000000 digits, past the limit of 4300 digits"
+                  " per integer: '1e99999999'...")
 RUNAWAY_INPUTS = {
     "N-index": ("heisenberg3", None, ("bracket", "--left", "N3", "--right",
                                       "N99999999999999999999"),
@@ -490,6 +520,10 @@ RUNAWAY_INPUTS = {
                     "suite.i_max must be <= 12 (the index limit), got 1000"),
     "i_max-witt": ("abelian2", (("suite", "i_max"), 1000), ("suite", "witt"),
                    "suite.i_max must be <= 12 (the index limit), got 1000"),
+    "lambda-exponent": ("heisenberg3", (("data", "lambda"), "1e99999999"), ("validate",),
+                        EXPONENT_ERROR),
+    "a-exponent": ("heisenberg3", (("data", "a"), ["0", "1e99999999"]), ("validate",),
+                   EXPONENT_ERROR),
 }
 
 
@@ -501,8 +535,8 @@ def _address_space(limit):
 @pytest.mark.parametrize("case", RUNAWAY_INPUTS)
 def test_runaway_input_exits_2_at_once(tmp_path, case):
     """Under a 1 GB address-space cap on the child alone, each input exits 2
-    within a second, start-up included; each used to overflow or run out
-    of memory (exit 3)."""
+    within a second, start-up included; each used to overflow, run out of
+    memory (exit 3) or compute a power of ten for minutes."""
     name, edit, command, message = RUNAWAY_INPUTS[case]
     path = SCENARIOS / f"{name}.json"
     if edit:
@@ -838,108 +872,9 @@ def test_exit_code_contract_on_every_shipped_scenario(tmp_path):
     assert report_hashes(tmp_path) == json.loads(PINNED.read_text())
 
 
-# scenarios on which the PQN commands fail, beyond the shipped five
-FAILING_PQN_SCENARIOS = {
-    # Lie algebra: omega is not compatible with N
-    "h3-bad": {
-        "instance": {"lie_algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],
-                                     "brackets": {"e1,e2": {"e3": "1"}}}},
-        "data": {"pi": {"e1^e3": "1"}, "N": [["1", "0", "0"], ["0", "2", "0"],
-                                             ["0", "0", "1"]],
-                 "omega": {"e1^e3": "1", "e2^e3": "1"}, "alpha": {"e1^e2": "1"}}},
-    # polynomial algebroid with Euler anchor: side A and condition (c) fail
-    # at (a1, a2)
-    "euler-bad": {
-        "instance": {"poly_algebroid": {
-            "base_dim": 2, "coordinates": ["x1", "x2"], "rank": 2,
-            "generators": ["a1", "a2"], "brackets": {},
-            "anchor": [[{"x1": "1"}, "0"], ["0", {"x2": "1"}]]}},
-        "data": {"N": [[{"x2": "1"}, "0"], ["0", "1"]], "alpha": {"a1^a2": {"x1": "1"}}},
-        "suite": {"poly_degree_bound": 1}},
-    # Lie algebra with torsion: side A and condition (c) fail at (e1, e2)
-    "h3-torsion": {
-        "instance": {"lie_algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],
-                                     "brackets": {"e1,e2": {"e3": "1"}}}},
-        "data": {"N": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "3"]]}},
-    # every term of the double-bracket decomposition is nonzero
-    "poly-r3-background": {
-        "instance": {"poly_algebroid": {
-            "base_dim": 3, "coordinates": ["x1", "x2", "x3"], "rank": 3,
-            "generators": ["a1", "a2", "a3"], "brackets": {},
-            "anchor": [[{"x1": "1"}, "0", "0"], ["0", {"x2": "1"}, "0"],
-                       ["0", "0", {"x3": "1"}]]}},
-        "data": {"pi": {"a1^a2": {"x3": "1"}}, "N": [["2", "0", "0"], ["0", "2", "0"],
-                                                     ["0", "0", "2"]],
-                 "omega": {"a2^a3": {"x1": "1"}}, "H": {"a1^a2^a3": {"1": "1"}}},
-        "suite": {"poly_degree_bound": 1}},
-    # abelian with a background: stienon-xu refuses H != 0
-    "abelian3-background": {
-        "instance": {"lie_algebra": {"dim": 3, "basis": ["e1", "e2", "e3"],
-                                     "brackets": {}}},
-        "data": {"pi": {"e1^e2": "1"}, "N": [["2", "1", "0"], ["0", "2", "0"],
-                                             ["0", "0", "2"]],
-                 "omega": {"e1^e3": "1"}, "H": {"e1^e2^e3": "1"}}},
-    # aff1 with a declared lambda that is not the solved one: condition (d)
-    # fails on check pqn only (the harnesses pin lambda to 0 or solve none)
-    "aff1-declared-lambda": {
-        "instance": {"lie_algebra": {"dim": 2, "basis": ["e1", "e2"],
-                                     "brackets": {"e1,e2": {"e2": "1"}}}},
-        "data": {"lambda": "1"}},
-}
-
-# "scenario: command" -> (exit code, sha256 of the JSON report)
-FAILING_PQN_REPORTS = {
-    "h3-bad: check pqn":
-        (1, "0d398ef95362f8523f29e21b52b3771d3cd6bcdca1f17b52971bb61e02bdbe92"),
-    "h3-bad: suite main-theorem":
-        (1, "b3705e4ba59eee565f6c3b7d4fe8f5ef58dafb616e6672822961761da9cc9181"),
-    "h3-bad: suite stienon-xu":
-        (1, "552824652266ff965c33070d176a9aac09efbd913d3ef14a6b84505d0006bdac"),
-    "euler-bad: check pqn":
-        (1, "3a5ca0023b8c145191abd186991237acdb7064d34581e4332295bfd6cec161d5"),
-    "euler-bad: suite main-theorem":
-        (1, "df3a801490774a992c6026e060100bcd780e9d163b0fde2aa8db4c310674f8a9"),
-    "euler-bad: suite stienon-xu":
-        (1, "41395189e0f6c5de14ebb3933373dce4c9103b2cb44ed19600fb7b7645259576"),
-    "h3-torsion: check pqn":
-        (1, "e90d5752bc25b77d8c9ccf3fa04d2d445d6e1f362a8cc00d36edbd6bdaa5c098"),
-    "h3-torsion: suite main-theorem":
-        (1, "3901af6b3ec35d44c7de6d8bcf69b7292950a1942f782e91a36d15d7f6dd0cf5"),
-    "h3-torsion: suite stienon-xu":
-        (1, "af99c08382124f77650ddbffcbfeacb9e05264f7d5195cd11b2da22348d86deb"),
-    "poly-r3-background: check pqn":
-        (1, "cc753a245c7001ab8947f3b2123f52b2beb1dc8d51e94ada821d90b3b6b7e7dc"),
-    "poly-r3-background: suite main-theorem":
-        (1, "6930d67aaf16fadb3493fda4bd06d4b72d19729c8e5fc252ff8fa8008db565cc"),
-    "poly-r3-background: suite stienon-xu":
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "abelian3-background: check pqn":
-        (1, "0cdff8dd2662ea21e0f8448bbb42cb7fbb008914f7ea3be3666f87564fc26c04"),
-    "abelian3-background: suite main-theorem":
-        (1, "55b095629e257b52097bcd3f600c660462290ac254207227c5106cbccbcbf695"),
-    "abelian3-background: suite stienon-xu":
-        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "aff1-declared-lambda: check pqn":
-        (1, "3285c809acdd75fd5b10379cb8aadabe658ccd9b35b0d144253068461c9cbb3c"),
-    "aff1-declared-lambda: suite main-theorem":
-        (0, "cce56ff88775adc389a5eeac0bcae12535ecf7c7c68f152c193a2b51e2ed03ee"),
-    "aff1-declared-lambda: suite stienon-xu":
-        (0, "0ad2a223118ca5aa470d7842a58dd5b128e353213c546aa54859da5710e8d47b"),
-}
-
-
-def test_pqn_reports_on_failing_scenarios(tmp_path, capsys):
+def test_pqn_reports_on_failing_scenarios(tmp_path):
     # pins the two harnesses and check pqn byte for byte where they fail
-    got = {}
-    for name, raw in FAILING_PQN_SCENARIOS.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"name": name, **raw}))
-        for command in (("check", "pqn"), ("suite", "main-theorem"), ("suite", "stienon-xu")):
-            code, out, _ = run_cli(capsys, "--scenario", str(path), "--format", "json",
-                                   *command)
-            got[f"{name}: {' '.join(command)}"] = (code, hashlib.sha256(out.encode())
-                                                   .hexdigest())
-    assert got == FAILING_PQN_REPORTS
+    assert failing_pqn_reports(tmp_path) == FAILING_PQN_REPORTS
 
 
 def test_grading_is_validated_and_changes_no_report(tmp_path, capsys):

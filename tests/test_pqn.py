@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnforms import catalog, forms, pqn
-from rnforms.dualforms import DualForm, differential, pi_sharp
+from rnforms.dualforms import DualForm, differential
 from rnforms.elements import Element
 from rnforms.forms import is_zero, rn_bracket
 from rnforms.instances import GradedInstance, LieAlgebraData, PolyAlgebroidData
+from rnforms.linfty import deformed_instance
 from rnforms.pqn import (check_pqn, concomitant, koszul_bracket, main_theorem_harness,
                          mu_with_background, quadruple_conditions, stienon_xu_harness)
 from rnforms.report import Report
@@ -17,8 +18,10 @@ from rnforms.rings import InputError, PolyRing
 from rnforms.scenario import load_shipped
 
 from dualforms_reference import element_on_duals
-from generated_instances import poly_rank3, semidirect, two_step_nilpotent
-from pqn_reference import (reference_conditions_bc, reference_dual_pairing, reference_section3,
+from generated_instances import (affine_x_algebroid, poly_rank3, polynomials, semidirect,
+                                  two_step_nilpotent)
+from pqn_reference import (reference_conditions_bc, reference_dual_pairing,
+                           reference_koszul_bracket, reference_section3,
                            reference_solve_scalar_ratio)
 
 
@@ -32,19 +35,41 @@ def test_koszul_bracket_zero_bivector(aff):
 
 
 def test_koszul_bracket_aff1_by_cartan_expansion(aff):
-    # {a,b} = L_{pi#a} b - L_{pi#b} a - d(pi(a,b)) assembled term by term
-    from rnforms.dualforms import d_function, lie_derivative
+    # {a,b} = L_{pi#a} b - L_{pi#b} a - d(pi(a,b)) by the Cartan-formula reference
     inst = aff
     pi = inst.monomial((0, 1))
     for i, j in itertools.product(range(2), repeat=2):
         a, b = dual(inst, i), dual(inst, j)
-        expected = (lie_derivative(pi_sharp(pi, a), b)
-                    - lie_derivative(pi_sharp(pi, b), a)
-                    - d_function(inst, element_on_duals(pi, (a, b))))
-        assert koszul_bracket(inst, pi, a, b) == expected
+        assert koszul_bracket(inst, pi, a, b) == reference_koszul_bracket(inst, pi, a, b)
         # antisymmetry
         assert (koszul_bracket(inst, pi, a, b)
                 + koszul_bracket(inst, pi, b, a)).is_zero()
+
+
+@st.composite
+def koszul_inputs(draw):
+    """A generated polynomial algebroid, as it is or deformed by a random
+    polynomial N, with a polynomial bivector and two polynomial 1-forms on
+    the undeformed instance."""
+    inst = draw(st.builds(affine_x_algebroid) | poly_rank3()
+                | st.just(load_shipped("poly-tangent-r2").instance))
+    coeffs, n = polynomials(inst.ring.nvars), inst.rank
+    pi = Element({mon: draw(coeffs) for mon in itertools.combinations(range(n), 2)})
+    alpha, beta = (DualForm(inst, 1, {(i,): draw(coeffs) for i in range(n)}) for _ in "ab")
+    if draw(st.booleans()):
+        inst = deformed_instance(inst, [[draw(coeffs) for _ in range(n)] for _ in range(n)])
+    return inst, pi, alpha, beta
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(koszul_inputs())
+def test_koszul_bracket_matches_the_cartan_reference(case):
+    """Every term of the bracket on generators shows on polynomial inputs,
+    rho(pi#a)<b,Y> among them, which the unit duals of the pairing
+    identity leave at 0 for every pi."""
+    inst, pi, alpha, beta = case
+    expected = reference_koszul_bracket(inst, pi, alpha, beta)
+    assert koszul_bracket(inst, pi, alpha, beta) == expected
 
 
 def test_koszul_bracket_abelian_vanishes(ab2):

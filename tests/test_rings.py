@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,20 @@ def test_parse_rational():
         parse_rational("x")
     with pytest.raises(InputError):
         parse_rational("1/0")
+
+
+def test_parse_rational_reads_exponent_notation(monkeypatch):
+    # "1e-07" is how a JSON float prints
+    assert parse_rational("2.5e3") == 2500
+    assert parse_rational("1e-07") == Fraction(1, 10**7)
+    assert parse_rational("-1E+3") == -1000
+    # an exponent past the digit limit is refused before 10**exponent is computed
+    with pytest.raises(InputError, match=r"^rational number of 100000000 digits, past the"
+                                         r" limit of 4300 digits per integer: '1e-99999999'"):
+        parse_rational("1e-99999999")
+    # a limit of 0 means no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert parse_rational("1e5000") == 10**5000
 
 
 @given(rationals, rationals)
